@@ -30,10 +30,8 @@ from .scenarios import (
     run_all_scenarios,
     solve_division,
 )
-from .solver import extract_solution
+from .solver import _EXIT_CODES, extract_solution
 from .synthetic import PRICE_SHAPES, PROFILES, gen_synthetic
-
-_STATUS_EXIT = {"optimal": 0, "infeasible": 2, "unbounded": 3, "limit": 4}
 
 
 def _common_flags(p: argparse.ArgumentParser):
@@ -104,7 +102,7 @@ def _cmd_solve(args) -> int:
     for note in notes:
         print(f"note = {note}")
     if result.status != "optimal":
-        return _STATUS_EXIT.get(result.status, 1)
+        return _EXIT_CODES.get(result.status, 1)
     division, _, _ = extract_solution(result, instance)
     print(f"objective = {_fmt(result.objective)}")
     print(f"gap = {_fmt(result.gap)}")
@@ -135,7 +133,7 @@ def _cmd_scenario(args) -> int:
                                     policy=config.big_m_policy())
     except ScenarioError as exc:
         print(str(exc), file=sys.stderr)
-        return _STATUS_EXIT.get(getattr(exc, "status", ""), 1)
+        return _EXIT_CODES.get(getattr(exc, "status", ""), 1)
     paths = emit_report(reports, args.out, config=config)
     for r in reports:
         cust = " ".join(_fmt(v) + "%" for v in r.customer_reductions)

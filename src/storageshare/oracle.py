@@ -18,7 +18,7 @@ import numpy as np
 from .instance import Division, Instance, ScheduleSet, soc_trajectory
 from .lp import LinearProgram, build_llm_c, build_llm_d, evaluate
 from .mpec import KktSystem
-from .simplex import Simplex, solve_lp_engine
+from .simplex import solve_lp_engine
 
 GRID_GUARD = 200_000
 

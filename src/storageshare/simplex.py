@@ -12,8 +12,18 @@ pass so the returned point is optimal, not merely feasible.
 
 Pricing is Dantzig (most negative reduced cost) with lowest-index
 tie-breaking; after fifty consecutive degenerate steps the engine drops to
-Bland's rule, which cannot cycle. The basis inverse is kept explicitly and
-rebuilt from scratch every hundred pivots to shed accumulated drift.
+Bland's rule, which cannot cycle.
+
+The basis inverse is kept explicitly. A rebuild, every hundred pivots and
+at each warm start, uses the structure of the basis: surplus and
+artificial columns are signed unit vectors, so after a permutation the
+basis is block lower triangular, [[B11, 0], [B21, D]] with D a +-1
+diagonal, and only the structural block B11 (structural columns on the
+rows no unit column covers) is inverted densely. Between rebuilds each
+pivot applies the product-form rank-one update to the rows where the
+entering column is nonzero and the columns where the pivot row is
+nonzero, and to the whole inverse only when that block is not much
+smaller.
 """
 
 from __future__ import annotations
@@ -30,10 +40,54 @@ _PIVOT_TOL = 1e-10
 _DEGEN_TOL = 1e-10
 _BLAND_AFTER = 50
 _REFACTOR_EVERY = 100
+# the gathered block update beats a dense one below this share of m^2
+_SPARSE_UPDATE_SHARE = 0.25
 
 
 class SimplexError(RuntimeError):
     """Numerical breakdown that a cold restart did not cure."""
+
+
+def _pivot_inverse(binv: np.ndarray, w: np.ndarray, r: int):
+    """Product-form update of the explicit inverse, in place, after the
+    column whose transformed image is w = binv @ a_j enters at position r."""
+    pivot = w[r]
+    if abs(pivot) < _PIVOT_TOL:
+        raise SimplexError("pivot element vanished")
+    binv[r] /= pivot
+    rows = np.flatnonzero(w)
+    rows = rows[rows != r]
+    cols = np.flatnonzero(binv[r])
+    if rows.size * cols.size < _SPARSE_UPDATE_SHARE * binv.size:
+        binv[np.ix_(rows, cols)] -= np.outer(w[rows], binv[r, cols])
+    else:
+        others = w.copy()
+        others[r] = 0.0
+        binv -= np.outer(others, binv[r])
+
+
+def _initial_status(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Cold-start status of columns bounded by lo/hi: at the finite bound
+    nearer zero (the lower one on a tie), FREE when neither is finite."""
+    fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
+    st = np.full(lo.size, FREE, dtype=np.int8)
+    st[fin_hi] = AT_UB
+    st[fin_lo] = AT_LB
+    st[fin_lo & fin_hi & (np.abs(lo) > np.abs(hi))] = AT_UB
+    return st
+
+
+def _reanchor(st: np.ndarray, nonbasic: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Move nonbasic statuses, in place, off bounds that are no longer
+    finite, and FREE columns onto a bound that has become finite."""
+    fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
+    lost_lo = nonbasic & (st == AT_LB) & ~fin_lo
+    lost_hi = nonbasic & (st == AT_UB) & ~fin_hi
+    free = nonbasic & (st == FREE)
+    st[lost_lo] = np.where(fin_hi[lost_lo], AT_UB, FREE)
+    st[lost_hi] = np.where(fin_lo[lost_hi], AT_LB, FREE)
+    st[free & fin_lo] = AT_LB
+    st[free & ~fin_lo & fin_hi] = AT_UB
 
 
 class Simplex:
@@ -77,13 +131,6 @@ class Simplex:
 
     # ------------------------------------------------------------------ state
 
-    def _col(self, j: int) -> np.ndarray:
-        if j < self.nt:
-            return self.a[:, j]
-        col = np.zeros(self.m)
-        col[j - self.nt] = self.art_sign[j - self.nt]
-        return col
-
     def _nonbasic_values(self) -> np.ndarray:
         """Values of the structural/surplus columns implied by status."""
         v = np.zeros(self.nt)
@@ -96,13 +143,38 @@ class Simplex:
         return v
 
     def _refactor(self):
-        bmat = np.empty((self.m, self.m))
-        for i, j in enumerate(self.basis):
-            bmat[:, i] = self._col(j)
-        try:
-            self.binv = np.linalg.inv(bmat)
-        except np.linalg.LinAlgError as exc:
-            raise SimplexError("singular basis") from exc
+        """Rebuild the inverse from the block triangular form of the basis.
+
+        Surplus column n+i is -e_i and artificial column nt+i is
+        art_sign[i] e_i. With the unit columns (positions pos_u, rows
+        rows_u, signs sign_u) moved last, B = [[B11, 0], [B21, D]], so
+        B^-1 = [[B11^-1, 0], [-D^-1 B21 B11^-1, D^-1]] with D^-1 = D.
+        """
+        m, n, nt = self.m, self.n, self.nt
+        unit = self.basis >= n
+        pos_u = np.flatnonzero(unit)
+        pos_s = np.flatnonzero(~unit)
+        ju = self.basis[pos_u]
+        surplus = ju < nt
+        rows_u = np.where(surplus, ju - n, ju - nt)
+        sign_u = np.where(surplus, -1.0, self.art_sign[rows_u])
+        covered = np.zeros(m, dtype=bool)
+        covered[rows_u] = True
+        if np.count_nonzero(covered) != rows_u.size:
+            raise SimplexError("singular basis")  # two unit columns, one row
+        rows_s = np.flatnonzero(~covered)
+        binv = np.zeros((m, m))
+        binv[pos_u, rows_u] = sign_u
+        if pos_s.size:
+            cols = self.a[:, self.basis[pos_s]]
+            try:
+                b11_inv = np.linalg.inv(cols[rows_s])
+            except np.linalg.LinAlgError as exc:
+                raise SimplexError("singular basis") from exc
+            binv[np.ix_(pos_s, rows_s)] = b11_inv
+            if pos_u.size:
+                binv[np.ix_(pos_u, rows_s)] = -sign_u[:, None] * (cols[rows_u] @ b11_inv)
+        self.binv = binv
         rhs = self.b - self.a @ self._nonbasic_values()
         self.xb = self.binv @ rhs
         self._dirty = 0
@@ -165,9 +237,6 @@ class Simplex:
             self.xb += rho * step
             self.status[j] = AT_UB if self.status[j] == AT_LB else AT_LB
             return
-        pivot = w[r]
-        if abs(pivot) < _PIVOT_TOL:
-            raise SimplexError("pivot element vanished")
         st = self.status[j]
         start = self.lo[j] if st == AT_LB else self.hi[j] if st == AT_UB else 0.0
         leave = self.basis[r]
@@ -176,11 +245,7 @@ class Simplex:
         self.basis[r] = j
         self.status[j] = BASIC
         self.xb[r] = start + dirn * step
-        # product-form update of the explicit inverse
-        self.binv[r] /= pivot
-        others = w.copy()
-        others[r] = 0.0
-        self.binv -= np.outer(others, self.binv[r])
+        _pivot_inverse(self.binv, w, r)
         self._dirty += 1
 
     def _primal_loop(self, c_full: np.ndarray) -> str:
@@ -202,7 +267,7 @@ class Simplex:
                 dirn = -1.0
             else:
                 dirn = -np.sign(d[j])
-            w = self.binv @ self._col(j)
+            w = self.binv @ self.a[:, j]
             step, r = self._ratio_test(j, dirn, w)
             if not np.isfinite(step):
                 return "unbounded"
@@ -267,7 +332,7 @@ class Simplex:
             else:
                 near = eligible[ratios <= ratios.min() + 1e-10]
                 j = int(near[np.argmax(np.abs(alpha[near]))])
-            w = self.binv @ self._col(j)
+            w = self.binv @ self.a[:, j]
             step_signed = delta_need / (-w[r])
             st_j = self.status[j]
             start = self.lo[j] if st_j == AT_LB else self.hi[j] if st_j == AT_UB else 0.0
@@ -277,13 +342,7 @@ class Simplex:
             self.basis[r] = j
             self.status[j] = BASIC
             self.xb[r] = start + step_signed
-            pivot = w[r]
-            if abs(pivot) < _PIVOT_TOL:
-                raise SimplexError("dual pivot element vanished")
-            self.binv[r] /= pivot
-            others = w.copy()
-            others[r] = 0.0
-            self.binv -= np.outer(others, self.binv[r])
+            _pivot_inverse(self.binv, w, r)
             self._dirty += 1
             self.iterations += 1
             since_refactor += 1
@@ -316,16 +375,7 @@ class Simplex:
         self.bland = False
         self._degen_streak = 0
         self.status = np.empty(self.nt + self.m, dtype=np.int8)
-        for j in range(self.nt):
-            lo_j, hi_j = self.lo[j], self.hi[j]
-            if np.isfinite(lo_j) and np.isfinite(hi_j):
-                self.status[j] = AT_LB if abs(lo_j) <= abs(hi_j) else AT_UB
-            elif np.isfinite(lo_j):
-                self.status[j] = AT_LB
-            elif np.isfinite(hi_j):
-                self.status[j] = AT_UB
-            else:
-                self.status[j] = FREE
+        self.status[: self.nt] = _initial_status(self.lo[: self.nt], self.hi[: self.nt])
         rhs = self.b - self.a @ self._nonbasic_values()
         self.art_sign = np.where(rhs >= 0, 1.0, -1.0)
         self.basis = np.arange(self.nt, self.nt + self.m)
@@ -362,22 +412,10 @@ class Simplex:
         self.iterations = 0
         self.bland = False
         self._degen_streak = 0
-        in_basis = np.zeros(self.nt + self.m, dtype=bool)
-        in_basis[self.basis] = True
-        for j in range(self.nt):  # re-anchor nonbasics onto current bounds
-            if in_basis[j]:
-                continue
-            lo_j, hi_j = self.lo[j], self.hi[j]
-            st = self.status[j]
-            if st == AT_LB and not np.isfinite(lo_j):
-                st = AT_UB if np.isfinite(hi_j) else FREE
-            elif st == AT_UB and not np.isfinite(hi_j):
-                st = AT_LB if np.isfinite(lo_j) else FREE
-            elif st == FREE and np.isfinite(lo_j):
-                st = AT_LB
-            elif st == FREE and np.isfinite(hi_j):
-                st = AT_UB
-            self.status[j] = st
+        nonbasic = np.ones(self.nt + self.m, dtype=bool)
+        nonbasic[self.basis] = False
+        _reanchor(self.status[: self.nt], nonbasic[: self.nt],
+                  self.lo[: self.nt], self.hi[: self.nt])
         try:
             # Sibling nodes restart from the same snapshot; reuse the basis
             # inverse instead of rebuilding it when only bounds changed.
@@ -414,18 +452,15 @@ class Simplex:
             if cand.size == 0:
                 continue  # dependent row; artificial stays basic, pinned at 0
             j = int(cand[np.argmax(np.abs(row[cand]))])
-            w = self.binv @ self._col(j)
+            w = self.binv @ self.a[:, j]
             st_j = self.status[j]
             start = self.lo[j] if st_j == AT_LB else self.hi[j] if st_j == AT_UB else 0.0
             self.status[self.basis[r]] = AT_LB
             self.basis[r] = j
             self.status[j] = BASIC
             self.xb[r] = start
-            pivot = w[r]
-            self.binv[r] /= pivot
-            others = w.copy()
-            others[r] = 0.0
-            self.binv -= np.outer(others, self.binv[r])
+            _pivot_inverse(self.binv, w, r)
+            self._dirty += 1
 
     def _phase2(self) -> LpSolution:
         c_full = np.concatenate([self.c2, np.zeros(self.m)])
@@ -440,10 +475,8 @@ class Simplex:
 
     def _extract(self, c_full: np.ndarray) -> LpSolution:
         xall = self._nonbasic_values()
-        pos = {int(j): i for i, j in enumerate(self.basis)}
-        for j, i in pos.items():
-            if j < self.nt:
-                xall[j] = self.xb[i]
+        structural = self.basis < self.nt
+        xall[self.basis[structural]] = self.xb[structural]
         x = xall[: self.n]
         obj = float(self.lp.c @ x) + self.lp.objective_constant
         y = c_full[self.basis] @ self.binv

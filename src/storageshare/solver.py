@@ -311,11 +311,7 @@ class _DivisionHeuristic:
         net = inst.loads.system_load.astype(float).copy()
         for p, lay in enumerate(mp.parties()):
             cap = key[0] if lay.cap_col == mp.div_disco_col else key[1 + p]
-            if p < inst.customer_count:
-                sub = build_llm_c(inst, p, cap)
-            else:
-                sub = build_llm_d(inst, cap)
-            sol = solve_lp_engine(sub)
+            sol = solve_lp_engine(_party_dispatch_lp(inst, p, cap))
             if sol.status != "optimal":
                 return None
             x[lay.x0: lay.x0 + lay.nx] = sol.x

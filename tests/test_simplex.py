@@ -2,7 +2,18 @@ import numpy as np
 import pytest
 
 from storageshare.lp import build_llm_c, build_llm_d, evaluate, make_lp
-from storageshare.simplex import Simplex, solve_lp_engine
+from storageshare.simplex import (
+    AT_LB,
+    AT_UB,
+    BASIC,
+    FREE,
+    Simplex,
+    SimplexError,
+    _initial_status,
+    _pivot_inverse,
+    _reanchor,
+    solve_lp_engine,
+)
 from tests.conftest import rand_instance
 from tests.lp_oracle import brute_optimum, dual_objective, random_feasible_lp
 from tests.test_lp_build import scipy_solve
@@ -194,3 +205,183 @@ def test_iteration_counter_moves(rng):
     lp = random_feasible_lp(rng, n_vars=6, n_g=8)
     sol = solve_lp_engine(lp)
     assert sol.iterations > 0
+
+
+# ------------------------------------------------- basis inverse maintenance
+
+
+def _basis_matrix(eng):
+    """Basis matrix built column by column: structural and surplus columns
+    from the densified rows, artificial column nt+i as art_sign[i] e_i."""
+    bmat = np.zeros((eng.m, eng.m))
+    for p, j in enumerate(eng.basis):
+        if j < eng.nt:
+            bmat[:, p] = eng.a[:, j]
+        else:
+            bmat[j - eng.nt, p] = eng.art_sign[j - eng.nt]
+    return bmat
+
+
+def _mixed_basis_engine(rng, n, n_g, n_h):
+    lp = make_lp(c=rng.standard_normal(n),
+                 a_ub=rng.standard_normal((n_g, n)), b_ub=rng.standard_normal(n_g),
+                 a_eq=rng.standard_normal((n_h, n)), b_eq=rng.standard_normal(n_h),
+                 lb=np.full(n, -1.0), ub=np.full(n, 2.0))
+    eng = Simplex(lp)
+    m = eng.m
+    eng.art_sign = rng.choice([-1.0, 1.0], m)
+    eng.lo = np.concatenate([lp.lb, np.zeros(n_g), np.zeros(m)])
+    eng.hi = np.concatenate([lp.ub, np.full(n_g, np.inf), np.zeros(m)])
+    eng.status = np.full(eng.nt + m, AT_LB, dtype=np.int8)
+    # one unit column per covered row (surplus where the row has one),
+    # structural columns for the rest
+    n_unit = int(rng.integers(max(0, m - n), m + 1))
+    covered = rng.permutation(m)[:n_unit]
+    units = [n + i if i < n_g and rng.random() < 0.5 else eng.nt + i for i in covered]
+    structural = rng.permutation(n)[: m - n_unit]
+    eng.basis = rng.permutation(np.concatenate([units, structural]).astype(int))
+    eng.status[eng.basis] = BASIC
+    return eng
+
+
+def test_refactor_inverts_mixed_bases(rng):
+    kinds = set()
+    for _ in range(60):
+        eng = _mixed_basis_engine(rng, n=int(rng.integers(3, 9)),
+                                  n_g=int(rng.integers(1, 6)), n_h=int(rng.integers(0, 3)))
+        eng._refactor()
+        bmat = _basis_matrix(eng)
+        np.testing.assert_allclose(eng.binv @ bmat, np.eye(eng.m), atol=1e-10)
+        rhs = eng.b - eng.a @ eng._nonbasic_values()
+        np.testing.assert_allclose(bmat @ eng.xb, rhs, atol=1e-10)
+        for j in eng.basis:
+            if j < eng.n:
+                kinds.add("structural")
+            elif j < eng.nt:
+                kinds.add("surplus")
+            else:
+                kinds.add(f"artificial{eng.art_sign[j - eng.nt]:+.0f}")
+    assert kinds == {"structural", "surplus", "artificial+1", "artificial-1"}
+
+
+def test_refactor_rejects_two_unit_columns_on_one_row(rng):
+    eng = _mixed_basis_engine(rng, n=5, n_g=3, n_h=1)
+    # surplus and artificial column of row 1, with and without structural columns
+    for basis in ([0, 1, eng.n + 1, eng.nt + 1], [eng.n, eng.n + 1, eng.nt + 1, eng.nt + 3]):
+        eng.basis = np.array(basis)
+        with pytest.raises(SimplexError):
+            eng._refactor()
+
+
+def test_refactor_rejects_singular_structural_block():
+    # rows 1 and 2 agree on columns 0 and 1, which are basic there
+    lp = make_lp(c=[1.0, 1.0, 1.0],
+                 a_ub=[[1.0, 2.0, 3.0]], b_ub=[0.0],
+                 a_eq=[[0.7, -1.3, 2.0], [0.7, -1.3, 5.0]], b_eq=[1.0, 2.0])
+    eng = Simplex(lp)
+    eng.lo, eng.hi = np.zeros(eng.nt + eng.m), np.ones(eng.nt + eng.m)
+    eng.status = np.full(eng.nt + eng.m, AT_LB, dtype=np.int8)
+    eng.basis = np.array([0, eng.n, 1])
+    with pytest.raises(SimplexError):
+        eng._refactor()
+    # a structural column that is zero on every uncovered row
+    eng.basis = np.array([2, eng.n, eng.nt + 2])
+    eng.a[1, 2] = 0.0
+    with pytest.raises(SimplexError):
+        eng._refactor()
+
+
+def test_pivot_update_matches_fresh_inverse(rng):
+    # on a diagonal basis a pivot touches a small block of the inverse (the
+    # gathered update), on a dense one the whole inverse (the outer product)
+    for dense in (False, True):
+        for _ in range(20):
+            m = int(rng.integers(4, 12))
+            bmat = rng.standard_normal((m, m)) if dense else np.diag(rng.uniform(1.0, 2.0, m))
+            binv = np.linalg.inv(bmat)
+            col = rng.standard_normal(m) * (rng.random(m) < (0.9 if dense else 0.3))
+            r = int(rng.integers(0, m))
+            col[r] = 1.0 + rng.random()
+            bmat[:, r] = col
+            w = binv @ col
+            if abs(w[r]) < 1e-3:
+                continue
+            _pivot_inverse(binv, w, r)
+            np.testing.assert_allclose(binv @ bmat, np.eye(m), atol=1e-8)
+
+
+def _loop_initial_status(lo, hi):
+    st = np.empty(lo.size, dtype=np.int8)
+    for j in range(lo.size):
+        if np.isfinite(lo[j]) and np.isfinite(hi[j]):
+            st[j] = AT_LB if abs(lo[j]) <= abs(hi[j]) else AT_UB
+        elif np.isfinite(lo[j]):
+            st[j] = AT_LB
+        elif np.isfinite(hi[j]):
+            st[j] = AT_UB
+        else:
+            st[j] = FREE
+    return st
+
+
+def _loop_reanchor(status, nonbasic, lo, hi):
+    for j in range(status.size):
+        if not nonbasic[j]:
+            continue
+        st = status[j]
+        if st == AT_LB and not np.isfinite(lo[j]):
+            st = AT_UB if np.isfinite(hi[j]) else FREE
+        elif st == AT_UB and not np.isfinite(hi[j]):
+            st = AT_LB if np.isfinite(lo[j]) else FREE
+        elif st == FREE and np.isfinite(lo[j]):
+            st = AT_LB
+        elif st == FREE and np.isfinite(hi[j]):
+            st = AT_UB
+        status[j] = st
+
+
+def test_status_rules_match_loop_reference(rng):
+    values = np.array([-np.inf, np.inf, -2.0, -1.0, 0.0, 1.0, 2.0])
+    for _ in range(50):
+        k = int(rng.integers(1, 40))
+        lo, hi = rng.choice(values, k), rng.choice(values, k)
+        np.testing.assert_array_equal(_initial_status(lo, hi), _loop_initial_status(lo, hi))
+        status = rng.choice(np.array([AT_LB, AT_UB, FREE, BASIC], dtype=np.int8), k)
+        nonbasic = rng.random(k) < 0.7
+        want = status.copy()
+        _loop_reanchor(want, nonbasic, lo, hi)
+        _reanchor(status, nonbasic, lo, hi)
+        np.testing.assert_array_equal(status, want)
+
+
+def test_chained_warm_resolves_match_cold(rng):
+    # a walk of bound changes, each warm-started from the previous node,
+    # including bounds relaxed to infinity and rows pinned to equality
+    for _ in range(15):
+        lp = random_feasible_lp(rng, n_vars=int(rng.integers(3, 7)),
+                                n_g=int(rng.integers(2, 8)), n_h=int(rng.integers(0, 2)))
+        eng = Simplex(lp)
+        sol = eng.solve()
+        assert sol.status == "optimal"
+        lo = np.concatenate([lp.lb, np.zeros(lp.n_g)])
+        hi = np.concatenate([lp.ub, np.full(lp.n_g, np.inf)])
+        snap = eng.snapshot()
+        for _ in range(6):
+            j = int(rng.integers(0, eng.nt))
+            move = rng.integers(0, 3)
+            if move == 0 and j < lp.n_vars and np.isfinite(sol.x[j]):
+                hi[j] = max(lo[j], sol.x[j] - rng.uniform(0.0, 1.0))
+            elif move == 1 and j < lp.n_vars and np.isfinite(sol.x[j]):
+                lo[j] = min(hi[j], sol.x[j] + rng.uniform(0.0, 1.0))
+            elif j >= lp.n_vars:
+                hi[j] = 0.0
+            else:
+                lo[j] = -np.inf
+            warm = eng.resolve(snap, lo, hi)
+            cold = Simplex(lp).solve(lo, hi)
+            assert warm.status == cold.status
+            if warm.status != "optimal":
+                break
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-8, rel=1e-8)
+            sol = warm
+            snap = eng.snapshot()
