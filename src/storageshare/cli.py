@@ -24,6 +24,7 @@ from .mps_io import export_mps
 from .oracle import grid_oracle
 from .scenarios import (
     ScenarioError,
+    _fmt,
     daily_cycle,
     emit_report,
     read_report,
@@ -34,13 +35,9 @@ from .solver import _EXIT_CODES, extract_solution
 from .synthetic import PRICE_SHAPES, PROFILES, gen_synthetic
 
 
-def _common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0,
-                   help="random seed for data generation")
+def _solve_flags(p: argparse.ArgumentParser):
     p.add_argument("--mode", choices=("bigm", "lpcc"), default=None,
                    help="override the config's solver mode")
-    p.add_argument("--grid-step", type=float, default=None,
-                   help="grid resolution in kWh (oracle; default capacity/20)")
     p.add_argument("--time-limit", type=float, default=None,
                    help="override the config's solve time limit in seconds")
 
@@ -53,16 +50,16 @@ def _inputs(p: argparse.ArgumentParser):
 
 def _load(args):
     config = parse_config(args.config)
-    instance = load_inputs(args.loads, args.prices, config)
+    return load_inputs(args.loads, args.prices, config), config
+
+
+def _solve_settings(args, config):
+    """Solve options and mode: the config's, with --time-limit/--mode applied."""
     opts = config.solve_options()
     if args.time_limit is not None:
         opts = replace(opts, time_limit=args.time_limit)
     mode = args.mode if args.mode is not None else config.values["mode"]
-    return instance, config, opts, mode
-
-
-def _fmt(v: float) -> str:
-    return "%.12g" % v
+    return opts, mode
 
 
 def _print_division(division):
@@ -80,7 +77,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    instance, config, _, _ = _load(args)
+    instance, config = _load(args)
     milp = linearize_big_m(assemble_mpec(instance), config.big_m_policy())
     with open(args.out, "w") as fh:
         export_mps(milp, fh)
@@ -92,7 +89,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    instance, config, opts, mode = _load(args)
+    instance, config = _load(args)
+    opts, mode = _solve_settings(args, config)
     mpec = assemble_mpec(instance)
     policy = config.big_m_policy()
     result, escalations, notes = solve_division(mpec, opts, mode, policy)
@@ -111,7 +109,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    instance, _, _, _ = _load(args)
+    instance, _ = _load(args)
     cap = instance.storage.total_capacity
     step = args.grid_step if args.grid_step is not None else cap / 20.0
     if cap == 0.0:
@@ -127,7 +125,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    instance, config, opts, mode = _load(args)
+    instance, config = _load(args)
+    opts, mode = _solve_settings(args, config)
     try:
         reports = run_all_scenarios(instance, opts, mode=mode,
                                     policy=config.big_m_policy())
@@ -145,10 +144,7 @@ def _cmd_scenario(args) -> int:
 
 def _cmd_cycle(args) -> int:
     config = parse_config(args.config)
-    opts = config.solve_options()
-    if args.time_limit is not None:
-        opts = replace(opts, time_limit=args.time_limit)
-    mode = args.mode if args.mode is not None else config.values["mode"]
+    opts, mode = _solve_settings(args, config)
     days = [load_inputs(loads, prices, config) for loads, prices in args.day]
     result = daily_cycle(days, opts, mode=mode, policy=config.big_m_policy())
     for r in result.reports:
@@ -188,7 +184,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="write synthetic load/price files")
-    _common_flags(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="random seed for data generation")
     p.add_argument("--profile", choices=PROFILES, default="duck")
     p.add_argument("--price-shape", choices=PRICE_SHAPES, default="conforming")
     p.add_argument("--customers", type=int, default=2)
@@ -198,29 +195,29 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("build", help="export the mixed-binary model as MPS")
-    _common_flags(p)
     _inputs(p)
     p.add_argument("--out", required=True, help="output MPS path")
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("solve", help="solve the division model")
-    _common_flags(p)
+    _solve_flags(p)
     _inputs(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("oracle", help="exhaustive grid search over divisions")
-    _common_flags(p)
     _inputs(p)
+    p.add_argument("--grid-step", type=float, default=None,
+                   help="grid resolution in kWh (default capacity/20)")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("scenario", help="compare the three control scenarios")
-    _common_flags(p)
+    _solve_flags(p)
     _inputs(p)
     p.add_argument("--out", required=True, help="report directory")
     p.set_defaults(func=_cmd_scenario)
 
     p = sub.add_parser("cycle", help="solve the division day by day")
-    _common_flags(p)
+    _solve_flags(p)
     p.add_argument("--config", required=True, help="run configuration file")
     p.add_argument("--day", nargs=2, action="append", required=True,
                    metavar=("LOADS", "PRICES"),

@@ -330,6 +330,14 @@ def disco_llm_objective(instance: Instance, schedules: ScheduleSet) -> float:
     return float(np.dot(instance.prices.lmp, flow) * dt)
 
 
+def flow_price(instance: Instance) -> np.ndarray:
+    """Division-objective price of one kW of net storage flow in each slot:
+    (lambda2 * lmp + lambda3 * tou) * dt."""
+    w = instance.weights
+    return (w.lambda2 * instance.prices.lmp
+            + w.lambda3 * instance.prices.tou) * instance.grid.slot_hours
+
+
 def upper_objective(instance: Instance, schedules: ScheduleSet) -> float:
     """Division-problem objective: lambda1*peak + lambda2*C_d + lambda3*C_c.
 

@@ -1,4 +1,5 @@
-"""Lower-level dispatch problems in explicit LP form.
+"""Lower-level dispatch problems in explicit LP form, and the sparse-row
+type every model in the package is stored in.
 
 Each party's day-ahead dispatch is assembled as an inequality/equality
 system A_g x >= b_g, A_h x = b_h with every sign and capacity limit written
@@ -14,25 +15,151 @@ catalog order the reformulation depends on:
 Right-hand sides are stored as offset + cap_coef * capacity so a row stays
 valid symbolically when the owner's capacity later becomes a decision
 variable instead of a number.
+
+A_g and A_h are Rows: compressed sparse rows (CSR). This module is the
+only one that reads their arrays; everything else goes through the Rows
+operations (dense form, row products, transpose, row selection, stacking).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .instance import Instance
 
 
+def _indptr(counts) -> np.ndarray:
+    """Row pointers of rows holding counts[i] entries each."""
+    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """Sparse matrix rows in CSR form.
+
+    Row i holds column ids indices[indptr[i]:indptr[i + 1]] with
+    coefficients data[indptr[i]:indptr[i + 1]], in the order they were
+    built; every operation keeps that order. The column count is not
+    stored: the model that owns the rows knows it.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @classmethod
+    def from_lists(cls, idx, val) -> "Rows":
+        """Rows from per-row column ids and coefficients. A 2-D array pair
+        gives one row per line, all of equal length."""
+        if isinstance(idx, np.ndarray) and idx.ndim == 2:
+            n, k = idx.shape
+            return cls(np.arange(n + 1, dtype=np.int64) * k,
+                       idx.ravel().astype(np.int64),
+                       np.asarray(val, float).ravel())
+        lens = np.fromiter((len(i) for i in idx), np.int64, count=len(idx))
+        return cls(_indptr(lens),
+                   np.concatenate([np.empty(0, np.int64), *idx]).astype(np.int64),
+                   np.concatenate([np.empty(0), *val]).astype(float))
+
+    @classmethod
+    def from_dense(cls, a) -> "Rows":
+        """The nonzero entries of a 2-D array, column-ascending per row."""
+        a = np.asarray(a, float)
+        rows, cols = np.nonzero(a)
+        return cls(_indptr(np.bincount(rows, minlength=a.shape[0])),
+                   cols.astype(np.int64), a[rows, cols])
+
+    @classmethod
+    def stack(cls, parts) -> "Rows":
+        """The rows of every part, one part after the other."""
+        return cls(_indptr(np.concatenate([np.diff(p.indptr) for p in parts])),
+                   np.concatenate([p.indices for p in parts]),
+                   np.concatenate([p.data for p in parts]))
+
+    @classmethod
+    def join(cls, parts) -> "Rows":
+        """Row i of the result is row i of every part, concatenated in part
+        order; all parts have the same row count."""
+        rows = np.concatenate([p.row_ids for p in parts])
+        order = np.argsort(rows, kind="stable")
+        return cls(_indptr(sum(np.diff(p.indptr) for p in parts)),
+                   np.concatenate([p.indices for p in parts])[order],
+                   np.concatenate([p.data for p in parts])[order])
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.indptr) - 1
+
+    @cached_property
+    def row_ids(self) -> np.ndarray:
+        """Row id of every stored entry."""
+        return np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
+
+    @cached_property
+    def views(self):
+        """(column ids, coefficients): per-row read-only views, no copy."""
+        if self.n_rows == 0:
+            return (), ()
+        cuts = self.indptr[1:-1]
+        idx = np.split(self.indices, cuts)
+        val = np.split(self.data, cuts)
+        for a in (*idx, *val):
+            a.flags.writeable = False
+        return tuple(idx), tuple(val)
+
+    def row(self, i: int):
+        """(column ids, coefficients) of row i, as views."""
+        a, b = self.indptr[i], self.indptr[i + 1]
+        return self.indices[a:b], self.data[a:b]
+
+    def coo(self):
+        """(row ids, column ids, coefficients) of every entry in row order."""
+        return self.row_ids, self.indices, self.data
+
+    def dense(self, n_cols: int) -> np.ndarray:
+        a = np.zeros((self.n_rows, n_cols))
+        a[self.row_ids, self.indices] = self.data
+        return a
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """Row products A x (x may be longer than the columns used)."""
+        return np.bincount(self.row_ids, weights=self.data * x[self.indices],
+                           minlength=self.n_rows)
+
+    def transpose(self, n_cols: int) -> "Rows":
+        """Per-column view: row j lists the rows holding column j, ascending."""
+        order = np.argsort(self.indices, kind="stable")
+        return Rows(_indptr(np.bincount(self.indices, minlength=n_cols)),
+                    self.row_ids[order], self.data[order])
+
+    def take(self, rows) -> "Rows":
+        """The given rows, in the given order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        lens = np.diff(self.indptr)[rows]
+        indptr = _indptr(lens)
+        pos = np.repeat(self.indptr[rows] - indptr[:-1], lens) + np.arange(indptr[-1])
+        return Rows(indptr, self.indices[pos], self.data[pos])
+
+    def shifted(self, offset: int) -> "Rows":
+        """The same rows with every column id moved by offset."""
+        return Rows(self.indptr, self.indices + offset, self.data)
+
+    def __neg__(self) -> "Rows":
+        return Rows(self.indptr, self.indices, -self.data)
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     """min c.x + constant  s.t.  A_g x >= b_g,  A_h x = b_h,  lb <= x <= ub.
 
-    Rows are sparse: g_idx[i]/g_val[i] hold the column indices and
-    coefficients of inequality row i. b_g = g_offset + g_cap * capacity,
-    likewise for equalities. Nonzero entries of g_cap/h_cap mark the rows
-    that move with the owner's capacity.
+    g and h hold the rows of A_g and A_h (Rows, one per row, over the
+    n_vars columns). b_g = g_offset + g_cap * capacity, likewise for
+    equalities. Nonzero entries of g_cap/h_cap mark the rows that move with
+    the owner's capacity. g_idx/g_val/h_idx/h_val are per-row read-only
+    views of g and h, kept for callers outside the package.
     """
 
     name: str
@@ -40,13 +167,11 @@ class LinearProgram:
     c: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    g_idx: tuple
-    g_val: tuple
+    g: Rows
     g_offset: np.ndarray
     g_cap: np.ndarray
     g_names: tuple
-    h_idx: tuple
-    h_val: tuple
+    h: Rows
     h_offset: np.ndarray
     h_cap: np.ndarray
     h_names: tuple
@@ -59,11 +184,27 @@ class LinearProgram:
 
     @property
     def n_g(self) -> int:
-        return len(self.g_idx)
+        return self.g.n_rows
 
     @property
     def n_h(self) -> int:
-        return len(self.h_idx)
+        return self.h.n_rows
+
+    @property
+    def g_idx(self) -> tuple:
+        return self.g.views[0]
+
+    @property
+    def g_val(self) -> tuple:
+        return self.g.views[1]
+
+    @property
+    def h_idx(self) -> tuple:
+        return self.h.views[0]
+
+    @property
+    def h_val(self) -> tuple:
+        return self.h.views[1]
 
     def b_g(self) -> np.ndarray:
         return self.g_offset + self.g_cap * self.capacity
@@ -72,16 +213,10 @@ class LinearProgram:
         return self.h_offset + self.h_cap * self.capacity
 
     def dense_g(self) -> np.ndarray:
-        a = np.zeros((self.n_g, self.n_vars))
-        for i, (idx, val) in enumerate(zip(self.g_idx, self.g_val)):
-            a[i, idx] = val
-        return a
+        return self.g.dense(self.n_vars)
 
     def dense_h(self) -> np.ndarray:
-        a = np.zeros((self.n_h, self.n_vars))
-        for i, (idx, val) in enumerate(zip(self.h_idx, self.h_val)):
-            a[i, idx] = val
-        return a
+        return self.h.dense(self.n_vars)
 
 
 @dataclass
@@ -121,20 +256,8 @@ def evaluate(lp: LinearProgram, x: np.ndarray) -> LpEvaluation:
     """Objective and worst-case feasibility residuals of a candidate point."""
     x = np.asarray(x, float)
     obj = float(lp.c @ x) + lp.objective_constant
-    if lp.n_g:
-        slacks = np.array(
-            [float(v @ x[i]) for i, v in zip(lp.g_idx, lp.g_val)]
-        ) - lp.b_g()
-        min_g = float(slacks.min())
-    else:
-        min_g = np.inf
-    if lp.n_h:
-        resid = np.array(
-            [float(v @ x[i]) for i, v in zip(lp.h_idx, lp.h_val)]
-        ) - lp.b_h()
-        max_h = float(np.abs(resid).max())
-    else:
-        max_h = 0.0
+    min_g = float((lp.g.dot(x) - lp.b_g()).min()) if lp.n_g else np.inf
+    max_h = float(np.abs(lp.h.dot(x) - lp.b_h()).max()) if lp.n_h else 0.0
     bound = np.inf
     finite_lb = np.isfinite(lp.lb)
     finite_ub = np.isfinite(lp.ub)
@@ -145,72 +268,71 @@ def evaluate(lp: LinearProgram, x: np.ndarray) -> LpEvaluation:
     return LpEvaluation(obj, min_g, max_h, bound)
 
 
-def _storage_rows(t_slots: int, dt: float, eta_ch: float, eta_dis: float,
-                  power_ratio: float, soc_lower: float, soc_upper: float,
-                  soc_ini: float, ch0: int, dis0: int):
-    """Rows 1..6 of the catalog for one battery share.
-
-    ch0/dis0 are the column indices of ch_0 and dis_0. Returns parallel
-    lists (idx, val, offset, cap, name) in family-major slot-minor order.
+def _storage_rows(instance: Instance, soc_ini: float):
+    """Rows 1..6 of the catalog for one battery share, over the columns
+    ch_0..ch_{T-1}, dis_0..dis_{T-1}. Returns parallel lists
+    (idx, val, offset, cap, name) in family-major slot-minor order.
     """
+    t_slots = instance.grid.slot_count
+    dt = instance.grid.slot_hours
+    st = instance.storage
     idx, val, off, cap, names = [], [], [], [], []
-    ch_cols = np.arange(ch0, ch0 + t_slots)
-    dis_cols = np.arange(dis0, dis0 + t_slots)
+    ch_cols = np.arange(t_slots)
+    dis_cols = np.arange(t_slots, 2 * t_slots)
     # stored energy through slot t: cumulative charge minus discharge
-    for fam, sign, bound, tag in (
-        (1, 1.0, soc_lower - soc_ini, "soc_min"),
-        (2, -1.0, soc_ini - soc_upper, "soc_max"),
-    ):
+    for sign, bound, tag in ((1.0, st.soc_lower - soc_ini, "soc_min"),
+                             (-1.0, soc_ini - st.soc_upper, "soc_max")):
         for t in range(t_slots):
-            cols = np.concatenate([ch_cols[: t + 1], dis_cols[: t + 1]])
-            vals = np.concatenate(
-                [
-                    np.full(t + 1, sign * dt * eta_ch),
-                    np.full(t + 1, -sign * dt / eta_dis),
-                ]
-            )
-            idx.append(cols)
-            val.append(vals)
+            idx.append(np.concatenate([ch_cols[: t + 1], dis_cols[: t + 1]]))
+            val.append(np.concatenate([np.full(t + 1, sign * dt * st.eta_ch),
+                                       np.full(t + 1, -sign * dt / st.eta_dis)]))
             off.append(0.0)
             cap.append(bound)
             names.append(f"{tag}[{t}]")
-    for t in range(t_slots):  # dis_nonneg
-        idx.append(np.array([dis_cols[t]]))
-        val.append(np.array([1.0]))
-        off.append(0.0)
-        cap.append(0.0)
-        names.append(f"dis_nonneg[{t}]")
-    for t in range(t_slots):  # ch_nonneg
-        idx.append(np.array([ch_cols[t]]))
-        val.append(np.array([1.0]))
-        off.append(0.0)
-        cap.append(0.0)
-        names.append(f"ch_nonneg[{t}]")
-    for t in range(t_slots):  # dis_cap: k*S - dis_t >= 0
-        idx.append(np.array([dis_cols[t]]))
-        val.append(np.array([-1.0]))
-        off.append(0.0)
-        cap.append(-power_ratio)
-        names.append(f"dis_cap[{t}]")
-    for t in range(t_slots):  # ch_cap
-        idx.append(np.array([ch_cols[t]]))
-        val.append(np.array([-1.0]))
-        off.append(0.0)
-        cap.append(-power_ratio)
-        names.append(f"ch_cap[{t}]")
+    # signs, x_t >= 0, then power limits, k*S - x_t >= 0
+    for tag, cols, coef, cap_coef in (
+        ("dis_nonneg", dis_cols, 1.0, 0.0),
+        ("ch_nonneg", ch_cols, 1.0, 0.0),
+        ("dis_cap", dis_cols, -1.0, -st.power_ratio),
+        ("ch_cap", ch_cols, -1.0, -st.power_ratio),
+    ):
+        for t in range(t_slots):
+            idx.append(cols[t: t + 1])
+            val.append(np.array([coef]))
+            off.append(0.0)
+            cap.append(cap_coef)
+            names.append(f"{tag}[{t}]")
     return idx, val, off, cap, names
 
 
-def _balance_row(t_slots: int, dt: float, eta_ch: float, eta_dis: float,
-                 ch0: int, dis0: int):
-    """Daily energy neutrality: stored energy returns to its start."""
-    cols = np.concatenate(
-        [np.arange(ch0, ch0 + t_slots), np.arange(dis0, dis0 + t_slots)]
+def _dispatch_lp(instance: Instance, name: str, c: np.ndarray, rows,
+                 capacity: float, extra_vars=()) -> LinearProgram:
+    """Free variables ch_0..ch_{T-1}, dis_0..dis_{T-1} then extra_vars,
+    the given inequality rows and the energy balance equality (stored
+    energy returns to its start by the end of the day)."""
+    t_slots = instance.grid.slot_count
+    dt = instance.grid.slot_hours
+    st = instance.storage
+    idx, val, off, cap, names = rows
+    balance = np.concatenate([np.full(t_slots, dt * st.eta_ch),
+                              np.full(t_slots, -dt / st.eta_dis)])
+    return LinearProgram(
+        name=name,
+        var_names=tuple([f"ch[{t}]" for t in range(t_slots)]
+                        + [f"dis[{t}]" for t in range(t_slots)] + list(extra_vars)),
+        c=c,
+        lb=np.full(len(c), -np.inf),
+        ub=np.full(len(c), np.inf),
+        g=Rows.from_lists(idx, val),
+        g_offset=np.array(off),
+        g_cap=np.array(cap),
+        g_names=tuple(names),
+        h=Rows.from_lists([np.arange(2 * t_slots)], [balance]),
+        h_offset=np.zeros(1),
+        h_cap=np.zeros(1),
+        h_names=("energy_balance",),
+        capacity=float(capacity),
     )
-    vals = np.concatenate(
-        [np.full(t_slots, dt * eta_ch), np.full(t_slots, -dt / eta_dis)]
-    )
-    return cols, vals
 
 
 def build_llm_c(instance: Instance, customer_index: int, capacity: float) -> LinearProgram:
@@ -227,7 +349,6 @@ def build_llm_c(instance: Instance, customer_index: int, capacity: float) -> Lin
         raise ValueError(f"capacity must be >= 0, got {capacity}")
     t_slots = instance.grid.slot_count
     dt = instance.grid.slot_hours
-    st = instance.storage
     load = instance.loads.customer_load[customer_index]
     peak_col = 2 * t_slots
     valley_col = 2 * t_slots + 1
@@ -238,11 +359,9 @@ def build_llm_c(instance: Instance, customer_index: int, capacity: float) -> Lin
     c[peak_col] = instance.weights.alpha
     c[valley_col] = -instance.weights.alpha
 
-    idx, val, off, cap, names = _storage_rows(
-        t_slots, dt, st.eta_ch, st.eta_dis, st.power_ratio,
-        st.soc_lower, st.soc_upper, float(st.soc_ini_customer[customer_index]),
-        ch0=0, dis0=t_slots,
-    )
+    rows = _storage_rows(
+        instance, float(instance.storage.soc_ini_customer[customer_index]))
+    idx, val, off, cap, names = rows
     for t in range(t_slots):  # peak_def: peak - ch_t + dis_t >= load_t
         idx.append(np.array([peak_col, t, t_slots + t]))
         val.append(np.array([1.0, -1.0, 1.0]))
@@ -255,31 +374,8 @@ def build_llm_c(instance: Instance, customer_index: int, capacity: float) -> Lin
         off.append(-float(load[t]))
         cap.append(0.0)
         names.append(f"valley_def[{t}]")
-
-    h_cols, h_vals = _balance_row(t_slots, dt, st.eta_ch, st.eta_dis, 0, t_slots)
-    nv = 2 * t_slots + 2
-    return LinearProgram(
-        name=f"llm_c[{customer_index}]",
-        var_names=tuple(
-            [f"ch[{t}]" for t in range(t_slots)]
-            + [f"dis[{t}]" for t in range(t_slots)]
-            + ["peak", "valley"]
-        ),
-        c=c,
-        lb=np.full(nv, -np.inf),
-        ub=np.full(nv, np.inf),
-        g_idx=tuple(idx),
-        g_val=tuple(val),
-        g_offset=np.array(off),
-        g_cap=np.array(cap),
-        g_names=tuple(names),
-        h_idx=(h_cols,),
-        h_val=(h_vals,),
-        h_offset=np.zeros(1),
-        h_cap=np.zeros(1),
-        h_names=("energy_balance",),
-        capacity=float(capacity),
-    )
+    return _dispatch_lp(instance, f"llm_c[{customer_index}]", c, rows, capacity,
+                        extra_vars=("peak", "valley"))
 
 
 def build_llm_d(instance: Instance, capacity: float) -> LinearProgram:
@@ -293,39 +389,19 @@ def build_llm_d(instance: Instance, capacity: float) -> LinearProgram:
         raise ValueError(f"capacity must be >= 0, got {capacity}")
     t_slots = instance.grid.slot_count
     dt = instance.grid.slot_hours
-    st = instance.storage
 
     c = np.zeros(2 * t_slots)
     c[:t_slots] = instance.prices.lmp * dt
     c[t_slots:] = -instance.prices.lmp * dt
+    rows = _storage_rows(instance, instance.storage.soc_ini_disco)
+    return _dispatch_lp(instance, "llm_d", c, rows, capacity)
 
-    idx, val, off, cap, names = _storage_rows(
-        t_slots, dt, st.eta_ch, st.eta_dis, st.power_ratio,
-        st.soc_lower, st.soc_upper, st.soc_ini_disco, ch0=0, dis0=t_slots,
-    )
-    h_cols, h_vals = _balance_row(t_slots, dt, st.eta_ch, st.eta_dis, 0, t_slots)
-    nv = 2 * t_slots
-    return LinearProgram(
-        name="llm_d",
-        var_names=tuple(
-            [f"ch[{t}]" for t in range(t_slots)]
-            + [f"dis[{t}]" for t in range(t_slots)]
-        ),
-        c=c,
-        lb=np.full(nv, -np.inf),
-        ub=np.full(nv, np.inf),
-        g_idx=tuple(idx),
-        g_val=tuple(val),
-        g_offset=np.array(off),
-        g_cap=np.array(cap),
-        g_names=tuple(names),
-        h_idx=(h_cols,),
-        h_val=(h_vals,),
-        h_offset=np.zeros(1),
-        h_cap=np.zeros(1),
-        h_names=("energy_balance",),
-        capacity=float(capacity),
-    )
+
+def build_party_lp(instance: Instance, party: int, capacity: float) -> LinearProgram:
+    """Dispatch LP of one party: customers 0..N-1, then the DisCo as party N."""
+    if party < instance.customer_count:
+        return build_llm_c(instance, party, capacity)
+    return build_llm_d(instance, capacity)
 
 
 def make_lp(
@@ -350,39 +426,29 @@ def make_lp(
     lb = np.full(n, -np.inf) if lb is None else np.asarray(lb, float)
     ub = np.full(n, np.inf) if ub is None else np.asarray(ub, float)
 
-    def sparsify(a):
-        rows_i, rows_v = [], []
-        for row in np.atleast_2d(np.asarray(a, float)):
-            nz = np.nonzero(row)[0]
-            rows_i.append(nz)
-            rows_v.append(row[nz])
-        return tuple(rows_i), tuple(rows_v)
-
     if a_ub is not None and len(np.atleast_2d(a_ub)):
-        g_idx, g_val = sparsify(a_ub)
+        g = Rows.from_dense(np.atleast_2d(a_ub))
         g_off = np.asarray(b_ub, float)
     else:
-        g_idx, g_val, g_off = (), (), np.zeros(0)
+        g, g_off = Rows.from_lists((), ()), np.zeros(0)
     if a_eq is not None and len(np.atleast_2d(a_eq)):
-        h_idx, h_val = sparsify(a_eq)
+        h = Rows.from_dense(np.atleast_2d(a_eq))
         h_off = np.asarray(b_eq, float)
     else:
-        h_idx, h_val, h_off = (), (), np.zeros(0)
+        h, h_off = Rows.from_lists((), ()), np.zeros(0)
     return LinearProgram(
         name=name,
         var_names=tuple(var_names) if var_names else tuple(f"x[{j}]" for j in range(n)),
         c=c,
         lb=lb,
         ub=ub,
-        g_idx=g_idx,
-        g_val=g_val,
+        g=g,
         g_offset=g_off,
-        g_cap=np.zeros(len(g_idx)),
-        g_names=tuple(f"r[{i}]" for i in range(len(g_idx))),
-        h_idx=h_idx,
-        h_val=h_val,
+        g_cap=np.zeros(g.n_rows),
+        g_names=tuple(f"r[{i}]" for i in range(g.n_rows)),
+        h=h,
         h_offset=h_off,
-        h_cap=np.zeros(len(h_idx)),
-        h_names=tuple(f"e[{i}]" for i in range(len(h_idx))),
+        h_cap=np.zeros(h.n_rows),
+        h_names=tuple(f"e[{i}]" for i in range(h.n_rows)),
         objective_constant=objective_constant,
     )

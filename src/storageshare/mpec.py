@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance
-from .lp import LinearProgram, build_llm_c, build_llm_d
+from .instance import Instance, flow_price
+from .lp import LinearProgram, Rows, build_party_lp
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,8 @@ class KktSystem:
     """
 
     lp: LinearProgram
-    stat_g_idx: tuple  # per variable: inequality-row ids with nonzero gradient
-    stat_g_val: tuple
-    stat_h_idx: tuple
-    stat_h_val: tuple
+    stat_g: Rows  # A_g transposed: row j lists the inequality rows using x_j
+    stat_h: Rows  # A_h transposed
     rhs: np.ndarray  # = lp.c
     pair_names: tuple
 
@@ -67,9 +65,7 @@ class PartyLayout:
     nv: int
     g0: int  # first primal inequality row in the joint model
     stat0: int  # first stationarity equality row
-    bal0: int  # energy balance equality row
     cap_col: int  # division variable this party's rows are linked to
-    t_slots: int
 
 
 @dataclass(frozen=True)
@@ -77,14 +73,15 @@ class MpecModel:
     """Joint model: upper rows + every party's optimality system.
 
     lp holds all linear rows (the complementarity pairs are NOT rows);
-    pairs lists (omega column, inequality row) index pairs that must
-    multiply to zero. Column order: peak, s_disco, s_customer[0..N-1],
-    then per party its primal block, multiplier block, balance multiplier.
+    pairs is an (n_pairs, 2) int array of (omega column, inequality row)
+    whose values must multiply to zero. Column order: peak, s_disco,
+    s_customer[0..N-1], then per party its primal block, multiplier block,
+    balance multiplier.
     """
 
     instance: Instance
     lp: LinearProgram
-    pairs: tuple  # ((omega_col, g_row), ...)
+    pairs: np.ndarray  # [[omega_col, g_row], ...]
     peak_col: int
     div_disco_col: int
     div_cust_cols: np.ndarray
@@ -136,7 +133,7 @@ class MilpModel:
     mpec: MpecModel
     lp: LinearProgram
     binary_cols: np.ndarray
-    pairs: tuple
+    pairs: np.ndarray
     m_omega: np.ndarray
     m_slack: np.ndarray
     m_notes: tuple
@@ -145,26 +142,6 @@ class MilpModel:
     @property
     def n_binaries(self) -> int:
         return len(self.binary_cols)
-
-
-def _transpose(idx_list, val_list, n_rows, n_cols):
-    """Per-column (row ids, values) views of a sparse row collection."""
-    if n_rows == 0:
-        empty_i = np.empty(0, dtype=np.int64)
-        empty_v = np.empty(0)
-        return [empty_i] * n_cols, [empty_v] * n_cols
-    lens = np.fromiter((len(i) for i in idx_list), int, count=n_rows)
-    rows = np.repeat(np.arange(n_rows), lens)
-    cols = np.concatenate(idx_list)
-    vals = np.concatenate(val_list)
-    order = np.lexsort((rows, cols))
-    cols_s = cols[order]
-    rows_s = rows[order]
-    vals_s = vals[order]
-    cuts = np.searchsorted(cols_s, np.arange(n_cols + 1))
-    per_rows = [rows_s[cuts[j]: cuts[j + 1]] for j in range(n_cols)]
-    per_vals = [vals_s[cuts[j]: cuts[j + 1]] for j in range(n_cols)]
-    return per_rows, per_vals
 
 
 def derive_kkt(lp: LinearProgram) -> KktSystem:
@@ -177,14 +154,10 @@ def derive_kkt(lp: LinearProgram) -> KktSystem:
         raise ValueError(
             "derive_kkt needs an all-rows LP (finite variable bounds present)"
         )
-    g_rows, g_vals = _transpose(lp.g_idx, lp.g_val, lp.n_g, lp.n_vars)
-    h_rows, h_vals = _transpose(lp.h_idx, lp.h_val, lp.n_h, lp.n_vars)
     return KktSystem(
         lp=lp,
-        stat_g_idx=tuple(g_rows),
-        stat_g_val=tuple(g_vals),
-        stat_h_idx=tuple(h_rows),
-        stat_h_val=tuple(h_vals),
+        stat_g=lp.g.transpose(lp.n_vars),
+        stat_h=lp.h.transpose(lp.n_vars),
         rhs=lp.c,
         pair_names=lp.g_names,
     )
@@ -194,12 +167,9 @@ def assemble_mpec(instance: Instance) -> MpecModel:
     """Join the division problem and every party's optimality system."""
     n_cust = instance.customer_count
     t = instance.grid.slot_count
-    dt = instance.grid.slot_hours
     s_total = instance.storage.total_capacity
-    w = instance.weights
 
-    party_lps = [build_llm_c(instance, n, 0.0) for n in range(n_cust)]
-    party_lps.append(build_llm_d(instance, 0.0))
+    party_lps = [build_party_lp(instance, p, 0.0) for p in range(n_cust + 1)]
 
     names = ["peak", "s_d"] + [f"s_c[{n}]" for n in range(n_cust)]
     col = 2 + n_cust
@@ -218,8 +188,7 @@ def assemble_mpec(instance: Instance) -> MpecModel:
             PartyLayout(
                 tag=tag, x0=x0, nx=plp.n_vars, w0=w0, nw=plp.n_g,
                 v0=v0, nv=plp.n_h, g0=g_count,
-                stat0=h_count, bal0=h_count + plp.n_vars,
-                cap_col=(2 + p) if p < n_cust else 1, t_slots=t,
+                stat0=h_count, cap_col=(2 + p) if p < n_cust else 1,
             )
         )
         g_count += plp.n_g
@@ -231,88 +200,71 @@ def assemble_mpec(instance: Instance) -> MpecModel:
     lb[1: 2 + n_cust] = 0.0
     ub[1: 2 + n_cust] = s_total
     c = np.zeros(n_cols)
-    c[0] = w.lambda1
-    flow_price = (w.lambda2 * instance.prices.lmp + w.lambda3 * instance.prices.tou) * dt
+    c[0] = instance.weights.lambda1
+    price = flow_price(instance)
     for lay in layouts:
         lb[lay.w0: lay.w0 + lay.nw] = 0.0
-        c[lay.x0: lay.x0 + t] = flow_price
-        c[lay.x0 + t: lay.x0 + 2 * t] = -flow_price
-    constant = float(flow_price @ instance.loads.system_load)
+        c[lay.x0: lay.x0 + t] = price
+        c[lay.x0 + t: lay.x0 + 2 * t] = -price
+    constant = float(price @ instance.loads.system_load)
 
-    g_idx, g_val, g_off, g_names = [], [], [], []
     # capacity split: s_total - s_d - sum s_n >= 0
-    g_idx.append(np.arange(1, 2 + n_cust))
-    g_val.append(np.full(1 + n_cust, -1.0))
-    g_off.append(-s_total)
-    g_names.append("capacity_split")
-    # peak epigraph rows: peak - sum of all storage flows >= original load
-    for ts in range(t):
-        cols = [0]
-        vals = [1.0]
-        for lay in layouts:
-            cols += [lay.x0 + ts, lay.x0 + t + ts]
-            vals += [-1.0, 1.0]
-        g_idx.append(np.array(cols))
-        g_val.append(np.array(vals))
-        g_off.append(float(instance.loads.system_load[ts]))
-        g_names.append(f"peak_row[{ts}]")
-
-    h_idx, h_val, h_off, h_names = [], [], [], []
+    split = Rows.from_lists([np.arange(1, 2 + n_cust)], [np.full(1 + n_cust, -1.0)])
+    # peak epigraph rows: peak - sum of all storage flows >= original load;
+    # row t is [peak, then ch_t and dis_t of each party in party order]
+    peak_cols = [np.zeros(t, np.int64)]
+    for lay in layouts:
+        peak_cols += [lay.x0 + np.arange(t), lay.x0 + t + np.arange(t)]
+    peak = Rows.from_lists(np.column_stack(peak_cols),
+                           np.tile([1.0] + [-1.0, 1.0] * len(layouts), (t, 1)))
+    g_parts, g_off = [split, peak], [[-s_total], instance.loads.system_load]
+    g_names = ["capacity_split"] + [f"peak_row[{ts}]" for ts in range(t)]
+    h_parts, h_off, h_names = [], [], []
     pairs = []
-    for lay, plp in zip(layouts, party_lps):
-        # stationarity: one equality per primal variable, gradient transposed
-        tg_i, tg_v = _transpose(plp.g_idx, plp.g_val, plp.n_g, plp.n_vars)
-        th_i, th_v = _transpose(plp.h_idx, plp.h_val, plp.n_h, plp.n_vars)
-        for j in range(plp.n_vars):
-            h_idx.append(np.concatenate([tg_i[j] + lay.w0, th_i[j] + lay.v0]))
-            h_val.append(np.concatenate([tg_v[j], th_v[j]]))
-            h_off.append(float(plp.c[j]))
-            h_names.append(f"{lay.tag}stat.{plp.var_names[j]}")
-        # primal rows, capacity markers re-linked to the division variable
-        for i in range(plp.n_g):
-            cap = plp.g_cap[i]
-            if cap != 0.0:
-                g_idx.append(np.concatenate([plp.g_idx[i] + lay.x0, [lay.cap_col]]))
-                g_val.append(np.concatenate([plp.g_val[i], [-cap]]))
-            else:
-                g_idx.append(plp.g_idx[i] + lay.x0)
-                g_val.append(plp.g_val[i])
-            g_off.append(float(plp.g_offset[i]))
-            g_names.append(lay.tag + plp.g_names[i])
-            pairs.append((lay.w0 + i, lay.g0 + i))
-        for m in range(plp.n_h):
-            cap = plp.h_cap[m]
-            if cap != 0.0:
-                h_idx.append(np.concatenate([plp.h_idx[m] + lay.x0, [lay.cap_col]]))
-                h_val.append(np.concatenate([plp.h_val[m], [-cap]]))
-            else:
-                h_idx.append(plp.h_idx[m] + lay.x0)
-                h_val.append(plp.h_val[m])
-            h_off.append(float(plp.h_offset[m]))
-            h_names.append(lay.tag + plp.h_names[m])
 
+    def relinked(rows, cap, lay):
+        """Party rows in model columns, the capacity marker moved onto the
+        division variable as the row's last entry."""
+        marker = Rows.from_dense(-cap[:, None]).shifted(lay.cap_col)
+        return Rows.join([rows.shifted(lay.x0), marker])
+
+    for lay, plp in zip(layouts, party_lps):
+        # stationarity: one equality per primal variable, gradient transposed;
+        # v0 = w0 + n_g, so stacked row i of [A_g; A_h] has multiplier w0 + i
+        h_parts.append(Rows.stack([plp.g, plp.h]).transpose(plp.n_vars).shifted(lay.w0))
+        h_off.append(plp.c)
+        h_names.extend(f"{lay.tag}stat.{nm}" for nm in plp.var_names)
+        h_parts.append(relinked(plp.h, plp.h_cap, lay))
+        h_off.append(plp.h_offset)
+        h_names.extend(lay.tag + nm for nm in plp.h_names)
+        g_parts.append(relinked(plp.g, plp.g_cap, lay))
+        g_off.append(plp.g_offset)
+        g_names.extend(lay.tag + nm for nm in plp.g_names)
+        pairs.append(np.column_stack([lay.w0 + np.arange(lay.nw),
+                                      lay.g0 + np.arange(lay.nw)]))
+
+    g = Rows.stack(g_parts)
+    h = Rows.stack(h_parts)
     lp = LinearProgram(
         name="division_mpec",
         var_names=tuple(names),
         c=c,
         lb=lb,
         ub=ub,
-        g_idx=tuple(g_idx),
-        g_val=tuple(g_val),
-        g_offset=np.array(g_off),
-        g_cap=np.zeros(len(g_idx)),
+        g=g,
+        g_offset=np.concatenate(g_off),
+        g_cap=np.zeros(g.n_rows),
         g_names=tuple(g_names),
-        h_idx=tuple(h_idx),
-        h_val=tuple(h_val),
-        h_offset=np.array(h_off),
-        h_cap=np.zeros(len(h_idx)),
+        h=h,
+        h_offset=np.concatenate(h_off),
+        h_cap=np.zeros(h.n_rows),
         h_names=tuple(h_names),
         objective_constant=constant,
     )
     return MpecModel(
         instance=instance,
         lp=lp,
-        pairs=tuple(pairs),
+        pairs=np.concatenate(pairs),
         peak_col=0,
         div_disco_col=1,
         div_cust_cols=np.arange(2, 2 + n_cust),
@@ -377,21 +329,20 @@ def linearize_big_m(mpec: MpecModel, policy: BigMPolicy | None = None) -> MilpMo
     lb = np.concatenate([base.lb, np.zeros(n_pairs)])
     ub = np.concatenate([base.ub, np.ones(n_pairs)])
     c = np.concatenate([base.c, np.zeros(n_pairs)])
-    g_idx = list(base.g_idx)
-    g_val = list(base.g_val)
-    g_off = list(base.g_offset)
-    g_names = list(base.g_names)
-    pair_row0 = len(g_idx)
-    for q, (w_col, g_row) in enumerate(mpec.pairs):
-        u_col = n0 + q
-        g_idx.append(np.array([w_col, u_col]))
-        g_val.append(np.array([-1.0, m_omega[q]]))
-        g_off.append(0.0)
-        g_names.append(f"m_omega[{q}]")
-        g_idx.append(np.concatenate([base.g_idx[g_row], [u_col]]))
-        g_val.append(np.concatenate([-base.g_val[g_row], [-m_slack[q]]]))
-        g_off.append(-m_slack[q] - float(base.g_offset[g_row]))
-        g_names.append(f"m_slack[{q}]")
+    w_cols, g_rows = mpec.pairs[:, 0], mpec.pairs[:, 1]
+    u_cols = n0 + np.arange(n_pairs)
+    # pair q's rows, interleaved after the MPEC rows:
+    #   m_omega[q]: -omega + M_w u >= 0
+    #   m_slack[q]: -(row g_row) - M_g u >= -M_g - offset
+    omega_rows = Rows.from_lists(np.column_stack([w_cols, u_cols]),
+                                 np.column_stack([np.full(n_pairs, -1.0), m_omega]))
+    slack_rows = Rows.join([-base.g.take(g_rows),
+                            Rows.from_lists(u_cols[:, None], -m_slack[:, None])])
+    interleave = np.column_stack([np.arange(n_pairs), n_pairs + np.arange(n_pairs)]).ravel()
+    g = Rows.stack([base.g, Rows.stack([omega_rows, slack_rows]).take(interleave)])
+    pair_off = np.column_stack([np.zeros(n_pairs), -m_slack - base.g_offset[g_rows]])
+    pair_names = tuple(nm for q in range(n_pairs)
+                       for nm in (f"m_omega[{q}]", f"m_slack[{q}]"))
 
     lp = LinearProgram(
         name="division_milp",
@@ -399,13 +350,11 @@ def linearize_big_m(mpec: MpecModel, policy: BigMPolicy | None = None) -> MilpMo
         c=c,
         lb=lb,
         ub=ub,
-        g_idx=tuple(g_idx),
-        g_val=tuple(g_val),
-        g_offset=np.array(g_off),
-        g_cap=np.zeros(len(g_idx)),
-        g_names=tuple(g_names),
-        h_idx=base.h_idx,
-        h_val=base.h_val,
+        g=g,
+        g_offset=np.concatenate([base.g_offset, pair_off.ravel()]),
+        g_cap=np.zeros(g.n_rows),
+        g_names=base.g_names + pair_names,
+        h=base.h,
         h_offset=base.h_offset,
         h_cap=base.h_cap,
         h_names=base.h_names,
@@ -419,13 +368,14 @@ def linearize_big_m(mpec: MpecModel, policy: BigMPolicy | None = None) -> MilpMo
         m_omega=m_omega,
         m_slack=m_slack,
         m_notes=tuple(notes),
-        pair_row0=pair_row0,
+        pair_row0=base.n_g,
     )
 
 
 def row_value(lp: LinearProgram, i: int, x: np.ndarray) -> float:
     """Slack of inequality row i at x (row lhs minus rhs)."""
-    return float(lp.g_val[i] @ x[lp.g_idx[i]]) - float(lp.b_g()[i])
+    idx, val = lp.g.row(i)
+    return float(val @ x[idx]) - float(lp.g_offset[i] + lp.g_cap[i] * lp.capacity)
 
 
 @dataclass(frozen=True)
@@ -448,12 +398,16 @@ def validate_big_m(milp: MilpModel, solution: np.ndarray, tol: float = 0.05) -> 
     not bite.
     """
     x = np.asarray(solution, float)
+    lp = milp.mpec.lp
+    g_rows = milp.pairs[:, 1]
+    omega = x[milp.pairs[:, 0]]
+    slack = lp.g.take(g_rows).dot(x) - lp.b_g()[g_rows]
+    hit_omega = milp.m_omega - omega <= tol * milp.m_omega
+    hit_slack = milp.m_slack - slack <= tol * milp.m_slack
     flagged = []
-    for q, (w_col, g_row) in enumerate(milp.pairs):
-        omega = float(x[w_col])
-        slack = row_value(milp.mpec.lp, g_row, x)
-        if milp.m_omega[q] - omega <= tol * milp.m_omega[q]:
-            flagged.append((q, "omega", omega, float(milp.m_omega[q])))
-        if milp.m_slack[q] - slack <= tol * milp.m_slack[q]:
-            flagged.append((q, "slack", slack, float(milp.m_slack[q])))
+    for q in np.flatnonzero(hit_omega | hit_slack).tolist():
+        if hit_omega[q]:
+            flagged.append((q, "omega", float(omega[q]), float(milp.m_omega[q])))
+        if hit_slack[q]:
+            flagged.append((q, "slack", float(slack[q]), float(milp.m_slack[q])))
     return BigMReport(flagged=tuple(flagged), tol=tol)

@@ -89,15 +89,12 @@ def export_mps(model: LinearProgram | MilpModel, destination) -> None:
 
     # flatten every matrix entry into parallel arrays: column, row key, value
     c_cols = np.flatnonzero(lp.c)
-    g_lens = np.fromiter((len(ix) for ix in lp.g_idx), np.int64, lp.n_g)
-    h_lens = np.fromiter((len(ix) for ix in lp.h_idx), np.int64, lp.n_h)
-    e_col = np.concatenate([c_cols, *lp.g_idx, *lp.h_idx]).astype(np.int64)
-    e_row = np.concatenate([
-        np.zeros(len(c_cols), dtype=np.int64),
-        np.repeat(1 + np.arange(lp.n_g), g_lens),
-        np.repeat(1 + lp.n_g + np.arange(lp.n_h), h_lens),
-    ])
-    e_val = np.concatenate([lp.c[c_cols], *lp.g_val, *lp.h_val])
+    g_rows, g_cols, g_coefs = lp.g.coo()
+    h_rows, h_cols, h_coefs = lp.h.coo()
+    e_col = np.concatenate([c_cols, g_cols, h_cols]).astype(np.int64)
+    e_row = np.concatenate([np.zeros(len(c_cols), dtype=np.int64),
+                            1 + g_rows, 1 + lp.n_g + h_rows])
+    e_val = np.concatenate([lp.c[c_cols], g_coefs, h_coefs])
     order = np.lexsort((e_row, e_col))
     e_col, e_row, e_val = e_col[order], e_row[order], e_val[order]
 

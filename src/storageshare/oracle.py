@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Division, Instance, ScheduleSet, soc_trajectory
-from .lp import LinearProgram, build_llm_c, build_llm_d, evaluate
+from .instance import Division, Instance, ScheduleSet, flow_price, soc_trajectory
+from .lp import LinearProgram, Rows, build_party_lp, evaluate
 from .mpec import KktSystem
 from .simplex import solve_lp_engine
 
@@ -50,14 +50,9 @@ def check_kkt_residuals(kkt: KktSystem, x, omega, v, tol: float = 1e-6):
     omega = np.asarray(omega, float)
     v = np.asarray(v, float)
     lp = kkt.lp
-    stat = 0.0
-    for j in range(kkt.n_x):
-        r = float(omega[kkt.stat_g_idx[j]] @ kkt.stat_g_val[j])
-        r += float(v[kkt.stat_h_idx[j]] @ kkt.stat_h_val[j])
-        stat = max(stat, abs(r - kkt.rhs[j]))
-    slack = np.array(
-        [float(vv @ x[ii]) for ii, vv in zip(lp.g_idx, lp.g_val)]
-    ) - lp.b_g()
+    resid = kkt.stat_g.dot(omega) + kkt.stat_h.dot(v) - kkt.rhs
+    stat = float(np.abs(resid).max(initial=0.0))
+    slack = lp.g.dot(x) - lp.b_g()
     comp = float(np.abs(omega * slack).max()) if lp.n_g else 0.0
     min_dual = float(omega.min()) if lp.n_g else 0.0
     ev = evaluate(lp, x)
@@ -174,13 +169,11 @@ def optimistic_resolve(
         c=grad,
         lb=lp.lb,
         ub=lp.ub,
-        g_idx=lp.g_idx + (nz,),
-        g_val=lp.g_val + (-lp.c[nz],),
+        g=Rows.stack([lp.g, Rows.from_lists([nz], [-lp.c[nz]])]),
         g_offset=np.concatenate([lp.g_offset, [-(f_star + pin)]]),
         g_cap=np.concatenate([lp.g_cap, [0.0]]),
         g_names=lp.g_names + ("objective_pin",),
-        h_idx=lp.h_idx,
-        h_val=lp.h_val,
+        h=lp.h,
         h_offset=lp.h_offset,
         h_cap=lp.h_cap,
         h_names=lp.h_names,
@@ -216,10 +209,7 @@ class _Dispatch:
 
 def _party_dispatch(instance, party, cap, grad_flows) -> _Dispatch:
     t = instance.grid.slot_count
-    if party < instance.customer_count:
-        lp = build_llm_c(instance, party, cap)
-    else:
-        lp = build_llm_d(instance, cap)
+    lp = build_party_lp(instance, party, cap)
     sol = solve_lp_engine(lp)
     if sol.status != "optimal":
         raise RuntimeError(f"LLM solve failed ({sol.status}) at capacity {cap}")
@@ -253,19 +243,18 @@ def grid_oracle(instance: Instance, step: float, guard: int = GRID_GUARD) -> Ora
             f"grid of {n_points} points exceeds the {guard}-point guard"
         )
     w = instance.weights
-    dt = instance.grid.slot_hours
-    flow_price = (w.lambda2 * instance.prices.lmp + w.lambda3 * instance.prices.tou) * dt
-    base_cost = float(flow_price @ instance.loads.system_load)
+    price = flow_price(instance)
+    base_cost = float(price @ instance.loads.system_load)
     sys_load = instance.loads.system_load
 
     cache = [
-        [_party_dispatch(instance, p, k * step, flow_price) for k in range(k_max + 1)]
+        [_party_dispatch(instance, p, k * step, price) for k in range(k_max + 1)]
         for p in range(n + 1)
     ]  # party order: customers 0..n-1, then disco
 
     def upper_value(flows):
         net = sys_load + flows
-        return w.lambda1 * float(net.max()) + float(flow_price @ flows) + base_cost
+        return w.lambda1 * float(net.max()) + float(price @ flows) + base_cost
 
     records = []
     best = None  # (objective, division tuple)

@@ -33,13 +33,13 @@ from .instance import (
     Division,
     Instance,
     ScheduleSet,
-    customer_cost_total,
     disco_cost,
+    flow_price,
     net_system_load,
     upper_objective,
     zero_schedules,
 )
-from .lp import build_llm_d
+from .lp import Rows, build_llm_d
 from .mpec import BigMPolicy, assemble_mpec, linearize_big_m, validate_big_m
 from .oracle import optimistic_resolve
 from .solver import (
@@ -128,10 +128,8 @@ def _disco_only_dispatch(instance: Instance):
     sol = solve_lp(lp)
     if sol.status != "optimal":
         raise ScenarioError(f"scenario 1: utility dispatch ended {sol.status}")
-    w = instance.weights
-    flow_price = (w.lambda2 * instance.prices.lmp
-                  + w.lambda3 * instance.prices.tou) * instance.grid.slot_hours
-    grad = np.concatenate([flow_price, -flow_price])
+    price = flow_price(instance)
+    grad = np.concatenate([price, -price])
     x_res = optimistic_resolve(lp, grad, sol=sol)
 
     def as_schedules(x):
@@ -163,8 +161,7 @@ def _pin_customers_only(mpec):
         lp,
         lb=lb,
         ub=ub,
-        h_idx=lp.h_idx + (cols,),
-        h_val=lp.h_val + (np.ones(len(cols)),),
+        h=Rows.stack([lp.h, Rows.from_lists([cols], [np.ones(len(cols))])]),
         h_offset=np.append(lp.h_offset, mpec.instance.storage.total_capacity),
         h_cap=np.append(lp.h_cap, 0.0),
         h_names=lp.h_names + ("full_customer_allocation",),

@@ -93,10 +93,8 @@ def _reanchor(st: np.ndarray, nonbasic: np.ndarray, lo: np.ndarray, hi: np.ndarr
 class Simplex:
     """One LP instance plus mutable solver state, reusable across re-solves."""
 
-    def __init__(self, lp: LinearProgram, max_iter: int | None = None,
-                 bland_after: int | None = _BLAND_AFTER):
+    def __init__(self, lp: LinearProgram, max_iter: int | None = None):
         self.lp = lp
-        self.bland_after = bland_after if bland_after is not None else np.inf
         n, mg, mh = lp.n_vars, lp.n_g, lp.n_h
         self.n = n
         self.mg = mg
@@ -276,7 +274,7 @@ class Simplex:
             since_refactor += 1
             if step <= _DEGEN_TOL:
                 self._degen_streak += 1
-                if self._degen_streak >= self.bland_after:
+                if self._degen_streak >= _BLAND_AFTER:
                     self.bland = True
             else:
                 self._degen_streak = 0
@@ -348,7 +346,7 @@ class Simplex:
             since_refactor += 1
             if abs(step_signed) <= _DEGEN_TOL:
                 self._degen_streak += 1
-                if self._degen_streak >= self.bland_after:
+                if self._degen_streak >= _BLAND_AFTER:
                     self.bland = True
             else:
                 self._degen_streak = 0

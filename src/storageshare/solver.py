@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Division, Instance, ScheduleSet
-from .lp import LinearProgram, LpSolution, build_llm_c, build_llm_d, evaluate, make_lp
-from .mpec import MilpModel, MpecModel, row_value
+from .lp import LinearProgram, LpSolution, build_party_lp, evaluate, make_lp
+from .mpec import MilpModel, MpecModel
 from .oracle import check_schedule_invariants
 from .simplex import Simplex, solve_lp_engine
 
@@ -35,7 +35,6 @@ class SolveOptions:
     node_limit: int = 100_000
     time_limit: float = 600.0
     branching: str = "auto"
-    anti_cycling: bool = True
     lp_iteration_limit: int | None = None
 
     def __post_init__(self):
@@ -75,9 +74,7 @@ class SolveResult:
 
 
 def _engine(lp: LinearProgram, opts: SolveOptions) -> Simplex:
-    if opts.anti_cycling:
-        return Simplex(lp, max_iter=opts.lp_iteration_limit)
-    return Simplex(lp, max_iter=opts.lp_iteration_limit, bland_after=None)
+    return Simplex(lp, max_iter=opts.lp_iteration_limit)
 
 
 def solve_lp(lp: LinearProgram, options: SolveOptions | None = None) -> LpSolution:
@@ -255,20 +252,11 @@ def _branch_and_bound(lp, opts, classify, model, heuristic=None):
     )
 
 
-def _pair_products(lp, pairs, bg, x):
-    slack = np.empty(len(pairs))
-    prod = np.empty(len(pairs))
-    for q, (w_col, g_row) in enumerate(pairs):
-        s = float(lp.g_val[g_row] @ x[lp.g_idx[g_row]]) - bg[g_row]
-        slack[q] = s
-        prod[q] = x[w_col] * s
-    return slack, prod
-
-
-def _party_dispatch_lp(inst, p, capacity):
-    if p < inst.customer_count:
-        return build_llm_c(inst, p, capacity)
-    return build_llm_d(inst, capacity)
+def _pair_slacks(lp: LinearProgram, pairs: np.ndarray):
+    """x -> slacks of the pair rows of lp at x, in pair order."""
+    rows = lp.g.take(pairs[:, 1])
+    rhs = lp.b_g()[pairs[:, 1]]
+    return lambda x: rows.dot(x) - rhs
 
 
 class _DivisionHeuristic:
@@ -285,6 +273,7 @@ class _DivisionHeuristic:
         self.mpec = mpec
         self.feas_lp = feas_lp
         self.u_cols = u_cols
+        self.pair_slacks = _pair_slacks(mpec.lp, mpec.pairs)
         self.seen: set = set()
 
     def _division_of(self, x_relax):
@@ -303,7 +292,6 @@ class _DivisionHeuristic:
         mp = self.mpec
         inst = mp.instance
         t = inst.grid.slot_count
-        lp = mp.lp
         x = np.zeros(self.feas_lp.n_vars)
         x[mp.div_disco_col] = key[0]
         for i, c in enumerate(mp.div_cust_cols):
@@ -311,7 +299,7 @@ class _DivisionHeuristic:
         net = inst.loads.system_load.astype(float).copy()
         for p, lay in enumerate(mp.parties()):
             cap = key[0] if lay.cap_col == mp.div_disco_col else key[1 + p]
-            sol = solve_lp_engine(_party_dispatch_lp(inst, p, cap))
+            sol = solve_lp_engine(build_party_lp(inst, p, cap))
             if sol.status != "optimal":
                 return None
             x[lay.x0: lay.x0 + lay.nx] = sol.x
@@ -320,9 +308,7 @@ class _DivisionHeuristic:
             net += sol.x[:t] - sol.x[t: 2 * t]
         x[mp.peak_col] = float(net.max())
         if self.u_cols is not None:
-            for q, (w_col, g_row) in enumerate(mp.pairs):
-                s = row_value(lp, g_row, x)
-                x[self.u_cols[q]] = 1.0 if x[w_col] > s else 0.0
+            x[self.u_cols] = x[mp.pairs[:, 0]] > self.pair_slacks(x)
         if not evaluate(self.feas_lp, x).feasible(1e-6):
             return None
         obj = float(self.feas_lp.c @ x) + self.feas_lp.objective_constant
@@ -352,7 +338,8 @@ def _classify_plain_binary(lp, cols):
 def _classify_milp(milp: MilpModel, opts: SolveOptions, branching: str,
                    lp: LinearProgram | None = None):
     lp = milp.lp if lp is None else lp
-    bg = lp.b_g()
+    pair_slacks = _pair_slacks(lp, milp.pairs)
+    w_cols = milp.pairs[:, 0]
     u_cols = np.asarray(milp.binary_cols, dtype=int)
 
     def classify(sol):
@@ -365,11 +352,11 @@ def _classify_milp(milp: MilpModel, opts: SolveOptions, branching: str,
             if evaluate(lp, x2).feasible(1e-6):
                 return "incumbent", (x2, float(sol.objective))
             return "incumbent", (x.copy(), float(sol.objective))
-        slack, prod = _pair_products(lp, milp.pairs, bg, x)
+        slack = pair_slacks(x)
+        prod = x[w_cols] * slack
         if float(prod.max()) <= opts.feas_tol:
             x2 = x.copy()
-            for q, (w_col, _) in enumerate(milp.pairs):
-                x2[u_cols[q]] = 1.0 if x[w_col] >= slack[q] else 0.0
+            x2[u_cols] = x[w_cols] >= slack
             if evaluate(lp, x2).feasible(1e-6):
                 return "incumbent", (x2, float(sol.objective))
         if branching == "most-violated-complementarity":
@@ -388,16 +375,17 @@ def _classify_milp(milp: MilpModel, opts: SolveOptions, branching: str,
 def _classify_lpcc(mpec: MpecModel, opts: SolveOptions,
                    lp: LinearProgram | None = None):
     lp = mpec.lp if lp is None else lp
-    bg = lp.b_g()
+    pair_slacks = _pair_slacks(lp, mpec.pairs)
+    w_cols = mpec.pairs[:, 0]
     n_struct = lp.n_vars
 
     def classify(sol):
         x = sol.x
-        slack, prod = _pair_products(lp, mpec.pairs, bg, x)
+        prod = x[w_cols] * pair_slacks(x)
         if float(prod.max()) <= opts.feas_tol:
             return "incumbent", (x.copy(), float(sol.objective))
         q = int(np.argmax(prod))
-        w_col, g_row = mpec.pairs[q]
+        w_col, g_row = mpec.pairs[q].tolist()
         # either the multiplier goes to zero, or the row to equality
         return "branch", ((w_col, 0.0, 0.0), (n_struct + g_row, 0.0, 0.0))
 
@@ -484,23 +472,17 @@ def _polish_duals(mpec: MpecModel, x: np.ndarray, feas_lp: LinearProgram,
     lp = mpec.lp
     bg = lp.b_g()
     bh = lp.b_h()
+    slack_all = lp.g.dot(x) - bg
     out = x.copy()
     for lay in mpec.parties():
-        rows = range(lay.g0, lay.g0 + lay.nw)
-        slack = np.array([row_value(lp, i, x) for i in rows])
+        slack = slack_all[lay.g0: lay.g0 + lay.nw]
         scale = 1.0 + float(np.abs(bg[lay.g0: lay.g0 + lay.nw]).max(initial=0.0))
-        stat = np.zeros((lay.nx, lay.nw + lay.nv))
-        rhs = np.empty(lay.nx)
-        for k in range(lay.nx):
-            r = lay.stat0 + k
-            for j, vv in zip(lp.h_idx[r], lp.h_val[r]):
-                if lay.w0 <= j < lay.w0 + lay.nw:
-                    stat[k, j - lay.w0] = vv
-                elif lay.v0 <= j < lay.v0 + lay.nv:
-                    stat[k, lay.nw + (j - lay.v0)] = vv
-                else:
-                    return None  # foreign column in a stationarity row
-            rhs[k] = bh[r]
+        rows = np.arange(lay.stat0, lay.stat0 + lay.nx)
+        full = lp.h.take(rows).dense(lp.n_vars)
+        stat = full[:, np.r_[lay.w0: lay.w0 + lay.nw, lay.v0: lay.v0 + lay.nv]]
+        if np.count_nonzero(stat) != np.count_nonzero(full):
+            return None  # foreign column in a stationarity row
+        rhs = bh[rows]
         sub_sol = None
         for tol in (act_tol, act_tol * 100.0):
             ub = np.where(slack <= tol * scale, np.inf, 0.0)
@@ -520,9 +502,7 @@ def _polish_duals(mpec: MpecModel, x: np.ndarray, feas_lp: LinearProgram,
         out[lay.w0: lay.w0 + lay.nw] = sub_sol.x[: lay.nw]
         out[lay.v0: lay.v0 + lay.nv] = sub_sol.x[lay.nw:]
     if u_cols is not None:  # binary columns present, re-settle them
-        for q, (w_col, g_row) in enumerate(mpec.pairs):
-            s = row_value(lp, g_row, out)
-            out[u_cols[q]] = 1.0 if out[w_col] > s else 0.0
+        out[u_cols] = out[mpec.pairs[:, 0]] > _pair_slacks(lp, mpec.pairs)(out)
     if not evaluate(feas_lp, out).feasible(1e-6):
         return None
     return out

@@ -131,3 +131,11 @@ def test_gen_data_rejects_bad_shape(tmp_path):
         main(["gen-data", "--profile", "square",
               "--loads", str(tmp_path / "l.csv"),
               "--prices", str(tmp_path / "p.csv")])
+
+
+def test_flags_only_on_subcommands_that_read_them(workdir, capsys):
+    # --seed belongs to gen-data alone; the oracle never drew random numbers
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", *args_for(workdir, "--seed", "1")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err

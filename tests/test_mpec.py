@@ -18,8 +18,8 @@ def test_derive_kkt_one_variable():
     lp = make_lp(c=[3.0], a_ub=[[1.0]], b_ub=[0.0])
     kkt = derive_kkt(lp)
     assert kkt.n_x == 1 and kkt.n_omega == 1 and kkt.n_v == 0
-    np.testing.assert_array_equal(kkt.stat_g_idx[0], [0])
-    np.testing.assert_array_equal(kkt.stat_g_val[0], [1.0])
+    np.testing.assert_array_equal(kkt.stat_g.row(0)[0], [0])
+    np.testing.assert_array_equal(kkt.stat_g.row(0)[1], [1.0])
     assert kkt.rhs[0] == 3.0
     assert len(kkt.pair_names) == 1
 
@@ -37,11 +37,11 @@ def test_peak_stationarity_row(tiny_instance):
     kkt = derive_kkt(lp)
     t = tiny_instance.grid.slot_count
     peak_col = 2 * t
-    rows = kkt.stat_g_idx[peak_col]
+    rows = kkt.stat_g.row(peak_col)[0]
     want = [i for i, nm in enumerate(lp.g_names) if nm.startswith("peak_def")]
     np.testing.assert_array_equal(np.sort(rows), want)
-    np.testing.assert_array_equal(kkt.stat_g_val[peak_col], np.ones(t))
-    assert kkt.stat_h_idx[peak_col].size == 0
+    np.testing.assert_array_equal(kkt.stat_g.row(peak_col)[1], np.ones(t))
+    assert kkt.stat_h.row(peak_col)[0].size == 0
     assert kkt.rhs[peak_col] == pytest.approx(tiny_instance.weights.alpha)
 
 
@@ -54,10 +54,10 @@ def test_stationarity_matches_dense_transpose(rng):
         a_h = lp.dense_h()
         for j in range(lp.n_vars):
             dense_g = np.zeros(lp.n_g)
-            dense_g[kkt.stat_g_idx[j]] = kkt.stat_g_val[j]
+            dense_g[kkt.stat_g.row(j)[0]] = kkt.stat_g.row(j)[1]
             np.testing.assert_allclose(dense_g, a_g[:, j])
             dense_h = np.zeros(lp.n_h)
-            dense_h[kkt.stat_h_idx[j]] = kkt.stat_h_val[j]
+            dense_h[kkt.stat_h.row(j)[0]] = kkt.stat_h.row(j)[1]
             np.testing.assert_allclose(dense_h, a_h[:, j])
 
 
