@@ -12,7 +12,15 @@ pass so the returned point is optimal, not merely feasible.
 
 Pricing is Dantzig (most negative reduced cost) with lowest-index
 tie-breaking; after fifty consecutive degenerate steps the engine drops to
-Bland's rule, which cannot cycle.
+Bland's rule, which cannot cycle. The constraint matrix is also kept
+column-wise (an lp.Rows over its nonzeros), and every product inside the
+loops reads only those nonzeros: prices y A, the pivot row e_r B^-1 A and
+the entering column B^-1 a_j. The reduced costs d = c - c_B B^-1 A are
+computed from scratch when a loop starts and after each rebuild of the
+inverse; after every basis change they are updated with the pivot row
+(d -= d_j / alpha_rj * alpha_r), and a bound flip leaves them alone. The
+primal loop declares optimality only on freshly computed reduced costs: if
+updated ones admit no entering column it recomputes them and looks again.
 
 The basis inverse is kept explicitly. A rebuild, every hundred pivots and
 at each warm start, uses the structure of the basis: surplus and
@@ -30,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lp import LinearProgram, LpSolution
+from .lp import LinearProgram, LpSolution, Rows
 
 AT_LB, AT_UB, FREE, BASIC = 0, 1, 2, 3
 
@@ -59,7 +67,7 @@ def _pivot_inverse(binv: np.ndarray, w: np.ndarray, r: int):
     rows = rows[rows != r]
     cols = np.flatnonzero(binv[r])
     if rows.size * cols.size < _SPARSE_UPDATE_SHARE * binv.size:
-        binv[np.ix_(rows, cols)] -= np.outer(w[rows], binv[r, cols])
+        binv[rows[:, None], cols] -= np.outer(w[rows], binv[r, cols])
     else:
         others = w.copy()
         others[r] = 0.0
@@ -107,6 +115,7 @@ class Simplex:
         if mh:
             a[mg:, :n] = lp.dense_h()
         self.a = a
+        self.cols = Rows.from_dense(a.T)  # column j of A is row j
         self.b = np.concatenate([lp.b_g(), lp.b_h()])
         self.base_lo = np.concatenate([lp.lb, np.zeros(mg)])
         self.base_hi = np.concatenate([lp.ub, np.full(mg, np.inf)])
@@ -116,6 +125,7 @@ class Simplex:
         self.lo = None
         self.hi = None
         self.status = None
+        self.fixed = None  # structural/surplus columns with hi <= lo
         self.basis = None
         self.xb = None
         self.binv = None
@@ -169,9 +179,9 @@ class Simplex:
                 b11_inv = np.linalg.inv(cols[rows_s])
             except np.linalg.LinAlgError as exc:
                 raise SimplexError("singular basis") from exc
-            binv[np.ix_(pos_s, rows_s)] = b11_inv
+            binv[pos_s[:, None], rows_s] = b11_inv
             if pos_u.size:
-                binv[np.ix_(pos_u, rows_s)] = -sign_u[:, None] * (cols[rows_u] @ b11_inv)
+                binv[pos_u[:, None], rows_s] = -sign_u[:, None] * (cols[rows_u] @ b11_inv)
         self.binv = binv
         rhs = self.b - self.a @ self._nonbasic_values()
         self.xb = self.binv @ rhs
@@ -180,15 +190,23 @@ class Simplex:
     def _bounds_of(self, j: int):
         return self.lo[j], self.hi[j]
 
+    def _column(self, j: int) -> np.ndarray:
+        """binv @ a_j, from the nonzeros of column j."""
+        idx, val = self.cols.row(j)
+        return self.binv[:, idx] @ val
+
+    def _reduced_costs(self, c_full: np.ndarray) -> np.ndarray:
+        """d = c - c_B B^-1 A over the structural and surplus columns."""
+        return c_full[: self.nt] - self.cols.dot(c_full[self.basis] @ self.binv)
+
     # ------------------------------------------------------------- primal loop
 
     def _entering(self, d: np.ndarray):
         """Pick the entering column, or -1 at optimality."""
         st = self.status[: self.nt]
-        fixed = self.hi[: self.nt] - self.lo[: self.nt] <= 0.0
         score = np.full(self.nt, np.inf)
-        m_lb = (st == AT_LB) & ~fixed
-        m_ub = (st == AT_UB) & ~fixed
+        m_lb = (st == AT_LB) & ~self.fixed
+        m_ub = (st == AT_UB) & ~self.fixed
         m_fr = st == FREE
         score[m_lb] = d[m_lb]
         score[m_ub] = -d[m_ub]
@@ -248,28 +266,37 @@ class Simplex:
 
     def _primal_loop(self, c_full: np.ndarray) -> str:
         since_refactor = 0
+        d = None  # reduced costs; None when they must be computed afresh
         while True:
             if self.iterations >= self.max_iter:
                 return "iteration_limit"
             if since_refactor >= _REFACTOR_EVERY:
                 self._refactor()
                 since_refactor = 0
-            y = c_full[self.basis] @ self.binv
-            d = c_full[: self.nt] - y @ self.a
+                d = None
+            fresh = d is None
+            if fresh:
+                d = self._reduced_costs(c_full)
             j = self._entering(d)
             if j < 0:
-                return "optimal"
+                if fresh:
+                    return "optimal"
+                d = None  # updated costs carry rounding: confirm on fresh ones
+                continue
             if self.status[j] == AT_LB:
                 dirn = 1.0
             elif self.status[j] == AT_UB:
                 dirn = -1.0
             else:
                 dirn = -np.sign(d[j])
-            w = self.binv @ self.a[:, j]
+            w = self._column(j)
             step, r = self._ratio_test(j, dirn, w)
             if not np.isfinite(step):
                 return "unbounded"
             self._apply_pivot(j, dirn, step, r, w)
+            if r >= 0:  # row r of the updated inverse gives the pivot row
+                d -= d[j] * self.cols.dot(self.binv[r])
+                d[j] = 0.0
             self.iterations += 1
             since_refactor += 1
             if step <= _DEGEN_TOL:
@@ -286,12 +313,14 @@ class Simplex:
         """Bounded-variable dual simplex from a dual-feasible basis."""
         c_full = np.concatenate([self.c2, np.zeros(self.m)])
         since_refactor = 0
+        d = self._reduced_costs(c_full)
         while True:
             if self.iterations >= self.max_iter:
                 return "iteration_limit"
             if since_refactor >= _REFACTOR_EVERY:
                 self._refactor()
                 since_refactor = 0
+                d = self._reduced_costs(c_full)
             lo_b = self.lo[self.basis]
             hi_b = self.hi[self.basis]
             viol_lo = lo_b - self.xb
@@ -308,11 +337,9 @@ class Simplex:
                     return "optimal"
             below = viol_lo[r] > viol_hi[r]
             delta_need = (lo_b[r] - self.xb[r]) if below else (hi_b[r] - self.xb[r])
-            y = c_full[self.basis] @ self.binv
-            d = c_full[: self.nt] - y @ self.a
-            alpha = self.binv[r] @ self.a
+            alpha = self.cols.dot(self.binv[r])
             st = self.status[: self.nt]
-            fixed = self.hi[: self.nt] - self.lo[: self.nt] <= 0.0
+            fixed = self.fixed
             if below:  # x_Br must increase: -alpha_j * delta_j > 0
                 ok_lb = (st == AT_LB) & ~fixed & (alpha < -_PIVOT_TOL)
                 ok_ub = (st == AT_UB) & ~fixed & (alpha > _PIVOT_TOL)
@@ -330,7 +357,7 @@ class Simplex:
             else:
                 near = eligible[ratios <= ratios.min() + 1e-10]
                 j = int(near[np.argmax(np.abs(alpha[near]))])
-            w = self.binv @ self.a[:, j]
+            w = self._column(j)
             step_signed = delta_need / (-w[r])
             st_j = self.status[j]
             start = self.lo[j] if st_j == AT_LB else self.hi[j] if st_j == AT_UB else 0.0
@@ -342,6 +369,8 @@ class Simplex:
             self.xb[r] = start + step_signed
             _pivot_inverse(self.binv, w, r)
             self._dirty += 1
+            d -= (d[j] / alpha[j]) * alpha
+            d[j] = 0.0
             self.iterations += 1
             since_refactor += 1
             if abs(step_signed) <= _DEGEN_TOL:
@@ -368,6 +397,7 @@ class Simplex:
         )
         if np.any(self.lo > self.hi + 1e-12):
             return self._failed("infeasible")
+        self.fixed = self.hi[: self.nt] - self.lo[: self.nt] <= 0.0
         self._light = False
         self.iterations = 0
         self.bland = False
@@ -406,6 +436,7 @@ class Simplex:
         self.hi = np.concatenate([np.asarray(hi, float), np.zeros(self.m)])
         if np.any(self.lo > self.hi + 1e-12):
             return self._failed("infeasible")
+        self.fixed = self.hi[: self.nt] - self.lo[: self.nt] <= 0.0
         self._light = True
         self.iterations = 0
         self.bland = False
@@ -443,14 +474,13 @@ class Simplex:
         for r in range(self.m):
             if self.basis[r] < self.nt:
                 continue
-            row = self.binv[r] @ self.a
+            row = self.cols.dot(self.binv[r])
             st = self.status[: self.nt]
-            fixed = self.hi[: self.nt] - self.lo[: self.nt] <= 0.0
-            cand = np.nonzero((np.abs(row) > 1e-7) & (st != BASIC) & ~fixed)[0]
+            cand = np.nonzero((np.abs(row) > 1e-7) & (st != BASIC) & ~self.fixed)[0]
             if cand.size == 0:
                 continue  # dependent row; artificial stays basic, pinned at 0
             j = int(cand[np.argmax(np.abs(row[cand]))])
-            w = self.binv @ self.a[:, j]
+            w = self._column(j)
             st_j = self.status[j]
             start = self.lo[j] if st_j == AT_LB else self.hi[j] if st_j == AT_UB else 0.0
             self.status[self.basis[r]] = AT_LB

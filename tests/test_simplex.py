@@ -9,6 +9,7 @@ from storageshare.simplex import (
     FREE,
     Simplex,
     SimplexError,
+    _DUAL_TOL,
     _initial_status,
     _pivot_inverse,
     _reanchor,
@@ -383,5 +384,84 @@ def test_chained_warm_resolves_match_cold(rng):
             if warm.status != "optimal":
                 break
             assert warm.objective == pytest.approx(cold.objective, abs=1e-8, rel=1e-8)
+            sol = warm
+            snap = eng.snapshot()
+
+
+# ------------------------------------------------ column-sparse pricing kernels
+
+
+def _sparse_feasible_lp(rng, n, n_g, n_h, density):
+    """Random LP anchored on an interior point, with each matrix entry
+    nonzero with probability density (rows may be empty)."""
+    lb = rng.uniform(-5.0, 0.0, n)
+    ub = lb + rng.uniform(1.0, 10.0, n)
+    x0 = rng.uniform(lb, ub)
+    a_g = rng.uniform(-3.0, 3.0, (n_g, n)) * (rng.random((n_g, n)) < density)
+    a_h = rng.uniform(-2.0, 2.0, (n_h, n)) * (rng.random((n_h, n)) < density)
+    return make_lp(c=rng.uniform(-5.0, 5.0, n),
+                   a_ub=a_g, b_ub=a_g @ x0 - rng.uniform(0.0, 4.0, n_g),
+                   a_eq=a_h, b_eq=a_h @ x0, lb=lb, ub=ub)
+
+
+def _sparse_engines(rng, count):
+    for _ in range(count):
+        n = int(rng.integers(20, 60))
+        lp = _sparse_feasible_lp(rng, n, n_g=int(rng.integers(10, 40)),
+                                 n_h=int(rng.integers(0, 6)),
+                                 density=rng.uniform(0.02, 0.10))
+        yield lp, Simplex(lp)
+
+
+def test_column_products_match_dense(rng):
+    for _, eng in _sparse_engines(rng, 15):
+        for _ in range(5):
+            y = rng.standard_normal(eng.m)
+            np.testing.assert_allclose(eng.cols.dot(y), y @ eng.a, rtol=0, atol=1e-12)
+        assert eng.solve().status == "optimal"
+        for j in range(eng.nt):
+            np.testing.assert_allclose(eng._column(j), eng.binv @ eng.a[:, j],
+                                       rtol=0, atol=1e-12)
+
+
+def _assert_no_entering_column(eng):
+    """Reduced costs from a freshly built inverse of the final basis admit
+    no improving nonbasic column beyond the dual tolerance."""
+    c_full = np.concatenate([eng.c2, np.zeros(eng.m)])
+    y = c_full[eng.basis] @ np.linalg.inv(_basis_matrix(eng))
+    d = eng.c2 - y @ eng.a
+    st = eng.status[: eng.nt]
+    movable = eng.hi[: eng.nt] - eng.lo[: eng.nt] > 0.0
+    assert np.all(d[(st == AT_LB) & movable] >= -_DUAL_TOL)
+    assert np.all(d[(st == AT_UB) & movable] <= _DUAL_TOL)
+    assert np.all(np.abs(d[st == FREE]) <= _DUAL_TOL)
+
+
+def test_optimal_bases_are_dual_feasible_on_fresh_prices(rng):
+    for lp, eng in _sparse_engines(rng, 12):
+        sol = eng.solve()
+        assert sol.status == "optimal"
+        _assert_no_entering_column(eng)
+        lo = np.concatenate([lp.lb, np.zeros(lp.n_g)])
+        hi = np.concatenate([lp.ub, np.full(lp.n_g, np.inf)])
+        snap = eng.snapshot()
+        for _ in range(8):
+            # cut through the value of a basic structural column, which
+            # makes the warm start primal infeasible
+            basic = eng.basis[eng.basis < lp.n_vars]
+            if basic.size == 0:
+                break
+            j = int(rng.choice(basic))
+            keep = lo.copy(), hi.copy()
+            if rng.random() < 0.5:
+                hi[j] = sol.x[j] - rng.uniform(0.05, 0.5) * (sol.x[j] - lo[j])
+            else:
+                lo[j] = sol.x[j] + rng.uniform(0.05, 0.5) * (hi[j] - sol.x[j])
+            warm = eng.resolve(snap, lo, hi)
+            if warm.status != "optimal":
+                assert Simplex(lp).solve(lo, hi).status == warm.status
+                lo, hi = keep  # step back and cut elsewhere
+                continue
+            _assert_no_entering_column(eng)
             sol = warm
             snap = eng.snapshot()

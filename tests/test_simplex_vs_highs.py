@@ -1,0 +1,83 @@
+"""Differential test: the package's simplex against HiGHS (through scipy)
+on random sparse LPs with >= and = rows, boxed, one-sided and free
+columns. Integer data keeps every vertex rational with small
+denominators, so feasibility and optimality are never decided by
+rounding."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.optimize import linprog
+
+from storageshare.lp import make_lp
+from storageshare.simplex import solve_lp_engine
+
+_ENTRIES = st.sampled_from([-3, -2, -1, 0, 0, 0, 0, 0, 0, 1, 2, 3])
+_KINDS = ("box", "box", "lower", "upper", "free", "fixed")  # column bounds, boxes twice as often
+
+
+@st.composite
+def sparse_lps(draw):
+    n = draw(st.integers(1, 8))
+    n_g = draw(st.integers(0, 6))
+    n_h = draw(st.integers(0, 3))
+    a_g = draw(hnp.arrays(float, (n_g, n), elements=_ENTRIES))
+    a_h = draw(hnp.arrays(float, (n_h, n), elements=_ENTRIES))
+    b_g = draw(hnp.arrays(float, n_g, elements=st.integers(-6, 6)))
+    b_h = draw(hnp.arrays(float, n_h, elements=st.integers(-6, 6)))
+    c = draw(hnp.arrays(float, n, elements=st.integers(-5, 5)))
+    lb, ub = np.full(n, -np.inf), np.full(n, np.inf)
+    for j in range(n):
+        kind = draw(st.sampled_from(_KINDS))
+        low = draw(st.integers(-3, 3))
+        if kind in ("box", "lower", "fixed"):
+            lb[j] = low
+        if kind == "box":
+            ub[j] = low + draw(st.integers(1, 5))
+        elif kind in ("upper", "fixed"):
+            ub[j] = low
+    return make_lp(c, a_ub=a_g, b_ub=b_g, a_eq=a_h, b_eq=b_h, lb=lb, ub=ub)
+
+
+def _highs(lp, c):
+    return linprog(
+        c,
+        A_ub=-lp.dense_g() if lp.n_g else None,
+        b_ub=-lp.b_g() if lp.n_g else None,
+        A_eq=lp.dense_h() if lp.n_h else None,
+        b_eq=lp.b_h() if lp.n_h else None,
+        bounds=[(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
+                for lo, hi in zip(lp.lb, lp.ub)],
+        method="highs",
+    )
+
+
+def _reference(lp):
+    """(status, objective) from HiGHS. Feasibility is decided first on a
+    zero objective, because HiGHS may report "unbounded or infeasible"."""
+    if _highs(lp, np.zeros(lp.n_vars)).status == 2:
+        return "infeasible", None
+    res = _highs(lp, lp.c)
+    if res.status == 0:
+        return "optimal", res.fun + lp.objective_constant
+    assert res.status in (3, 4), res.message  # feasible: unbounded is all that is left
+    return "unbounded", None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(sparse_lps())
+# a free column that appears in no row, with a nonzero cost
+@example(make_lp([0.0, 1.0], a_ub=[[1.0, 0.0]], b_ub=[1.0], lb=[0.0, -np.inf], ub=[2.0, np.inf]))
+# x + y >= 2 and x + y = 1
+@example(make_lp([1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0]))
+# a zero equality row (dependent: its artificial stays basic) beside a fixed column
+@example(make_lp([-1.0, 2.0], a_ub=[[1.0, -1.0]], b_ub=[-2.0], a_eq=[[0.0, 0.0]], b_eq=[0.0],
+                 lb=[0.0, 1.0], ub=[4.0, 1.0]))
+def test_engine_matches_highs(lp):
+    status, objective = _reference(lp)
+    sol = solve_lp_engine(lp)
+    assert sol.status == status
+    if status == "optimal":
+        assert sol.objective == pytest.approx(objective, rel=1e-7, abs=1e-7)
