@@ -1,40 +1,51 @@
 """Self-contained primal/dual simplex over the bounded standard form.
 
-A LinearProgram is densified into
+A LinearProgram is brought into
 
     min c.x   s.t.   A x = b,   lo <= x <= hi
 
-by appending one surplus column per inequality row. Cold solves run the
-classic two phases with artificial columns. Re-solves after bound changes
-(branch and bound lives on those) warm-start from the previous basis and
-run the bounded-variable dual simplex, finishing with a primal cleanup
-pass so the returned point is optimal, not merely feasible.
+by appending one surplus column per inequality row. A is stored only as
+its nonzeros, row-wise (for b - A x_N) and column-wise; no dense m x nt
+copy is kept. Cold solves run the classic two phases with artificial
+columns. Re-solves after bound changes (branch and bound lives on those)
+warm-start from the previous basis and run the bounded-variable dual
+simplex, finishing with a primal cleanup pass so the returned point is
+optimal, not merely feasible.
 
 Pricing is Dantzig (most negative reduced cost) with lowest-index
 tie-breaking; after fifty consecutive degenerate steps the engine drops to
-Bland's rule, which cannot cycle. The constraint matrix is also kept
-column-wise (an lp.Rows over its nonzeros), and every product inside the
-loops reads only those nonzeros: prices y A, the pivot row e_r B^-1 A and
-the entering column B^-1 a_j. The reduced costs d = c - c_B B^-1 A are
-computed from scratch when a loop starts and after each rebuild of the
-inverse; after every basis change they are updated with the pivot row
-(d -= d_j / alpha_rj * alpha_r), and a bound flip leaves them alone. The
-primal loop declares optimality only on freshly computed reduced costs: if
-updated ones admit no entering column it recomputes them and looks again.
+Bland's rule, which cannot cycle. Every product inside the loops reads
+only the nonzeros of the column-wise A (an lp.Rows): prices y A, the
+pivot row e_r B^-1 A and the entering column B^-1 a_j. The reduced costs
+d = c - c_B B^-1 A are computed from scratch when a loop starts and after
+each rebuild of the inverse; after every basis change they are updated
+with the pivot row (d -= d_j / alpha_rj * alpha_r), and a bound flip
+leaves them alone. The primal loop declares optimality only on freshly
+computed reduced costs: if updated ones admit no entering column it
+recomputes them and looks again.
 
-The basis inverse is kept explicitly. A rebuild, every hundred pivots and
-at each warm start, uses the structure of the basis: surplus and
-artificial columns are signed unit vectors, so after a permutation the
-basis is block lower triangular, [[B11, 0], [B21, D]] with D a +-1
-diagonal, and only the structural block B11 (structural columns on the
-rows no unit column covers) is inverted densely. Between rebuilds each
+The basis inverse is kept explicitly. A rebuild uses the structure of the
+basis: surplus and artificial columns are signed unit vectors, so after a
+permutation the basis is block lower triangular, [[B11, 0], [B21, D]] with
+D a +-1 diagonal, and only the structural block B11 (structural columns on
+the rows no unit column covers) is inverted densely. Between rebuilds each
 pivot applies the product-form rank-one update to the rows where the
 entering column is nonzero and the columns where the pivot row is
 nonzero, and to the whole inverse only when that block is not much
 smaller.
+
+The engine keeps the inverses of the last few bases it finished on or
+warm-started from, keyed by the basis, each with the count of pivots
+applied since its rebuild. A warm start from a kept basis (siblings in a
+tree share their parent's final basis) copies that inverse instead of
+rebuilding it, and the rebuild period of a hundred pivots is counted
+across solves from the kept count. A cold solve redraws the signs of the
+artificial columns, so it drops every kept inverse.
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 import numpy as np
 
@@ -48,6 +59,7 @@ _PIVOT_TOL = 1e-10
 _DEGEN_TOL = 1e-10
 _BLAND_AFTER = 50
 _REFACTOR_EVERY = 100
+_KEEP_INVERSES = 3  # best-first often pops a child after its parent's sibling
 # the gathered block update beats a dense one below this share of m^2
 _SPARSE_UPDATE_SHARE = 0.25
 
@@ -108,14 +120,9 @@ class Simplex:
         self.mg = mg
         self.m = mg + mh
         self.nt = n + mg  # structural + surplus columns
-        a = np.zeros((self.m, self.nt))
-        if mg:
-            a[:mg, :n] = lp.dense_g()
-            a[:mg, n:] = -np.eye(mg)
-        if mh:
-            a[mg:, :n] = lp.dense_h()
-        self.a = a
-        self.cols = Rows.from_dense(a.T)  # column j of A is row j
+        surplus = Rows.from_lists(np.arange(n, self.nt)[:, None], np.full((mg, 1), -1.0))
+        self.rows = Rows.stack([Rows.join([lp.g, surplus]), lp.h])  # A = [[G, -I], [H, 0]]
+        self.cols = self.rows.transpose(self.nt)  # column j of A is row j
         self.b = np.concatenate([lp.b_g(), lp.b_h()])
         self.base_lo = np.concatenate([lp.lb, np.zeros(mg)])
         self.base_hi = np.concatenate([lp.ub, np.full(mg, np.inf)])
@@ -135,7 +142,18 @@ class Simplex:
         self._degen_streak = 0
         self._dirty = 0  # pivots applied since the inverse was last rebuilt
         self._light = False  # warm path: tolerate a slightly stale inverse
-        self._binv_cache = None  # (basis bytes, inverse) of the last warm start
+        # basis bytes -> (inverse, pivots since its rebuild), oldest first;
+        # a kept inverse is never written again
+        self._inverses = OrderedDict()
+        self.warm_hits = 0  # warm starts that copied a kept inverse
+        self.warm_rebuilds = 0  # warm starts that rebuilt the inverse
+
+    @property
+    def a(self) -> np.ndarray:
+        """A as a read-only dense m x nt array, built on each access."""
+        a = self.cols.dense(self.m).T
+        a.flags.writeable = False
+        return a
 
     # ------------------------------------------------------------------ state
 
@@ -147,8 +165,11 @@ class Simplex:
         at_ub = st == AT_UB
         v[at_lb] = self.lo[: self.nt][at_lb]
         v[at_ub] = self.hi[: self.nt][at_ub]
-        v[st == BASIC] = 0.0
         return v
+
+    def _rhs(self) -> np.ndarray:
+        """b - A x_N, the right-hand side left for the basic columns."""
+        return self.b - self.rows.dot(self._nonbasic_values())
 
     def _refactor(self):
         """Rebuild the inverse from the block triangular form of the basis.
@@ -174,7 +195,7 @@ class Simplex:
         binv = np.zeros((m, m))
         binv[pos_u, rows_u] = sign_u
         if pos_s.size:
-            cols = self.a[:, self.basis[pos_s]]
+            cols = self.cols.take(self.basis[pos_s]).dense(m).T
             try:
                 b11_inv = np.linalg.inv(cols[rows_s])
             except np.linalg.LinAlgError as exc:
@@ -183,9 +204,16 @@ class Simplex:
             if pos_u.size:
                 binv[pos_u[:, None], rows_s] = -sign_u[:, None] * (cols[rows_u] @ b11_inv)
         self.binv = binv
-        rhs = self.b - self.a @ self._nonbasic_values()
-        self.xb = self.binv @ rhs
+        self.xb = binv @ self._rhs()
         self._dirty = 0
+
+    def _keep(self, key: bytes, binv: np.ndarray, dirty: int):
+        """Keep binv, the inverse of the basis with bytes key, as the newest
+        entry, dropping the oldest beyond _KEEP_INVERSES."""
+        self._inverses[key] = (binv, dirty)
+        self._inverses.move_to_end(key)
+        if len(self._inverses) > _KEEP_INVERSES:
+            self._inverses.popitem(last=False)
 
     def _bounds_of(self, j: int):
         return self.lo[j], self.hi[j]
@@ -265,14 +293,12 @@ class Simplex:
         self._dirty += 1
 
     def _primal_loop(self, c_full: np.ndarray) -> str:
-        since_refactor = 0
         d = None  # reduced costs; None when they must be computed afresh
         while True:
             if self.iterations >= self.max_iter:
                 return "iteration_limit"
-            if since_refactor >= _REFACTOR_EVERY:
+            if self._dirty >= _REFACTOR_EVERY:
                 self._refactor()
-                since_refactor = 0
                 d = None
             fresh = d is None
             if fresh:
@@ -298,7 +324,6 @@ class Simplex:
                 d -= d[j] * self.cols.dot(self.binv[r])
                 d[j] = 0.0
             self.iterations += 1
-            since_refactor += 1
             if step <= _DEGEN_TOL:
                 self._degen_streak += 1
                 if self._degen_streak >= _BLAND_AFTER:
@@ -311,15 +336,15 @@ class Simplex:
 
     def _dual_loop(self) -> str:
         """Bounded-variable dual simplex from a dual-feasible basis."""
+        if not self.m:
+            return "optimal"  # no basic column to be out of bounds
         c_full = np.concatenate([self.c2, np.zeros(self.m)])
-        since_refactor = 0
         d = self._reduced_costs(c_full)
         while True:
             if self.iterations >= self.max_iter:
                 return "iteration_limit"
-            if since_refactor >= _REFACTOR_EVERY:
+            if self._dirty >= _REFACTOR_EVERY:
                 self._refactor()
-                since_refactor = 0
                 d = self._reduced_costs(c_full)
             lo_b = self.lo[self.basis]
             hi_b = self.hi[self.basis]
@@ -372,7 +397,6 @@ class Simplex:
             d -= (d[j] / alpha[j]) * alpha
             d[j] = 0.0
             self.iterations += 1
-            since_refactor += 1
             if abs(step_signed) <= _DEGEN_TOL:
                 self._degen_streak += 1
                 if self._degen_streak >= _BLAND_AFTER:
@@ -404,12 +428,14 @@ class Simplex:
         self._degen_streak = 0
         self.status = np.empty(self.nt + self.m, dtype=np.int8)
         self.status[: self.nt] = _initial_status(self.lo[: self.nt], self.hi[: self.nt])
-        rhs = self.b - self.a @ self._nonbasic_values()
+        rhs = self._rhs()
         self.art_sign = np.where(rhs >= 0, 1.0, -1.0)
+        self._inverses.clear()  # kept inverses hold the old signs
         self.basis = np.arange(self.nt, self.nt + self.m)
         self.status[self.nt :] = BASIC
         self.xb = np.abs(rhs)
         self.binv = np.diag(self.art_sign.copy())
+        self._dirty = 0
         c1 = np.zeros(self.nt + self.m)
         c1[self.nt :] = 1.0
         out = self._primal_loop(c1)
@@ -426,8 +452,10 @@ class Simplex:
     def resolve(self, snapshot, lo, hi) -> LpSolution:
         """Warm re-solve after a bound change, via dual simplex.
 
-        snapshot comes from .snapshot() on a previously solved state. Falls
-        back to a cold solve on any numerical trouble.
+        snapshot comes from .snapshot() on a previously solved state. The
+        start inverse is a copy of the kept one when the snapshot's basis
+        is kept, and rebuilt otherwise. Falls back to a cold solve on any
+        numerical trouble.
         """
         basis, status = snapshot
         self.basis = basis.copy()
@@ -446,16 +474,18 @@ class Simplex:
         _reanchor(self.status[: self.nt], nonbasic[: self.nt],
                   self.lo[: self.nt], self.hi[: self.nt])
         try:
-            # Sibling nodes restart from the same snapshot; reuse the basis
-            # inverse instead of rebuilding it when only bounds changed.
             key = self.basis.tobytes()
-            if self._binv_cache is not None and self._binv_cache[0] == key:
-                self.binv = self._binv_cache[1].copy()
-                self.xb = self.binv @ (self.b - self.a @ self._nonbasic_values())
-                self._dirty = 0
-            else:
+            kept = self._inverses.get(key)
+            if kept is None:
+                self.warm_rebuilds += 1
                 self._refactor()
-                self._binv_cache = (key, self.binv.copy())
+                self._keep(key, self.binv.copy(), 0)
+            else:
+                self.warm_hits += 1
+                self._inverses.move_to_end(key)
+                self.binv = kept[0].copy()
+                self._dirty = kept[1]
+                self.xb = self.binv @ self._rhs()
             out = self._dual_loop()
             if out == "optimal":
                 return self._phase2()
@@ -499,6 +529,7 @@ class Simplex:
         # a near-fresh inverse to avoid one O(m^3) rebuild per node
         if self._dirty and not (self._light and self._dirty <= 40):
             self._refactor()
+        self._keep(self.basis.tobytes(), self.binv, self._dirty)
         return self._extract(c_full)
 
     def _extract(self, c_full: np.ndarray) -> LpSolution:
@@ -511,8 +542,7 @@ class Simplex:
         dual_g = y[: self.mg].copy()
         dual_g[(dual_g < 0) & (dual_g > -1e-9)] = 0.0
         dual_h = y[self.mg :].copy()
-        reduced = self.lp.c - (y[: self.mg] @ self.a[: self.mg, : self.n]
-                               + y[self.mg :] @ self.a[self.mg :, : self.n])
+        reduced = self.lp.c - self.cols.dot(y)[: self.n]
         return LpSolution(
             status="optimal",
             x=x,

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from storageshare import solver
 from storageshare.lp import build_llm_c, build_llm_d, evaluate, make_lp
+from storageshare.mpec import assemble_mpec
 from storageshare.simplex import (
     AT_LB,
     AT_UB,
@@ -15,7 +17,7 @@ from storageshare.simplex import (
     _reanchor,
     solve_lp_engine,
 )
-from tests.conftest import rand_instance
+from tests.conftest import DIVISION_FIXTURES, rand_instance
 from tests.lp_oracle import brute_optimum, dual_objective, random_feasible_lp
 from tests.test_lp_build import scipy_solve
 
@@ -211,11 +213,12 @@ def test_iteration_counter_moves(rng):
 # ------------------------------------------------- basis inverse maintenance
 
 
-def _basis_matrix(eng):
+def _basis_matrix(eng, basis=None):
     """Basis matrix built column by column: structural and surplus columns
-    from the densified rows, artificial column nt+i as art_sign[i] e_i."""
+    from the densified rows, artificial column nt+i as art_sign[i] e_i.
+    basis defaults to the engine's current one."""
     bmat = np.zeros((eng.m, eng.m))
-    for p, j in enumerate(eng.basis):
+    for p, j in enumerate(eng.basis if basis is None else basis):
         if j < eng.nt:
             bmat[:, p] = eng.a[:, j]
         else:
@@ -286,8 +289,13 @@ def test_refactor_rejects_singular_structural_block():
     with pytest.raises(SimplexError):
         eng._refactor()
     # a structural column that is zero on every uncovered row
+    lp = make_lp(c=[1.0, 1.0, 1.0],
+                 a_ub=[[1.0, 2.0, 3.0]], b_ub=[0.0],
+                 a_eq=[[0.7, -1.3, 0.0], [0.7, -1.3, 5.0]], b_eq=[1.0, 2.0])
+    eng = Simplex(lp)
+    eng.lo, eng.hi = np.zeros(eng.nt + eng.m), np.ones(eng.nt + eng.m)
+    eng.status = np.full(eng.nt + eng.m, AT_LB, dtype=np.int8)
     eng.basis = np.array([2, eng.n, eng.nt + 2])
-    eng.a[1, 2] = 0.0
     with pytest.raises(SimplexError):
         eng._refactor()
 
@@ -465,3 +473,94 @@ def test_optimal_bases_are_dual_feasible_on_fresh_prices(rng):
             _assert_no_entering_column(eng)
             sol = warm
             snap = eng.snapshot()
+
+
+# ------------------------------------------------- inverses kept across solves
+
+
+def test_cold_solve_drops_inverses_built_for_old_artificial_signs():
+    # the second equality row repeats the first, so its artificial column
+    # stays basic; with x >= 2 the cold start sees b - A x_N < 0 on both
+    # rows and flips the signs of the artificial columns
+    lp = make_lp(c=[1.0, 2.0], a_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[1.0, 2.0],
+                 lb=[0.0, 0.0], ub=[5.0, 5.0])
+    eng = Simplex(lp)
+    assert eng.solve().status == "optimal"
+    assert np.any(eng.basis >= eng.nt)
+    snap = eng.snapshot()
+    lo, hi = lp.lb.copy(), lp.ub.copy()
+    assert eng.resolve(snap, lo, hi).status == "optimal"
+    signs = eng.art_sign.copy()
+    assert eng.solve(np.array([2.0, 0.0]), hi).status == "infeasible"
+    assert np.all(eng.art_sign == -signs)
+    sol = eng.resolve(snap, lo, hi)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(eng.binv @ _basis_matrix(eng), np.eye(eng.m), atol=1e-12)
+
+
+def _split(sol, lo, hi, j):
+    """Bounds of the two children of a branch on column j at x_j."""
+    left_hi, right_lo = hi.copy(), lo.copy()
+    left_hi[j] = sol.x[j] - 0.25 * (sol.x[j] - lo[j])
+    right_lo[j] = sol.x[j] + 0.25 * (hi[j] - sol.x[j])
+    return (lo, left_hi), (right_lo, hi)
+
+
+def test_kept_inverses_survive_a_tree_of_resolves(rng):
+    hits = 0
+    for lp, eng in _sparse_engines(rng, 10):
+        root = eng.solve()
+        assert root.status == "optimal"
+        lo = np.concatenate([lp.lb, np.zeros(lp.n_g)])
+        hi = np.concatenate([lp.ub, np.full(lp.n_g, np.inf)])
+        level = [(root, eng.snapshot(), lo, hi)]
+        for _ in range(2):  # children, then grandchildren
+            nxt = []
+            for sol, snap, node_lo, node_hi in level:
+                basic = snap[0][snap[0] < lp.n_vars]
+                if basic.size == 0:
+                    continue
+                j = int(rng.choice(basic))
+                for child_lo, child_hi in _split(sol, node_lo, node_hi, j):
+                    warm = eng.resolve(snap, child_lo, child_hi)
+                    cold = Simplex(lp).solve(child_lo, child_hi)
+                    assert warm.status == cold.status
+                    if warm.status == "optimal":
+                        assert warm.objective == pytest.approx(cold.objective,
+                                                               rel=1e-9, abs=1e-9)
+                        nxt.append((warm, eng.snapshot(), child_lo, child_hi))
+                    for key, (inv, _) in eng._inverses.items():
+                        basis = np.frombuffer(key, dtype=eng.basis.dtype)
+                        np.testing.assert_allclose(inv @ _basis_matrix(eng, basis),
+                                                   np.eye(eng.m), rtol=0, atol=1e-8)
+            level = nxt
+        hits += eng.warm_hits
+        for name, value in vars(eng).items():
+            if isinstance(value, np.ndarray):
+                assert value.size != eng.m * eng.nt, name
+    assert hits > 0
+
+
+def test_warm_resolves_start_from_a_kept_or_a_rebuilt_inverse(monkeypatch):
+    engines, calls = [], [0]
+    make, resolve = solver._engine, Simplex.resolve
+
+    def engine(lp, opts):
+        engines.append(make(lp, opts))
+        return engines[-1]
+
+    def counted(self, snapshot, lo, hi):
+        calls[0] += 1
+        return resolve(self, snapshot, lo, hi)
+
+    monkeypatch.setattr(solver, "_engine", engine)
+    monkeypatch.setattr(Simplex, "resolve", counted)
+    fixtures = dict(DIVISION_FIXTURES)
+    res = solver.solve_lpcc(assemble_mpec(fixtures["pair250"]()))
+    assert res.status == "optimal"
+    hits = sum(e.warm_hits for e in engines)
+    rebuilds = sum(e.warm_rebuilds for e in engines)
+    assert calls[0] == res.node_count - 1
+    assert calls[0] == hits + rebuilds
+    assert hits > 0

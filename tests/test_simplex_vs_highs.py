@@ -1,8 +1,10 @@
-"""Differential test: the package's simplex against HiGHS (through scipy)
+"""Differential tests: the package's simplex against HiGHS (through scipy)
 on random sparse LPs with >= and = rows, boxed, one-sided and free
-columns. Integer data keeps every vertex rational with small
+columns, solved cold and re-solved warm down a small branching tree. Integer data keeps every vertex rational with small
 denominators, so feasibility and optimality are never decided by
 rounding."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
 from storageshare.lp import make_lp
-from storageshare.simplex import solve_lp_engine
+from storageshare.simplex import Simplex, solve_lp_engine
 
 _ENTRIES = st.sampled_from([-3, -2, -1, 0, 0, 0, 0, 0, 0, 1, 2, 3])
 _KINDS = ("box", "box", "lower", "upper", "free", "fixed")  # column bounds, boxes twice as often
@@ -81,3 +83,41 @@ def test_engine_matches_highs(lp):
     assert sol.status == status
     if status == "optimal":
         assert sol.objective == pytest.approx(objective, rel=1e-7, abs=1e-7)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sparse_lps(), st.lists(st.integers(0, 7), min_size=3, max_size=3))
+# no rows at all: the dual loop has no basic row to inspect
+@example(make_lp([0.0], lb=[0.0], ub=[1.0]), [0, 0, 0])
+def test_warm_tree_matches_highs(lp, picks):
+    """Branch on a column at floor(x_j) twice: both children re-solve from
+    their parent's final basis (siblings share it), and every node must
+    agree with HiGHS on the tightened bounds."""
+    eng = Simplex(lp)
+    root = eng.solve()
+    if root.status != "optimal":
+        return
+    base_lo = np.concatenate([lp.lb, np.zeros(lp.n_g)])
+    base_hi = np.concatenate([lp.ub, np.full(lp.n_g, np.inf)])
+    level = [(root, eng.snapshot(), base_lo, base_hi)]
+    picks = iter(picks)
+    for _ in range(2):  # children, then grandchildren
+        nxt = []
+        for sol, snap, lo, hi in level:
+            j = next(picks, 0) % lp.n_vars
+            cut = np.floor(sol.x[j])
+            left_hi, right_lo = hi.copy(), lo.copy()
+            left_hi[j] = min(hi[j], cut)
+            right_lo[j] = max(lo[j], cut + 1.0)
+            for child_lo, child_hi in ((lo, left_hi), (right_lo, hi)):
+                warm = eng.resolve(snap, child_lo, child_hi)
+                if np.any(child_lo > child_hi):
+                    status, objective = "infeasible", None
+                else:
+                    status, objective = _reference(
+                        replace(lp, lb=child_lo[: lp.n_vars], ub=child_hi[: lp.n_vars]))
+                assert warm.status == status
+                if status == "optimal":
+                    assert warm.objective == pytest.approx(objective, rel=1e-7, abs=1e-7)
+                    nxt.append((warm, eng.snapshot(), child_lo, child_hi))
+        level = nxt
