@@ -14,7 +14,8 @@ catalog order the reformulation depends on:
 
 Right-hand sides are stored as offset + cap_coef * capacity so a row stays
 valid symbolically when the owner's capacity later becomes a decision
-variable instead of a number.
+variable instead of a number; capacity_column makes it a column of the
+party's own LP, fixed by its bounds.
 
 A_g and A_h are Rows: compressed sparse rows (CSR). This module is the
 only one that reads their arrays; everything else goes through the Rows
@@ -23,7 +24,7 @@ operations (dense form, row products, transpose, row selection, stacking).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -250,6 +251,35 @@ class LpEvaluation:
             and self.max_equality_residual <= tol
             and self.min_bound_slack >= -tol
         )
+
+
+def capacity_column(lp: LinearProgram) -> LinearProgram:
+    """The same LP with the capacity moved from the right-hand sides into
+    one more column, kappa, fixed by its bounds at lp.capacity.
+
+    Each marked row gets -g_cap[i] (or -h_cap[i]) in column kappa, so at
+    kappa = capacity the rows are the original ones; a new capacity is then
+    a bound change. The result carries no capacity markers.
+    """
+    n = lp.n_vars
+
+    def kappa_entries(cap: np.ndarray) -> Rows:
+        marked = cap != 0.0
+        return Rows(_indptr(marked.astype(np.int64)),
+                    np.full(np.count_nonzero(marked), n, dtype=np.int64), -cap[marked])
+
+    fixed = np.array([lp.capacity], dtype=float)
+    return replace(
+        lp,
+        var_names=lp.var_names + ("capacity",),
+        c=np.append(lp.c, 0.0),
+        lb=np.concatenate([lp.lb, fixed]),
+        ub=np.concatenate([lp.ub, fixed]),
+        g=Rows.join([lp.g, kappa_entries(lp.g_cap)]),
+        g_cap=np.zeros(lp.n_g),
+        h=Rows.join([lp.h, kappa_entries(lp.h_cap)]),
+        h_cap=np.zeros(lp.n_h),
+    )
 
 
 def evaluate(lp: LinearProgram, x: np.ndarray) -> LpEvaluation:

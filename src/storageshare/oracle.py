@@ -2,23 +2,24 @@
 without trusting the reformulation or the branching solvers.
 
 grid_oracle enumerates capacity divisions on a regular grid, solves every
-party's dispatch LP independently per capacity value (cached: a party's
-problem depends only on its own share), applies optimistic tie resolution,
-and evaluates the division objective directly from schedules. The checkers
-compute optimality-system and schedule residuals from raw data.
+party's dispatch LP independently per capacity value on one warm family
+per party (cached: a party's problem depends only on its own share),
+applies optimistic tie resolution, and evaluates the division objective
+directly from schedules. The checkers compute optimality-system and
+schedule residuals from raw data.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .instance import Division, Instance, ScheduleSet, flow_price, soc_trajectory
 from .lp import LinearProgram, Rows, build_party_lp, evaluate
 from .mpec import KktSystem
-from .simplex import solve_lp_engine
+from .simplex import CapacityFamily, solve_lp_engine
 
 GRID_GUARD = 200_000
 
@@ -207,12 +208,13 @@ class _Dispatch:
     lower_objective: float
 
 
-def _party_dispatch(instance, party, cap, grad_flows) -> _Dispatch:
-    t = instance.grid.slot_count
-    lp = build_party_lp(instance, party, cap)
-    sol = solve_lp_engine(lp)
+def _party_dispatch(family, base_lp, cap, grad_flows) -> _Dispatch:
+    """The party's dispatch at capacity cap, from its warm family."""
+    t = len(grad_flows)
+    sol = family.solve(cap)
     if sol.status != "optimal":
         raise RuntimeError(f"LLM solve failed ({sol.status}) at capacity {cap}")
+    lp = replace(base_lp, capacity=cap)
     grad = np.zeros(lp.n_vars)
     grad[:t] = grad_flows
     grad[t: 2 * t] = -grad_flows
@@ -227,8 +229,9 @@ def _party_dispatch(instance, party, cap, grad_flows) -> _Dispatch:
 def grid_oracle(instance: Instance, step: float, guard: int = GRID_GUARD) -> OracleReport:
     """Exhaustive division search on the grid {0, step, 2 step, ...}.
 
-    Each party's dispatch depends only on its own share, so LLMs are solved
-    once per distinct capacity value and reused across grid points. Ties on
+    Each party's dispatch depends only on its own share, so each party has
+    one warm family, swept over the capacity values in ascending order,
+    and its LLM solutions are reused across grid points. Ties on
     the upper objective resolve to the lexicographically smallest division
     (DisCo share first).
     """
@@ -247,10 +250,12 @@ def grid_oracle(instance: Instance, step: float, guard: int = GRID_GUARD) -> Ora
     base_cost = float(price @ instance.loads.system_load)
     sys_load = instance.loads.system_load
 
-    cache = [
-        [_party_dispatch(instance, p, k * step, price) for k in range(k_max + 1)]
-        for p in range(n + 1)
-    ]  # party order: customers 0..n-1, then disco
+    cache = []  # party order: customers 0..n-1, then disco
+    for p in range(n + 1):
+        base_lp = build_party_lp(instance, p, 0.0)
+        family = CapacityFamily(base_lp)
+        cache.append([_party_dispatch(family, base_lp, k * step, price)
+                      for k in range(k_max + 1)])
 
     def upper_value(flows):
         net = sys_load + flows

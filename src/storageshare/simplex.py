@@ -41,15 +41,25 @@ tree share their parent's final basis) copies that inverse instead of
 rebuilding it, and the rebuild period of a hundred pivots is counted
 across solves from the kept count. A cold solve redraws the signs of the
 artificial columns, so it drops every kept inverse.
+
+A CapacityFamily solves one party's dispatch LP at many capacities on one
+engine. The capacity is moved into a column fixed by its bounds
+(lp.capacity_column), so a new capacity is a bound change: the first solve
+is cold and every later one re-solves with the dual simplex from the last
+optimal basis. That basis stays dual feasible, since no cost moves and the
+fixed column never enters, and its inverse is kept, so the warm start
+copies it instead of rebuilding (parametric right-hand-side analysis; Gal
+& Nedoma, Manag. Sci. 18(7), 1972).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 
-from .lp import LinearProgram, LpSolution, Rows
+from .lp import LinearProgram, LpSolution, Rows, capacity_column
 
 AT_LB, AT_UB, FREE, BASIC = 0, 1, 2, 3
 
@@ -147,6 +157,7 @@ class Simplex:
         self._inverses = OrderedDict()
         self.warm_hits = 0  # warm starts that copied a kept inverse
         self.warm_rebuilds = 0  # warm starts that rebuilt the inverse
+        self.cold_restarts = 0  # resolves that fell back to a cold solve
 
     @property
     def a(self) -> np.ndarray:
@@ -454,8 +465,8 @@ class Simplex:
 
         snapshot comes from .snapshot() on a previously solved state. The
         start inverse is a copy of the kept one when the snapshot's basis
-        is kept, and rebuilt otherwise. Falls back to a cold solve on any
-        numerical trouble.
+        is kept, and rebuilt otherwise. Falls back to a cold solve, counted
+        in cold_restarts, on numerical trouble or at the iteration limit.
         """
         basis, status = snapshot
         self.basis = basis.copy()
@@ -493,6 +504,7 @@ class Simplex:
                 return self._failed("infeasible")
         except SimplexError:
             pass
+        self.cold_restarts += 1
         return self.solve(lo, hi)
 
     def snapshot(self):
@@ -564,6 +576,35 @@ class Simplex:
             reduced_costs=np.full(self.n, np.nan),
             iterations=self.iterations,
         )
+
+
+class CapacityFamily:
+    """One LP at many capacities, each re-solved warm from the last optimum.
+
+    lp's capacity only seeds the engine; solve(capacity) sets it. The
+    returned x and reduced_costs cover lp's own columns (the capacity
+    column is dropped), the duals every row of lp. A solve that does not
+    end optimal leaves the warm-start basis as it was.
+    """
+
+    def __init__(self, lp: LinearProgram):
+        self.n = lp.n_vars
+        self.engine = Simplex(capacity_column(lp))
+        self._snapshot = None  # final basis of the last optimal solve
+
+    def solve(self, capacity: float) -> LpSolution:
+        if capacity < 0:
+            raise ValueError(f"capacity must be >= 0, got {capacity}")
+        eng = self.engine
+        lo, hi = eng.base_lo.copy(), eng.base_hi.copy()
+        lo[self.n] = hi[self.n] = capacity
+        if self._snapshot is None:
+            sol = eng.solve(lo, hi)
+        else:
+            sol = eng.resolve(self._snapshot, lo, hi)
+        if sol.status == "optimal":
+            self._snapshot = eng.snapshot()
+        return replace(sol, x=sol.x[: self.n], reduced_costs=sol.reduced_costs[: self.n])
 
 
 def solve_lp_engine(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:

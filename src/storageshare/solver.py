@@ -20,7 +20,7 @@ from .instance import Division, Instance, ScheduleSet
 from .lp import LinearProgram, LpSolution, build_party_lp, evaluate, make_lp
 from .mpec import MilpModel, MpecModel
 from .oracle import check_schedule_invariants
-from .simplex import Simplex, solve_lp_engine
+from .simplex import CapacityFamily, Simplex, solve_lp_engine
 
 _BRANCHING = ("auto", "most-fractional", "most-violated-complementarity")
 _EXIT_CODES = {"optimal": 0, "infeasible": 2, "unbounded": 3, "limit": 4}
@@ -267,6 +267,8 @@ class _DivisionHeuristic:
     are free, so reduced costs vanish at the optimum). Stitching those
     together with the implied system peak gives an incumbent; the division
     is read off a node relaxation, and repeats are skipped via a cache.
+    Each party has one warm family (simplex.CapacityFamily) for the whole
+    tree solve, so a new share is a dual-simplex bound change.
     """
 
     def __init__(self, mpec: MpecModel, feas_lp: LinearProgram, u_cols=None):
@@ -275,6 +277,9 @@ class _DivisionHeuristic:
         self.u_cols = u_cols
         self.pair_slacks = _pair_slacks(mpec.lp, mpec.pairs)
         self.seen: set = set()
+        inst = mpec.instance
+        self.families = [CapacityFamily(build_party_lp(inst, p, 0.0))
+                         for p in range(inst.customer_count + 1)]
 
     def _division_of(self, x_relax):
         mp = self.mpec
@@ -299,7 +304,7 @@ class _DivisionHeuristic:
         net = inst.loads.system_load.astype(float).copy()
         for p, lay in enumerate(mp.parties()):
             cap = key[0] if lay.cap_col == mp.div_disco_col else key[1 + p]
-            sol = solve_lp_engine(build_party_lp(inst, p, cap))
+            sol = self.families[p].solve(cap)
             if sol.status != "optimal":
                 return None
             x[lay.x0: lay.x0 + lay.nx] = sol.x

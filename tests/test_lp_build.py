@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import linprog
 
 from storageshare.instance import ScheduleSet, customer_llm_objective, make_instance, soc_trajectory
-from storageshare.lp import build_llm_c, build_llm_d, evaluate, make_lp
+from storageshare.lp import build_llm_c, build_llm_d, build_party_lp, capacity_column, evaluate, make_lp
 from tests.conftest import rand_instance
 
 
@@ -156,6 +156,30 @@ def test_llm_objective_matches_closed_form(rng):
             system_peak=1e9,
         )
         assert customer_llm_objective(inst, 0, sch) == pytest.approx(fun, abs=1e-9)
+
+
+def test_capacity_column_reproduces_the_rows(rng):
+    for _ in range(5):
+        inst = rand_instance(rng)
+        cap = float(rng.uniform(0.0, inst.storage.total_capacity))
+        for p in range(inst.customer_count + 1):
+            lp = build_party_lp(inst, p, cap)
+            col = capacity_column(lp)
+            n = lp.n_vars
+            assert col.var_names == lp.var_names + ("capacity",)
+            assert col.lb[n] == col.ub[n] == cap
+            assert not col.g_cap.any() and not col.h_cap.any()
+            np.testing.assert_array_equal(col.dense_g()[:, :n], lp.dense_g())
+            np.testing.assert_array_equal(col.dense_g()[:, n], -lp.g_cap)
+            np.testing.assert_array_equal(col.dense_h()[:, n], -lp.h_cap)
+            x = rng.uniform(-2.0, 2.0, n)
+            xk = np.append(x, cap)
+            np.testing.assert_allclose(col.g.dot(xk) - col.b_g(), lp.g.dot(x) - lp.b_g(),
+                                       rtol=0, atol=1e-12)
+            got, want = evaluate(col, xk), evaluate(lp, x)
+            assert got.objective == want.objective
+            assert got.min_inequality_slack == pytest.approx(want.min_inequality_slack, abs=1e-12)
+            assert got.max_equality_residual == pytest.approx(want.max_equality_residual, abs=1e-12)
 
 
 def test_bad_inputs():

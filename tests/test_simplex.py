@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from storageshare import solver
-from storageshare.lp import build_llm_c, build_llm_d, evaluate, make_lp
-from storageshare.mpec import assemble_mpec
+from storageshare.lp import build_llm_c, build_llm_d, build_party_lp, evaluate, make_lp
+from storageshare.mpec import assemble_mpec, derive_kkt
+from storageshare.oracle import check_kkt_residuals
 from storageshare.simplex import (
     AT_LB,
     AT_UB,
     BASIC,
     FREE,
+    CapacityFamily,
     Simplex,
     SimplexError,
     _DUAL_TOL,
@@ -543,24 +545,81 @@ def test_kept_inverses_survive_a_tree_of_resolves(rng):
 
 
 def test_warm_resolves_start_from_a_kept_or_a_rebuilt_inverse(monkeypatch):
-    engines, calls = [], [0]
+    engines, families, calls = [], [], {}
     make, resolve = solver._engine, Simplex.resolve
 
     def engine(lp, opts):
         engines.append(make(lp, opts))
         return engines[-1]
 
+    class Family(CapacityFamily):
+        def __init__(self, lp):
+            super().__init__(lp)
+            families.append(self)
+
     def counted(self, snapshot, lo, hi):
-        calls[0] += 1
+        calls[id(self)] = calls.get(id(self), 0) + 1
         return resolve(self, snapshot, lo, hi)
 
     monkeypatch.setattr(solver, "_engine", engine)
+    monkeypatch.setattr(solver, "CapacityFamily", Family)
     monkeypatch.setattr(Simplex, "resolve", counted)
     fixtures = dict(DIVISION_FIXTURES)
     res = solver.solve_lpcc(assemble_mpec(fixtures["pair250"]()))
     assert res.status == "optimal"
-    hits = sum(e.warm_hits for e in engines)
-    rebuilds = sum(e.warm_rebuilds for e in engines)
-    assert calls[0] == res.node_count - 1
-    assert calls[0] == hits + rebuilds
-    assert hits > 0
+    tree_calls = sum(calls.get(id(e), 0) for e in engines)
+    assert tree_calls == res.node_count - 1
+    # the tree engines and the heuristic's capacity families alike
+    for group in (engines, [f.engine for f in families]):
+        hits = sum(e.warm_hits for e in group)
+        rebuilds = sum(e.warm_rebuilds for e in group)
+        assert sum(calls.get(id(e), 0) for e in group) == hits + rebuilds
+        assert hits > 0
+    assert sum(f.engine.cold_restarts for f in families) == 0
+
+
+def test_resolve_counts_its_cold_fallbacks():
+    lp = make_lp([1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0], lb=[0.0, 0.0], ub=[5.0, 5.0])
+    eng = Simplex(lp)
+    assert eng.solve().status == "optimal"
+    snap = eng.snapshot()
+    lo, hi = np.array([1.0, 0.0, 0.0]), np.array([5.0, 5.0, np.inf])
+    assert eng.resolve(snap, lo, hi).status == "optimal"
+    assert eng.cold_restarts == 0
+    eng.max_iter = 0  # the dual loop stops at once, so resolve restarts cold
+    assert eng.resolve(snap, lo, hi).status == "iteration_limit"
+    assert eng.cold_restarts == 1
+
+
+@pytest.mark.parametrize("t", [4, 6, 24])
+def test_capacity_family_matches_cold_builds(rng, t):
+    """Every share on one warm engine matches a cold solve of the LP built
+    at that share, and its multipliers certify that LP's optimum."""
+    for _ in range(2):
+        inst = rand_instance(rng, t=t)
+        total = inst.storage.total_capacity
+        caps = [0.0, total, 0.5 * total, 0.25 * total, 0.25 * total,
+                0.75 * total, 0.75 * total + 1e-9, 0.0, total]
+        for p in range(inst.customer_count + 1):
+            family = CapacityFamily(build_party_lp(inst, p, 0.0))
+            for cap in caps:
+                lp = build_party_lp(inst, p, cap)
+                ref = solve_lp_engine(lp)
+                sol = family.solve(cap)
+                assert sol.status == ref.status == "optimal"
+                assert abs(sol.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
+                assert sol.x.shape == sol.reduced_costs.shape == (lp.n_vars,)
+                assert sol.dual_g.shape == (lp.n_g,) and sol.dual_h.shape == (lp.n_h,)
+                report, ok = check_kkt_residuals(derive_kkt(lp), sol.x, sol.dual_g,
+                                                 sol.dual_h, tol=1e-7)
+                assert ok, report
+            eng = family.engine
+            # every share after the first starts from the kept final inverse
+            assert eng.warm_hits == len(caps) - 1
+            assert eng.warm_rebuilds == eng.cold_restarts == 0
+
+
+def test_capacity_family_rejects_negative_capacity(tiny_instance):
+    family = CapacityFamily(build_llm_d(tiny_instance, 0.0))
+    with pytest.raises(ValueError):
+        family.solve(-1.0)

@@ -1,8 +1,9 @@
 """Differential tests: the package's simplex against HiGHS (through scipy)
 on random sparse LPs with >= and = rows, boxed, one-sided and free
-columns, solved cold and re-solved warm down a small branching tree. Integer data keeps every vertex rational with small
-denominators, so feasibility and optimality are never decided by
-rounding."""
+columns, solved cold, re-solved warm down a small branching tree, and
+swept over capacities on one capacity family. Integer data keeps every
+vertex rational with small denominators, so feasibility and optimality
+are never decided by rounding."""
 
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
 from storageshare.lp import make_lp
-from storageshare.simplex import Simplex, solve_lp_engine
+from storageshare.simplex import CapacityFamily, Simplex, solve_lp_engine
 
 _ENTRIES = st.sampled_from([-3, -2, -1, 0, 0, 0, 0, 0, 0, 1, 2, 3])
 _KINDS = ("box", "box", "lower", "upper", "free", "fixed")  # column bounds, boxes twice as often
@@ -41,6 +42,21 @@ def sparse_lps(draw):
         elif kind in ("upper", "fixed"):
             ub[j] = low
     return make_lp(c, a_ub=a_g, b_ub=b_g, a_eq=a_h, b_eq=b_h, lb=lb, ub=ub)
+
+
+@st.composite
+def marked_lps(draw):
+    """A sparse LP whose rows may move with its capacity. At capacity 0 it
+    is feasible: its right-hand sides are read off an integer point within
+    the bounds, less an integer slack on the >= rows."""
+    lp = draw(sparse_lps())
+    x0 = np.clip(draw(hnp.arrays(float, lp.n_vars, elements=st.integers(-3, 3))),
+                 lp.lb, lp.ub)
+    slack = draw(hnp.arrays(float, lp.n_g, elements=st.integers(0, 2)))
+    markers = st.sampled_from([-2, -1, 0, 0, 0, 1, 2])
+    return replace(lp, g_offset=lp.g.dot(x0) - slack, h_offset=lp.h.dot(x0),
+                   g_cap=draw(hnp.arrays(float, lp.n_g, elements=markers)),
+                   h_cap=draw(hnp.arrays(float, lp.n_h, elements=markers)))
 
 
 def _highs(lp, c):
@@ -121,3 +137,22 @@ def test_warm_tree_matches_highs(lp, picks):
                     assert warm.objective == pytest.approx(objective, rel=1e-7, abs=1e-7)
                     nxt.append((warm, eng.snapshot(), child_lo, child_hi))
         level = nxt
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(marked_lps(), st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 4.5, 7.0]),
+                              min_size=2, max_size=6))
+# x >= kappa and x <= 2: infeasible at 3, optimal again at 1.5
+@example(replace(make_lp([1.0], a_ub=[[1.0], [-1.0]], b_ub=[0.0, -2.0]),
+                 g_cap=np.array([1.0, 0.0])), [1.0, 3.0, 1.5, 3.0, 0.0])
+def test_capacity_family_matches_highs(lp, caps):
+    """One family swept over the capacities agrees with HiGHS on the LP
+    with each capacity baked in; a capacity that makes the LP infeasible
+    must leave the next warm start intact."""
+    family = CapacityFamily(lp)
+    for cap in caps:
+        sol = family.solve(cap)
+        status, objective = _reference(replace(lp, capacity=cap))
+        assert sol.status == status
+        if status == "optimal":
+            assert sol.objective == pytest.approx(objective, rel=1e-7, abs=1e-7)
