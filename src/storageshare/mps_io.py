@@ -3,14 +3,19 @@
 The writer emits ROWS/COLUMNS/RHS/RANGES/BOUNDS sections with classic
 column offsets, names X/R/E-prefixed by index so files are byte-stable
 for a given model. Binary columns are wrapped in INTORG/INTEND marker
-lines. The reader shares no code or constants with the writer; it
-tokenizes sections per the published format and reports counts, which is
-what round-trip checks compare.
+lines. Every field is rendered as a 1-byte string array and lines are
+joined and written in blocks of `_BLOCK`, so the writer never holds
+more than one block of text. A value is written with %.12g, padded to
+12 characters where another field follows it; a value longer than 12
+characters is written whole.
+
+The reader shares no code or constants with the writer; it streams the
+file line by line, tokenizes sections per the published format and
+reports counts, which is what round-trip checks compare.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -19,51 +24,72 @@ import numpy as np
 from .lp import LinearProgram
 from .mpec import MilpModel
 
-_OBJ = "OBJ"
+_OBJ = b"OBJ"
+_BLOCK = 1 << 16  # lines joined and written at a time
 
 
-def _pad(arr, width):
-    return np.char.ljust(np.asarray(arr, dtype=f"U{width}"), width)
+def _ljust(arr, width):
+    # np.strings.ljust raises on an empty array
+    return np.strings.ljust(arr, width) if arr.size else arr
+
+
+def _names(prefix: bytes, count: int) -> np.ndarray:
+    """prefix + index zero-filled to 7 digits, for indices 0..count-1."""
+    digits = np.arange(count).astype("S")
+    return np.strings.add(prefix, np.strings.zfill(digits, 7) if count else digits)
 
 
 def _fmt_values(values: np.ndarray):
-    """%.12g-render values via their unique set; returns (plain, padded)."""
+    """%.12g-render values via their unique set; returns (plain, padded,
+    inverse): the renderings of the unique values, unpadded and padded to
+    12 characters, and each value's index into them."""
     uniq, inverse = np.unique(np.asarray(values, float), return_inverse=True)
-    rendered = np.char.mod("%.12g", uniq)
-    return rendered[inverse], _pad(rendered, 12)[inverse]
+    rendered = np.strings.mod(b"%.12g", uniq)
+    return rendered, _ljust(rendered, 12), inverse
 
 
-def _lines_for_entries(first_key: np.ndarray, first_p: np.ndarray,
-                       rows_p: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Render entries two per line, greedy within a run of equal
-    first-field keys; returns the line array in entry order."""
-    k = len(values)
-    if k == 0:
-        return np.empty(0, dtype=object)
-    vals, vals_p = _fmt_values(values)
+def _pairing(keys: np.ndarray):
+    """Entries go two per line, greedy within a run of equal keys: the
+    entry each line starts with, and whether the next entry joins it."""
+    k = len(keys)
     same_next = np.zeros(k, dtype=bool)
-    same_next[:-1] = first_key[1:] == first_key[:-1]
+    same_next[:-1] = keys[1:] == keys[:-1]
     # position inside each run decides which entries start a line
     starts = np.zeros(k, dtype=np.int64)
     new_run = np.ones(k, dtype=bool)
     new_run[1:] = ~same_next[:-1]
     starts[new_run] = np.arange(k)[new_run]
     pos = np.arange(k) - np.maximum.accumulate(starts)
-    lead = pos % 2 == 0
-    paired = lead & same_next
-    lead_idx = np.flatnonzero(lead)
-    out = np.empty(lead_idx.size, dtype=object)
-    pair_lead = paired[lead_idx]
-    pi = lead_idx[pair_lead]
-    if pi.size:
-        out[pair_lead] = reduce(np.char.add, (
-            "    ", first_p[pi], rows_p[pi], vals_p[pi],
-            "   ", rows_p[pi + 1], vals[pi + 1]))
-    si = lead_idx[~pair_lead]
-    if si.size:
-        out[~pair_lead] = reduce(np.char.add, (
-            "    ", first_p[si], rows_p[si], vals[si]))
-    return out
+    lead = np.flatnonzero(pos % 2 == 0)
+    return lead, same_next[lead]
+
+
+def _entry_parts(first_tab, first, row_tab, row, values):
+    """Lay entries (first-field name index, row name index, value) out two
+    per line by `_pairing`; returns the entry each line starts with and
+    parts(a, b) for `_write_lines`. The name tables hold names padded to
+    10 characters."""
+    plain, padded, inv = _fmt_values(values)
+    lead, paired = _pairing(first)
+    last = len(first) - 1
+
+    def parts(a, b):
+        i, two = lead[a:b], paired[a:b]
+        j = np.minimum(i + 1, last)
+        second = np.strings.add(np.strings.add(b"   ", row_tab[row[j]]), plain[inv[j]])
+        return (b"    ", first_tab[first[i]], row_tab[row[i]],
+                np.where(two, padded[inv[i]], plain[inv[i]]), np.where(two, second, b""))
+
+    return lead, parts
+
+
+def _write_lines(write, start, stop, parts):
+    """Write lines start..stop-1, `_BLOCK` at a time; parts(a, b) gives the
+    fields of lines a..b-1 as 1-byte string arrays or scalars."""
+    for a in range(start, stop, _BLOCK):
+        lines = reduce(np.strings.add, (*parts(a, min(a + _BLOCK, stop)), b"\n"))
+        cells = lines.view(np.uint8)
+        write(cells[cells != 0].tobytes())  # drop the NUL padding of each line
 
 
 def _sanitize(name: str) -> str:
@@ -72,7 +98,8 @@ def _sanitize(name: str) -> str:
 
 
 def export_mps(model: LinearProgram | MilpModel, destination) -> None:
-    """Write the model to destination as a fixed-format MPS file."""
+    """Write the model to destination (a path, or a text handle with
+    `write`) as a fixed-format MPS file."""
     if isinstance(model, MilpModel):
         lp = model.lp
         binary_cols = np.asarray(model.binary_cols, dtype=int)
@@ -82,10 +109,18 @@ def export_mps(model: LinearProgram | MilpModel, destination) -> None:
     else:
         raise TypeError("model must be a LinearProgram or MilpModel")
 
+    if hasattr(destination, "write"):
+        _write_model(lp, binary_cols, lambda data: destination.write(data.decode()))
+    else:
+        with open(destination, "wb") as fh:
+            _write_model(lp, binary_cols, fh.write)
+
+
+def _write_model(lp: LinearProgram, binary_cols: np.ndarray, write) -> None:
     n = lp.n_vars
-    col_names = np.array([f"X{j:07d}" for j in range(n)])
-    g_names = [f"R{i:07d}" for i in range(lp.n_g)]
-    h_names = [f"E{i:07d}" for i in range(lp.n_h)]
+    col_names = _names(b"X", n)
+    g_names = _names(b"R", lp.n_g)
+    h_names = _names(b"E", lp.n_h)
 
     # flatten every matrix entry into parallel arrays: column, row key, value
     c_cols = np.flatnonzero(lp.c)
@@ -98,82 +133,76 @@ def export_mps(model: LinearProgram | MilpModel, destination) -> None:
     order = np.lexsort((e_row, e_col))
     e_col, e_row, e_val = e_col[order], e_row[order], e_val[order]
 
-    row_name_table = np.array([_OBJ] + g_names + h_names)
-    row_pad_table = _pad(row_name_table, 10)
-    col_pad_table = _pad(col_names, 10)
+    row_pad_table = _ljust(np.concatenate([[_OBJ], g_names, h_names]), 10)
+    col_pad_table = _ljust(col_names, 10)
     is_binary = np.zeros(n, dtype=bool)
     is_binary[binary_cols] = True
 
-    out: list[str] = []
-    out.append("NAME".ljust(14) + _sanitize(lp.name))
-    out.append("ROWS")
-    out.append(" N  " + _OBJ)
-    out.extend(" G  " + r for r in g_names)
-    out.extend(" E  " + r for r in h_names)
+    write(b"NAME".ljust(14) + _sanitize(lp.name).encode() + b"\nROWS\n N  " + _OBJ + b"\n")
+    _write_lines(write, 0, lp.n_g, lambda a, b: (b" G  ", g_names[a:b]))
+    _write_lines(write, 0, lp.n_h, lambda a, b: (b" E  ", h_names[a:b]))
 
-    out.append("COLUMNS")
-    # integrality markers around maximal runs of binary-column entries
+    write(b"COLUMNS\n")
+    lead, parts = _entry_parts(col_pad_table, e_col, row_pad_table, e_row, e_val)
+    # integrality markers around maximal runs of binary-column entries; a
+    # run of one column's entries never crosses them, so no line does
     ib = is_binary[e_col]
     cuts = [0] + (np.flatnonzero(ib[1:] != ib[:-1]) + 1).tolist() + [len(ib)]
+    line_cuts = np.searchsorted(lead, cuts)
     marker_no = 0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if a == b:
+    for a, first, stop in zip(cuts[:-1], line_cuts[:-1], line_cuts[1:]):
+        if first == stop:
             continue
         if ib[a]:
             marker_no += 1
-            out.append(f"    M{marker_no:07d}  'MARKER'" + " " * 17 + "'INTORG'")
-        out.extend(_lines_for_entries(e_col[a:b], col_pad_table[e_col[a:b]],
-                                      row_pad_table[e_row[a:b]], e_val[a:b]))
+            write(b"    M%07d  'MARKER'                 'INTORG'\n" % marker_no)
+        _write_lines(write, first, stop, parts)
         if ib[a]:
             marker_no += 1
-            out.append(f"    M{marker_no:07d}  'MARKER'" + " " * 17 + "'INTEND'")
+            write(b"    M%07d  'MARKER'                 'INTEND'\n" % marker_no)
 
-    out.append("RHS")
+    write(b"RHS\n")
     rhs_rows = np.concatenate([lp.b_g(), lp.b_h()])
-    nz = np.flatnonzero(rhs_rows)
-    rhs_names_p = row_pad_table[1 + nz]
-    rhs_vals = rhs_rows[nz]
+    rhs_row = 1 + np.flatnonzero(rhs_rows)
+    rhs_vals = rhs_rows[rhs_row - 1]
     if lp.objective_constant != 0.0:
-        rhs_names_p = np.concatenate([row_pad_table[:1], rhs_names_p])
+        rhs_row = np.concatenate([[0], rhs_row])
         rhs_vals = np.concatenate([[-lp.objective_constant], rhs_vals])
-    out.extend(_lines_for_entries(np.zeros(len(rhs_vals), dtype=np.int64),
-                                  _pad(["RHS"], 10)[np.zeros(len(rhs_vals), int)],
-                                  rhs_names_p, rhs_vals))
+    lead, parts = _entry_parts(np.array([b"RHS".ljust(10)]), np.zeros(len(rhs_row), np.int64),
+                               row_pad_table, rhs_row, rhs_vals)
+    _write_lines(write, 0, len(lead), parts)
 
-    out.append("RANGES")  # no ranged rows in these models; section kept for shape
+    write(b"RANGES\n")  # no ranged rows in these models; section kept for shape
 
-    out.append("BOUNDS")
+    write(b"BOUNDS\n")
     lb, ub = lp.lb, lp.ub
     lo_fin = np.isfinite(lb)
     hi_fin = np.isfinite(ub)
     fixed = ~is_binary & lo_fin & hi_fin & (lb == ub)
-    free = ~is_binary & ~lo_fin & ~hi_fin
-    minus = ~is_binary & ~lo_fin & hi_fin
-    lo_line = ~is_binary & ~fixed & lo_fin & (lb != 0.0)
-    up_line = ~is_binary & ~fixed & hi_fin
-    name_p = _pad(col_names, 10)
-    first_a = np.full(n, "", dtype=object)
-    first_a[is_binary] = np.char.add(" BV BND       ", col_names[is_binary])
-    first_a[fixed] = np.char.add(np.char.add(" FX BND       ", name_p[fixed]),
-                                 np.char.mod("%.12g", lb[fixed]))
-    first_a[free] = np.char.add(" FR BND       ", col_names[free])
-    first_a[minus] = np.char.add(" MI BND       ", col_names[minus])
-    first_a[lo_line] = np.char.add(np.char.add(" LO BND       ", name_p[lo_line]),
-                                   np.char.mod("%.12g", lb[lo_line]))
-    second_a = np.full(n, "", dtype=object)
-    second_a[up_line] = np.char.add(np.char.add(" UP BND       ", name_p[up_line]),
-                                    np.char.mod("%.12g", ub[up_line]))
-    both = np.stack([first_a, second_a], axis=1).ravel()
-    out.extend(both[both != ""])
-    out.append("ENDATA")
-    out.append("")
+    # each column has up to two lines, a first one and then UP: kind 0 is none
+    kind = np.zeros((n, 2), dtype=np.int8)
+    kind[is_binary, 0] = 1
+    kind[fixed, 0] = 2
+    kind[~is_binary & ~lo_fin & ~hi_fin, 0] = 3
+    kind[~is_binary & ~lo_fin & hi_fin, 0] = 4
+    kind[~is_binary & ~fixed & lo_fin & (lb != 0.0), 0] = 5
+    kind[~is_binary & ~fixed & hi_fin, 1] = 6
+    line = np.flatnonzero(kind.ravel())
+    col, kind = line // 2, kind.ravel()[line]
+    valued = (kind == 2) | (kind >= 5)  # FX, LO and UP lines end in a value
+    plain, _, inv = _fmt_values(np.where(kind == 6, ub[col], lb[col])[valued])
+    value = np.zeros(len(line), dtype=plain.dtype)
+    value[valued] = plain[inv]
+    heads = np.array([b"", b" BV BND       ", b" FX BND       ", b" FR BND       ",
+                      b" MI BND       ", b" LO BND       ", b" UP BND       "])
 
-    text = "\n".join(out)
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w") as fh:
-            fh.write(text)
+    def bound_parts(a, b):
+        c = col[a:b]
+        return (heads[kind[a:b]], np.where(valued[a:b], col_pad_table[c], col_names[c]),
+                value[a:b])
+
+    _write_lines(write, 0, len(line), bound_parts)
+    write(b"ENDATA\n")
 
 
 @dataclass
@@ -204,26 +233,27 @@ def read_mps(path) -> MpsSummary:
 
     Only the structure is recovered: row counts by sense, column and
     binary-column counts, and entry tallies per section. Marker lines
-    toggle integrality exactly as the format prescribes.
+    toggle integrality exactly as the format prescribes. The file (a path
+    or a text handle) is read one line at a time.
     """
     if hasattr(path, "read"):
-        text = path.read()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+        return _summarize(path)
+    with open(path) as fh:
+        return _summarize(fh)
 
+
+def _summarize(lines) -> MpsSummary:
     summary = MpsSummary()
     section = None
     obj_names: set[str] = set()
     seen_cols: dict[str, bool] = {}
     integral = False
-    for raw in io.StringIO(text):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("*"):
-            continue
-        head = line[0] not in " \t"
+    entries = 0
+    for line in lines:
         tokens = line.split()
-        if head:
+        if not tokens or tokens[0][0] == "*":  # blank or comment
+            continue
+        if line[0] not in " \t":
             keyword = tokens[0].upper()
             if keyword == "NAME":
                 summary.name = tokens[1] if len(tokens) > 1 else ""
@@ -231,8 +261,19 @@ def read_mps(path) -> MpsSummary:
             if keyword == "ENDATA":
                 break
             section = keyword
-            continue
-        if section == "ROWS":
+        elif section == "COLUMNS":
+            if len(tokens) >= 3 and tokens[1] == "'MARKER'":
+                marker = tokens[-1].upper()
+                if marker == "'INTORG'":
+                    integral = True
+                elif marker == "'INTEND'":
+                    integral = False
+                continue
+            seen_cols.setdefault(tokens[0], integral)
+            for value in tokens[2::2]:  # (len - 1) // 2 name/value pairs
+                float(value)  # malformed values should not pass silently
+            entries += (len(tokens) - 1) // 2
+        elif section == "ROWS":
             sense, name = tokens[0].upper(), tokens[1]
             if sense == "N":
                 summary.objective_rows += 1
@@ -245,20 +286,6 @@ def read_mps(path) -> MpsSummary:
                 summary.e_rows += 1
             else:
                 raise ValueError(f"unknown row sense {sense!r}")
-        elif section == "COLUMNS":
-            if len(tokens) >= 3 and tokens[1] == "'MARKER'":
-                marker = tokens[-1].upper()
-                if marker == "'INTORG'":
-                    integral = True
-                elif marker == "'INTEND'":
-                    integral = False
-                continue
-            col = tokens[0]
-            if col not in seen_cols:
-                seen_cols[col] = integral
-            for p in range(1, len(tokens) - 1, 2):
-                float(tokens[p + 1])  # malformed values should not pass silently
-                summary.entries += 1
         elif section == "RHS":
             for p in range(1, len(tokens) - 1, 2):
                 if tokens[p] in obj_names:
@@ -276,6 +303,7 @@ def read_mps(path) -> MpsSummary:
             summary.bound_types[btype] = summary.bound_types.get(btype, 0) + 1
         elif section is None:
             raise ValueError("data line before any section header")
+    summary.entries = entries
     summary.columns = len(seen_cols)
     summary.binary_columns = sum(seen_cols.values())
     return summary

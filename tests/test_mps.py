@@ -1,11 +1,14 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from storageshare.instance import make_instance
 from storageshare.lp import make_lp
-from storageshare.mpec import assemble_mpec, linearize_big_m
-from storageshare.mps_io import export_mps, read_mps
+from storageshare.mpec import MilpModel, assemble_mpec, linearize_big_m
+from storageshare.mps_io import MpsSummary, export_mps, read_mps
+from storageshare.synthetic import synth_series
 from tests.conftest import division_fixture, rand_instance
 
 
@@ -115,3 +118,200 @@ def test_reader_rejects_malformed():
         read_mps(io.StringIO("ROWS\n Q  BADROW\nENDATA\n"))
     with pytest.raises(ValueError):
         read_mps(io.StringIO("ROWS\n N  OBJ\nCOLUMNS\n    X0  OBJ  oops\nENDATA\n"))
+
+
+def test_values_written_whole():
+    # a first value field of a paired line once lost every character past
+    # the 12th: 1.23456789012e-07 came out as 1.2345678901
+    c = np.array([1.23456789012e-07, -123456789012.0, -1.23456789012e-123])
+    lp = make_lp(c, a_ub=[[1.0, 2.0, 3.0], [0.5, -1.0 / 3.0, 7.0]], b_ub=[1.0, 2.0],
+                 lb=np.zeros(3), objective_constant=81.1752696902)
+    lines = exported_text(lp).splitlines()
+    a = np.vstack([lp.c, lp.dense_g()])
+    rows = ["OBJ"] + [f"R{i:07d}" for i in range(lp.n_g)]
+    seen = 0
+    for line in lines[lines.index("COLUMNS") + 1: lines.index("RHS")]:
+        tokens = line.split()
+        j = int(tokens[0][1:])
+        for row, value in zip(tokens[1::2], tokens[2::2]):
+            assert float(value) == pytest.approx(a[rows.index(row), j], rel=1e-11, abs=0)
+            seen += 1
+    assert seen == np.count_nonzero(a)
+    summary = read_mps(io.StringIO("\n".join(lines)))
+    assert summary.objective_constant == pytest.approx(81.1752696902, rel=1e-11, abs=0)
+
+
+def _milp(lp, binary_cols):
+    return MilpModel(mpec=None, lp=lp, binary_cols=np.asarray(binary_cols),
+                     pairs=np.empty((0, 2), int), m_omega=np.empty(0), m_slack=np.empty(0),
+                     m_notes=(), pair_row0=lp.n_g)
+
+
+# each model gives every column an entry, so every column is read back
+EDGE_MODELS = {
+    "no_e_rows": (make_lp([1.0, 2.0], a_ub=[[1.0, 1.0], [1.0, -1.0]], b_ub=[1.0, 0.5],
+                          lb=[0.0, -1.0], ub=[2.0, np.inf]), {"UP": 1, "LO": 1}),
+    "no_g_rows": (make_lp([1.0, -1.0], a_eq=[[1.0, 1.0]], b_eq=[3.0], lb=[0.0, 0.0],
+                          ub=[5.0, 5.0]), {"UP": 2}),
+    "zero_rhs": (make_lp([1.0, 1.0], a_ub=[[1.0, -1.0]], b_ub=[0.0], a_eq=[[1.0, 2.0]],
+                         b_eq=[0.0], lb=[-np.inf, 0.0]), {"FR": 1}),
+    "no_bound_lines": (make_lp([1.0, 0.0], a_ub=[[1.0, 1.0]], b_ub=[1.0], lb=[0.0, 0.0]), {}),
+    "last_column_binary": (_milp(make_lp([1.0, 0.0, 2.0], a_ub=[[1.0, 1.0, -4.0]], b_ub=[-1.0],
+                                         a_eq=[[0.0, 1.0, 1.0]], b_eq=[1.0],
+                                         lb=[0.0, -2.0, 0.0], ub=[1.0, 2.0, 1.0]), [2]),
+                           {"UP": 2, "LO": 1, "BV": 1}),
+    "constant_only_objective": (make_lp([0.0, 0.0], a_ub=[[1.0, 2.0]], b_ub=[1.0], lb=[0.0, 0.0],
+                                        objective_constant=-7.5), {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_MODELS))
+def test_edge_case_round_trip(name, tmp_path):
+    model, bound_types = EDGE_MODELS[name]
+    lp = getattr(model, "lp", model)
+    path = tmp_path / "model.mps"
+    export_mps(model, path)
+    text = exported_text(model)
+    assert path.read_text() == text
+    summary = read_mps(path)
+    assert summary == read_mps(io.StringIO(text))
+    assert (summary.objective_rows, summary.g_rows, summary.l_rows, summary.e_rows) == (
+        1, lp.n_g, 0, lp.n_h)
+    assert summary.columns == lp.n_vars
+    assert summary.binary_columns == len(getattr(model, "binary_cols", ()))
+    assert summary.entries == np.count_nonzero(lp.c) + len(lp.g.data) + len(lp.h.data)
+    rhs = np.count_nonzero(np.concatenate([lp.b_g(), lp.b_h()]))
+    assert summary.rhs_entries == rhs + (lp.objective_constant != 0.0)
+    assert summary.objective_constant == lp.objective_constant
+    assert summary.bound_types == bound_types
+    assert summary.bound_entries == sum(bound_types.values())
+
+
+def test_export_and_read_memory_stay_below_file_size(tmp_path):
+    # the writer holds one block of lines and the reader one line at a time,
+    # so their peaks must not grow with a multiple of the text
+    loads, lmp, tou = synth_series("typical", "conforming", n_customers=20, n_slots=48, seed=1)
+    inst = make_instance(lmp=lmp, tou=tou, customer_load=loads, slot_hours=0.5,
+                         total_capacity=160.0, eta_ch=0.92, eta_dis=0.92, power_ratio=0.25,
+                         lambda1=0.8, lambda2=6.69, lambda3=1.0)
+    milp = linearize_big_m(assemble_mpec(inst))
+    path = tmp_path / "fleet.mps"
+    tracemalloc.start()
+    try:
+        export_mps(milp, path)
+        export_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        summary = read_mps(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert summary.binary_columns == milp.n_binaries
+    assert export_peak <= 8 * size
+    assert read_peak <= size
+
+
+READER_CASES = {
+    "comments_and_blanks": (
+        "* leading comment\n"
+        "NAME          DEMO\n"
+        "\n"
+        "ROWS\n"
+        " N  COST\n"
+        "   * indented comment\n"
+        " G  LIM1\n"
+        " L  LIM2\n"
+        " E  MYEQN\n"
+        "COLUMNS\n"
+        "    X1        COST      1.0          LIM1      1.0\n"
+        "\n"
+        "    X1        LIM2      1.0\n"
+        "    X2        COST      2.0          LIM2      1.0\n"
+        "    X3        MYEQN     -1.0\n"
+        "RHS\n"
+        "    RHS       LIM1      4.0          LIM2      1.0\n"
+        "    RHS       MYEQN     7.0\n"
+        "BOUNDS\n"
+        " UP BND       X1        4.0\n"
+        " MI BND       X2\n"
+        " UP BND       X2        1.0\n"
+        " FR BND       X3\n"
+        "ENDATA\n",
+        MpsSummary(name="DEMO", objective_rows=1, g_rows=1, l_rows=1, e_rows=1, columns=3,
+                   entries=6, rhs_entries=3, bound_entries=4,
+                   bound_types={"UP": 2, "MI": 1, "FR": 1})),
+    "tabs_and_empty_name": (
+        "NAME\n"
+        "ROWS\n"
+        "\tN\tOBJ\n"
+        "\tG\tR1\n"
+        "COLUMNS\n"
+        "\tX1\tOBJ\t1.5\tR1\t2\n"
+        "\tX2\tR1\t-1\n"
+        "RHS\n"
+        "\tRHS\tR1\t3\n"
+        "ENDATA\n",
+        MpsSummary(name="", objective_rows=1, g_rows=1, columns=2, entries=3, rhs_entries=1)),
+    # a line with an even token count counts its complete name/value pairs
+    "even_tokens_and_markers": (
+        "NAME          EVEN\n"
+        "ROWS\n"
+        " N  OBJ\n"
+        " G  R1\n"
+        " G  R2\n"
+        "COLUMNS\n"
+        "    X1        OBJ       1            R1\n"
+        "    M1        'MARKER'                 'INTORG'\n"
+        "    Y1        OBJ       1            R1        2\n"
+        "    Y1        R2        1\n"
+        "    Y2        R2\n"
+        "    M2        'MARKER'                 'INTEND'\n"
+        "    X2        R2        1            R1        1        OBJ\n"
+        "RHS\n"
+        "    RHS       R1        1            R2\n"
+        "BOUNDS\n"
+        " BV BND       Y1\n"
+        " BV BND       Y2\n"
+        " LO BND       X1        -1\n"
+        " FX BND       X2        2\n"
+        "ENDATA\n",
+        MpsSummary(name="EVEN", objective_rows=1, g_rows=2, columns=4, binary_columns=2,
+                   entries=6, rhs_entries=1, bound_entries=4,
+                   bound_types={"BV": 2, "LO": 1, "FX": 1})),
+    # the last objective-row RHS entry sets the constant; nothing after ENDATA is read
+    "ranges_and_objective_constant": (
+        "NAME          RNG extra words\n"
+        "ROWS\n"
+        " N  OBJ\n"
+        " N  OBJ2\n"
+        " G  R1\n"
+        " E  R2\n"
+        " L  R3\n"
+        "COLUMNS\n"
+        "    X1        OBJ       1            R1        1\n"
+        "    X1        R2        1            R3        1\n"
+        "RHS\n"
+        "    RHS       OBJ       -2.5         R1        1\n"
+        "    RHS       R2        3            OBJ2      4\n"
+        "RANGES\n"
+        "    RNG       R1        2            R3        5\n"
+        "    RNG       R2        1\n"
+        "BOUNDS\n"
+        " UP BND       X1        9\n"
+        "ENDATA\n"
+        "    X9        OBJ       1\n",
+        MpsSummary(name="RNG", objective_rows=2, g_rows=1, l_rows=1, e_rows=1, columns=1,
+                   entries=4, rhs_entries=4, range_entries=3, bound_entries=1,
+                   objective_constant=-4.0, bound_types={"UP": 1})),
+}
+READER_CASES["crlf"] = (READER_CASES["comments_and_blanks"][0].replace("\n", "\r\n"),
+                        READER_CASES["comments_and_blanks"][1])
+
+
+@pytest.mark.parametrize("name", sorted(READER_CASES))
+def test_reader_summaries(name, tmp_path):
+    text, expected = READER_CASES[name]
+    assert read_mps(io.StringIO(text)) == expected
+    path = tmp_path / "case.mps"
+    path.write_text(text)
+    assert read_mps(path) == expected

@@ -59,7 +59,7 @@ def marked_lps(draw):
                    h_cap=draw(hnp.arrays(float, lp.n_h, elements=markers)))
 
 
-def _highs(lp, c):
+def _highs(lp, c, **options):
     return linprog(
         c,
         A_ub=-lp.dense_g() if lp.n_g else None,
@@ -69,6 +69,7 @@ def _highs(lp, c):
         bounds=[(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
                 for lo, hi in zip(lp.lb, lp.ub)],
         method="highs",
+        options=options,
     )
 
 
@@ -78,6 +79,8 @@ def _reference(lp):
     if _highs(lp, np.zeros(lp.n_vars)).status == 2:
         return "infeasible", None
     res = _highs(lp, lp.c)
+    if res.status == 2:  # presolve may call a feasible unbounded LP infeasible
+        res = _highs(lp, lp.c, presolve=False)
     if res.status == 0:
         return "optimal", res.fun + lp.objective_constant
     assert res.status in (3, 4), res.message  # feasible: unbounded is all that is left
@@ -93,6 +96,11 @@ def _reference(lp):
 # a zero equality row (dependent: its artificial stays basic) beside a fixed column
 @example(make_lp([-1.0, 2.0], a_ub=[[1.0, -1.0]], b_ub=[-2.0], a_eq=[[0.0, 0.0]], b_eq=[0.0],
                  lb=[0.0, 1.0], ub=[4.0, 1.0]))
+# feasible (zero cost) and unbounded, which HiGHS's presolve calls infeasible
+@example(make_lp(np.ones(5), a_ub=[[-3, -3, -3, -3, -3], [-3, -3, -3, 1, -3],
+                                   [-3, -3, -3, -3, 1], [-3, -3, 1, -3, -3]],
+                 b_ub=np.zeros(4), lb=[0.0, 0.0, -np.inf, -np.inf, -np.inf],
+                 ub=[1.0, 1.0, 0.0, 0.0, -1.0]))
 def test_engine_matches_highs(lp):
     status, objective = _reference(lp)
     sol = solve_lp_engine(lp)
