@@ -36,7 +36,7 @@ _CONFIG_SCHEMA = {
     "lambda2": (float, 6.69),
     "lambda3": (float, 1.0),
     "alpha": (float, 0.01),
-    "mode": (str, "bigm"),
+    "mode": (str, "lpcc"),
     "time_limit": (float, 600.0),
     "node_limit": (int, 100_000),
     "gap_target": (float, 0.0),

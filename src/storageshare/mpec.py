@@ -372,12 +372,6 @@ def linearize_big_m(mpec: MpecModel, policy: BigMPolicy | None = None) -> MilpMo
     )
 
 
-def row_value(lp: LinearProgram, i: int, x: np.ndarray) -> float:
-    """Slack of inequality row i at x (row lhs minus rhs)."""
-    idx, val = lp.g.row(i)
-    return float(val @ x[idx]) - float(lp.g_offset[i] + lp.g_cap[i] * lp.capacity)
-
-
 @dataclass(frozen=True)
 class BigMReport:
     """Pairs whose multiplier or slack sits within tol*M of its cap."""

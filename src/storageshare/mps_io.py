@@ -233,8 +233,10 @@ def read_mps(path) -> MpsSummary:
 
     Only the structure is recovered: row counts by sense, column and
     binary-column counts, and entry tallies per section. Marker lines
-    toggle integrality exactly as the format prescribes. The file (a path
-    or a text handle) is read one line at a time.
+    toggle integrality exactly as the format prescribes. The objective is
+    the first N row, and only its RHS entry sets objective_constant; every
+    N row counts in objective_rows. The file (a path or a text handle) is
+    read one line at a time.
     """
     if hasattr(path, "read"):
         return _summarize(path)
@@ -245,7 +247,7 @@ def read_mps(path) -> MpsSummary:
 def _summarize(lines) -> MpsSummary:
     summary = MpsSummary()
     section = None
-    obj_names: set[str] = set()
+    objective = None  # the first N row; later N rows are free rows
     seen_cols: dict[str, bool] = {}
     integral = False
     entries = 0
@@ -277,7 +279,8 @@ def _summarize(lines) -> MpsSummary:
             sense, name = tokens[0].upper(), tokens[1]
             if sense == "N":
                 summary.objective_rows += 1
-                obj_names.add(name)
+                if objective is None:
+                    objective = name
             elif sense == "G":
                 summary.g_rows += 1
             elif sense == "L":
@@ -288,7 +291,7 @@ def _summarize(lines) -> MpsSummary:
                 raise ValueError(f"unknown row sense {sense!r}")
         elif section == "RHS":
             for p in range(1, len(tokens) - 1, 2):
-                if tokens[p] in obj_names:
+                if tokens[p] == objective:
                     summary.objective_constant = -float(tokens[p + 1])
                 else:
                     float(tokens[p + 1])

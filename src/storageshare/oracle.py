@@ -143,12 +143,7 @@ def check_schedule_invariants(
     return InvariantReport(items=tuple(items))
 
 
-def optimistic_resolve(
-    lp: LinearProgram,
-    upper_gradient,
-    sol=None,
-    pin_tol: float | None = None,
-) -> np.ndarray:
+def optimistic_resolve(lp: LinearProgram, upper_gradient, sol=None) -> np.ndarray:
     """Among the LP's optima, pick the one the division objective likes.
 
     Solves a second LP minimizing upper_gradient over the optimal face (the
@@ -161,7 +156,7 @@ def optimistic_resolve(
     if sol.status != "optimal":
         raise RuntimeError(f"cannot resolve a {sol.status} LP")
     f_star = sol.objective - lp.objective_constant  # pin in c.x terms
-    pin = max(1e-9, 1e-9 * abs(f_star)) if pin_tol is None else pin_tol
+    pin = max(1e-9, 1e-9 * abs(f_star))
     grad = np.asarray(upper_gradient, float)
     nz = np.nonzero(lp.c)[0]
     pinned = LinearProgram(

@@ -42,13 +42,8 @@ from .instance import (
 from .lp import Rows, build_llm_d
 from .mpec import BigMPolicy, assemble_mpec, linearize_big_m, validate_big_m
 from .oracle import optimistic_resolve
-from .solver import (
-    SolveOptions,
-    extract_solution,
-    solve_lp,
-    solve_lpcc,
-    solve_milp,
-)
+from .simplex import solve_lp_engine
+from .solver import SolveOptions, extract_solution, solve_lpcc, solve_milp
 
 ZERO_BASELINE_TOL = 1e-12
 
@@ -125,7 +120,7 @@ def _disco_only_dispatch(instance: Instance):
     t = instance.grid.slot_count
     s_total = instance.storage.total_capacity
     lp = build_llm_d(instance, s_total)
-    sol = solve_lp(lp)
+    sol = solve_lp_engine(lp)
     if sol.status != "optimal":
         raise ScenarioError(f"scenario 1: utility dispatch ended {sol.status}")
     price = flow_price(instance)
@@ -208,7 +203,7 @@ def solve_division(mpec, opts: SolveOptions, mode: str,
 
 
 def run_scenario(instance: Instance, scenario, options: SolveOptions | None = None,
-                 mode: str = "bigm", policy: BigMPolicy | None = None,
+                 mode: str = "lpcc", policy: BigMPolicy | None = None,
                  day: int = 0) -> DayReport:
     """Solve one scenario and report costs against the do-nothing baseline."""
     scenario = ScenarioId(scenario)
@@ -272,7 +267,7 @@ def run_scenario(instance: Instance, scenario, options: SolveOptions | None = No
 
 
 def run_all_scenarios(instance: Instance, options: SolveOptions | None = None,
-                      mode: str = "bigm", policy: BigMPolicy | None = None,
+                      mode: str = "lpcc", policy: BigMPolicy | None = None,
                       day: int = 0):
     """All three scenarios on one instance, in scenario order."""
     return tuple(
@@ -281,7 +276,7 @@ def run_all_scenarios(instance: Instance, options: SolveOptions | None = None,
     )
 
 
-def daily_cycle(days, options: SolveOptions | None = None, mode: str = "bigm",
+def daily_cycle(days, options: SolveOptions | None = None, mode: str = "lpcc",
                 policy: BigMPolicy | None = None) -> CycleResult:
     """Re-solve the division independently for each day's instance.
 

@@ -123,7 +123,7 @@ def _reanchor(st: np.ndarray, nonbasic: np.ndarray, lo: np.ndarray, hi: np.ndarr
 class Simplex:
     """One LP instance plus mutable solver state, reusable across re-solves."""
 
-    def __init__(self, lp: LinearProgram, max_iter: int | None = None):
+    def __init__(self, lp: LinearProgram):
         self.lp = lp
         n, mg, mh = lp.n_vars, lp.n_g, lp.n_h
         self.n = n
@@ -137,7 +137,7 @@ class Simplex:
         self.base_lo = np.concatenate([lp.lb, np.zeros(mg)])
         self.base_hi = np.concatenate([lp.ub, np.full(mg, np.inf)])
         self.c2 = np.concatenate([lp.c, np.zeros(mg)])
-        self.max_iter = max_iter if max_iter else max(2000, 50 * (self.m + self.nt))
+        self.max_iter = max(2000, 50 * (self.m + self.nt))
         # mutable state, filled by solve()/resolve()
         self.lo = None
         self.hi = None
@@ -158,13 +158,6 @@ class Simplex:
         self.warm_hits = 0  # warm starts that copied a kept inverse
         self.warm_rebuilds = 0  # warm starts that rebuilt the inverse
         self.cold_restarts = 0  # resolves that fell back to a cold solve
-
-    @property
-    def a(self) -> np.ndarray:
-        """A as a read-only dense m x nt array, built on each access."""
-        a = self.cols.dense(self.m).T
-        a.flags.writeable = False
-        return a
 
     # ------------------------------------------------------------------ state
 
@@ -286,22 +279,31 @@ class Simplex:
             r = int(cand[np.argmax(np.abs(w[cand]))])
         return step, r
 
-    def _apply_pivot(self, j: int, dirn: float, step: float, r: int, w: np.ndarray):
-        rho = -w * dirn
-        if r < 0:  # bound flip
-            self.xb += rho * step
-            self.status[j] = AT_UB if self.status[j] == AT_LB else AT_LB
-            return
+    def _enter(self, j: int, r: int, w: np.ndarray, move: float, leave_status: int):
+        """Basis change: column j, with w = binv @ a_j, moves by move from its
+        nonbasic value and enters at position r; the basic values move by
+        -w * move, and the leaving column becomes nonbasic at leave_status."""
         st = self.status[j]
         start = self.lo[j] if st == AT_LB else self.hi[j] if st == AT_UB else 0.0
-        leave = self.basis[r]
-        self.xb += rho * step
-        self.status[leave] = AT_UB if rho[r] > 0 else AT_LB
+        self.xb -= w * move
+        self.status[self.basis[r]] = leave_status
         self.basis[r] = j
         self.status[j] = BASIC
-        self.xb[r] = start + dirn * step
+        self.xb[r] = start + move
         _pivot_inverse(self.binv, w, r)
         self._dirty += 1
+
+    def _count_step(self, step: float):
+        """Count one iteration of length step; fifty degenerate ones in a
+        row switch to Bland's rule, the next real step switches back."""
+        self.iterations += 1
+        if step <= _DEGEN_TOL:
+            self._degen_streak += 1
+            if self._degen_streak >= _BLAND_AFTER:
+                self.bland = True
+        else:
+            self._degen_streak = 0
+            self.bland = False
 
     def _primal_loop(self, c_full: np.ndarray) -> str:
         d = None  # reduced costs; None when they must be computed afresh
@@ -330,18 +332,15 @@ class Simplex:
             step, r = self._ratio_test(j, dirn, w)
             if not np.isfinite(step):
                 return "unbounded"
-            self._apply_pivot(j, dirn, step, r, w)
-            if r >= 0:  # row r of the updated inverse gives the pivot row
+            if r < 0:  # bound flip
+                self.xb -= w * (dirn * step)
+                self.status[j] = AT_UB if self.status[j] == AT_LB else AT_LB
+            else:
+                self._enter(j, r, w, dirn * step, AT_UB if w[r] * dirn < 0 else AT_LB)
+                # row r of the updated inverse gives the pivot row
                 d -= d[j] * self.cols.dot(self.binv[r])
                 d[j] = 0.0
-            self.iterations += 1
-            if step <= _DEGEN_TOL:
-                self._degen_streak += 1
-                if self._degen_streak >= _BLAND_AFTER:
-                    self.bland = True
-            else:
-                self._degen_streak = 0
-                self.bland = False
+            self._count_step(step)
 
     # -------------------------------------------------------------- dual loop
 
@@ -387,34 +386,14 @@ class Simplex:
             if eligible.size == 0:
                 return "infeasible"
             ratios = np.abs(d[eligible] / alpha[eligible])
-            if self.bland:
-                near = eligible[ratios <= ratios.min() + 1e-10]
-                j = int(near[0])
-            else:
-                near = eligible[ratios <= ratios.min() + 1e-10]
-                j = int(near[np.argmax(np.abs(alpha[near]))])
+            near = eligible[ratios <= ratios.min() + 1e-10]
+            j = int(near[0]) if self.bland else int(near[np.argmax(np.abs(alpha[near]))])
             w = self._column(j)
-            step_signed = delta_need / (-w[r])
-            st_j = self.status[j]
-            start = self.lo[j] if st_j == AT_LB else self.hi[j] if st_j == AT_UB else 0.0
-            leave = self.basis[r]
-            self.xb += (-w) * step_signed
-            self.status[leave] = AT_LB if below else AT_UB
-            self.basis[r] = j
-            self.status[j] = BASIC
-            self.xb[r] = start + step_signed
-            _pivot_inverse(self.binv, w, r)
-            self._dirty += 1
+            step = delta_need / (-w[r])
+            self._enter(j, r, w, step, AT_LB if below else AT_UB)
             d -= (d[j] / alpha[j]) * alpha
             d[j] = 0.0
-            self.iterations += 1
-            if abs(step_signed) <= _DEGEN_TOL:
-                self._degen_streak += 1
-                if self._degen_streak >= _BLAND_AFTER:
-                    self.bland = True
-            else:
-                self._degen_streak = 0
-                self.bland = False
+            self._count_step(abs(step))
 
     # ------------------------------------------------------------- public API
 
@@ -522,15 +501,7 @@ class Simplex:
             if cand.size == 0:
                 continue  # dependent row; artificial stays basic, pinned at 0
             j = int(cand[np.argmax(np.abs(row[cand]))])
-            w = self._column(j)
-            st_j = self.status[j]
-            start = self.lo[j] if st_j == AT_LB else self.hi[j] if st_j == AT_UB else 0.0
-            self.status[self.basis[r]] = AT_LB
-            self.basis[r] = j
-            self.status[j] = BASIC
-            self.xb[r] = start
-            _pivot_inverse(self.binv, w, r)
-            self._dirty += 1
+            self._enter(j, r, self._column(j), 0.0, AT_LB)  # degenerate: x_j stays put
 
     def _phase2(self) -> LpSolution:
         c_full = np.concatenate([self.c2, np.zeros(self.m)])
@@ -607,6 +578,6 @@ class CapacityFamily:
         return replace(sol, x=sol.x[: self.n], reduced_costs=sol.reduced_costs[: self.n])
 
 
-def solve_lp_engine(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
+def solve_lp_engine(lp: LinearProgram) -> LpSolution:
     """One-shot cold solve of a LinearProgram."""
-    return Simplex(lp, max_iter=max_iter).solve()
+    return Simplex(lp).solve()

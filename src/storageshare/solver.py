@@ -1,55 +1,47 @@
-"""Branch-and-bound drivers over the embedded simplex engine.
+"""Branch-and-bound drivers for the division model over the embedded
+simplex engine.
 
-Three entry points: solve_lp for plain linear programs, solve_milp for
-binary models (either a linearized division model or any LinearProgram
-plus a list of binary columns), and solve_lpcc which branches directly on
-complementarity pairs without big-M constants. Both tree solvers share a
-best-first core with warm-started node LPs; node order and therefore node
-counts are deterministic for a fixed model.
+Two entry points: solve_milp branches on the binaries of a big-M
+linearized division model (mpec.MilpModel), and solve_lpcc branches
+directly on complementarity pairs without big-M constants. Both run one
+driver: a division heuristic, a best-first core with warm-started node
+LPs and a dual polish of the final incumbent. Node order and therefore
+node counts are deterministic for a fixed model.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .instance import Division, Instance, ScheduleSet
-from .lp import LinearProgram, LpSolution, build_party_lp, evaluate, make_lp
+from .lp import LinearProgram, build_party_lp, evaluate, make_lp
 from .mpec import MilpModel, MpecModel
 from .oracle import check_schedule_invariants
 from .simplex import CapacityFamily, Simplex, solve_lp_engine
 
-_BRANCHING = ("auto", "most-fractional", "most-violated-complementarity")
 _EXIT_CODES = {"optimal": 0, "infeasible": 2, "unbounded": 3, "limit": 4}
 _INT_TOL = 1e-6
+_COMP_TOL = 1e-7  # pair products at or below this count as complementary
+_ACT_TOL = 1e-6  # polish: a row is active when its slack is below this x scale
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    feas_tol: float = 1e-7
-    opt_tol: float = 1e-7
     gap_target: float = 0.0
     node_limit: int = 100_000
     time_limit: float = 600.0
-    branching: str = "auto"
-    lp_iteration_limit: int | None = None
 
     def __post_init__(self):
-        if self.feas_tol <= 0 or self.opt_tol <= 0:
-            raise ValueError("tolerances must be positive")
         if self.gap_target < 0:
             raise ValueError("gap_target must be >= 0")
         if self.node_limit < 1:
             raise ValueError("node_limit must be >= 1")
         if self.time_limit <= 0:
             raise ValueError("time_limit must be positive")
-        if self.branching not in _BRANCHING:
-            raise ValueError(f"branching must be one of {_BRANCHING}")
-        if self.lp_iteration_limit is not None and self.lp_iteration_limit < 1:
-            raise ValueError("lp_iteration_limit must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,8 +55,6 @@ class SolveResult:
     wall_time: float
     iterations: int
     model: object
-    dual_g: np.ndarray | None = None
-    dual_h: np.ndarray | None = None
     bound_history: tuple = ()
     incumbent_history: tuple = ()
 
@@ -73,50 +63,20 @@ class SolveResult:
         return _EXIT_CODES[self.status]
 
 
-def _engine(lp: LinearProgram, opts: SolveOptions) -> Simplex:
-    return Simplex(lp, max_iter=opts.lp_iteration_limit)
-
-
-def solve_lp(lp: LinearProgram, options: SolveOptions | None = None) -> LpSolution:
-    """Solve one LinearProgram; thin wrapper fixing policy from options."""
-    opts = options or SolveOptions()
-    return _engine(lp, opts).solve()
-
-
 def _relative_gap(objective: float, bound: float) -> float:
     if not np.isfinite(objective):
         return np.inf
     return max(0.0, (objective - bound) / max(1.0, abs(objective)))
 
 
-def _wrap_lp_result(lp, sol, model, t0) -> SolveResult:
-    status = {"iteration_limit": "limit"}.get(sol.status, sol.status)
-    ok = status == "optimal"
-    return SolveResult(
-        status=status,
-        x=sol.x.copy() if ok else None,
-        objective=sol.objective if ok else np.nan,
-        best_bound=sol.objective if ok else (-np.inf if status == "unbounded" else np.inf),
-        gap=0.0 if ok else np.inf,
-        node_count=1,
-        wall_time=time.perf_counter() - t0,
-        iterations=sol.iterations,
-        model=model,
-        dual_g=sol.dual_g if ok else None,
-        dual_h=sol.dual_h if ok else None,
-        bound_history=(sol.objective,) if ok else (),
-        incumbent_history=(sol.objective,) if ok else (),
-    )
-
-
-def _branch_and_bound(lp, opts, classify, model, heuristic=None):
+def _branch_and_bound(lp, opts, classify, model, heuristic):
     """Best-first search; classify(sol) returns either an incumbent
     candidate or the two child bound-fixes of the branching decision.
     Ties on the bound favor deeper nodes so plateaus dive to leaves.
-    heuristic, when given, may turn any node relaxation into a side
+    heuristic.try_point may turn any node relaxation into a side
     incumbent without affecting the tree itself."""
     t0 = time.perf_counter()
-    engine = _engine(lp, opts)
+    engine = Simplex(lp)
     base_lo = np.concatenate([lp.lb, np.zeros(lp.n_g)])
     base_hi = np.concatenate([lp.ub, np.full(lp.n_g, np.inf)])
 
@@ -165,12 +125,11 @@ def _branch_and_bound(lp, opts, classify, model, heuristic=None):
         if kind == "incumbent":
             take_incumbent(*payload)
             return None
-        if heuristic is not None:
-            side = heuristic.try_point(sol.x)
-            if side is not None:
-                take_incumbent(*side)
-                if bound >= incumbent_obj - prune_eps():
-                    return None
+        side = heuristic.try_point(sol.x)
+        if side is not None:
+            take_incumbent(*side)
+            if bound >= incumbent_obj - prune_eps():
+                return None
         heapq.heappush(heap, (bound, -len(fixes), seq, fixes, engine.snapshot(), payload))
         seq += 1
         return None
@@ -320,29 +279,8 @@ class _DivisionHeuristic:
         return x, obj
 
 
-def _classify_plain_binary(lp, cols):
-    cols = np.asarray(cols, dtype=int)
-
-    def classify(sol):
-        x = sol.x
-        vals = x[cols]
-        frac = np.abs(vals - np.round(vals))
-        if np.all(frac <= _INT_TOL):
-            x2 = x.copy()
-            x2[cols] = np.round(vals)
-            if evaluate(lp, x2).feasible(1e-6):
-                obj = float(lp.c @ x2) + lp.objective_constant
-                return "incumbent", (x2, obj)
-            return "incumbent", (x.copy(), float(sol.objective))
-        col = int(cols[int(np.argmax(frac))])
-        return "branch", ((col, 0.0, 0.0), (col, 1.0, 1.0))
-
-    return classify
-
-
-def _classify_milp(milp: MilpModel, opts: SolveOptions, branching: str,
-                   lp: LinearProgram | None = None):
-    lp = milp.lp if lp is None else lp
+def _classify_milp(milp: MilpModel):
+    lp = milp.lp
     pair_slacks = _pair_slacks(lp, milp.pairs)
     w_cols = milp.pairs[:, 0]
     u_cols = np.asarray(milp.binary_cols, dtype=int)
@@ -359,27 +297,23 @@ def _classify_milp(milp: MilpModel, opts: SolveOptions, branching: str,
             return "incumbent", (x.copy(), float(sol.objective))
         slack = pair_slacks(x)
         prod = x[w_cols] * slack
-        if float(prod.max()) <= opts.feas_tol:
+        if float(prod.max()) <= _COMP_TOL:
             x2 = x.copy()
             x2[u_cols] = x[w_cols] >= slack
             if evaluate(lp, x2).feasible(1e-6):
                 return "incumbent", (x2, float(sol.objective))
-        if branching == "most-violated-complementarity":
-            q = int(np.argmax(prod))
-            if frac[q] <= _INT_TOL:  # that u already settled, take worst loose one
-                loose = np.nonzero(frac > _INT_TOL)[0]
-                q = int(loose[np.argmax(prod[loose])])
-            col = int(u_cols[q])
-        else:
-            col = int(u_cols[int(np.argmax(frac))])
+        q = int(np.argmax(prod))
+        if frac[q] <= _INT_TOL:  # that u already settled, take worst loose one
+            loose = np.nonzero(frac > _INT_TOL)[0]
+            q = int(loose[np.argmax(prod[loose])])
+        col = int(u_cols[q])
         return "branch", ((col, 0.0, 0.0), (col, 1.0, 1.0))
 
     return classify
 
 
-def _classify_lpcc(mpec: MpecModel, opts: SolveOptions,
-                   lp: LinearProgram | None = None):
-    lp = mpec.lp if lp is None else lp
+def _classify_lpcc(mpec: MpecModel):
+    lp = mpec.lp
     pair_slacks = _pair_slacks(lp, mpec.pairs)
     w_cols = mpec.pairs[:, 0]
     n_struct = lp.n_vars
@@ -387,7 +321,7 @@ def _classify_lpcc(mpec: MpecModel, opts: SolveOptions,
     def classify(sol):
         x = sol.x
         prod = x[w_cols] * pair_slacks(x)
-        if float(prod.max()) <= opts.feas_tol:
+        if float(prod.max()) <= _COMP_TOL:
             return "incumbent", (x.copy(), float(sol.objective))
         q = int(np.argmax(prod))
         w_col, g_row = mpec.pairs[q].tolist()
@@ -397,40 +331,29 @@ def _classify_lpcc(mpec: MpecModel, opts: SolveOptions,
     return classify
 
 
-def solve_milp(model, options: SolveOptions | None = None, binary_cols=None) -> SolveResult:
-    """Best-first branch and bound on binary columns.
+def _solve_tree(mpec: MpecModel, model, lp: LinearProgram, classify,
+                options: SolveOptions | None, u_cols=None) -> SolveResult:
+    """Division heuristic, best-first tree over lp, then the dual polish
+    of the incumbent; u_cols are lp's binary columns, if it has any."""
+    heur = _DivisionHeuristic(mpec, lp, u_cols=u_cols)
+    result = _branch_and_bound(lp, options or SolveOptions(), classify, model, heur)
+    if result.x is not None:
+        polished = _polish_duals(mpec, result.x, feas_lp=lp, u_cols=u_cols)
+        if polished is not None:
+            result = replace(result, x=polished)
+    return result
 
-    model is either a linearized division model (binaries implied) or a
-    plain LinearProgram with binary_cols listing the 0/1 columns. The bound
-    sequence is non-decreasing and the incumbent sequence non-increasing by
-    construction (child bounds are clamped to their parent's).
+
+def solve_milp(milp: MilpModel, options: SolveOptions | None = None) -> SolveResult:
+    """Best-first branch and bound on the binaries of a linearized division
+    model, branching on the most violated complementarity pair.
+
+    The bound sequence is non-decreasing and the incumbent sequence
+    non-increasing by construction (child bounds are clamped to their
+    parent's).
     """
-    opts = options or SolveOptions()
-    if isinstance(model, MilpModel):
-        branching = opts.branching
-        if branching == "auto":
-            branching = "most-violated-complementarity"
-        classify = _classify_milp(model, opts, branching)
-        heur = _DivisionHeuristic(model.mpec, model.lp, u_cols=model.binary_cols)
-        result = _branch_and_bound(model.lp, opts, classify, model, heuristic=heur)
-        if result.x is not None:
-            polished = _polish_duals(model.mpec, result.x, feas_lp=model.lp,
-                                     u_cols=model.binary_cols)
-            if polished is not None:
-                result = _replace_x(result, polished)
-        return result
-    lp = model
-    if not isinstance(lp, LinearProgram):
-        raise TypeError("model must be a MilpModel or a LinearProgram")
-    if binary_cols is None or len(binary_cols) == 0:
-        t0 = time.perf_counter()
-        return _wrap_lp_result(lp, _engine(lp, opts).solve(), lp, t0)
-    if opts.branching == "most-violated-complementarity":
-        raise ValueError("complementarity branching needs a pair-carrying model")
-    cols = np.asarray(binary_cols, dtype=int)
-    if np.any(lp.lb[cols] < -1e-12) or np.any(lp.ub[cols] > 1.0 + 1e-12):
-        raise ValueError("binary columns must carry [0, 1] bounds")
-    return _branch_and_bound(lp, opts, _classify_plain_binary(lp, cols), lp)
+    return _solve_tree(milp.mpec, milp, milp.lp, _classify_milp(milp), options,
+                       u_cols=milp.binary_cols)
 
 
 def solve_lpcc(mpec: MpecModel, options: SolveOptions | None = None) -> SolveResult:
@@ -440,38 +363,16 @@ def solve_lpcc(mpec: MpecModel, options: SolveOptions | None = None) -> SolveRes
     equality, so every root-to-leaf path fixes a strictly growing set of
     columns and the tree is finite.
     """
-    opts = options or SolveOptions()
-    if opts.branching == "most-fractional":
-        raise ValueError("no binaries to branch on; use complementarity branching")
-    heur = _DivisionHeuristic(mpec, mpec.lp)
-    result = _branch_and_bound(mpec.lp, opts, _classify_lpcc(mpec, opts),
-                               mpec, heuristic=heur)
-    if result.x is not None:
-        polished = _polish_duals(mpec, result.x, feas_lp=mpec.lp)
-        if polished is not None:
-            result = _replace_x(result, polished)
-    return result
-
-
-def _replace_x(result: SolveResult, x: np.ndarray) -> SolveResult:
-    return SolveResult(
-        status=result.status, x=x, objective=result.objective,
-        best_bound=result.best_bound, gap=result.gap,
-        node_count=result.node_count, wall_time=result.wall_time,
-        iterations=result.iterations, model=result.model,
-        dual_g=result.dual_g, dual_h=result.dual_h,
-        bound_history=result.bound_history,
-        incumbent_history=result.incumbent_history,
-    )
+    return _solve_tree(mpec, mpec, mpec.lp, _classify_lpcc(mpec), options)
 
 
 def _polish_duals(mpec: MpecModel, x: np.ndarray, feas_lp: LinearProgram,
-                  u_cols=None, act_tol: float = 1e-6) -> np.ndarray | None:
+                  u_cols=None) -> np.ndarray | None:
     """Recompute each party's multipliers as the smallest nonnegative
     solution of its stationarity system supported on active rows.
 
     Branching tolerances leave multipliers complementary only up to
-    feas_tol; this cleanup restores exact complementarity where possible.
+    _COMP_TOL; this cleanup restores exact complementarity where possible.
     Returns the rewritten point, or None if the original should stand.
     """
     lp = mpec.lp
@@ -489,7 +390,7 @@ def _polish_duals(mpec: MpecModel, x: np.ndarray, feas_lp: LinearProgram,
             return None  # foreign column in a stationarity row
         rhs = bh[rows]
         sub_sol = None
-        for tol in (act_tol, act_tol * 100.0):
+        for tol in (_ACT_TOL, _ACT_TOL * 100.0):
             ub = np.where(slack <= tol * scale, np.inf, 0.0)
             sub = make_lp(
                 c=np.concatenate([np.ones(lay.nw), np.zeros(lay.nv)]),

@@ -1,5 +1,5 @@
-"""Test-side reference tools: brute-force vertex enumeration and a random
-feasible-LP generator. Deliberately independent of the package's solver code
+"""Test-side reference tools: brute-force vertex enumeration, a random
+feasible-LP generator and a one-row slack. Deliberately independent of the package's solver code
 path (only the LinearProgram container is shared)."""
 
 import itertools
@@ -96,3 +96,9 @@ def dual_objective(lp: LinearProgram, sol) -> float:
                 return np.nan
             val += d[j] * lp.ub[j]
     return val + lp.objective_constant
+
+
+def row_value(lp: LinearProgram, i: int, x: np.ndarray) -> float:
+    """Slack of inequality row i at x (row lhs minus rhs), one row at a time."""
+    idx, val = lp.g.row(i)
+    return float(val @ x[idx]) - float(lp.g_offset[i] + lp.g_cap[i] * lp.capacity)

@@ -41,6 +41,12 @@ node_limit = 500
     assert cfg.big_m_policy().dual_scale == 1000.0
 
 
+def test_mode_defaults_to_lpcc(tmp_path):
+    cfg = parse_config(write(tmp_path / "run.cfg", "slot_hours = 1\ntotal_capacity = 2\n"))
+    assert cfg.mode == "lpcc"
+    assert "mode" in cfg.defaults_applied()
+
+
 @pytest.mark.parametrize("body,fragment", [
     ("slot_hours = 0.5\n", "missing required key 'total_capacity'"),
     ("total_capacity = 1\n", "missing required key 'slot_hours'"),

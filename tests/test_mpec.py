@@ -7,10 +7,10 @@ from storageshare.mpec import (
     assemble_mpec,
     derive_kkt,
     linearize_big_m,
-    row_value,
     validate_big_m,
 )
 from tests.conftest import rand_instance
+from tests.lp_oracle import row_value
 
 
 def test_derive_kkt_one_variable():

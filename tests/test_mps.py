@@ -302,7 +302,24 @@ READER_CASES = {
         "    X9        OBJ       1\n",
         MpsSummary(name="RNG", objective_rows=2, g_rows=1, l_rows=1, e_rows=1, columns=1,
                    entries=4, rhs_entries=4, range_entries=3, bound_entries=1,
-                   objective_constant=-4.0, bound_types={"UP": 1})),
+                   objective_constant=2.5, bound_types={"UP": 1})),
+    # the first N row is the objective, even when a later free row's RHS
+    # entry comes first
+    "free_row_rhs_before_objective": (
+        "NAME          FREE\n"
+        "ROWS\n"
+        " N  COST\n"
+        " N  FREE\n"
+        " L  LIM\n"
+        "COLUMNS\n"
+        "    X1        COST      1            FREE      2\n"
+        "    X1        LIM       1\n"
+        "RHS\n"
+        "    RHS       FREE      7            COST      -1.5\n"
+        "    RHS       LIM       4\n"
+        "ENDATA\n",
+        MpsSummary(name="FREE", objective_rows=2, l_rows=1, columns=1, entries=3,
+                   rhs_entries=3, objective_constant=1.5)),
 }
 READER_CASES["crlf"] = (READER_CASES["comments_and_blanks"][0].replace("\n", "\r\n"),
                         READER_CASES["comments_and_blanks"][1])

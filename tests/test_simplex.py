@@ -215,14 +215,20 @@ def test_iteration_counter_moves(rng):
 # ------------------------------------------------- basis inverse maintenance
 
 
+def _dense_a(eng):
+    """The engine's A = [[G, -I], [H, 0]] as a dense m x nt array."""
+    return eng.cols.dense(eng.m).T
+
+
 def _basis_matrix(eng, basis=None):
     """Basis matrix built column by column: structural and surplus columns
     from the densified rows, artificial column nt+i as art_sign[i] e_i.
     basis defaults to the engine's current one."""
     bmat = np.zeros((eng.m, eng.m))
+    a = _dense_a(eng)
     for p, j in enumerate(eng.basis if basis is None else basis):
         if j < eng.nt:
-            bmat[:, p] = eng.a[:, j]
+            bmat[:, p] = a[:, j]
         else:
             bmat[j - eng.nt, p] = eng.art_sign[j - eng.nt]
     return bmat
@@ -258,7 +264,7 @@ def test_refactor_inverts_mixed_bases(rng):
         eng._refactor()
         bmat = _basis_matrix(eng)
         np.testing.assert_allclose(eng.binv @ bmat, np.eye(eng.m), atol=1e-10)
-        rhs = eng.b - eng.a @ eng._nonbasic_values()
+        rhs = eng.b - _dense_a(eng) @ eng._nonbasic_values()
         np.testing.assert_allclose(bmat @ eng.xb, rhs, atol=1e-10)
         for j in eng.basis:
             if j < eng.n:
@@ -425,12 +431,13 @@ def _sparse_engines(rng, count):
 
 def test_column_products_match_dense(rng):
     for _, eng in _sparse_engines(rng, 15):
+        a = _dense_a(eng)
         for _ in range(5):
             y = rng.standard_normal(eng.m)
-            np.testing.assert_allclose(eng.cols.dot(y), y @ eng.a, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(eng.cols.dot(y), y @ a, rtol=0, atol=1e-12)
         assert eng.solve().status == "optimal"
         for j in range(eng.nt):
-            np.testing.assert_allclose(eng._column(j), eng.binv @ eng.a[:, j],
+            np.testing.assert_allclose(eng._column(j), eng.binv @ a[:, j],
                                        rtol=0, atol=1e-12)
 
 
@@ -439,7 +446,7 @@ def _assert_no_entering_column(eng):
     no improving nonbasic column beyond the dual tolerance."""
     c_full = np.concatenate([eng.c2, np.zeros(eng.m)])
     y = c_full[eng.basis] @ np.linalg.inv(_basis_matrix(eng))
-    d = eng.c2 - y @ eng.a
+    d = eng.c2 - y @ _dense_a(eng)
     st = eng.status[: eng.nt]
     movable = eng.hi[: eng.nt] - eng.lo[: eng.nt] > 0.0
     assert np.all(d[(st == AT_LB) & movable] >= -_DUAL_TOL)
@@ -546,11 +553,12 @@ def test_kept_inverses_survive_a_tree_of_resolves(rng):
 
 def test_warm_resolves_start_from_a_kept_or_a_rebuilt_inverse(monkeypatch):
     engines, families, calls = [], [], {}
-    make, resolve = solver._engine, Simplex.resolve
+    resolve = Simplex.resolve
 
-    def engine(lp, opts):
-        engines.append(make(lp, opts))
-        return engines[-1]
+    class Engine(Simplex):
+        def __init__(self, lp):
+            super().__init__(lp)
+            engines.append(self)
 
     class Family(CapacityFamily):
         def __init__(self, lp):
@@ -561,7 +569,7 @@ def test_warm_resolves_start_from_a_kept_or_a_rebuilt_inverse(monkeypatch):
         calls[id(self)] = calls.get(id(self), 0) + 1
         return resolve(self, snapshot, lo, hi)
 
-    monkeypatch.setattr(solver, "_engine", engine)
+    monkeypatch.setattr(solver, "Simplex", Engine)
     monkeypatch.setattr(solver, "CapacityFamily", Family)
     monkeypatch.setattr(Simplex, "resolve", counted)
     fixtures = dict(DIVISION_FIXTURES)

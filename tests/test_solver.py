@@ -3,18 +3,34 @@ import itertools
 import numpy as np
 import pytest
 
+from storageshare import solver
 from storageshare.instance import upper_objective, zero_schedules
 from storageshare.lp import build_llm_c, build_llm_d, make_lp
 from storageshare.mpec import assemble_mpec, derive_kkt, linearize_big_m, validate_big_m
 from storageshare.oracle import check_kkt_residuals, grid_oracle
-from storageshare.solver import (
-    SolveOptions,
-    extract_solution,
-    solve_lp,
-    solve_lpcc,
-    solve_milp,
-)
+from storageshare.solver import SolveOptions, extract_solution, solve_lpcc, solve_milp
 from tests.conftest import division_fixture, division_fixture_n2, rand_instance
+
+
+class _NoHeuristic:
+    @staticmethod
+    def try_point(x):
+        return None
+
+
+def solve_binary(lp, cols):
+    """The tree core on a plain LP whose cols are binary: branch on the most
+    fractional one, and take an integral relaxation as an incumbent."""
+    cols = np.asarray(cols)
+
+    def classify(sol):
+        frac = np.abs(sol.x[cols] - np.round(sol.x[cols]))
+        if np.all(frac <= 1e-6):
+            return "incumbent", (sol.x.copy(), float(sol.objective))
+        col = int(cols[np.argmax(frac)])
+        return "branch", ((col, 0.0, 0.0), (col, 1.0, 1.0))
+
+    return solver._branch_and_bound(lp, SolveOptions(), classify, lp, _NoHeuristic())
 
 
 def random_knapsack(rng, n=10):
@@ -45,7 +61,7 @@ def knapsack_best(values, weights, cap):
 def test_knapsack_matches_enumeration(rng):
     for _ in range(6):
         lp, values, weights, cap = random_knapsack(rng)
-        res = solve_milp(lp, binary_cols=list(range(len(values))))
+        res = solve_binary(lp, range(len(values)))
         assert res.status == "optimal"
         assert res.exit_code == 0
         best = knapsack_best(values, weights, cap)
@@ -66,7 +82,7 @@ def test_integer_infeasible_is_reported():
         lb=np.zeros(2),
         ub=np.ones(2),
     )
-    res = solve_milp(lp, binary_cols=[0, 1])
+    res = solve_binary(lp, [0, 1])
     assert res.status == "infeasible"
     assert res.exit_code == 2
     assert res.x is None
@@ -78,54 +94,19 @@ def test_unbounded_root_is_reported():
         lb=np.array([0.0, 0.0]),
         ub=np.array([np.inf, 1.0]),
     )
-    res = solve_milp(lp, binary_cols=[1])
+    res = solve_binary(lp, [1])
     assert res.status == "unbounded"
     assert res.exit_code == 3
     assert res.best_bound == -np.inf
 
 
-def test_plain_lp_path_carries_duals(rng):
-    inst = rand_instance(rng, n=1, t=5)
-    lp = build_llm_c(inst, 0, 3.0)
-    via_milp = solve_milp(lp)
-    direct = solve_lp(lp)
-    assert via_milp.status == "optimal"
-    assert via_milp.node_count == 1
-    assert via_milp.objective == pytest.approx(direct.objective, abs=1e-12)
-    # strong duality on the wrapped result
-    dual_val = float(via_milp.dual_g @ lp.b_g() + via_milp.dual_h @ lp.b_h())
-    assert dual_val == pytest.approx(via_milp.objective - lp.objective_constant, abs=1e-7)
-
-
 def test_options_validation():
-    with pytest.raises(ValueError):
-        SolveOptions(feas_tol=0.0)
-    with pytest.raises(ValueError):
-        SolveOptions(opt_tol=-1e-9)
     with pytest.raises(ValueError):
         SolveOptions(gap_target=-0.1)
     with pytest.raises(ValueError):
         SolveOptions(node_limit=0)
     with pytest.raises(ValueError):
         SolveOptions(time_limit=0.0)
-    with pytest.raises(ValueError):
-        SolveOptions(branching="steepest")
-    with pytest.raises(ValueError):
-        SolveOptions(lp_iteration_limit=0)
-
-
-def test_branching_mode_guards():
-    inst = division_fixture(207)
-    mpec = assemble_mpec(inst)
-    with pytest.raises(ValueError):
-        solve_lpcc(mpec, SolveOptions(branching="most-fractional"))
-    lp, *_ = (random_knapsack(np.random.default_rng(0)))
-    with pytest.raises(ValueError):
-        solve_milp(lp, SolveOptions(branching="most-violated-complementarity"),
-                   binary_cols=[0])
-    wide = make_lp(c=np.array([1.0]), lb=np.array([0.0]), ub=np.array([2.0]))
-    with pytest.raises(ValueError):
-        solve_milp(wide, binary_cols=[0])
 
 
 def test_histories_are_monotone():
