@@ -385,11 +385,14 @@ class BigMReport:
 
 
 def validate_big_m(milp: MilpModel, solution: np.ndarray, tol: float = 0.05) -> BigMReport:
-    """Certify that no pair bound truncated the solution.
+    """Flag pair bounds that may have truncated the solution.
 
     A multiplier (or row slack) within tol*M of its M is evidence the
-    constant was too small; an empty report means the linearization did
-    not bite.
+    constant was too small. An empty report is evidence, not proof, that
+    the linearization did not bite: a bound that is not near-binding at
+    this incumbent may still have cut off a better point elsewhere, which
+    no check at one solution can rule out (Pineda & Morales, IEEE Trans.
+    Power Syst. 34(3), 2019).
     """
     x = np.asarray(solution, float)
     lp = milp.mpec.lp

@@ -4,13 +4,28 @@ A LinearProgram is brought into
 
     min c.x   s.t.   A x = b,   lo <= x <= hi
 
-by appending one surplus column per inequality row. A is stored only as
-its nonzeros, row-wise (for b - A x_N) and column-wise; no dense m x nt
-copy is kept. Cold solves run the classic two phases with artificial
-columns. Re-solves after bound changes (branch and bound lives on those)
+by appending one surplus column per inequality row with two or more
+entries; equality rows are kept as they are. A is stored only as its
+nonzeros, row-wise (for b - A x_N) and column-wise; no dense m x nt copy
+is kept. Cold solves run the classic two phases with artificial columns.
+Re-solves after bound changes (branch and bound lives on those)
 warm-start from the previous basis and run the bounded-variable dual
 simplex, finishing with a primal cleanup pass so the returned point is
 optimal, not merely feasible.
+
+An inequality row with a single entry, a x_j >= b, keeps no row, surplus
+or artificial column: it is folded into the bounds of x_j (presolve;
+Andersen & Andersen, Math. Program. 71, 1995). On the division trees these
+are the sign rows (dis_nonneg, ch_nonneg), about a fifth of every tree
+LP's rows. Callers still pass bounds over the LP's columns plus one
+surplus per inequality row, folded rows included: a bound [lo_s, hi_s] on
+a folded row's surplus becomes x_j in [(b + lo_s)/a, (b + hi_s)/a], the
+ends swapped when a < 0, intersected with x_j's own bounds and with any
+other folded row on x_j. A folded row's dual comes back from the reduced
+cost d_j of x_j: it is d_j / a when x_j is nonbasic at a bound the row
+sets, on the side the sign of d_j names, and x_j then reports the reduced
+cost d_j - a y = 0; otherwise it is 0. Where the row's bound coincides
+with the column's own, the row takes the dual.
 
 Pricing is Dantzig (most negative reduced cost) with lowest-index
 tie-breaking; after fifty consecutive degenerate steps the engine drops to
@@ -125,17 +140,30 @@ class Simplex:
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        n, mg, mh = lp.n_vars, lp.n_g, lp.n_h
+        n, g = lp.n_vars, lp.g
         self.n = n
+        # folded rows: inequality rows a x_j >= b, kept as bounds on x_j
+        fold = np.flatnonzero(np.diff(g.indptr) == 1)
+        fold = fold[g.data[g.indptr[fold]] != 0.0]
+        self._fold = fold
+        self._fold_col = g.indices[g.indptr[fold]]
+        self._fold_a = g.data[g.indptr[fold]]
+        b_g = lp.b_g()
+        self._fold_b = b_g[fold]
+        self._row_lo = self._row_hi = None  # folded rows' bounds on x_j, per solve
+        self._kept_rows = np.setdiff1d(np.arange(lp.n_g), fold)  # inequality rows kept as rows
+        mg = self._kept_rows.size
         self.mg = mg
-        self.m = mg + mh
+        self.m = mg + lp.n_h
         self.nt = n + mg  # structural + surplus columns
         surplus = Rows.from_lists(np.arange(n, self.nt)[:, None], np.full((mg, 1), -1.0))
-        self.rows = Rows.stack([Rows.join([lp.g, surplus]), lp.h])  # A = [[G, -I], [H, 0]]
+        # A = [[G_kept, -I], [H, 0]]
+        self.rows = Rows.stack([Rows.join([g.take(self._kept_rows), surplus]), lp.h])
         self.cols = self.rows.transpose(self.nt)  # column j of A is row j
-        self.b = np.concatenate([lp.b_g(), lp.b_h()])
-        self.base_lo = np.concatenate([lp.lb, np.zeros(mg)])
-        self.base_hi = np.concatenate([lp.ub, np.full(mg, np.inf)])
+        self.b = np.concatenate([b_g[self._kept_rows], lp.b_h()])
+        # bounds as callers pass them: the LP's columns, one surplus per G row
+        self.base_lo = np.concatenate([lp.lb, np.zeros(lp.n_g)])
+        self.base_hi = np.concatenate([lp.ub, np.full(lp.n_g, np.inf)])
         self.c2 = np.concatenate([lp.c, np.zeros(mg)])
         self.max_iter = max(2000, 50 * (self.m + self.nt))
         # mutable state, filled by solve()/resolve()
@@ -160,6 +188,24 @@ class Simplex:
         self.cold_restarts = 0  # resolves that fell back to a cold solve
 
     # ------------------------------------------------------------------ state
+
+    def _bounds(self, lo, hi):
+        """Engine bounds of the structural and kept surplus columns, from
+        caller bounds over the LP's columns and every inequality row's
+        surplus: a folded row's surplus bounds become bounds on its column."""
+        lo, hi = np.asarray(lo, float), np.asarray(hi, float)
+        n = self.n
+        s = n + self._fold
+        a, b = self._fold_a, self._fold_b
+        from_lo, from_hi = (b + lo[s]) / a, (b + hi[s]) / a
+        up = a > 0
+        self._row_lo = np.where(up, from_lo, from_hi)
+        self._row_hi = np.where(up, from_hi, from_lo)
+        x_lo, x_hi = lo[:n].copy(), hi[:n].copy()
+        np.maximum.at(x_lo, self._fold_col, self._row_lo)
+        np.minimum.at(x_hi, self._fold_col, self._row_hi)
+        kept = n + self._kept_rows
+        return np.concatenate([x_lo, lo[kept]]), np.concatenate([x_hi, hi[kept]])
 
     def _nonbasic_values(self) -> np.ndarray:
         """Values of the structural/surplus columns implied by status."""
@@ -401,14 +447,13 @@ class Simplex:
         """Cold two-phase solve, optionally with overridden variable bounds.
 
         lo/hi cover the structural+surplus columns (surplus index for
-        inequality row i is n_vars + i); pass None to keep the LP's own.
+        inequality row i is n_vars + i, folded rows included); pass None to
+        keep the LP's own.
         """
-        self.lo = np.concatenate(
-            [self.base_lo if lo is None else np.asarray(lo, float), np.zeros(self.m)]
-        )
-        self.hi = np.concatenate(
-            [self.base_hi if hi is None else np.asarray(hi, float), np.full(self.m, np.inf)]
-        )
+        lo, hi = self._bounds(self.base_lo if lo is None else lo,
+                              self.base_hi if hi is None else hi)
+        self.lo = np.concatenate([lo, np.zeros(self.m)])
+        self.hi = np.concatenate([hi, np.full(self.m, np.inf)])
         if np.any(self.lo > self.hi + 1e-12):
             return self._failed("infeasible")
         self.fixed = self.hi[: self.nt] - self.lo[: self.nt] <= 0.0
@@ -450,8 +495,9 @@ class Simplex:
         basis, status = snapshot
         self.basis = basis.copy()
         self.status = status.copy()
-        self.lo = np.concatenate([np.asarray(lo, float), np.zeros(self.m)])
-        self.hi = np.concatenate([np.asarray(hi, float), np.zeros(self.m)])
+        lo_e, hi_e = self._bounds(lo, hi)
+        self.lo = np.concatenate([lo_e, np.zeros(self.m)])
+        self.hi = np.concatenate([hi_e, np.zeros(self.m)])
         if np.any(self.lo > self.hi + 1e-12):
             return self._failed("infeasible")
         self.fixed = self.hi[: self.nt] - self.lo[: self.nt] <= 0.0
@@ -522,10 +568,12 @@ class Simplex:
         x = xall[: self.n]
         obj = float(self.lp.c @ x) + self.lp.objective_constant
         y = c_full[self.basis] @ self.binv
-        dual_g = y[: self.mg].copy()
+        reduced = self.lp.c - self.cols.dot(y)[: self.n]
+        dual_g = np.zeros(self.lp.n_g)
+        dual_g[self._kept_rows] = y[: self.mg]
+        self._fold_duals(dual_g, reduced, x)
         dual_g[(dual_g < 0) & (dual_g > -1e-9)] = 0.0
         dual_h = y[self.mg :].copy()
-        reduced = self.lp.c - self.cols.dot(y)[: self.n]
         return LpSolution(
             status="optimal",
             x=x,
@@ -536,14 +584,33 @@ class Simplex:
             iterations=self.iterations,
         )
 
+    def _fold_duals(self, dual_g: np.ndarray, reduced: np.ndarray, x: np.ndarray):
+        """Move reduced costs into the duals of the folded rows, in place.
+
+        A folded row a x_j >= b takes y = d_j / a when x_j is nonbasic at a
+        bound the row sets, on the side the sign of d_j names (lower when
+        d_j > 0); x_j's reduced cost d_j - a y is then zero. Of several such
+        rows on one column the first takes it; with none, x_j's own bound
+        holds it and d_j stays on the column.
+        """
+        j = self._fold_col
+        d, v = reduced[j], x[j]
+        sets = (self.status[j] != BASIC) & (((d > 0) & (self._row_lo == v))
+                                            | ((d < 0) & (self._row_hi == v)))
+        rows = np.flatnonzero(sets)
+        cols, first = np.unique(j[rows], return_index=True)
+        rows = rows[first]
+        dual_g[self._fold[rows]] = d[rows] / self._fold_a[rows]
+        reduced[cols] = 0.0
+
     def _failed(self, status: str) -> LpSolution:
         nan = np.full(self.n, np.nan)
         return LpSolution(
             status=status,
             x=nan,
             objective=np.nan,
-            dual_g=np.full(self.mg, np.nan),
-            dual_h=np.full(self.m - self.mg, np.nan),
+            dual_g=np.full(self.lp.n_g, np.nan),
+            dual_h=np.full(self.lp.n_h, np.nan),
             reduced_costs=np.full(self.n, np.nan),
             iterations=self.iterations,
         )

@@ -206,6 +206,47 @@ def test_dual_signs_on_llm(tiny_instance):
     assert float(np.max(np.abs(sol.reduced_costs))) <= 1e-9
 
 
+def test_single_entry_rows_become_column_bounds():
+    # 2x >= 2 and -y >= -3 keep no row; x + y >= 5 does
+    lp = make_lp(c=[1.0, -1.0], a_ub=[[2.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
+                 b_ub=[2.0, -3.0, 5.0], lb=[1.0, -np.inf], ub=[np.inf, np.inf])
+    eng = Simplex(lp)
+    assert (eng.m, eng.nt) == (1, 3)
+    sol = eng.solve()
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.x, [2.0, 3.0])
+    # y = 3 is held by row 1 (dual 2), x = 2 by row 2 (dual 1); row 0 is slack
+    np.testing.assert_allclose(sol.dual_g, [0.0, 2.0, 1.0])
+    np.testing.assert_allclose(sol.reduced_costs, [0.0, 0.0])
+    # pinning row 0's surplus fixes x = 1, which leaves x + y >= 5 infeasible
+    lo, hi = eng.base_lo.copy(), eng.base_hi.copy()
+    hi[lp.n_vars] = 0.0
+    assert eng.resolve(eng.snapshot(), lo, hi).status == "infeasible"
+
+
+def test_folded_row_takes_the_dual_of_a_coinciding_bound():
+    # x >= 0 as the column's bound and as the row 3x >= 0: the row gets it
+    lp = make_lp(c=[2.0], a_ub=[[3.0]], b_ub=[0.0], lb=[0.0], ub=[4.0])
+    sol = solve_lp_engine(lp)
+    np.testing.assert_allclose(sol.dual_g, [2.0 / 3.0])
+    np.testing.assert_allclose(sol.reduced_costs, [0.0])
+    # a row looser than the bound gets nothing: the column keeps it
+    sol = solve_lp_engine(make_lp(c=[2.0], a_ub=[[3.0]], b_ub=[-3.0], lb=[0.0], ub=[4.0]))
+    np.testing.assert_allclose(sol.dual_g, [0.0])
+    np.testing.assert_allclose(sol.reduced_costs, [2.0])
+
+
+def test_tree_engine_keeps_no_sign_rows():
+    # every dis_nonneg/ch_nonneg row of every party is a column bound
+    lp = assemble_mpec(dict(DIVISION_FIXTURES)["pair250"]()).lp
+    eng = Simplex(lp)
+    folded = {lp.g_names[i].split(".", 1)[1].split("[")[0] for i in eng._fold}
+    assert folded == {"dis_nonneg", "ch_nonneg"}
+    signs = sum(name.split(".", 1)[-1].startswith(("dis_nonneg", "ch_nonneg"))
+                for name in lp.g_names)
+    assert eng.m == lp.n_g + lp.n_h - signs
+
+
 def test_iteration_counter_moves(rng):
     lp = random_feasible_lp(rng, n_vars=6, n_g=8)
     sol = solve_lp_engine(lp)
@@ -234,22 +275,31 @@ def _basis_matrix(eng, basis=None):
     return bmat
 
 
-def _mixed_basis_engine(rng, n, n_g, n_h):
+def _mixed_basis_engine(rng, n, n_g, n_h, n_single=0):
+    """An engine with a random basis of structural, surplus and artificial
+    columns over its own rows: the n_g dense >= rows and n_h equalities.
+    The n_single single-entry >= rows that follow them fold into column
+    bounds and own no row, surplus or artificial column."""
+    single = np.zeros((n_single, n))
+    single[np.arange(n_single), rng.integers(0, n, n_single)] = rng.choice([-1.0, 2.0], n_single)
     lp = make_lp(c=rng.standard_normal(n),
-                 a_ub=rng.standard_normal((n_g, n)), b_ub=rng.standard_normal(n_g),
+                 a_ub=np.vstack([rng.standard_normal((n_g, n)), single]),
+                 b_ub=np.concatenate([rng.standard_normal(n_g), -np.ones(n_single)]),
                  a_eq=rng.standard_normal((n_h, n)), b_eq=rng.standard_normal(n_h),
                  lb=np.full(n, -1.0), ub=np.full(n, 2.0))
     eng = Simplex(lp)
     m = eng.m
+    assert (eng.mg, m) == (n_g, n_g + n_h)
     eng.art_sign = rng.choice([-1.0, 1.0], m)
-    eng.lo = np.concatenate([lp.lb, np.zeros(n_g), np.zeros(m)])
-    eng.hi = np.concatenate([lp.ub, np.full(n_g, np.inf), np.zeros(m)])
+    lo, hi = eng._bounds(eng.base_lo, eng.base_hi)
+    eng.lo = np.concatenate([lo, np.zeros(m)])
+    eng.hi = np.concatenate([hi, np.zeros(m)])
     eng.status = np.full(eng.nt + m, AT_LB, dtype=np.int8)
     # one unit column per covered row (surplus where the row has one),
     # structural columns for the rest
     n_unit = int(rng.integers(max(0, m - n), m + 1))
     covered = rng.permutation(m)[:n_unit]
-    units = [n + i if i < n_g and rng.random() < 0.5 else eng.nt + i for i in covered]
+    units = [n + i if i < eng.mg and rng.random() < 0.5 else eng.nt + i for i in covered]
     structural = rng.permutation(n)[: m - n_unit]
     eng.basis = rng.permutation(np.concatenate([units, structural]).astype(int))
     eng.status[eng.basis] = BASIC
@@ -260,7 +310,8 @@ def test_refactor_inverts_mixed_bases(rng):
     kinds = set()
     for _ in range(60):
         eng = _mixed_basis_engine(rng, n=int(rng.integers(3, 9)),
-                                  n_g=int(rng.integers(1, 6)), n_h=int(rng.integers(0, 3)))
+                                  n_g=int(rng.integers(1, 6)), n_h=int(rng.integers(0, 3)),
+                                  n_single=int(rng.integers(0, 3)))
         eng._refactor()
         bmat = _basis_matrix(eng)
         np.testing.assert_allclose(eng.binv @ bmat, np.eye(eng.m), atol=1e-10)
@@ -277,7 +328,7 @@ def test_refactor_inverts_mixed_bases(rng):
 
 
 def test_refactor_rejects_two_unit_columns_on_one_row(rng):
-    eng = _mixed_basis_engine(rng, n=5, n_g=3, n_h=1)
+    eng = _mixed_basis_engine(rng, n=5, n_g=3, n_h=1, n_single=2)
     # surplus and artificial column of row 1, with and without structural columns
     for basis in ([0, 1, eng.n + 1, eng.nt + 1], [eng.n, eng.n + 1, eng.nt + 1, eng.nt + 3]):
         eng.basis = np.array(basis)
@@ -384,7 +435,7 @@ def test_chained_warm_resolves_match_cold(rng):
         hi = np.concatenate([lp.ub, np.full(lp.n_g, np.inf)])
         snap = eng.snapshot()
         for _ in range(6):
-            j = int(rng.integers(0, eng.nt))
+            j = int(rng.integers(0, lp.n_vars + lp.n_g))  # a column or a row surplus
             move = rng.integers(0, 3)
             if move == 0 and j < lp.n_vars and np.isfinite(sol.x[j]):
                 hi[j] = max(lo[j], sol.x[j] - rng.uniform(0.0, 1.0))

@@ -1,7 +1,9 @@
 """Differential tests: the package's simplex against HiGHS (through scipy)
 on random sparse LPs with >= and = rows, boxed, one-sided and free
 columns, solved cold, re-solved warm down a small branching tree, and
-swept over capacities on one capacity family. Integer data keeps every
+swept over capacities on one capacity family; and LPs built around
+single-entry >= rows, which the engine keeps as column bounds, with their
+duals and reduced costs checked as a certificate. Integer data keeps every
 vertex rational with small denominators, so feasibility and optimality
 are never decided by rounding."""
 
@@ -14,8 +16,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
-from storageshare.lp import make_lp
+from storageshare.lp import Rows, make_lp
 from storageshare.simplex import CapacityFamily, Simplex, solve_lp_engine
+from tests.lp_oracle import dual_objective
 
 _ENTRIES = st.sampled_from([-3, -2, -1, 0, 0, 0, 0, 0, 0, 1, 2, 3])
 _KINDS = ("box", "box", "lower", "upper", "free", "fixed")  # column bounds, boxes twice as often
@@ -164,3 +167,99 @@ def test_capacity_family_matches_highs(lp, caps):
         assert sol.status == status
         if status == "optimal":
             assert sol.objective == pytest.approx(objective, rel=1e-7, abs=1e-7)
+
+
+_SIGNED = st.sampled_from([-3, -2, -1, 1, 2, 3])
+
+
+@st.composite
+def singleton_lps(draw):
+    """A sparse LP plus 1-6 single-entry >= rows a x_j >= b. Right-hand
+    sides are read off an integer point within the column bounds, less an
+    integer slack: 0-2 on the LP's rows, -1-2 on the single-entry ones, so
+    those may cut the point off. Columns draw from at most three, so two
+    rows often share one; coefficients of both signs give lower and upper
+    bounds, inside, on or outside the column's own. Some rows move with the
+    capacity, which the LP carries at a drawn value."""
+    lp = draw(sparse_lps())
+    n = lp.n_vars
+    x0 = np.clip(draw(hnp.arrays(float, n, elements=st.integers(-3, 3))), lp.lb, lp.ub)
+    k = draw(st.integers(1, 6))
+    cols = draw(hnp.arrays(np.int64, k, elements=st.integers(0, min(n, 3) - 1)))
+    coef = draw(hnp.arrays(float, k, elements=_SIGNED))
+    singles = Rows.from_lists(cols[:, None], coef[:, None])
+    slack = np.concatenate([draw(hnp.arrays(float, lp.n_g, elements=st.integers(0, 2))),
+                            draw(hnp.arrays(float, k, elements=st.integers(-1, 2)))])
+    markers = st.sampled_from([-1, 0, 0, 1])
+    g = Rows.stack([lp.g, singles])
+    return replace(lp, g=g, g_offset=g.dot(x0) - slack, h_offset=lp.h.dot(x0),
+                   g_cap=draw(hnp.arrays(float, g.n_rows, elements=markers)),
+                   g_names=tuple(f"r[{i}]" for i in range(g.n_rows)),
+                   capacity=float(draw(st.sampled_from([0, 1, 2]))))
+
+
+def _assert_certificate(lp, sol, pinned=()):
+    """sol's multipliers prove its optimality: dual_g >= 0 off the pinned
+    rows, complementary with the row slacks, reduced costs equal to
+    c - A'y, and the bound-aware dual objective equals the primal one."""
+    slack = lp.g.dot(sol.x) - lp.b_g()
+    free = np.setdiff1d(np.arange(lp.n_g), pinned)
+    assert np.all(sol.dual_g[free] >= 0.0)
+    np.testing.assert_allclose(sol.dual_g * slack, 0.0, atol=1e-7)
+    want = lp.c - lp.dense_g().T @ sol.dual_g - lp.dense_h().T @ sol.dual_h
+    np.testing.assert_allclose(sol.reduced_costs, want, rtol=0, atol=1e-9)
+    if len(pinned) == 0:
+        assert dual_objective(lp, sol) == pytest.approx(sol.objective, rel=1e-7, abs=1e-7)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(singleton_lps())
+# 2x >= 2 (x >= 1) on a column with lb 0 (looser) and on one with lb 3 (tighter)
+@example(make_lp([1.0, 1.0], a_ub=[[2.0, 0.0], [0.0, 2.0]], b_ub=[2.0, 2.0],
+                 lb=[0.0, 3.0], ub=[5.0, 5.0]))
+# x >= 0 as a row and as the column's own bound: the row takes the dual
+@example(make_lp([1.0], a_ub=[[1.0]], b_ub=[0.0], lb=[0.0], ub=[4.0]))
+# -2x >= -4 (x <= 2) and 3x >= 3 (x >= 1) on one free column, and x >= 2 too
+@example(make_lp([-1.0, 1.0], a_ub=[[-2.0, 0.0], [3.0, 0.0], [1.0, 0.0], [1.0, 1.0]],
+                 b_ub=[-4.0, 3.0, 2.0, 0.0]))
+# two rows setting the same bound, x >= 1 and 2x >= 2
+@example(make_lp([1.0], a_ub=[[1.0], [2.0]], b_ub=[1.0, 2.0]))
+# rows that empty the column's range
+@example(make_lp([0.0], a_ub=[[1.0], [-1.0]], b_ub=[2.0, -1.0]))
+# a capacity-marked row, x >= 2 * kappa - 1 at kappa = 2
+@example(replace(make_lp([1.0, -1.0], a_ub=[[1.0, 0.0], [0.0, -1.0]], b_ub=[-1.0, -4.0]),
+                 g_cap=np.array([2.0, 0.0]), capacity=2.0))
+def test_singleton_rows_match_highs(lp):
+    status, objective = _reference(lp)
+    sol = solve_lp_engine(lp)
+    assert sol.status == status
+    if status == "optimal":
+        assert sol.objective == pytest.approx(objective, rel=1e-7, abs=1e-7)
+        _assert_certificate(lp, sol)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(singleton_lps(), st.lists(st.integers(0, 11), min_size=1, max_size=4))
+def test_pinned_singletons_match_cold(lp, picks):
+    """Pin single-entry rows to equality one after another (their surplus
+    at lo = hi = 0, as complementarity branching does), each warm from the
+    last optimum, and compare with a cold solve at the same bounds."""
+    eng = Simplex(lp)
+    sol = eng.solve()
+    if sol.status != "optimal":
+        return
+    singles = np.flatnonzero(np.diff(lp.g.indptr) == 1)
+    lo, hi = eng.base_lo.copy(), eng.base_hi.copy()
+    pinned = []
+    for pick in picks:
+        row = int(singles[pick % singles.size])
+        hi[lp.n_vars + row] = 0.0
+        pinned.append(row)
+        warm = eng.resolve(eng.snapshot(), lo, hi)
+        cold = Simplex(lp).solve(lo, hi)
+        assert warm.status == cold.status
+        if warm.status != "optimal":
+            return
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+        np.testing.assert_allclose(lp.g.dot(warm.x)[pinned], lp.b_g()[pinned], atol=1e-9)
+        _assert_certificate(lp, warm, pinned)

@@ -1,0 +1,34 @@
+import json
+
+from tests import tree_sweep
+
+
+def test_seed_ranges():
+    assert tree_sweep.parse_seeds("260-263") == [260, 261, 262, 263]
+    assert tree_sweep.parse_seeds("1,3,5-7") == [1, 3, 5, 6, 7]
+
+
+def _write(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+def test_compare_sums_times_and_flags_differing_objectives(tmp_path, capsys):
+    def rec(seed, mode, status, obj, seconds, nodes):
+        return {"seed": seed, "mode": mode, "status": status, "nodes": nodes,
+                "iterations": 1, "objective": obj, "seconds": seconds}
+
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    _write(a, [rec(1, "lpcc", "optimal", 10.0, 1.0, 5),
+               rec(1, "bigm", "optimal", 10.0, 2.0, 7),
+               rec(2, "lpcc", "optimal", 3.0, 1.0, 9),
+               rec(2, "bigm", "limit", 3.0, 4.0, 50)])
+    _write(b, [rec(1, "lpcc", "optimal", 10.0 + 5e-5, 0.5, 6),
+               rec(1, "bigm", "optimal", 10.0, 1.0, 7),
+               rec(2, "lpcc", "optimal", 3.0 + 5e-7, 0.5, 9),
+               rec(2, "bigm", "limit", 2.0, 3.0, 50)])
+    assert tree_sweep.compare(str(a), str(b)) == 1
+    out = capsys.readouterr().out
+    assert "lpcc: 2 seeds, seconds 2.00 -> 1.00 (-50.0%), nodes 14 -> 15" in out
+    assert "bigm: 2 seeds, seconds 6.00 -> 4.00 (-33.3%), nodes 57 -> 57" in out
+    assert "seed 1: objective 10.0 -> 10.00005" in out
+    assert "seed 2" not in out  # within 1e-6, or not optimal on both sides

@@ -1,0 +1,113 @@
+"""Held-out sweep of both division trees over generated division fixtures.
+
+    PYTHONPATH=src python -m tests.tree_sweep --seeds 260-299 --node-limit 4000 --out FILE
+    python -m tests.tree_sweep --compare A B
+
+The first form solves tests.conftest.division_fixture(seed) for every seed,
+with solve_lpcc and with the bigm path of scenarios.solve_division
+(validation and escalation included), and writes one JSON line per (seed,
+mode) with the status, nodes, LP iterations, objective and seconds. The
+second reads two such files and prints, per mode, the summed seconds and
+nodes of each and every seed where both solves are optimal and the
+objectives differ by more than 1e-6 relative. Run both sides of a
+comparison on the same machine, one after the other.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import time
+
+MODES = ("lpcc", "bigm")
+OBJ_TOL = 1e-6
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'260-299' or '1,3,5-7' -> the listed seeds, in order."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def solve_one(seed: int, mode: str, node_limit: int) -> dict:
+    from storageshare.mpec import assemble_mpec
+    from storageshare.scenarios import solve_division
+    from storageshare.solver import SolveOptions
+
+    from tests.conftest import division_fixture
+
+    model = assemble_mpec(division_fixture(seed))
+    t0 = time.perf_counter()
+    res = solve_division(model, SolveOptions(node_limit=node_limit), mode, None)[0]
+    seconds = time.perf_counter() - t0
+    return {"seed": seed, "mode": mode, "status": res.status, "nodes": res.node_count,
+            "iterations": res.iterations, "objective": float(res.objective),
+            "seconds": round(seconds, 4)}
+
+
+def sweep(seeds, node_limit: int, out: str):
+    with open(out, "w") as fh:
+        for seed in seeds:
+            for mode in MODES:
+                line = json.dumps(solve_one(seed, mode, node_limit))
+                fh.write(line + "\n")
+                fh.flush()
+                print(line, flush=True)
+
+
+def _load(path: str) -> dict:
+    with open(path) as fh:
+        records = [json.loads(line) for line in fh if line.strip()]
+    return {(r["seed"], r["mode"]): r for r in records}
+
+
+def compare(path_a: str, path_b: str) -> int:
+    """Print the comparison; returns the number of differing objectives."""
+    a, b = _load(path_a), _load(path_b)
+    both = sorted(set(a) & set(b))
+    print(f"{len(both)} solves in both files (A={path_a}, B={path_b})")
+    differ = 0
+    for mode in MODES:
+        keys = [k for k in both if k[1] == mode]
+        ta, tb = (sum(side[k]["seconds"] for k in keys) for side in (a, b))
+        na, nb = (sum(side[k]["nodes"] for k in keys) for side in (a, b))
+        print(f"{mode}: {len(keys)} seeds, seconds {ta:.2f} -> {tb:.2f}"
+              f" ({(tb - ta) / ta if ta else 0.0:+.1%}), nodes {na} -> {nb}")
+        for k in keys:
+            ra, rb = a[k], b[k]
+            if ra["status"] != rb["status"]:
+                print(f"  seed {k[0]}: status {ra['status']} -> {rb['status']}")
+            if ra["status"] == rb["status"] == "optimal":
+                fa, fb = ra["objective"], rb["objective"]
+                if abs(fa - fb) > OBJ_TOL * max(1.0, abs(fa)):
+                    differ += 1
+                    print(f"  seed {k[0]}: objective {fa!r} -> {fb!r}")
+    print(f"{differ} objectives differ at {OBJ_TOL:g}")
+    return differ
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(prog="python -m tests.tree_sweep", description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--seeds", default="260-299")
+    ap.add_argument("--node-limit", type=int, default=4000)
+    ap.add_argument("--out")
+    ap.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    args = ap.parse_args(argv)
+    if args.compare:
+        return 1 if compare(*args.compare) else 0
+    if not args.out:
+        ap.error("--out is required unless --compare is given")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # before numpy loads: node counts depend on it
+    sweep(parse_seeds(args.seeds), args.node_limit, args.out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
