@@ -7,11 +7,19 @@ A LinearProgram is brought into
 by appending one surplus column per inequality row with two or more
 entries; equality rows are kept as they are. A is stored only as its
 nonzeros, row-wise (for b - A x_N) and column-wise; no dense m x nt copy
-is kept. Cold solves run the classic two phases with artificial columns.
-Re-solves after bound changes (branch and bound lives on those)
-warm-start from the previous basis and run the bounded-variable dual
-simplex, finishing with a primal cleanup pass so the returned point is
-optimal, not merely feasible.
+is kept.
+
+A cold solve starts every column at its bound nearest zero and then picks
+the start basis row by row (slack crash; Bixby, ORSA J. Comput. 4(3),
+1992). A kept inequality row whose surplus, at that start point, takes a
+value within the caller's bounds on it starts with the surplus basic. An
+equality row, or a row whose surplus value falls outside its bounds (a
+violated row under a pinned surplus, say), starts on an artificial
+column signed by b - A x_N. Phase 1 then drives out only those
+artificials, and phase 2 optimizes. Re-solves after bound changes (branch
+and bound lives on those) warm-start from the previous basis and run the
+bounded-variable dual simplex, finishing with a primal cleanup pass so
+the returned point is optimal, not merely feasible.
 
 An inequality row with a single entry, a x_j >= b, keeps no row, surplus
 or artificial column: it is folded into the bounds of x_j (presolve;
@@ -444,11 +452,15 @@ class Simplex:
     # ------------------------------------------------------------- public API
 
     def solve(self, lo=None, hi=None) -> LpSolution:
-        """Cold two-phase solve, optionally with overridden variable bounds.
+        """Cold two-phase solve from a slack crash basis, optionally with
+        overridden variable bounds.
 
         lo/hi cover the structural+surplus columns (surplus index for
         inequality row i is n_vars + i, folded rows included); pass None to
-        keep the LP's own.
+        keep the LP's own. Each kept inequality row starts on its surplus
+        when the start point leaves that surplus within lo/hi, and on an
+        artificial column otherwise, as every equality row does; phase 1
+        runs only while an artificial is basic.
         """
         lo, hi = self._bounds(self.base_lo if lo is None else lo,
                               self.base_hi if hi is None else hi)
@@ -461,15 +473,25 @@ class Simplex:
         self.iterations = 0
         self.bland = False
         self._degen_streak = 0
-        self.status = np.empty(self.nt + self.m, dtype=np.int8)
-        self.status[: self.nt] = _initial_status(self.lo[: self.nt], self.hi[: self.nt])
+        n, nt = self.n, self.nt
+        self.status = np.empty(nt + self.m, dtype=np.int8)
+        self.status[:nt] = _initial_status(self.lo[:nt], self.hi[:nt])
         rhs = self._rhs()
         self.art_sign = np.where(rhs >= 0, 1.0, -1.0)
         self._inverses.clear()  # kept inverses hold the old signs
-        self.basis = np.arange(self.nt, self.nt + self.m)
-        self.status[self.nt :] = BASIC
+        # slack crash: kept row i starts on its surplus when the value it
+        # takes there, s_i = v_s - rhs_i, lies within the surplus's bounds
+        s = self._nonbasic_values()[n:] - rhs[: self.mg]
+        crash = np.flatnonzero((s >= self.lo[n:nt]) & (s <= self.hi[n:nt]))
+        self.basis = np.arange(nt, nt + self.m)
+        self.basis[crash] = n + crash
+        self.status[nt:] = BASIC
+        self.status[nt + crash] = AT_LB
+        self.status[n + crash] = BASIC
         self.xb = np.abs(rhs)
-        self.binv = np.diag(self.art_sign.copy())
+        self.xb[crash] = s[crash]
+        self.binv = np.diag(self.art_sign)
+        self.binv[crash, crash] = -1.0
         self._dirty = 0
         c1 = np.zeros(self.nt + self.m)
         c1[self.nt :] = 1.0

@@ -26,6 +26,7 @@ from .simplex import CapacityFamily, Simplex, solve_lp_engine
 _EXIT_CODES = {"optimal": 0, "infeasible": 2, "unbounded": 3, "limit": 4}
 _INT_TOL = 1e-6
 _COMP_TOL = 1e-7  # pair products at or below this count as complementary
+_SETTLED_TOL = 1e-9  # a binary this near 0 or 1 is taken as fixed by a branch
 _ACT_TOL = 1e-6  # polish: a row is active when its slack is below this x scale
 
 
@@ -294,7 +295,6 @@ def _classify_milp(milp: MilpModel):
             x2[u_cols] = np.round(uvals)
             if evaluate(lp, x2).feasible(1e-6):
                 return "incumbent", (x2, float(sol.objective))
-            return "incumbent", (x.copy(), float(sol.objective))
         slack = pair_slacks(x)
         prod = x[w_cols] * slack
         if float(prod.max()) <= _COMP_TOL:
@@ -302,10 +302,11 @@ def _classify_milp(milp: MilpModel):
             x2[u_cols] = x[w_cols] >= slack
             if evaluate(lp, x2).feasible(1e-6):
                 return "incumbent", (x2, float(sol.objective))
-        q = int(np.argmax(prod))
-        if frac[q] <= _INT_TOL:  # that u already settled, take worst loose one
-            loose = np.nonzero(frac > _INT_TOL)[0]
-            q = int(loose[np.argmax(prod[loose])])
+        # branch on the worst pair whose u is not yet settled (a u within
+        # _INT_TOL of 0 still lets its pair slip by u times big-M), or on
+        # the worst pair when every u is
+        unsettled = np.flatnonzero(frac > _SETTLED_TOL)
+        q = int(unsettled[np.argmax(prod[unsettled])]) if unsettled.size else int(np.argmax(prod))
         col = int(u_cols[q])
         return "branch", ((col, 0.0, 0.0), (col, 1.0, 1.0))
 

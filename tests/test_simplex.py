@@ -682,3 +682,89 @@ def test_capacity_family_rejects_negative_capacity(tiny_instance):
     family = CapacityFamily(build_llm_d(tiny_instance, 0.0))
     with pytest.raises(ValueError):
         family.solve(-1.0)
+
+
+# ------------------------------------------------------------ slack crash start
+
+
+def _record_starts(monkeypatch):
+    """Record each phase-1 loop of a cold solve: the start basis, inverse,
+    basic values, bounds and b - A x_N, and the pivots the loop made."""
+    starts = []
+    loop = Simplex._primal_loop
+
+    def recording(eng, c_full):
+        if not c_full[eng.nt:].any():  # phase 2
+            return loop(eng, c_full)
+        start = {"basis": eng.basis.copy(), "binv": eng.binv.copy(), "xb": eng.xb.copy(),
+                 "lo": eng.lo.copy(), "hi": eng.hi.copy(), "rhs": eng._rhs()}
+        out = loop(eng, c_full)
+        start["pivots"] = eng.iterations
+        starts.append(start)
+        return out
+
+    monkeypatch.setattr(Simplex, "_primal_loop", recording)
+    return starts
+
+
+def test_rows_that_hold_at_the_start_make_no_phase_one_pivot(rng, monkeypatch):
+    starts = _record_starts(monkeypatch)
+    for _ in range(10):
+        n, n_g = int(rng.integers(3, 12)), int(rng.integers(2, 10))
+        a_g = rng.uniform(-3.0, 3.0, (n_g, n))
+        # every row a x >= b with b <= 0 holds at the start point x = lb = 0
+        lp = make_lp(c=rng.uniform(-5.0, 5.0, n), a_ub=a_g, b_ub=-rng.uniform(0.0, 4.0, n_g),
+                     lb=np.zeros(n), ub=rng.uniform(1.0, 5.0, n))
+        eng = Simplex(lp)
+        sol = eng.solve()
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(scipy_solve(lp)[1], rel=1e-9, abs=1e-9)
+        start = starts.pop()
+        assert np.all(start["basis"] < eng.nt)  # every row on its surplus
+        assert start["pivots"] == 0
+        assert np.all(eng.basis < eng.nt)  # artificial columns are never priced
+
+
+def test_crash_start_basis_is_inverted_and_within_bounds(rng, monkeypatch):
+    starts = _record_starts(monkeypatch)
+    on_surplus = on_artificial = 0
+    for lp, eng in _sparse_engines(rng, 12):
+        lo = np.concatenate([lp.lb, np.zeros(lp.n_g)])
+        hi = np.concatenate([lp.ub, np.full(lp.n_g, np.inf)])
+        # surpluses of kept rows bounded away from zero, capped or pinned
+        kind = rng.integers(0, 4, eng.mg)
+        rows = lp.n_vars + eng._kept_rows
+        lo[rows[kind == 1]] = rng.uniform(0.0, 2.0, np.count_nonzero(kind == 1))
+        hi[rows[kind == 2]] = rng.uniform(0.0, 3.0, np.count_nonzero(kind == 2))
+        hi[rows[kind == 3]] = 0.0
+        for bounds in ((None, None), (lo, hi)):
+            eng.solve(*bounds)
+            start = starts.pop()
+            basis = start["basis"]
+            np.testing.assert_allclose(start["binv"] @ _basis_matrix(eng, basis), np.eye(eng.m),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(start["xb"], start["binv"] @ start["rhs"],
+                                       rtol=0, atol=1e-9)
+            assert np.all(start["lo"][basis] <= start["xb"])
+            assert np.all(start["xb"] <= start["hi"][basis])
+            surplus = basis < eng.nt
+            assert np.all(basis[surplus] - eng.n == np.flatnonzero(surplus))
+            on_surplus += np.count_nonzero(surplus)
+            on_artificial += np.count_nonzero(~surplus)
+    assert on_surplus and on_artificial
+
+
+def test_equality_and_violated_rows_start_on_artificials(monkeypatch):
+    starts = _record_starts(monkeypatch)
+    # x0 + x1 >= 1 with its surplus pinned to 0 (b - A x_N = 1 at x = 0),
+    # x0 - x1 >= -3 with its surplus in [1, 2] (the start gives 3),
+    # x0 + 3 x1 >= -2 (holds at x = 0), and x0 + 2 x1 = 2
+    lp = make_lp(c=[1.0, 1.0], a_ub=[[1.0, 1.0], [1.0, -1.0], [1.0, 3.0]],
+                 b_ub=[1.0, -3.0, -2.0], a_eq=[[1.0, 2.0]], b_eq=[2.0],
+                 lb=[0.0, 0.0], ub=[5.0, 5.0])
+    eng = Simplex(lp)
+    sol = eng.solve([0.0, 0.0, 0.0, 1.0, 0.0], [5.0, 5.0, 0.0, 2.0, np.inf])
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.x, [0.0, 1.0], atol=1e-12)
+    nt = eng.nt
+    assert starts.pop()["basis"].tolist() == [nt, nt + 1, eng.n + 2, nt + 3]

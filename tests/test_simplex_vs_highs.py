@@ -1,11 +1,12 @@
 """Differential tests: the package's simplex against HiGHS (through scipy)
 on random sparse LPs with >= and = rows, boxed, one-sided and free
-columns, solved cold, re-solved warm down a small branching tree, and
-swept over capacities on one capacity family; and LPs built around
-single-entry >= rows, which the engine keeps as column bounds, with their
-duals and reduced costs checked as a certificate. Integer data keeps every
-vertex rational with small denominators, so feasibility and optimality
-are never decided by rounding."""
+columns, solved cold (also under caller bounds on the surpluses),
+re-solved warm down a small branching tree, and swept over capacities on
+one capacity family; and LPs built around single-entry >= rows, which the
+engine keeps as column bounds, with their duals and reduced costs checked
+as a certificate. Integer data keeps every vertex rational with small
+denominators, so feasibility and optimality are never decided by
+rounding."""
 
 from dataclasses import replace
 
@@ -110,6 +111,55 @@ def test_engine_matches_highs(lp):
     assert sol.status == status
     if status == "optimal":
         assert sol.objective == pytest.approx(objective, rel=1e-7, abs=1e-7)
+
+
+@st.composite
+def surplus_bounded_lps(draw):
+    """A sparse LP with caller bounds over its columns and surpluses: each
+    row's surplus keeps [0, inf) or takes a lower bound above 0, a finite
+    upper bound or lo = hi (a pin, as complementarity branching sets)."""
+    lp = draw(sparse_lps())
+    lo = np.concatenate([lp.lb, np.zeros(lp.n_g)])
+    hi = np.concatenate([lp.ub, np.full(lp.n_g, np.inf)])
+    for s in range(lp.n_vars, lp.n_vars + lp.n_g):
+        kind = draw(st.sampled_from(("default", "above", "capped", "pinned")))
+        if kind == "above":
+            lo[s] = draw(st.integers(1, 3))
+        elif kind == "capped":
+            hi[s] = draw(st.integers(0, 4))
+        elif kind == "pinned":
+            lo[s] = hi[s] = draw(st.integers(0, 2))
+    return lp, lo, hi
+
+
+def _rows_between(lp, lo, hi):
+    """lp with each >= row g x >= b replaced by b + lo_s <= g x <= b + hi_s."""
+    g, b = lp.dense_g(), lp.b_g()
+    lo_s, hi_s = lo[lp.n_vars:], hi[lp.n_vars:]
+    capped = np.isfinite(hi_s)
+    return make_lp(lp.c, a_ub=np.vstack([g, -g[capped]]),
+                   b_ub=np.concatenate([b + lo_s, -(b + hi_s)[capped]]),
+                   a_eq=lp.dense_h(), b_eq=lp.b_h(), lb=lp.lb, ub=lp.ub,
+                   objective_constant=lp.objective_constant)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(surplus_bounded_lps())
+# x + y >= 1 pinned to equality, which the start point x = y = 0 violates,
+# and x - y >= -3 with its surplus in [1, 2], which the start misses
+@example((make_lp([1.0, 1.0], a_ub=[[1.0, 1.0], [1.0, -1.0]], b_ub=[1.0, -3.0],
+                  lb=[0.0, 0.0], ub=[5.0, 5.0]),
+          np.array([0.0, 0.0, 0.0, 1.0]), np.array([5.0, 5.0, 0.0, 2.0])))
+def test_cold_solves_under_surplus_bounds_match_highs(case):
+    """A cold start puts a row on its surplus only where the start point
+    leaves that surplus within the caller's bounds; every kind of bound
+    must give HiGHS's answer on the rows the bounds describe."""
+    lp, lo, hi = case
+    status, objective = _reference(_rows_between(lp, lo, hi))
+    sol = Simplex(lp).solve(lo, hi)
+    assert sol.status == status
+    if status == "optimal":
+        assert sol.objective == pytest.approx(objective, rel=1e-9, abs=1e-9)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

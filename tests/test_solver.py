@@ -8,6 +8,7 @@ from storageshare.instance import upper_objective, zero_schedules
 from storageshare.lp import build_llm_c, build_llm_d, make_lp
 from storageshare.mpec import assemble_mpec, derive_kkt, linearize_big_m, validate_big_m
 from storageshare.oracle import check_kkt_residuals, grid_oracle
+from storageshare.scenarios import solve_division
 from storageshare.solver import SolveOptions, extract_solution, solve_lpcc, solve_milp
 from tests.conftest import division_fixture, division_fixture_n2, rand_instance
 
@@ -200,6 +201,18 @@ def test_division_model_end_to_end():
         assert total <= inst.storage.total_capacity + 1e-9
         rebuilt = upper_objective(inst, schedules)
         assert rebuilt == pytest.approx(res.objective, rel=1e-9, abs=1e-9)
+
+
+def test_bigm_branches_on_a_binary_that_lets_its_pair_slip():
+    # the bigm relaxation reaches 42.63006 with every binary within 1e-6 of
+    # 0 or 1, but one at 6.6e-7 lets its pair slip by that times big-M and
+    # the rounded point fails; taking that point as an incumbent left the
+    # DisCo's dispatch off its optimum, so the tree must branch on it
+    mpec = assemble_mpec(division_fixture(280))
+    rm = solve_division(mpec, SolveOptions(), "bigm", None)[0]
+    rl = solve_lpcc(mpec)
+    assert rm.status == rl.status == "optimal"
+    assert abs(rm.objective - rl.objective) <= 1e-6 * max(1.0, abs(rl.objective))
 
 
 def test_zero_capacity_division_is_exact():
