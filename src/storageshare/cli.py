@@ -31,12 +31,12 @@ from .scenarios import (
     run_all_scenarios,
     solve_division,
 )
-from .solver import _EXIT_CODES, extract_solution
+from .solver import _EXIT_CODES, MODES, extract_solution
 from .synthetic import PRICE_SHAPES, PROFILES, gen_synthetic
 
 
 def _solve_flags(p: argparse.ArgumentParser):
-    p.add_argument("--mode", choices=("bigm", "lpcc"), default=None,
+    p.add_argument("--mode", choices=MODES, default=None,
                    help="override the config's solver mode")
     p.add_argument("--time-limit", type=float, default=None,
                    help="override the config's solve time limit in seconds")

@@ -14,12 +14,10 @@ import numpy as np
 
 from .instance import Instance, make_instance
 from .mpec import BigMPolicy
-from .solver import SolveOptions
+from .solver import MODES, SolveOptions
 
 LOADS_HEADER = "t,customer_id,load_kw"
 PRICES_HEADER = "t,lmp_per_kwh,tou_per_kwh"
-
-MODES = ("bigm", "lpcc")
 
 # key -> (converter, default); None default means the key is required
 _CONFIG_SCHEMA = {

@@ -4,22 +4,26 @@ without trusting the reformulation or the branching solvers.
 grid_oracle enumerates capacity divisions on a regular grid, solves every
 party's dispatch LP independently per capacity value on one warm family
 per party (cached: a party's problem depends only on its own share),
-applies optimistic tie resolution, and evaluates the division objective
-directly from schedules. The checkers compute optimality-system and
-schedule residuals from raw data.
+and evaluates the division objective directly from schedules. The
+checkers compute optimality-system and schedule residuals from raw data.
+
+Optimistic ties: each cell scores the better of the party's optimum and
+the face minimum of the flow-priced part of the upper objective
+(Simplex.face_minimum on the family's engine); the shared peak term is
+not tied through.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .instance import Division, Instance, ScheduleSet, flow_price, soc_trajectory
-from .lp import LinearProgram, Rows, build_party_lp, evaluate
+from .lp import build_party_lp, evaluate
 from .mpec import KktSystem
-from .simplex import CapacityFamily, solve_lp_engine
+from .simplex import CapacityFamily
 
 GRID_GUARD = 200_000
 
@@ -143,48 +147,6 @@ def check_schedule_invariants(
     return InvariantReport(items=tuple(items))
 
 
-def optimistic_resolve(lp: LinearProgram, upper_gradient, sol=None) -> np.ndarray:
-    """Among the LP's optima, pick the one the division objective likes.
-
-    Solves a second LP minimizing upper_gradient over the optimal face (the
-    original objective pinned to its optimum). Raises RuntimeError if the
-    pin is violated at the returned point, which would mean the face was
-    not actually optimal.
-    """
-    if sol is None:
-        sol = solve_lp_engine(lp)
-    if sol.status != "optimal":
-        raise RuntimeError(f"cannot resolve a {sol.status} LP")
-    f_star = sol.objective - lp.objective_constant  # pin in c.x terms
-    pin = max(1e-9, 1e-9 * abs(f_star))
-    grad = np.asarray(upper_gradient, float)
-    nz = np.nonzero(lp.c)[0]
-    pinned = LinearProgram(
-        name=lp.name + "+pin",
-        var_names=lp.var_names,
-        c=grad,
-        lb=lp.lb,
-        ub=lp.ub,
-        g=Rows.stack([lp.g, Rows.from_lists([nz], [-lp.c[nz]])]),
-        g_offset=np.concatenate([lp.g_offset, [-(f_star + pin)]]),
-        g_cap=np.concatenate([lp.g_cap, [0.0]]),
-        g_names=lp.g_names + ("objective_pin",),
-        h=lp.h,
-        h_offset=lp.h_offset,
-        h_cap=lp.h_cap,
-        h_names=lp.h_names,
-        capacity=lp.capacity,
-        objective_constant=0.0,
-    )
-    res = solve_lp_engine(pinned)
-    if res.status != "optimal":
-        raise RuntimeError(f"resolve LP ended {res.status}")
-    drift = float(lp.c @ res.x) - (f_star + pin)
-    if drift > 1e-9 * (1.0 + abs(f_star)):
-        raise RuntimeError(f"objective pin violated by {drift}")
-    return res.x
-
-
 @dataclass(frozen=True)
 class OracleReport:
     best_division: Division
@@ -203,17 +165,17 @@ class _Dispatch:
     lower_objective: float
 
 
-def _party_dispatch(family, base_lp, cap, grad_flows) -> _Dispatch:
-    """The party's dispatch at capacity cap, from its warm family."""
+def _party_dispatch(family, cap, grad_flows) -> _Dispatch:
+    """The party's dispatch at capacity cap, from its warm family, and the
+    one of its optima that grad_flows . (ch - dis) likes best."""
     t = len(grad_flows)
     sol = family.solve(cap)
     if sol.status != "optimal":
         raise RuntimeError(f"LLM solve failed ({sol.status}) at capacity {cap}")
-    lp = replace(base_lp, capacity=cap)
-    grad = np.zeros(lp.n_vars)
+    grad = np.zeros(family.engine.n)
     grad[:t] = grad_flows
     grad[t: 2 * t] = -grad_flows
-    x_res = optimistic_resolve(lp, grad, sol=sol)
+    x_res = family.engine.face_minimum(grad)
     return _Dispatch(
         flow_raw=sol.x[:t] - sol.x[t: 2 * t],
         flow_res=x_res[:t] - x_res[t: 2 * t],
@@ -247,9 +209,8 @@ def grid_oracle(instance: Instance, step: float, guard: int = GRID_GUARD) -> Ora
 
     cache = []  # party order: customers 0..n-1, then disco
     for p in range(n + 1):
-        base_lp = build_party_lp(instance, p, 0.0)
-        family = CapacityFamily(base_lp)
-        cache.append([_party_dispatch(family, base_lp, k * step, price)
+        family = CapacityFamily(build_party_lp(instance, p, 0.0))
+        cache.append([_party_dispatch(family, k * step, price)
                       for k in range(k_max + 1)])
 
     def upper_value(flows):

@@ -41,9 +41,8 @@ from .instance import (
 )
 from .lp import Rows, build_llm_d
 from .mpec import BigMPolicy, assemble_mpec, linearize_big_m, validate_big_m
-from .oracle import optimistic_resolve
-from .simplex import solve_lp_engine
-from .solver import SolveOptions, extract_solution, solve_lpcc, solve_milp
+from .simplex import Simplex
+from .solver import MODES, SolveOptions, extract_solution, solve_lpcc, solve_milp
 
 ZERO_BASELINE_TOL = 1e-12
 
@@ -119,13 +118,12 @@ def _disco_only_dispatch(instance: Instance):
     """Fixed division (everything to the utility); its dispatch is an LP."""
     t = instance.grid.slot_count
     s_total = instance.storage.total_capacity
-    lp = build_llm_d(instance, s_total)
-    sol = solve_lp_engine(lp)
+    engine = Simplex(build_llm_d(instance, s_total))
+    sol = engine.solve()
     if sol.status != "optimal":
         raise ScenarioError(f"scenario 1: utility dispatch ended {sol.status}")
     price = flow_price(instance)
-    grad = np.concatenate([price, -price])
-    x_res = optimistic_resolve(lp, grad, sol=sol)
+    x_res = engine.face_minimum(np.concatenate([price, -price]))
 
     def as_schedules(x):
         ch, dis = x[:t], x[t: 2 * t]
@@ -164,6 +162,11 @@ def _pin_customers_only(mpec):
     return replace(mpec, lp=lp2)
 
 
+def _check_mode(mode: str):
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
 def solve_division(mpec, opts: SolveOptions, mode: str,
                    policy: BigMPolicy | None):
     """Run the joint model in the requested mode.
@@ -172,6 +175,7 @@ def solve_division(mpec, opts: SolveOptions, mode: str,
     bound escalates the policy on the flagged side and re-solves, up to
     the policy's round limit.
     """
+    _check_mode(mode)
     notes = []
     if mode == "lpcc":
         return solve_lpcc(mpec, opts), 0, notes
@@ -207,8 +211,7 @@ def run_scenario(instance: Instance, scenario, options: SolveOptions | None = No
                  day: int = 0) -> DayReport:
     """Solve one scenario and report costs against the do-nothing baseline."""
     scenario = ScenarioId(scenario)
-    if mode not in ("bigm", "lpcc"):
-        raise ValueError(f"mode must be 'bigm' or 'lpcc', got {mode!r}")
+    _check_mode(mode)
     opts = options if options is not None else SolveOptions()
     t0 = time.perf_counter()
     notes: list = []

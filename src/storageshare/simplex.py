@@ -73,6 +73,12 @@ optimal basis. That basis stays dual feasible, since no cost moves and the
 fixed column never enters, and its inverse is kept, so the warm start
 copies it instead of rebuilding (parametric right-hand-side analysis; Gal
 & Nedoma, Manag. Sci. 18(7), 1972).
+
+face_minimum breaks ties among an LP's optima: every feasible x has
+c.x = f* + sum d_j (x_j - xbar_j) over the nonbasic columns, each term
+>= 0, so fixing the nonbasic columns with |d_j| > _DUAL_TOL keeps x on the
+optimal face exactly, and the primal loop then minimizes a second
+objective from the optimal basis, which is still feasible.
 """
 
 from __future__ import annotations
@@ -194,6 +200,7 @@ class Simplex:
         self.warm_hits = 0  # warm starts that copied a kept inverse
         self.warm_rebuilds = 0  # warm starts that rebuilt the inverse
         self.cold_restarts = 0  # resolves that fell back to a cold solve
+        self._optimum = None  # c.x of the last solve if it ended optimal
 
     # ------------------------------------------------------------------ state
 
@@ -464,6 +471,7 @@ class Simplex:
         """
         lo, hi = self._bounds(self.base_lo if lo is None else lo,
                               self.base_hi if hi is None else hi)
+        self._optimum = None
         self.lo = np.concatenate([lo, np.zeros(self.m)])
         self.hi = np.concatenate([hi, np.full(self.m, np.inf)])
         if np.any(self.lo > self.hi + 1e-12):
@@ -515,6 +523,7 @@ class Simplex:
         in cold_restarts, on numerical trouble or at the iteration limit.
         """
         basis, status = snapshot
+        self._optimum = None
         self.basis = basis.copy()
         self.status = status.copy()
         lo_e, hi_e = self._bounds(lo, hi)
@@ -557,6 +566,32 @@ class Simplex:
     def snapshot(self):
         return self.basis.copy(), self.status.copy()
 
+    def face_minimum(self, grad) -> np.ndarray:
+        """Minimize grad.x over the optimal face of the last solve (see the
+        module notes) and return x over the LP's columns. Raises SimplexError
+        unless that solve ended optimal, the loop ends optimal and c.x stays
+        within 1e-9 (1 + |f*|) of f*. Pivots on a copy of the inverse, which
+        may be kept; re-solve before calling it again.
+        """
+        f_star = self._optimum
+        if f_star is None:
+            raise SimplexError("face minimum needs an optimal solve first")
+        self._optimum = None
+        d = self._reduced_costs(np.concatenate([self.c2, np.zeros(self.m)]))
+        nonbasic = self.status[: self.nt] != BASIC
+        self.fixed = self.fixed | (nonbasic & (np.abs(d) > _DUAL_TOL))
+        self.binv = self.binv.copy()
+        g_full = np.zeros(self.nt + self.m)
+        g_full[: self.n] = grad
+        out = self._primal_loop(g_full)
+        if out != "optimal":
+            raise SimplexError(f"face minimum ended {out}")
+        x = self._read_x()
+        drift = abs(float(self.lp.c @ x) - f_star)
+        if drift > 1e-9 * (1.0 + abs(f_star)):
+            raise SimplexError(f"face minimum left the optimal face by {drift}")
+        return x
+
     # ---------------------------------------------------------------- helpers
 
     def _drive_out_artificials(self):
@@ -576,35 +611,35 @@ class Simplex:
         out = self._primal_loop(c_full)
         if out != "optimal":
             return self._failed(out)
-        # shed drift before reading the answer off; warm tree solves accept
-        # a near-fresh inverse to avoid one O(m^3) rebuild per node
-        if self._dirty and not (self._light and self._dirty <= 40):
-            self._refactor()
+        x = self._read_x()
         self._keep(self.basis.tobytes(), self.binv, self._dirty)
-        return self._extract(c_full)
-
-    def _extract(self, c_full: np.ndarray) -> LpSolution:
-        xall = self._nonbasic_values()
-        structural = self.basis < self.nt
-        xall[self.basis[structural]] = self.xb[structural]
-        x = xall[: self.n]
-        obj = float(self.lp.c @ x) + self.lp.objective_constant
+        self._optimum = float(self.lp.c @ x)
         y = c_full[self.basis] @ self.binv
         reduced = self.lp.c - self.cols.dot(y)[: self.n]
         dual_g = np.zeros(self.lp.n_g)
         dual_g[self._kept_rows] = y[: self.mg]
         self._fold_duals(dual_g, reduced, x)
         dual_g[(dual_g < 0) & (dual_g > -1e-9)] = 0.0
-        dual_h = y[self.mg :].copy()
         return LpSolution(
             status="optimal",
             x=x,
-            objective=obj,
+            objective=self._optimum + self.lp.objective_constant,
             dual_g=dual_g,
-            dual_h=dual_h,
+            dual_h=y[self.mg :].copy(),
             reduced_costs=reduced,
             iterations=self.iterations,
         )
+
+    def _read_x(self) -> np.ndarray:
+        """The LP's columns at the current basis. Sheds drift first; warm
+        tree solves accept a near-fresh inverse to avoid one O(m^3) rebuild
+        per node."""
+        if self._dirty and not (self._light and self._dirty <= 40):
+            self._refactor()
+        xall = self._nonbasic_values()
+        structural = self.basis < self.nt
+        xall[self.basis[structural]] = self.xb[structural]
+        return xall[: self.n]
 
     def _fold_duals(self, dual_g: np.ndarray, reduced: np.ndarray, x: np.ndarray):
         """Move reduced costs into the duals of the folded rows, in place.

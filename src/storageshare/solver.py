@@ -24,6 +24,7 @@ from .oracle import check_schedule_invariants
 from .simplex import CapacityFamily, Simplex, solve_lp_engine
 
 _EXIT_CODES = {"optimal": 0, "infeasible": 2, "unbounded": 3, "limit": 4}
+MODES = ("bigm", "lpcc")  # solve_milp on the big-M model, or solve_lpcc
 _INT_TOL = 1e-6
 _COMP_TOL = 1e-7  # pair products at or below this count as complementary
 _SETTLED_TOL = 1e-9  # a binary this near 0 or 1 is taken as fixed by a branch

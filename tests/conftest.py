@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from storageshare.instance import make_instance
+from storageshare.lp import build_party_lp
+from storageshare.simplex import CapacityFamily
 
 
 @pytest.fixture
@@ -72,6 +74,24 @@ def stress_fixture():
     """Two customers over twelve slots; the largest tree the suite solves."""
     g = np.random.default_rng(304)
     return rand_instance(g, n=2, t=12, total_capacity=float(g.uniform(5.0, 15.0)))
+
+
+def assert_lower_level_optimal(mpec, res):
+    """Every party's dispatch in the division answer res is optimal at the
+    party's share s_p: c_p.x_p <= phi_p(s_p) + 1e-9 (1 + |phi_p|), with
+    phi_p from one CapacityFamily solve at s_p."""
+    for p, lay in enumerate(mpec.parties()):
+        lp = build_party_lp(mpec.instance, p, 0.0)
+        phi = CapacityFamily(lp).solve(max(0.0, float(res.x[lay.cap_col])))
+        assert phi.status == "optimal", lay.tag
+        cost = float(lp.c @ res.x[lay.x0: lay.x0 + lay.nx]) + lp.objective_constant
+        assert cost <= phi.objective + 1e-9 * (1.0 + abs(phi.objective)), lay.tag
+
+
+def assert_grid_not_below(grid, exact):
+    """The grid searches a subset of the divisions, so its best objective
+    may not lie below the exact optimum."""
+    assert grid >= exact - 1e-9 * max(1.0, abs(exact)), (grid, exact)
 
 
 # Cross-checked division fixtures: every entry solves identically under

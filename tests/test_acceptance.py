@@ -24,7 +24,14 @@ from storageshare.simplex import solve_lp_engine
 from storageshare.solver import extract_solution, solve_lpcc, solve_milp
 from storageshare.synthetic import gen_synthetic, synth_series
 
-from tests.conftest import DIVISION_FIXTURES, division_fixture, rand_instance, stress_fixture
+from tests.conftest import (
+    DIVISION_FIXTURES,
+    assert_grid_not_below,
+    assert_lower_level_optimal,
+    division_fixture,
+    rand_instance,
+    stress_fixture,
+)
 from tests.lp_oracle import brute_optimum, dual_objective, random_feasible_lp
 from tests.test_kkt import random_llm, scipy_kkt_point
 
@@ -113,7 +120,8 @@ def test_dispatch_optimality_system_sound_and_complete():
 
 def test_division_solvers_triple_agreement():
     # every fixture: big-M tree, complementarity tree and the grid sweep
-    # land on the same upper objective within 1e-6 relative, and no big-M
+    # land on the same upper objective within 1e-6 relative, the grid not
+    # below it, every party's dispatch optimal at its share, and no big-M
     # bound is binding at the incumbent. Whole sweep under 120 s.
     t0 = time.perf_counter()
     for name, build in DIVISION_FIXTURES:
@@ -128,6 +136,9 @@ def test_division_solvers_triple_agreement():
         scale = max(1.0, abs(rl.objective))
         assert abs(rm.objective - rl.objective) <= 1e-6 * scale, name
         assert abs(grid.best_objective - rl.objective) <= 1e-6 * scale, name
+        assert_grid_not_below(grid.best_objective, rl.objective)
+        assert_lower_level_optimal(mpec, rm)
+        assert_lower_level_optimal(mpec, rl)
         assert validate_big_m(milp, rm.x).clean, name
     assert time.perf_counter() - t0 < 120.0
 

@@ -40,6 +40,10 @@ def test_mode_flag_overrides_config(workdir, capsys):
     rc = main(["solve", *args_for(workdir, "--mode", "bigm")])
     assert rc == 0
     assert "status = optimal" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", *args_for(workdir, "--mode", "lpc")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'lpc'" in capsys.readouterr().err
 
 
 def test_oracle_agrees_with_solver(workdir, capsys):

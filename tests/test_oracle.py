@@ -1,4 +1,5 @@
-"""Grid search oracle, optimistic resolution, and schedule auditing."""
+"""Grid search oracle, optimistic ties on the optimal face, and schedule
+auditing."""
 
 import math
 
@@ -13,12 +14,8 @@ from storageshare.instance import (
     zero_schedules,
 )
 from storageshare.lp import build_llm_c, build_llm_d, make_lp
-from storageshare.oracle import (
-    check_schedule_invariants,
-    grid_oracle,
-    optimistic_resolve,
-)
-from storageshare.simplex import solve_lp_engine
+from storageshare.oracle import check_schedule_invariants, grid_oracle
+from storageshare.simplex import Simplex, solve_lp_engine
 from tests.conftest import rand_instance
 
 
@@ -134,7 +131,15 @@ def test_guard_and_bad_step(rng):
         grid_oracle(inst, step=0.0)
 
 
-def test_resolve_picks_preferred_corner():
+def face_minimum(lp, grad):
+    """(optimum, face minimum of grad) from one engine."""
+    eng = Simplex(lp)
+    sol = eng.solve()
+    assert sol.status == "optimal"
+    return sol, eng.face_minimum(np.asarray(grad, float))
+
+
+def test_face_minimum_picks_preferred_corner():
     # objective is indifferent on 0 <= x <= 1; the secondary gradient decides
     lp = make_lp(
         c=[0.0, 1.0],
@@ -144,29 +149,28 @@ def test_resolve_picks_preferred_corner():
         b_eq=[0.5],
         name="face",
     )
-    lo = optimistic_resolve(lp, [1.0, 0.0])
-    hi = optimistic_resolve(lp, [-1.0, 0.0])
+    lo = face_minimum(lp, [1.0, 0.0])[1]
+    hi = face_minimum(lp, [-1.0, 0.0])[1]
     assert lo[0] == pytest.approx(0.0, abs=1e-9)
     assert hi[0] == pytest.approx(1.0, abs=1e-9)
     assert lo[1] == hi[1] == pytest.approx(0.5, abs=1e-9)
 
 
-def test_resolve_keeps_optimal_value(rng):
+def test_face_minimum_keeps_optimal_value(rng):
     for _ in range(10):
         inst = rand_instance(rng, n=1, t=4)
         cap = float(rng.uniform(0.0, inst.storage.total_capacity))
         lp = build_llm_d(inst, cap)
-        sol = solve_lp_engine(lp)
         grad = rng.normal(size=lp.n_vars)
-        x = optimistic_resolve(lp, grad, sol=sol)
+        sol, x = face_minimum(lp, grad)
         f = float(lp.c @ x) + lp.objective_constant
-        assert f <= sol.objective + 1e-8 * (1.0 + abs(sol.objective))
-        assert float(grad @ x) <= float(grad @ sol.x) + 1e-8
+        assert abs(f - sol.objective) <= 1e-9 * (1.0 + abs(sol.objective))
+        assert float(grad @ x) <= float(grad @ sol.x) + 1e-9
 
 
-def test_resolve_flat_price_degenerate_face():
+def test_face_minimum_flat_price_degenerate_face():
     # constant price and a lossless battery leave the dispatch cost flat at
-    # zero over every balanced schedule; resolution should then discharge
+    # zero over every balanced schedule; the face minimum should then discharge
     # where the peak relief gradient points
     inst = make_instance(
         lmp=[0.5, 0.5, 0.5, 0.5],
@@ -186,7 +190,7 @@ def test_resolve_flat_price_degenerate_face():
     grad = np.zeros(lp.n_vars)
     grad[2] = 1.0   # charging in the peak slot hurts
     grad[6] = -1.0  # discharging there helps
-    x = optimistic_resolve(lp, grad)
+    x = face_minimum(lp, grad)[1]
     assert x[6] - x[2] == pytest.approx(2.0, abs=1e-8)  # full peak discharge
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from storageshare.instance import customer_cost_total, make_instance, zero_schedules
+from storageshare.mpec import assemble_mpec
 from storageshare.scenarios import (
     CycleResult,
     ScenarioError,
@@ -18,6 +19,7 @@ from storageshare.scenarios import (
     reduction_pct,
     run_all_scenarios,
     run_scenario,
+    solve_division,
 )
 from storageshare.solver import SolveOptions
 from storageshare.synthetic import synth_series
@@ -117,6 +119,13 @@ def test_zero_capacity_is_exactly_neutral():
         np.testing.assert_array_equal(rep.original_profile, rep.actual_profile)
 
 
+def test_solve_division_rejects_unknown_mode():
+    # a typo once fell through to the big-M tree
+    mpec = assemble_mpec(conflict_instance())
+    with pytest.raises(ValueError, match="lpc"):
+        solve_division(mpec, SolveOptions(), "lpc", None)
+
+
 def test_conflict_fixture_scenario_one_signs():
     rep = run_scenario(conflict_instance(), ScenarioId.DISCO_ONLY)
     assert rep.disco_reduction > 0.0
@@ -126,6 +135,8 @@ def test_conflict_fixture_scenario_one_signs():
 def test_run_scenario_rejects_unknown_mode():
     with pytest.raises(ValueError, match="mode"):
         run_scenario(conflict_instance(), ScenarioId.SHARED, mode="exact")
+    with pytest.raises(ValueError, match="mode"):
+        run_scenario(conflict_instance(), ScenarioId.DISCO_ONLY, mode="exact")
     with pytest.raises(ValueError):
         run_scenario(conflict_instance(), 7)
 

@@ -684,6 +684,59 @@ def test_capacity_family_rejects_negative_capacity(tiny_instance):
         family.solve(-1.0)
 
 
+def test_face_minimum_writes_no_kept_inverse(rng):
+    """solve(cap1), face_minimum, solve(cap2) on one family: the last solve
+    equals a cold one at cap2 and every kept inverse still inverts its
+    basis. The optimal solve keeps its inverse by reference, so face pivots
+    made on it in place would corrupt the next warm start."""
+    pivots = 0
+    for _ in range(3):
+        # lossless batteries leave the dispatch optima degenerate
+        inst = rand_instance(rng, t=6, eta_ch=1.0, eta_dis=1.0)
+        total = inst.storage.total_capacity
+        for p in range(inst.customer_count + 1):
+            family = CapacityFamily(build_party_lp(inst, p, 0.0))
+            eng = family.engine
+            for cap1, cap2 in ((0.5 * total, 0.25 * total), (total, 0.75 * total)):
+                assert family.solve(cap1).status == "optimal"
+                before = eng.iterations
+                eng.face_minimum(rng.normal(size=eng.n))
+                pivots += eng.iterations - before
+                sol = family.solve(cap2)
+                ref = solve_lp_engine(build_party_lp(inst, p, cap2))
+                assert sol.status == ref.status == "optimal"
+                assert abs(sol.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
+                for key, (inv, _) in eng._inverses.items():
+                    basis = np.frombuffer(key, dtype=eng.basis.dtype)
+                    np.testing.assert_allclose(inv @ _basis_matrix(eng, basis),
+                                               np.eye(eng.m), rtol=0, atol=1e-10)
+    assert pivots > 0
+
+
+def test_face_minimum_needs_an_optimal_solve():
+    lp = make_lp([1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0], lb=[0.0, 0.0], ub=[5.0, 5.0])
+    eng = Simplex(lp)
+    with pytest.raises(SimplexError, match="optimal solve"):
+        eng.face_minimum([1.0, 0.0])
+    assert eng.solve().status == "optimal"
+    x = eng.face_minimum([1.0, 0.0])  # the face is x + y = 1: y takes it all
+    assert x == pytest.approx([0.0, 1.0], abs=1e-12)
+    with pytest.raises(SimplexError, match="optimal solve"):
+        eng.face_minimum([1.0, 0.0])  # the engine left the optimal basis
+    infeasible = Simplex(make_lp([1.0], a_ub=[[1.0], [-1.0]], b_ub=[2.0, -1.0]))
+    assert infeasible.solve().status == "infeasible"
+    with pytest.raises(SimplexError, match="optimal solve"):
+        infeasible.face_minimum([1.0])
+
+
+def test_face_minimum_raises_on_an_unbounded_face():
+    # every x >= 1 is optimal at cost 0, so -x has no minimum on the face
+    eng = Simplex(make_lp([0.0], a_ub=[[1.0], [2.0]], b_ub=[1.0, 0.0]))
+    assert eng.solve().status == "optimal"
+    with pytest.raises(SimplexError, match="unbounded"):
+        eng.face_minimum([-1.0])
+
+
 # ------------------------------------------------------------ slack crash start
 
 

@@ -2,9 +2,10 @@
 on random sparse LPs with >= and = rows, boxed, one-sided and free
 columns, solved cold (also under caller bounds on the surpluses),
 re-solved warm down a small branching tree, and swept over capacities on
-one capacity family; and LPs built around single-entry >= rows, which the
+one capacity family; LPs built around single-entry >= rows, which the
 engine keeps as column bounds, with their duals and reduced costs checked
-as a certificate. Integer data keeps every vertex rational with small
+as a certificate; and the face minimum of a second objective over a
+random dispatch LP's optima. Integer data keeps every vertex rational with small
 denominators, so feasibility and optimality are never decided by
 rounding."""
 
@@ -17,8 +18,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
-from storageshare.lp import Rows, make_lp
+from storageshare.lp import Rows, build_llm_c, build_llm_d, make_lp
 from storageshare.simplex import CapacityFamily, Simplex, solve_lp_engine
+from tests.conftest import rand_instance
 from tests.lp_oracle import dual_objective
 
 _ENTRIES = st.sampled_from([-3, -2, -1, 0, 0, 0, 0, 0, 0, 1, 2, 3])
@@ -313,3 +315,37 @@ def test_pinned_singletons_match_cold(lp, picks):
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
         np.testing.assert_allclose(lp.g.dot(warm.x)[pinned], lp.b_g()[pinned], atol=1e-9)
         _assert_certificate(lp, warm, pinned)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.floats(0.0, 1.0))
+def test_face_minimum_matches_highs(seed, lossless, disco, share):
+    """On a random customer or utility dispatch LP, face_minimum keeps c.x
+    at the optimum f* and reaches HiGHS's minimum of a random second
+    objective over the LP's rows plus c.x <= f*."""
+    g = np.random.default_rng(seed)
+    kw = dict(eta_ch=1.0, eta_dis=1.0) if lossless else {}  # lossless: degenerate optima
+    inst = rand_instance(g, t=int(g.integers(3, 7)), **kw)
+    cap = share * inst.storage.total_capacity
+    lp = build_llm_d(inst, cap) if disco else build_llm_c(inst, 0, cap)
+    grad = g.normal(size=lp.n_vars)
+    eng = Simplex(lp)
+    sol = eng.solve()
+    assert sol.status == "optimal"
+    f_star = sol.objective - lp.objective_constant
+    x = eng.face_minimum(grad)
+    assert abs(float(lp.c @ x) - f_star) <= 1e-9 * (1.0 + abs(f_star))
+    tight = dict(primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-10)
+    ref = linprog(
+        grad,
+        A_ub=np.vstack([-lp.dense_g(), lp.c]),
+        b_ub=np.concatenate([-lp.b_g(), [f_star]]),
+        A_eq=lp.dense_h() if lp.n_h else None,
+        b_eq=lp.b_h() if lp.n_h else None,
+        bounds=[(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
+                for lo, hi in zip(lp.lb, lp.ub)],
+        method="highs",
+        options=tight,
+    )
+    assert ref.status == 0, ref.message
+    assert float(grad @ x) <= ref.fun + 1e-7

@@ -10,7 +10,13 @@ from storageshare.mpec import assemble_mpec, derive_kkt, linearize_big_m, valida
 from storageshare.oracle import check_kkt_residuals, grid_oracle
 from storageshare.scenarios import solve_division
 from storageshare.solver import SolveOptions, extract_solution, solve_lpcc, solve_milp
-from tests.conftest import division_fixture, division_fixture_n2, rand_instance
+from tests.conftest import (
+    assert_grid_not_below,
+    assert_lower_level_optimal,
+    division_fixture,
+    division_fixture_n2,
+    rand_instance,
+)
 
 
 class _NoHeuristic:
@@ -208,11 +214,27 @@ def test_bigm_branches_on_a_binary_that_lets_its_pair_slip():
     # 0 or 1, but one at 6.6e-7 lets its pair slip by that times big-M and
     # the rounded point fails; taking that point as an incumbent left the
     # DisCo's dispatch off its optimum, so the tree must branch on it
-    mpec = assemble_mpec(division_fixture(280))
+    inst = division_fixture(280)
+    mpec = assemble_mpec(inst)
     rm = solve_division(mpec, SolveOptions(), "bigm", None)[0]
     rl = solve_lpcc(mpec)
     assert rm.status == rl.status == "optimal"
     assert abs(rm.objective - rl.objective) <= 1e-6 * max(1.0, abs(rl.objective))
+    for res in (rm, rl):
+        assert_lower_level_optimal(mpec, res)
+    grid = grid_oracle(inst, step=inst.storage.total_capacity / 20.0)
+    assert_grid_not_below(grid.best_objective, rl.objective)
+
+
+def test_grid_never_lands_below_the_exact_optimum():
+    # an objective pin of 1e-9 |f*| on the tie-breaking LP once let a
+    # dispatch sit that far above its optimum, and the grid then scored
+    # 10.3389090 against the exact 10.3389202
+    inst = division_fixture(213)
+    rl = solve_lpcc(assemble_mpec(inst))
+    assert rl.status == "optimal"
+    grid = grid_oracle(inst, step=inst.storage.total_capacity / 20.0)
+    assert_grid_not_below(grid.best_objective, rl.objective)
 
 
 def test_zero_capacity_division_is_exact():

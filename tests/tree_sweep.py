@@ -6,11 +6,13 @@
 The first form solves tests.conftest.division_fixture(seed) for every seed,
 with solve_lpcc and with the bigm path of scenarios.solve_division
 (validation and escalation included), and writes one JSON line per (seed,
-mode) with the status, nodes, LP iterations, objective and seconds. The
-second reads two such files and prints, per mode, the summed seconds and
-nodes of each and every seed where both solves are optimal and the
-objectives differ by more than 1e-6 relative. Run both sides of a
-comparison on the same machine, one after the other.
+mode) with the status, nodes, LP iterations, objective and seconds, plus
+the seed's grid_oracle objective at step C/20. The second reads two such
+files and prints, per mode, the summed seconds and nodes of each and every
+seed where both solves are optimal and the objectives differ by more than
+1e-6 relative; then, per file, the seeds where the grid lies more than
+1e-9 relative below an optimal lpcc objective, which no correct grid can.
+Run both sides of a comparison on the same machine, one after the other.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import time
 
 MODES = ("lpcc", "bigm")
 OBJ_TOL = 1e-6
+GRID_TOL = 1e-9
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -50,11 +53,21 @@ def solve_one(seed: int, mode: str, node_limit: int) -> dict:
             "seconds": round(seconds, 4)}
 
 
+def grid_objective(seed: int) -> float:
+    from storageshare.oracle import grid_oracle
+
+    from tests.conftest import division_fixture
+
+    inst = division_fixture(seed)
+    return grid_oracle(inst, step=inst.storage.total_capacity / 20.0).best_objective
+
+
 def sweep(seeds, node_limit: int, out: str):
     with open(out, "w") as fh:
         for seed in seeds:
+            grid = grid_objective(seed)
             for mode in MODES:
-                line = json.dumps(solve_one(seed, mode, node_limit))
+                line = json.dumps({**solve_one(seed, mode, node_limit), "grid": grid})
                 fh.write(line + "\n")
                 fh.flush()
                 print(line, flush=True)
@@ -64,6 +77,13 @@ def _load(path: str) -> dict:
     with open(path) as fh:
         records = [json.loads(line) for line in fh if line.strip()]
     return {(r["seed"], r["mode"]): r for r in records}
+
+
+def grid_below(records: dict) -> list[int]:
+    """Seeds whose grid objective lies below their optimal lpcc one."""
+    return [seed for (seed, mode), r in sorted(records.items())
+            if mode == "lpcc" and r["status"] == "optimal" and "grid" in r
+            and r["grid"] < r["objective"] - GRID_TOL * max(1.0, abs(r["objective"]))]
 
 
 def compare(path_a: str, path_b: str) -> int:
@@ -88,6 +108,10 @@ def compare(path_a: str, path_b: str) -> int:
                     differ += 1
                     print(f"  seed {k[0]}: objective {fa!r} -> {fb!r}")
     print(f"{differ} objectives differ at {OBJ_TOL:g}")
+    for side, records in (("A", a), ("B", b)):
+        seeds = grid_below(records)
+        print(f"grid below lpcc at {GRID_TOL:g} in {side}: "
+              f"{', '.join(map(str, seeds)) if seeds else 'none'}")
     return differ
 
 
