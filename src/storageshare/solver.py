@@ -7,6 +7,19 @@ directly on complementarity pairs without big-M constants. Both run one
 driver: a division heuristic, a best-first core with warm-started node
 LPs and a dual polish of the final incumbent. Node order and therefore
 node counts are deterministic for a fixed model.
+
+The LP both trees search is the model's LP plus one chord row per party
+p: c_p.x_p <= phi_p(lo) + (phi_p(hi) - phi_p(lo)) / (hi - lo) (s_p - lo),
+where phi_p(s) is the party's optimal dispatch cost at share s and
+[lo, hi] the bounds of its share column s_p. Every row of the party's LP
+moves linearly with s, so phi_p is convex and lies on or below its chord
+on [lo, hi]: each point whose dispatches are optimal satisfies the row,
+and the row cuts off relaxed points whose dispatch costs more than any
+optimal one can (the concave envelope of the value-function bound
+c_p.x_p <= phi_p(s_p)). The chord is exact, without slack, and most
+divisions then close at the root. The rows live in the tree's copy of
+the LP only; the model, its big-M form and their MPS files do not carry
+them.
 """
 
 from __future__ import annotations
@@ -14,11 +27,12 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .instance import Division, Instance, ScheduleSet
-from .lp import LinearProgram, build_party_lp, evaluate, make_lp
+from .lp import LinearProgram, Rows, build_party_lp, evaluate, make_lp
 from .mpec import MilpModel, MpecModel
 from .oracle import check_schedule_invariants
 from .simplex import CapacityFamily, Simplex, solve_lp_engine
@@ -239,33 +253,28 @@ class _DivisionHeuristic:
         self.pair_slacks = _pair_slacks(mpec.lp, mpec.pairs)
         self.seen: set = set()
         inst = mpec.instance
-        self.families = [CapacityFamily(build_party_lp(inst, p, 0.0))
-                         for p in range(inst.customer_count + 1)]
-
-    def _division_of(self, x_relax):
-        mp = self.mpec
-        vals = [float(x_relax[mp.div_disco_col])]
-        vals += [float(x_relax[c]) for c in mp.div_cust_cols]
-        return tuple(round(max(0.0, v), 9) for v in vals)
+        party_lps = [build_party_lp(inst, p, 0.0) for p in range(inst.customer_count + 1)]
+        self.costs = [plp.c for plp in party_lps]
+        self.families = [CapacityFamily(plp) for plp in party_lps]
 
     def try_point(self, x_relax):
         """Returns (x, objective) or None if this division was already tried
-        or the stitched point fails verification."""
-        key = self._division_of(x_relax)
+        or the stitched point fails verification. Each party is solved at
+        the relaxation's exact share; the share rounded to 9 digits only
+        keys the cache of tried divisions."""
+        mp = self.mpec
+        shares = np.maximum(0.0, x_relax[[lay.cap_col for lay in mp.parties()]])
+        key = tuple(round(float(v), 9) for v in shares)
         if key in self.seen:
             return None
         self.seen.add(key)
-        mp = self.mpec
         inst = mp.instance
         t = inst.grid.slot_count
         x = np.zeros(self.feas_lp.n_vars)
-        x[mp.div_disco_col] = key[0]
-        for i, c in enumerate(mp.div_cust_cols):
-            x[c] = key[1 + i]
         net = inst.loads.system_load.astype(float).copy()
         for p, lay in enumerate(mp.parties()):
-            cap = key[0] if lay.cap_col == mp.div_disco_col else key[1 + p]
-            sol = self.families[p].solve(cap)
+            x[lay.cap_col] = shares[p]
+            sol = self.families[p].solve(float(shares[p]))
             if sol.status != "optimal":
                 return None
             x[lay.x0: lay.x0 + lay.nx] = sol.x
@@ -281,8 +290,7 @@ class _DivisionHeuristic:
         return x, obj
 
 
-def _classify_milp(milp: MilpModel):
-    lp = milp.lp
+def _classify_milp(milp: MilpModel, lp: LinearProgram):
     pair_slacks = _pair_slacks(lp, milp.pairs)
     w_cols = milp.pairs[:, 0]
     u_cols = np.asarray(milp.binary_cols, dtype=int)
@@ -314,8 +322,7 @@ def _classify_milp(milp: MilpModel):
     return classify
 
 
-def _classify_lpcc(mpec: MpecModel):
-    lp = mpec.lp
+def _classify_lpcc(mpec: MpecModel, lp: LinearProgram):
     pair_slacks = _pair_slacks(lp, mpec.pairs)
     w_cols = mpec.pairs[:, 0]
     n_struct = lp.n_vars
@@ -323,7 +330,7 @@ def _classify_lpcc(mpec: MpecModel):
     def classify(sol):
         x = sol.x
         prod = x[w_cols] * pair_slacks(x)
-        if float(prod.max()) <= _COMP_TOL:
+        if float(prod.max()) <= _COMP_TOL and evaluate(lp, x).feasible(1e-6):
             return "incumbent", (x.copy(), float(sol.objective))
         q = int(np.argmax(prod))
         w_col, g_row = mpec.pairs[q].tolist()
@@ -333,12 +340,49 @@ def _classify_lpcc(mpec: MpecModel):
     return classify
 
 
-def _solve_tree(mpec: MpecModel, model, lp: LinearProgram, classify,
+def _with_chords(mpec: MpecModel, lp: LinearProgram, heur: _DivisionHeuristic) -> LinearProgram:
+    """lp plus one chord row per party p over its share column s_p:
+
+        -c_p.x_p + slope_p s_p >= -phi_p(lo) + slope_p lo,
+
+    with [lo, hi] the bounds of s_p in lp and slope_p the slope of phi_p
+    from lo to hi. phi_p is convex, so it lies on or below this chord on
+    [lo, hi], and every point whose dispatches are optimal satisfies the
+    row. phi_p(lo) and phi_p(hi) come from the heuristic's families."""
+    idx, val, off, names = [], [], [], []
+    for p, lay in enumerate(mpec.parties()):
+        lo, hi = float(lp.lb[lay.cap_col]), float(lp.ub[lay.cap_col])
+        ends = [heur.families[p].solve(cap) for cap in ((lo,) if hi == lo else (lo, hi))]
+        if any(sol.status != "optimal" for sol in ends):
+            continue  # no chord for this party: the relaxation stays valid, only weaker
+        phi_lo, phi_hi = ends[0].objective, ends[-1].objective
+        slope = (phi_hi - phi_lo) / (hi - lo) if hi > lo else 0.0
+        nz = np.flatnonzero(heur.costs[p])
+        cols, coefs = lay.x0 + nz, -heur.costs[p][nz]
+        if slope != 0.0:
+            cols, coefs = np.append(cols, lay.cap_col), np.append(coefs, slope)
+        idx.append(cols)
+        val.append(coefs)
+        off.append(slope * lo - phi_lo)
+        names.append(f"{lay.tag}chord")
+    return replace(
+        lp,
+        g=Rows.stack([lp.g, Rows.from_lists(idx, val)]),
+        g_offset=np.append(lp.g_offset, off),
+        g_cap=np.append(lp.g_cap, np.zeros(len(off))),
+        g_names=lp.g_names + tuple(names),
+    )
+
+
+def _solve_tree(mpec: MpecModel, model, lp: LinearProgram, classify_for,
                 options: SolveOptions | None, u_cols=None) -> SolveResult:
-    """Division heuristic, best-first tree over lp, then the dual polish
-    of the incumbent; u_cols are lp's binary columns, if it has any."""
+    """Division heuristic, best-first tree over lp and its chord rows, then
+    the dual polish of the incumbent. classify_for(tree_lp) gives the node
+    classifier; u_cols are lp's binary columns, if it has any."""
     heur = _DivisionHeuristic(mpec, lp, u_cols=u_cols)
-    result = _branch_and_bound(lp, options or SolveOptions(), classify, model, heur)
+    tree_lp = _with_chords(mpec, lp, heur)
+    result = _branch_and_bound(tree_lp, options or SolveOptions(), classify_for(tree_lp),
+                               model, heur)
     if result.x is not None:
         polished = _polish_duals(mpec, result.x, feas_lp=lp, u_cols=u_cols)
         if polished is not None:
@@ -354,7 +398,7 @@ def solve_milp(milp: MilpModel, options: SolveOptions | None = None) -> SolveRes
     non-increasing by construction (child bounds are clamped to their
     parent's).
     """
-    return _solve_tree(milp.mpec, milp, milp.lp, _classify_milp(milp), options,
+    return _solve_tree(milp.mpec, milp, milp.lp, partial(_classify_milp, milp), options,
                        u_cols=milp.binary_cols)
 
 
@@ -365,7 +409,7 @@ def solve_lpcc(mpec: MpecModel, options: SolveOptions | None = None) -> SolveRes
     equality, so every root-to-leaf path fixes a strictly growing set of
     columns and the tree is finite.
     """
-    return _solve_tree(mpec, mpec, mpec.lp, _classify_lpcc(mpec), options)
+    return _solve_tree(mpec, mpec, mpec.lp, partial(_classify_lpcc, mpec), options)
 
 
 def _polish_duals(mpec: MpecModel, x: np.ndarray, feas_lp: LinearProgram,

@@ -70,22 +70,44 @@ def division_fixture_n2(seed):
     return rand_instance(g, n=2, t=t, total_capacity=float(g.uniform(3.0, 15.0)))
 
 
+def interior_fixture():
+    """A one-customer day whose optimal division is interior (about 9.9 of
+    11.0 kWh to the DisCo): the chord rows do not close it at the root,
+    so both trees branch (59 lpcc nodes, 53 bigm)."""
+    return division_fixture(200)
+
+
 def stress_fixture():
     """Two customers over twelve slots; the largest tree the suite solves."""
     g = np.random.default_rng(304)
     return rand_instance(g, n=2, t=12, total_capacity=float(g.uniform(5.0, 15.0)))
 
 
-def assert_lower_level_optimal(mpec, res):
-    """Every party's dispatch in the division answer res is optimal at the
-    party's share s_p: c_p.x_p <= phi_p(s_p) + 1e-9 (1 + |phi_p|), with
-    phi_p from one CapacityFamily solve at s_p."""
+def day_long(n):
+    """A day of 24 slots with n customers."""
+    g = np.random.default_rng([5, n, 24])
+    return rand_instance(g, n=n, t=24, total_capacity=float(g.uniform(5.0, 15.0)))
+
+
+def lower_level_excess(mpec, x):
+    """(tag, c_p.x_p - phi_p(s_p), phi_p(s_p)) for every party of the
+    division point x, with phi_p from one CapacityFamily solve at the
+    party's share s_p."""
+    out = []
     for p, lay in enumerate(mpec.parties()):
         lp = build_party_lp(mpec.instance, p, 0.0)
-        phi = CapacityFamily(lp).solve(max(0.0, float(res.x[lay.cap_col])))
+        phi = CapacityFamily(lp).solve(max(0.0, float(x[lay.cap_col])))
         assert phi.status == "optimal", lay.tag
-        cost = float(lp.c @ res.x[lay.x0: lay.x0 + lay.nx]) + lp.objective_constant
-        assert cost <= phi.objective + 1e-9 * (1.0 + abs(phi.objective)), lay.tag
+        cost = float(lp.c @ x[lay.x0: lay.x0 + lay.nx]) + lp.objective_constant
+        out.append((lay.tag, cost - phi.objective, phi.objective))
+    return out
+
+
+def assert_lower_level_optimal(mpec, res):
+    """Every party's dispatch in the division answer res is optimal at the
+    party's share s_p: c_p.x_p <= phi_p(s_p) + 1e-9 (1 + |phi_p|)."""
+    for tag, excess, phi in lower_level_excess(mpec, res.x):
+        assert excess <= 1e-9 * (1.0 + abs(phi)), tag
 
 
 def assert_grid_not_below(grid, exact):

@@ -5,6 +5,8 @@ import pytest
 
 from storageshare.cli import main
 from storageshare.mps_io import read_mps
+from storageshare.synthetic import write_series
+from tests.conftest import interior_fixture
 
 
 @pytest.fixture
@@ -100,17 +102,32 @@ def test_cycle_runs_each_day(workdir, capsys):
     assert (out_dir / "profiles.csv").exists()
 
 
+def write_day(inst, directory, **extra):
+    """The input files of an instance: loads, prices and a config carrying
+    its storage parameters plus the extra keys."""
+    loads, prices, config = (directory / n for n in ("loads.csv", "prices.csv", "run.cfg"))
+    write_series(inst.loads.customer_load, inst.prices.lmp, inst.prices.tou, loads, prices)
+    st = inst.storage
+    keys = dict(slot_hours=inst.grid.slot_hours, total_capacity=st.total_capacity,
+                eta_ch=st.eta_ch, eta_dis=st.eta_dis, power_ratio=st.power_ratio,
+                soc_lower=st.soc_lower, soc_upper=st.soc_upper,
+                soc_ini_customer=float(st.soc_ini_customer[0]),
+                soc_ini_disco=st.soc_ini_disco, alpha=inst.weights.alpha, **extra)
+    config.write_text("".join(f"{k} = {v!r}\n" for k, v in keys.items()))
+    return [str(loads), str(prices)], config
+
+
 def test_cycle_reports_partial_failure(workdir, tmp_path, capsys):
-    slow_cfg = tmp_path / "slow.cfg"
-    slow_cfg.write_text("slot_hours = 4.0\ntotal_capacity = 0.4\n"
-                        "mode = lpcc\nnode_limit = 1\n")
+    # the README inputs close at the root node, so a node limit of 1 cannot
+    # stop them; this day's optimum is interior and its tree branches
+    day, slow_cfg = write_day(interior_fixture(), tmp_path, node_limit=1)
     out_dir = workdir["dir"] / "cyc_fail"
-    day = [str(workdir["loads"]), str(workdir["prices"])]
     rc = main(["cycle", "--config", str(slow_cfg), "--day", *day,
                "--out", str(out_dir)])
     err = capsys.readouterr().err
     assert rc == 1
     assert "failed" in err
+    assert "ended limit" in err
 
 
 def test_missing_file_exits_two(workdir, capsys):

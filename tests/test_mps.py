@@ -1,3 +1,4 @@
+import hashlib
 import io
 import tracemalloc
 
@@ -332,3 +333,22 @@ def test_reader_summaries(name, tmp_path):
     path = tmp_path / "case.mps"
     path.write_text(text)
     assert read_mps(path) == expected
+
+
+def test_fleet_mps_bytes_are_pinned(tmp_path):
+    # the seed-1 fleet (100 customers x 48 half-hour slots, 800 kWh) as
+    # the benchmark exports it; the tree solvers' chord rows live in their
+    # own copy of the LP and never reach the model or its MPS bytes
+    loads, lmp, tou = synth_series("typical", "conforming", n_customers=100,
+                                   n_slots=48, seed=1)
+    inst = make_instance(lmp=lmp, tou=tou, customer_load=loads, slot_hours=0.5,
+                         total_capacity=800.0, eta_ch=0.92, eta_dis=0.92, power_ratio=0.25,
+                         lambda1=0.8, lambda2=6.69, lambda3=1.0)
+    path = tmp_path / "fleet.mps"
+    export_mps(linearize_big_m(assemble_mpec(inst)), path)
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    assert digest.hexdigest() == (
+        "8c03334398266478a0985b74bc23d1692bde4ba03524c4dffe55e57dd1dcca35")

@@ -23,7 +23,13 @@ from storageshare.scenarios import (
 )
 from storageshare.solver import SolveOptions
 from storageshare.synthetic import synth_series
-from tests.conftest import DIVISION_FIXTURES, division_fixture, rand_instance
+from tests.conftest import (
+    DIVISION_FIXTURES,
+    assert_lower_level_optimal,
+    division_fixture,
+    interior_fixture,
+    rand_instance,
+)
 
 
 def conflict_instance(capacity=0.4):
@@ -190,7 +196,7 @@ def test_daily_cycle_identical_days_repeat():
 
 def test_daily_cycle_records_failures_and_continues():
     fine = DIVISION_FIXTURES[0][1]()  # zero capacity: root-only solve
-    hard = division_fixture(202)
+    hard = interior_fixture()
     opts = SolveOptions(node_limit=1)
     result = daily_cycle([fine, hard], opts, mode="lpcc")
     assert [r.day for r in result.reports] == [0]
@@ -201,6 +207,11 @@ def test_daily_cycle_records_failures_and_continues():
 
 def test_scenario_error_carries_solver_status():
     with pytest.raises(ScenarioError) as info:
-        run_scenario(division_fixture(202), ScenarioId.SHARED,
+        run_scenario(interior_fixture(), ScenarioId.SHARED,
                      SolveOptions(node_limit=1), mode="lpcc")
     assert getattr(info.value, "status", None) == "limit"
+    # without the node limit the same day branches past the root and solves
+    mpec = assemble_mpec(interior_fixture())
+    res = solve_division(mpec, SolveOptions(), "lpcc", None)[0]
+    assert res.status == "optimal" and res.node_count > 1
+    assert_lower_level_optimal(mpec, res)

@@ -19,7 +19,12 @@ from storageshare.simplex import (
     _reanchor,
     solve_lp_engine,
 )
-from tests.conftest import DIVISION_FIXTURES, rand_instance
+from tests.conftest import (
+    DIVISION_FIXTURES,
+    assert_lower_level_optimal,
+    interior_fixture,
+    rand_instance,
+)
 from tests.lp_oracle import brute_optimum, dual_objective, random_feasible_lp
 from tests.test_lp_build import scipy_solve
 
@@ -623,9 +628,10 @@ def test_warm_resolves_start_from_a_kept_or_a_rebuilt_inverse(monkeypatch):
     monkeypatch.setattr(solver, "Simplex", Engine)
     monkeypatch.setattr(solver, "CapacityFamily", Family)
     monkeypatch.setattr(Simplex, "resolve", counted)
-    fixtures = dict(DIVISION_FIXTURES)
-    res = solver.solve_lpcc(assemble_mpec(fixtures["pair250"]()))
+    mpec = assemble_mpec(interior_fixture())
+    res = solver.solve_lpcc(mpec)
     assert res.status == "optimal"
+    assert_lower_level_optimal(mpec, res)
     tree_calls = sum(calls.get(id(e), 0) for e in engines)
     assert tree_calls == res.node_count - 1
     # the tree engines and the heuristic's capacity families alike

@@ -1,21 +1,27 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from storageshare import solver
 from storageshare.instance import upper_objective, zero_schedules
-from storageshare.lp import build_llm_c, build_llm_d, make_lp
+from storageshare.lp import build_llm_c, build_llm_d, build_party_lp, make_lp
 from storageshare.mpec import assemble_mpec, derive_kkt, linearize_big_m, validate_big_m
 from storageshare.oracle import check_kkt_residuals, grid_oracle
-from storageshare.scenarios import solve_division
+from storageshare.scenarios import _pin_customers_only, solve_division
+from storageshare.simplex import CapacityFamily, Simplex
 from storageshare.solver import SolveOptions, extract_solution, solve_lpcc, solve_milp
 from tests.conftest import (
+    DIVISION_FIXTURES,
     assert_grid_not_below,
     assert_lower_level_optimal,
+    day_long,
     division_fixture,
     division_fixture_n2,
+    interior_fixture,
     rand_instance,
+    stress_fixture,
 )
 
 
@@ -132,9 +138,11 @@ def test_histories_are_monotone():
 
 
 def test_node_limit_yields_limit_status():
-    inst = division_fixture(202)
+    inst = interior_fixture()
     milp = linearize_big_m(assemble_mpec(inst))
     full = solve_milp(milp)
+    assert full.status == "optimal" and full.node_count > 7
+    assert_lower_level_optimal(milp.mpec, full)
     res = solve_milp(milp, SolveOptions(node_limit=5))
     assert res.status == "limit"
     assert res.exit_code == 4
@@ -145,11 +153,13 @@ def test_node_limit_yields_limit_status():
 
 
 def test_time_limit_yields_limit_status():
-    inst = division_fixture(203)
+    inst = interior_fixture()
     mpec = assemble_mpec(inst)
     res = solve_lpcc(mpec, SolveOptions(time_limit=1e-3))
     assert res.status == "limit"
     assert res.exit_code == 4
+    if res.x is not None:  # an incumbent found before the limit is still bilevel feasible
+        assert_lower_level_optimal(mpec, res)
 
 
 def test_runs_are_deterministic():
@@ -253,3 +263,101 @@ def test_zero_capacity_division_is_exact():
         assert np.all(schedules.customer_dis == 0.0)
         assert np.all(schedules.disco_ch == 0.0)
         assert np.all(schedules.disco_dis == 0.0)
+
+
+def _tree_lp(mpec):
+    """The LP the trees search: mpec.lp plus the chord rows."""
+    return solver._with_chords(mpec, mpec.lp, solver._DivisionHeuristic(mpec, mpec.lp))
+
+
+def test_value_functions_lie_on_or_below_their_chords():
+    # each party's optimal cost phi_p is convex in its share, so at any
+    # share the optimal dispatch satisfies the party's chord row
+    days = [build() for _, build in DIVISION_FIXTURES] + [stress_fixture(), day_long(1)]
+    for inst in days:
+        mpec = assemble_mpec(inst)
+        tree_lp = _tree_lp(mpec)
+        chords = tree_lp.g.take(np.arange(mpec.lp.n_g, tree_lp.n_g))
+        rhs = tree_lp.b_g()[mpec.lp.n_g:]
+        for p, lay in enumerate(mpec.parties()):
+            family = CapacityFamily(build_party_lp(inst, p, 0.0))
+            for share in np.linspace(0.0, inst.storage.total_capacity, 41):
+                phi = family.solve(share)
+                assert phi.status == "optimal"
+                z = np.zeros(tree_lp.n_vars)
+                z[lay.cap_col] = share
+                z[lay.x0: lay.x0 + lay.nx] = phi.x
+                slack = chords.dot(z)[p] - rhs[p]
+                assert slack >= -1e-9 * (1.0 + abs(phi.objective)), (lay.tag, share)
+
+
+def test_trees_search_one_chord_row_per_party(monkeypatch):
+    tree_lps = []
+
+    class Engine(Simplex):
+        def __init__(self, lp):
+            super().__init__(lp)
+            tree_lps.append(lp)
+
+    monkeypatch.setattr(solver, "Simplex", Engine)
+    inst = division_fixture_n2(219)
+    mpec = assemble_mpec(inst)
+    milp = linearize_big_m(mpec)
+    rl, rm = solve_lpcc(mpec), solve_milp(milp)
+    assert rl.status == rm.status == "optimal"
+    parties = len(mpec.parties())
+    for base, tree_lp in zip((mpec.lp, milp.lp), tree_lps):
+        assert tree_lp.n_g == base.n_g + parties
+        assert (tree_lp.n_vars, tree_lp.n_h) == (base.n_vars, base.n_h)
+        assert tree_lp.g_names[base.n_g:] == tuple(f"{lay.tag}chord" for lay in mpec.parties())
+        head = tree_lp.g.take(np.arange(base.n_g))
+        for a, b in ((head.indptr, base.g.indptr), (head.indices, base.g.indices),
+                     (head.data, base.g.data), (tree_lp.b_g()[: base.n_g], base.b_g())):
+            np.testing.assert_array_equal(a, b)
+    # the models themselves are untouched: no chord row in mpec.lp or its
+    # linearization
+    fresh = assemble_mpec(inst)
+    for a, b in ((mpec.lp, fresh.lp), (milp.lp, linearize_big_m(fresh).lp)):
+        assert (a.n_g, a.g_names) == (b.n_g, b.g_names)
+        np.testing.assert_array_equal(a.g.data, b.g.data)
+        np.testing.assert_array_equal(a.b_g(), b.b_g())
+
+
+def test_a_pinned_share_gets_the_exact_chord():
+    # with the DisCo's share fixed at 0, its chord is c_d.x_d <= phi_d(0),
+    # a row without the share column
+    mpec = _pin_customers_only(assemble_mpec(division_fixture_n2(219)))
+    tree_lp = _tree_lp(mpec)
+    row = mpec.lp.n_g + len(mpec.customers)
+    cols, coefs = tree_lp.g.row(row)
+    d = mpec.disco
+    c_d = build_party_lp(mpec.instance, len(mpec.customers), 0.0).c
+    assert mpec.div_disco_col not in cols
+    np.testing.assert_array_equal(cols, d.x0 + np.flatnonzero(c_d))
+    np.testing.assert_array_equal(coefs, -c_d[c_d != 0.0])
+    assert tree_lp.b_g()[row] == 0.0  # phi_d(0) = 0: no battery, no dispatch
+
+
+def test_lpcc_takes_no_incumbent_that_breaks_a_row():
+    mpec = assemble_mpec(division_fixture(202))
+    tree_lp = _tree_lp(mpec)
+    classify = solver._classify_lpcc(mpec, tree_lp)
+    res = solve_lpcc(mpec)
+    node = replace(Simplex(tree_lp).solve(), x=res.x, objective=res.objective)
+    assert classify(node)[0] == "incumbent"
+    # a peak below the flows breaks every peak row but no pair product
+    x = res.x.copy()
+    x[mpec.peak_col] -= 1.0
+    kind, _ = classify(replace(node, x=x))
+    assert kind == "branch"
+
+
+def test_long_day_closes_on_the_relaxation_shares():
+    # stitched at shares rounded to 9 digits, the heuristic's incumbent
+    # sat 2.9e-9 above the bound, which the 1e-9 prune cannot close, and
+    # the tree ran past a 100-node budget
+    mpec = assemble_mpec(day_long(2))
+    res = solve_lpcc(mpec, SolveOptions(node_limit=100))
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(204.5507650943, abs=1e-9)
+    assert_lower_level_optimal(mpec, res)

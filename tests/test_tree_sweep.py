@@ -13,18 +13,19 @@ def _write(path, records):
 
 
 def test_compare_sums_times_and_flags_differing_objectives(tmp_path, capsys):
-    def rec(seed, mode, status, obj, seconds, nodes, grid=10.0):
+    def rec(seed, mode, status, obj, seconds, nodes, grid=10.0, excess=0.0, phi=-2.0):
         return {"seed": seed, "mode": mode, "status": status, "nodes": nodes,
-                "iterations": 1, "objective": obj, "seconds": seconds, "grid": grid}
+                "iterations": 1, "objective": obj, "seconds": seconds, "grid": grid,
+                "ll_excess": excess, "ll_phi": phi}
 
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     _write(a, [rec(1, "lpcc", "optimal", 10.0, 1.0, 5, grid=10.0 - 1e-7),
-               rec(1, "bigm", "optimal", 10.0, 2.0, 7),
+               rec(1, "bigm", "optimal", 10.0, 2.0, 7, excess=4e-9),
                rec(2, "lpcc", "optimal", 3.0, 1.0, 9),
                rec(2, "bigm", "limit", 3.0, 4.0, 50)])
     _write(b, [rec(1, "lpcc", "optimal", 10.0 + 5e-5, 0.5, 6, grid=10.0 + 5e-5),
-               rec(1, "bigm", "optimal", 10.0, 1.0, 7),
-               rec(2, "lpcc", "optimal", 3.0 + 5e-7, 0.5, 9),
+               rec(1, "bigm", "optimal", 10.0, 1.0, 7, excess=2e-9),  # 1e-9 (1 + |-2|) = 3e-9
+               rec(2, "lpcc", "optimal", 3.0 + 5e-7, 0.5, 9, excess=3e-6, phi=-3e3),
                rec(2, "bigm", "limit", 2.0, 3.0, 50)])
     assert tree_sweep.compare(str(a), str(b)) == 1
     out = capsys.readouterr().out
@@ -34,6 +35,8 @@ def test_compare_sums_times_and_flags_differing_objectives(tmp_path, capsys):
     assert "seed 2" not in out  # within 1e-6, or not optimal on both sides
     assert "grid below lpcc at 1e-09 in A: 1\n" in out
     assert "grid below lpcc at 1e-09 in B: none\n" in out
+    assert "lower-level excess above 1e-09 in A: 1/bigm\n" in out
+    assert "lower-level excess above 1e-09 in B: none\n" in out
 
 
 def test_sweep_records_the_grid_objective(tmp_path):
@@ -44,3 +47,6 @@ def test_sweep_records_the_grid_objective(tmp_path):
     lpcc = records[0]
     assert lpcc["status"] == "optimal" and records[1]["grid"] == lpcc["grid"]
     assert tree_sweep.grid_below({(213, "lpcc"): lpcc}) == []
+    for r in records:  # each answer's worst lower-level excess, within tolerance
+        assert abs(r["ll_excess"]) <= 1e-9 * (1.0 + abs(r["ll_phi"]))
+    assert tree_sweep.lower_level_above({(213, r["mode"]): r for r in records}) == []

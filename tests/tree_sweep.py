@@ -6,12 +6,16 @@
 The first form solves tests.conftest.division_fixture(seed) for every seed,
 with solve_lpcc and with the bigm path of scenarios.solve_division
 (validation and escalation included), and writes one JSON line per (seed,
-mode) with the status, nodes, LP iterations, objective and seconds, plus
-the seed's grid_oracle objective at step C/20. The second reads two such
-files and prints, per mode, the summed seconds and nodes of each and every
-seed where both solves are optimal and the objectives differ by more than
-1e-6 relative; then, per file, the seeds where the grid lies more than
-1e-9 relative below an optimal lpcc objective, which no correct grid can.
+mode) with the status, nodes, LP iterations, objective and seconds, the
+answer's worst lower-level excess, plus the seed's grid_oracle objective
+at step C/20. The excess is c_p.x_p - phi_p(s_p) of the party where it is
+largest relative to 1 + |phi_p(s_p)| (ll_excess, with that phi as ll_phi).
+The second form reads two such files and prints, per mode, the summed
+seconds and nodes of each and every seed where both solves are optimal
+and the objectives differ by more than 1e-6 relative; then, per file, the
+seeds where the grid lies more than 1e-9 relative below an optimal lpcc
+objective, which no correct grid can, and the (seed, mode) answers whose
+excess is above 1e-9 (1 + |phi|), whose dispatch is then not optimal.
 Run both sides of a comparison on the same machine, one after the other.
 """
 
@@ -26,6 +30,7 @@ import time
 MODES = ("lpcc", "bigm")
 OBJ_TOL = 1e-6
 GRID_TOL = 1e-9
+LL_TOL = 1e-9
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -42,15 +47,20 @@ def solve_one(seed: int, mode: str, node_limit: int) -> dict:
     from storageshare.scenarios import solve_division
     from storageshare.solver import SolveOptions
 
-    from tests.conftest import division_fixture
+    from tests.conftest import division_fixture, lower_level_excess
 
     model = assemble_mpec(division_fixture(seed))
     t0 = time.perf_counter()
     res = solve_division(model, SolveOptions(node_limit=node_limit), mode, None)[0]
     seconds = time.perf_counter() - t0
-    return {"seed": seed, "mode": mode, "status": res.status, "nodes": res.node_count,
-            "iterations": res.iterations, "objective": float(res.objective),
-            "seconds": round(seconds, 4)}
+    rec = {"seed": seed, "mode": mode, "status": res.status, "nodes": res.node_count,
+           "iterations": res.iterations, "objective": float(res.objective),
+           "seconds": round(seconds, 4)}
+    if res.x is not None:
+        _, excess, phi = max(lower_level_excess(model, res.x),
+                             key=lambda e: e[1] / (1.0 + abs(e[2])))
+        rec.update(ll_excess=excess, ll_phi=phi)
+    return rec
 
 
 def grid_objective(seed: int) -> float:
@@ -86,6 +96,13 @@ def grid_below(records: dict) -> list[int]:
             and r["grid"] < r["objective"] - GRID_TOL * max(1.0, abs(r["objective"]))]
 
 
+def lower_level_above(records: dict) -> list[tuple[int, str]]:
+    """(seed, mode) of the answers whose worst lower-level excess is above
+    LL_TOL (1 + |phi|)."""
+    return [key for key, r in sorted(records.items())
+            if "ll_excess" in r and r["ll_excess"] > LL_TOL * (1.0 + abs(r["ll_phi"]))]
+
+
 def compare(path_a: str, path_b: str) -> int:
     """Print the comparison; returns the number of differing objectives."""
     a, b = _load(path_a), _load(path_b)
@@ -112,6 +129,9 @@ def compare(path_a: str, path_b: str) -> int:
         seeds = grid_below(records)
         print(f"grid below lpcc at {GRID_TOL:g} in {side}: "
               f"{', '.join(map(str, seeds)) if seeds else 'none'}")
+        above = [f"{seed}/{mode}" for seed, mode in lower_level_above(records)]
+        print(f"lower-level excess above {LL_TOL:g} in {side}: "
+              f"{', '.join(above) if above else 'none'}")
     return differ
 
 
