@@ -57,7 +57,10 @@ def _solve_settings(args, config):
     """Solve options and mode: the config's, with --time-limit/--mode applied."""
     opts = config.solve_options()
     if args.time_limit is not None:
-        opts = replace(opts, time_limit=args.time_limit)
+        try:
+            opts = replace(opts, time_limit=args.time_limit)
+        except ValueError as exc:
+            raise DataError(f"--time-limit: {exc}") from None
     mode = args.mode if args.mode is not None else config.values["mode"]
     return opts, mode
 

@@ -88,7 +88,8 @@ class RunConfig:
 
 
 def parse_config(path) -> RunConfig:
-    """Parse a flat key = value config file against the fixed schema."""
+    """Parse a flat key = value config file against the fixed schema; its
+    solve options and big-M policy are built here to check their values."""
     values = {k: d for k, (_, d) in _CONFIG_SCHEMA.items()}
     provided = set()
     with open(path) as fh:
@@ -118,7 +119,13 @@ def parse_config(path) -> RunConfig:
     if values["mode"] not in MODES:
         raise DataError(f"{path}: mode must be one of {MODES}, "
                         f"got {values['mode']!r}")
-    return RunConfig(values=values, provided=frozenset(provided))
+    config = RunConfig(values=values, provided=frozenset(provided))
+    for prefix, build in (("", config.solve_options), ("big_m_", config.big_m_policy)):
+        try:
+            build()
+        except ValueError as exc:
+            raise DataError(f"{path}: key {prefix}{exc}") from None  # exc names the field
+    return config
 
 
 def _rows(path, header, n_fields):

@@ -189,8 +189,8 @@ def validate_instance(raw: Instance) -> Instance:
     grid = raw.grid
     if grid.slot_count < 2:
         raise InstanceError(f"slot_count must be >= 2, got {grid.slot_count}")
-    if not grid.slot_hours > 0:
-        raise InstanceError(f"slot_hours must be > 0, got {grid.slot_hours}")
+    if not 0 < grid.slot_hours < np.inf:
+        raise InstanceError(f"slot_hours must be finite and > 0, got {grid.slot_hours}")
     t = grid.slot_count
     n = raw.customer_count
     if n < 1:
@@ -212,17 +212,18 @@ def validate_instance(raw: Instance) -> Instance:
     base = np.asarray(raw.loads.extra_base_load, float)
     if base.shape != (t,):
         raise InstanceError(f"extra_base_load has shape {base.shape}, expected ({t},)")
-    if np.any(cl < 0) or np.any(base < 0):
-        raise InstanceError("loads must be nonnegative")
+    for name, arr in (("customer_load", cl), ("extra_base_load", base)):
+        if not np.all((arr >= 0) & (arr < np.inf)):
+            raise InstanceError(f"{name} must be finite and nonnegative")
 
     st = raw.storage
-    if not st.total_capacity >= 0:
-        raise InstanceError(f"total_capacity must be >= 0, got {st.total_capacity}")
+    if not 0 <= st.total_capacity < np.inf:
+        raise InstanceError(f"total_capacity must be finite and >= 0, got {st.total_capacity}")
     for name, eta in (("eta_ch", st.eta_ch), ("eta_dis", st.eta_dis)):
         if not 0 < eta <= 1:
             raise InstanceError(f"{name} must be in (0, 1], got {eta}")
-    if not st.power_ratio > 0:
-        raise InstanceError(f"power_ratio must be > 0, got {st.power_ratio}")
+    if not 0 < st.power_ratio < np.inf:
+        raise InstanceError(f"power_ratio must be finite and > 0, got {st.power_ratio}")
     if not 0 <= st.soc_lower <= st.soc_upper <= 1:
         raise InstanceError(
             f"need 0 <= soc_lower <= soc_upper <= 1, got ({st.soc_lower}, {st.soc_upper})"
@@ -239,17 +240,17 @@ def validate_instance(raw: Instance) -> Instance:
     for label, v in [("soc_ini_disco", np.array([st.soc_ini_disco]))] + [
         ("soc_ini_customer", soc_ini_c)
     ]:
-        if np.any(v < st.soc_lower - 1e-12) or np.any(v > st.soc_upper + 1e-12):
+        if not np.all((v >= st.soc_lower - 1e-12) & (v <= st.soc_upper + 1e-12)):
             raise InstanceError(
                 f"{label} outside [soc_lower, soc_upper] = [{st.soc_lower}, {st.soc_upper}]"
             )
 
     w = raw.weights
-    if not w.lambda1 > 0:
-        raise InstanceError(f"lambda1 must be > 0 (peak linearization), got {w.lambda1}")
+    if not 0 < w.lambda1 < np.inf:
+        raise InstanceError(f"lambda1 must be finite and > 0 (peak linearization), got {w.lambda1}")
     for name, v in (("lambda2", w.lambda2), ("lambda3", w.lambda3), ("alpha", w.alpha)):
-        if v < 0:
-            raise InstanceError(f"{name} must be >= 0, got {v}")
+        if not 0 <= v < np.inf:
+            raise InstanceError(f"{name} must be finite and >= 0, got {v}")
 
     return Instance(
         grid=grid,

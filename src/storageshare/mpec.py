@@ -116,12 +116,12 @@ class BigMPolicy:
     max_rounds: int = 3
 
     def check(self):
-        vals = [self.primal_safety, self.primal_floor, self.dual_scale,
-                self.dual_floor, self.escalation]
-        if not all(np.isfinite(v) and v > 0 for v in vals):
-            raise ValueError("big-M policy values must be positive and finite")
-        if self.max_rounds < 0:
-            raise ValueError("max_rounds must be >= 0")
+        for name in ("primal_safety", "primal_floor", "dual_scale", "dual_floor", "escalation"):
+            v = getattr(self, name)
+            if not 0 < v < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {v}")
+        if not self.max_rounds >= 0:
+            raise ValueError(f"max_rounds must be >= 0, got {self.max_rounds}")
         return self
 
 

@@ -5,8 +5,11 @@ Two entry points: solve_milp branches on the binaries of a big-M
 linearized division model (mpec.MilpModel), and solve_lpcc branches
 directly on complementarity pairs without big-M constants. Both run one
 driver: a division heuristic, a best-first core with warm-started node
-LPs and a dual polish of the final incumbent. Node order and therefore
-node counts are deterministic for a fixed model.
+LPs and a dual re-read of the final incumbent: each party's multipliers
+from the heuristic's warm family at the answer's share, kept when they are
+complementary to the answer's rows, which certifies by LP duality that
+every dispatch is optimal at its share. Node order and therefore node
+counts are deterministic for a fixed model.
 
 The LP both trees search is the model's LP plus one chord row per party
 p: c_p.x_p <= phi_p(lo) + (phi_p(hi) - phi_p(lo)) / (hi - lo) (s_p - lo),
@@ -32,17 +35,16 @@ from functools import partial
 import numpy as np
 
 from .instance import Division, Instance, ScheduleSet
-from .lp import LinearProgram, Rows, build_party_lp, evaluate, make_lp
+from .lp import LinearProgram, Rows, build_party_lp, evaluate
 from .mpec import MilpModel, MpecModel
 from .oracle import check_schedule_invariants
-from .simplex import CapacityFamily, Simplex, solve_lp_engine
+from .simplex import CapacityFamily, Simplex
 
 _EXIT_CODES = {"optimal": 0, "infeasible": 2, "unbounded": 3, "limit": 4}
 MODES = ("bigm", "lpcc")  # solve_milp on the big-M model, or solve_lpcc
 _INT_TOL = 1e-6
 _COMP_TOL = 1e-7  # pair products at or below this count as complementary
 _SETTLED_TOL = 1e-9  # a binary this near 0 or 1 is taken as fixed by a branch
-_ACT_TOL = 1e-6  # polish: a row is active when its slack is below this x scale
 
 
 @dataclass(frozen=True)
@@ -52,12 +54,13 @@ class SolveOptions:
     time_limit: float = 600.0
 
     def __post_init__(self):
-        if self.gap_target < 0:
-            raise ValueError("gap_target must be >= 0")
-        if self.node_limit < 1:
-            raise ValueError("node_limit must be >= 1")
-        if self.time_limit <= 0:
-            raise ValueError("time_limit must be positive")
+        # negated comparisons: NaN fails every one of them
+        if not self.gap_target >= 0:
+            raise ValueError(f"gap_target must be >= 0, got {self.gap_target}")
+        if not self.node_limit >= 1:
+            raise ValueError(f"node_limit must be >= 1, got {self.node_limit}")
+        if not self.time_limit > 0:
+            raise ValueError(f"time_limit must be positive, got {self.time_limit}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,6 +106,7 @@ def _branch_and_bound(lp, opts, classify, model, heuristic):
     heap: list = []
     seq = 0
     global_bound = -np.inf
+    gap_floor = np.inf  # lowest bound of a node that only gap_target pruned
     limit_hit = False
     node_count = 0
     iterations = 0
@@ -112,8 +116,17 @@ def _branch_and_bound(lp, opts, classify, model, heuristic):
             return 0.0
         return 1e-9 + opts.gap_target * max(1.0, abs(incumbent_obj))
 
+    def pruned(bound: float) -> bool:
+        nonlocal gap_floor
+        if incumbent_x is None or bound < incumbent_obj - prune_eps():
+            return False
+        if bound < incumbent_obj - 1e-9:
+            gap_floor = min(gap_floor, bound)
+        return True
+
     def raise_bound(b: float):
         nonlocal global_bound
+        b = min(b, gap_floor)  # a subtree the gap target pruned stays unsearched
         if b > global_bound:
             global_bound = b
             bound_hist.append(b)
@@ -135,7 +148,7 @@ def _branch_and_bound(lp, opts, classify, model, heuristic):
         if sol.status == "unbounded":
             return "unbounded"
         bound = max(float(sol.objective), parent_bound)
-        if incumbent_x is not None and bound >= incumbent_obj - prune_eps():
+        if pruned(bound):
             return None
         kind, payload = classify(sol)
         if kind == "incumbent":
@@ -144,7 +157,7 @@ def _branch_and_bound(lp, opts, classify, model, heuristic):
         side = heuristic.try_point(sol.x)
         if side is not None:
             take_incumbent(*side)
-            if bound >= incumbent_obj - prune_eps():
+            if pruned(bound):
                 return None
         heapq.heappush(heap, (bound, -len(fixes), seq, fixes, engine.snapshot(), payload))
         seq += 1
@@ -171,7 +184,7 @@ def _branch_and_bound(lp, opts, classify, model, heuristic):
             break
         bound, _, _, fixes, snap, branch = heapq.heappop(heap)
         raise_bound(bound)
-        if incumbent_x is not None and bound >= incumbent_obj - prune_eps():
+        if pruned(bound):
             continue
         for col, lo_fix, hi_fix in branch:
             lo, hi = base_lo.copy(), base_hi.copy()
@@ -211,7 +224,7 @@ def _branch_and_bound(lp, opts, classify, model, heuristic):
     else:
         best_bound = min(global_bound, incumbent_obj)
         objective = incumbent_obj if incumbent_x is not None else np.nan
-        gap = 0.0 if status == "optimal" else _relative_gap(objective, best_bound)
+        gap = _relative_gap(objective, best_bound)
     return SolveResult(
         status=status,
         x=incumbent_x,
@@ -243,7 +256,8 @@ class _DivisionHeuristic:
     together with the implied system peak gives an incumbent; the division
     is read off a node relaxation, and repeats are skipped via a cache.
     Each party has one warm family (simplex.CapacityFamily) for the whole
-    tree solve, so a new share is a dual-simplex bound change.
+    tree solve, so a new share is a dual-simplex bound change. The same
+    families give the tree's answer its multipliers (read_families).
     """
 
     def __init__(self, mpec: MpecModel, feas_lp: LinearProgram, u_cols=None):
@@ -257,37 +271,53 @@ class _DivisionHeuristic:
         self.costs = [plp.c for plp in party_lps]
         self.families = [CapacityFamily(plp) for plp in party_lps]
 
+    def read_families(self, x: np.ndarray, dispatch: bool) -> np.ndarray | None:
+        """Write into x each party's multipliers from its family at the
+        party's share in x (at 0 if a hair below), with dispatch also its
+        dispatch and the implied system peak. Returns x, binaries re-settled,
+        if the multipliers are complementary to x's rows and x passes
+        feas_lp, else None. Dual-feasible multipliers complementary to a
+        feasible x certify that each dispatch in x is optimal at its share."""
+        mp = self.mpec
+        t = mp.instance.grid.slot_count
+        net = mp.instance.loads.system_load.astype(float)
+        for p, lay in enumerate(mp.parties()):
+            sol = self.families[p].solve(max(0.0, float(x[lay.cap_col])))
+            if sol.status != "optimal":
+                return None
+            x[lay.w0: lay.w0 + lay.nw] = sol.dual_g
+            x[lay.v0: lay.v0 + lay.nv] = sol.dual_h
+            if dispatch:
+                x[lay.x0: lay.x0 + lay.nx] = sol.x
+                net += sol.x[:t] - sol.x[t: 2 * t]
+        if dispatch:
+            x[mp.peak_col] = float(net.max())
+        w = x[mp.pairs[:, 0]]
+        slack = self.pair_slacks(x)
+        if float(np.abs(w * slack).max(initial=0.0)) > _COMP_TOL:
+            return None
+        if self.u_cols is not None:
+            x[self.u_cols] = w > slack
+        if not evaluate(self.feas_lp, x).feasible(1e-6):
+            return None
+        return x
+
     def try_point(self, x_relax):
         """Returns (x, objective) or None if this division was already tried
         or the stitched point fails verification. Each party is solved at
         the relaxation's exact share; the share rounded to 9 digits only
         keys the cache of tried divisions."""
-        mp = self.mpec
-        shares = np.maximum(0.0, x_relax[[lay.cap_col for lay in mp.parties()]])
+        cap_cols = [lay.cap_col for lay in self.mpec.parties()]
+        shares = np.maximum(0.0, x_relax[cap_cols])
         key = tuple(round(float(v), 9) for v in shares)
         if key in self.seen:
             return None
         self.seen.add(key)
-        inst = mp.instance
-        t = inst.grid.slot_count
         x = np.zeros(self.feas_lp.n_vars)
-        net = inst.loads.system_load.astype(float).copy()
-        for p, lay in enumerate(mp.parties()):
-            x[lay.cap_col] = shares[p]
-            sol = self.families[p].solve(float(shares[p]))
-            if sol.status != "optimal":
-                return None
-            x[lay.x0: lay.x0 + lay.nx] = sol.x
-            x[lay.w0: lay.w0 + lay.nw] = sol.dual_g
-            x[lay.v0: lay.v0 + lay.nv] = sol.dual_h
-            net += sol.x[:t] - sol.x[t: 2 * t]
-        x[mp.peak_col] = float(net.max())
-        if self.u_cols is not None:
-            x[self.u_cols] = x[mp.pairs[:, 0]] > self.pair_slacks(x)
-        if not evaluate(self.feas_lp, x).feasible(1e-6):
+        x[cap_cols] = shares
+        if self.read_families(x, dispatch=True) is None:
             return None
-        obj = float(self.feas_lp.c @ x) + self.feas_lp.objective_constant
-        return x, obj
+        return x, float(self.feas_lp.c @ x) + self.feas_lp.objective_constant
 
 
 def _classify_milp(milp: MilpModel, lp: LinearProgram):
@@ -377,16 +407,16 @@ def _with_chords(mpec: MpecModel, lp: LinearProgram, heur: _DivisionHeuristic) -
 def _solve_tree(mpec: MpecModel, model, lp: LinearProgram, classify_for,
                 options: SolveOptions | None, u_cols=None) -> SolveResult:
     """Division heuristic, best-first tree over lp and its chord rows, then
-    the dual polish of the incumbent. classify_for(tree_lp) gives the node
+    the dual re-read of the incumbent. classify_for(tree_lp) gives the node
     classifier; u_cols are lp's binary columns, if it has any."""
     heur = _DivisionHeuristic(mpec, lp, u_cols=u_cols)
     tree_lp = _with_chords(mpec, lp, heur)
     result = _branch_and_bound(tree_lp, options or SolveOptions(), classify_for(tree_lp),
                                model, heur)
     if result.x is not None:
-        polished = _polish_duals(mpec, result.x, feas_lp=lp, u_cols=u_cols)
-        if polished is not None:
-            result = replace(result, x=polished)
+        reread = heur.read_families(result.x.copy(), dispatch=False)
+        if reread is not None:
+            result = replace(result, x=reread)
     return result
 
 
@@ -410,54 +440,6 @@ def solve_lpcc(mpec: MpecModel, options: SolveOptions | None = None) -> SolveRes
     columns and the tree is finite.
     """
     return _solve_tree(mpec, mpec, mpec.lp, partial(_classify_lpcc, mpec), options)
-
-
-def _polish_duals(mpec: MpecModel, x: np.ndarray, feas_lp: LinearProgram,
-                  u_cols=None) -> np.ndarray | None:
-    """Recompute each party's multipliers as the smallest nonnegative
-    solution of its stationarity system supported on active rows.
-
-    Branching tolerances leave multipliers complementary only up to
-    _COMP_TOL; this cleanup restores exact complementarity where possible.
-    Returns the rewritten point, or None if the original should stand.
-    """
-    lp = mpec.lp
-    bg = lp.b_g()
-    bh = lp.b_h()
-    slack_all = lp.g.dot(x) - bg
-    out = x.copy()
-    for lay in mpec.parties():
-        slack = slack_all[lay.g0: lay.g0 + lay.nw]
-        scale = 1.0 + float(np.abs(bg[lay.g0: lay.g0 + lay.nw]).max(initial=0.0))
-        rows = np.arange(lay.stat0, lay.stat0 + lay.nx)
-        full = lp.h.take(rows).dense(lp.n_vars)
-        stat = full[:, np.r_[lay.w0: lay.w0 + lay.nw, lay.v0: lay.v0 + lay.nv]]
-        if np.count_nonzero(stat) != np.count_nonzero(full):
-            return None  # foreign column in a stationarity row
-        rhs = bh[rows]
-        sub_sol = None
-        for tol in (_ACT_TOL, _ACT_TOL * 100.0):
-            ub = np.where(slack <= tol * scale, np.inf, 0.0)
-            sub = make_lp(
-                c=np.concatenate([np.ones(lay.nw), np.zeros(lay.nv)]),
-                a_eq=stat, b_eq=rhs,
-                lb=np.concatenate([np.zeros(lay.nw), np.full(lay.nv, -np.inf)]),
-                ub=np.concatenate([ub, np.full(lay.nv, np.inf)]),
-                name=f"{lay.tag}polish",
-            )
-            cand = solve_lp_engine(sub)
-            if cand.status == "optimal":
-                sub_sol = cand
-                break
-        if sub_sol is None:
-            continue  # keep this party's multipliers as solved
-        out[lay.w0: lay.w0 + lay.nw] = sub_sol.x[: lay.nw]
-        out[lay.v0: lay.v0 + lay.nv] = sub_sol.x[lay.nw:]
-    if u_cols is not None:  # binary columns present, re-settle them
-        out[u_cols] = out[mpec.pairs[:, 0]] > _pair_slacks(lp, mpec.pairs)(out)
-    if not evaluate(feas_lp, out).feasible(1e-6):
-        return None
-    return out
 
 
 def extract_solution(result: SolveResult, instance: Instance):

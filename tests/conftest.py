@@ -3,7 +3,10 @@ import pytest
 
 from storageshare.instance import make_instance
 from storageshare.lp import build_party_lp
+from storageshare.mpec import derive_kkt
+from storageshare.oracle import check_kkt_residuals
 from storageshare.simplex import CapacityFamily
+from storageshare.solver import _COMP_TOL, _pair_slacks
 
 
 @pytest.fixture
@@ -108,6 +111,22 @@ def assert_lower_level_optimal(mpec, res):
     party's share s_p: c_p.x_p <= phi_p(s_p) + 1e-9 (1 + |phi_p|)."""
     for tag, excess, phi in lower_level_excess(mpec, res.x):
         assert excess <= 1e-9 * (1.0 + abs(phi)), tag
+
+
+def assert_multipliers_certify(mpec, res):
+    """The multipliers of the division answer res are complementary to its
+    pair rows at _COMP_TOL, and with each party's dispatch they pass that
+    party's optimality system at its share s_p (a hair below 0 read as 0)
+    to 1e-7."""
+    x = res.x
+    slack = _pair_slacks(mpec.lp, mpec.pairs)(x)
+    assert float(np.abs(x[mpec.pairs[:, 0]] * slack).max()) <= _COMP_TOL
+    for p, lay in enumerate(mpec.parties()):
+        kkt = derive_kkt(build_party_lp(mpec.instance, p, max(0.0, float(x[lay.cap_col]))))
+        report, ok = check_kkt_residuals(
+            kkt, x[lay.x0: lay.x0 + lay.nx], x[lay.w0: lay.w0 + lay.nw],
+            x[lay.v0: lay.v0 + lay.nv], tol=1e-7)
+        assert ok, (lay.tag, report)
 
 
 def assert_grid_not_below(grid, exact):

@@ -28,6 +28,7 @@ from tests.conftest import (
     DIVISION_FIXTURES,
     assert_grid_not_below,
     assert_lower_level_optimal,
+    assert_multipliers_certify,
     division_fixture,
     rand_instance,
     stress_fixture,
@@ -121,8 +122,9 @@ def test_dispatch_optimality_system_sound_and_complete():
 def test_division_solvers_triple_agreement():
     # every fixture: big-M tree, complementarity tree and the grid sweep
     # land on the same upper objective within 1e-6 relative, the grid not
-    # below it, every party's dispatch optimal at its share, and no big-M
-    # bound is binding at the incumbent. Whole sweep under 120 s.
+    # below it, every party's dispatch optimal at its share with multipliers
+    # that certify it, and no big-M bound is binding at the incumbent. Whole
+    # sweep under 120 s.
     t0 = time.perf_counter()
     for name, build in DIVISION_FIXTURES:
         inst = build()
@@ -137,8 +139,9 @@ def test_division_solvers_triple_agreement():
         assert abs(rm.objective - rl.objective) <= 1e-6 * scale, name
         assert abs(grid.best_objective - rl.objective) <= 1e-6 * scale, name
         assert_grid_not_below(grid.best_objective, rl.objective)
-        assert_lower_level_optimal(mpec, rm)
-        assert_lower_level_optimal(mpec, rl)
+        for res in (rm, rl):
+            assert_lower_level_optimal(mpec, res)
+            assert_multipliers_certify(mpec, res)
         assert validate_big_m(milp, rm.x).clean, name
     assert time.perf_counter() - t0 < 120.0
 

@@ -140,11 +140,25 @@ def test_missing_file_exits_two(workdir, capsys):
 
 def test_malformed_config_exits_two(workdir, capsys):
     bad = workdir["dir"] / "bad.cfg"
-    bad.write_text("slot_hours = 4.0\ntotal_capacity = 0.4\nwooble = 1\n")
-    rc = main(["solve", *["--loads", str(workdir["loads"]), "--prices",
-               str(workdir["prices"]), "--config", str(bad)]])
+    for line, fragment in (("wooble = 1", "unknown key"),
+                           ("gap_target = -1", "bad.cfg: key gap_target"),
+                           ("gap_target = nan", "bad.cfg: key gap_target"),
+                           ("node_limit = 0", "bad.cfg: key node_limit"),
+                           ("time_limit = nan", "bad.cfg: key time_limit"),
+                           ("big_m_dual_scale = nan", "bad.cfg: key big_m_dual_scale"),
+                           ("alpha = nan", "alpha"),
+                           ("soc_ini_disco = nan", "soc_ini_disco")):
+        bad.write_text(f"slot_hours = 4.0\ntotal_capacity = 0.4\n{line}\n")
+        rc = main(["solve", *["--loads", str(workdir["loads"]), "--prices",
+                   str(workdir["prices"]), "--config", str(bad)]])
+        assert rc == 2, line
+        assert fragment in capsys.readouterr().err, line
+
+
+def test_bad_time_limit_flag_exits_two(workdir, capsys):
+    rc = main(["solve", *args_for(workdir, "--time-limit", "nan")])
     assert rc == 2
-    assert "unknown key" in capsys.readouterr().err
+    assert "time_limit" in capsys.readouterr().err
 
 
 def test_gen_data_rejects_bad_shape(tmp_path):

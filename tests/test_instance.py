@@ -58,6 +58,17 @@ def test_system_load_recomputed_not_trusted():
         (dict(lambda1=0.0), "lambda1"),
         (dict(alpha=-0.01), "alpha"),
         (dict(slot_hours=0.0), "slot_hours"),
+        (dict(customer_load=[[1.0, np.nan, 1.0]]), "customer_load"),
+        (dict(extra_base_load=[0.0, np.inf, 0.0]), "extra_base_load"),
+        (dict(total_capacity=np.inf), "total_capacity"),
+        (dict(power_ratio=np.inf), "power_ratio"),
+        (dict(soc_ini_customer=np.nan), "soc_ini_customer"),
+        (dict(soc_ini_disco=np.nan), "soc_ini_disco"),
+        (dict(lambda1=np.inf), "lambda1"),
+        (dict(lambda2=np.nan), "lambda2"),
+        (dict(lambda3=np.inf), "lambda3"),
+        (dict(alpha=np.nan), "alpha"),
+        (dict(slot_hours=np.inf), "slot_hours"),
     ],
 )
 def test_validation_rejects(patch, msg):

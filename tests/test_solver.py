@@ -16,6 +16,7 @@ from tests.conftest import (
     DIVISION_FIXTURES,
     assert_grid_not_below,
     assert_lower_level_optimal,
+    assert_multipliers_certify,
     day_long,
     division_fixture,
     division_fixture_n2,
@@ -120,6 +121,10 @@ def test_options_validation():
         SolveOptions(node_limit=0)
     with pytest.raises(ValueError):
         SolveOptions(time_limit=0.0)
+    with pytest.raises(ValueError, match="gap_target"):
+        SolveOptions(gap_target=float("nan"))
+    with pytest.raises(ValueError, match="time_limit"):
+        SolveOptions(time_limit=float("nan"))
 
 
 def test_histories_are_monotone():
@@ -135,6 +140,22 @@ def test_histories_are_monotone():
     assert res.best_bound <= res.objective + 1e-9
     assert bounds[-1] == pytest.approx(res.objective, abs=1e-9)
     assert incs[-1] == pytest.approx(res.objective, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed,optimum", [(274, 89.83283039963179), (276, 28.74589907762533)])
+def test_gap_target_reports_a_valid_bound(seed, optimum):
+    # a node pruned by the gap target alone is never searched, so the bound
+    # may not pass it: at gap_target 0.05 seed 274 once reported its
+    # incumbent 90.99567 as the bound, above the optimum 89.83283
+    mpec = assemble_mpec(division_fixture(seed))
+    for gap_target in (0.01, 0.05):
+        res = solve_lpcc(mpec, SolveOptions(gap_target=gap_target))
+        assert res.status == "optimal"
+        assert res.best_bound <= optimum + 1e-9 <= res.objective + 2e-9
+        assert res.gap == solver._relative_gap(res.objective, res.best_bound)
+        assert res.gap <= gap_target
+        assert res.bound_history[-1] == res.best_bound
+        assert np.all(np.diff(res.bound_history) >= 0.0)
 
 
 def test_node_limit_yields_limit_status():
@@ -234,6 +255,17 @@ def test_bigm_branches_on_a_binary_that_lets_its_pair_slip():
         assert_lower_level_optimal(mpec, res)
     grid = grid_oracle(inst, step=inst.storage.total_capacity / 20.0)
     assert_grid_not_below(grid.best_objective, rl.objective)
+
+
+def test_bigm_answer_takes_the_family_multipliers():
+    # the tree leaves this answer with a multiplier near its big-M bound;
+    # read off the party families instead, no bound is flagged and the
+    # solve needs no escalation
+    mpec = assemble_mpec(division_fixture(271))
+    res, escalations, _ = solve_division(mpec, SolveOptions(), "bigm", None)
+    assert res.status == "optimal" and escalations == 0
+    assert_lower_level_optimal(mpec, res)
+    assert_multipliers_certify(mpec, res)
 
 
 def test_grid_never_lands_below_the_exact_optimum():

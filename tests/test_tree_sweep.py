@@ -13,16 +13,16 @@ def _write(path, records):
 
 
 def test_compare_sums_times_and_flags_differing_objectives(tmp_path, capsys):
-    def rec(seed, mode, status, obj, seconds, nodes, grid=10.0, excess=0.0, phi=-2.0):
+    def rec(seed, mode, status, obj, seconds, nodes, grid=10.0, excess=0.0, phi=-2.0, esc=0):
         return {"seed": seed, "mode": mode, "status": status, "nodes": nodes,
-                "iterations": 1, "objective": obj, "seconds": seconds, "grid": grid,
-                "ll_excess": excess, "ll_phi": phi}
+                "iterations": 1, "escalations": esc, "objective": obj, "seconds": seconds,
+                "grid": grid, "ll_excess": excess, "ll_phi": phi}
 
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     _write(a, [rec(1, "lpcc", "optimal", 10.0, 1.0, 5, grid=10.0 - 1e-7),
                rec(1, "bigm", "optimal", 10.0, 2.0, 7, excess=4e-9),
                rec(2, "lpcc", "optimal", 3.0, 1.0, 9),
-               rec(2, "bigm", "limit", 3.0, 4.0, 50)])
+               rec(2, "bigm", "limit", 3.0, 4.0, 50, esc=1)])
     _write(b, [rec(1, "lpcc", "optimal", 10.0 + 5e-5, 0.5, 6, grid=10.0 + 5e-5),
                rec(1, "bigm", "optimal", 10.0, 1.0, 7, excess=2e-9),  # 1e-9 (1 + |-2|) = 3e-9
                rec(2, "lpcc", "optimal", 3.0 + 5e-7, 0.5, 9, excess=3e-6, phi=-3e3),
@@ -33,6 +33,7 @@ def test_compare_sums_times_and_flags_differing_objectives(tmp_path, capsys):
     assert "bigm: 2 seeds, seconds 6.00 -> 4.00 (-33.3%), nodes 57 -> 57" in out
     assert "seed 1: objective 10.0 -> 10.00005" in out
     assert "seed 2" not in out  # within 1e-6, or not optimal on both sides
+    assert "escalations differ: 2/bigm\n" in out
     assert "grid below lpcc at 1e-09 in A: 1\n" in out
     assert "grid below lpcc at 1e-09 in B: none\n" in out
     assert "lower-level excess above 1e-09 in A: 1/bigm\n" in out
@@ -44,6 +45,7 @@ def test_sweep_records_the_grid_objective(tmp_path):
     tree_sweep.sweep([213], node_limit=4000, out=str(out))
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert [r["mode"] for r in records] == list(tree_sweep.MODES)
+    assert [r["escalations"] for r in records] == [0, 0]
     lpcc = records[0]
     assert lpcc["status"] == "optimal" and records[1]["grid"] == lpcc["grid"]
     assert tree_sweep.grid_below({(213, "lpcc"): lpcc}) == []
