@@ -226,7 +226,11 @@ class LpSolution:
 
     dual_g holds one nonnegative multiplier per inequality row, dual_h one
     free multiplier per equality row; reduced_costs cover the structural
-    variables (nonzero only off-basis).
+    variables (nonzero only off-basis). An optimal simplex solve also gives
+    its final basis, as column j of the LP or n_vars + i for the surplus of
+    inequality row i, and its active rows: the inequality rows the basis
+    holds at a bound (a nonbasic surplus, or a single-entry row that sets
+    its column's nonbasic bound).
     """
 
     status: str  # optimal | infeasible | unbounded | iteration_limit
@@ -236,6 +240,8 @@ class LpSolution:
     dual_h: np.ndarray
     reduced_costs: np.ndarray
     iterations: int
+    basis: np.ndarray | None = None
+    active: np.ndarray | None = None
 
 
 @dataclass(frozen=True)

@@ -9,17 +9,31 @@ entries; equality rows are kept as they are. A is stored only as its
 nonzeros, row-wise (for b - A x_N) and column-wise; no dense m x nt copy
 is kept.
 
-A cold solve starts every column at its bound nearest zero and then picks
-the start basis row by row (slack crash; Bixby, ORSA J. Comput. 4(3),
-1992). A kept inequality row whose surplus, at that start point, takes a
-value within the caller's bounds on it starts with the surplus basic. An
-equality row, or a row whose surplus value falls outside its bounds (a
-violated row under a pinned surplus, say), starts on an artificial
-column signed by b - A x_N. Phase 1 then drives out only those
-artificials, and phase 2 optimizes. Re-solves after bound changes (branch
-and bound lives on those) warm-start from the previous basis and run the
-bounded-variable dual simplex, finishing with a primal cleanup pass so
-the returned point is optimal, not merely feasible.
+A cold solve may start from a basis the caller knows to be feasible: m
+basic columns, in the caller's numbering, and a point that puts every
+nonbasic column on a bound. The division trees build one for their root
+LP from the party families' optima (solver._root_start). The engine keeps
+it only when the columns are distinct, the basis inverts (B xb = b - A x_N
+holds to 1e-9 relative) and the basic values lie within their bounds, and
+then runs phase 2 alone; otherwise it counts the rejection and starts as
+below, so a bad start costs pivots, never a wrong status or objective (a
+crash basis in the sense of Bixby, ORSA J. Comput. 4(3), 1992). Where the
+LP has several optima, which one is returned may depend on the start.
+
+Without a caller start, a cold solve starts every column at its bound
+nearest zero and then picks the start basis row by row (slack crash;
+Bixby, 1992). A kept inequality row whose surplus, at that start point,
+takes a value within the caller's bounds on it starts with the surplus
+basic. An equality row, or a row whose surplus value falls outside its
+bounds (a violated row under a pinned surplus, say), starts on an
+artificial column signed by b - A x_N. Phase 1 then drives out only
+those artificials, and phase 2 optimizes. Re-solves after bound changes
+(branch and bound lives on those) warm-start from the previous basis and
+run the bounded-variable dual simplex, finishing with a primal cleanup
+pass so the returned point is optimal, not merely feasible. An optimal
+solve reports its final basis and its active rows in the caller's
+numbering (LpSolution.basis and .active), which is what a later start
+is built from.
 
 An inequality row with a single entry, a x_j >= b, keeps no row, surplus
 or artificial column: it is folded into the bounds of x_j (presolve;
@@ -170,6 +184,12 @@ class Simplex:
         self.mg = mg
         self.m = mg + lp.n_h
         self.nt = n + mg  # structural + surplus columns
+        # engine column k is caller column _caller_col[k]: structural j, or
+        # n + i for the surplus of inequality row i; -1 maps a folded row's
+        # surplus, which is no column
+        self._caller_col = np.concatenate([np.arange(n), n + self._kept_rows])
+        self._engine_col = np.full(n + lp.n_g, -1, dtype=np.int64)
+        self._engine_col[self._caller_col] = np.arange(self.nt)
         surplus = Rows.from_lists(np.arange(n, self.nt)[:, None], np.full((mg, 1), -1.0))
         # A = [[G_kept, -I], [H, 0]]
         self.rows = Rows.stack([Rows.join([g.take(self._kept_rows), surplus]), lp.h])
@@ -200,6 +220,7 @@ class Simplex:
         self.warm_hits = 0  # warm starts that copied a kept inverse
         self.warm_rebuilds = 0  # warm starts that rebuilt the inverse
         self.cold_restarts = 0  # resolves that fell back to a cold solve
+        self.start_rejects = 0  # solve starts that fell back to the slack crash
         self._optimum = None  # c.x of the last solve if it ended optimal
 
     # ------------------------------------------------------------------ state
@@ -458,16 +479,22 @@ class Simplex:
 
     # ------------------------------------------------------------- public API
 
-    def solve(self, lo=None, hi=None) -> LpSolution:
-        """Cold two-phase solve from a slack crash basis, optionally with
-        overridden variable bounds.
+    def solve(self, lo=None, hi=None, start=None) -> LpSolution:
+        """Cold solve, optionally with overridden variable bounds.
 
         lo/hi cover the structural+surplus columns (surplus index for
         inequality row i is n_vars + i, folded rows included); pass None to
-        keep the LP's own. Each kept inequality row starts on its surplus
-        when the start point leaves that surplus within lo/hi, and on an
-        artificial column otherwise, as every equality row does; phase 1
-        runs only while an artificial is basic.
+        keep the LP's own. Without a start, or when the start is rejected
+        (counted in start_rejects), the solve runs two phases from the slack
+        crash: each kept inequality row starts on its surplus when the start
+        point leaves that surplus within lo/hi, and on an artificial column
+        otherwise, as every equality row does; phase 1 runs only while an
+        artificial is basic. start = (basic, x) names m basic columns in the
+        same numbering (a folded row's surplus is no column) and a point over
+        the LP's columns that puts each nonbasic column on the bound nearer
+        its value; it is kept, and phase 2 runs alone, only when the columns
+        are distinct, the basis inverts and its basic values lie within
+        lo/hi.
         """
         lo, hi = self._bounds(self.base_lo if lo is None else lo,
                               self.base_hi if hi is None else hi)
@@ -481,12 +508,17 @@ class Simplex:
         self.iterations = 0
         self.bland = False
         self._degen_streak = 0
+        self._inverses.clear()  # kept inverses may hold old artificial signs
+        if start is not None:
+            if self._take_start(*start):
+                self.hi[self.nt :] = 0.0
+                return self._phase2()
+            self.start_rejects += 1
         n, nt = self.n, self.nt
         self.status = np.empty(nt + self.m, dtype=np.int8)
         self.status[:nt] = _initial_status(self.lo[:nt], self.hi[:nt])
         rhs = self._rhs()
         self.art_sign = np.where(rhs >= 0, 1.0, -1.0)
-        self._inverses.clear()  # kept inverses hold the old signs
         # slack crash: kept row i starts on its surplus when the value it
         # takes there, s_i = v_s - rhs_i, lies within the surplus's bounds
         s = self._nonbasic_values()[n:] - rhs[: self.mg]
@@ -513,6 +545,38 @@ class Simplex:
         self.lo[self.nt :] = 0.0
         self.hi[self.nt :] = 0.0
         return self._phase2()
+
+    def _take_start(self, basic, x) -> bool:
+        """Install the start basis of solve(start=(basic, x)) and return
+        True, or return False when it fails a check (the caller then runs
+        the slack crash, which overwrites everything set here). The basis
+        must solve B xb = b - A x_N to 1e-9 relative, so a nearly singular
+        one that inverts without error is rejected too."""
+        m, n, nt = self.m, self.n, self.nt
+        basic = np.asarray(basic, dtype=np.int64)
+        if basic.shape != (m,) or np.any((basic < 0) | (basic >= self._engine_col.size)):
+            return False
+        cols = self._engine_col[basic]
+        if np.any(cols < 0) or np.unique(cols).size != m:
+            return False
+        x = np.asarray(x, float)
+        lo, hi = self.lo[:nt], self.hi[:nt]
+        st = _initial_status(lo, hi)
+        boxed = np.isfinite(lo[:n]) & np.isfinite(hi[:n])
+        st[:n][boxed] = np.where(np.abs(x - hi[:n]) < np.abs(x - lo[:n]), AT_UB, AT_LB)[boxed]
+        self.status = np.concatenate([st, np.full(m, AT_LB, dtype=np.int8)])
+        self.status[cols] = BASIC
+        self.basis = cols
+        try:
+            self._refactor()
+        except SimplexError:
+            return False
+        xall = self._nonbasic_values()
+        xall[cols] = self.xb
+        resid = self.b - self.rows.dot(xall)
+        return bool(np.all(np.abs(resid) <= 1e-9 * (1.0 + np.abs(self.b)))
+                    and np.all(self.xb >= lo[cols] - _PRIMAL_TOL)
+                    and np.all(self.xb <= hi[cols] + _PRIMAL_TOL))
 
     def resolve(self, snapshot, lo, hi) -> LpSolution:
         """Warm re-solve after a bound change, via dual simplex.
@@ -620,6 +684,10 @@ class Simplex:
         dual_g[self._kept_rows] = y[: self.mg]
         self._fold_duals(dual_g, reduced, x)
         dual_g[(dual_g < 0) & (dual_g > -1e-9)] = 0.0
+        basic = self.basis[self.basis < self.nt]
+        surplus = self.status[self.n: self.nt] != BASIC
+        active = np.concatenate([self._kept_rows[surplus],
+                                 self._fold[self._bound_rows(x, True, True)]])
         return LpSolution(
             status="optimal",
             x=x,
@@ -628,6 +696,8 @@ class Simplex:
             dual_h=y[self.mg :].copy(),
             reduced_costs=reduced,
             iterations=self.iterations,
+            basis=self._caller_col[basic],
+            active=np.sort(active),
         )
 
     def _read_x(self) -> np.ndarray:
@@ -641,6 +711,18 @@ class Simplex:
         xall[self.basis[structural]] = self.xb[structural]
         return xall[: self.n]
 
+    def _bound_rows(self, x: np.ndarray, at_lo, at_hi) -> np.ndarray:
+        """Positions in _fold of the folded rows that set the bound their
+        nonbasic column x_j sits at: the row's lower end where at_lo holds,
+        its upper end where at_hi does, the first such row per column."""
+        j = self._fold_col
+        v = x[j]
+        sets = (self.status[j] != BASIC) & ((at_lo & (self._row_lo == v))
+                                            | (at_hi & (self._row_hi == v)))
+        rows = np.flatnonzero(sets)
+        _, first = np.unique(j[rows], return_index=True)
+        return rows[first]
+
     def _fold_duals(self, dual_g: np.ndarray, reduced: np.ndarray, x: np.ndarray):
         """Move reduced costs into the duals of the folded rows, in place.
 
@@ -650,15 +732,10 @@ class Simplex:
         rows on one column the first takes it; with none, x_j's own bound
         holds it and d_j stays on the column.
         """
-        j = self._fold_col
-        d, v = reduced[j], x[j]
-        sets = (self.status[j] != BASIC) & (((d > 0) & (self._row_lo == v))
-                                            | ((d < 0) & (self._row_hi == v)))
-        rows = np.flatnonzero(sets)
-        cols, first = np.unique(j[rows], return_index=True)
-        rows = rows[first]
+        d = reduced[self._fold_col]
+        rows = self._bound_rows(x, d > 0, d < 0)
         dual_g[self._fold[rows]] = d[rows] / self._fold_a[rows]
-        reduced[cols] = 0.0
+        reduced[self._fold_col[rows]] = 0.0
 
     def _failed(self, status: str) -> LpSolution:
         nan = np.full(self.n, np.nan)
@@ -677,9 +754,10 @@ class CapacityFamily:
     """One LP at many capacities, each re-solved warm from the last optimum.
 
     lp's capacity only seeds the engine; solve(capacity) sets it. The
-    returned x and reduced_costs cover lp's own columns (the capacity
-    column is dropped), the duals every row of lp. A solve that does not
-    end optimal leaves the warm-start basis as it was.
+    returned x, reduced_costs and basis are in lp's own numbering (the
+    capacity column, which is fixed and so never basic, is dropped), the
+    duals and active rows cover every row of lp. A solve that does not end
+    optimal leaves the warm-start basis as it was.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -697,9 +775,12 @@ class CapacityFamily:
             sol = eng.solve(lo, hi)
         else:
             sol = eng.resolve(self._snapshot, lo, hi)
+        sol = replace(sol, x=sol.x[: self.n], reduced_costs=sol.reduced_costs[: self.n])
         if sol.status == "optimal":
             self._snapshot = eng.snapshot()
-        return replace(sol, x=sol.x[: self.n], reduced_costs=sol.reduced_costs[: self.n])
+            basis = sol.basis[sol.basis != self.n]
+            sol.basis = np.where(basis > self.n, basis - 1, basis)  # surplus n+1+i -> n+i
+        return sol
 
 
 def solve_lp_engine(lp: LinearProgram) -> LpSolution:

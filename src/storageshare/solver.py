@@ -23,6 +23,17 @@ c_p.x_p <= phi_p(s_p)). The chord is exact, without slack, and most
 divisions then close at the root. The rows live in the tree's copy of
 the LP only; the model, its big-M form and their MPS files do not carry
 them.
+
+The root LP does not run phase 1. Before it is solved, each party's
+family already holds the party's optimal basis at its lowest share, and
+together those bases give a point of the root LP (every dispatch optimal
+with its multipliers, the peak at the highest load) and a feasible basis
+at it: each party's primal basis, the complementary dual basis on its
+stationarity rows, peak on its tightest row and a surplus on every other
+row (_root_start). The engine checks that start and runs phase 2 from
+it; a rejected start falls back to the slack crash. Each fallback a solve
+takes is named in SolveResult.fallbacks, and the clock and time limit run
+from the start of the whole solve, heuristic and chords included.
 """
 
 from __future__ import annotations
@@ -76,6 +87,11 @@ class SolveResult:
     model: object
     bound_history: tuple = ()
     incumbent_history: tuple = ()
+    root_iterations: int = 0
+    # the fallbacks the solve took: "root_start" (the root LP ran from the
+    # slack crash) and "reread" (the answer keeps the tree's multipliers,
+    # without the family certificate)
+    fallbacks: tuple = ()
 
     @property
     def exit_code(self) -> int:
@@ -88,13 +104,15 @@ def _relative_gap(objective: float, bound: float) -> float:
     return max(0.0, (objective - bound) / max(1.0, abs(objective)))
 
 
-def _branch_and_bound(lp, opts, classify, model, heuristic):
+def _branch_and_bound(lp, opts, classify, model, heuristic, start=None, t0=None):
     """Best-first search; classify(sol) returns either an incumbent
     candidate or the two child bound-fixes of the branching decision.
     Ties on the bound favor deeper nodes so plateaus dive to leaves.
     heuristic.try_point may turn any node relaxation into a side
-    incumbent without affecting the tree itself."""
-    t0 = time.perf_counter()
+    incumbent without affecting the tree itself. start goes to the root's
+    Simplex.solve; t0, the perf_counter reading the time limit and
+    wall_time count from, defaults to now."""
+    t0 = time.perf_counter() if t0 is None else t0
     engine = Simplex(lp)
     base_lo = np.concatenate([lp.lb, np.zeros(lp.n_g)])
     base_hi = np.concatenate([lp.ub, np.full(lp.n_g, np.inf)])
@@ -163,17 +181,18 @@ def _branch_and_bound(lp, opts, classify, model, heuristic):
         seq += 1
         return None
 
-    root = engine.solve()
+    root = engine.solve(start=start)
     node_count += 1
     iterations += root.iterations
+    done = partial(SolveResult, model=model, root_iterations=root.iterations,
+                   fallbacks=("root_start",) if engine.start_rejects else ())
     if root.status != "optimal":
         status = {"iteration_limit": "limit"}.get(root.status, root.status)
-        return SolveResult(
+        return done(
             status=status, x=None, objective=np.nan,
             best_bound=-np.inf if status == "unbounded" else np.inf,
             gap=np.inf, node_count=node_count,
             wall_time=time.perf_counter() - t0, iterations=iterations,
-            model=model,
         )
     raise_bound(float(root.objective))
     terminal = consider(root, (), -np.inf)
@@ -204,11 +223,10 @@ def _branch_and_bound(lp, opts, classify, model, heuristic):
                 break
 
     if terminal == "unbounded":
-        return SolveResult(
+        return done(
             status="unbounded", x=None, objective=np.nan, best_bound=-np.inf,
             gap=np.inf, node_count=node_count,
             wall_time=time.perf_counter() - t0, iterations=iterations,
-            model=model,
         )
     if limit_hit:
         status = "limit"
@@ -225,7 +243,7 @@ def _branch_and_bound(lp, opts, classify, model, heuristic):
         best_bound = min(global_bound, incumbent_obj)
         objective = incumbent_obj if incumbent_x is not None else np.nan
         gap = _relative_gap(objective, best_bound)
-    return SolveResult(
+    return done(
         status=status,
         x=incumbent_x,
         objective=objective,
@@ -234,7 +252,6 @@ def _branch_and_bound(lp, opts, classify, model, heuristic):
         node_count=node_count,
         wall_time=time.perf_counter() - t0,
         iterations=iterations,
-        model=model,
         bound_history=tuple(bound_hist),
         incumbent_history=tuple(inc_hist),
     )
@@ -370,7 +387,7 @@ def _classify_lpcc(mpec: MpecModel, lp: LinearProgram):
     return classify
 
 
-def _with_chords(mpec: MpecModel, lp: LinearProgram, heur: _DivisionHeuristic) -> LinearProgram:
+def _with_chords(mpec: MpecModel, lp: LinearProgram, heur: _DivisionHeuristic):
     """lp plus one chord row per party p over its share column s_p:
 
         -c_p.x_p + slope_p s_p >= -phi_p(lo) + slope_p lo,
@@ -378,14 +395,18 @@ def _with_chords(mpec: MpecModel, lp: LinearProgram, heur: _DivisionHeuristic) -
     with [lo, hi] the bounds of s_p in lp and slope_p the slope of phi_p
     from lo to hi. phi_p is convex, so it lies on or below this chord on
     [lo, hi], and every point whose dispatches are optimal satisfies the
-    row. phi_p(lo) and phi_p(hi) come from the heuristic's families."""
-    idx, val, off, names = [], [], [], []
+    row. phi_p(lo) and phi_p(hi) come from the heuristic's families, solved
+    at hi first so each family ends at lo. Returns the LP and, per party,
+    the family solutions (at lo, at hi)."""
+    idx, val, off, names, ends = [], [], [], [], []
     for p, lay in enumerate(mpec.parties()):
         lo, hi = float(lp.lb[lay.cap_col]), float(lp.ub[lay.cap_col])
-        ends = [heur.families[p].solve(cap) for cap in ((lo,) if hi == lo else (lo, hi))]
-        if any(sol.status != "optimal" for sol in ends):
+        at_hi = heur.families[p].solve(hi)
+        at_lo = at_hi if hi == lo else heur.families[p].solve(lo)
+        ends.append((at_lo, at_hi))
+        if at_lo.status != "optimal" or at_hi.status != "optimal":
             continue  # no chord for this party: the relaxation stays valid, only weaker
-        phi_lo, phi_hi = ends[0].objective, ends[-1].objective
+        phi_lo, phi_hi = at_lo.objective, at_hi.objective
         slope = (phi_hi - phi_lo) / (hi - lo) if hi > lo else 0.0
         nz = np.flatnonzero(heur.costs[p])
         cols, coefs = lay.x0 + nz, -heur.costs[p][nz]
@@ -401,23 +422,85 @@ def _with_chords(mpec: MpecModel, lp: LinearProgram, heur: _DivisionHeuristic) -
         g_offset=np.append(lp.g_offset, off),
         g_cap=np.append(lp.g_cap, np.zeros(len(off))),
         g_names=lp.g_names + tuple(names),
-    )
+    ), ends
+
+
+def _root_start(mpec: MpecModel, lp: LinearProgram, ends, u_cols=None):
+    """Start (basic columns, point) of lp's root solve: the point where each
+    party dispatches optimally at a share bound with its family's
+    multipliers, and a feasible basis at it. None if a family did not end
+    optimal or an equality row outside the party blocks cannot be met.
+
+    Each share sits at its lower bound, nonbasic. An equality row beyond the
+    parties' stationarity and balance rows (a pin on the shares, such as
+    sum s_c = C) is met by its first column, which turns basic and must be
+    a share that then sits at its upper bound. A party's block takes its
+    family's basis at its share (ends[p], as _with_chords returns it): the
+    same dispatch columns and surpluses of its primal rows, and on its
+    stationarity rows the multipliers of its active rows and its balance
+    multipliers, which the family's primal basis determines (the
+    complementary dual basis). peak is basic on its tightest row; every
+    other row outside the party blocks (capacity split, peak, big-M pair
+    and chord rows) keeps its surplus basic, and the binaries u_cols sit at
+    1 exactly on the active pairs."""
+    n = lp.n_vars
+    x = np.zeros(n)
+    parties = mpec.parties()
+    shares = np.array([lay.cap_col for lay in parties])
+    x[shares] = lp.lb[shares]
+    basic = [np.array([mpec.peak_col])]
+    b_h = lp.b_h()
+    for r in range(sum(lay.nx + lay.nv for lay in parties), lp.n_h):
+        cols, coefs = lp.h.row(r)
+        col = cols[0]
+        x[col] += (b_h[r] - coefs @ x[cols]) / coefs[0]
+        if col not in shares or x[col] != lp.ub[col]:
+            return None
+        basic.append(cols[:1])
+    for lay, (at_lo, at_hi) in zip(parties, ends):
+        sol = at_lo if x[lay.cap_col] == lp.lb[lay.cap_col] else at_hi
+        if sol.status != "optimal":
+            return None
+        x[lay.x0: lay.x0 + lay.nx] = sol.x
+        x[lay.w0: lay.w0 + lay.nw] = sol.dual_g
+        x[lay.v0: lay.v0 + lay.nv] = sol.dual_h
+        b = sol.basis  # party numbering: dispatch column j, or nx + i for row i's surplus
+        basic += [np.where(b < lay.nx, lay.x0 + b, n + lay.g0 + b - lay.nx),
+                  lay.w0 + sol.active, lay.v0 + np.arange(lay.nv)]
+    upper = np.ones(lp.n_g, dtype=bool)
+    for lay in parties:
+        upper[lay.g0: lay.g0 + lay.nw] = False
+    peak_rows = lp.g.row_ids[lp.g.indices == mpec.peak_col]  # peak - flows >= load
+    load = lp.b_g()[peak_rows] - lp.g.take(peak_rows).dot(x)  # load + flows, peak at 0
+    x[mpec.peak_col] = float(load.max())
+    upper[peak_rows[np.argmax(load)]] = False
+    basic.append(n + np.flatnonzero(upper))
+    basic = np.concatenate(basic)
+    if u_cols is not None:
+        x[u_cols] = np.isin(mpec.pairs[:, 0], basic)
+    return basic, x
 
 
 def _solve_tree(mpec: MpecModel, model, lp: LinearProgram, classify_for,
                 options: SolveOptions | None, u_cols=None) -> SolveResult:
-    """Division heuristic, best-first tree over lp and its chord rows, then
-    the dual re-read of the incumbent. classify_for(tree_lp) gives the node
-    classifier; u_cols are lp's binary columns, if it has any."""
+    """Division heuristic, best-first tree over lp and its chord rows from
+    the families' root start, then the dual re-read of the incumbent.
+    classify_for(tree_lp) gives the node classifier; u_cols are lp's binary
+    columns, if it has any. The clock and the time limit cover it all."""
+    t0 = time.perf_counter()
     heur = _DivisionHeuristic(mpec, lp, u_cols=u_cols)
-    tree_lp = _with_chords(mpec, lp, heur)
+    tree_lp, ends = _with_chords(mpec, lp, heur)
+    start = _root_start(mpec, tree_lp, ends, u_cols)
     result = _branch_and_bound(tree_lp, options or SolveOptions(), classify_for(tree_lp),
-                               model, heur)
+                               model, heur, start=start, t0=t0)
+    fallbacks = ("root_start",) if start is None else result.fallbacks
     if result.x is not None:
         reread = heur.read_families(result.x.copy(), dispatch=False)
-        if reread is not None:
+        if reread is None:
+            fallbacks += ("reread",)
+        else:
             result = replace(result, x=reread)
-    return result
+    return replace(result, fallbacks=fallbacks, wall_time=time.perf_counter() - t0)
 
 
 def solve_milp(milp: MilpModel, options: SolveOptions | None = None) -> SolveResult:

@@ -827,3 +827,61 @@ def test_equality_and_violated_rows_start_on_artificials(monkeypatch):
     np.testing.assert_allclose(sol.x, [0.0, 1.0], atol=1e-12)
     nt = eng.nt
     assert starts.pop()["basis"].tolist() == [nt, nt + 1, eng.n + 2, nt + 3]
+
+
+# ------------------------------------------------------------- caller starts
+
+
+def test_start_from_an_optimal_basis_skips_phase_one(rng, monkeypatch):
+    starts = _record_starts(monkeypatch)
+    taken = 0
+    for lp, eng in _sparse_engines(rng, 15):
+        cold = eng.solve()
+        assert cold.status == "optimal"
+        # the reported basis: distinct columns in caller numbering; a row
+        # with a nonzero dual is active, and an active row holds with equality
+        assert np.unique(cold.basis).size == cold.basis.size
+        assert np.all(np.isin(np.flatnonzero(np.abs(cold.dual_g) > 1e-9), cold.active))
+        slack = lp.g.dot(cold.x) - lp.b_g()
+        np.testing.assert_allclose(slack[cold.active], 0.0, atol=1e-9)
+        starts.clear()
+        warm_eng = Simplex(lp)
+        warm = warm_eng.solve(start=(cold.basis, cold.x))
+        assert warm.status == "optimal"
+        assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+        if cold.basis.size < eng.m:  # an artificial column stayed basic on an empty row
+            assert warm_eng.start_rejects == 1
+            continue
+        assert warm_eng.start_rejects == 0
+        assert starts == [] and warm.iterations == 0  # no phase 1, and already optimal
+        taken += 1
+    assert taken >= 10
+
+
+def test_rejected_starts_fall_back_to_the_crash():
+    # columns 0 and 1 are parallel, and row 2 (x2 >= 0) folds into a bound
+    lp = make_lp(c=[1.0, 2.0, 1.0], a_ub=[[1.0, 1.0, 1.0], [2.0, 2.0, 1.0], [0.0, 0.0, 1.0]],
+                 b_ub=[1.0, 1.5, 0.0], lb=[0.0, 0.0, -np.inf], ub=[5.0, 5.0, 5.0])
+    plain = Simplex(lp).solve()
+    assert plain.status == "optimal"
+    eng = Simplex(lp)
+    assert (eng.n, eng.m) == (3, 2)
+    good = eng.solve(start=(plain.basis, plain.x))
+    assert eng.start_rejects == 0 and good.objective == pytest.approx(plain.objective, abs=1e-12)
+    x = np.zeros(3)
+    bad = {
+        "column count": ([0], x),
+        "duplicate column": ([0, 0], x),
+        "folded row's surplus": ([0, 3 + 2], x),
+        "out of range": ([0, 3 + 3], x),
+        "singular basis": ([0, 1], x),
+        # x1 at its upper bound 5 puts x0 at 1 - 5 - x2 on row 0
+        "infeasible point": ([0, 3 + 1], np.array([0.0, 5.0, 0.0])),
+    }
+    for rejects, (why, start) in enumerate(bad.items(), start=1):
+        sol = eng.solve(start=start)
+        assert eng.start_rejects == rejects, why
+        assert sol.status == plain.status, why
+        assert sol.objective == plain.objective, why
+        np.testing.assert_array_equal(sol.x, plain.x)
+        np.testing.assert_array_equal(sol.dual_g, plain.dual_g)

@@ -1,4 +1,5 @@
 import itertools
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -299,7 +300,7 @@ def test_zero_capacity_division_is_exact():
 
 def _tree_lp(mpec):
     """The LP the trees search: mpec.lp plus the chord rows."""
-    return solver._with_chords(mpec, mpec.lp, solver._DivisionHeuristic(mpec, mpec.lp))
+    return solver._with_chords(mpec, mpec.lp, solver._DivisionHeuristic(mpec, mpec.lp))[0]
 
 
 def test_value_functions_lie_on_or_below_their_chords():
@@ -393,3 +394,85 @@ def test_long_day_closes_on_the_relaxation_shares():
     assert res.status == "optimal"
     assert res.objective == pytest.approx(204.5507650943, abs=1e-9)
     assert_lower_level_optimal(mpec, res)
+
+
+def test_wall_time_covers_the_work_before_the_root(monkeypatch):
+    # the heuristic's families and the chord rows are solved before the
+    # root LP, and the clock and the time limit count them
+    chords = solver._with_chords
+
+    def slow(*args):
+        time.sleep(0.05)
+        return chords(*args)
+
+    monkeypatch.setattr(solver, "_with_chords", slow)
+    res = solve_lpcc(assemble_mpec(division_fixture(202)))
+    assert res.status == "optimal" and res.wall_time >= 0.05
+
+
+@pytest.mark.parametrize("mode", solver.MODES)
+def test_each_fallback_is_named_and_changes_no_answer(monkeypatch, mode):
+    mpec = assemble_mpec(division_fixture_n2(219))
+
+    def solve():
+        return solve_lpcc(mpec) if mode == "lpcc" else solve_milp(linearize_big_m(mpec))
+
+    clean = solve()
+    assert clean.status == "optimal" and clean.fallbacks == ()
+    start, read = solver._root_start, solver._DivisionHeuristic.read_families
+
+    def short_start(*args):  # one basic column short: the engine rejects it
+        basic, x = start(*args)
+        return basic[1:], x
+
+    forced = (
+        ("root_start", solver, "_root_start", short_start),
+        ("root_start", solver, "_root_start", lambda *args: None),  # no start built
+        ("reread", solver._DivisionHeuristic, "read_families",
+         lambda self, x, dispatch: read(self, x, dispatch) if dispatch else None),
+    )
+    for name, owner, attr, patch in forced:
+        with monkeypatch.context() as m:
+            m.setattr(owner, attr, patch)
+            res = solve()
+        assert res.fallbacks == (name,)
+        assert res.status == clean.status
+        assert abs(res.objective - clean.objective) <= 1e-9 * max(1.0, abs(clean.objective))
+        if name == "root_start":
+            assert res.root_iterations > clean.root_iterations
+
+
+TREE_DAYS = DIVISION_FIXTURES + (("stress", stress_fixture),
+                                  ("day_long1", lambda: day_long(1)),
+                                  ("day_long2", lambda: day_long(2)))
+
+
+@pytest.mark.parametrize("name,build", TREE_DAYS, ids=[name for name, _ in TREE_DAYS])
+def test_root_start_agrees_with_the_slack_crash(monkeypatch, name, build):
+    # the day by both trees, free and with the whole battery given to the
+    # customers, from the families' start and from the slack crash alone;
+    # a solve the node budget stops has a path-dependent incumbent, so
+    # there the two answers need only bound each other
+    opts = SolveOptions(node_limit=200)
+    inst = build()
+    for pinned in (False, True):
+        mpec = assemble_mpec(inst)
+        if pinned:
+            mpec = _pin_customers_only(mpec)
+        for mode in solver.MODES:
+            started = solve_division(mpec, opts, mode, None)[0]
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_root_start", lambda *args: None)
+                crashed = solve_division(mpec, opts, mode, None)[0]
+            case = (name, pinned, mode)
+            assert started.status == crashed.status, case
+            scale = 1e-9 * max(1.0, abs(crashed.objective))
+            if started.status == "optimal":
+                assert abs(started.objective - crashed.objective) <= scale, case
+            else:
+                assert started.status == "limit", case
+                assert started.best_bound <= crashed.objective + scale, case
+                assert crashed.best_bound <= started.objective + scale, case
+            assert started.fallbacks == (), case  # the pinned shares start at a vertex too
+            if mode == "bigm":
+                assert validate_big_m(started.model, started.x).clean, case

@@ -6,18 +6,20 @@
 The first form solves tests.conftest.division_fixture(seed) for every seed,
 with solve_lpcc and with the bigm path of scenarios.solve_division
 (validation and escalation included), and writes one JSON line per (seed,
-mode) with the status, nodes, LP iterations, big-M escalations, objective
-and seconds, the answer's worst lower-level excess, plus the seed's
-grid_oracle objective at step C/20. The excess is c_p.x_p - phi_p(s_p) of
-the party where it is largest relative to 1 + |phi_p(s_p)| (ll_excess,
-with that phi as ll_phi). The second form reads two such files and prints,
-per mode, the summed seconds and nodes of each and every seed where both
-solves are optimal and the objectives differ by more than 1e-6 relative;
-then the (seed, mode) solves whose escalation counts differ; then, per
-file, the seeds where the grid lies more than 1e-9 relative below an
-optimal lpcc
-objective, which no correct grid can, and the (seed, mode) answers whose
-excess is above 1e-9 (1 + |phi|), whose dispatch is then not optimal.
+mode) with the status, nodes, LP iterations, the root LP's iterations,
+big-M escalations, the fallbacks the solve took, objective and seconds,
+the answer's worst lower-level excess, plus the seed's grid_oracle
+objective at step C/20. The excess is c_p.x_p - phi_p(s_p) of the party
+where it is largest relative to 1 + |phi_p(s_p)| (ll_excess, with that phi
+as ll_phi). The second form reads two such files and prints, per mode, the
+summed seconds and nodes of each and every seed where both solves are
+optimal and the objectives differ by more than 1e-6 relative; then the
+(seed, mode) solves whose escalation counts differ, and those whose
+fallbacks differ (of the solves both files record fallbacks for); then,
+per file, the seeds where the grid lies more than 1e-9 relative below an
+optimal lpcc objective, which no correct grid can, and the (seed, mode)
+answers whose excess is above 1e-9 (1 + |phi|), whose dispatch is then
+not optimal.
 Run both sides of a comparison on the same machine, one after the other.
 """
 
@@ -56,7 +58,8 @@ def solve_one(seed: int, mode: str, node_limit: int) -> dict:
     res, escalations, _ = solve_division(model, SolveOptions(node_limit=node_limit), mode, None)
     seconds = time.perf_counter() - t0
     rec = {"seed": seed, "mode": mode, "status": res.status, "nodes": res.node_count,
-           "iterations": res.iterations, "escalations": escalations,
+           "iterations": res.iterations, "root_iterations": res.root_iterations,
+           "escalations": escalations, "fallbacks": list(res.fallbacks),
            "objective": float(res.objective), "seconds": round(seconds, 4)}
     if res.x is not None:
         _, excess, phi = max(lower_level_excess(model, res.x),
@@ -130,6 +133,10 @@ def compare(path_a: str, path_b: str) -> int:
     escalated = [f"{seed}/{mode}" for seed, mode in both
                  if a[seed, mode].get("escalations") != b[seed, mode].get("escalations")]
     print(f"escalations differ: {', '.join(escalated) if escalated else 'none'}")
+    fell = [f"{seed}/{mode}" for seed, mode in both
+            if "fallbacks" in a[seed, mode] and "fallbacks" in b[seed, mode]
+            and a[seed, mode]["fallbacks"] != b[seed, mode]["fallbacks"]]
+    print(f"fallbacks differ: {', '.join(fell) if fell else 'none'}")
     for side, records in (("A", a), ("B", b)):
         seeds = grid_below(records)
         print(f"grid below lpcc at {GRID_TOL:g} in {side}: "
