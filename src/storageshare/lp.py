@@ -17,6 +17,14 @@ valid symbolically when the owner's capacity later becomes a decision
 variable instead of a number; capacity_column makes it a column of the
 party's own LP, fixed by its bounds.
 
+At zero flows every party LP has a vertex that is feasible at every
+capacity >= 0 (no_battery_start): the battery stays idle, a customer's
+peak and valley sit at its highest and lowest load, and every storage row
+holds with the slack the capacity gives it, since validate_instance keeps
+each soc_ini inside [soc_lower, soc_upper]. Its basis is the start of a
+party family's cold solve (simplex.CapacityFamily), which then needs no
+phase 1.
+
 A_g and A_h are Rows: compressed sparse rows (CSR). This module is the
 only one that reads their arrays; everything else goes through the Rows
 operations (dense form, row products, transpose, row selection, stacking).
@@ -438,6 +446,39 @@ def build_party_lp(instance: Instance, party: int, capacity: float) -> LinearPro
     if party < instance.customer_count:
         return build_llm_c(instance, party, capacity)
     return build_llm_d(instance, capacity)
+
+
+def no_battery_start(lp: LinearProgram):
+    """Start (basic columns, point) of capacity_column(lp)'s cold solve, for
+    a party LP as build_party_lp returns it: its no-battery vertex and a
+    basis there, read off the LP's rows.
+
+    Every flow (the columns of the energy balance row) is nonbasic at 0, the
+    bound its folded sign row sets. Each other column (a customer's peak
+    and valley) is basic on the row holding it that binds at zero flows,
+    the one with the largest offset / |coefficient|: peak on its
+    largest-load peak_def row, valley on its smallest-load valley_def row.
+    The balance row's first flow, ch[0], is basic at 0 on that row, and
+    every other row of capacity_column(lp) with two or more entries keeps
+    its surplus basic. Basic columns are numbered as Simplex numbers
+    capacity_column(lp)'s: column j, or n_vars + 1 + i for row i's surplus.
+    """
+    n, g = lp.n_vars, lp.g
+    flows = lp.h.row(0)[0]
+    x = np.zeros(n + 1)
+    basic, tight = [flows[:1]], []
+    for j in np.setdiff1d(np.arange(n), flows):
+        on = g.indices == j
+        rows, coef = g.row_ids[on], g.data[on]
+        k = int(np.argmax(lp.g_offset[rows] / np.abs(coef)))
+        x[j] = lp.g_offset[rows[k]] / coef[k]
+        basic.append([j])
+        tight.append(rows[k])
+    # capacity_column adds one kappa entry to each row that moves with capacity
+    kept = np.diff(g.indptr) + (lp.g_cap != 0.0) >= 2
+    kept[tight] = False
+    basic.append(n + 1 + np.flatnonzero(kept))
+    return np.concatenate(basic).astype(np.int64), x
 
 
 def make_lp(

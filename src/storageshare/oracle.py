@@ -4,8 +4,11 @@ without trusting the reformulation or the branching solvers.
 grid_oracle enumerates capacity divisions on a regular grid, solves every
 party's dispatch LP independently per capacity value on one warm family
 per party (cached: a party's problem depends only on its own share),
-and evaluates the division objective directly from schedules. The
-checkers compute optimality-system and schedule residuals from raw data.
+and evaluates the division objective directly from schedules. Each
+family starts at the party's no-battery vertex (lp.no_battery_start); a
+party whose start the engine rejects is named in the report's notes.
+The checkers compute optimality-system and schedule residuals from raw
+data.
 
 Optimistic ties: each cell scores the better of the party's optimum and
 the face minimum of the flow-priced part of the upper objective
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Division, Instance, ScheduleSet, flow_price, soc_trajectory
-from .lp import build_party_lp, evaluate
+from .lp import build_party_lp, evaluate, no_battery_start
 from .mpec import KktSystem
 from .simplex import CapacityFamily
 
@@ -208,10 +211,15 @@ def grid_oracle(instance: Instance, step: float, guard: int = GRID_GUARD) -> Ora
     sys_load = instance.loads.system_load
 
     cache = []  # party order: customers 0..n-1, then disco
+    notes = []
     for p in range(n + 1):
-        family = CapacityFamily(build_party_lp(instance, p, 0.0))
+        plp = build_party_lp(instance, p, 0.0)
+        family = CapacityFamily(plp, start=no_battery_start(plp))
         cache.append([_party_dispatch(family, k * step, price)
                       for k in range(k_max + 1)])
+        if family.engine.start_rejects:
+            party = f"customer[{p}]" if p < n else "disco"
+            notes.append(f"{party}: no-battery start rejected, solved from the slack crash")
 
     def upper_value(flows):
         net = sys_load + flows
@@ -249,7 +257,6 @@ def grid_oracle(instance: Instance, step: float, guard: int = GRID_GUARD) -> Ora
     walk((), k_max)
     best_obj, best_div = best
     ties = sum(1 for r in records if abs(r[2] - best_obj) <= 1e-9) - 1
-    notes = []
     if ties > 0:
         notes.append(f"{ties} grid points within 1e-9 of the best objective")
     return OracleReport(

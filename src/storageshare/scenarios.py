@@ -39,9 +39,9 @@ from .instance import (
     upper_objective,
     zero_schedules,
 )
-from .lp import Rows, build_llm_d
+from .lp import Rows, build_llm_d, no_battery_start
 from .mpec import BigMPolicy, assemble_mpec, linearize_big_m, validate_big_m
-from .simplex import Simplex
+from .simplex import CapacityFamily
 from .solver import MODES, SolveOptions, extract_solution, solve_lpcc, solve_milp
 
 ZERO_BASELINE_TOL = 1e-12
@@ -115,15 +115,18 @@ def attributed_customer_costs(instance: Instance,
 
 
 def _disco_only_dispatch(instance: Instance):
-    """Fixed division (everything to the utility); its dispatch is an LP."""
+    """Fixed division (everything to the utility); its dispatch is one
+    solve of the utility's party family, the same path as every other."""
     t = instance.grid.slot_count
     s_total = instance.storage.total_capacity
-    engine = Simplex(build_llm_d(instance, s_total))
-    sol = engine.solve()
+    plp = build_llm_d(instance, 0.0)
+    family = CapacityFamily(plp, start=no_battery_start(plp))
+    sol = family.solve(s_total)
     if sol.status != "optimal":
         raise ScenarioError(f"scenario 1: utility dispatch ended {sol.status}")
     price = flow_price(instance)
-    x_res = engine.face_minimum(np.concatenate([price, -price]))
+    # the capacity column is fixed, so it takes no gradient entry
+    x_res = family.engine.face_minimum(np.concatenate([price, -price, [0.0]]))
 
     def as_schedules(x):
         ch, dis = x[:t], x[t: 2 * t]

@@ -11,14 +11,16 @@ is kept.
 
 A cold solve may start from a basis the caller knows to be feasible: m
 basic columns, in the caller's numbering, and a point that puts every
-nonbasic column on a bound. The division trees build one for their root
-LP from the party families' optima (solver._root_start). The engine keeps
-it only when the columns are distinct, the basis inverts (B xb = b - A x_N
-holds to 1e-9 relative) and the basic values lie within their bounds, and
-then runs phase 2 alone; otherwise it counts the rejection and starts as
-below, so a bad start costs pivots, never a wrong status or objective (a
-crash basis in the sense of Bixby, ORSA J. Comput. 4(3), 1992). Where the
-LP has several optima, which one is returned may depend on the start.
+nonbasic column on a bound. A party's CapacityFamily starts its cold
+solve at the party's no-battery vertex (lp.no_battery_start), and the
+division trees start their root LP from the party families' optima
+(solver._root_start). The engine keeps a start only when the columns are
+distinct, the basis inverts (B xb = b - A x_N holds to 1e-9 relative)
+and the basic values lie within their bounds, and then runs phase 2
+alone; otherwise it counts the rejection and starts as below, so a bad
+start costs pivots, never a wrong status or objective (a crash basis in
+the sense of Bixby, ORSA J. Comput. 4(3), 1992). Where the LP has
+several optima, which one is returned may depend on the start.
 
 Without a caller start, a cold solve starts every column at its bound
 nearest zero and then picks the start basis row by row (slack crash;
@@ -86,7 +88,10 @@ is cold and every later one re-solves with the dual simplex from the last
 optimal basis. That basis stays dual feasible, since no cost moves and the
 fixed column never enters, and its inverse is kept, so the warm start
 copies it instead of rebuilding (parametric right-hand-side analysis; Gal
-& Nedoma, Manag. Sci. 18(7), 1972).
+& Nedoma, Manag. Sci. 18(7), 1972). The cold solve takes the family's
+start, if it has one: a party family's is the no-battery vertex, feasible
+at every capacity, so that solve runs phase 2 alone; a rejected start
+costs the slack crash's phase 1 and counts in start_rejects.
 
 face_minimum breaks ties among an LP's optima: every feasible x has
 c.x = f* + sum d_j (x_j - xbar_j) over the nonbasic columns, each term
@@ -753,16 +758,22 @@ class Simplex:
 class CapacityFamily:
     """One LP at many capacities, each re-solved warm from the last optimum.
 
-    lp's capacity only seeds the engine; solve(capacity) sets it. The
-    returned x, reduced_costs and basis are in lp's own numbering (the
-    capacity column, which is fixed and so never basic, is dropped), the
-    duals and active rows cover every row of lp. A solve that does not end
-    optimal leaves the warm-start basis as it was.
+    lp's capacity only seeds the engine; solve(capacity) sets it. start,
+    if given, is Simplex.solve's start for the cold solve, in the numbering
+    of capacity_column(lp) (lp.no_battery_start writes one down for a party
+    LP); a rejected start counts in engine.start_rejects. The returned x,
+    reduced_costs and basis are in lp's own numbering (the capacity column,
+    which is fixed and so never basic, is dropped), the duals and active
+    rows cover every row of lp. A solve that does not end optimal leaves
+    the warm-start basis as it was. iterations sums the pivots of every
+    solve.
     """
 
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, lp: LinearProgram, start=None):
         self.n = lp.n_vars
         self.engine = Simplex(capacity_column(lp))
+        self._start = start
+        self.iterations = 0
         self._snapshot = None  # final basis of the last optimal solve
 
     def solve(self, capacity: float) -> LpSolution:
@@ -772,9 +783,10 @@ class CapacityFamily:
         lo, hi = eng.base_lo.copy(), eng.base_hi.copy()
         lo[self.n] = hi[self.n] = capacity
         if self._snapshot is None:
-            sol = eng.solve(lo, hi)
+            sol = eng.solve(lo, hi, start=self._start)
         else:
             sol = eng.resolve(self._snapshot, lo, hi)
+        self.iterations += sol.iterations
         sol = replace(sol, x=sol.x[: self.n], reduced_costs=sol.reduced_costs[: self.n])
         if sol.status == "optimal":
             self._snapshot = eng.snapshot()

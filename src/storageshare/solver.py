@@ -24,16 +24,19 @@ divisions then close at the root. The rows live in the tree's copy of
 the LP only; the model, its big-M form and their MPS files do not carry
 them.
 
-The root LP does not run phase 1. Before it is solved, each party's
-family already holds the party's optimal basis at its lowest share, and
-together those bases give a point of the root LP (every dispatch optimal
-with its multipliers, the peak at the highest load) and a feasible basis
-at it: each party's primal basis, the complementary dual basis on its
-stationarity rows, peak on its tightest row and a surplus on every other
-row (_root_start). The engine checks that start and runs phase 2 from
-it; a rejected start falls back to the slack crash. Each fallback a solve
-takes is named in SolveResult.fallbacks, and the clock and time limit run
-from the start of the whole solve, heuristic and chords included.
+No LP of a solve runs phase 1. Each party's family starts its first
+solve at the party's no-battery vertex (lp.no_battery_start). Before the
+root LP is solved, each family already holds the party's optimal basis at
+its lowest share, and together those bases give a point of the root LP
+(every dispatch optimal with its multipliers, the peak at the highest
+load) and a feasible basis at it: each party's primal basis, the
+complementary dual basis on its stationarity rows, peak on its tightest
+row and a surplus on every other row (_root_start). The engine checks
+each start and runs phase 2 from it; a rejected start falls back to the
+slack crash. Each fallback a solve takes is named in SolveResult.fallbacks,
+SolveResult.family_iterations counts the families' pivots, and the clock
+and time limit run from the start of the whole solve, heuristic and chords
+included.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from functools import partial
 import numpy as np
 
 from .instance import Division, Instance, ScheduleSet
-from .lp import LinearProgram, Rows, build_party_lp, evaluate
+from .lp import LinearProgram, Rows, build_party_lp, evaluate, no_battery_start
 from .mpec import MilpModel, MpecModel
 from .oracle import check_schedule_invariants
 from .simplex import CapacityFamily, Simplex
@@ -88,9 +91,11 @@ class SolveResult:
     bound_history: tuple = ()
     incumbent_history: tuple = ()
     root_iterations: int = 0
-    # the fallbacks the solve took: "root_start" (the root LP ran from the
-    # slack crash) and "reread" (the answer keeps the tree's multipliers,
-    # without the family certificate)
+    family_iterations: int = 0  # pivots of every party family solve: chords, heuristic, re-read
+    # the fallbacks the solve took: "family_start" (a party family's first
+    # solve ran from the slack crash), "root_start" (the root LP did) and
+    # "reread" (the answer keeps the tree's multipliers, without the
+    # family certificate)
     fallbacks: tuple = ()
 
     @property
@@ -273,8 +278,10 @@ class _DivisionHeuristic:
     together with the implied system peak gives an incumbent; the division
     is read off a node relaxation, and repeats are skipped via a cache.
     Each party has one warm family (simplex.CapacityFamily) for the whole
-    tree solve, so a new share is a dual-simplex bound change. The same
-    families give the tree's answer its multipliers (read_families).
+    tree solve, started at the party's no-battery vertex
+    (lp.no_battery_start), so its first solve runs no phase 1 and a new
+    share is a dual-simplex bound change. The same families give the
+    tree's answer its multipliers (read_families).
     """
 
     def __init__(self, mpec: MpecModel, feas_lp: LinearProgram, u_cols=None):
@@ -286,7 +293,7 @@ class _DivisionHeuristic:
         inst = mpec.instance
         party_lps = [build_party_lp(inst, p, 0.0) for p in range(inst.customer_count + 1)]
         self.costs = [plp.c for plp in party_lps]
-        self.families = [CapacityFamily(plp) for plp in party_lps]
+        self.families = [CapacityFamily(plp, start=no_battery_start(plp)) for plp in party_lps]
 
     def read_families(self, x: np.ndarray, dispatch: bool) -> np.ndarray | None:
         """Write into x each party's multipliers from its family at the
@@ -500,7 +507,11 @@ def _solve_tree(mpec: MpecModel, model, lp: LinearProgram, classify_for,
             fallbacks += ("reread",)
         else:
             result = replace(result, x=reread)
-    return replace(result, fallbacks=fallbacks, wall_time=time.perf_counter() - t0)
+    if any(f.engine.start_rejects for f in heur.families):
+        fallbacks = ("family_start",) + fallbacks
+    return replace(result, fallbacks=fallbacks,
+                   family_iterations=sum(f.iterations for f in heur.families),
+                   wall_time=time.perf_counter() - t0)
 
 
 def solve_milp(milp: MilpModel, options: SolveOptions | None = None) -> SolveResult:

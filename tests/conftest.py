@@ -129,6 +129,23 @@ def assert_multipliers_certify(mpec, res):
         assert ok, (lay.tag, report)
 
 
+def corrupted_starts(start):
+    """Wrappers of the no-battery start builder start that spoil its start
+    so that the engine must reject it: one basic column listed twice, or
+    one replaced by the surplus of a sign row, which folds into its
+    column's bounds and so is no column."""
+    def duplicate(lp):
+        basic, x = start(lp)
+        return np.append(basic[:-1], basic[0]), x
+
+    def folded(lp):
+        basic, x = start(lp)
+        sign = np.flatnonzero((np.diff(lp.g.indptr) == 1) & (lp.g_cap == 0.0))[0]
+        return np.append(basic[:-1], lp.n_vars + 1 + sign), x
+
+    return {"duplicate column": duplicate, "folded row's surplus": folded}
+
+
 def assert_grid_not_below(grid, exact):
     """The grid searches a subset of the divisions, so its best objective
     may not lie below the exact optimum."""

@@ -3,7 +3,16 @@ import pytest
 from scipy.optimize import linprog
 
 from storageshare.instance import ScheduleSet, customer_llm_objective, make_instance, soc_trajectory
-from storageshare.lp import build_llm_c, build_llm_d, build_party_lp, capacity_column, evaluate, make_lp
+from storageshare.lp import (
+    build_llm_c,
+    build_llm_d,
+    build_party_lp,
+    capacity_column,
+    evaluate,
+    make_lp,
+    no_battery_start,
+)
+from storageshare.simplex import Simplex
 from tests.conftest import rand_instance
 
 
@@ -180,6 +189,28 @@ def test_capacity_column_reproduces_the_rows(rng):
             assert got.objective == want.objective
             assert got.min_inequality_slack == pytest.approx(want.min_inequality_slack, abs=1e-12)
             assert got.max_equality_residual == pytest.approx(want.max_equality_residual, abs=1e-12)
+
+
+def test_no_battery_start_is_a_vertex_at_every_capacity(rng):
+    """The start point idles the battery, puts peak and valley at the
+    highest and lowest load, is feasible at every capacity, and names one
+    distinct basic column per row the engine keeps."""
+    for _ in range(3):
+        inst = rand_instance(rng, t=int(rng.integers(2, 8)))
+        t = inst.grid.slot_count
+        total = inst.storage.total_capacity
+        for p in range(inst.customer_count + 1):
+            lp = build_party_lp(inst, p, 0.0)
+            basic, x = no_battery_start(lp)
+            assert np.all(x[: 2 * t] == 0.0)
+            if p < inst.customer_count:
+                load = inst.loads.customer_load[p]
+                assert (x[2 * t], x[2 * t + 1]) == (load.max(), load.min())
+            for cap in (0.0, 0.3 * total, total):
+                assert evaluate(build_party_lp(inst, p, cap), x[: lp.n_vars]).feasible(1e-12)
+            eng = Simplex(capacity_column(lp))
+            assert basic.size == np.unique(basic).size == eng.m
+            assert np.all(eng._engine_col[basic] >= 0)  # no folded row's surplus
 
 
 def test_bad_inputs():

@@ -14,9 +14,10 @@ from storageshare.instance import (
     zero_schedules,
 )
 from storageshare.lp import build_llm_c, build_llm_d, make_lp
+from storageshare import oracle
 from storageshare.oracle import check_schedule_invariants, grid_oracle
 from storageshare.simplex import Simplex, solve_lp_engine
-from tests.conftest import rand_instance
+from tests.conftest import corrupted_starts, division_fixture, rand_instance
 
 
 def schedules_from_division(instance, division):
@@ -121,6 +122,24 @@ def test_symmetric_customers_tie_note():
     assert any("within 1e-9" in note for note in rep.notes)
     vals = {r[0]: r[2] for r in rep.records}
     assert vals[(0.0, 2.0, 0.0)] == pytest.approx(vals[(0.0, 0.0, 2.0)], abs=1e-9)
+
+
+def test_grid_names_each_party_whose_family_start_is_rejected(monkeypatch):
+    inst = division_fixture(202)
+    step = inst.storage.total_capacity / 4.0
+    clean = grid_oracle(inst, step=step)
+    assert not any("start" in note for note in clean.notes)
+    spoiled = corrupted_starts(oracle.no_battery_start)
+    for why, spoil in spoiled.items():
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "no_battery_start", spoil)
+            rep = grid_oracle(inst, step=step)
+        named = [note.split(":")[0] for note in rep.notes if "start rejected" in note]
+        assert named == ["customer[0]", "disco"], why
+        assert rep.best_objective == pytest.approx(clean.best_objective, rel=1e-9, abs=1e-9)
+        assert rep.best_division.s_disco == clean.best_division.s_disco
+        np.testing.assert_array_equal(rep.best_division.s_customer,
+                                      clean.best_division.s_customer)
 
 
 def test_guard_and_bad_step(rng):

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from storageshare import solver
-from storageshare.lp import build_llm_c, build_llm_d, build_party_lp, evaluate, make_lp
+from storageshare.lp import (
+    build_llm_c,
+    build_llm_d,
+    build_party_lp,
+    evaluate,
+    make_lp,
+    no_battery_start,
+)
 from storageshare.mpec import assemble_mpec, derive_kkt
 from storageshare.oracle import check_kkt_residuals
 from storageshare.simplex import (
@@ -22,8 +29,12 @@ from storageshare.simplex import (
 from tests.conftest import (
     DIVISION_FIXTURES,
     assert_lower_level_optimal,
+    corrupted_starts,
+    day_long,
+    division_fixture_n2,
     interior_fixture,
     rand_instance,
+    stress_fixture,
 )
 from tests.lp_oracle import brute_optimum, dual_objective, random_feasible_lp
 from tests.test_lp_build import scipy_solve
@@ -617,8 +628,8 @@ def test_warm_resolves_start_from_a_kept_or_a_rebuilt_inverse(monkeypatch):
             engines.append(self)
 
     class Family(CapacityFamily):
-        def __init__(self, lp):
-            super().__init__(lp)
+        def __init__(self, lp, start=None):
+            super().__init__(lp, start)
             families.append(self)
 
     def counted(self, snapshot, lo, hi):
@@ -688,6 +699,11 @@ def test_capacity_family_rejects_negative_capacity(tiny_instance):
     family = CapacityFamily(build_llm_d(tiny_instance, 0.0))
     with pytest.raises(ValueError):
         family.solve(-1.0)
+    lp = build_llm_c(tiny_instance, 0, 0.0)
+    started = CapacityFamily(lp, start=no_battery_start(lp))
+    with pytest.raises(ValueError):
+        started.solve(-1.0)
+    assert started.engine.status is None and started.iterations == 0  # no solve ran
 
 
 def test_face_minimum_writes_no_kept_inverse(rng):
@@ -885,3 +901,59 @@ def test_rejected_starts_fall_back_to_the_crash():
         assert sol.objective == plain.objective, why
         np.testing.assert_array_equal(sol.x, plain.x)
         np.testing.assert_array_equal(sol.dual_g, plain.dual_g)
+
+
+def _start_days(rng):
+    """(name, instance): the division fixtures, stress, both long days and
+    random days with lossless batteries, whose dispatch optima are
+    degenerate."""
+    days = [(name, build()) for name, build in DIVISION_FIXTURES]
+    days += [("stress", stress_fixture()), ("day_long1", day_long(1)),
+             ("day_long2", day_long(2))]
+    days += [(f"lossless{k}", rand_instance(rng, t=t, eta_ch=1.0, eta_dis=1.0))
+             for k, t in enumerate((4, 6, 12))]
+    return days
+
+
+def test_family_start_agrees_with_the_slack_crash(rng, monkeypatch):
+    """Every party family started at its no-battery vertex answers like
+    one started from the slack crash, over the same shares, and its first
+    solve runs no phase 1."""
+    starts = _record_starts(monkeypatch)
+    for name, inst in _start_days(rng):
+        total = inst.storage.total_capacity
+        for p in range(inst.customer_count + 1):
+            lp = build_party_lp(inst, p, 0.0)
+            crashed = CapacityFamily(lp)
+            started = CapacityFamily(lp, start=no_battery_start(lp))
+            for k, cap in enumerate((total, 0.0, 0.5 * total, 0.25 * total, total)):
+                ref = crashed.solve(cap)
+                starts.clear()
+                sol = started.solve(cap)
+                case = (name, p, cap)
+                if k == 0:
+                    assert starts == [], case  # no phase-1 loop
+                    assert started.engine.start_rejects == 0, case
+                assert sol.status == ref.status == "optimal", case
+                assert abs(sol.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective)), case
+                report, ok = check_kkt_residuals(derive_kkt(build_party_lp(inst, p, cap)),
+                                                 sol.x, sol.dual_g, sol.dual_h, tol=1e-7)
+                assert ok, (case, report)
+
+
+def test_family_counts_a_rejected_start_and_solves_from_the_crash():
+    inst = division_fixture_n2(219)
+    total = inst.storage.total_capacity
+    for p in range(inst.customer_count + 1):
+        lp = build_party_lp(inst, p, 0.0)
+        ref = CapacityFamily(lp).solve(total)
+        assert ref.status == "optimal"
+        for why, spoil in corrupted_starts(no_battery_start).items():
+            family = CapacityFamily(lp, start=spoil(lp))
+            sol = family.solve(total)
+            assert family.engine.start_rejects == 1, (p, why)
+            assert sol.status == "optimal", (p, why)
+            assert abs(sol.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
+            np.testing.assert_array_equal(sol.x, ref.x)
+            family.solve(0.5 * total)  # a warm resolve takes no start
+            assert family.engine.start_rejects == 1, (p, why)

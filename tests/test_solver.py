@@ -18,6 +18,7 @@ from tests.conftest import (
     assert_grid_not_below,
     assert_lower_level_optimal,
     assert_multipliers_certify,
+    corrupted_starts,
     day_long,
     division_fixture,
     division_fixture_n2,
@@ -425,7 +426,10 @@ def test_each_fallback_is_named_and_changes_no_answer(monkeypatch, mode):
         basic, x = start(*args)
         return basic[1:], x
 
+    spoiled = corrupted_starts(solver.no_battery_start)
     forced = (
+        ("family_start", solver, "no_battery_start", spoiled["duplicate column"]),
+        ("family_start", solver, "no_battery_start", spoiled["folded row's surplus"]),
         ("root_start", solver, "_root_start", short_start),
         ("root_start", solver, "_root_start", lambda *args: None),  # no start built
         ("reread", solver._DivisionHeuristic, "read_families",
@@ -440,6 +444,8 @@ def test_each_fallback_is_named_and_changes_no_answer(monkeypatch, mode):
         assert abs(res.objective - clean.objective) <= 1e-9 * max(1.0, abs(clean.objective))
         if name == "root_start":
             assert res.root_iterations > clean.root_iterations
+        if name == "family_start":  # the families' first solves ran phase 1
+            assert res.family_iterations > clean.family_iterations
 
 
 TREE_DAYS = DIVISION_FIXTURES + (("stress", stress_fixture),

@@ -7,16 +7,18 @@ The first form solves tests.conftest.division_fixture(seed) for every seed,
 with solve_lpcc and with the bigm path of scenarios.solve_division
 (validation and escalation included), and writes one JSON line per (seed,
 mode) with the status, nodes, LP iterations, the root LP's iterations,
-big-M escalations, the fallbacks the solve took, objective and seconds,
+the party families' iterations, big-M escalations, the fallbacks the
+solve took (family_start, root_start, reread), objective and seconds,
 the answer's worst lower-level excess, plus the seed's grid_oracle
 objective at step C/20. The excess is c_p.x_p - phi_p(s_p) of the party
 where it is largest relative to 1 + |phi_p(s_p)| (ll_excess, with that phi
 as ll_phi). The second form reads two such files and prints, per mode, the
-summed seconds and nodes of each and every seed where both solves are
-optimal and the objectives differ by more than 1e-6 relative; then the
-(seed, mode) solves whose escalation counts differ, and those whose
-fallbacks differ (of the solves both files record fallbacks for); then,
-per file, the seeds where the grid lies more than 1e-9 relative below an
+summed seconds and nodes of each (and the summed family iterations, when
+both files record them for every solve of the mode) and every seed where
+both solves are optimal and the objectives differ by more than 1e-6
+relative; then the (seed, mode) solves whose escalation counts differ,
+and those whose fallbacks differ (of the solves both files record
+fallbacks for); then, per file, the seeds where the grid lies more than 1e-9 relative below an
 optimal lpcc objective, which no correct grid can, and the (seed, mode)
 answers whose excess is above 1e-9 (1 + |phi|), whose dispatch is then
 not optimal.
@@ -59,6 +61,7 @@ def solve_one(seed: int, mode: str, node_limit: int) -> dict:
     seconds = time.perf_counter() - t0
     rec = {"seed": seed, "mode": mode, "status": res.status, "nodes": res.node_count,
            "iterations": res.iterations, "root_iterations": res.root_iterations,
+           "family_iterations": res.family_iterations,
            "escalations": escalations, "fallbacks": list(res.fallbacks),
            "objective": float(res.objective), "seconds": round(seconds, 4)}
     if res.x is not None:
@@ -118,8 +121,12 @@ def compare(path_a: str, path_b: str) -> int:
         keys = [k for k in both if k[1] == mode]
         ta, tb = (sum(side[k]["seconds"] for k in keys) for side in (a, b))
         na, nb = (sum(side[k]["nodes"] for k in keys) for side in (a, b))
-        print(f"{mode}: {len(keys)} seeds, seconds {ta:.2f} -> {tb:.2f}"
-              f" ({(tb - ta) / ta if ta else 0.0:+.1%}), nodes {na} -> {nb}")
+        line = (f"{mode}: {len(keys)} seeds, seconds {ta:.2f} -> {tb:.2f}"
+                f" ({(tb - ta) / ta if ta else 0.0:+.1%}), nodes {na} -> {nb}")
+        if all("family_iterations" in side[k] for side in (a, b) for k in keys):
+            fa, fb = (sum(side[k]["family_iterations"] for k in keys) for side in (a, b))
+            line += f", family iterations {fa} -> {fb}"
+        print(line)
         for k in keys:
             ra, rb = a[k], b[k]
             if ra["status"] != rb["status"]:
