@@ -6,12 +6,14 @@ search), scenario (compare the three control scenarios), cycle (one
 division solve per day), report (re-parse emitted report files).
 
 Exit codes: 0 success, 2 infeasible or bad input, 3 unbounded, 4 node or
-time limit, 1 other failure.
+time limit, 1 other failure. A division solve's code is its
+SolveResult.exit_code, the one table of status codes.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -31,7 +33,7 @@ from .scenarios import (
     run_all_scenarios,
     solve_division,
 )
-from .solver import _EXIT_CODES, MODES, extract_solution
+from .solver import MODES, extract_solution
 from .synthetic import PRICE_SHAPES, PROFILES, gen_synthetic
 
 
@@ -72,8 +74,11 @@ def _print_division(division):
 
 
 def _cmd_gen_data(args) -> int:
-    gen_synthetic(args.profile, args.price_shape, args.customers, args.slots,
-                  args.seed, args.loads, args.prices)
+    try:
+        gen_synthetic(args.profile, args.price_shape, args.customers, args.slots,
+                      args.seed, args.loads, args.prices)
+    except ValueError as exc:  # the choices are parsed already: a count is bad
+        raise DataError(f"--customers/--slots: {exc}") from None
     print(f"wrote {args.loads}")
     print(f"wrote {args.prices}")
     return 0
@@ -103,7 +108,7 @@ def _cmd_solve(args) -> int:
     for note in notes:
         print(f"note = {note}")
     if result.status != "optimal":
-        return _EXIT_CODES.get(result.status, 1)
+        return result.exit_code
     division, _, _ = extract_solution(result, instance)
     print(f"objective = {_fmt(result.objective)}")
     print(f"gap = {_fmt(result.gap)}")
@@ -112,6 +117,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.grid_step is not None and not 0 < args.grid_step < math.inf:
+        raise DataError(f"--grid-step must be positive and finite, got {args.grid_step}")
     instance, _ = _load(args)
     cap = instance.storage.total_capacity
     step = args.grid_step if args.grid_step is not None else cap / 20.0
@@ -135,7 +142,7 @@ def _cmd_scenario(args) -> int:
                                     policy=config.big_m_policy())
     except ScenarioError as exc:
         print(str(exc), file=sys.stderr)
-        return _EXIT_CODES.get(getattr(exc, "status", ""), 1)
+        return exc.exit_code
     paths = emit_report(reports, args.out, config=config)
     for r in reports:
         cust = " ".join(_fmt(v) + "%" for v in r.customer_reductions)

@@ -12,6 +12,12 @@ catalog order the reformulation depends on:
     customers add per slot: peak_def (7), valley_def (8)
     plus one energy_balance equality.
 
+Rows and columns carry no names; each is known by its position. Row
+f*T + t of a party LP is family f + 1 at slot t, so inequality row i
+belongs to family i // T + 1 (mpec.linearize_big_m sizes its big-M
+bounds this way). Columns are ch_0..ch_{T-1}, dis_0..dis_{T-1}, then a
+customer's peak and valley.
+
 Right-hand sides are stored as offset + cap_coef * capacity so a row stays
 valid symbolically when the owner's capacity later becomes a decision
 variable instead of a number; capacity_column makes it a column of the
@@ -167,23 +173,21 @@ class LinearProgram:
     g and h hold the rows of A_g and A_h (Rows, one per row, over the
     n_vars columns). b_g = g_offset + g_cap * capacity, likewise for
     equalities. Nonzero entries of g_cap/h_cap mark the rows that move with
-    the owner's capacity. g_idx/g_val/h_idx/h_val are per-row read-only
-    views of g and h, kept for callers outside the package.
+    the owner's capacity. g_idx/h_idx are per-row read-only views of the
+    column ids of g and h, kept for callers outside the package. name is
+    the model's MPS NAME.
     """
 
     name: str
-    var_names: tuple
     c: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
     g: Rows
     g_offset: np.ndarray
     g_cap: np.ndarray
-    g_names: tuple
     h: Rows
     h_offset: np.ndarray
     h_cap: np.ndarray
-    h_names: tuple
     capacity: float = 0.0
     objective_constant: float = 0.0
 
@@ -204,28 +208,14 @@ class LinearProgram:
         return self.g.views[0]
 
     @property
-    def g_val(self) -> tuple:
-        return self.g.views[1]
-
-    @property
     def h_idx(self) -> tuple:
         return self.h.views[0]
-
-    @property
-    def h_val(self) -> tuple:
-        return self.h.views[1]
 
     def b_g(self) -> np.ndarray:
         return self.g_offset + self.g_cap * self.capacity
 
     def b_h(self) -> np.ndarray:
         return self.h_offset + self.h_cap * self.capacity
-
-    def dense_g(self) -> np.ndarray:
-        return self.g.dense(self.n_vars)
-
-    def dense_h(self) -> np.ndarray:
-        return self.h.dense(self.n_vars)
 
 
 @dataclass
@@ -285,7 +275,6 @@ def capacity_column(lp: LinearProgram) -> LinearProgram:
     fixed = np.array([lp.capacity], dtype=float)
     return replace(
         lp,
-        var_names=lp.var_names + ("capacity",),
         c=np.append(lp.c, 0.0),
         lb=np.concatenate([lp.lb, fixed]),
         ub=np.concatenate([lp.ub, fixed]),
@@ -314,67 +303,46 @@ def evaluate(lp: LinearProgram, x: np.ndarray) -> LpEvaluation:
 
 def _storage_rows(instance: Instance, soc_ini: float):
     """Rows 1..6 of the catalog for one battery share, over the columns
-    ch_0..ch_{T-1}, dis_0..dis_{T-1}. Returns parallel lists
-    (idx, val, offset, cap, name) in family-major slot-minor order.
-    """
+    ch_0..ch_{T-1}, dis_0..dis_{T-1}, family-major and slot-minor, and
+    their capacity markers; every offset is 0."""
+    t = instance.grid.slot_count
+    dt = instance.grid.slot_hours
+    st = instance.storage
+    a = np.zeros((6, t, 2, t))  # [family, slot s, ch or dis, flow slot]
+    # stored energy through slot s: cumulative charge minus discharge
+    upto = np.tril(np.ones((t, t)))
+    a[0, :, 0], a[0, :, 1] = upto * (dt * st.eta_ch), upto * (-dt / st.eta_dis)  # soc_min
+    a[1, :, 0], a[1, :, 1] = upto * (-dt * st.eta_ch), upto * (dt / st.eta_dis)  # soc_max
+    # signs, x_s >= 0, then power limits, k*S - x_s >= 0
+    eye = np.eye(t)
+    a[2, :, 1], a[3, :, 0], a[4, :, 1], a[5, :, 0] = eye, eye, -eye, -eye
+    rows = Rows.from_dense(a.reshape(6 * t, 2 * t))
+    cap = np.repeat([st.soc_lower - soc_ini, soc_ini - st.soc_upper, 0.0, 0.0,
+                     -st.power_ratio, -st.power_ratio], t)
+    return rows, cap
+
+
+def _dispatch_lp(instance: Instance, name: str, c: np.ndarray, g: Rows,
+                 g_offset: np.ndarray, g_cap: np.ndarray, capacity: float) -> LinearProgram:
+    """Free variables ch_0..ch_{T-1}, dis_0..dis_{T-1}, then one per
+    further entry of c, the inequality rows g and the energy balance
+    equality (stored energy returns to its start by the end of the day)."""
     t_slots = instance.grid.slot_count
     dt = instance.grid.slot_hours
     st = instance.storage
-    idx, val, off, cap, names = [], [], [], [], []
-    ch_cols = np.arange(t_slots)
-    dis_cols = np.arange(t_slots, 2 * t_slots)
-    # stored energy through slot t: cumulative charge minus discharge
-    for sign, bound, tag in ((1.0, st.soc_lower - soc_ini, "soc_min"),
-                             (-1.0, soc_ini - st.soc_upper, "soc_max")):
-        for t in range(t_slots):
-            idx.append(np.concatenate([ch_cols[: t + 1], dis_cols[: t + 1]]))
-            val.append(np.concatenate([np.full(t + 1, sign * dt * st.eta_ch),
-                                       np.full(t + 1, -sign * dt / st.eta_dis)]))
-            off.append(0.0)
-            cap.append(bound)
-            names.append(f"{tag}[{t}]")
-    # signs, x_t >= 0, then power limits, k*S - x_t >= 0
-    for tag, cols, coef, cap_coef in (
-        ("dis_nonneg", dis_cols, 1.0, 0.0),
-        ("ch_nonneg", ch_cols, 1.0, 0.0),
-        ("dis_cap", dis_cols, -1.0, -st.power_ratio),
-        ("ch_cap", ch_cols, -1.0, -st.power_ratio),
-    ):
-        for t in range(t_slots):
-            idx.append(cols[t: t + 1])
-            val.append(np.array([coef]))
-            off.append(0.0)
-            cap.append(cap_coef)
-            names.append(f"{tag}[{t}]")
-    return idx, val, off, cap, names
-
-
-def _dispatch_lp(instance: Instance, name: str, c: np.ndarray, rows,
-                 capacity: float, extra_vars=()) -> LinearProgram:
-    """Free variables ch_0..ch_{T-1}, dis_0..dis_{T-1} then extra_vars,
-    the given inequality rows and the energy balance equality (stored
-    energy returns to its start by the end of the day)."""
-    t_slots = instance.grid.slot_count
-    dt = instance.grid.slot_hours
-    st = instance.storage
-    idx, val, off, cap, names = rows
     balance = np.concatenate([np.full(t_slots, dt * st.eta_ch),
                               np.full(t_slots, -dt / st.eta_dis)])
     return LinearProgram(
         name=name,
-        var_names=tuple([f"ch[{t}]" for t in range(t_slots)]
-                        + [f"dis[{t}]" for t in range(t_slots)] + list(extra_vars)),
         c=c,
         lb=np.full(len(c), -np.inf),
         ub=np.full(len(c), np.inf),
-        g=Rows.from_lists(idx, val),
-        g_offset=np.array(off),
-        g_cap=np.array(cap),
-        g_names=tuple(names),
+        g=g,
+        g_offset=g_offset,
+        g_cap=g_cap,
         h=Rows.from_lists([np.arange(2 * t_slots)], [balance]),
         h_offset=np.zeros(1),
         h_cap=np.zeros(1),
-        h_names=("energy_balance",),
         capacity=float(capacity),
     )
 
@@ -389,37 +357,27 @@ def build_llm_c(instance: Instance, customer_index: int, capacity: float) -> Lin
     """
     if not 0 <= customer_index < instance.customer_count:
         raise IndexError(f"customer index {customer_index} out of range")
-    if capacity < 0:
-        raise ValueError(f"capacity must be >= 0, got {capacity}")
+    if not 0 <= capacity < np.inf:  # NaN fails too
+        raise ValueError(f"capacity must be finite and >= 0, got {capacity}")
     t_slots = instance.grid.slot_count
     dt = instance.grid.slot_hours
     load = instance.loads.customer_load[customer_index]
-    peak_col = 2 * t_slots
-    valley_col = 2 * t_slots + 1
+    peak_col, valley_col = 2 * t_slots, 2 * t_slots + 1
+    tou, alpha = instance.prices.tou, instance.weights.alpha
+    c = np.concatenate([tou * dt, -tou * dt, [alpha, -alpha]])
 
-    c = np.zeros(2 * t_slots + 2)
-    c[:t_slots] = instance.prices.tou * dt
-    c[t_slots : 2 * t_slots] = -instance.prices.tou * dt
-    c[peak_col] = instance.weights.alpha
-    c[valley_col] = -instance.weights.alpha
-
-    rows = _storage_rows(
+    storage, cap = _storage_rows(
         instance, float(instance.storage.soc_ini_customer[customer_index]))
-    idx, val, off, cap, names = rows
-    for t in range(t_slots):  # peak_def: peak - ch_t + dis_t >= load_t
-        idx.append(np.array([peak_col, t, t_slots + t]))
-        val.append(np.array([1.0, -1.0, 1.0]))
-        off.append(float(load[t]))
-        cap.append(0.0)
-        names.append(f"peak_def[{t}]")
-    for t in range(t_slots):  # valley_def: ch_t - dis_t - valley >= -load_t
-        idx.append(np.array([t, t_slots + t, valley_col]))
-        val.append(np.array([1.0, -1.0, -1.0]))
-        off.append(-float(load[t]))
-        cap.append(0.0)
-        names.append(f"valley_def[{t}]")
-    return _dispatch_lp(instance, f"llm_c[{customer_index}]", c, rows, capacity,
-                        extra_vars=("peak", "valley"))
+    ch, dis = np.arange(t_slots), t_slots + np.arange(t_slots)
+    # peak_def: peak - ch_s + dis_s >= load_s; valley_def: ch_s - dis_s - valley >= -load_s
+    profile = Rows.from_lists(
+        np.concatenate([np.column_stack([np.full(t_slots, peak_col), ch, dis]),
+                        np.column_stack([ch, dis, np.full(t_slots, valley_col)])]),
+        np.repeat([[1.0, -1.0, 1.0], [1.0, -1.0, -1.0]], t_slots, axis=0))
+    return _dispatch_lp(instance, f"llm_c[{customer_index}]", c,
+                        Rows.stack([storage, profile]),
+                        np.concatenate([np.zeros(storage.n_rows), load, -load]),
+                        np.append(cap, np.zeros(2 * t_slots)), capacity)
 
 
 def build_llm_d(instance: Instance, capacity: float) -> LinearProgram:
@@ -429,16 +387,12 @@ def build_llm_d(instance: Instance, capacity: float) -> LinearProgram:
     1..6 slot by slot (6T inequalities) plus the energy balance equality.
     Objective: wholesale cost increment of the storage flows.
     """
-    if capacity < 0:
-        raise ValueError(f"capacity must be >= 0, got {capacity}")
-    t_slots = instance.grid.slot_count
+    if not 0 <= capacity < np.inf:  # NaN fails too
+        raise ValueError(f"capacity must be finite and >= 0, got {capacity}")
     dt = instance.grid.slot_hours
-
-    c = np.zeros(2 * t_slots)
-    c[:t_slots] = instance.prices.lmp * dt
-    c[t_slots:] = -instance.prices.lmp * dt
-    rows = _storage_rows(instance, instance.storage.soc_ini_disco)
-    return _dispatch_lp(instance, "llm_d", c, rows, capacity)
+    c = np.concatenate([instance.prices.lmp * dt, -instance.prices.lmp * dt])
+    g, cap = _storage_rows(instance, instance.storage.soc_ini_disco)
+    return _dispatch_lp(instance, "llm_d", c, g, np.zeros(g.n_rows), cap, capacity)
 
 
 def build_party_lp(instance: Instance, party: int, capacity: float) -> LinearProgram:
@@ -490,7 +444,6 @@ def make_lp(
     lb=None,
     ub=None,
     name="lp",
-    var_names=None,
     objective_constant=0.0,
 ) -> LinearProgram:
     """General-purpose constructor from dense data, a_ub x >= b_ub rows.
@@ -503,29 +456,23 @@ def make_lp(
     lb = np.full(n, -np.inf) if lb is None else np.asarray(lb, float)
     ub = np.full(n, np.inf) if ub is None else np.asarray(ub, float)
 
-    if a_ub is not None and len(np.atleast_2d(a_ub)):
-        g = Rows.from_dense(np.atleast_2d(a_ub))
-        g_off = np.asarray(b_ub, float)
-    else:
-        g, g_off = Rows.from_lists((), ()), np.zeros(0)
-    if a_eq is not None and len(np.atleast_2d(a_eq)):
-        h = Rows.from_dense(np.atleast_2d(a_eq))
-        h_off = np.asarray(b_eq, float)
-    else:
-        h, h_off = Rows.from_lists((), ()), np.zeros(0)
+    def rows(a, b):
+        if a is None or not len(np.atleast_2d(a)):
+            return Rows.from_lists((), ()), np.zeros(0)
+        return Rows.from_dense(np.atleast_2d(a)), np.asarray(b, float)
+
+    g, g_off = rows(a_ub, b_ub)
+    h, h_off = rows(a_eq, b_eq)
     return LinearProgram(
         name=name,
-        var_names=tuple(var_names) if var_names else tuple(f"x[{j}]" for j in range(n)),
         c=c,
         lb=lb,
         ub=ub,
         g=g,
         g_offset=g_off,
         g_cap=np.zeros(g.n_rows),
-        g_names=tuple(f"r[{i}]" for i in range(g.n_rows)),
         h=h,
         h_offset=h_off,
         h_cap=np.zeros(h.n_rows),
-        h_names=tuple(f"e[{i}]" for i in range(h.n_rows)),
         objective_constant=objective_constant,
     )

@@ -8,9 +8,12 @@ constraints and the peak epigraph yields one model whose only nonlinearity
 is the pair condition omega_i * g_i = 0; linearize_big_m swaps each pair
 for the two bound rows with an auxiliary 0-1 variable.
 
-The derivation is mechanical from LP data. Nothing here knows about slots
-or batteries beyond the capacity markers (g_cap) that re-link a party's
-rows to its division variable.
+The derivation is mechanical from LP data: assemble_mpec knows nothing
+about slots or batteries beyond the capacity markers (g_cap) that re-link
+a party's rows to its division variable. linearize_big_m sizes each
+pair's primal bound by the catalog family of its row, which it reads off
+the row's position in the party block (lp.py: row i is of family
+i // T + 1); no row or column carries a name.
 """
 
 from __future__ import annotations
@@ -21,35 +24,6 @@ import numpy as np
 
 from .instance import Instance, flow_price
 from .lp import LinearProgram, Rows, build_party_lp
-
-
-@dataclass(frozen=True)
-class KktSystem:
-    """Optimality system of one lower-level LP.
-
-    Stationarity row j (one per primal variable):
-        sum_i A_g[i, j] * omega_i + sum_m A_h[m, j] * v_m = c_j
-    plus omega >= 0, the primal rows verbatim, and one complementarity
-    pair per inequality row.
-    """
-
-    lp: LinearProgram
-    stat_g: Rows  # A_g transposed: row j lists the inequality rows using x_j
-    stat_h: Rows  # A_h transposed
-    rhs: np.ndarray  # = lp.c
-    pair_names: tuple
-
-    @property
-    def n_x(self) -> int:
-        return self.lp.n_vars
-
-    @property
-    def n_omega(self) -> int:
-        return self.lp.n_g
-
-    @property
-    def n_v(self) -> int:
-        return self.lp.n_h
 
 
 @dataclass(frozen=True)
@@ -64,7 +38,7 @@ class PartyLayout:
     v0: int
     nv: int
     g0: int  # first primal inequality row in the joint model
-    stat0: int  # first stationarity equality row
+    stat0: int  # first of the nx stationarity equality rows, then the nv balance rows
     cap_col: int  # division variable this party's rows are linked to
 
 
@@ -136,31 +110,11 @@ class MilpModel:
     pairs: np.ndarray
     m_omega: np.ndarray
     m_slack: np.ndarray
-    m_notes: tuple
     pair_row0: int  # pair p's rows sit at pair_row0 + 2p (+1)
 
     @property
     def n_binaries(self) -> int:
         return len(self.binary_cols)
-
-
-def derive_kkt(lp: LinearProgram) -> KktSystem:
-    """Optimality system of an LP whose limits are all written as rows.
-
-    Finite variable bounds would need their own multipliers, which the
-    generated stationarity rows deliberately omit; such LPs are rejected.
-    """
-    if np.any(np.isfinite(lp.lb)) or np.any(np.isfinite(lp.ub)):
-        raise ValueError(
-            "derive_kkt needs an all-rows LP (finite variable bounds present)"
-        )
-    return KktSystem(
-        lp=lp,
-        stat_g=lp.g.transpose(lp.n_vars),
-        stat_h=lp.h.transpose(lp.n_vars),
-        rhs=lp.c,
-        pair_names=lp.g_names,
-    )
 
 
 def assemble_mpec(instance: Instance) -> MpecModel:
@@ -171,7 +125,6 @@ def assemble_mpec(instance: Instance) -> MpecModel:
 
     party_lps = [build_party_lp(instance, p, 0.0) for p in range(n_cust + 1)]
 
-    names = ["peak", "s_d"] + [f"s_c[{n}]" for n in range(n_cust)]
     col = 2 + n_cust
     layouts = []
     g_count = 1 + t  # capacity split + peak epigraph, placed first
@@ -181,9 +134,6 @@ def assemble_mpec(instance: Instance) -> MpecModel:
         x0, col = col, col + plp.n_vars
         w0, col = col, col + plp.n_g
         v0, col = col, col + plp.n_h
-        names.extend(tag + nm for nm in plp.var_names)
-        names.extend(f"{tag}w.{nm}" for nm in plp.g_names)
-        names.extend(f"{tag}v.{nm}" for nm in plp.h_names)
         layouts.append(
             PartyLayout(
                 tag=tag, x0=x0, nx=plp.n_vars, w0=w0, nw=plp.n_g,
@@ -218,8 +168,7 @@ def assemble_mpec(instance: Instance) -> MpecModel:
     peak = Rows.from_lists(np.column_stack(peak_cols),
                            np.tile([1.0] + [-1.0, 1.0] * len(layouts), (t, 1)))
     g_parts, g_off = [split, peak], [[-s_total], instance.loads.system_load]
-    g_names = ["capacity_split"] + [f"peak_row[{ts}]" for ts in range(t)]
-    h_parts, h_off, h_names = [], [], []
+    h_parts, h_off = [], []
     pairs = []
 
     def relinked(rows, cap, lay):
@@ -233,13 +182,10 @@ def assemble_mpec(instance: Instance) -> MpecModel:
         # v0 = w0 + n_g, so stacked row i of [A_g; A_h] has multiplier w0 + i
         h_parts.append(Rows.stack([plp.g, plp.h]).transpose(plp.n_vars).shifted(lay.w0))
         h_off.append(plp.c)
-        h_names.extend(f"{lay.tag}stat.{nm}" for nm in plp.var_names)
         h_parts.append(relinked(plp.h, plp.h_cap, lay))
         h_off.append(plp.h_offset)
-        h_names.extend(lay.tag + nm for nm in plp.h_names)
         g_parts.append(relinked(plp.g, plp.g_cap, lay))
         g_off.append(plp.g_offset)
-        g_names.extend(lay.tag + nm for nm in plp.g_names)
         pairs.append(np.column_stack([lay.w0 + np.arange(lay.nw),
                                       lay.g0 + np.arange(lay.nw)]))
 
@@ -247,18 +193,15 @@ def assemble_mpec(instance: Instance) -> MpecModel:
     h = Rows.stack(h_parts)
     lp = LinearProgram(
         name="division_mpec",
-        var_names=tuple(names),
         c=c,
         lb=lb,
         ub=ub,
         g=g,
         g_offset=np.concatenate(g_off),
         g_cap=np.zeros(g.n_rows),
-        g_names=tuple(g_names),
         h=h,
         h_offset=np.concatenate(h_off),
         h_cap=np.zeros(h.n_rows),
-        h_names=tuple(h_names),
         objective_constant=constant,
     )
     return MpecModel(
@@ -273,17 +216,16 @@ def assemble_mpec(instance: Instance) -> MpecModel:
     )
 
 
-def _primal_row_bound(family: str, instance: Instance, load: np.ndarray):
-    """Upper bound on a primal row's slack over the feasible set."""
+def _family_bounds(instance: Instance, load: np.ndarray) -> np.ndarray:
+    """Upper bound on the slack of a party row over the feasible set, per
+    catalog family in catalog order: soc_min, soc_max, the four power
+    limits, peak_def and valley_def."""
     st = instance.storage
     span = st.total_capacity
-    if family in ("soc_min", "soc_max"):
-        return (st.soc_upper - st.soc_lower) * span
-    if family in ("dis_nonneg", "ch_nonneg", "dis_cap", "ch_cap"):
-        return st.power_ratio * span
-    if family in ("peak_def", "valley_def"):
-        return 2.0 * float(load.max()) + 2.0 * st.power_ratio * span
-    return None
+    soc = (st.soc_upper - st.soc_lower) * span
+    power = st.power_ratio * span
+    profile = 2.0 * float(load.max()) + 2.0 * st.power_ratio * span
+    return np.array([soc, soc, power, power, power, power, profile, profile])
 
 
 def linearize_big_m(mpec: MpecModel, policy: BigMPolicy | None = None) -> MilpModel:
@@ -294,38 +236,20 @@ def linearize_big_m(mpec: MpecModel, policy: BigMPolicy | None = None) -> MilpMo
     n_pairs = len(mpec.pairs)
     n0 = base.n_vars
     dt = inst.grid.slot_hours
-    dual_m = max(
-        policy.dual_floor,
-        policy.dual_scale
-        * max(
-            float(np.abs(inst.prices.lmp).max()),
-            float(inst.prices.tou.max()),
-            inst.weights.alpha,
-        )
-        * dt,
-    )
+    price = max(float(np.abs(inst.prices.lmp).max()), float(inst.prices.tou.max()),
+                inst.weights.alpha)
+    dual_m = max(policy.dual_floor, policy.dual_scale * price * dt)
 
     m_omega = np.full(n_pairs, dual_m)
-    m_slack = np.empty(n_pairs)
-    notes = []
-    p = 0
-    for k, lay in enumerate(mpec.parties()):
-        load = (
-            inst.loads.customer_load[k]
-            if k < inst.customer_count
-            else inst.loads.system_load
-        )
-        for i in range(lay.nw):
-            family = base.g_names[lay.g0 + i].split(".", 1)[1].split("[")[0]
-            bound = _primal_row_bound(family, inst, load)
-            if bound is None or not np.isfinite(bound):
-                notes.append((p, family, "no interval bound, using dual default"))
-                m_slack[p] = dual_m
-            else:
-                m_slack[p] = policy.primal_safety * bound + policy.primal_floor
-            p += 1
+    # pairs run party by party over each party's rows; row i of a party
+    # block is of catalog family i // T
+    t = inst.grid.slot_count
+    loads = list(inst.loads.customer_load) + [inst.loads.system_load]
+    m_slack = np.concatenate([
+        policy.primal_safety * _family_bounds(inst, load)[np.arange(lay.nw) // t]
+        + policy.primal_floor
+        for lay, load in zip(mpec.parties(), loads)])
 
-    names = list(base.var_names) + [f"u[{q}]" for q in range(n_pairs)]
     lb = np.concatenate([base.lb, np.zeros(n_pairs)])
     ub = np.concatenate([base.ub, np.ones(n_pairs)])
     c = np.concatenate([base.c, np.zeros(n_pairs)])
@@ -341,23 +265,18 @@ def linearize_big_m(mpec: MpecModel, policy: BigMPolicy | None = None) -> MilpMo
     interleave = np.column_stack([np.arange(n_pairs), n_pairs + np.arange(n_pairs)]).ravel()
     g = Rows.stack([base.g, Rows.stack([omega_rows, slack_rows]).take(interleave)])
     pair_off = np.column_stack([np.zeros(n_pairs), -m_slack - base.g_offset[g_rows]])
-    pair_names = tuple(nm for q in range(n_pairs)
-                       for nm in (f"m_omega[{q}]", f"m_slack[{q}]"))
 
     lp = LinearProgram(
         name="division_milp",
-        var_names=tuple(names),
         c=c,
         lb=lb,
         ub=ub,
         g=g,
         g_offset=np.concatenate([base.g_offset, pair_off.ravel()]),
         g_cap=np.zeros(g.n_rows),
-        g_names=base.g_names + pair_names,
         h=base.h,
         h_offset=base.h_offset,
         h_cap=base.h_cap,
-        h_names=base.h_names,
         objective_constant=base.objective_constant,
     )
     return MilpModel(
@@ -367,7 +286,6 @@ def linearize_big_m(mpec: MpecModel, policy: BigMPolicy | None = None) -> MilpMo
         pairs=mpec.pairs,
         m_omega=m_omega,
         m_slack=m_slack,
-        m_notes=tuple(notes),
         pair_row0=base.n_g,
     )
 

@@ -119,8 +119,8 @@ def export_mps(model: LinearProgram | MilpModel, destination) -> None:
 def _write_model(lp: LinearProgram, binary_cols: np.ndarray, write) -> None:
     n = lp.n_vars
     col_names = _names(b"X", n)
-    g_names = _names(b"R", lp.n_g)
-    h_names = _names(b"E", lp.n_h)
+    g_labels = _names(b"R", lp.n_g)
+    h_labels = _names(b"E", lp.n_h)
 
     # flatten every matrix entry into parallel arrays: column, row key, value
     c_cols = np.flatnonzero(lp.c)
@@ -133,14 +133,14 @@ def _write_model(lp: LinearProgram, binary_cols: np.ndarray, write) -> None:
     order = np.lexsort((e_row, e_col))
     e_col, e_row, e_val = e_col[order], e_row[order], e_val[order]
 
-    row_pad_table = _ljust(np.concatenate([[_OBJ], g_names, h_names]), 10)
+    row_pad_table = _ljust(np.concatenate([[_OBJ], g_labels, h_labels]), 10)
     col_pad_table = _ljust(col_names, 10)
     is_binary = np.zeros(n, dtype=bool)
     is_binary[binary_cols] = True
 
     write(b"NAME".ljust(14) + _sanitize(lp.name).encode() + b"\nROWS\n N  " + _OBJ + b"\n")
-    _write_lines(write, 0, lp.n_g, lambda a, b: (b" G  ", g_names[a:b]))
-    _write_lines(write, 0, lp.n_h, lambda a, b: (b" E  ", h_names[a:b]))
+    _write_lines(write, 0, lp.n_g, lambda a, b: (b" G  ", g_labels[a:b]))
+    _write_lines(write, 0, lp.n_h, lambda a, b: (b" E  ", h_labels[a:b]))
 
     write(b"COLUMNS\n")
     lead, parts = _entry_parts(col_pad_table, e_col, row_pad_table, e_row, e_val)

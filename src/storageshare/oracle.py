@@ -5,15 +5,15 @@ grid_oracle enumerates capacity divisions on a regular grid, solves every
 party's dispatch LP independently per capacity value on one warm family
 per party (cached: a party's problem depends only on its own share),
 and evaluates the division objective directly from schedules. Each
-family starts at the party's no-battery vertex (lp.no_battery_start); a
+family starts at the party's no-battery vertex (simplex.party_family); a
 party whose start the engine rejects is named in the report's notes.
-The checkers compute optimality-system and schedule residuals from raw
-data.
+check_schedule_invariants audits a division's schedules from raw data,
+without the LP rows.
 
 Optimistic ties: each cell scores the better of the party's optimum and
 the face minimum of the flow-priced part of the upper objective
-(Simplex.face_minimum on the family's engine); the shared peak term is
-not tied through.
+(simplex.flow_face on the family's engine); the shared peak term is not
+tied through.
 """
 
 from __future__ import annotations
@@ -24,54 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Division, Instance, ScheduleSet, flow_price, soc_trajectory
-from .lp import build_party_lp, evaluate, no_battery_start
-from .mpec import KktSystem
-from .simplex import CapacityFamily
+from .simplex import flow_face, party_family
 
 GRID_GUARD = 200_000
-
-
-@dataclass(frozen=True)
-class KktReport:
-    max_stationarity: float
-    min_dual: float
-    max_complementarity: float
-    max_primal_violation: float
-
-    def passed(self, tol: float) -> bool:
-        return (
-            self.max_stationarity <= tol
-            and self.min_dual >= -tol
-            and self.max_complementarity <= tol
-            and self.max_primal_violation <= tol
-        )
-
-
-def check_kkt_residuals(kkt: KktSystem, x, omega, v, tol: float = 1e-6):
-    """Worst-case residuals of a candidate optimality triple.
-
-    Returns (report, passed). Stationarity is evaluated per primal variable,
-    complementarity per inequality row; primal violation covers both row
-    types of the source LP.
-    """
-    x = np.asarray(x, float)
-    omega = np.asarray(omega, float)
-    v = np.asarray(v, float)
-    lp = kkt.lp
-    resid = kkt.stat_g.dot(omega) + kkt.stat_h.dot(v) - kkt.rhs
-    stat = float(np.abs(resid).max(initial=0.0))
-    slack = lp.g.dot(x) - lp.b_g()
-    comp = float(np.abs(omega * slack).max()) if lp.n_g else 0.0
-    min_dual = float(omega.min()) if lp.n_g else 0.0
-    ev = evaluate(lp, x)
-    primal = max(0.0, -ev.min_inequality_slack, ev.max_equality_residual)
-    report = KktReport(
-        max_stationarity=stat,
-        min_dual=min_dual,
-        max_complementarity=comp,
-        max_primal_violation=primal,
-    )
-    return report, report.passed(tol)
 
 
 @dataclass(frozen=True)
@@ -172,13 +127,9 @@ def _party_dispatch(family, cap, grad_flows) -> _Dispatch:
     """The party's dispatch at capacity cap, from its warm family, and the
     one of its optima that grad_flows . (ch - dis) likes best."""
     t = len(grad_flows)
-    sol = family.solve(cap)
-    if sol.status != "optimal":
+    sol, x_res = flow_face(family, cap, grad_flows)
+    if x_res is None:
         raise RuntimeError(f"LLM solve failed ({sol.status}) at capacity {cap}")
-    grad = np.zeros(family.engine.n)
-    grad[:t] = grad_flows
-    grad[t: 2 * t] = -grad_flows
-    x_res = family.engine.face_minimum(grad)
     return _Dispatch(
         flow_raw=sol.x[:t] - sol.x[t: 2 * t],
         flow_res=x_res[:t] - x_res[t: 2 * t],
@@ -195,8 +146,8 @@ def grid_oracle(instance: Instance, step: float, guard: int = GRID_GUARD) -> Ora
     the upper objective resolve to the lexicographically smallest division
     (DisCo share first).
     """
-    if step <= 0:
-        raise ValueError(f"step must be > 0, got {step}")
+    if not 0 < step < math.inf:  # NaN fails too
+        raise ValueError(f"step must be positive and finite, got {step}")
     n = instance.customer_count
     s_total = instance.storage.total_capacity
     k_max = int(math.floor(s_total / step + 1e-9))
@@ -213,8 +164,7 @@ def grid_oracle(instance: Instance, step: float, guard: int = GRID_GUARD) -> Ora
     cache = []  # party order: customers 0..n-1, then disco
     notes = []
     for p in range(n + 1):
-        plp = build_party_lp(instance, p, 0.0)
-        family = CapacityFamily(plp, start=no_battery_start(plp))
+        family = party_family(instance, p)
         cache.append([_party_dispatch(family, k * step, price)
                       for k in range(k_max + 1)])
         if family.engine.start_rejects:

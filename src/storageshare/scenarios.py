@@ -39,9 +39,9 @@ from .instance import (
     upper_objective,
     zero_schedules,
 )
-from .lp import Rows, build_llm_d, no_battery_start
+from .lp import Rows
 from .mpec import BigMPolicy, assemble_mpec, linearize_big_m, validate_big_m
-from .simplex import CapacityFamily
+from .simplex import flow_face, party_family
 from .solver import MODES, SolveOptions, extract_solution, solve_lpcc, solve_milp
 
 ZERO_BASELINE_TOL = 1e-12
@@ -56,7 +56,10 @@ class ScenarioId(IntEnum):
 
 
 class ScenarioError(RuntimeError):
-    """A scenario solve failed; the message names the scenario."""
+    """A scenario solve failed; the message names the scenario. A failed
+    division solve also sets status and exit_code (SolveResult's)."""
+
+    exit_code = 1
 
 
 @dataclass(frozen=True)
@@ -119,14 +122,10 @@ def _disco_only_dispatch(instance: Instance):
     solve of the utility's party family, the same path as every other."""
     t = instance.grid.slot_count
     s_total = instance.storage.total_capacity
-    plp = build_llm_d(instance, 0.0)
-    family = CapacityFamily(plp, start=no_battery_start(plp))
-    sol = family.solve(s_total)
-    if sol.status != "optimal":
+    family = party_family(instance, instance.customer_count)
+    sol, x_res = flow_face(family, s_total, flow_price(instance))
+    if x_res is None:
         raise ScenarioError(f"scenario 1: utility dispatch ended {sol.status}")
-    price = flow_price(instance)
-    # the capacity column is fixed, so it takes no gradient entry
-    x_res = family.engine.face_minimum(np.concatenate([price, -price, [0.0]]))
 
     def as_schedules(x):
         ch, dis = x[:t], x[t: 2 * t]
@@ -160,7 +159,6 @@ def _pin_customers_only(mpec):
         h=Rows.stack([lp.h, Rows.from_lists([cols], [np.ones(len(cols))])]),
         h_offset=np.append(lp.h_offset, mpec.instance.storage.total_capacity),
         h_cap=np.append(lp.h_cap, 0.0),
-        h_names=lp.h_names + ("full_customer_allocation",),
     )
     return replace(mpec, lp=lp2)
 
@@ -232,7 +230,7 @@ def run_scenario(instance: Instance, scenario, options: SolveOptions | None = No
             err = ScenarioError(
                 f"scenario {int(scenario)}: solver ended {result.status} "
                 f"after {result.node_count} nodes")
-            err.status = result.status
+            err.status, err.exit_code = result.status, result.exit_code
             raise err
         division, schedules, _ = extract_solution(result, instance)
         stats = {"mode": mode, "status": result.status,

@@ -107,7 +107,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .lp import LinearProgram, LpSolution, Rows, capacity_column
+from .instance import Instance
+from .lp import LinearProgram, LpSolution, Rows, build_party_lp, capacity_column, no_battery_start
 
 AT_LB, AT_UB, FREE, BASIC = 0, 1, 2, 3
 
@@ -760,8 +761,8 @@ class CapacityFamily:
 
     lp's capacity only seeds the engine; solve(capacity) sets it. start,
     if given, is Simplex.solve's start for the cold solve, in the numbering
-    of capacity_column(lp) (lp.no_battery_start writes one down for a party
-    LP); a rejected start counts in engine.start_rejects. The returned x,
+    of capacity_column(lp) (party_family passes the party's no-battery
+    vertex); a rejected start counts in engine.start_rejects. The returned x,
     reduced_costs and basis are in lp's own numbering (the capacity column,
     which is fixed and so never basic, is dropped), the duals and active
     rows cover every row of lp. A solve that does not end optimal leaves
@@ -777,8 +778,8 @@ class CapacityFamily:
         self._snapshot = None  # final basis of the last optimal solve
 
     def solve(self, capacity: float) -> LpSolution:
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
+        if not 0 <= capacity < np.inf:  # NaN fails too
+            raise ValueError(f"capacity must be finite and >= 0, got {capacity}")
         eng = self.engine
         lo, hi = eng.base_lo.copy(), eng.base_hi.copy()
         lo[self.n] = hi[self.n] = capacity
@@ -795,6 +796,21 @@ class CapacityFamily:
         return sol
 
 
-def solve_lp_engine(lp: LinearProgram) -> LpSolution:
-    """One-shot cold solve of a LinearProgram."""
-    return Simplex(lp).solve()
+def party_family(instance: Instance, party: int) -> CapacityFamily:
+    """The warm family of party's dispatch LP (lp.build_party_lp), its
+    cold solve started at the party's no-battery vertex."""
+    plp = build_party_lp(instance, party, 0.0)
+    return CapacityFamily(plp, start=no_battery_start(plp))
+
+
+def flow_face(family: CapacityFamily, capacity: float, price: np.ndarray):
+    """(sol, x_face): the family's optimum at capacity and the point of its
+    optimal face that minimizes price . (ch - dis) (Simplex.face_minimum),
+    for a party family, whose first 2T columns are ch then dis. x_face is
+    None if sol is not optimal."""
+    sol = family.solve(capacity)
+    if sol.status != "optimal":
+        return sol, None
+    grad = np.zeros(family.engine.n)
+    grad[: 2 * len(price)] = np.concatenate([price, -price])
+    return sol, family.engine.face_minimum(grad)

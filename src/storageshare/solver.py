@@ -25,7 +25,7 @@ the LP only; the model, its big-M form and their MPS files do not carry
 them.
 
 No LP of a solve runs phase 1. Each party's family starts its first
-solve at the party's no-battery vertex (lp.no_battery_start). Before the
+solve at the party's no-battery vertex (simplex.party_family). Before the
 root LP is solved, each family already holds the party's optimal basis at
 its lowest share, and together those bases give a point of the root LP
 (every dispatch optimal with its multipliers, the peak at the highest
@@ -49,10 +49,10 @@ from functools import partial
 import numpy as np
 
 from .instance import Division, Instance, ScheduleSet
-from .lp import LinearProgram, Rows, build_party_lp, evaluate, no_battery_start
+from .lp import LinearProgram, Rows, evaluate
 from .mpec import MilpModel, MpecModel
 from .oracle import check_schedule_invariants
-from .simplex import CapacityFamily, Simplex
+from .simplex import Simplex, party_family
 
 _EXIT_CODES = {"optimal": 0, "infeasible": 2, "unbounded": 3, "limit": 4}
 MODES = ("bigm", "lpcc")  # solve_milp on the big-M model, or solve_lpcc
@@ -279,7 +279,7 @@ class _DivisionHeuristic:
     is read off a node relaxation, and repeats are skipped via a cache.
     Each party has one warm family (simplex.CapacityFamily) for the whole
     tree solve, started at the party's no-battery vertex
-    (lp.no_battery_start), so its first solve runs no phase 1 and a new
+    (simplex.party_family), so its first solve runs no phase 1 and a new
     share is a dual-simplex bound change. The same families give the
     tree's answer its multipliers (read_families).
     """
@@ -291,9 +291,9 @@ class _DivisionHeuristic:
         self.pair_slacks = _pair_slacks(mpec.lp, mpec.pairs)
         self.seen: set = set()
         inst = mpec.instance
-        party_lps = [build_party_lp(inst, p, 0.0) for p in range(inst.customer_count + 1)]
-        self.costs = [plp.c for plp in party_lps]
-        self.families = [CapacityFamily(plp, start=no_battery_start(plp)) for plp in party_lps]
+        self.families = [party_family(inst, p) for p in range(inst.customer_count + 1)]
+        # each party's dispatch cost; the family's capacity column costs nothing
+        self.costs = [f.engine.lp.c[: f.n] for f in self.families]
 
     def read_families(self, x: np.ndarray, dispatch: bool) -> np.ndarray | None:
         """Write into x each party's multipliers from its family at the
@@ -405,7 +405,7 @@ def _with_chords(mpec: MpecModel, lp: LinearProgram, heur: _DivisionHeuristic):
     row. phi_p(lo) and phi_p(hi) come from the heuristic's families, solved
     at hi first so each family ends at lo. Returns the LP and, per party,
     the family solutions (at lo, at hi)."""
-    idx, val, off, names, ends = [], [], [], [], []
+    idx, val, off, ends = [], [], [], []
     for p, lay in enumerate(mpec.parties()):
         lo, hi = float(lp.lb[lay.cap_col]), float(lp.ub[lay.cap_col])
         at_hi = heur.families[p].solve(hi)
@@ -422,13 +422,11 @@ def _with_chords(mpec: MpecModel, lp: LinearProgram, heur: _DivisionHeuristic):
         idx.append(cols)
         val.append(coefs)
         off.append(slope * lo - phi_lo)
-        names.append(f"{lay.tag}chord")
     return replace(
         lp,
         g=Rows.stack([lp.g, Rows.from_lists(idx, val)]),
         g_offset=np.append(lp.g_offset, off),
         g_cap=np.append(lp.g_cap, np.zeros(len(off))),
-        g_names=lp.g_names + tuple(names),
     ), ends
 
 

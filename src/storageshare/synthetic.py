@@ -50,8 +50,9 @@ def synth_series(profile: str, price_shape: str, n_customers: int,
         raise ValueError(f"profile must be one of {PROFILES}")
     if price_shape not in PRICE_SHAPES:
         raise ValueError(f"price_shape must be one of {PRICE_SHAPES}")
-    if n_customers < 1 or n_slots < 1:
-        raise ValueError("n_customers and n_slots must be >= 1")
+    if n_customers < 1 or n_slots < 2:  # as validate_instance requires
+        raise ValueError(f"n_customers must be >= 1 and n_slots >= 2, "
+                         f"got {n_customers} and {n_slots}")
     rng = np.random.default_rng(seed)
     base = _base_shape(profile, n_slots)
     scale = rng.uniform(2.0, 6.0, n_customers)

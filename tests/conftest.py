@@ -3,10 +3,9 @@ import pytest
 
 from storageshare.instance import make_instance
 from storageshare.lp import build_party_lp
-from storageshare.mpec import derive_kkt
-from storageshare.oracle import check_kkt_residuals
 from storageshare.simplex import CapacityFamily
 from storageshare.solver import _COMP_TOL, _pair_slacks
+from tests.lp_oracle import check_kkt_residuals, derive_kkt
 
 
 @pytest.fixture

@@ -1,12 +1,91 @@
 """Test-side reference tools: brute-force vertex enumeration, a random
-feasible-LP generator and a one-row slack. Deliberately independent of the package's solver code
-path (only the LinearProgram container is shared)."""
+feasible-LP generator, a one-row slack and the optimality (KKT) system of
+an LP with its residual checker. Deliberately independent of the
+package's solver code path (only the LinearProgram container is shared)."""
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
-from storageshare.lp import LinearProgram, make_lp
+from storageshare.lp import LinearProgram, Rows, evaluate, make_lp
+
+
+@dataclass(frozen=True)
+class KktSystem:
+    """Optimality system of one lower-level LP.
+
+    Stationarity row j (one per primal variable):
+        sum_i A_g[i, j] * omega_i + sum_m A_h[m, j] * v_m = c_j
+    plus omega >= 0, the primal rows verbatim, and one complementarity
+    pair per inequality row.
+    """
+
+    lp: LinearProgram
+    stat_g: Rows  # A_g transposed: row j lists the inequality rows using x_j
+    stat_h: Rows  # A_h transposed
+    rhs: np.ndarray  # = lp.c
+
+
+def derive_kkt(lp: LinearProgram) -> KktSystem:
+    """Optimality system of an LP whose limits are all written as rows.
+
+    Finite variable bounds would need their own multipliers, which the
+    generated stationarity rows deliberately omit; such LPs are rejected.
+    """
+    if np.any(np.isfinite(lp.lb)) or np.any(np.isfinite(lp.ub)):
+        raise ValueError(
+            "derive_kkt needs an all-rows LP (finite variable bounds present)"
+        )
+    return KktSystem(
+        lp=lp,
+        stat_g=lp.g.transpose(lp.n_vars),
+        stat_h=lp.h.transpose(lp.n_vars),
+        rhs=lp.c,
+    )
+
+
+@dataclass(frozen=True)
+class KktReport:
+    max_stationarity: float
+    min_dual: float
+    max_complementarity: float
+    max_primal_violation: float
+
+    def passed(self, tol: float) -> bool:
+        return (
+            self.max_stationarity <= tol
+            and self.min_dual >= -tol
+            and self.max_complementarity <= tol
+            and self.max_primal_violation <= tol
+        )
+
+
+def check_kkt_residuals(kkt: KktSystem, x, omega, v, tol: float = 1e-6):
+    """Worst-case residuals of a candidate optimality triple.
+
+    Returns (report, passed). Stationarity is evaluated per primal variable,
+    complementarity per inequality row; primal violation covers both row
+    types of the source LP.
+    """
+    x = np.asarray(x, float)
+    omega = np.asarray(omega, float)
+    v = np.asarray(v, float)
+    lp = kkt.lp
+    resid = kkt.stat_g.dot(omega) + kkt.stat_h.dot(v) - kkt.rhs
+    stat = float(np.abs(resid).max(initial=0.0))
+    slack = lp.g.dot(x) - lp.b_g()
+    comp = float(np.abs(omega * slack).max()) if lp.n_g else 0.0
+    min_dual = float(omega.min()) if lp.n_g else 0.0
+    ev = evaluate(lp, x)
+    primal = max(0.0, -ev.min_inequality_slack, ev.max_equality_residual)
+    report = KktReport(
+        max_stationarity=stat,
+        min_dual=min_dual,
+        max_complementarity=comp,
+        max_primal_violation=primal,
+    )
+    return report, report.passed(tol)
 
 
 def brute_optimum(lp: LinearProgram):
@@ -18,7 +97,7 @@ def brute_optimum(lp: LinearProgram):
     Returns (objective, x) or (None, None) if no feasible vertex exists.
     """
     n = lp.n_vars
-    rows = [lp.dense_g(), lp.b_g()]
+    rows = [lp.g.dense(n), lp.b_g()]
     pool_a = [rows[0][i] for i in range(lp.n_g)]
     pool_b = [rows[1][i] for i in range(lp.n_g)]
     for j in range(n):
@@ -32,7 +111,7 @@ def brute_optimum(lp: LinearProgram):
             e[j] = -1.0
             pool_a.append(e)
             pool_b.append(-lp.ub[j])
-    a_eq = lp.dense_h()
+    a_eq = lp.h.dense(n)
     b_eq = lp.b_h()
     need = n - lp.n_h
     best_obj, best_x = None, None

@@ -16,11 +16,11 @@ import pytest
 
 from storageshare.instance import make_instance, upper_objective
 from storageshare.lp import build_llm_c, build_llm_d, make_lp
-from storageshare.mpec import assemble_mpec, derive_kkt, linearize_big_m, validate_big_m
+from storageshare.mpec import assemble_mpec, linearize_big_m, validate_big_m
 from storageshare.mps_io import export_mps, read_mps
-from storageshare.oracle import check_kkt_residuals, grid_oracle
+from storageshare.oracle import grid_oracle
 from storageshare.scenarios import emit_report, read_report, run_all_scenarios
-from storageshare.simplex import solve_lp_engine
+from storageshare.simplex import Simplex
 from storageshare.solver import extract_solution, solve_lpcc, solve_milp
 from storageshare.synthetic import gen_synthetic, synth_series
 
@@ -33,7 +33,13 @@ from tests.conftest import (
     rand_instance,
     stress_fixture,
 )
-from tests.lp_oracle import brute_optimum, dual_objective, random_feasible_lp
+from tests.lp_oracle import (
+    brute_optimum,
+    check_kkt_residuals,
+    derive_kkt,
+    dual_objective,
+    random_feasible_lp,
+)
 from tests.test_kkt import random_llm, scipy_kkt_point
 
 
@@ -68,7 +74,7 @@ def test_engine_matches_vertex_oracle_and_strong_duality():
             mg = int(rng.integers(5, 56 - mh))
         lp = random_feasible_lp(rng, n_vars=n, n_g=mg, n_h=mh)
         assert lp.n_vars <= 40 and lp.n_g + lp.n_h <= 60
-        sol = solve_lp_engine(lp)
+        sol = Simplex(lp).solve()
         assert sol.status == "optimal"
         if lp.n_vars <= 4 and lp.n_g + lp.n_h <= 8:
             want, _ = brute_optimum(lp)
@@ -94,7 +100,7 @@ def test_engine_terminates_on_cycling_instance():
         b_ub=[-v for v in b],
         lb=[0.0] * 4,
     )
-    sol = solve_lp_engine(lp)
+    sol = Simplex(lp).solve()
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(-0.05, abs=1e-9)
 
@@ -106,7 +112,7 @@ def test_dispatch_optimality_system_sound_and_complete():
     rng = np.random.default_rng(92)
     for _ in range(100):
         lp = random_llm(rng)
-        sol = solve_lp_engine(lp)
+        sol = Simplex(lp).solve()
         assert sol.status == "optimal"
         kkt = derive_kkt(lp)
         report, ok = check_kkt_residuals(kkt, sol.x, sol.dual_g, sol.dual_h,
@@ -192,8 +198,8 @@ def test_dispatch_value_monotone_in_capacity():
         lps += [(build_llm_c(inst, i, s1), build_llm_c(inst, i, s2))
                 for i in range(inst.customer_count)]
         for lp1, lp2 in lps:
-            a = solve_lp_engine(lp1)
-            b = solve_lp_engine(lp2)
+            a = Simplex(lp1).solve()
+            b = Simplex(lp2).solve()
             assert a.status == "optimal" and b.status == "optimal"
             assert b.objective <= a.objective + 1e-9
 

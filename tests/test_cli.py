@@ -161,6 +161,33 @@ def test_bad_time_limit_flag_exits_two(workdir, capsys):
     assert "time_limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step", ["-1", "0", "nan", "inf"])
+def test_bad_grid_step_exits_two(workdir, capsys, step):
+    rc = main(["oracle", *args_for(workdir, "--grid-step", step)])
+    assert rc == 2
+    assert "--grid-step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--slots", "1"), ("--customers", "0")])
+def test_gen_data_bad_count_exits_two(tmp_path, capsys, flag, value):
+    # one slot makes files every other subcommand rejects (a day needs two)
+    rc = main(["gen-data", flag, value, "--loads", str(tmp_path / "l.csv"),
+               "--prices", str(tmp_path / "p.csv")])
+    assert rc == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "l.csv").exists()
+
+
+def test_unfinished_solve_exits_with_its_status_code(tmp_path, capsys):
+    # a node limit of 1 stops the interior day's tree: status limit, code 4
+    day, cfg = write_day(interior_fixture(), tmp_path, node_limit=1)
+    inputs = ["--loads", day[0], "--prices", day[1], "--config", str(cfg)]
+    assert main(["solve", *inputs]) == 4
+    assert "status = limit" in capsys.readouterr().out
+    assert main(["scenario", *inputs, "--out", str(tmp_path / "rep")]) == 4
+    assert "ended limit" in capsys.readouterr().err
+
+
 def test_gen_data_rejects_bad_shape(tmp_path):
     with pytest.raises(SystemExit):
         main(["gen-data", "--profile", "square",

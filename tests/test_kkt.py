@@ -13,16 +13,15 @@ from scipy.optimize import linprog
 
 from storageshare.instance import make_instance
 from storageshare.lp import build_llm_c, build_llm_d, build_party_lp
-from storageshare.mpec import derive_kkt
-from storageshare.oracle import check_kkt_residuals
-from storageshare.simplex import CapacityFamily, solve_lp_engine
+from storageshare.simplex import CapacityFamily, Simplex
 
 from tests.conftest import DIVISION_FIXTURES, rand_instance
+from tests.lp_oracle import check_kkt_residuals, derive_kkt
 
 
 def scipy_kkt_point(lp, active_tol=1e-7):
     """Optimal primal from scipy plus duals from a stationarity-system LP."""
-    gd, hd = lp.dense_g(), lp.dense_h()
+    gd, hd = lp.g.dense(lp.n_vars), lp.h.dense(lp.n_vars)
     bg, bh = lp.b_g(), lp.b_h()
     res = linprog(
         lp.c, A_ub=-gd, b_ub=-bg, A_eq=hd if lp.n_h else None,
@@ -65,7 +64,7 @@ def random_llm(rng):
 def test_engine_optimum_satisfies_kkt(rng):
     for _ in range(30):
         lp = random_llm(rng)
-        sol = solve_lp_engine(lp)
+        sol = Simplex(lp).solve()
         assert sol.status == "optimal"
         kkt = derive_kkt(lp)
         report, ok = check_kkt_residuals(kkt, sol.x, sol.dual_g, sol.dual_h, tol=1e-6)
@@ -99,7 +98,7 @@ def test_independent_kkt_point_attains_engine_optimum(rng):
         kkt = derive_kkt(lp)
         report, ok = check_kkt_residuals(kkt, x, omega, v, tol=1e-6)
         assert ok, report
-        f_engine = solve_lp_engine(lp).objective
+        f_engine = Simplex(lp).solve().objective
         f_point = float(lp.c @ x) + lp.objective_constant
         assert abs(f_point - f_engine) <= 1e-6 * (1.0 + abs(f_engine))
 
@@ -125,7 +124,7 @@ def profitable_instance():
 def test_feasible_but_suboptimal_point_fails():
     inst = profitable_instance()
     lp = build_llm_c(inst, 0, capacity=4.0)
-    sol = solve_lp_engine(lp)
+    sol = Simplex(lp).solve()
     kkt = derive_kkt(lp)
     # idle schedule: zero flows, peak/valley at the raw load envelope
     x0 = np.zeros(lp.n_vars)
@@ -139,7 +138,7 @@ def test_feasible_but_suboptimal_point_fails():
 
 def test_corrupted_duals_fail(rng):
     lp = random_llm(rng)
-    sol = solve_lp_engine(lp)
+    sol = Simplex(lp).solve()
     kkt = derive_kkt(lp)
     omega = sol.dual_g.copy()
     nz = np.nonzero(omega > 1e-6)[0]
@@ -153,7 +152,7 @@ def test_corrupted_duals_fail(rng):
 
 def test_primal_violation_detected(rng):
     lp = random_llm(rng)
-    sol = solve_lp_engine(lp)
+    sol = Simplex(lp).solve()
     kkt = derive_kkt(lp)
     x = sol.x.copy()
     x[0] += 1.0  # breaks the energy balance row

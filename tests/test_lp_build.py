@@ -20,9 +20,9 @@ def scipy_solve(lp):
     # independent reference solver: rows are >=, scipy wants <=
     res = linprog(
         lp.c,
-        A_ub=-lp.dense_g(),
+        A_ub=-lp.g.dense(lp.n_vars),
         b_ub=-lp.b_g(),
-        A_eq=lp.dense_h(),
+        A_eq=lp.h.dense(lp.n_vars),
         b_eq=lp.b_h(),
         bounds=[(l if np.isfinite(l) else None, u if np.isfinite(u) else None)
                 for l, u in zip(lp.lb, lp.ub)],
@@ -33,17 +33,29 @@ def scipy_solve(lp):
 
 
 def test_llm_c_shape_and_catalog_order(tiny_instance):
+    # row f*T + s is catalog family f + 1 at slot s, over the columns
+    # ch_0..ch_{T-1}, dis_0..dis_{T-1}, peak, valley
     lp = build_llm_c(tiny_instance, 0, 4.0)
     t = 4
     assert lp.n_vars == 2 * t + 2
     assert lp.n_g == 8 * t
     assert lp.n_h == 1
-    fams = ["soc_min", "soc_max", "dis_nonneg", "ch_nonneg",
-            "dis_cap", "ch_cap", "peak_def", "valley_def"]
-    want = [f"{fam}[{i}]" for fam in fams for i in range(t)]
-    assert list(lp.g_names) == want
-    assert lp.h_names == ("energy_balance",)
-    assert lp.var_names[-2:] == ("peak", "valley")
+    ch, dis, peak, valley = np.arange(t), t + np.arange(t), 2 * t, 2 * t + 1
+    for i in range(lp.n_g):
+        fam, s = divmod(i, t)
+        cols, vals = lp.g.row(i)
+        if fam < 2:  # soc_min, soc_max: every flow through slot s
+            assert sorted(cols) == [*ch[: s + 1], *dis[: s + 1]]
+            assert np.all(np.sign(vals[cols < t]) == (1.0, -1.0)[fam])
+        elif fam < 4:  # dis_nonneg, ch_nonneg: one +1 entry, no capacity marker
+            assert cols.tolist() == [(dis, ch)[fam - 2][s]] and vals.tolist() == [1.0]
+            assert lp.g_cap[i] == 0.0
+        elif fam < 6:  # dis_cap, ch_cap: one -1 entry and a capacity marker
+            assert cols.tolist() == [(dis, ch)[fam - 4][s]] and vals.tolist() == [-1.0]
+            assert lp.g_cap[i] != 0.0
+        else:  # peak_def, valley_def: the profile column and slot s's flows
+            assert sorted(cols) == sorted([(peak, valley)[fam - 6], ch[s], dis[s]])
+    assert sorted(lp.h.row(0)[0]) == [*ch, *dis]  # energy_balance
 
 
 def test_llm_d_shape(tiny_instance):
@@ -51,18 +63,19 @@ def test_llm_d_shape(tiny_instance):
     assert lp.n_vars == 8
     assert lp.n_g == 24
     assert lp.n_h == 1
-    assert all("peak" not in nm for nm in lp.g_names)
+    assert lp.g.indices.max() < 8  # no peak_def/valley_def row: flows only
 
 
 def test_capacity_markers(tiny_instance):
+    # the catalog families (row // T) whose rows move with capacity
     lp = build_llm_c(tiny_instance, 0, 4.0)
-    moving = {nm.split("[")[0] for nm, cc in zip(lp.g_names, lp.g_cap) if cc != 0.0}
+    moving = set((np.flatnonzero(lp.g_cap) // 4).tolist())
     # with soc_ini = soc_lower = 0 the soc_min rows have a zero cap coef
-    assert moving == {"soc_max", "dis_cap", "ch_cap"}
+    assert moving == {1, 4, 5}  # soc_max, dis_cap, ch_cap
     inst = rand_instance(np.random.default_rng(0), n=1, t=4)
     lp2 = build_llm_c(inst, 0, 5.0)
-    moving2 = {nm.split("[")[0] for nm, cc in zip(lp2.g_names, lp2.g_cap) if cc != 0.0}
-    assert moving2 == {"soc_min", "soc_max", "dis_cap", "ch_cap"}
+    moving2 = set((np.flatnonzero(lp2.g_cap) // 4).tolist())
+    assert moving2 == {0, 1, 4, 5}  # soc_min, soc_max, dis_cap, ch_cap
     assert np.all(lp2.h_cap == 0.0)
 
 
@@ -175,12 +188,12 @@ def test_capacity_column_reproduces_the_rows(rng):
             lp = build_party_lp(inst, p, cap)
             col = capacity_column(lp)
             n = lp.n_vars
-            assert col.var_names == lp.var_names + ("capacity",)
+            assert col.n_vars == n + 1  # kappa is the one new, last column
             assert col.lb[n] == col.ub[n] == cap
             assert not col.g_cap.any() and not col.h_cap.any()
-            np.testing.assert_array_equal(col.dense_g()[:, :n], lp.dense_g())
-            np.testing.assert_array_equal(col.dense_g()[:, n], -lp.g_cap)
-            np.testing.assert_array_equal(col.dense_h()[:, n], -lp.h_cap)
+            np.testing.assert_array_equal(col.g.dense(col.n_vars)[:, :n], lp.g.dense(lp.n_vars))
+            np.testing.assert_array_equal(col.g.dense(col.n_vars)[:, n], -lp.g_cap)
+            np.testing.assert_array_equal(col.h.dense(col.n_vars)[:, n], -lp.h_cap)
             x = rng.uniform(-2.0, 2.0, n)
             xk = np.append(x, cap)
             np.testing.assert_allclose(col.g.dot(xk) - col.b_g(), lp.g.dot(x) - lp.b_g(),
@@ -217,10 +230,11 @@ def test_bad_inputs():
     inst = rand_instance(np.random.default_rng(1), n=1, t=3)
     with pytest.raises(IndexError):
         build_llm_c(inst, 5, 1.0)
-    with pytest.raises(ValueError):
-        build_llm_c(inst, 0, -1.0)
-    with pytest.raises(ValueError):
-        build_llm_d(inst, -0.5)
+    for cap in (-1.0, -0.5, np.nan, np.inf):  # NaN passes a plain capacity < 0 check
+        with pytest.raises(ValueError, match="capacity"):
+            build_llm_c(inst, 0, cap)
+        with pytest.raises(ValueError, match="capacity"):
+            build_llm_d(inst, cap)
 
 
 def test_make_lp_sparsifies():

@@ -5,23 +5,24 @@ from storageshare.lp import build_llm_c, build_llm_d, make_lp
 from storageshare.mpec import (
     BigMPolicy,
     assemble_mpec,
-    derive_kkt,
     linearize_big_m,
     validate_big_m,
 )
-from tests.conftest import rand_instance
-from tests.lp_oracle import row_value
+from storageshare.solver import _pair_slacks, solve_lpcc
+from tests.conftest import DIVISION_FIXTURES, rand_instance
+from tests.lp_oracle import derive_kkt, row_value
 
 
 def test_derive_kkt_one_variable():
     # min c*x s.t. x >= 0: stationarity is omega = c, one pair
     lp = make_lp(c=[3.0], a_ub=[[1.0]], b_ub=[0.0])
     kkt = derive_kkt(lp)
-    assert kkt.n_x == 1 and kkt.n_omega == 1 and kkt.n_v == 0
+    # one stationarity row; one multiplier and pair; no balance multiplier
+    assert kkt.stat_g.n_rows == kkt.stat_h.n_rows == 1
+    assert (kkt.lp.n_g, kkt.lp.n_h) == (1, 0)
     np.testing.assert_array_equal(kkt.stat_g.row(0)[0], [0])
     np.testing.assert_array_equal(kkt.stat_g.row(0)[1], [1.0])
     assert kkt.rhs[0] == 3.0
-    assert len(kkt.pair_names) == 1
 
 
 def test_derive_kkt_rejects_bounded_lp():
@@ -38,7 +39,7 @@ def test_peak_stationarity_row(tiny_instance):
     t = tiny_instance.grid.slot_count
     peak_col = 2 * t
     rows = kkt.stat_g.row(peak_col)[0]
-    want = [i for i, nm in enumerate(lp.g_names) if nm.startswith("peak_def")]
+    want = np.arange(6 * t, 7 * t)  # peak_def is catalog family 7
     np.testing.assert_array_equal(np.sort(rows), want)
     np.testing.assert_array_equal(kkt.stat_g.row(peak_col)[1], np.ones(t))
     assert kkt.stat_h.row(peak_col)[0].size == 0
@@ -50,8 +51,8 @@ def test_stationarity_matches_dense_transpose(rng):
         inst = rand_instance(rng, n=1)
         lp = build_llm_d(inst, 3.0)
         kkt = derive_kkt(lp)
-        a_g = lp.dense_g()
-        a_h = lp.dense_h()
+        a_g = lp.g.dense(lp.n_vars)
+        a_h = lp.h.dense(lp.n_vars)
         for j in range(lp.n_vars):
             dense_g = np.zeros(lp.n_g)
             dense_g[kkt.stat_g.row(j)[0]] = kkt.stat_g.row(j)[1]
@@ -90,7 +91,11 @@ def test_assemble_counts_vary(rng):
         assert mpec.lp.n_g == want["g"]
         assert mpec.lp.n_h == want["h"]
         # every column belongs to exactly one registry slot
-        assert len(set(mpec.lp.var_names)) == mpec.lp.n_vars
+        cols = [mpec.peak_col, mpec.div_disco_col, *mpec.div_cust_cols]
+        for lay in mpec.parties():
+            cols += [*range(lay.x0, lay.x0 + lay.nx), *range(lay.w0, lay.w0 + lay.nw),
+                     *range(lay.v0, lay.v0 + lay.nv)]
+        assert sorted(cols) == list(range(mpec.lp.n_vars))
 
 
 def test_division_bounds_and_objective(rng):
@@ -98,8 +103,10 @@ def test_division_bounds_and_objective(rng):
     mpec = assemble_mpec(inst)
     lp = mpec.lp
     s = inst.storage.total_capacity
-    for colname, col in [("s_d", 1), ("s_c[0]", 2), ("s_c[1]", 3)]:
-        assert lp.var_names[col] == colname
+    # s_d, s_c[0], s_c[1], each the share column of its party
+    assert (mpec.div_disco_col, *mpec.div_cust_cols) == (1, 2, 3)
+    assert [lay.cap_col for lay in mpec.parties()] == [2, 3, 1]
+    for col in (1, 2, 3):
         assert lp.lb[col] == 0.0 and lp.ub[col] == s
     w = inst.weights
     assert lp.c[0] == w.lambda1
@@ -128,33 +135,33 @@ def test_capacity_relink(rng):
     lp = mpec.lp
     k = inst.storage.power_ratio
     lay = mpec.customers[0]
-    i = lp.g_names.index("c0.dis_cap[0]")
-    cols = dict(zip(lp.g_idx[i], lp.g_val[i]))
+    i = lay.g0 + 4 * 4 + 0  # c0's dis_cap (catalog family 5) at slot 0
+    cols = dict(zip(*lp.g.row(i)))
     assert cols[lay.cap_col] == pytest.approx(k)
     assert cols[lay.x0 + 4] == -1.0  # dis_0 column
     assert lp.g_offset[i] == 0.0
-    j = lp.g_names.index("d.soc_max[2]")
-    assert mpec.disco.cap_col in lp.g_idx[j]
+    j = mpec.disco.g0 + 1 * 4 + 2  # the DisCo's soc_max (family 2) at slot 2
+    assert mpec.disco.cap_col in lp.g.row(j)[0]
 
 
 def test_pairs_align_rows_and_multipliers(rng):
     inst = rand_instance(rng, n=2, t=4)
     mpec = assemble_mpec(inst)
     lp = mpec.lp
-    for w_col, g_row in mpec.pairs:
-        assert lp.lb[w_col] == 0.0  # multiplier sign
-        w_name = lp.var_names[w_col]
-        g_name = lp.g_names[g_row]
-        tag, rowname = g_name.split(".", 1)
-        assert w_name == f"{tag}.w.{rowname}"
+    np.testing.assert_array_equal(lp.lb[mpec.pairs[:, 0]], 0.0)  # multiplier sign
+    # pair i of a party block: the party's multiplier i and its primal row i
+    want = np.concatenate([np.column_stack([lay.w0 + np.arange(lay.nw),
+                                            lay.g0 + np.arange(lay.nw)])
+                           for lay in mpec.parties()])
+    np.testing.assert_array_equal(mpec.pairs, want)
 
 
 def test_peak_rows_cover_all_parties(rng):
     inst = rand_instance(rng, n=2, t=3)
     mpec = assemble_mpec(inst)
     lp = mpec.lp
-    i = lp.g_names.index("peak_row[1]")
-    cols = dict(zip(lp.g_idx[i], lp.g_val[i]))
+    i = 1 + 1  # after the capacity split row, the peak row of slot 1
+    cols = dict(zip(*lp.g.row(i)))
     assert cols[0] == 1.0
     for lay in mpec.parties():
         assert cols[lay.x0 + 1] == -1.0  # ch at slot 1
@@ -174,12 +181,40 @@ def test_linearize_structure(rng):
     np.testing.assert_array_equal(milp.lp.ub[milp.binary_cols], 1.0)
     assert np.all(np.isfinite(milp.m_omega)) and np.all(milp.m_omega > 0)
     assert np.all(np.isfinite(milp.m_slack)) and np.all(milp.m_slack > 0)
-    assert milp.m_notes == ()
     # shared rows carried verbatim: dropping the u-rows recovers the MPEC
     for i in range(mpec.lp.n_g):
-        np.testing.assert_array_equal(milp.lp.g_idx[i], mpec.lp.g_idx[i])
-        np.testing.assert_array_equal(milp.lp.g_val[i], mpec.lp.g_val[i])
+        for a, b in zip(milp.lp.g.row(i), mpec.lp.g.row(i)):
+            np.testing.assert_array_equal(a, b)
     assert milp.lp.g_offset[mpec.lp.n_g - 1] == mpec.lp.g_offset[-1]
+
+
+def test_m_slack_is_the_catalog_family_bound():
+    # each pair's primal M is primal_safety times the bound of its row's
+    # family (row i of a party block is of family i // T), from instance
+    # data, plus primal_floor; at the solved point each row's slack lies
+    # within that bound
+    pol = BigMPolicy()
+    for name, make in DIVISION_FIXTURES:
+        inst = make()
+        st, s, t = inst.storage, inst.storage.total_capacity, inst.grid.slot_count
+        mpec = assemble_mpec(inst)
+        loads = list(inst.loads.customer_load) + [inst.loads.system_load]
+        bound = []
+        for lay, load in zip(mpec.parties(), loads):
+            for i in range(lay.nw):
+                if i // t < 2:  # soc_min, soc_max
+                    bound.append((st.soc_upper - st.soc_lower) * s)
+                elif i // t < 6:  # signs and power limits
+                    bound.append(st.power_ratio * s)
+                else:  # peak_def, valley_def
+                    bound.append(2.0 * load.max() + 2.0 * st.power_ratio * s)
+        bound = np.array(bound)
+        milp = linearize_big_m(mpec, pol)
+        np.testing.assert_array_equal(milp.m_slack, pol.primal_safety * bound + pol.primal_floor)
+        res = solve_lpcc(mpec)
+        assert res.status == "optimal", name
+        slack = _pair_slacks(mpec.lp, mpec.pairs)(res.x)
+        assert np.all(slack >= -1e-7) and np.all(slack <= bound + 1e-7), name
 
 
 def test_pair_row_semantics(rng):
@@ -200,8 +235,8 @@ def test_pair_row_semantics(rng):
         x[u_col] = u
         # manufacture a point whose row-q slack equals slack_target by
         # shifting one variable of that row (offset folded out)
-        i0 = milp.lp.g_idx[g_row][0]
-        x[i0] = (slack_target + milp.lp.g_offset[g_row]) / milp.lp.g_val[g_row][0]
+        idx, val = milp.lp.g.row(g_row)
+        x[idx[0]] = (slack_target + milp.lp.g_offset[g_row]) / val[0]
         return row_value(milp.lp, r_omega, x), row_value(milp.lp, r_slack, x)
 
     a, b = rowvals(omega=0.0, u=0.0, slack_target=0.5 * milp.m_slack[q])

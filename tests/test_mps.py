@@ -128,7 +128,7 @@ def test_values_written_whole():
     lp = make_lp(c, a_ub=[[1.0, 2.0, 3.0], [0.5, -1.0 / 3.0, 7.0]], b_ub=[1.0, 2.0],
                  lb=np.zeros(3), objective_constant=81.1752696902)
     lines = exported_text(lp).splitlines()
-    a = np.vstack([lp.c, lp.dense_g()])
+    a = np.vstack([lp.c, lp.g.dense(lp.n_vars)])
     rows = ["OBJ"] + [f"R{i:07d}" for i in range(lp.n_g)]
     seen = 0
     for line in lines[lines.index("COLUMNS") + 1: lines.index("RHS")]:
@@ -145,7 +145,7 @@ def test_values_written_whole():
 def _milp(lp, binary_cols):
     return MilpModel(mpec=None, lp=lp, binary_cols=np.asarray(binary_cols),
                      pairs=np.empty((0, 2), int), m_omega=np.empty(0), m_slack=np.empty(0),
-                     m_notes=(), pair_row0=lp.n_g)
+                     pair_row0=lp.n_g)
 
 
 # each model gives every column an entry, so every column is read back

@@ -14,9 +14,9 @@ from storageshare.instance import (
     zero_schedules,
 )
 from storageshare.lp import build_llm_c, build_llm_d, make_lp
-from storageshare import oracle
+from storageshare import simplex
 from storageshare.oracle import check_schedule_invariants, grid_oracle
-from storageshare.simplex import Simplex, solve_lp_engine
+from storageshare.simplex import Simplex
 from tests.conftest import corrupted_starts, division_fixture, rand_instance
 
 
@@ -29,11 +29,11 @@ def schedules_from_division(instance, division):
     peak = np.zeros(n)
     valley = np.zeros(n)
     for i in range(n):
-        sol = solve_lp_engine(build_llm_c(instance, i, float(division.s_customer[i])))
+        sol = Simplex(build_llm_c(instance, i, float(division.s_customer[i]))).solve()
         assert sol.status == "optimal"
         ch[i], dis[i] = sol.x[:t], sol.x[t: 2 * t]
         peak[i], valley[i] = sol.x[2 * t], sol.x[2 * t + 1]
-    sol = solve_lp_engine(build_llm_d(instance, division.s_disco))
+    sol = Simplex(build_llm_d(instance, division.s_disco)).solve()
     assert sol.status == "optimal"
     d_ch, d_dis = sol.x[:t], sol.x[t: 2 * t]
     net = (
@@ -129,10 +129,10 @@ def test_grid_names_each_party_whose_family_start_is_rejected(monkeypatch):
     step = inst.storage.total_capacity / 4.0
     clean = grid_oracle(inst, step=step)
     assert not any("start" in note for note in clean.notes)
-    spoiled = corrupted_starts(oracle.no_battery_start)
+    spoiled = corrupted_starts(simplex.no_battery_start)
     for why, spoil in spoiled.items():
         with monkeypatch.context() as m:
-            m.setattr(oracle, "no_battery_start", spoil)
+            m.setattr(simplex, "no_battery_start", spoil)
             rep = grid_oracle(inst, step=step)
         named = [note.split(":")[0] for note in rep.notes if "start rejected" in note]
         assert named == ["customer[0]", "disco"], why
@@ -146,8 +146,10 @@ def test_guard_and_bad_step(rng):
     inst = rand_instance(rng, n=2, total_capacity=10.0)
     with pytest.raises(ValueError, match="guard"):
         grid_oracle(inst, step=0.001, guard=1000)
-    with pytest.raises(ValueError, match="step"):
-        grid_oracle(inst, step=0.0)
+    # at step inf the first cell once solved at 0 * inf = NaN
+    for step in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="step"):
+            grid_oracle(inst, step=step)
 
 
 def face_minimum(lp, grad):

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from storageshare.lp import Rows, evaluate, make_lp
-from storageshare.mpec import assemble_mpec, derive_kkt
-from storageshare.oracle import check_kkt_residuals
+from storageshare.mpec import assemble_mpec
 from storageshare.solver import _pair_slacks
 from tests.conftest import rand_instance
-from tests.lp_oracle import row_value
+from tests.lp_oracle import check_kkt_residuals, derive_kkt, row_value
 
 SHAPES = [(0, 5), (4, 0), (0, 0), (1, 1), (7, 5), (12, 9), (30, 20)]
 
@@ -97,13 +96,14 @@ def test_rows_from_equal_length_arrays(rng):
 def test_lp_row_views_are_read_only(rng):
     a = random_sparse(rng, 6, 4)
     lp = make_lp(c=np.ones(4), a_ub=a, b_ub=np.zeros(6))
-    assert len(lp.g_idx) == len(lp.g_val) == 6
+    g_val = lp.g.views[1]
+    assert len(lp.g_idx) == len(g_val) == 6
     for i in range(6):
         np.testing.assert_array_equal(lp.g_idx[i], np.flatnonzero(a[i]))
-        np.testing.assert_array_equal(lp.g_val[i], a[i][a[i] != 0])
-    if lp.g_val[0].size:
+        np.testing.assert_array_equal(g_val[i], a[i][a[i] != 0])
+    if g_val[0].size:
         with pytest.raises(ValueError):
-            lp.g_val[0][0] = 1.0
+            g_val[0][0] = 1.0
 
 
 def test_evaluate_and_stationarity_match_dense(rng):

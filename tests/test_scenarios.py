@@ -210,6 +210,7 @@ def test_scenario_error_carries_solver_status():
         run_scenario(interior_fixture(), ScenarioId.SHARED,
                      SolveOptions(node_limit=1), mode="lpcc")
     assert getattr(info.value, "status", None) == "limit"
+    assert info.value.exit_code == 4  # what the command line exits with
     # without the node limit the same day branches past the root and solves
     mpec = assemble_mpec(interior_fixture())
     res = solve_division(mpec, SolveOptions(), "lpcc", None)[0]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from storageshare import solver
+from storageshare import simplex, solver
 from storageshare.lp import (
     build_llm_c,
     build_llm_d,
@@ -10,8 +10,7 @@ from storageshare.lp import (
     make_lp,
     no_battery_start,
 )
-from storageshare.mpec import assemble_mpec, derive_kkt
-from storageshare.oracle import check_kkt_residuals
+from storageshare.mpec import assemble_mpec
 from storageshare.simplex import (
     AT_LB,
     AT_UB,
@@ -24,7 +23,6 @@ from storageshare.simplex import (
     _initial_status,
     _pivot_inverse,
     _reanchor,
-    solve_lp_engine,
 )
 from tests.conftest import (
     DIVISION_FIXTURES,
@@ -36,7 +34,13 @@ from tests.conftest import (
     rand_instance,
     stress_fixture,
 )
-from tests.lp_oracle import brute_optimum, dual_objective, random_feasible_lp
+from tests.lp_oracle import (
+    brute_optimum,
+    check_kkt_residuals,
+    derive_kkt,
+    dual_objective,
+    random_feasible_lp,
+)
 from tests.test_lp_build import scipy_solve
 
 
@@ -48,7 +52,7 @@ def test_small_lp_by_hand():
         b_ub=[-4.0, -3.0],
         lb=[0.0, 0.0],
     )
-    sol = solve_lp_engine(lp)
+    sol = Simplex(lp).solve()
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(-7.0, abs=1e-9)
     np.testing.assert_allclose(sol.x, [1.0, 3.0], atol=1e-9)
@@ -57,7 +61,7 @@ def test_small_lp_by_hand():
 def test_equality_only():
     # min x + y  s.t.  x + y = 2, x - y = 0
     lp = make_lp(c=[1.0, 1.0], a_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[2.0, 0.0])
-    sol = solve_lp_engine(lp)
+    sol = Simplex(lp).solve()
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-9)
 
@@ -65,17 +69,17 @@ def test_equality_only():
 def test_infeasible_detected():
     # x >= 2 and x <= 1
     lp = make_lp(c=[1.0], a_ub=[[1.0], [-1.0]], b_ub=[2.0, -1.0])
-    assert solve_lp_engine(lp).status == "infeasible"
+    assert Simplex(lp).solve().status == "infeasible"
 
 
 def test_unbounded_detected():
     lp = make_lp(c=[-1.0], a_ub=[[1.0]], b_ub=[0.0])
-    assert solve_lp_engine(lp).status == "unbounded"
+    assert Simplex(lp).solve().status == "unbounded"
 
 
 def test_fixed_variables_respected():
     lp = make_lp(c=[-1.0, -1.0], lb=[2.0, 0.0], ub=[2.0, 3.0])
-    sol = solve_lp_engine(lp)
+    sol = Simplex(lp).solve()
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.x, [2.0, 3.0], atol=1e-12)
 
@@ -89,7 +93,7 @@ def test_redundant_rows_and_degenerate_vertex():
         lb=[0.0, 0.0],
         ub=[5.0, 5.0],
     )
-    sol = solve_lp_engine(lp)
+    sol = Simplex(lp).solve()
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
 
@@ -109,7 +113,7 @@ def test_beale_cycling_instance_terminates():
         b_ub=[-v for v in b],
         lb=[0.0] * 4,
     )
-    sol = solve_lp_engine(lp)
+    sol = Simplex(lp).solve()
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(-0.05, abs=1e-9)
     want, _ = brute_optimum(
@@ -129,7 +133,7 @@ def test_matches_vertex_enumeration(rng):
         lp = random_feasible_lp(rng, n_vars=int(rng.integers(2, 5)),
                                 n_g=int(rng.integers(1, 7)))
         want, _ = brute_optimum(lp)
-        sol = solve_lp_engine(lp)
+        sol = Simplex(lp).solve()
         assert sol.status == "optimal"
         assert want is not None
         assert sol.objective == pytest.approx(want, abs=1e-9, rel=1e-9)
@@ -138,13 +142,13 @@ def test_matches_vertex_enumeration(rng):
 def test_strong_duality_random(rng):
     for _ in range(40):
         lp = random_feasible_lp(rng)
-        sol = solve_lp_engine(lp)
+        sol = Simplex(lp).solve()
         assert sol.status == "optimal"
         gap = sol.objective - dual_objective(lp, sol)
         assert abs(gap) <= 1e-7
         assert np.all(sol.dual_g >= -1e-9)
         # complementary slackness on rows
-        slack = lp.dense_g() @ sol.x - lp.b_g()
+        slack = lp.g.dense(lp.n_vars) @ sol.x - lp.b_g()
         assert float(np.max(np.abs(sol.dual_g * slack))) <= 1e-6
 
 
@@ -153,7 +157,7 @@ def test_llm_solves_match_scipy(rng):
         inst = rand_instance(rng)
         cap = inst.storage.total_capacity * float(rng.uniform(0.2, 1.0))
         for lp in (build_llm_c(inst, 0, cap), build_llm_d(inst, cap)):
-            sol = solve_lp_engine(lp)
+            sol = Simplex(lp).solve()
             assert sol.status == "optimal"
             _, want = scipy_solve(lp)
             assert sol.objective == pytest.approx(want, abs=1e-8, rel=1e-8)
@@ -194,12 +198,12 @@ def test_warm_resolve_row_to_equality(rng):
         warm = eng.resolve(snap, lo, hi)
         from scipy.optimize import linprog
 
-        a_g = lp.dense_g()
+        a_g = lp.g.dense(lp.n_vars)
         res = linprog(
             lp.c,
             A_ub=-np.delete(a_g, 2, axis=0),
             b_ub=-np.delete(lp.b_g(), 2),
-            A_eq=np.vstack([lp.dense_h(), a_g[2]]),
+            A_eq=np.vstack([lp.h.dense(lp.n_vars), a_g[2]]),
             b_eq=np.concatenate([lp.b_h(), [lp.b_g()[2]]]),
             bounds=list(zip(lp.lb, lp.ub)),
             method="highs",
@@ -214,7 +218,7 @@ def test_warm_resolve_row_to_equality(rng):
 
 def test_dual_signs_on_llm(tiny_instance):
     lp = build_llm_c(tiny_instance, 0, 4.0)
-    sol = solve_lp_engine(lp)
+    sol = Simplex(lp).solve()
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(-3.96, abs=1e-9)
     assert np.all(sol.dual_g >= -1e-9)
@@ -243,29 +247,30 @@ def test_single_entry_rows_become_column_bounds():
 def test_folded_row_takes_the_dual_of_a_coinciding_bound():
     # x >= 0 as the column's bound and as the row 3x >= 0: the row gets it
     lp = make_lp(c=[2.0], a_ub=[[3.0]], b_ub=[0.0], lb=[0.0], ub=[4.0])
-    sol = solve_lp_engine(lp)
+    sol = Simplex(lp).solve()
     np.testing.assert_allclose(sol.dual_g, [2.0 / 3.0])
     np.testing.assert_allclose(sol.reduced_costs, [0.0])
     # a row looser than the bound gets nothing: the column keeps it
-    sol = solve_lp_engine(make_lp(c=[2.0], a_ub=[[3.0]], b_ub=[-3.0], lb=[0.0], ub=[4.0]))
+    sol = Simplex(make_lp(c=[2.0], a_ub=[[3.0]], b_ub=[-3.0], lb=[0.0], ub=[4.0])).solve()
     np.testing.assert_allclose(sol.dual_g, [0.0])
     np.testing.assert_allclose(sol.reduced_costs, [2.0])
 
 
 def test_tree_engine_keeps_no_sign_rows():
     # every dis_nonneg/ch_nonneg row of every party is a column bound
-    lp = assemble_mpec(dict(DIVISION_FIXTURES)["pair250"]()).lp
+    mpec = assemble_mpec(dict(DIVISION_FIXTURES)["pair250"]())
+    lp, t = mpec.lp, mpec.instance.grid.slot_count
+    family = {lay.g0 + i: i // t for lay in mpec.parties() for i in range(lay.nw)}
     eng = Simplex(lp)
-    folded = {lp.g_names[i].split(".", 1)[1].split("[")[0] for i in eng._fold}
-    assert folded == {"dis_nonneg", "ch_nonneg"}
-    signs = sum(name.split(".", 1)[-1].startswith(("dis_nonneg", "ch_nonneg"))
-                for name in lp.g_names)
+    folded = {family.get(int(i)) for i in eng._fold}  # None: a row outside the parties
+    assert folded == {2, 3}  # dis_nonneg, ch_nonneg
+    signs = sum(f in (2, 3) for f in family.values())
     assert eng.m == lp.n_g + lp.n_h - signs
 
 
 def test_iteration_counter_moves(rng):
     lp = random_feasible_lp(rng, n_vars=6, n_g=8)
-    sol = solve_lp_engine(lp)
+    sol = Simplex(lp).solve()
     assert sol.iterations > 0
 
 
@@ -637,7 +642,7 @@ def test_warm_resolves_start_from_a_kept_or_a_rebuilt_inverse(monkeypatch):
         return resolve(self, snapshot, lo, hi)
 
     monkeypatch.setattr(solver, "Simplex", Engine)
-    monkeypatch.setattr(solver, "CapacityFamily", Family)
+    monkeypatch.setattr(simplex, "CapacityFamily", Family)  # party_family builds them
     monkeypatch.setattr(Simplex, "resolve", counted)
     mpec = assemble_mpec(interior_fixture())
     res = solver.solve_lpcc(mpec)
@@ -680,7 +685,7 @@ def test_capacity_family_matches_cold_builds(rng, t):
             family = CapacityFamily(build_party_lp(inst, p, 0.0))
             for cap in caps:
                 lp = build_party_lp(inst, p, cap)
-                ref = solve_lp_engine(lp)
+                ref = Simplex(lp).solve()
                 sol = family.solve(cap)
                 assert sol.status == ref.status == "optimal"
                 assert abs(sol.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
@@ -696,13 +701,16 @@ def test_capacity_family_matches_cold_builds(rng, t):
 
 
 def test_capacity_family_rejects_negative_capacity(tiny_instance):
+    # NaN passes a plain capacity < 0 check: a family solved at NaN once
+    # ended unbounded with RuntimeWarnings
     family = CapacityFamily(build_llm_d(tiny_instance, 0.0))
-    with pytest.raises(ValueError):
-        family.solve(-1.0)
     lp = build_llm_c(tiny_instance, 0, 0.0)
     started = CapacityFamily(lp, start=no_battery_start(lp))
-    with pytest.raises(ValueError):
-        started.solve(-1.0)
+    for cap in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="capacity"):
+            family.solve(cap)
+        with pytest.raises(ValueError, match="capacity"):
+            started.solve(cap)
     assert started.engine.status is None and started.iterations == 0  # no solve ran
 
 
@@ -725,7 +733,7 @@ def test_face_minimum_writes_no_kept_inverse(rng):
                 eng.face_minimum(rng.normal(size=eng.n))
                 pivots += eng.iterations - before
                 sol = family.solve(cap2)
-                ref = solve_lp_engine(build_party_lp(inst, p, cap2))
+                ref = Simplex(build_party_lp(inst, p, cap2)).solve()
                 assert sol.status == ref.status == "optimal"
                 assert abs(sol.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
                 for key, (inv, _) in eng._inverses.items():

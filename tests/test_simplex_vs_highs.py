@@ -19,7 +19,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
 from storageshare.lp import Rows, build_llm_c, build_llm_d, make_lp
-from storageshare.simplex import CapacityFamily, Simplex, solve_lp_engine
+from storageshare.simplex import CapacityFamily, Simplex
 from tests.conftest import rand_instance
 from tests.lp_oracle import dual_objective
 
@@ -68,9 +68,9 @@ def marked_lps(draw):
 def _highs(lp, c, **options):
     return linprog(
         c,
-        A_ub=-lp.dense_g() if lp.n_g else None,
+        A_ub=-lp.g.dense(lp.n_vars) if lp.n_g else None,
         b_ub=-lp.b_g() if lp.n_g else None,
-        A_eq=lp.dense_h() if lp.n_h else None,
+        A_eq=lp.h.dense(lp.n_vars) if lp.n_h else None,
         b_eq=lp.b_h() if lp.n_h else None,
         bounds=[(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
                 for lo, hi in zip(lp.lb, lp.ub)],
@@ -109,7 +109,7 @@ def _reference(lp):
                  ub=[1.0, 1.0, 0.0, 0.0, -1.0]))
 def test_engine_matches_highs(lp):
     status, objective = _reference(lp)
-    sol = solve_lp_engine(lp)
+    sol = Simplex(lp).solve()
     assert sol.status == status
     if status == "optimal":
         assert sol.objective == pytest.approx(objective, rel=1e-7, abs=1e-7)
@@ -136,12 +136,12 @@ def surplus_bounded_lps(draw):
 
 def _rows_between(lp, lo, hi):
     """lp with each >= row g x >= b replaced by b + lo_s <= g x <= b + hi_s."""
-    g, b = lp.dense_g(), lp.b_g()
+    g, b = lp.g.dense(lp.n_vars), lp.b_g()
     lo_s, hi_s = lo[lp.n_vars:], hi[lp.n_vars:]
     capped = np.isfinite(hi_s)
     return make_lp(lp.c, a_ub=np.vstack([g, -g[capped]]),
                    b_ub=np.concatenate([b + lo_s, -(b + hi_s)[capped]]),
-                   a_eq=lp.dense_h(), b_eq=lp.b_h(), lb=lp.lb, ub=lp.ub,
+                   a_eq=lp.h.dense(lp.n_vars), b_eq=lp.b_h(), lb=lp.lb, ub=lp.ub,
                    objective_constant=lp.objective_constant)
 
 
@@ -246,7 +246,6 @@ def singleton_lps(draw):
     g = Rows.stack([lp.g, singles])
     return replace(lp, g=g, g_offset=g.dot(x0) - slack, h_offset=lp.h.dot(x0),
                    g_cap=draw(hnp.arrays(float, g.n_rows, elements=markers)),
-                   g_names=tuple(f"r[{i}]" for i in range(g.n_rows)),
                    capacity=float(draw(st.sampled_from([0, 1, 2]))))
 
 
@@ -258,7 +257,7 @@ def _assert_certificate(lp, sol, pinned=()):
     free = np.setdiff1d(np.arange(lp.n_g), pinned)
     assert np.all(sol.dual_g[free] >= 0.0)
     np.testing.assert_allclose(sol.dual_g * slack, 0.0, atol=1e-7)
-    want = lp.c - lp.dense_g().T @ sol.dual_g - lp.dense_h().T @ sol.dual_h
+    want = lp.c - lp.g.dense(lp.n_vars).T @ sol.dual_g - lp.h.dense(lp.n_vars).T @ sol.dual_h
     np.testing.assert_allclose(sol.reduced_costs, want, rtol=0, atol=1e-9)
     if len(pinned) == 0:
         assert dual_objective(lp, sol) == pytest.approx(sol.objective, rel=1e-7, abs=1e-7)
@@ -283,7 +282,7 @@ def _assert_certificate(lp, sol, pinned=()):
                  g_cap=np.array([2.0, 0.0]), capacity=2.0))
 def test_singleton_rows_match_highs(lp):
     status, objective = _reference(lp)
-    sol = solve_lp_engine(lp)
+    sol = Simplex(lp).solve()
     assert sol.status == status
     if status == "optimal":
         assert sol.objective == pytest.approx(objective, rel=1e-7, abs=1e-7)
@@ -338,9 +337,9 @@ def test_face_minimum_matches_highs(seed, lossless, disco, share):
     tight = dict(primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-10)
     ref = linprog(
         grad,
-        A_ub=np.vstack([-lp.dense_g(), lp.c]),
+        A_ub=np.vstack([-lp.g.dense(lp.n_vars), lp.c]),
         b_ub=np.concatenate([-lp.b_g(), [f_star]]),
-        A_eq=lp.dense_h() if lp.n_h else None,
+        A_eq=lp.h.dense(lp.n_vars) if lp.n_h else None,
         b_eq=lp.b_h() if lp.n_h else None,
         bounds=[(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
                 for lo, hi in zip(lp.lb, lp.ub)],

@@ -5,11 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from storageshare import solver
+from storageshare import simplex, solver
 from storageshare.instance import upper_objective, zero_schedules
 from storageshare.lp import build_llm_c, build_llm_d, build_party_lp, make_lp
-from storageshare.mpec import assemble_mpec, derive_kkt, linearize_big_m, validate_big_m
-from storageshare.oracle import check_kkt_residuals, grid_oracle
+from storageshare.mpec import assemble_mpec, linearize_big_m, validate_big_m
+from storageshare.oracle import grid_oracle
 from storageshare.scenarios import _pin_customers_only, solve_division
 from storageshare.simplex import CapacityFamily, Simplex
 from storageshare.solver import SolveOptions, extract_solution, solve_lpcc, solve_milp
@@ -26,6 +26,7 @@ from tests.conftest import (
     rand_instance,
     stress_fixture,
 )
+from tests.lp_oracle import check_kkt_residuals, derive_kkt
 
 
 class _NoHeuristic:
@@ -343,7 +344,10 @@ def test_trees_search_one_chord_row_per_party(monkeypatch):
     for base, tree_lp in zip((mpec.lp, milp.lp), tree_lps):
         assert tree_lp.n_g == base.n_g + parties
         assert (tree_lp.n_vars, tree_lp.n_h) == (base.n_vars, base.n_h)
-        assert tree_lp.g_names[base.n_g:] == tuple(f"{lay.tag}chord" for lay in mpec.parties())
+        for k, lay in enumerate(mpec.parties()):  # chord k: party k's dispatch and share
+            cols = set(tree_lp.g.row(base.n_g + k)[0].tolist())
+            assert cols & set(range(lay.x0, lay.x0 + lay.nx))
+            assert cols <= set(range(lay.x0, lay.x0 + lay.nx)) | {lay.cap_col}
         head = tree_lp.g.take(np.arange(base.n_g))
         for a, b in ((head.indptr, base.g.indptr), (head.indices, base.g.indices),
                      (head.data, base.g.data), (tree_lp.b_g()[: base.n_g], base.b_g())):
@@ -352,7 +356,8 @@ def test_trees_search_one_chord_row_per_party(monkeypatch):
     # linearization
     fresh = assemble_mpec(inst)
     for a, b in ((mpec.lp, fresh.lp), (milp.lp, linearize_big_m(fresh).lp)):
-        assert (a.n_g, a.g_names) == (b.n_g, b.g_names)
+        assert a.n_g == b.n_g
+        np.testing.assert_array_equal(a.g.indices, b.g.indices)
         np.testing.assert_array_equal(a.g.data, b.g.data)
         np.testing.assert_array_equal(a.b_g(), b.b_g())
 
@@ -426,10 +431,10 @@ def test_each_fallback_is_named_and_changes_no_answer(monkeypatch, mode):
         basic, x = start(*args)
         return basic[1:], x
 
-    spoiled = corrupted_starts(solver.no_battery_start)
+    spoiled = corrupted_starts(simplex.no_battery_start)
     forced = (
-        ("family_start", solver, "no_battery_start", spoiled["duplicate column"]),
-        ("family_start", solver, "no_battery_start", spoiled["folded row's surplus"]),
+        ("family_start", simplex, "no_battery_start", spoiled["duplicate column"]),
+        ("family_start", simplex, "no_battery_start", spoiled["folded row's surplus"]),
         ("root_start", solver, "_root_start", short_start),
         ("root_start", solver, "_root_start", lambda *args: None),  # no start built
         ("reread", solver._DivisionHeuristic, "read_families",
