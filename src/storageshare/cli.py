@@ -124,7 +124,10 @@ def _cmd_oracle(args) -> int:
     step = args.grid_step if args.grid_step is not None else cap / 20.0
     if cap == 0.0:
         step = 1.0  # single grid point either way
-    report = grid_oracle(instance, step)
+    try:
+        report = grid_oracle(instance, step)
+    except ValueError as exc:  # the step is checked already: the grid is too big
+        raise DataError(f"--grid-step: {exc}") from None
     print(f"grid_step = {_fmt(report.grid_step)}")
     print(f"points = {len(report.records)}")
     print(f"objective = {_fmt(report.best_objective)}")

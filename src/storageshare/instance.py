@@ -38,10 +38,6 @@ class TimeGrid:
     slot_count: int
     slot_hours: float
 
-    @property
-    def horizon_hours(self) -> float:
-        return self.slot_count * self.slot_hours
-
 
 @dataclass(frozen=True)
 class PriceSeries:
@@ -312,23 +308,6 @@ def customer_cost_total(instance: Instance, schedules: ScheduleSet) -> float:
     """Aggregate retail bill: the same net-load kernel priced at tou."""
     net = net_system_load(instance, schedules)
     return float(np.dot(instance.prices.tou, net) * instance.grid.slot_hours)
-
-
-def customer_llm_objective(instance: Instance, n: int, schedules: ScheduleSet) -> float:
-    """Customer n's own objective: retail cost increment of its storage use
-    plus the weighted peak-valley spread of its net profile."""
-    dt = instance.grid.slot_hours
-    flow = schedules.customer_ch[n] - schedules.customer_dis[n]
-    cost = float(np.dot(instance.prices.tou, flow) * dt)
-    spread = schedules.customer_peak[n] - schedules.customer_valley[n]
-    return cost + instance.weights.alpha * float(spread)
-
-
-def disco_llm_objective(instance: Instance, schedules: ScheduleSet) -> float:
-    """DisCo's own objective: wholesale cost increment of its storage use."""
-    dt = instance.grid.slot_hours
-    flow = schedules.disco_ch - schedules.disco_dis
-    return float(np.dot(instance.prices.lmp, flow) * dt)
 
 
 def flow_price(instance: Instance) -> np.ndarray:

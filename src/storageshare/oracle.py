@@ -1,10 +1,13 @@
 """Brute-force and residual machinery that certifies division solutions
 without trusting the reformulation or the branching solvers.
 
-grid_oracle enumerates capacity divisions on a regular grid, solves every
-party's dispatch LP independently per capacity value on one warm family
-per party (cached: a party's problem depends only on its own share),
-and evaluates the division objective directly from schedules. Each
+grid_oracle enumerates capacity divisions on a regular grid. It solves
+every party's dispatch LP once per share on the grid, on one warm family
+per party (a party's problem depends only on its own share), then scores
+the grid as an array program in blocks of up to 4,096 points: the
+parties' cached flows are summed per point and priced by the division
+objective. The best point is the first, in lexicographic order of the
+shares with the DisCo's first, within 1e-12 of the grid minimum. Each
 family starts at the party's no-battery vertex (simplex.party_family); a
 party whose start the engine rejects is named in the report's notes.
 check_schedule_invariants audits a division's schedules from raw data,
@@ -27,6 +30,7 @@ from .instance import Division, Instance, ScheduleSet, flow_price, soc_trajector
 from .simplex import flow_face, party_family
 
 GRID_GUARD = 200_000
+_BLOCK = 4096  # grid points scored per array pass
 
 
 @dataclass(frozen=True)
@@ -114,37 +118,28 @@ class OracleReport:
     grid_step: float
 
 
-@dataclass(frozen=True)
-class _Dispatch:
-    """Cached LLM outcome for one (party, capacity) cell."""
-
-    flow_raw: np.ndarray  # ch - dis, kW
-    flow_res: np.ndarray
-    lower_objective: float
-
-
-def _party_dispatch(family, cap, grad_flows) -> _Dispatch:
-    """The party's dispatch at capacity cap, from its warm family, and the
-    one of its optima that grad_flows . (ch - dis) likes best."""
-    t = len(grad_flows)
-    sol, x_res = flow_face(family, cap, grad_flows)
-    if x_res is None:
-        raise RuntimeError(f"LLM solve failed ({sol.status}) at capacity {cap}")
-    return _Dispatch(
-        flow_raw=sol.x[:t] - sol.x[t: 2 * t],
-        flow_res=x_res[:t] - x_res[t: 2 * t],
-        lower_objective=sol.objective,
-    )
+def _compositions(k_max: int, parts: int) -> np.ndarray:
+    """Every row of parts non-negative share counts summing to at most
+    k_max, in lexicographic order."""
+    grid = np.zeros((1, 0), dtype=np.intp)
+    left = np.array([k_max])
+    for _ in range(parts):
+        reps = left + 1  # a row with `left` counts to spare takes 0..left next
+        k = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        grid = np.column_stack([np.repeat(grid, reps, axis=0), k])
+        left = np.repeat(left, reps) - k
+    return grid
 
 
-def grid_oracle(instance: Instance, step: float, guard: int = GRID_GUARD) -> OracleReport:
+def grid_oracle(instance: Instance, step: float) -> OracleReport:
     """Exhaustive division search on the grid {0, step, 2 step, ...}.
 
     Each party's dispatch depends only on its own share, so each party has
     one warm family, swept over the capacity values in ascending order,
-    and its LLM solutions are reused across grid points. Ties on
-    the upper objective resolve to the lexicographically smallest division
-    (DisCo share first).
+    and the grid is scored from those sweeps in blocks of _BLOCK points.
+    Grid points run in lexicographic order of the share counts, DisCo
+    share first; the best point is the first in that order whose upper
+    objective lies within 1e-12 of the grid minimum.
     """
     if not 0 < step < math.inf:  # NaN fails too
         raise ValueError(f"step must be positive and finite, got {step}")
@@ -152,61 +147,56 @@ def grid_oracle(instance: Instance, step: float, guard: int = GRID_GUARD) -> Ora
     s_total = instance.storage.total_capacity
     k_max = int(math.floor(s_total / step + 1e-9))
     n_points = math.comb(k_max + n + 1, n + 1)
-    if n_points > guard:
+    if n_points > GRID_GUARD:
         raise ValueError(
-            f"grid of {n_points} points exceeds the {guard}-point guard"
+            f"grid of {n_points} points exceeds the {GRID_GUARD}-point guard"
         )
     w = instance.weights
     price = flow_price(instance)
-    base_cost = float(price @ instance.loads.system_load)
     sys_load = instance.loads.system_load
+    base_cost = float(price @ sys_load)
+    t = instance.grid.slot_count
 
-    cache = []  # party order: customers 0..n-1, then disco
+    # per party, in grid-column order (DisCo first): flows ch - dis of the
+    # optimum and of the face minimum at each share count, and the optimum
+    raw = np.empty((n + 1, k_max + 1, t))
+    face = np.empty_like(raw)
+    lower = [[] for _ in range(n + 1)]
     notes = []
-    for p in range(n + 1):
+    for p in range(n + 1):  # party order: customers 0..n-1, then disco
+        j = (p + 1) % (n + 1)
         family = party_family(instance, p)
-        cache.append([_party_dispatch(family, k * step, price)
-                      for k in range(k_max + 1)])
+        for k in range(k_max + 1):
+            sol, x_face = flow_face(family, k * step, price)
+            if x_face is None:
+                raise RuntimeError(f"LLM solve failed ({sol.status}) at capacity {k * step}")
+            raw[j, k] = sol.x[:t] - sol.x[t: 2 * t]
+            face[j, k] = x_face[:t] - x_face[t: 2 * t]
+            lower[j].append(sol.objective)
         if family.engine.start_rejects:
             party = f"customer[{p}]" if p < n else "disco"
             notes.append(f"{party}: no-battery start rejected, solved from the slack crash")
 
-    def upper_value(flows):
-        net = sys_load + flows
-        return w.lambda1 * float(net.max()) + float(price @ flows) + base_cost
+    def upper(by_party, ks):
+        flows = by_party[0][ks[:, 0]]
+        for j in range(1, n + 1):
+            flows += by_party[j][ks[:, j]]
+        return w.lambda1 * (sys_load + flows).max(axis=1) + flows @ price + base_cost
 
+    share = [k * step for k in range(k_max + 1)]
+    grid = _compositions(k_max, n + 1)
+    values = np.empty(len(grid))
     records = []
-    best = None  # (objective, division tuple)
-
-    def visit(idx):
-        nonlocal best
-        disco_k = idx[0]
-        cust_k = idx[1:]
-        flows_raw = cache[n][disco_k].flow_raw.copy()
-        flows_res = cache[n][disco_k].flow_res.copy()
-        for p, kk in enumerate(cust_k):
-            flows_raw += cache[p][kk].flow_raw
-            flows_res += cache[p][kk].flow_res
-        val = min(upper_value(flows_raw), upper_value(flows_res))
-        lower = tuple(
-            [cache[p][kk].lower_objective for p, kk in enumerate(cust_k)]
-            + [cache[n][disco_k].lower_objective]
-        )
-        division = (disco_k * step,) + tuple(kk * step for kk in cust_k)
-        records.append((division, lower, val))
-        if best is None or val < best[0] - 1e-12:
-            best = (val, division)
-
-    def walk(prefix, remaining):
-        if len(prefix) == n + 1:
-            visit(prefix)
-            return
-        for kk in range(remaining + 1):
-            walk(prefix + (kk,), remaining - kk)
-
-    walk((), k_max)
-    best_obj, best_div = best
-    ties = sum(1 for r in records if abs(r[2] - best_obj) <= 1e-9) - 1
+    for first in range(0, len(grid), _BLOCK):
+        ks = grid[first: first + _BLOCK]
+        block = values[first: first + len(ks)]
+        np.minimum(upper(raw, ks), upper(face, ks), out=block)
+        for row, val in zip(ks.tolist(), block.tolist()):
+            lows = list(map(list.__getitem__, lower, row))
+            records.append((tuple(map(share.__getitem__, row)),
+                            tuple(lows[1:] + lows[:1]), val))
+    best_div, _, best_obj = records[int(np.argmax(values <= values.min() + 1e-12))]
+    ties = int(np.count_nonzero(np.abs(values - best_obj) <= 1e-9)) - 1
     if ties > 0:
         notes.append(f"{ties} grid points within 1e-9 of the best objective")
     return OracleReport(

@@ -1,13 +1,15 @@
 """Test-side reference tools: brute-force vertex enumeration, a random
-feasible-LP generator, a one-row slack and the optimality (KKT) system of
-an LP with its residual checker. Deliberately independent of the
-package's solver code path (only the LinearProgram container is shared)."""
+feasible-LP generator, a one-row slack, the optimality (KKT) system of
+an LP with its residual checker, and each party's own dispatch objective
+read off its schedules. Deliberately independent of the package's solver
+code path (only the LinearProgram and instance containers are shared)."""
 
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from storageshare.instance import Instance, ScheduleSet
 from storageshare.lp import LinearProgram, Rows, evaluate, make_lp
 
 
@@ -181,3 +183,20 @@ def row_value(lp: LinearProgram, i: int, x: np.ndarray) -> float:
     """Slack of inequality row i at x (row lhs minus rhs), one row at a time."""
     idx, val = lp.g.row(i)
     return float(val @ x[idx]) - float(lp.g_offset[i] + lp.g_cap[i] * lp.capacity)
+
+
+def customer_llm_objective(instance: Instance, n: int, schedules: ScheduleSet) -> float:
+    """Customer n's own objective: retail cost increment of its storage use
+    plus the weighted peak-valley spread of its net profile."""
+    dt = instance.grid.slot_hours
+    flow = schedules.customer_ch[n] - schedules.customer_dis[n]
+    cost = float(np.dot(instance.prices.tou, flow) * dt)
+    spread = schedules.customer_peak[n] - schedules.customer_valley[n]
+    return cost + instance.weights.alpha * float(spread)
+
+
+def disco_llm_objective(instance: Instance, schedules: ScheduleSet) -> float:
+    """DisCo's own objective: wholesale cost increment of its storage use."""
+    dt = instance.grid.slot_hours
+    flow = schedules.disco_ch - schedules.disco_dis
+    return float(np.dot(instance.prices.lmp, flow) * dt)

@@ -168,6 +168,21 @@ def test_bad_grid_step_exits_two(workdir, capsys, step):
     assert "--grid-step" in capsys.readouterr().err
 
 
+def test_grid_over_the_guard_exits_two_and_names_the_step(workdir, capsys):
+    # six customers at the default step capacity/20: C(27, 7) = 888030 points
+    loads, prices = workdir["dir"] / "l6.csv", workdir["dir"] / "p6.csv"
+    assert main(["gen-data", "--profile", "duck", "--price-shape", "conflicting",
+                 "--customers", "6", "--slots", "6", "--seed", "5",
+                 "--loads", str(loads), "--prices", str(prices)]) == 0
+    capsys.readouterr()
+    rc = main(["oracle", "--loads", str(loads), "--prices", str(prices),
+               "--config", str(workdir["config"])])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--grid-step" in err
+    assert "888030 points" in err
+
+
 @pytest.mark.parametrize("flag,value", [("--slots", "1"), ("--customers", "0")])
 def test_gen_data_bad_count_exits_two(tmp_path, capsys, flag, value):
     # one slot makes files every other subcommand rejects (a day needs two)

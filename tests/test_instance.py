@@ -6,9 +6,7 @@ from storageshare.instance import (
     InstanceError,
     ScheduleSet,
     customer_cost_total,
-    customer_llm_objective,
     disco_cost,
-    disco_llm_objective,
     make_instance,
     net_system_load,
     soc_trajectory,
@@ -18,13 +16,14 @@ from storageshare.instance import (
     zero_schedules,
 )
 from tests.conftest import rand_instance
+from tests.lp_oracle import customer_llm_objective, disco_llm_objective
 
 
 def test_make_instance_defaults(tiny_instance):
     inst = tiny_instance
     assert inst.customer_count == 1
     assert inst.grid.slot_count == 4
-    assert inst.grid.horizon_hours == 4.0
+    assert inst.grid.slot_count * inst.grid.slot_hours == 4.0
     np.testing.assert_array_equal(inst.loads.system_load, [4.0, 4.0, 4.0, 4.0])
     # arrays come back frozen
     with pytest.raises(ValueError):

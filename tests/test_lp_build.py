@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from storageshare.instance import ScheduleSet, customer_llm_objective, make_instance, soc_trajectory
+from storageshare.instance import ScheduleSet, make_instance, soc_trajectory
 from storageshare.lp import (
     build_llm_c,
     build_llm_d,
@@ -14,6 +14,7 @@ from storageshare.lp import (
 )
 from storageshare.simplex import Simplex
 from tests.conftest import rand_instance
+from tests.lp_oracle import customer_llm_objective
 
 
 def scipy_solve(lp):

@@ -1,6 +1,7 @@
 """Grid search oracle, optimistic ties on the optimal face, and schedule
 auditing."""
 
+import itertools
 import math
 
 import numpy as np
@@ -124,6 +125,33 @@ def test_symmetric_customers_tie_note():
     assert vals[(0.0, 2.0, 0.0)] == pytest.approx(vals[(0.0, 0.0, 2.0)], abs=1e-9)
 
 
+def test_grid_order_and_tie_rule():
+    # identical customers: swapping their shares scores the same, so the
+    # minimum is tied and the rule must pick the lexicographically first
+    load = [[3.0, 1.0, 2.0, 4.0], [3.0, 1.0, 2.0, 4.0]]
+    inst = make_instance(
+        lmp=[0.2, 0.1, 0.3, 0.5],
+        tou=[0.2, 0.1, 0.3, 0.5],
+        customer_load=load,
+        slot_hours=1.0,
+        total_capacity=4.0,
+        soc_ini_customer=[0.5, 0.5],
+    )
+    k, step = 4, 1.0
+    rep = grid_oracle(inst, step=step)
+    divisions = [r[0] for r in rep.records]
+    expected = [tuple(kk * step for kk in ks)
+                for ks in itertools.product(range(k + 1), repeat=3) if sum(ks) <= k]
+    assert divisions == expected  # product runs in lexicographic order, DisCo first
+    assert len(divisions) == math.comb(k + 3, 3) >= 20
+    values = [r[2] for r in rep.records]
+    lowest = min(values)
+    first = next(r for r in rep.records if r[2] <= lowest + 1e-12)
+    assert sum(v <= lowest + 1e-12 for v in values) >= 2  # the tie is there
+    assert (rep.best_division.s_disco, *rep.best_division.s_customer) == first[0]
+    assert rep.best_objective == first[2]
+
+
 def test_grid_names_each_party_whose_family_start_is_rejected(monkeypatch):
     inst = division_fixture(202)
     step = inst.storage.total_capacity / 4.0
@@ -145,7 +173,7 @@ def test_grid_names_each_party_whose_family_start_is_rejected(monkeypatch):
 def test_guard_and_bad_step(rng):
     inst = rand_instance(rng, n=2, total_capacity=10.0)
     with pytest.raises(ValueError, match="guard"):
-        grid_oracle(inst, step=0.001, guard=1000)
+        grid_oracle(inst, step=0.001)
     # at step inf the first cell once solved at 0 * inf = NaN
     for step in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="step"):

@@ -31,7 +31,8 @@ def test_compare_sums_times_and_flags_differing_objectives(tmp_path, capsys):
                rec(2, "bigm", "limit", 3.0, 4.0, 50, esc=1, fallbacks=["root_start"]), old])
     _write(b, [rec(1, "lpcc", "optimal", 10.0 + 5e-5, 0.5, 6, grid=10.0 + 5e-5),
                rec(1, "bigm", "optimal", 10.0, 1.0, 7, excess=2e-9),  # 1e-9 (1 + |-2|) = 3e-9
-               rec(2, "lpcc", "optimal", 3.0 + 5e-7, 0.5, 9, excess=3e-6, phi=-3e3),
+               rec(2, "lpcc", "optimal", 3.0 + 5e-7, 0.5, 9, excess=3e-6, phi=-3e3,
+                   grid=10.0 + 5e-12),  # 5e-13 relative: the same grid
                rec(2, "bigm", "limit", 2.0, 3.0, 50, fallbacks=["reread"], family=4),
                rec(3, "lpcc", "optimal", 1.0, 1.0, 1, fallbacks=["reread"])])
     assert tree_sweep.compare(str(a), str(b)) == 1
@@ -44,6 +45,7 @@ def test_compare_sums_times_and_flags_differing_objectives(tmp_path, capsys):
     assert "seed 2" not in out  # within 1e-6, or not optimal on both sides
     assert "escalations differ: 2/bigm\n" in out
     assert "fallbacks differ: 2/bigm\n" in out  # seed 3: not recorded in A
+    assert "grid differs at 1e-12: 1\n" in out
     assert "grid below lpcc at 1e-09 in A: 1\n" in out
     assert "grid below lpcc at 1e-09 in B: none\n" in out
     assert "lower-level excess above 1e-09 in A: 1/bigm\n" in out

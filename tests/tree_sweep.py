@@ -18,7 +18,8 @@ both files record them for every solve of the mode) and every seed where
 both solves are optimal and the objectives differ by more than 1e-6
 relative; then the (seed, mode) solves whose escalation counts differ,
 and those whose fallbacks differ (of the solves both files record
-fallbacks for); then, per file, the seeds where the grid lies more than 1e-9 relative below an
+fallbacks for), and the seeds whose grid objectives differ by more than
+1e-12 relative; then, per file, the seeds where the grid lies more than 1e-9 relative below an
 optimal lpcc objective, which no correct grid can, and the (seed, mode)
 answers whose excess is above 1e-9 (1 + |phi|), whose dispatch is then
 not optimal.
@@ -36,6 +37,7 @@ import time
 MODES = ("lpcc", "bigm")
 OBJ_TOL = 1e-6
 GRID_TOL = 1e-9
+GRID_SAME_TOL = 1e-12
 LL_TOL = 1e-9
 
 
@@ -144,6 +146,11 @@ def compare(path_a: str, path_b: str) -> int:
             if "fallbacks" in a[seed, mode] and "fallbacks" in b[seed, mode]
             and a[seed, mode]["fallbacks"] != b[seed, mode]["fallbacks"]]
     print(f"fallbacks differ: {', '.join(fell) if fell else 'none'}")
+    regrid = sorted({seed for seed, mode in both
+                     if "grid" in a[seed, mode] and "grid" in b[seed, mode]
+                     and abs(a[seed, mode]["grid"] - b[seed, mode]["grid"])
+                     > GRID_SAME_TOL * max(1.0, abs(a[seed, mode]["grid"]))})
+    print(f"grid differs at {GRID_SAME_TOL:g}: {', '.join(map(str, regrid)) if regrid else 'none'}")
     for side, records in (("A", a), ("B", b)):
         seeds = grid_below(records)
         print(f"grid below lpcc at {GRID_TOL:g} in {side}: "
