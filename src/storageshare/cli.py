@@ -90,9 +90,9 @@ def _cmd_build(args) -> int:
     with open(args.out, "w") as fh:
         export_mps(milp, fh)
     print(f"wrote {args.out}")
-    print(f"columns = {milp.lp.n_vars + milp.n_binaries}")
+    print(f"columns = {milp.lp.n_vars}")  # the binary columns included
     print(f"binaries = {milp.n_binaries}")
-    print(f"rows = {milp.lp.n_g + 2 * milp.n_binaries + milp.lp.n_h}")
+    print(f"rows = {milp.lp.n_g + milp.lp.n_h}")  # the big-M rows included
     return 0
 
 

@@ -9,9 +9,12 @@ more than one block of text. A value is written with %.12g, padded to
 12 characters where another field follows it; a value longer than 12
 characters is written whole.
 
-The reader shares no code or constants with the writer; it streams the
-file line by line, tokenizes sections per the published format and
-reports counts, which is what round-trip checks compare.
+The reader shares no code or constants with the writer and reports
+counts, which is what round-trip checks compare. It reads the file in
+blocks of bytes cut after their last line end, splits each block into
+tokens at the whitespace bytes.split() uses, and reads header lines one
+at a time but each section's data lines as arrays. Every value field is
+parsed as a float by numpy with float()'s grammar.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .lp import LinearProgram
 from .mpec import MilpModel
@@ -228,6 +232,9 @@ class MpsSummary:
         return self.g_rows + self.l_rows + self.e_rows
 
 
+_READ_BLOCK = 1 << 18  # kept small: the read's peak memory is a few blocks
+
+
 def read_mps(path) -> MpsSummary:
     """Parse an MPS file independently of the writer and return counts.
 
@@ -235,78 +242,218 @@ def read_mps(path) -> MpsSummary:
     binary-column counts, and entry tallies per section. Marker lines
     toggle integrality exactly as the format prescribes. The objective is
     the first N row, and only its RHS entry sets objective_constant; every
-    N row counts in objective_rows. The file (a path or a text handle) is
-    read one line at a time.
+    N row counts in objective_rows. Every value field is parsed as a float,
+    so a malformed one raises ValueError. The file (a path, or a text
+    handle with `read`) is read `_READ_BLOCK` bytes or characters at a time.
     """
     if hasattr(path, "read"):
-        return _summarize(path)
-    with open(path) as fh:
-        return _summarize(fh)
+        return _Reader().summarize(lambda: path.read(_READ_BLOCK).encode())
+    with open(path, "rb") as fh:
+        return _Reader().summarize(lambda: fh.read(_READ_BLOCK))
 
 
-def _summarize(lines) -> MpsSummary:
-    summary = MpsSummary()
-    section = None
-    objective = None  # the first N row; later N rows are free rows
-    seen_cols: dict[str, bool] = {}
-    integral = False
-    entries = 0
-    for line in lines:
-        tokens = line.split()
-        if not tokens or tokens[0][0] == "*":  # blank or comment
-            continue
-        if line[0] not in " \t":
-            keyword = tokens[0].upper()
-            if keyword == "NAME":
-                summary.name = tokens[1] if len(tokens) > 1 else ""
-                continue
-            if keyword == "ENDATA":
+def _blocks(read):
+    """Blocks of whole lines from read() until it returns b"": each read is
+    cut after its last line end and the rest carried into the next block.
+    The last block gets a line end if the file lacks one."""
+    carry: list[bytes] = []
+    for block in iter(read, b""):
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
+        if cut:
+            yield b"".join([*carry, block[:cut]])
+            carry = [block[cut:]]
+        else:
+            carry.append(block)
+    if any(carry):
+        yield b"".join([*carry, b"\n"])
+
+
+class _Block:
+    """The whitespace-separated tokens of a block of whole lines: token i
+    is text[start[i]:start[i] + size[i]]. Lines are the block's non-blank
+    lines that are not comments; line k's tokens are first[k] ..
+    first[k] + count[k] - 1, and header[k] says whether it starts in
+    column 1."""
+
+    def __init__(self, text: bytes):
+        self.text = text
+        self.cells = cells = np.frombuffer(text, dtype=np.uint8)
+        # the bytes bytes.split() splits at: space and \t \n \v \f \r (9..13)
+        space = (cells == ord(" ")) | (cells - np.uint8(9) <= 4)
+        # token edges alternate start, end: the block ends with a line end
+        edges = np.flatnonzero(np.diff(~space, prepend=False, append=False))
+        self.start = edges[0::2]
+        self.size = edges[1::2] - self.start
+        # line ends as text mode reads them: \n, \r and \r\n (an empty line)
+        ends = np.flatnonzero((cells == ord("\n")) | (cells == ord("\r")))
+        # line j runs up to ends[j]; its tokens are bound[j] .. bound[j + 1] - 1
+        bound = np.concatenate([[0], np.searchsorted(self.start, ends)])
+        count = np.diff(bound)
+        lead = cells[np.concatenate([[0], ends[:-1] + 1])]  # each line's first byte
+        keep = count > 0
+        first, count, lead = bound[:-1][keep], count[keep], lead[keep]
+        keep = cells[self.start[first]] != ord("*")  # comments
+        self.first, self.count, lead = first[keep], count[keep], lead[keep]
+        self.header = (lead != ord(" ")) & (lead != ord("\t"))
+
+    def token(self, i) -> bytes:
+        return self.text[self.start[i]:self.start[i] + self.size[i]]
+
+    def by_size(self, idx, extra=0):
+        """For each length w among the tokens idx: which k of them have it,
+        and the (k, w + extra) bytes that start where those tokens start."""
+        start, size = self.start[idx], self.size[idx] + extra
+        for w in np.flatnonzero(np.bincount(size)):
+            pick = size == w
+            yield pick, sliding_window_view(self.cells, w)[start[pick]]
+
+    def check_floats(self, idx) -> None:
+        """float() every token in idx; a malformed one raises ValueError.
+        Each is parsed with the whitespace byte after it, which float()
+        ignores, so numpy's strip of trailing NULs cannot pass a token that
+        ends in one."""
+        for _, cells in self.by_size(idx, extra=1):
+            cells.view(f"S{cells.shape[1]}").astype(float)
+
+    def equals(self, idx, word: bytes) -> np.ndarray:
+        """Whether each token in idx is exactly word."""
+        hit = self.size[idx] == len(word)
+        if hit.any():
+            cells = sliding_window_view(self.cells, len(word))[self.start[idx[hit]]]
+            hit[hit] = (cells == np.frombuffer(word, dtype=np.uint8)).all(axis=1)
+        return hit
+
+    def differs_from_previous(self, idx) -> np.ndarray:
+        """Whether each token in idx differs from the one before it in idx."""
+        start, size = self.start[idx], self.size[idx]
+        new = np.ones(len(idx), dtype=bool)
+        same = size[1:] == size[:-1]
+        for w in np.flatnonzero(np.bincount(size[1:][same])):
+            pair = np.flatnonzero(same & (size[1:] == w))
+            cells = sliding_window_view(self.cells, w)
+            new[pair + 1] = (cells[start[pair]] != cells[start[pair + 1]]).any(axis=1)
+        return new
+
+
+def _pair_names(first, count):
+    """Token index of each name in the (name, value) pairs that follow a
+    line's first token: (count - 1) // 2 pairs per line."""
+    pairs = (count - 1) // 2
+    offset = np.repeat(first + 1 - 2 * (np.cumsum(pairs) - pairs), pairs)
+    return offset + 2 * np.arange(len(offset))
+
+
+class _Reader:
+    """Section state carried from block to block of one file."""
+
+    def __init__(self):
+        self.summary = MpsSummary()
+        self.section = None
+        self.objective = None  # the first N row; later N rows are free rows
+        self.integral = False
+        # column names by length w: (k, w) bytes and whether each was integral
+        self.names: dict[int, list] = {}
+
+    def summarize(self, read) -> MpsSummary:
+        for text in _blocks(read):
+            if self.read_block(_Block(text)):
                 break
-            section = keyword
-        elif section == "COLUMNS":
-            if len(tokens) >= 3 and tokens[1] == "'MARKER'":
-                marker = tokens[-1].upper()
-                if marker == "'INTORG'":
-                    integral = True
-                elif marker == "'INTEND'":
-                    integral = False
-                continue
-            seen_cols.setdefault(tokens[0], integral)
-            for value in tokens[2::2]:  # (len - 1) // 2 name/value pairs
-                float(value)  # malformed values should not pass silently
-            entries += (len(tokens) - 1) // 2
-        elif section == "ROWS":
-            sense, name = tokens[0].upper(), tokens[1]
-            if sense == "N":
-                summary.objective_rows += 1
-                if objective is None:
-                    objective = name
-            elif sense == "G":
-                summary.g_rows += 1
-            elif sense == "L":
-                summary.l_rows += 1
-            elif sense == "E":
-                summary.e_rows += 1
+        summary = self.summary
+        for parts in self.names.values():
+            names, integral = (np.concatenate(part) for part in zip(*parts))
+            # a column is integral if it was where its name first appears
+            _, first = np.unique(names.view(f"V{names.shape[1]}"), return_index=True)
+            summary.columns += len(first)
+            summary.binary_columns += int(np.count_nonzero(integral[first]))
+        return summary
+
+    def read_block(self, b: _Block) -> bool:
+        """Read one block's lines; True once ENDATA is reached. Header
+        lines are few, so they are read one at a time; the data lines
+        between them go to their section's handler together."""
+        done = 0
+        for k in [*np.flatnonzero(b.header).tolist(), len(b.first)]:
+            if k > done:
+                self.data(b, b.first[done:k], b.count[done:k])
+            if k == len(b.first):
+                break
+            keyword = b.token(b.first[k]).decode().upper()
+            if keyword == "NAME":
+                self.summary.name = b.token(b.first[k] + 1).decode() if b.count[k] > 1 else ""
+            elif keyword == "ENDATA":
+                return True
             else:
-                raise ValueError(f"unknown row sense {sense!r}")
-        elif section == "RHS":
-            for p in range(1, len(tokens) - 1, 2):
-                if tokens[p] == objective:
-                    summary.objective_constant = -float(tokens[p + 1])
-                else:
-                    float(tokens[p + 1])
-                summary.rhs_entries += 1
-        elif section == "RANGES":
-            for p in range(1, len(tokens) - 1, 2):
-                float(tokens[p + 1])
-                summary.range_entries += 1
-        elif section == "BOUNDS":
-            btype = tokens[0].upper()
-            summary.bound_entries += 1
-            summary.bound_types[btype] = summary.bound_types.get(btype, 0) + 1
-        elif section is None:
+                self.section = keyword
+            done = k + 1
+        return False
+
+    def data(self, b, first, count) -> None:
+        if self.section is None:
             raise ValueError("data line before any section header")
-    summary.entries = entries
-    summary.columns = len(seen_cols)
-    summary.binary_columns = sum(seen_cols.values())
-    return summary
+        handler = self.HANDLERS.get(self.section)
+        if handler is not None:  # data of other sections is skipped
+            handler(self, b, first, count)
+
+    def rows(self, b, first, count) -> None:
+        if np.any(count < 2):
+            raise ValueError("ROWS line without a row name")
+        sense = b.cells[b.start[first]] & 0xDF  # ASCII upper case
+        known = (b.size[first] == 1) & np.isin(sense, list(b"NGLE"))
+        if not known.all():
+            bad = b.token(first[np.argmin(known)]).decode().upper()
+            raise ValueError(f"unknown row sense {bad!r}")
+        s = self.summary
+        n, g, l, e = (int(np.count_nonzero(sense == c)) for c in b"NGLE")
+        s.objective_rows += n
+        s.g_rows += g
+        s.l_rows += l
+        s.e_rows += e
+        if self.objective is None and n:
+            self.objective = b.token(first[np.argmax(sense == ord("N"))] + 1)
+
+    def columns(self, b, first, count) -> None:
+        # integrality holds from one marker line to the next
+        marker = count >= 3
+        marker[marker] = b.equals(first[marker] + 1, b"'MARKER'")
+        integral = np.full(len(first), self.integral)
+        for k in np.flatnonzero(marker).tolist():
+            word = b.token(first[k] + count[k] - 1).decode().upper()
+            if word in ("'INTORG'", "'INTEND'"):
+                self.integral = word == "'INTORG'"
+                integral[k:] = self.integral
+        first, count, integral = first[~marker], count[~marker], integral[~marker]
+        # a column's lines run together, so one name per run is kept
+        new = b.differs_from_previous(first)
+        for pick, cells in b.by_size(first[new]):
+            self.names.setdefault(cells.shape[1], []).append((cells, integral[new][pick]))
+        names = _pair_names(first, count)
+        b.check_floats(names + 1)
+        self.summary.entries += len(names)
+
+    def rhs(self, b, first, count) -> None:
+        names = _pair_names(first, count)
+        b.check_floats(names + 1)
+        self.summary.rhs_entries += len(names)
+        if self.objective is not None:
+            hit = np.flatnonzero(b.equals(names, self.objective))
+            if hit.size:
+                self.summary.objective_constant = -float(b.token(names[hit[-1]] + 1))
+
+    def ranges(self, b, first, count) -> None:
+        names = _pair_names(first, count)
+        b.check_floats(names + 1)
+        self.summary.range_entries += len(names)
+
+    def bounds(self, b, first, count) -> None:
+        b.check_floats(first[count >= 4] + 3)  # BV, FR and MI lines may have no value
+        s = self.summary
+        s.bound_entries += len(first)
+        for _, cells in b.by_size(first):
+            kinds, n = np.unique(cells.view(f"V{cells.shape[1]}"), return_counts=True)
+            for kind, k in zip(kinds.tolist(), n.tolist()):
+                key = kind.decode().upper()
+                s.bound_types[key] = s.bound_types.get(key, 0) + k
+
+    # plain functions, not bound methods: a reader holds no reference to
+    # itself, so what it holds is freed as soon as the read returns
+    HANDLERS = {"ROWS": rows, "COLUMNS": columns, "RHS": rhs, "RANGES": ranges, "BOUNDS": bounds}

@@ -1,8 +1,10 @@
 """Test-side reference tools: brute-force vertex enumeration, a random
 feasible-LP generator, a one-row slack, the optimality (KKT) system of
-an LP with its residual checker, and each party's own dispatch objective
-read off its schedules. Deliberately independent of the package's solver
-code path (only the LinearProgram and instance containers are shared)."""
+an LP with its residual checker, each party's own dispatch objective
+read off its schedules, and an MPS reader that walks the file one line
+at a time. Deliberately independent of the package's solver and reader
+code paths (only the LinearProgram, instance and MpsSummary containers
+are shared)."""
 
 import itertools
 from dataclasses import dataclass
@@ -11,6 +13,7 @@ import numpy as np
 
 from storageshare.instance import Instance, ScheduleSet
 from storageshare.lp import LinearProgram, Rows, evaluate, make_lp
+from storageshare.mps_io import MpsSummary
 
 
 @dataclass(frozen=True)
@@ -200,3 +203,78 @@ def disco_llm_objective(instance: Instance, schedules: ScheduleSet) -> float:
     dt = instance.grid.slot_hours
     flow = schedules.disco_ch - schedules.disco_dis
     return float(np.dot(instance.prices.lmp, flow) * dt)
+
+
+def read_mps_lines(source) -> MpsSummary:
+    """The summary `mps_io.read_mps` must return, read one line at a time
+    from a path or a text handle with str.split and float()."""
+    if not hasattr(source, "read"):
+        with open(source) as fh:
+            return read_mps_lines(fh)
+    summary = MpsSummary()
+    section = None
+    objective = None  # the first N row; later N rows are free rows
+    seen_cols: dict[str, bool] = {}
+    integral = False
+    for line in source:
+        tokens = line.split()
+        if not tokens or tokens[0][0] == "*":  # blank or comment
+            continue
+        if line[0] not in " \t":
+            keyword = tokens[0].upper()
+            if keyword == "NAME":
+                summary.name = tokens[1] if len(tokens) > 1 else ""
+                continue
+            if keyword == "ENDATA":
+                break
+            section = keyword
+        elif section == "COLUMNS":
+            if len(tokens) >= 3 and tokens[1] == "'MARKER'":
+                marker = tokens[-1].upper()
+                if marker == "'INTORG'":
+                    integral = True
+                elif marker == "'INTEND'":
+                    integral = False
+                continue
+            seen_cols.setdefault(tokens[0], integral)
+            for value in tokens[2::2]:  # (len - 1) // 2 name/value pairs
+                float(value)
+            summary.entries += (len(tokens) - 1) // 2
+        elif section == "ROWS":
+            if len(tokens) < 2:
+                raise ValueError("ROWS line without a row name")
+            sense, name = tokens[0].upper(), tokens[1]
+            if sense == "N":
+                summary.objective_rows += 1
+                if objective is None:
+                    objective = name
+            elif sense == "G":
+                summary.g_rows += 1
+            elif sense == "L":
+                summary.l_rows += 1
+            elif sense == "E":
+                summary.e_rows += 1
+            else:
+                raise ValueError(f"unknown row sense {sense!r}")
+        elif section == "RHS":
+            for p in range(1, len(tokens) - 1, 2):
+                if tokens[p] == objective:
+                    summary.objective_constant = -float(tokens[p + 1])
+                else:
+                    float(tokens[p + 1])
+                summary.rhs_entries += 1
+        elif section == "RANGES":
+            for p in range(1, len(tokens) - 1, 2):
+                float(tokens[p + 1])
+                summary.range_entries += 1
+        elif section == "BOUNDS":
+            if len(tokens) >= 4:  # BV, FR and MI lines may have no value
+                float(tokens[3])
+            btype = tokens[0].upper()
+            summary.bound_entries += 1
+            summary.bound_types[btype] = summary.bound_types.get(btype, 0) + 1
+        elif section is None:
+            raise ValueError("data line before any section header")
+    summary.columns = len(seen_cols)
+    summary.binary_columns = sum(seen_cols.values())
+    return summary

@@ -68,9 +68,10 @@ def test_build_emits_readable_mps(workdir, capsys):
     printed = capsys.readouterr().out
     assert rc == 0
     summary = read_mps(out_path)
-    binaries = int([l for l in printed.splitlines()
-                    if l.startswith("binaries = ")][0].split("=")[1])
-    assert summary.binary_columns == binaries > 0
+    counts = dict(l.split(" = ") for l in printed.splitlines() if " = " in l)
+    assert summary.binary_columns == int(counts["binaries"]) > 0
+    assert summary.columns == int(counts["columns"])
+    assert summary.rows == int(counts["rows"])
     assert out_path.read_text().rstrip().endswith("ENDATA")
 
 

@@ -5,12 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from storageshare import mps_io
 from storageshare.instance import make_instance
 from storageshare.lp import make_lp
 from storageshare.mpec import MilpModel, assemble_mpec, linearize_big_m
 from storageshare.mps_io import MpsSummary, export_mps, read_mps
 from storageshare.synthetic import synth_series
 from tests.conftest import division_fixture, rand_instance
+from tests.lp_oracle import read_mps_lines
 
 
 def random_lp(rng, n=None, mg=None, mh=None):
@@ -119,6 +121,11 @@ def test_reader_rejects_malformed():
         read_mps(io.StringIO("ROWS\n Q  BADROW\nENDATA\n"))
     with pytest.raises(ValueError):
         read_mps(io.StringIO("ROWS\n N  OBJ\nCOLUMNS\n    X0  OBJ  oops\nENDATA\n"))
+    with pytest.raises(ValueError):
+        read_mps(io.StringIO("ROWS\n N\nENDATA\n"))
+    with pytest.raises(ValueError):
+        read_mps(io.StringIO("ROWS\n N  OBJ\nCOLUMNS\n    X1  OBJ  1\nBOUNDS\n"
+                             " UP BND X1 abc\nENDATA\n"))
 
 
 def test_values_written_whole():
@@ -189,7 +196,7 @@ def test_edge_case_round_trip(name, tmp_path):
 
 
 def test_export_and_read_memory_stay_below_file_size(tmp_path):
-    # the writer holds one block of lines and the reader one line at a time,
+    # the writer holds one block of lines and the reader one block of bytes,
     # so their peaks must not grow with a multiple of the text
     loads, lmp, tou = synth_series("typical", "conforming", n_customers=20, n_slots=48, seed=1)
     inst = make_instance(lmp=lmp, tou=tou, customer_load=loads, slot_hours=0.5,
@@ -352,3 +359,39 @@ def test_fleet_mps_bytes_are_pinned(tmp_path):
             digest.update(block)
     assert digest.hexdigest() == (
         "8c03334398266478a0985b74bc23d1692bde4ba03524c4dffe55e57dd1dcca35")
+    assert read_mps(path) == MpsSummary(
+        name="DIVISION", objective_rows=1, g_rows=116_113, e_rows=9_997, columns=87_475,
+        binary_columns=38_688, entries=1_763_670, rhs_entries=58_234, bound_entries=48_787,
+        objective_constant=4380.06287239, bound_types={"FR": 9_998, "UP": 101, "BV": 38_688})
+
+
+# block sizes that cut lines, tokens, marker lines and section headers,
+# and the default
+@pytest.mark.parametrize("block", [1, 7, 64, 4096, None])
+def test_block_reader_matches_line_reference(block, rng, monkeypatch, tmp_path):
+    if block is not None:
+        monkeypatch.setattr(mps_io, "_READ_BLOCK", block)
+    texts = [text for text, _ in READER_CASES.values()]
+    texts += [exported_text(model) for model, _ in EDGE_MODELS.values()]
+    texts += [exported_text(random_lp(rng)) for _ in range(50)]
+    path = tmp_path / "case.mps"
+    for text in texts:
+        path.write_text(text)
+        assert read_mps(io.StringIO(text)) == read_mps_lines(io.StringIO(text))
+        assert read_mps(path) == read_mps_lines(path)
+
+
+@pytest.mark.parametrize("block", [7, 64, 4096])
+def test_value_cut_by_a_block_boundary_is_checked(block, monkeypatch):
+    monkeypatch.setattr(mps_io, "_READ_BLOCK", block)
+    head = "ROWS\n N  OBJ\nCOLUMNS\n    X0  OBJ  "
+    pad = " " * ((block - 2 - len(head)) % block)  # the boundary falls after 2 characters
+    for value, ok in (("1.2.3", False), ("1.234", True)):
+        text = f"{head}{pad}{value}\nENDATA\n"
+        at = len(head) + len(pad)
+        assert at // block != (at + len(value) - 1) // block
+        if ok:
+            assert read_mps(io.StringIO(text)) == read_mps_lines(io.StringIO(text))
+        else:
+            with pytest.raises(ValueError):
+                read_mps(io.StringIO(text))
