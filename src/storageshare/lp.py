@@ -130,10 +130,6 @@ class Rows:
         a, b = self.indptr[i], self.indptr[i + 1]
         return self.indices[a:b], self.data[a:b]
 
-    def coo(self):
-        """(row ids, column ids, coefficients) of every entry in row order."""
-        return self.row_ids, self.indices, self.data
-
     def dense(self, n_cols: int) -> np.ndarray:
         a = np.zeros((self.n_rows, n_cols))
         a[self.row_ids, self.indices] = self.data

@@ -3,9 +3,10 @@
 The writer emits ROWS/COLUMNS/RHS/RANGES/BOUNDS sections with classic
 column offsets, names X/R/E-prefixed by index so files are byte-stable
 for a given model. Binary columns are wrapped in INTORG/INTEND marker
-lines. Every field is rendered as a 1-byte string array and lines are
-joined and written in blocks of `_BLOCK`, so the writer never holds
-more than one block of text. A value is written with %.12g, padded to
+lines. Past arrays of one item per row or column, the writer holds one
+int32 entry order by column and one chunk of whole columns (about
+`_CHUNK` entries); a line's fields are gathered from NUL-padded byte
+tables into one byte matrix, written with the NULs dropped. A value is written with %.12g, padded to
 12 characters where another field follows it; a value longer than 12
 characters is written whole.
 
@@ -20,7 +21,6 @@ parsed as a float by numpy with float()'s grammar.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -29,7 +29,7 @@ from .lp import LinearProgram
 from .mpec import MilpModel
 
 _OBJ = b"OBJ"
-_BLOCK = 1 << 16  # lines joined and written at a time
+_CHUNK = 1 << 16  # COLUMNS entries written at a time, rounded to whole columns
 
 
 def _ljust(arr, width):
@@ -43,13 +43,19 @@ def _names(prefix: bytes, count: int) -> np.ndarray:
     return np.strings.add(prefix, np.strings.zfill(digits, 7) if count else digits)
 
 
+def _table(strings: np.ndarray) -> np.ndarray:
+    """The bytes of a 1-byte string array, one NUL-padded row per string,
+    and one all-NUL row last: index -1 is an empty field."""
+    return np.concatenate([strings, [b""]]).view(np.uint8).reshape(len(strings) + 1, -1)
+
+
 def _fmt_values(values: np.ndarray):
-    """%.12g-render values via their unique set; returns (plain, padded,
-    inverse): the renderings of the unique values, unpadded and padded to
-    12 characters, and each value's index into them."""
+    """%.12g-render values via their unique set; returns (table, inverse):
+    a `_table` whose first u rows are the u unique renderings and next u
+    rows the same padded to 12 characters, and each value's row."""
     uniq, inverse = np.unique(np.asarray(values, float), return_inverse=True)
     rendered = np.strings.mod(b"%.12g", uniq)
-    return rendered, _ljust(rendered, 12), inverse
+    return _table(np.concatenate([rendered, _ljust(rendered, 12)])), inverse
 
 
 def _pairing(keys: np.ndarray):
@@ -68,32 +74,28 @@ def _pairing(keys: np.ndarray):
     return lead, same_next[lead]
 
 
-def _entry_parts(first_tab, first, row_tab, row, values):
-    """Lay entries (first-field name index, row name index, value) out two
-    per line by `_pairing`; returns the entry each line starts with and
-    parts(a, b) for `_write_lines`. The name tables hold names padded to
-    10 characters."""
-    plain, padded, inv = _fmt_values(values)
-    lead, paired = _pairing(first)
-    last = len(first) - 1
-
-    def parts(a, b):
-        i, two = lead[a:b], paired[a:b]
-        j = np.minimum(i + 1, last)
-        second = np.strings.add(np.strings.add(b"   ", row_tab[row[j]]), plain[inv[j]])
-        return (b"    ", first_tab[first[i]], row_tab[row[i]],
-                np.where(two, padded[inv[i]], plain[inv[i]]), np.where(two, second, b""))
-
-    return lead, parts
+def _write_lines(write, *fields) -> None:
+    """Write one line per index. A field is bytes, the same on every line,
+    or (table, index): line i takes row index[i] of a `_table`. The fields
+    are gathered into one byte matrix, a line per row, and the NULs
+    dropped."""
+    count = next(len(f[1]) for f in fields if not isinstance(f, bytes))
+    cells = np.concatenate([np.broadcast_to(np.frombuffer(f, dtype=np.uint8), (count, len(f)))
+                            if isinstance(f, bytes) else f[0][f[1]] for f in (*fields, b"\n")],
+                           axis=1)
+    write(cells[cells != 0].tobytes())
 
 
-def _write_lines(write, start, stop, parts):
-    """Write lines start..stop-1, `_BLOCK` at a time; parts(a, b) gives the
-    fields of lines a..b-1 as 1-byte string arrays or scalars."""
-    for a in range(start, stop, _BLOCK):
-        lines = reduce(np.strings.add, (*parts(a, min(a + _BLOCK, stop)), b"\n"))
-        cells = lines.view(np.uint8)
-        write(cells[cells != 0].tobytes())  # drop the NUL padding of each line
+def _write_pairs(write, first_tab, first, row_tab, row, values) -> None:
+    """Write entries (row first[i] of first_tab, row row[i] of row_tab,
+    values[i]) two per line, paired by `_pairing` of first."""
+    tab, inv = _fmt_values(values)
+    i, two = _pairing(first)
+    j = np.minimum(i + 1, len(first) - 1)
+    _write_lines(write, b"    ", (first_tab, first[i]), (row_tab, row[i]),
+                 (tab, inv[i] + two * (len(tab) // 2)),
+                 (_table(np.array([b"   "])), np.where(two, 0, -1)),
+                 (row_tab, np.where(two, row[j], -1)), (tab, np.where(two, inv[j], -1)))
 
 
 def _sanitize(name: str) -> str:
@@ -123,47 +125,55 @@ def export_mps(model: LinearProgram | MilpModel, destination) -> None:
 def _write_model(lp: LinearProgram, binary_cols: np.ndarray, write) -> None:
     n = lp.n_vars
     col_names = _names(b"X", n)
-    g_labels = _names(b"R", lp.n_g)
-    h_labels = _names(b"E", lp.n_h)
-
-    # flatten every matrix entry into parallel arrays: column, row key, value
-    c_cols = np.flatnonzero(lp.c)
-    g_rows, g_cols, g_coefs = lp.g.coo()
-    h_rows, h_cols, h_coefs = lp.h.coo()
-    e_col = np.concatenate([c_cols, g_cols, h_cols]).astype(np.int64)
-    e_row = np.concatenate([np.zeros(len(c_cols), dtype=np.int64),
-                            1 + g_rows, 1 + lp.n_g + h_rows])
-    e_val = np.concatenate([lp.c[c_cols], g_coefs, h_coefs])
-    order = np.lexsort((e_row, e_col))
-    e_col, e_row, e_val = e_col[order], e_row[order], e_val[order]
-
-    row_pad_table = _ljust(np.concatenate([[_OBJ], g_labels, h_labels]), 10)
-    col_pad_table = _ljust(col_names, 10)
+    row_names = np.concatenate([[_OBJ], _names(b"R", lp.n_g), _names(b"E", lp.n_h)])
+    row_tab = _table(row_names)
+    row_pad_tab = _table(_ljust(row_names, 10))
+    col_pad_tab = _table(_ljust(col_names, 10))
     is_binary = np.zeros(n, dtype=bool)
     is_binary[binary_cols] = True
 
     write(b"NAME".ljust(14) + _sanitize(lp.name).encode() + b"\nROWS\n N  " + _OBJ + b"\n")
-    _write_lines(write, 0, lp.n_g, lambda a, b: (b" G  ", g_labels[a:b]))
-    _write_lines(write, 0, lp.n_h, lambda a, b: (b" E  ", h_labels[a:b]))
+    _write_lines(write, b" G  ", (row_tab, np.arange(1, 1 + lp.n_g)))
+    _write_lines(write, b" E  ", (row_tab, np.arange(1 + lp.n_g, len(row_names))))
+
+    # entry p of the objective, g and h entries stacked in that order lies
+    # in stacked row searchsorted(row_ptr, p, "right") - 1, row 0 being OBJ;
+    # a stable sort by column keeps each column's entries in row order
+    c_cols = np.flatnonzero(lp.c)
+    starts = np.array([0, len(c_cols), len(c_cols) + len(lp.g.data)])
+    sources = (lp.c[c_cols], lp.g.data, lp.h.data)
+    row_ptr = np.concatenate([[0], starts[1:2], starts[1] + lp.g.indptr[1:],
+                              starts[2] + lp.h.indptr[1:]])
+    cols = np.concatenate([c_cols, lp.g.indices, lp.h.indices], dtype=np.int32,
+                          casting="same_kind")
+    col_ptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
+    order = np.argsort(cols, kind="stable").astype(np.int32)
+    del cols
 
     write(b"COLUMNS\n")
-    lead, parts = _entry_parts(col_pad_table, e_col, row_pad_table, e_row, e_val)
-    # integrality markers around maximal runs of binary-column entries; a
-    # run of one column's entries never crosses them, so no line does
-    ib = is_binary[e_col]
-    cuts = [0] + (np.flatnonzero(ib[1:] != ib[:-1]) + 1).tolist() + [len(ib)]
-    line_cuts = np.searchsorted(lead, cuts)
-    marker_no = 0
-    for a, first, stop in zip(cuts[:-1], line_cuts[:-1], line_cuts[1:]):
-        if first == stop:
-            continue
-        if ib[a]:
-            marker_no += 1
-            write(b"    M%07d  'MARKER'                 'INTORG'\n" % marker_no)
-        _write_lines(write, first, stop, parts)
-        if ib[a]:
-            marker_no += 1
-            write(b"    M%07d  'MARKER'                 'INTEND'\n" % marker_no)
+    # integrality markers around maximal runs of binary-column entries: a
+    # chunk holds columns of one kind, and the run state carries across
+    ends = np.append(np.flatnonzero(is_binary[1:] != is_binary[:-1]) + 1, n)
+    j, marker_no, integral = 0, 0, False
+    while j < n:
+        fill = int(np.searchsorted(col_ptr, col_ptr[j] + _CHUNK, side="right")) - 1
+        stop = min(int(ends[np.searchsorted(ends, j, side="right")]), max(j + 1, fill))
+        pos = order[col_ptr[j]:col_ptr[stop]]
+        if len(pos) and integral != is_binary[j]:
+            integral, marker_no = not integral, marker_no + 1
+            write(b"    M%07d  'MARKER'                 '%s'\n"
+                  % (marker_no, b"INTORG" if integral else b"INTEND"))
+        src = np.searchsorted(starts, pos, side="right") - 1
+        val = np.empty(len(pos))
+        for s, (start, data) in enumerate(zip(starts, sources)):
+            hit = src == s
+            val[hit] = data[pos[hit] - start]
+        col = np.repeat(np.arange(j, stop), np.diff(col_ptr[j:stop + 1]))
+        row = np.searchsorted(row_ptr, pos, side="right") - 1
+        _write_pairs(write, col_pad_tab, col, row_pad_tab, row, val)
+        j = stop
+    if integral:
+        write(b"    M%07d  'MARKER'                 'INTEND'\n" % (marker_no + 1))
 
     write(b"RHS\n")
     rhs_rows = np.concatenate([lp.b_g(), lp.b_h()])
@@ -172,9 +182,8 @@ def _write_model(lp: LinearProgram, binary_cols: np.ndarray, write) -> None:
     if lp.objective_constant != 0.0:
         rhs_row = np.concatenate([[0], rhs_row])
         rhs_vals = np.concatenate([[-lp.objective_constant], rhs_vals])
-    lead, parts = _entry_parts(np.array([b"RHS".ljust(10)]), np.zeros(len(rhs_row), np.int64),
-                               row_pad_table, rhs_row, rhs_vals)
-    _write_lines(write, 0, len(lead), parts)
+    _write_pairs(write, _table(np.array([b"RHS".ljust(10)])), np.zeros(len(rhs_row), np.int64),
+                 row_pad_tab, rhs_row, rhs_vals)
 
     write(b"RANGES\n")  # no ranged rows in these models; section kept for shape
 
@@ -194,18 +203,13 @@ def _write_model(lp: LinearProgram, binary_cols: np.ndarray, write) -> None:
     line = np.flatnonzero(kind.ravel())
     col, kind = line // 2, kind.ravel()[line]
     valued = (kind == 2) | (kind >= 5)  # FX, LO and UP lines end in a value
-    plain, _, inv = _fmt_values(np.where(kind == 6, ub[col], lb[col])[valued])
-    value = np.zeros(len(line), dtype=plain.dtype)
-    value[valued] = plain[inv]
-    heads = np.array([b"", b" BV BND       ", b" FX BND       ", b" FR BND       ",
-                      b" MI BND       ", b" LO BND       ", b" UP BND       "])
-
-    def bound_parts(a, b):
-        c = col[a:b]
-        return (heads[kind[a:b]], np.where(valued[a:b], col_pad_table[c], col_names[c]),
-                value[a:b])
-
-    _write_lines(write, 0, len(line), bound_parts)
+    tab, inv = _fmt_values(np.where(kind == 6, ub[col], lb[col]))
+    heads = _table(np.array([b"", b" BV BND       ", b" FX BND       ", b" FR BND       ",
+                             b" MI BND       ", b" LO BND       ", b" UP BND       "]))
+    # a name is padded to 10 characters only where a value follows it
+    names = _table(np.concatenate([col_names, _ljust(col_names, 10)]))
+    _write_lines(write, (heads, kind), (names, col + n * valued),
+                 (tab, np.where(valued, inv, -1)))
     write(b"ENDATA\n")
 
 
