@@ -129,7 +129,7 @@ def _cmd_oracle(args) -> int:
     except ValueError as exc:  # the step is checked already: the grid is too big
         raise DataError(f"--grid-step: {exc}") from None
     print(f"grid_step = {_fmt(report.grid_step)}")
-    print(f"points = {len(report.records)}")
+    print(f"points = {len(report.values)}")
     print(f"objective = {_fmt(report.best_objective)}")
     _print_division(report.best_division)
     for note in report.notes:

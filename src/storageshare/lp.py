@@ -3,9 +3,9 @@ type every model in the package is stored in.
 
 Each party's day-ahead dispatch is assembled as an inequality/equality
 system A_g x >= b_g, A_h x = b_h with every sign and capacity limit written
-as a row (the variables themselves stay free). Keeping limits as rows means
-each row carries exactly one multiplier in the optimality system, in a fixed
-catalog order the reformulation depends on:
+as a row (the dispatch variables themselves stay free). Keeping limits as
+rows means each row carries exactly one multiplier in the optimality
+system, in a fixed catalog order the reformulation depends on:
 
     family 1..6, per slot: soc_min, soc_max, dis_nonneg, ch_nonneg,
                            dis_cap, ch_cap
@@ -16,20 +16,21 @@ Rows and columns carry no names; each is known by its position. Row
 f*T + t of a party LP is family f + 1 at slot t, so inequality row i
 belongs to family i // T + 1 (mpec.linearize_big_m sizes its big-M
 bounds this way). Columns are ch_0..ch_{T-1}, dis_0..dis_{T-1}, then a
-customer's peak and valley.
+customer's peak and valley, then kappa.
 
-Right-hand sides are stored as offset + cap_coef * capacity so a row stays
-valid symbolically when the owner's capacity later becomes a decision
-variable instead of a number; capacity_column makes it a column of the
-party's own LP, fixed by its bounds.
+The owner's capacity is the LP's last column, kappa, fixed by its bounds
+at the capacity the LP is built for; a row that moves with capacity holds
+kappa's coefficient as its last entry. A new capacity is then a bound
+change (simplex.CapacityFamily), kappa's reduced cost is a subgradient of
+the party's optimal cost in its capacity, and in the division model kappa
+becomes the party's share variable (mpec.assemble_mpec).
 
 At zero flows every party LP has a vertex that is feasible at every
 capacity >= 0 (no_battery_start): the battery stays idle, a customer's
 peak and valley sit at its highest and lowest load, and every storage row
 holds with the slack the capacity gives it, since validate_instance keeps
 each soc_ini inside [soc_lower, soc_upper]. Its basis is the start of a
-party family's cold solve (simplex.CapacityFamily), which then needs no
-phase 1.
+party family's cold solve, which then needs no phase 1.
 
 A_g and A_h are Rows: compressed sparse rows (CSR). This module is the
 only one that reads their arrays; everything else goes through the Rows
@@ -38,7 +39,7 @@ operations (dense form, row products, transpose, row selection, stacking).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -167,11 +168,9 @@ class LinearProgram:
     """min c.x + constant  s.t.  A_g x >= b_g,  A_h x = b_h,  lb <= x <= ub.
 
     g and h hold the rows of A_g and A_h (Rows, one per row, over the
-    n_vars columns). b_g = g_offset + g_cap * capacity, likewise for
-    equalities. Nonzero entries of g_cap/h_cap mark the rows that move with
-    the owner's capacity. g_idx/h_idx are per-row read-only views of the
-    column ids of g and h, kept for callers outside the package. name is
-    the model's MPS NAME.
+    n_vars columns). g_idx/h_idx are per-row read-only views of the column
+    ids of g and h, kept for callers outside the package. name is the
+    model's MPS NAME.
     """
 
     name: str
@@ -179,12 +178,9 @@ class LinearProgram:
     lb: np.ndarray
     ub: np.ndarray
     g: Rows
-    g_offset: np.ndarray
-    g_cap: np.ndarray
+    b_g: np.ndarray
     h: Rows
-    h_offset: np.ndarray
-    h_cap: np.ndarray
-    capacity: float = 0.0
+    b_h: np.ndarray
     objective_constant: float = 0.0
 
     @property
@@ -207,12 +203,6 @@ class LinearProgram:
     def h_idx(self) -> tuple:
         return self.h.views[0]
 
-    def b_g(self) -> np.ndarray:
-        return self.g_offset + self.g_cap * self.capacity
-
-    def b_h(self) -> np.ndarray:
-        return self.h_offset + self.h_cap * self.capacity
-
 
 @dataclass
 class LpSolution:
@@ -220,7 +210,11 @@ class LpSolution:
 
     dual_g holds one nonnegative multiplier per inequality row, dual_h one
     free multiplier per equality row; reduced_costs cover the structural
-    variables (nonzero only off-basis). An optimal simplex solve also gives
+    variables (nonzero only off-basis). On a party LP, kappa's reduced cost
+    d_kappa(s) is a subgradient of the party's optimal cost phi at its
+    capacity s: phi(s') >= phi(s) + d_kappa(s) (s' - s) for every s' >= 0
+    (Gal & Nedoma, Manag. Sci. 18(7), 1972). At s = 0 it may be steeper
+    than phi'(0+). An optimal simplex solve also gives
     its final basis, as column j of the LP or n_vars + i for the surplus of
     inequality row i, and its active rows: the inequality rows the basis
     holds at a bound (a nonbasic surplus, or a single-entry row that sets
@@ -253,40 +247,12 @@ class LpEvaluation:
         )
 
 
-def capacity_column(lp: LinearProgram) -> LinearProgram:
-    """The same LP with the capacity moved from the right-hand sides into
-    one more column, kappa, fixed by its bounds at lp.capacity.
-
-    Each marked row gets -g_cap[i] (or -h_cap[i]) in column kappa, so at
-    kappa = capacity the rows are the original ones; a new capacity is then
-    a bound change. The result carries no capacity markers.
-    """
-    n = lp.n_vars
-
-    def kappa_entries(cap: np.ndarray) -> Rows:
-        marked = cap != 0.0
-        return Rows(_indptr(marked.astype(np.int64)),
-                    np.full(np.count_nonzero(marked), n, dtype=np.int64), -cap[marked])
-
-    fixed = np.array([lp.capacity], dtype=float)
-    return replace(
-        lp,
-        c=np.append(lp.c, 0.0),
-        lb=np.concatenate([lp.lb, fixed]),
-        ub=np.concatenate([lp.ub, fixed]),
-        g=Rows.join([lp.g, kappa_entries(lp.g_cap)]),
-        g_cap=np.zeros(lp.n_g),
-        h=Rows.join([lp.h, kappa_entries(lp.h_cap)]),
-        h_cap=np.zeros(lp.n_h),
-    )
-
-
 def evaluate(lp: LinearProgram, x: np.ndarray) -> LpEvaluation:
     """Objective and worst-case feasibility residuals of a candidate point."""
     x = np.asarray(x, float)
     obj = float(lp.c @ x) + lp.objective_constant
-    min_g = float((lp.g.dot(x) - lp.b_g()).min()) if lp.n_g else np.inf
-    max_h = float(np.abs(lp.h.dot(x) - lp.b_h()).max()) if lp.n_h else 0.0
+    min_g = float((lp.g.dot(x) - lp.b_g).min()) if lp.n_g else np.inf
+    max_h = float(np.abs(lp.h.dot(x) - lp.b_h).max()) if lp.n_h else 0.0
     bound = np.inf
     finite_lb = np.isfinite(lp.lb)
     finite_ub = np.isfinite(lp.ub)
@@ -300,7 +266,8 @@ def evaluate(lp: LinearProgram, x: np.ndarray) -> LpEvaluation:
 def _storage_rows(instance: Instance, soc_ini: float):
     """Rows 1..6 of the catalog for one battery share, over the columns
     ch_0..ch_{T-1}, dis_0..dis_{T-1}, family-major and slot-minor, and
-    their capacity markers; every offset is 0."""
+    per row its right-hand side's coefficient on the capacity; every other
+    right-hand side term is 0."""
     t = instance.grid.slot_count
     dt = instance.grid.slot_hours
     st = instance.storage
@@ -319,37 +286,37 @@ def _storage_rows(instance: Instance, soc_ini: float):
 
 
 def _dispatch_lp(instance: Instance, name: str, c: np.ndarray, g: Rows,
-                 g_offset: np.ndarray, g_cap: np.ndarray, capacity: float) -> LinearProgram:
+                 b_g: np.ndarray, cap: np.ndarray, capacity: float) -> LinearProgram:
     """Free variables ch_0..ch_{T-1}, dis_0..dis_{T-1}, then one per
-    further entry of c, the inequality rows g and the energy balance
-    equality (stored energy returns to its start by the end of the day)."""
+    further entry of c, then kappa fixed at capacity; the inequality rows g
+    x - cap[i] kappa >= b_g[i] and the energy balance equality (stored
+    energy returns to its start by the end of the day)."""
     t_slots = instance.grid.slot_count
     dt = instance.grid.slot_hours
     st = instance.storage
+    n = len(c)
+    kappa = Rows.from_dense(-cap[:, None]).shifted(n)
     balance = np.concatenate([np.full(t_slots, dt * st.eta_ch),
                               np.full(t_slots, -dt / st.eta_dis)])
     return LinearProgram(
         name=name,
-        c=c,
-        lb=np.full(len(c), -np.inf),
-        ub=np.full(len(c), np.inf),
-        g=g,
-        g_offset=g_offset,
-        g_cap=g_cap,
+        c=np.append(c, 0.0),
+        lb=np.append(np.full(n, -np.inf), capacity),
+        ub=np.append(np.full(n, np.inf), capacity),
+        g=Rows.join([g, kappa]),
+        b_g=b_g,
         h=Rows.from_lists([np.arange(2 * t_slots)], [balance]),
-        h_offset=np.zeros(1),
-        h_cap=np.zeros(1),
-        capacity=float(capacity),
+        b_h=np.zeros(1),
     )
 
 
 def build_llm_c(instance: Instance, customer_index: int, capacity: float) -> LinearProgram:
     """Customer dispatch LP for a given battery share (kWh).
 
-    Variables: ch_0..ch_{T-1}, dis_0..dis_{T-1}, peak, valley (2T+2, free).
-    Rows: families 1..8 slot by slot (8T inequalities) plus the energy
-    balance equality. Objective: retail cost increment of the storage flows
-    plus alpha * (peak - valley).
+    Variables: ch_0..ch_{T-1}, dis_0..dis_{T-1}, peak, valley (free), then
+    kappa fixed at capacity (2T+3). Rows: families 1..8 slot by slot (8T
+    inequalities) plus the energy balance equality. Objective: retail cost
+    increment of the storage flows plus alpha * (peak - valley).
     """
     if not 0 <= customer_index < instance.customer_count:
         raise IndexError(f"customer index {customer_index} out of range")
@@ -379,9 +346,10 @@ def build_llm_c(instance: Instance, customer_index: int, capacity: float) -> Lin
 def build_llm_d(instance: Instance, capacity: float) -> LinearProgram:
     """Distribution-company dispatch LP for its battery share.
 
-    Variables: ch_0..ch_{T-1}, dis_0..dis_{T-1} (2T, free). Rows: families
-    1..6 slot by slot (6T inequalities) plus the energy balance equality.
-    Objective: wholesale cost increment of the storage flows.
+    Variables: ch_0..ch_{T-1}, dis_0..dis_{T-1} (free), then kappa fixed
+    at capacity (2T+1). Rows: families 1..6 slot by slot (6T inequalities)
+    plus the energy balance equality. Objective: wholesale cost increment
+    of the storage flows.
     """
     if not 0 <= capacity < np.inf:  # NaN fails too
         raise ValueError(f"capacity must be finite and >= 0, got {capacity}")
@@ -399,35 +367,34 @@ def build_party_lp(instance: Instance, party: int, capacity: float) -> LinearPro
 
 
 def no_battery_start(lp: LinearProgram):
-    """Start (basic columns, point) of capacity_column(lp)'s cold solve, for
-    a party LP as build_party_lp returns it: its no-battery vertex and a
-    basis there, read off the LP's rows.
+    """Start (basic columns, point) of the cold solve of a party LP as
+    build_party_lp returns it: its no-battery vertex and a basis there,
+    read off the LP's rows.
 
     Every flow (the columns of the energy balance row) is nonbasic at 0, the
-    bound its folded sign row sets. Each other column (a customer's peak
-    and valley) is basic on the row holding it that binds at zero flows,
-    the one with the largest offset / |coefficient|: peak on its
-    largest-load peak_def row, valley on its smallest-load valley_def row.
-    The balance row's first flow, ch[0], is basic at 0 on that row, and
-    every other row of capacity_column(lp) with two or more entries keeps
-    its surplus basic. Basic columns are numbered as Simplex numbers
-    capacity_column(lp)'s: column j, or n_vars + 1 + i for row i's surplus.
+    bound its folded sign row sets, and kappa at its fixed value. Each
+    other column (a customer's peak and valley) is basic on the row holding
+    it that binds at zero flows, the one with the largest b_g /
+    |coefficient|: peak on its largest-load peak_def row, valley on its
+    smallest-load valley_def row. The balance row's first flow, ch[0], is
+    basic at 0 on that row, and every other row with two or more entries
+    keeps its surplus basic. Basic columns are numbered as Simplex numbers
+    them: column j, or n_vars + i for row i's surplus.
     """
     n, g = lp.n_vars, lp.g
     flows = lp.h.row(0)[0]
-    x = np.zeros(n + 1)
+    x = np.zeros(n)
     basic, tight = [flows[:1]], []
-    for j in np.setdiff1d(np.arange(n), flows):
+    for j in np.setdiff1d(np.arange(n - 1), flows):  # kappa, column n - 1, stays fixed
         on = g.indices == j
         rows, coef = g.row_ids[on], g.data[on]
-        k = int(np.argmax(lp.g_offset[rows] / np.abs(coef)))
-        x[j] = lp.g_offset[rows[k]] / coef[k]
+        k = int(np.argmax(lp.b_g[rows] / np.abs(coef)))
+        x[j] = lp.b_g[rows[k]] / coef[k]
         basic.append([j])
         tight.append(rows[k])
-    # capacity_column adds one kappa entry to each row that moves with capacity
-    kept = np.diff(g.indptr) + (lp.g_cap != 0.0) >= 2
+    kept = np.diff(g.indptr) >= 2
     kept[tight] = False
-    basic.append(n + 1 + np.flatnonzero(kept))
+    basic.append(n + np.flatnonzero(kept))
     return np.concatenate(basic).astype(np.int64), x
 
 
@@ -457,18 +424,7 @@ def make_lp(
             return Rows.from_lists((), ()), np.zeros(0)
         return Rows.from_dense(np.atleast_2d(a)), np.asarray(b, float)
 
-    g, g_off = rows(a_ub, b_ub)
-    h, h_off = rows(a_eq, b_eq)
-    return LinearProgram(
-        name=name,
-        c=c,
-        lb=lb,
-        ub=ub,
-        g=g,
-        g_offset=g_off,
-        g_cap=np.zeros(g.n_rows),
-        h=h,
-        h_offset=h_off,
-        h_cap=np.zeros(h.n_rows),
-        objective_constant=objective_constant,
-    )
+    g, b_g = rows(a_ub, b_ub)
+    h, b_h = rows(a_eq, b_eq)
+    return LinearProgram(name=name, c=c, lb=lb, ub=ub, g=g, b_g=b_g, h=h, b_h=b_h,
+                         objective_constant=objective_constant)

@@ -9,8 +9,8 @@ is the pair condition omega_i * g_i = 0; linearize_big_m swaps each pair
 for the two bound rows with an auxiliary 0-1 variable.
 
 The derivation is mechanical from LP data: assemble_mpec knows nothing
-about slots or batteries beyond the capacity markers (g_cap) that re-link
-a party's rows to its division variable. linearize_big_m sizes each
+about slots or batteries beyond each party LP's last column, its capacity,
+which becomes the party's division variable. linearize_big_m sizes each
 pair's primal bound by the catalog family of its row, which it reads off
 the row's position in the party block (lp.py: row i is of family
 i // T + 1); no row or column carries a name.
@@ -131,18 +131,19 @@ def assemble_mpec(instance: Instance) -> MpecModel:
     h_count = 0
     for p, plp in enumerate(party_lps):
         tag = f"c{p}." if p < n_cust else "d."
-        x0, col = col, col + plp.n_vars
+        nx = plp.n_vars - 1  # the dispatch; the capacity column is the share
+        x0, col = col, col + nx
         w0, col = col, col + plp.n_g
         v0, col = col, col + plp.n_h
         layouts.append(
             PartyLayout(
-                tag=tag, x0=x0, nx=plp.n_vars, w0=w0, nw=plp.n_g,
+                tag=tag, x0=x0, nx=nx, w0=w0, nw=plp.n_g,
                 v0=v0, nv=plp.n_h, g0=g_count,
                 stat0=h_count, cap_col=(2 + p) if p < n_cust else 1,
             )
         )
         g_count += plp.n_g
-        h_count += plp.n_vars + plp.n_h
+        h_count += nx + plp.n_h
     n_cols = col
 
     lb = np.full(n_cols, -np.inf)
@@ -171,21 +172,22 @@ def assemble_mpec(instance: Instance) -> MpecModel:
     h_parts, h_off = [], []
     pairs = []
 
-    def relinked(rows, cap, lay):
-        """Party rows in model columns, the capacity marker moved onto the
-        division variable as the row's last entry."""
-        marker = Rows.from_dense(-cap[:, None]).shifted(lay.cap_col)
-        return Rows.join([rows.shifted(lay.x0), marker])
+    def relinked(rows, lay):
+        """Party rows in model columns, the capacity on the division variable."""
+        cols = np.append(lay.x0 + np.arange(lay.nx), lay.cap_col)
+        return Rows(rows.indptr, cols[rows.indices], rows.data)
 
     for lay, plp in zip(layouts, party_lps):
-        # stationarity: one equality per primal variable, gradient transposed;
-        # v0 = w0 + n_g, so stacked row i of [A_g; A_h] has multiplier w0 + i
-        h_parts.append(Rows.stack([plp.g, plp.h]).transpose(plp.n_vars).shifted(lay.w0))
-        h_off.append(plp.c)
-        h_parts.append(relinked(plp.h, plp.h_cap, lay))
-        h_off.append(plp.h_offset)
-        g_parts.append(relinked(plp.g, plp.g_cap, lay))
-        g_off.append(plp.g_offset)
+        # stationarity: one equality per dispatch variable (the capacity is
+        # fixed, so it has none), gradient transposed; v0 = w0 + n_g, so
+        # stacked row i of [A_g; A_h] has multiplier w0 + i
+        stat = Rows.stack([plp.g, plp.h]).transpose(plp.n_vars).take(np.arange(lay.nx))
+        h_parts.append(stat.shifted(lay.w0))
+        h_off.append(plp.c[: lay.nx])
+        h_parts.append(relinked(plp.h, lay))
+        h_off.append(plp.b_h)
+        g_parts.append(relinked(plp.g, lay))
+        g_off.append(plp.b_g)
         pairs.append(np.column_stack([lay.w0 + np.arange(lay.nw),
                                       lay.g0 + np.arange(lay.nw)]))
 
@@ -197,11 +199,9 @@ def assemble_mpec(instance: Instance) -> MpecModel:
         lb=lb,
         ub=ub,
         g=g,
-        g_offset=np.concatenate(g_off),
-        g_cap=np.zeros(g.n_rows),
+        b_g=np.concatenate(g_off),
         h=h,
-        h_offset=np.concatenate(h_off),
-        h_cap=np.zeros(h.n_rows),
+        b_h=np.concatenate(h_off),
         objective_constant=constant,
     )
     return MpecModel(
@@ -264,7 +264,7 @@ def linearize_big_m(mpec: MpecModel, policy: BigMPolicy | None = None) -> MilpMo
                             Rows.from_lists(u_cols[:, None], -m_slack[:, None])])
     interleave = np.column_stack([np.arange(n_pairs), n_pairs + np.arange(n_pairs)]).ravel()
     g = Rows.stack([base.g, Rows.stack([omega_rows, slack_rows]).take(interleave)])
-    pair_off = np.column_stack([np.zeros(n_pairs), -m_slack - base.g_offset[g_rows]])
+    pair_off = np.column_stack([np.zeros(n_pairs), -m_slack - base.b_g[g_rows]])
 
     lp = LinearProgram(
         name="division_milp",
@@ -272,11 +272,9 @@ def linearize_big_m(mpec: MpecModel, policy: BigMPolicy | None = None) -> MilpMo
         lb=lb,
         ub=ub,
         g=g,
-        g_offset=np.concatenate([base.g_offset, pair_off.ravel()]),
-        g_cap=np.zeros(g.n_rows),
+        b_g=np.concatenate([base.b_g, pair_off.ravel()]),
         h=base.h,
-        h_offset=base.h_offset,
-        h_cap=base.h_cap,
+        b_h=base.b_h,
         objective_constant=base.objective_constant,
     )
     return MilpModel(
@@ -316,7 +314,7 @@ def validate_big_m(milp: MilpModel, solution: np.ndarray, tol: float = 0.05) -> 
     lp = milp.mpec.lp
     g_rows = milp.pairs[:, 1]
     omega = x[milp.pairs[:, 0]]
-    slack = lp.g.take(g_rows).dot(x) - lp.b_g()[g_rows]
+    slack = lp.g.take(g_rows).dot(x) - lp.b_g[g_rows]
     hit_omega = milp.m_omega - omega <= tol * milp.m_omega
     hit_slack = milp.m_slack - slack <= tol * milp.m_slack
     flagged = []

@@ -176,7 +176,7 @@ def _write_model(lp: LinearProgram, binary_cols: np.ndarray, write) -> None:
         write(b"    M%07d  'MARKER'                 'INTEND'\n" % (marker_no + 1))
 
     write(b"RHS\n")
-    rhs_rows = np.concatenate([lp.b_g(), lp.b_h()])
+    rhs_rows = np.concatenate([lp.b_g, lp.b_h])
     rhs_row = 1 + np.flatnonzero(rhs_rows)
     rhs_vals = rhs_rows[rhs_row - 1]
     if lp.objective_constant != 0.0:

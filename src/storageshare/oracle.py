@@ -109,13 +109,30 @@ def check_schedule_invariants(
     return InvariantReport(items=tuple(items))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleReport:
+    """The grid's best point and its scores, as arrays over the grid points
+    in search order: counts[i] holds point i's share counts (DisCo first,
+    each share is count * grid_step), values[i] its upper objective, and
+    lower[j, k] party j's optimum (DisCo first) at share count k."""
+
     best_division: Division
     best_objective: float
-    records: tuple  # (division tuple, per-party lower objectives, upper objective)
+    counts: np.ndarray
+    lower: np.ndarray
+    values: np.ndarray
     notes: tuple
     grid_step: float
+
+    @property
+    def records(self) -> tuple:
+        """(division tuple, per-party lower objectives with customers first,
+        upper objective) per grid point."""
+        shares = (self.counts * self.grid_step).tolist()
+        lows = self.lower[np.arange(len(self.lower)), self.counts]
+        lows = np.roll(lows, -1, axis=1).tolist()
+        return tuple((tuple(div), tuple(low), val)
+                     for div, low, val in zip(shares, lows, self.values.tolist()))
 
 
 def _compositions(k_max: int, parts: int) -> np.ndarray:
@@ -161,7 +178,7 @@ def grid_oracle(instance: Instance, step: float) -> OracleReport:
     # optimum and of the face minimum at each share count, and the optimum
     raw = np.empty((n + 1, k_max + 1, t))
     face = np.empty_like(raw)
-    lower = [[] for _ in range(n + 1)]
+    lower = np.empty((n + 1, k_max + 1))
     notes = []
     for p in range(n + 1):  # party order: customers 0..n-1, then disco
         j = (p + 1) % (n + 1)
@@ -172,7 +189,7 @@ def grid_oracle(instance: Instance, step: float) -> OracleReport:
                 raise RuntimeError(f"LLM solve failed ({sol.status}) at capacity {k * step}")
             raw[j, k] = sol.x[:t] - sol.x[t: 2 * t]
             face[j, k] = x_face[:t] - x_face[t: 2 * t]
-            lower[j].append(sol.objective)
+            lower[j, k] = sol.objective
         if family.engine.start_rejects:
             party = f"customer[{p}]" if p < n else "disco"
             notes.append(f"{party}: no-battery start rejected, solved from the slack crash")
@@ -183,19 +200,14 @@ def grid_oracle(instance: Instance, step: float) -> OracleReport:
             flows += by_party[j][ks[:, j]]
         return w.lambda1 * (sys_load + flows).max(axis=1) + flows @ price + base_cost
 
-    share = [k * step for k in range(k_max + 1)]
     grid = _compositions(k_max, n + 1)
     values = np.empty(len(grid))
-    records = []
     for first in range(0, len(grid), _BLOCK):
         ks = grid[first: first + _BLOCK]
-        block = values[first: first + len(ks)]
-        np.minimum(upper(raw, ks), upper(face, ks), out=block)
-        for row, val in zip(ks.tolist(), block.tolist()):
-            lows = list(map(list.__getitem__, lower, row))
-            records.append((tuple(map(share.__getitem__, row)),
-                            tuple(lows[1:] + lows[:1]), val))
-    best_div, _, best_obj = records[int(np.argmax(values <= values.min() + 1e-12))]
+        np.minimum(upper(raw, ks), upper(face, ks), out=values[first: first + len(ks)])
+    best = int(np.argmax(values <= values.min() + 1e-12))
+    best_obj = float(values[best])
+    best_div = (grid[best] * step).tolist()
     ties = int(np.count_nonzero(np.abs(values - best_obj) <= 1e-9)) - 1
     if ties > 0:
         notes.append(f"{ties} grid points within 1e-9 of the best objective")
@@ -204,7 +216,9 @@ def grid_oracle(instance: Instance, step: float) -> OracleReport:
             s_disco=best_div[0], s_customer=np.array(best_div[1:])
         ),
         best_objective=best_obj,
-        records=tuple(records),
+        counts=grid,
+        lower=lower,
+        values=values,
         notes=tuple(notes),
         grid_step=step,
     )

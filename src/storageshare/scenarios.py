@@ -157,8 +157,7 @@ def _pin_customers_only(mpec):
         lb=lb,
         ub=ub,
         h=Rows.stack([lp.h, Rows.from_lists([cols], [np.ones(len(cols))])]),
-        h_offset=np.append(lp.h_offset, mpec.instance.storage.total_capacity),
-        h_cap=np.append(lp.h_cap, 0.0),
+        b_h=np.append(lp.b_h, mpec.instance.storage.total_capacity),
     )
     return replace(mpec, lp=lp2)
 
@@ -174,7 +173,9 @@ def solve_division(mpec, opts: SolveOptions, mode: str,
 
     In bigm mode the pair bounds are validated after the solve; a flagged
     bound escalates the policy on the flagged side and re-solves, up to
-    the policy's round limit.
+    the policy's round limit. A division model is always feasible, so an
+    infeasible big-M form means its bounds cut off every point: that
+    escalates both sides.
     """
     _check_mode(mode)
     notes = []
@@ -185,17 +186,22 @@ def solve_division(mpec, opts: SolveOptions, mode: str,
     while True:
         milp = linearize_big_m(mpec, pol)
         result = solve_milp(milp, opts)
-        if result.status != "optimal":
+        if result.status == "infeasible":
+            sides, why = {"omega", "slack"}, "big-M form infeasible"
+        elif result.status != "optimal":
             return result, rounds, notes
-        report = validate_big_m(milp, result.x)
-        if report.clean:
-            return result, rounds, notes
+        else:
+            report = validate_big_m(milp, result.x)
+            if report.clean:
+                return result, rounds, notes
+            sides = {side for _, side, _, _ in report.flagged}
+            why = f"{len(report.flagged)} binding pair bounds"
         if rounds >= pol.max_rounds:
-            notes.append(
-                f"pair bounds still binding after {rounds} escalations")
+            still = ("big-M form still infeasible" if result.status == "infeasible"
+                     else "pair bounds still binding")
+            notes.append(f"{still} after {rounds} escalations")
             return result, rounds, notes
         rounds += 1
-        sides = {side for _, side, _, _ in report.flagged}
         grown = {}
         if "omega" in sides:
             grown["dual_scale"] = pol.dual_scale * pol.escalation
@@ -203,8 +209,7 @@ def solve_division(mpec, opts: SolveOptions, mode: str,
             grown["primal_safety"] = pol.primal_safety * pol.escalation
         pol = replace(pol, **grown)
         notes.append(
-            f"escalation round {rounds}: {len(report.flagged)} binding "
-            f"pair bounds, regrowing {'/'.join(sorted(sides))}")
+            f"escalation round {rounds}: {why}, regrowing {'/'.join(sorted(sides))}")
 
 
 def run_scenario(instance: Instance, scenario, options: SolveOptions | None = None,

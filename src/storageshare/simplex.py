@@ -82,16 +82,16 @@ across solves from the kept count. A cold solve redraws the signs of the
 artificial columns, so it drops every kept inverse.
 
 A CapacityFamily solves one party's dispatch LP at many capacities on one
-engine. The capacity is moved into a column fixed by its bounds
-(lp.capacity_column), so a new capacity is a bound change: the first solve
-is cold and every later one re-solves with the dual simplex from the last
-optimal basis. That basis stays dual feasible, since no cost moves and the
-fixed column never enters, and its inverse is kept, so the warm start
-copies it instead of rebuilding (parametric right-hand-side analysis; Gal
-& Nedoma, Manag. Sci. 18(7), 1972). The cold solve takes the family's
-start, if it has one: a party family's is the no-battery vertex, feasible
-at every capacity, so that solve runs phase 2 alone; a rejected start
-costs the slack crash's phase 1 and counts in start_rejects.
+engine. The capacity is the LP's last column, fixed by its bounds, so a
+new capacity is a bound change: the first solve is cold and every later
+one re-solves with the dual simplex from the last optimal basis. That
+basis stays dual feasible, since no cost moves and the fixed column never
+enters, and its inverse is kept, so the warm start copies it instead of
+rebuilding (parametric right-hand-side analysis; Gal & Nedoma, Manag.
+Sci. 18(7), 1972). The cold solve takes the family's start, if it has
+one: a party family's is the no-battery vertex, feasible at every
+capacity, so that solve runs phase 2 alone; a rejected start costs the
+slack crash's phase 1 and counts in start_rejects.
 
 face_minimum breaks ties among an LP's optima: every feasible x has
 c.x = f* + sum d_j (x_j - xbar_j) over the nonbasic columns, each term
@@ -103,12 +103,11 @@ objective from the optimal basis, which is still feasible.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import replace
 
 import numpy as np
 
 from .instance import Instance
-from .lp import LinearProgram, LpSolution, Rows, build_party_lp, capacity_column, no_battery_start
+from .lp import LinearProgram, LpSolution, Rows, build_party_lp, no_battery_start
 
 AT_LB, AT_UB, FREE, BASIC = 0, 1, 2, 3
 
@@ -182,8 +181,7 @@ class Simplex:
         self._fold = fold
         self._fold_col = g.indices[g.indptr[fold]]
         self._fold_a = g.data[g.indptr[fold]]
-        b_g = lp.b_g()
-        self._fold_b = b_g[fold]
+        self._fold_b = lp.b_g[fold]
         self._row_lo = self._row_hi = None  # folded rows' bounds on x_j, per solve
         self._kept_rows = np.setdiff1d(np.arange(lp.n_g), fold)  # inequality rows kept as rows
         mg = self._kept_rows.size
@@ -200,7 +198,7 @@ class Simplex:
         # A = [[G_kept, -I], [H, 0]]
         self.rows = Rows.stack([Rows.join([g.take(self._kept_rows), surplus]), lp.h])
         self.cols = self.rows.transpose(self.nt)  # column j of A is row j
-        self.b = np.concatenate([b_g[self._kept_rows], lp.b_h()])
+        self.b = np.concatenate([lp.b_g[self._kept_rows], lp.b_h])
         # bounds as callers pass them: the LP's columns, one surplus per G row
         self.base_lo = np.concatenate([lp.lb, np.zeros(lp.n_g)])
         self.base_hi = np.concatenate([lp.ub, np.full(lp.n_g, np.inf)])
@@ -759,20 +757,16 @@ class Simplex:
 class CapacityFamily:
     """One LP at many capacities, each re-solved warm from the last optimum.
 
-    lp's capacity only seeds the engine; solve(capacity) sets it. start,
-    if given, is Simplex.solve's start for the cold solve, in the numbering
-    of capacity_column(lp) (party_family passes the party's no-battery
-    vertex); a rejected start counts in engine.start_rejects. The returned x,
-    reduced_costs and basis are in lp's own numbering (the capacity column,
-    which is fixed and so never basic, is dropped), the duals and active
-    rows cover every row of lp. A solve that does not end optimal leaves
-    the warm-start basis as it was. iterations sums the pivots of every
-    solve.
+    The capacity is lp's last column, fixed by its bounds; lp's value of it
+    only seeds the engine, and solve(capacity) sets it. start, if given, is
+    Simplex.solve's start for the cold solve (party_family passes the
+    party's no-battery vertex); a rejected start counts in
+    engine.start_rejects. A solve that does not end optimal leaves the
+    warm-start basis as it was. iterations sums the pivots of every solve.
     """
 
     def __init__(self, lp: LinearProgram, start=None):
-        self.n = lp.n_vars
-        self.engine = Simplex(capacity_column(lp))
+        self.engine = Simplex(lp)
         self._start = start
         self.iterations = 0
         self._snapshot = None  # final basis of the last optimal solve
@@ -782,17 +776,14 @@ class CapacityFamily:
             raise ValueError(f"capacity must be finite and >= 0, got {capacity}")
         eng = self.engine
         lo, hi = eng.base_lo.copy(), eng.base_hi.copy()
-        lo[self.n] = hi[self.n] = capacity
+        lo[eng.n - 1] = hi[eng.n - 1] = capacity
         if self._snapshot is None:
             sol = eng.solve(lo, hi, start=self._start)
         else:
             sol = eng.resolve(self._snapshot, lo, hi)
         self.iterations += sol.iterations
-        sol = replace(sol, x=sol.x[: self.n], reduced_costs=sol.reduced_costs[: self.n])
         if sol.status == "optimal":
             self._snapshot = eng.snapshot()
-            basis = sol.basis[sol.basis != self.n]
-            sol.basis = np.where(basis > self.n, basis - 1, basis)  # surplus n+1+i -> n+i
         return sol
 
 

@@ -265,7 +265,7 @@ def _branch_and_bound(lp, opts, classify, model, heuristic, start=None, t0=None)
 def _pair_slacks(lp: LinearProgram, pairs: np.ndarray):
     """x -> slacks of the pair rows of lp at x, in pair order."""
     rows = lp.g.take(pairs[:, 1])
-    rhs = lp.b_g()[pairs[:, 1]]
+    rhs = lp.b_g[pairs[:, 1]]
     return lambda x: rows.dot(x) - rhs
 
 
@@ -292,8 +292,6 @@ class _DivisionHeuristic:
         self.seen: set = set()
         inst = mpec.instance
         self.families = [party_family(inst, p) for p in range(inst.customer_count + 1)]
-        # each party's dispatch cost; the family's capacity column costs nothing
-        self.costs = [f.engine.lp.c[: f.n] for f in self.families]
 
     def read_families(self, x: np.ndarray, dispatch: bool) -> np.ndarray | None:
         """Write into x each party's multipliers from its family at the
@@ -312,7 +310,7 @@ class _DivisionHeuristic:
             x[lay.w0: lay.w0 + lay.nw] = sol.dual_g
             x[lay.v0: lay.v0 + lay.nv] = sol.dual_h
             if dispatch:
-                x[lay.x0: lay.x0 + lay.nx] = sol.x
+                x[lay.x0: lay.x0 + lay.nx] = sol.x[: lay.nx]
                 net += sol.x[:t] - sol.x[t: 2 * t]
         if dispatch:
             x[mp.peak_col] = float(net.max())
@@ -415,8 +413,9 @@ def _with_chords(mpec: MpecModel, lp: LinearProgram, heur: _DivisionHeuristic):
             continue  # no chord for this party: the relaxation stays valid, only weaker
         phi_lo, phi_hi = at_lo.objective, at_hi.objective
         slope = (phi_hi - phi_lo) / (hi - lo) if hi > lo else 0.0
-        nz = np.flatnonzero(heur.costs[p])
-        cols, coefs = lay.x0 + nz, -heur.costs[p][nz]
+        cost = heur.families[p].engine.lp.c[: lay.nx]  # the dispatch's; kappa costs nothing
+        nz = np.flatnonzero(cost)
+        cols, coefs = lay.x0 + nz, -cost[nz]
         if slope != 0.0:
             cols, coefs = np.append(cols, lay.cap_col), np.append(coefs, slope)
         idx.append(cols)
@@ -425,8 +424,7 @@ def _with_chords(mpec: MpecModel, lp: LinearProgram, heur: _DivisionHeuristic):
     return replace(
         lp,
         g=Rows.stack([lp.g, Rows.from_lists(idx, val)]),
-        g_offset=np.append(lp.g_offset, off),
-        g_cap=np.append(lp.g_cap, np.zeros(len(off))),
+        b_g=np.append(lp.b_g, off),
     ), ends
 
 
@@ -454,11 +452,10 @@ def _root_start(mpec: MpecModel, lp: LinearProgram, ends, u_cols=None):
     shares = np.array([lay.cap_col for lay in parties])
     x[shares] = lp.lb[shares]
     basic = [np.array([mpec.peak_col])]
-    b_h = lp.b_h()
     for r in range(sum(lay.nx + lay.nv for lay in parties), lp.n_h):
         cols, coefs = lp.h.row(r)
         col = cols[0]
-        x[col] += (b_h[r] - coefs @ x[cols]) / coefs[0]
+        x[col] += (lp.b_h[r] - coefs @ x[cols]) / coefs[0]
         if col not in shares or x[col] != lp.ub[col]:
             return None
         basic.append(cols[:1])
@@ -466,17 +463,19 @@ def _root_start(mpec: MpecModel, lp: LinearProgram, ends, u_cols=None):
         sol = at_lo if x[lay.cap_col] == lp.lb[lay.cap_col] else at_hi
         if sol.status != "optimal":
             return None
-        x[lay.x0: lay.x0 + lay.nx] = sol.x
+        x[lay.x0: lay.x0 + lay.nx] = sol.x[: lay.nx]
         x[lay.w0: lay.w0 + lay.nw] = sol.dual_g
         x[lay.v0: lay.v0 + lay.nv] = sol.dual_h
-        b = sol.basis  # party numbering: dispatch column j, or nx + i for row i's surplus
-        basic += [np.where(b < lay.nx, lay.x0 + b, n + lay.g0 + b - lay.nx),
+        # party numbering: dispatch column j, or nx + 1 + i for row i's
+        # surplus (the capacity column nx is fixed, never basic)
+        b = sol.basis
+        basic += [np.where(b < lay.nx, lay.x0 + b, n + lay.g0 + b - lay.nx - 1),
                   lay.w0 + sol.active, lay.v0 + np.arange(lay.nv)]
     upper = np.ones(lp.n_g, dtype=bool)
     for lay in parties:
         upper[lay.g0: lay.g0 + lay.nw] = False
     peak_rows = lp.g.row_ids[lp.g.indices == mpec.peak_col]  # peak - flows >= load
-    load = lp.b_g()[peak_rows] - lp.g.take(peak_rows).dot(x)  # load + flows, peak at 0
+    load = lp.b_g[peak_rows] - lp.g.take(peak_rows).dot(x)  # load + flows, peak at 0
     x[mpec.peak_col] = float(load.max())
     upper[peak_rows[np.argmax(load)]] = False
     basic.append(n + np.flatnonzero(upper))

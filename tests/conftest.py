@@ -100,7 +100,7 @@ def lower_level_excess(mpec, x):
         lp = build_party_lp(mpec.instance, p, 0.0)
         phi = CapacityFamily(lp).solve(max(0.0, float(x[lay.cap_col])))
         assert phi.status == "optimal", lay.tag
-        cost = float(lp.c @ x[lay.x0: lay.x0 + lay.nx]) + lp.objective_constant
+        cost = float(lp.c[: lay.nx] @ x[lay.x0: lay.x0 + lay.nx]) + lp.objective_constant
         out.append((lay.tag, cost - phi.objective, phi.objective))
     return out
 
@@ -121,9 +121,10 @@ def assert_multipliers_certify(mpec, res):
     slack = _pair_slacks(mpec.lp, mpec.pairs)(x)
     assert float(np.abs(x[mpec.pairs[:, 0]] * slack).max()) <= _COMP_TOL
     for p, lay in enumerate(mpec.parties()):
-        kkt = derive_kkt(build_party_lp(mpec.instance, p, max(0.0, float(x[lay.cap_col]))))
+        share = max(0.0, float(x[lay.cap_col]))
+        kkt = derive_kkt(build_party_lp(mpec.instance, p, share))
         report, ok = check_kkt_residuals(
-            kkt, x[lay.x0: lay.x0 + lay.nx], x[lay.w0: lay.w0 + lay.nw],
+            kkt, np.append(x[lay.x0: lay.x0 + lay.nx], share), x[lay.w0: lay.w0 + lay.nw],
             x[lay.v0: lay.v0 + lay.nv], tol=1e-7)
         assert ok, (lay.tag, report)
 
@@ -139,8 +140,8 @@ def corrupted_starts(start):
 
     def folded(lp):
         basic, x = start(lp)
-        sign = np.flatnonzero((np.diff(lp.g.indptr) == 1) & (lp.g_cap == 0.0))[0]
-        return np.append(basic[:-1], lp.n_vars + 1 + sign), x
+        sign = np.flatnonzero(np.diff(lp.g.indptr) == 1)[0]
+        return np.append(basic[:-1], lp.n_vars + sign), x
 
     return {"duplicate column": duplicate, "folded row's surplus": folded}
 

@@ -20,33 +20,37 @@ from storageshare.mps_io import MpsSummary
 class KktSystem:
     """Optimality system of one lower-level LP.
 
-    Stationarity row j (one per primal variable):
+    Stationarity row j (one per free primal variable):
         sum_i A_g[i, j] * omega_i + sum_m A_h[m, j] * v_m = c_j
     plus omega >= 0, the primal rows verbatim, and one complementarity
     pair per inequality row.
     """
 
     lp: LinearProgram
-    stat_g: Rows  # A_g transposed: row j lists the inequality rows using x_j
+    stat_g: Rows  # A_g transposed: row j lists the inequality rows using free x_j
     stat_h: Rows  # A_h transposed
-    rhs: np.ndarray  # = lp.c
+    rhs: np.ndarray  # lp.c over the free columns
 
 
 def derive_kkt(lp: LinearProgram) -> KktSystem:
     """Optimality system of an LP whose limits are all written as rows.
 
-    Finite variable bounds would need their own multipliers, which the
-    generated stationarity rows deliberately omit; such LPs are rejected.
+    A column fixed by its bounds (a party LP's capacity) is a constant, so
+    it gets no stationarity row. Any other finite variable bound would need
+    its own multiplier, which the generated stationarity rows deliberately
+    omit; such LPs are rejected.
     """
-    if np.any(np.isfinite(lp.lb)) or np.any(np.isfinite(lp.ub)):
+    fixed = lp.lb == lp.ub
+    if np.any(np.isfinite(lp.lb[~fixed])) or np.any(np.isfinite(lp.ub[~fixed])):
         raise ValueError(
             "derive_kkt needs an all-rows LP (finite variable bounds present)"
         )
+    free = np.flatnonzero(~fixed)
     return KktSystem(
         lp=lp,
-        stat_g=lp.g.transpose(lp.n_vars),
-        stat_h=lp.h.transpose(lp.n_vars),
-        rhs=lp.c,
+        stat_g=lp.g.transpose(lp.n_vars).take(free),
+        stat_h=lp.h.transpose(lp.n_vars).take(free),
+        rhs=lp.c[free],
     )
 
 
@@ -79,7 +83,7 @@ def check_kkt_residuals(kkt: KktSystem, x, omega, v, tol: float = 1e-6):
     lp = kkt.lp
     resid = kkt.stat_g.dot(omega) + kkt.stat_h.dot(v) - kkt.rhs
     stat = float(np.abs(resid).max(initial=0.0))
-    slack = lp.g.dot(x) - lp.b_g()
+    slack = lp.g.dot(x) - lp.b_g
     comp = float(np.abs(omega * slack).max()) if lp.n_g else 0.0
     min_dual = float(omega.min()) if lp.n_g else 0.0
     ev = evaluate(lp, x)
@@ -102,7 +106,7 @@ def brute_optimum(lp: LinearProgram):
     Returns (objective, x) or (None, None) if no feasible vertex exists.
     """
     n = lp.n_vars
-    rows = [lp.g.dense(n), lp.b_g()]
+    rows = [lp.g.dense(n), lp.b_g]
     pool_a = [rows[0][i] for i in range(lp.n_g)]
     pool_b = [rows[1][i] for i in range(lp.n_g)]
     for j in range(n):
@@ -117,7 +121,7 @@ def brute_optimum(lp: LinearProgram):
             pool_a.append(e)
             pool_b.append(-lp.ub[j])
     a_eq = lp.h.dense(n)
-    b_eq = lp.b_h()
+    b_eq = lp.b_h
     need = n - lp.n_h
     best_obj, best_x = None, None
     a_g, b_g = rows
@@ -169,7 +173,7 @@ def dual_objective(lp: LinearProgram, sol) -> float:
     the wrong sign for an infinite bound make the dual infeasible -> nan.
     """
     d = np.where(np.abs(sol.reduced_costs) <= 1e-9, 0.0, sol.reduced_costs)
-    val = float(sol.dual_g @ lp.b_g()) + float(sol.dual_h @ lp.b_h())
+    val = float(sol.dual_g @ lp.b_g) + float(sol.dual_h @ lp.b_h)
     for j in range(lp.n_vars):
         if d[j] > 0:
             if not np.isfinite(lp.lb[j]):
@@ -185,7 +189,7 @@ def dual_objective(lp: LinearProgram, sol) -> float:
 def row_value(lp: LinearProgram, i: int, x: np.ndarray) -> float:
     """Slack of inequality row i at x (row lhs minus rhs), one row at a time."""
     idx, val = lp.g.row(i)
-    return float(val @ x[idx]) - float(lp.g_offset[i] + lp.g_cap[i] * lp.capacity)
+    return float(val @ x[idx]) - float(lp.b_g[i])
 
 
 def customer_llm_objective(instance: Instance, n: int, schedules: ScheduleSet) -> float:

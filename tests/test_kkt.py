@@ -20,13 +20,15 @@ from tests.lp_oracle import check_kkt_residuals, derive_kkt
 
 
 def scipy_kkt_point(lp, active_tol=1e-7):
-    """Optimal primal from scipy plus duals from a stationarity-system LP."""
+    """Optimal primal from scipy plus duals from a stationarity-system LP,
+    whose rows are the free columns' (a party LP's capacity is fixed)."""
     gd, hd = lp.g.dense(lp.n_vars), lp.h.dense(lp.n_vars)
-    bg, bh = lp.b_g(), lp.b_h()
+    bg, bh = lp.b_g, lp.b_h
     res = linprog(
         lp.c, A_ub=-gd, b_ub=-bg, A_eq=hd if lp.n_h else None,
         b_eq=bh if lp.n_h else None,
-        bounds=[(None, None)] * lp.n_vars, method="highs",
+        bounds=[(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
+                for lo, hi in zip(lp.lb, lp.ub)], method="highs",
     )
     assert res.status == 0, res.message
     x = res.x
@@ -34,11 +36,12 @@ def scipy_kkt_point(lp, active_tol=1e-7):
     scale = 1.0 + float(np.abs(bg).max(initial=0.0))
     active = slack <= active_tol * scale
     # solve G_act' w + H' v = c with w >= 0, inactive w pinned to zero
-    a_eq = np.hstack([gd.T, hd.T]) if lp.n_h else gd.T
+    free = lp.lb != lp.ub
+    a_eq = (np.hstack([gd.T, hd.T]) if lp.n_h else gd.T)[free]
     bounds = [(0.0, 0.0 if not act else None) for act in active]
     bounds += [(None, None)] * lp.n_h
     dual = linprog(
-        np.zeros(lp.n_g + lp.n_h), A_eq=a_eq, b_eq=lp.c,
+        np.zeros(lp.n_g + lp.n_h), A_eq=a_eq, b_eq=lp.c[free],
         bounds=bounds, method="highs",
     )
     if dual.status != 0:  # degenerate active set, widen once
@@ -46,7 +49,7 @@ def scipy_kkt_point(lp, active_tol=1e-7):
         bounds = [(0.0, 0.0 if not act else None) for act in active]
         bounds += [(None, None)] * lp.n_h
         dual = linprog(
-            np.zeros(lp.n_g + lp.n_h), A_eq=a_eq, b_eq=lp.c,
+            np.zeros(lp.n_g + lp.n_h), A_eq=a_eq, b_eq=lp.c[free],
             bounds=bounds, method="highs",
         )
     assert dual.status == 0, dual.message
@@ -128,8 +131,7 @@ def test_feasible_but_suboptimal_point_fails():
     kkt = derive_kkt(lp)
     # idle schedule: zero flows, peak/valley at the raw load envelope
     x0 = np.zeros(lp.n_vars)
-    x0[-2] = 4.0
-    x0[-1] = 4.0
+    x0[-3:] = 4.0  # peak, valley, and the capacity
     f_idle = float(lp.c @ x0)
     assert f_idle > sol.objective + 1e-3  # genuinely non-optimal
     _, ok = check_kkt_residuals(kkt, x0, sol.dual_g, sol.dual_h, tol=1e-6)

@@ -7,7 +7,6 @@ from storageshare.lp import (
     build_llm_c,
     build_llm_d,
     build_party_lp,
-    capacity_column,
     evaluate,
     make_lp,
     no_battery_start,
@@ -22,9 +21,9 @@ def scipy_solve(lp):
     res = linprog(
         lp.c,
         A_ub=-lp.g.dense(lp.n_vars),
-        b_ub=-lp.b_g(),
+        b_ub=-lp.b_g,
         A_eq=lp.h.dense(lp.n_vars),
-        b_eq=lp.b_h(),
+        b_eq=lp.b_h,
         bounds=[(l if np.isfinite(l) else None, u if np.isfinite(u) else None)
                 for l, u in zip(lp.lb, lp.ub)],
         method="highs",
@@ -35,25 +34,26 @@ def scipy_solve(lp):
 
 def test_llm_c_shape_and_catalog_order(tiny_instance):
     # row f*T + s is catalog family f + 1 at slot s, over the columns
-    # ch_0..ch_{T-1}, dis_0..dis_{T-1}, peak, valley
+    # ch_0..ch_{T-1}, dis_0..dis_{T-1}, peak, valley, kappa
     lp = build_llm_c(tiny_instance, 0, 4.0)
     t = 4
-    assert lp.n_vars == 2 * t + 2
+    assert lp.n_vars == 2 * t + 3
     assert lp.n_g == 8 * t
     assert lp.n_h == 1
-    ch, dis, peak, valley = np.arange(t), t + np.arange(t), 2 * t, 2 * t + 1
+    ch, dis, peak, valley, kappa = np.arange(t), t + np.arange(t), 2 * t, 2 * t + 1, 2 * t + 2
+    assert lp.lb[kappa] == lp.ub[kappa] == 4.0 and lp.c[kappa] == 0.0
+    assert np.all(np.isinf(lp.lb[:kappa])) and np.all(np.isinf(lp.ub[:kappa]))
     for i in range(lp.n_g):
         fam, s = divmod(i, t)
         cols, vals = lp.g.row(i)
         if fam < 2:  # soc_min, soc_max: every flow through slot s
-            assert sorted(cols) == [*ch[: s + 1], *dis[: s + 1]]
+            assert sorted(cols[cols < kappa]) == [*ch[: s + 1], *dis[: s + 1]]
             assert np.all(np.sign(vals[cols < t]) == (1.0, -1.0)[fam])
-        elif fam < 4:  # dis_nonneg, ch_nonneg: one +1 entry, no capacity marker
+        elif fam < 4:  # dis_nonneg, ch_nonneg: one +1 entry, no kappa
             assert cols.tolist() == [(dis, ch)[fam - 2][s]] and vals.tolist() == [1.0]
-            assert lp.g_cap[i] == 0.0
-        elif fam < 6:  # dis_cap, ch_cap: one -1 entry and a capacity marker
-            assert cols.tolist() == [(dis, ch)[fam - 4][s]] and vals.tolist() == [-1.0]
-            assert lp.g_cap[i] != 0.0
+        elif fam < 6:  # dis_cap, ch_cap: -1 on the flow, power_ratio on kappa
+            assert cols.tolist() == [(dis, ch)[fam - 4][s], kappa]
+            assert vals.tolist() == [-1.0, tiny_instance.storage.power_ratio]
         else:  # peak_def, valley_def: the profile column and slot s's flows
             assert sorted(cols) == sorted([(peak, valley)[fam - 6], ch[s], dis[s]])
     assert sorted(lp.h.row(0)[0]) == [*ch, *dis]  # energy_balance
@@ -61,34 +61,42 @@ def test_llm_c_shape_and_catalog_order(tiny_instance):
 
 def test_llm_d_shape(tiny_instance):
     lp = build_llm_d(tiny_instance, 4.0)
-    assert lp.n_vars == 8
+    assert lp.n_vars == 9
     assert lp.n_g == 24
     assert lp.n_h == 1
-    assert lp.g.indices.max() < 8  # no peak_def/valley_def row: flows only
+    assert lp.g.indices.max() == 8  # no peak_def/valley_def row: flows and kappa only
 
 
 def test_capacity_markers(tiny_instance):
-    # the catalog families (row // T) whose rows move with capacity
+    # the catalog families (row // T) whose rows move with capacity: the
+    # rows holding kappa, the last column
     lp = build_llm_c(tiny_instance, 0, 4.0)
-    moving = set((np.flatnonzero(lp.g_cap) // 4).tolist())
-    # with soc_ini = soc_lower = 0 the soc_min rows have a zero cap coef
+    kappa = lp.n_vars - 1
+    moving = set((lp.g.row_ids[lp.g.indices == kappa] // 4).tolist())
+    # with soc_ini = soc_lower = 0 the soc_min rows have a zero kappa coef
     assert moving == {1, 4, 5}  # soc_max, dis_cap, ch_cap
     inst = rand_instance(np.random.default_rng(0), n=1, t=4)
     lp2 = build_llm_c(inst, 0, 5.0)
-    moving2 = set((np.flatnonzero(lp2.g_cap) // 4).tolist())
+    moving2 = set((lp2.g.row_ids[lp2.g.indices == kappa] // 4).tolist())
     assert moving2 == {0, 1, 4, 5}  # soc_min, soc_max, dis_cap, ch_cap
-    assert np.all(lp2.h_cap == 0.0)
+    assert kappa not in lp2.h.indices
 
 
 def test_rhs_tracks_capacity(tiny_instance):
+    # a new capacity is a new value of kappa, fixed by its bounds; nothing else moves
     a = build_llm_c(tiny_instance, 0, 2.0)
     b = build_llm_c(tiny_instance, 0, 6.0)
-    np.testing.assert_allclose(b.b_g() - a.b_g(), 4.0 * a.g_cap)
+    for name in ("c", "b_g", "b_h"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    np.testing.assert_array_equal(a.g.dense(a.n_vars), b.g.dense(b.n_vars))
+    np.testing.assert_array_equal(a.lb[:-1], b.lb[:-1])
+    np.testing.assert_array_equal(a.ub[:-1], b.ub[:-1])
+    assert (a.lb[-1], a.ub[-1], b.lb[-1], b.ub[-1]) == (2.0, 2.0, 6.0, 6.0)
 
 
 def test_evaluate_on_hand_schedule(tiny_instance):
     lp = build_llm_c(tiny_instance, 0, 4.0)
-    x = np.concatenate([[2.0, 2.0, 0.0, 0.0], [0.0, 0.0, 2.0, 2.0], [6.0, 2.0]])
+    x = np.concatenate([[2.0, 2.0, 0.0, 0.0], [0.0, 0.0, 2.0, 2.0], [6.0, 2.0, 4.0]])
     ev = evaluate(lp, x)
     assert ev.feasible(1e-9)
     assert ev.objective == pytest.approx(-3.96)
@@ -181,30 +189,6 @@ def test_llm_objective_matches_closed_form(rng):
         assert customer_llm_objective(inst, 0, sch) == pytest.approx(fun, abs=1e-9)
 
 
-def test_capacity_column_reproduces_the_rows(rng):
-    for _ in range(5):
-        inst = rand_instance(rng)
-        cap = float(rng.uniform(0.0, inst.storage.total_capacity))
-        for p in range(inst.customer_count + 1):
-            lp = build_party_lp(inst, p, cap)
-            col = capacity_column(lp)
-            n = lp.n_vars
-            assert col.n_vars == n + 1  # kappa is the one new, last column
-            assert col.lb[n] == col.ub[n] == cap
-            assert not col.g_cap.any() and not col.h_cap.any()
-            np.testing.assert_array_equal(col.g.dense(col.n_vars)[:, :n], lp.g.dense(lp.n_vars))
-            np.testing.assert_array_equal(col.g.dense(col.n_vars)[:, n], -lp.g_cap)
-            np.testing.assert_array_equal(col.h.dense(col.n_vars)[:, n], -lp.h_cap)
-            x = rng.uniform(-2.0, 2.0, n)
-            xk = np.append(x, cap)
-            np.testing.assert_allclose(col.g.dot(xk) - col.b_g(), lp.g.dot(x) - lp.b_g(),
-                                       rtol=0, atol=1e-12)
-            got, want = evaluate(col, xk), evaluate(lp, x)
-            assert got.objective == want.objective
-            assert got.min_inequality_slack == pytest.approx(want.min_inequality_slack, abs=1e-12)
-            assert got.max_equality_residual == pytest.approx(want.max_equality_residual, abs=1e-12)
-
-
 def test_no_battery_start_is_a_vertex_at_every_capacity(rng):
     """The start point idles the battery, puts peak and valley at the
     highest and lowest load, is feasible at every capacity, and names one
@@ -221,8 +205,9 @@ def test_no_battery_start_is_a_vertex_at_every_capacity(rng):
                 load = inst.loads.customer_load[p]
                 assert (x[2 * t], x[2 * t + 1]) == (load.max(), load.min())
             for cap in (0.0, 0.3 * total, total):
-                assert evaluate(build_party_lp(inst, p, cap), x[: lp.n_vars]).feasible(1e-12)
-            eng = Simplex(capacity_column(lp))
+                at_cap = np.append(x[:-1], cap)  # kappa, the last column, at cap
+                assert evaluate(build_party_lp(inst, p, cap), at_cap).feasible(1e-12)
+            eng = Simplex(lp)
             assert basic.size == np.unique(basic).size == eng.m
             assert np.all(eng._engine_col[basic] >= 0)  # no folded row's surplus
 

@@ -53,7 +53,9 @@ def test_stationarity_matches_dense_transpose(rng):
         kkt = derive_kkt(lp)
         a_g = lp.g.dense(lp.n_vars)
         a_h = lp.h.dense(lp.n_vars)
-        for j in range(lp.n_vars):
+        # one row per dispatch column; the capacity, last and fixed, has none
+        assert kkt.stat_g.n_rows == kkt.stat_h.n_rows == lp.n_vars - 1
+        for j in range(lp.n_vars - 1):
             dense_g = np.zeros(lp.n_g)
             dense_g[kkt.stat_g.row(j)[0]] = kkt.stat_g.row(j)[1]
             np.testing.assert_allclose(dense_g, a_g[:, j])
@@ -139,7 +141,7 @@ def test_capacity_relink(rng):
     cols = dict(zip(*lp.g.row(i)))
     assert cols[lay.cap_col] == pytest.approx(k)
     assert cols[lay.x0 + 4] == -1.0  # dis_0 column
-    assert lp.g_offset[i] == 0.0
+    assert lp.b_g[i] == 0.0
     j = mpec.disco.g0 + 1 * 4 + 2  # the DisCo's soc_max (family 2) at slot 2
     assert mpec.disco.cap_col in lp.g.row(j)[0]
 
@@ -166,7 +168,7 @@ def test_peak_rows_cover_all_parties(rng):
     for lay in mpec.parties():
         assert cols[lay.x0 + 1] == -1.0  # ch at slot 1
         assert cols[lay.x0 + 3 + 1] == 1.0  # dis at slot 1
-    assert lp.g_offset[i] == pytest.approx(inst.loads.system_load[1])
+    assert lp.b_g[i] == pytest.approx(inst.loads.system_load[1])
 
 
 def test_linearize_structure(rng):
@@ -185,7 +187,7 @@ def test_linearize_structure(rng):
     for i in range(mpec.lp.n_g):
         for a, b in zip(milp.lp.g.row(i), mpec.lp.g.row(i)):
             np.testing.assert_array_equal(a, b)
-    assert milp.lp.g_offset[mpec.lp.n_g - 1] == mpec.lp.g_offset[-1]
+    assert milp.lp.b_g[mpec.lp.n_g - 1] == mpec.lp.b_g[-1]
 
 
 def test_m_slack_is_the_catalog_family_bound():
@@ -236,7 +238,7 @@ def test_pair_row_semantics(rng):
         # manufacture a point whose row-q slack equals slack_target by
         # shifting one variable of that row (offset folded out)
         idx, val = milp.lp.g.row(g_row)
-        x[idx[0]] = (slack_target + milp.lp.g_offset[g_row]) / val[0]
+        x[idx[0]] = (slack_target + milp.lp.b_g[g_row]) / val[0]
         return row_value(milp.lp, r_omega, x), row_value(milp.lp, r_slack, x)
 
     a, b = rowvals(omega=0.0, u=0.0, slack_target=0.5 * milp.m_slack[q])

@@ -73,7 +73,7 @@ def test_round_trip_counts_random(rng):
         nnz += sum(len(ix) for ix in lp.g_idx)
         nnz += sum(len(ix) for ix in lp.h_idx)
         assert summary.entries == nnz
-        want_rhs = int(np.count_nonzero(np.concatenate([lp.b_g(), lp.b_h()])))
+        want_rhs = int(np.count_nonzero(np.concatenate([lp.b_g, lp.b_h])))
         assert summary.rhs_entries == want_rhs
         assert summary.range_entries == 0
 
@@ -188,7 +188,7 @@ def test_edge_case_round_trip(name, tmp_path):
     assert summary.columns == lp.n_vars
     assert summary.binary_columns == len(getattr(model, "binary_cols", ()))
     assert summary.entries == np.count_nonzero(lp.c) + len(lp.g.data) + len(lp.h.data)
-    rhs = np.count_nonzero(np.concatenate([lp.b_g(), lp.b_h()]))
+    rhs = np.count_nonzero(np.concatenate([lp.b_g, lp.b_h]))
     assert summary.rhs_entries == rhs + (lp.objective_constant != 0.0)
     assert summary.objective_constant == lp.objective_constant
     assert summary.bound_types == bound_types

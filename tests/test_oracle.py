@@ -14,7 +14,7 @@ from storageshare.instance import (
     upper_objective,
     zero_schedules,
 )
-from storageshare.lp import build_llm_c, build_llm_d, make_lp
+from storageshare.lp import build_llm_c, build_llm_d, build_party_lp, make_lp
 from storageshare import simplex
 from storageshare.oracle import check_schedule_invariants, grid_oracle
 from storageshare.simplex import Simplex
@@ -72,6 +72,14 @@ def test_best_is_min_over_records(rng):
     assert len(set(divs)) == len(divs)
     for d in divs:
         assert sum(d) <= 6.0 + 1e-9
+    # the triples come from the report's arrays: each lower objective,
+    # customers first, is that party's optimum at its share
+    assert [r[2] for r in rep.records] == rep.values.tolist()
+    for division, lower, _ in rep.records:
+        shares = list(division[1:]) + [division[0]]
+        want = [Simplex(build_party_lp(inst, p, s)).solve().objective
+                for p, s in enumerate(shares)]
+        assert lower == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 def test_record_values_match_direct_rebuild(rng):

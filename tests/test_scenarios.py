@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from storageshare.instance import customer_cost_total, make_instance, zero_schedules
-from storageshare.mpec import assemble_mpec
+from storageshare.mpec import BigMPolicy, assemble_mpec
 from storageshare.scenarios import (
     CycleResult,
     ScenarioError,
@@ -130,6 +130,57 @@ def test_solve_division_rejects_unknown_mode():
     mpec = assemble_mpec(conflict_instance())
     with pytest.raises(ValueError, match="lpc"):
         solve_division(mpec, SolveOptions(), "lpc", None)
+
+
+def _lpcc_objective(mpec):
+    res, _, _ = solve_division(mpec, SolveOptions(), "lpcc", None)
+    assert res.status == "optimal"
+    return res.objective
+
+
+def test_bigm_escalates_binding_pair_bounds():
+    # primal bounds at 0.3 of the row ranges cut off mix202's optimum and
+    # flag slack pairs; one round of growth reaches it
+    mpec = assemble_mpec(dict(DIVISION_FIXTURES)["mix202"]())
+    want = _lpcc_objective(mpec)
+    policy = BigMPolicy(primal_safety=0.3, primal_floor=1e-6)
+    res, rounds, notes = solve_division(mpec, SolveOptions(), "bigm", policy)
+    assert (res.status, rounds, len(notes)) == ("optimal", 1, 1)
+    assert "regrowing slack" in notes[0]
+    assert abs(res.objective - want) <= 1e-9 * abs(want)
+    res, rounds, notes = solve_division(mpec, SolveOptions(), "bigm",
+                                        replace(policy, max_rounds=0))
+    assert (res.status, rounds) == ("optimal", 0)
+    assert notes == ["pair bounds still binding after 0 escalations"]
+
+
+def test_bigm_escalates_an_infeasible_big_m_form():
+    # a division model is always feasible: big-M bounds so small they cut
+    # off every point once ended the day "infeasible" without escalating
+    mpec = assemble_mpec(dict(DIVISION_FIXTURES)["zero_cap"]())
+    want = _lpcc_objective(mpec)
+    policy = BigMPolicy(primal_safety=0.1, primal_floor=1e-6)
+    res, rounds, notes = solve_division(mpec, SolveOptions(), "bigm", policy)
+    assert (res.status, rounds) == ("optimal", 1)
+    assert notes == ["escalation round 1: big-M form infeasible, regrowing omega/slack"]
+    assert abs(res.objective - want) <= 1e-9 * abs(want)
+    res, rounds, notes = solve_division(mpec, SolveOptions(), "bigm",
+                                        replace(policy, max_rounds=0))
+    assert (res.status, rounds, res.exit_code) == ("infeasible", 0, 2)
+    assert notes == ["big-M form still infeasible after 0 escalations"]
+
+
+def test_bigm_escalates_undersized_dual_bounds():
+    # multiplier bounds at 0.05 of the price scale leave the first six
+    # fixtures' big-M forms infeasible; growing both sides reaches lpcc
+    for name, build in DIVISION_FIXTURES[:6]:
+        mpec = assemble_mpec(build())
+        want = _lpcc_objective(mpec)
+        res, rounds, notes = solve_division(mpec, SolveOptions(), "bigm",
+                                            BigMPolicy(dual_scale=0.05, dual_floor=1e-3))
+        assert res.status == "optimal" and 1 <= rounds <= 3, (name, notes)
+        assert "big-M form infeasible" in notes[0], name
+        assert abs(res.objective - want) <= 1e-9 * max(1.0, abs(want)), name
 
 
 def test_conflict_fixture_scenario_one_signs():

@@ -148,7 +148,7 @@ def test_strong_duality_random(rng):
         assert abs(gap) <= 1e-7
         assert np.all(sol.dual_g >= -1e-9)
         # complementary slackness on rows
-        slack = lp.g.dense(lp.n_vars) @ sol.x - lp.b_g()
+        slack = lp.g.dense(lp.n_vars) @ sol.x - lp.b_g
         assert float(np.max(np.abs(sol.dual_g * slack))) <= 1e-6
 
 
@@ -202,9 +202,9 @@ def test_warm_resolve_row_to_equality(rng):
         res = linprog(
             lp.c,
             A_ub=-np.delete(a_g, 2, axis=0),
-            b_ub=-np.delete(lp.b_g(), 2),
+            b_ub=-np.delete(lp.b_g, 2),
             A_eq=np.vstack([lp.h.dense(lp.n_vars), a_g[2]]),
-            b_eq=np.concatenate([lp.b_h(), [lp.b_g()[2]]]),
+            b_eq=np.concatenate([lp.b_h, [lp.b_g[2]]]),
             bounds=list(zip(lp.lb, lp.ub)),
             method="highs",
         )
@@ -222,8 +222,9 @@ def test_dual_signs_on_llm(tiny_instance):
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(-3.96, abs=1e-9)
     assert np.all(sol.dual_g >= -1e-9)
-    # free structural variables at an optimum carry zero reduced cost
-    assert float(np.max(np.abs(sol.reduced_costs))) <= 1e-9
+    # free structural variables at an optimum carry zero reduced cost (the
+    # last column, the capacity, is fixed)
+    assert float(np.max(np.abs(sol.reduced_costs[:-1]))) <= 1e-9
 
 
 def test_single_entry_rows_become_column_bounds():
@@ -700,6 +701,25 @@ def test_capacity_family_matches_cold_builds(rng, t):
             assert eng.warm_rebuilds == eng.cold_restarts == 0
 
 
+def test_capacity_reduced_cost_is_a_subgradient():
+    """kappa's reduced cost d(s) at share s is a subgradient of the party's
+    optimal cost phi (LpSolution.reduced_costs): phi(s') >= phi(s) +
+    d(s) (s' - s) at every share s' of a 41-share grid, for d read at 9 of
+    them, share 0 included."""
+    days = [build() for _, build in DIVISION_FIXTURES]
+    days += [stress_fixture(), day_long(1), day_long(2)]
+    for inst in days:
+        grid = np.linspace(0.0, inst.storage.total_capacity, 41)
+        for p in range(inst.customer_count + 1):
+            family = simplex.party_family(inst, p)
+            sols = [family.solve(float(s)) for s in grid]
+            assert all(sol.status == "optimal" for sol in sols)
+            phi = np.array([sol.objective for sol in sols])
+            for sol, s in zip(sols[::5], grid[::5]):
+                line = sol.objective + sol.reduced_costs[-1] * (grid - s)
+                assert np.all(phi >= line - 1e-12 * (1.0 + np.abs(phi))), (p, s)
+
+
 def test_capacity_family_rejects_negative_capacity(tiny_instance):
     # NaN passes a plain capacity < 0 check: a family solved at NaN once
     # ended unbounded with RuntimeWarnings
@@ -866,7 +886,7 @@ def test_start_from_an_optimal_basis_skips_phase_one(rng, monkeypatch):
         # with a nonzero dual is active, and an active row holds with equality
         assert np.unique(cold.basis).size == cold.basis.size
         assert np.all(np.isin(np.flatnonzero(np.abs(cold.dual_g) > 1e-9), cold.active))
-        slack = lp.g.dot(cold.x) - lp.b_g()
+        slack = lp.g.dot(cold.x) - lp.b_g
         np.testing.assert_allclose(slack[cold.active], 0.0, atol=1e-9)
         starts.clear()
         warm_eng = Simplex(lp)

@@ -50,28 +50,39 @@ def sparse_lps(draw):
     return make_lp(c, a_ub=a_g, b_ub=b_g, a_eq=a_h, b_eq=b_h, lb=lb, ub=ub)
 
 
+def with_kappa(lp, g_coef, h_coef, kappa):
+    """lp over one more, last column kappa, fixed by its bounds at kappa,
+    with coefficient g_coef[i] on inequality row i and h_coef[m] on
+    equality row m."""
+    n = lp.n_vars
+    return replace(lp, c=np.append(lp.c, 0.0), lb=np.append(lp.lb, kappa),
+                   ub=np.append(lp.ub, kappa),
+                   g=Rows.from_dense(np.column_stack([lp.g.dense(n), g_coef])),
+                   h=Rows.from_dense(np.column_stack([lp.h.dense(n), h_coef])))
+
+
 @st.composite
 def marked_lps(draw):
-    """A sparse LP whose rows may move with its capacity. At capacity 0 it
-    is feasible: its right-hand sides are read off an integer point within
-    the bounds, less an integer slack on the >= rows."""
+    """A sparse LP plus a last column kappa, the capacity, that some rows
+    hold. At kappa = 0 it is feasible: its right-hand sides are read off an
+    integer point within the bounds, less an integer slack on the >= rows."""
     lp = draw(sparse_lps())
     x0 = np.clip(draw(hnp.arrays(float, lp.n_vars, elements=st.integers(-3, 3))),
                  lp.lb, lp.ub)
     slack = draw(hnp.arrays(float, lp.n_g, elements=st.integers(0, 2)))
-    markers = st.sampled_from([-2, -1, 0, 0, 0, 1, 2])
-    return replace(lp, g_offset=lp.g.dot(x0) - slack, h_offset=lp.h.dot(x0),
-                   g_cap=draw(hnp.arrays(float, lp.n_g, elements=markers)),
-                   h_cap=draw(hnp.arrays(float, lp.n_h, elements=markers)))
+    coef = st.sampled_from([-2, -1, 0, 0, 0, 1, 2])
+    lp = replace(lp, b_g=lp.g.dot(x0) - slack, b_h=lp.h.dot(x0))
+    return with_kappa(lp, draw(hnp.arrays(float, lp.n_g, elements=coef)),
+                      draw(hnp.arrays(float, lp.n_h, elements=coef)), 0.0)
 
 
 def _highs(lp, c, **options):
     return linprog(
         c,
         A_ub=-lp.g.dense(lp.n_vars) if lp.n_g else None,
-        b_ub=-lp.b_g() if lp.n_g else None,
+        b_ub=-lp.b_g if lp.n_g else None,
         A_eq=lp.h.dense(lp.n_vars) if lp.n_h else None,
-        b_eq=lp.b_h() if lp.n_h else None,
+        b_eq=lp.b_h if lp.n_h else None,
         bounds=[(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
                 for lo, hi in zip(lp.lb, lp.ub)],
         method="highs",
@@ -136,12 +147,12 @@ def surplus_bounded_lps(draw):
 
 def _rows_between(lp, lo, hi):
     """lp with each >= row g x >= b replaced by b + lo_s <= g x <= b + hi_s."""
-    g, b = lp.g.dense(lp.n_vars), lp.b_g()
+    g, b = lp.g.dense(lp.n_vars), lp.b_g
     lo_s, hi_s = lo[lp.n_vars:], hi[lp.n_vars:]
     capped = np.isfinite(hi_s)
     return make_lp(lp.c, a_ub=np.vstack([g, -g[capped]]),
                    b_ub=np.concatenate([b + lo_s, -(b + hi_s)[capped]]),
-                   a_eq=lp.h.dense(lp.n_vars), b_eq=lp.b_h(), lb=lp.lb, ub=lp.ub,
+                   a_eq=lp.h.dense(lp.n_vars), b_eq=lp.b_h, lb=lp.lb, ub=lp.ub,
                    objective_constant=lp.objective_constant)
 
 
@@ -206,8 +217,8 @@ def test_warm_tree_matches_highs(lp, picks):
 @given(marked_lps(), st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 4.5, 7.0]),
                               min_size=2, max_size=6))
 # x >= kappa and x <= 2: infeasible at 3, optimal again at 1.5
-@example(replace(make_lp([1.0], a_ub=[[1.0], [-1.0]], b_ub=[0.0, -2.0]),
-                 g_cap=np.array([1.0, 0.0])), [1.0, 3.0, 1.5, 3.0, 0.0])
+@example(make_lp([1.0, 0.0], a_ub=[[1.0, -1.0], [-1.0, 0.0]], b_ub=[0.0, -2.0],
+                 lb=[-np.inf, 0.0], ub=[np.inf, 0.0]), [1.0, 3.0, 1.5, 3.0, 0.0])
 def test_capacity_family_matches_highs(lp, caps):
     """One family swept over the capacities agrees with HiGHS on the LP
     with each capacity baked in; a capacity that makes the LP infeasible
@@ -215,7 +226,8 @@ def test_capacity_family_matches_highs(lp, caps):
     family = CapacityFamily(lp)
     for cap in caps:
         sol = family.solve(cap)
-        status, objective = _reference(replace(lp, capacity=cap))
+        status, objective = _reference(replace(lp, lb=np.append(lp.lb[:-1], cap),
+                                               ub=np.append(lp.ub[:-1], cap)))
         assert sol.status == status
         if status == "optimal":
             assert sol.objective == pytest.approx(objective, rel=1e-7, abs=1e-7)
@@ -231,8 +243,8 @@ def singleton_lps(draw):
     integer slack: 0-2 on the LP's rows, -1-2 on the single-entry ones, so
     those may cut the point off. Columns draw from at most three, so two
     rows often share one; coefficients of both signs give lower and upper
-    bounds, inside, on or outside the column's own. Some rows move with the
-    capacity, which the LP carries at a drawn value."""
+    bounds, inside, on or outside the column's own. Some of the LP's rows
+    hold a last column kappa, the capacity, fixed at a drawn value."""
     lp = draw(sparse_lps())
     n = lp.n_vars
     x0 = np.clip(draw(hnp.arrays(float, n, elements=st.integers(-3, 3))), lp.lb, lp.ub)
@@ -242,18 +254,20 @@ def singleton_lps(draw):
     singles = Rows.from_lists(cols[:, None], coef[:, None])
     slack = np.concatenate([draw(hnp.arrays(float, lp.n_g, elements=st.integers(0, 2))),
                             draw(hnp.arrays(float, k, elements=st.integers(-1, 2)))])
-    markers = st.sampled_from([-1, 0, 0, 1])
     g = Rows.stack([lp.g, singles])
-    return replace(lp, g=g, g_offset=g.dot(x0) - slack, h_offset=lp.h.dot(x0),
-                   g_cap=draw(hnp.arrays(float, g.n_rows, elements=markers)),
-                   capacity=float(draw(st.sampled_from([0, 1, 2]))))
+    g_coef = np.append(draw(hnp.arrays(float, lp.n_g, elements=st.sampled_from([-1, 0, 0, 1]))),
+                       np.zeros(k))
+    kappa = float(draw(st.sampled_from([0, 1, 2])))
+    lp = with_kappa(replace(lp, g=g), g_coef, np.zeros(lp.n_h), kappa)
+    x0 = np.append(x0, kappa)
+    return replace(lp, b_g=lp.g.dot(x0) - slack, b_h=lp.h.dot(x0))
 
 
 def _assert_certificate(lp, sol, pinned=()):
     """sol's multipliers prove its optimality: dual_g >= 0 off the pinned
     rows, complementary with the row slacks, reduced costs equal to
     c - A'y, and the bound-aware dual objective equals the primal one."""
-    slack = lp.g.dot(sol.x) - lp.b_g()
+    slack = lp.g.dot(sol.x) - lp.b_g
     free = np.setdiff1d(np.arange(lp.n_g), pinned)
     assert np.all(sol.dual_g[free] >= 0.0)
     np.testing.assert_allclose(sol.dual_g * slack, 0.0, atol=1e-7)
@@ -277,9 +291,9 @@ def _assert_certificate(lp, sol, pinned=()):
 @example(make_lp([1.0], a_ub=[[1.0], [2.0]], b_ub=[1.0, 2.0]))
 # rows that empty the column's range
 @example(make_lp([0.0], a_ub=[[1.0], [-1.0]], b_ub=[2.0, -1.0]))
-# a capacity-marked row, x >= 2 * kappa - 1 at kappa = 2
-@example(replace(make_lp([1.0, -1.0], a_ub=[[1.0, 0.0], [0.0, -1.0]], b_ub=[-1.0, -4.0]),
-                 g_cap=np.array([2.0, 0.0]), capacity=2.0))
+# a row on the capacity, x - 2 kappa >= -1 at kappa = 2, beside a single -y >= -4
+@example(make_lp([1.0, -1.0, 0.0], a_ub=[[1.0, 0.0, -2.0], [0.0, -1.0, 0.0]], b_ub=[-1.0, -4.0],
+                 lb=[-np.inf, -np.inf, 2.0], ub=[np.inf, np.inf, 2.0]))
 def test_singleton_rows_match_highs(lp):
     status, objective = _reference(lp)
     sol = Simplex(lp).solve()
@@ -312,7 +326,7 @@ def test_pinned_singletons_match_cold(lp, picks):
         if warm.status != "optimal":
             return
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
-        np.testing.assert_allclose(lp.g.dot(warm.x)[pinned], lp.b_g()[pinned], atol=1e-9)
+        np.testing.assert_allclose(lp.g.dot(warm.x)[pinned], lp.b_g[pinned], atol=1e-9)
         _assert_certificate(lp, warm, pinned)
 
 
@@ -338,9 +352,9 @@ def test_face_minimum_matches_highs(seed, lossless, disco, share):
     ref = linprog(
         grad,
         A_ub=np.vstack([-lp.g.dense(lp.n_vars), lp.c]),
-        b_ub=np.concatenate([-lp.b_g(), [f_star]]),
+        b_ub=np.concatenate([-lp.b_g, [f_star]]),
         A_eq=lp.h.dense(lp.n_vars) if lp.n_h else None,
-        b_eq=lp.b_h() if lp.n_h else None,
+        b_eq=lp.b_h if lp.n_h else None,
         bounds=[(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
                 for lo, hi in zip(lp.lb, lp.ub)],
         method="highs",

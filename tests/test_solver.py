@@ -215,7 +215,7 @@ def assert_extracted_duals_stationary(inst, mpec, res):
     for p, lay in enumerate(mpec.parties()):
         lp = party_lp(inst, p, shares[p])
         kkt = derive_kkt(lp)
-        x_p = res.x[lay.x0: lay.x0 + lay.nx]
+        x_p = np.append(res.x[lay.x0: lay.x0 + lay.nx], shares[p])
         tag = lay.tag.rstrip(".")
         rep, ok = check_kkt_residuals(kkt, x_p, duals[tag]["omega"], duals[tag]["v"])
         assert ok, f"{tag}: {rep}"
@@ -313,7 +313,7 @@ def test_value_functions_lie_on_or_below_their_chords():
         mpec = assemble_mpec(inst)
         tree_lp = _tree_lp(mpec)
         chords = tree_lp.g.take(np.arange(mpec.lp.n_g, tree_lp.n_g))
-        rhs = tree_lp.b_g()[mpec.lp.n_g:]
+        rhs = tree_lp.b_g[mpec.lp.n_g:]
         for p, lay in enumerate(mpec.parties()):
             family = CapacityFamily(build_party_lp(inst, p, 0.0))
             for share in np.linspace(0.0, inst.storage.total_capacity, 41):
@@ -321,7 +321,7 @@ def test_value_functions_lie_on_or_below_their_chords():
                 assert phi.status == "optimal"
                 z = np.zeros(tree_lp.n_vars)
                 z[lay.cap_col] = share
-                z[lay.x0: lay.x0 + lay.nx] = phi.x
+                z[lay.x0: lay.x0 + lay.nx] = phi.x[: lay.nx]
                 slack = chords.dot(z)[p] - rhs[p]
                 assert slack >= -1e-9 * (1.0 + abs(phi.objective)), (lay.tag, share)
 
@@ -350,7 +350,7 @@ def test_trees_search_one_chord_row_per_party(monkeypatch):
             assert cols <= set(range(lay.x0, lay.x0 + lay.nx)) | {lay.cap_col}
         head = tree_lp.g.take(np.arange(base.n_g))
         for a, b in ((head.indptr, base.g.indptr), (head.indices, base.g.indices),
-                     (head.data, base.g.data), (tree_lp.b_g()[: base.n_g], base.b_g())):
+                     (head.data, base.g.data), (tree_lp.b_g[: base.n_g], base.b_g)):
             np.testing.assert_array_equal(a, b)
     # the models themselves are untouched: no chord row in mpec.lp or its
     # linearization
@@ -359,7 +359,7 @@ def test_trees_search_one_chord_row_per_party(monkeypatch):
         assert a.n_g == b.n_g
         np.testing.assert_array_equal(a.g.indices, b.g.indices)
         np.testing.assert_array_equal(a.g.data, b.g.data)
-        np.testing.assert_array_equal(a.b_g(), b.b_g())
+        np.testing.assert_array_equal(a.b_g, b.b_g)
 
 
 def test_a_pinned_share_gets_the_exact_chord():
@@ -374,7 +374,7 @@ def test_a_pinned_share_gets_the_exact_chord():
     assert mpec.div_disco_col not in cols
     np.testing.assert_array_equal(cols, d.x0 + np.flatnonzero(c_d))
     np.testing.assert_array_equal(coefs, -c_d[c_d != 0.0])
-    assert tree_lp.b_g()[row] == 0.0  # phi_d(0) = 0: no battery, no dispatch
+    assert tree_lp.b_g[row] == 0.0  # phi_d(0) = 0: no battery, no dispatch
 
 
 def test_lpcc_takes_no_incumbent_that_breaks_a_row():

@@ -14,9 +14,9 @@ def _write(path, records):
 
 def test_compare_sums_times_and_flags_differing_objectives(tmp_path, capsys):
     def rec(seed, mode, status, obj, seconds, nodes, grid=10.0, excess=0.0, phi=-2.0, esc=0,
-            fallbacks=(), family=10):
+            fallbacks=(), family=10, iterations=1):
         return {"seed": seed, "mode": mode, "status": status, "nodes": nodes,
-                "iterations": 1, "root_iterations": 1, "family_iterations": family,
+                "iterations": iterations, "root_iterations": 1, "family_iterations": family,
                 "escalations": esc,
                 "fallbacks": list(fallbacks), "objective": obj, "seconds": seconds,
                 "grid": grid, "ll_excess": excess, "ll_phi": phi}
@@ -34,7 +34,7 @@ def test_compare_sums_times_and_flags_differing_objectives(tmp_path, capsys):
                rec(2, "lpcc", "optimal", 3.0 + 5e-7, 0.5, 9, excess=3e-6, phi=-3e3,
                    grid=10.0 + 5e-12),  # 5e-13 relative: the same grid
                rec(2, "bigm", "limit", 2.0, 3.0, 50, fallbacks=["reread"], family=4),
-               rec(3, "lpcc", "optimal", 1.0, 1.0, 1, fallbacks=["reread"])])
+               rec(3, "lpcc", "optimal", 1.0, 1.0, 1, fallbacks=["reread"], iterations=2)])
     assert tree_sweep.compare(str(a), str(b)) == 1
     out = capsys.readouterr().out
     # seed 3 has no family iterations in A, so lpcc prints none
@@ -43,6 +43,9 @@ def test_compare_sums_times_and_flags_differing_objectives(tmp_path, capsys):
             " family iterations 20 -> 14\n") in out
     assert "seed 1: objective 10.0 -> 10.00005" in out
     assert "seed 2" not in out  # within 1e-6, or not optimal on both sides
+    # seed 1/lpcc: nodes; 2/bigm: family iterations; 3/lpcc: iterations (A
+    # records no family iterations for it)
+    assert "nodes, iterations or family iterations differ: 1/lpcc, 2/bigm, 3/lpcc\n" in out
     assert "escalations differ: 2/bigm\n" in out
     assert "fallbacks differ: 2/bigm\n" in out  # seed 3: not recorded in A
     assert "grid differs at 1e-12: 1\n" in out

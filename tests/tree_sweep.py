@@ -16,13 +16,14 @@ as ll_phi). The second form reads two such files and prints, per mode, the
 summed seconds and nodes of each (and the summed family iterations, when
 both files record them for every solve of the mode) and every seed where
 both solves are optimal and the objectives differ by more than 1e-6
-relative; then the (seed, mode) solves whose escalation counts differ,
-and those whose fallbacks differ (of the solves both files record
-fallbacks for), and the seeds whose grid objectives differ by more than
-1e-12 relative; then, per file, the seeds where the grid lies more than 1e-9 relative below an
-optimal lpcc objective, which no correct grid can, and the (seed, mode)
-answers whose excess is above 1e-9 (1 + |phi|), whose dispatch is then
-not optimal.
+relative; then the (seed, mode) solves whose nodes, LP iterations or
+family iterations differ (of the counters both files record), those whose
+escalation counts differ, and those whose fallbacks differ (of the solves
+both files record fallbacks for), and the seeds whose grid objectives
+differ by more than 1e-12 relative; then, per file, the seeds where the
+grid lies more than 1e-9 relative below an optimal lpcc objective, which
+no correct grid can, and the (seed, mode) answers whose excess is above
+1e-9 (1 + |phi|), whose dispatch is then not optimal.
 Run both sides of a comparison on the same machine, one after the other.
 """
 
@@ -39,6 +40,7 @@ OBJ_TOL = 1e-6
 GRID_TOL = 1e-9
 GRID_SAME_TOL = 1e-12
 LL_TOL = 1e-9
+COUNTERS = ("nodes", "iterations", "family_iterations")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -139,6 +141,11 @@ def compare(path_a: str, path_b: str) -> int:
                     differ += 1
                     print(f"  seed {k[0]}: objective {fa!r} -> {fb!r}")
     print(f"{differ} objectives differ at {OBJ_TOL:g}")
+    recount = [f"{seed}/{mode}" for seed, mode in both
+               if any(k in a[seed, mode] and k in b[seed, mode]
+                      and a[seed, mode][k] != b[seed, mode][k] for k in COUNTERS)]
+    print(f"nodes, iterations or family iterations differ: "
+          f"{', '.join(recount) if recount else 'none'}")
     escalated = [f"{seed}/{mode}" for seed, mode in both
                  if a[seed, mode].get("escalations") != b[seed, mode].get("escalations")]
     print(f"escalations differ: {', '.join(escalated) if escalated else 'none'}")
