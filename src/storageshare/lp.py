@@ -21,8 +21,8 @@ customer's peak and valley, then kappa.
 The owner's capacity is the LP's last column, kappa, fixed by its bounds
 at the capacity the LP is built for; a row that moves with capacity holds
 kappa's coefficient as its last entry. A new capacity is then a bound
-change (simplex.CapacityFamily), kappa's reduced cost is a subgradient of
-the party's optimal cost in its capacity, and in the division model kappa
+change (simplex.CapacityPath walks them all), kappa's reduced cost is a
+subgradient of the party's optimal cost in its capacity, and in the division model kappa
 becomes the party's share variable (mpec.assemble_mpec).
 
 At zero flows every party LP has a vertex that is feasible at every
@@ -30,7 +30,7 @@ capacity >= 0 (no_battery_start): the battery stays idle, a customer's
 peak and valley sit at its highest and lowest load, and every storage row
 holds with the slack the capacity gives it, since validate_instance keeps
 each soc_ini inside [soc_lower, soc_upper]. Its basis is the start of a
-party family's cold solve, which then needs no phase 1.
+capacity path's cold solve, which then needs no phase 1.
 
 A_g and A_h are Rows: compressed sparse rows (CSR). This module is the
 only one that reads their arrays; everything else goes through the Rows
@@ -213,12 +213,13 @@ class LpSolution:
     variables (nonzero only off-basis). On a party LP, kappa's reduced cost
     d_kappa(s) is a subgradient of the party's optimal cost phi at its
     capacity s: phi(s') >= phi(s) + d_kappa(s) (s' - s) for every s' >= 0
-    (Gal & Nedoma, Manag. Sci. 18(7), 1972). At s = 0 it may be steeper
-    than phi'(0+). An optimal simplex solve also gives
-    its final basis, as column j of the LP or n_vars + i for the surplus of
-    inequality row i, and its active rows: the inequality rows the basis
-    holds at a bound (a nonbasic surplus, or a single-entry row that sets
-    its column's nonbasic bound).
+    (Gal & Nedoma, Manag. Sci. 18(7), 1972). At s = 0 a cold solve's may be
+    steeper than phi'(0+); a lookup on simplex.CapacityPath gives phi'(0+),
+    and at a breakpoint the slope below it. An optimal simplex solve also
+    gives its final basis, as column j of the LP or n_vars + i for the
+    surplus of inequality row i, and its active rows: the inequality rows
+    the basis holds at a bound (a nonbasic surplus, or a single-entry row
+    that sets its column's nonbasic bound).
     """
 
     status: str  # optimal | infeasible | unbounded | iteration_limit
@@ -397,34 +398,3 @@ def no_battery_start(lp: LinearProgram):
     basic.append(n + np.flatnonzero(kept))
     return np.concatenate(basic).astype(np.int64), x
 
-
-def make_lp(
-    c,
-    a_ub=None,
-    b_ub=None,
-    a_eq=None,
-    b_eq=None,
-    lb=None,
-    ub=None,
-    name="lp",
-    objective_constant=0.0,
-) -> LinearProgram:
-    """General-purpose constructor from dense data, a_ub x >= b_ub rows.
-
-    Used for tests and toy models; zero coefficients are dropped so the
-    sparse invariant (no explicit zeros) holds.
-    """
-    c = np.asarray(c, float)
-    n = len(c)
-    lb = np.full(n, -np.inf) if lb is None else np.asarray(lb, float)
-    ub = np.full(n, np.inf) if ub is None else np.asarray(ub, float)
-
-    def rows(a, b):
-        if a is None or not len(np.atleast_2d(a)):
-            return Rows.from_lists((), ()), np.zeros(0)
-        return Rows.from_dense(np.atleast_2d(a)), np.asarray(b, float)
-
-    g, b_g = rows(a_ub, b_ub)
-    h, b_h = rows(a_eq, b_eq)
-    return LinearProgram(name=name, c=c, lb=lb, ub=ub, g=g, b_g=b_g, h=h, b_h=b_h,
-                         objective_constant=objective_constant)

@@ -1,22 +1,22 @@
 """Brute-force and residual machinery that certifies division solutions
 without trusting the reformulation or the branching solvers.
 
-grid_oracle enumerates capacity divisions on a regular grid. It solves
-every party's dispatch LP once per share on the grid, on one warm family
-per party (a party's problem depends only on its own share), then scores
-the grid as an array program in blocks of up to 4,096 points: the
+grid_oracle enumerates capacity divisions on a regular grid. It reads
+every party's dispatch at each share on the grid off the party's
+capacity path (a party's problem depends only on its own share), then
+scores the grid as an array program in blocks of up to 4,096 points: the
 parties' cached flows are summed per point and priced by the division
 objective. The best point is the first, in lexicographic order of the
 shares with the DisCo's first, within 1e-12 of the grid minimum. Each
-family starts at the party's no-battery vertex (simplex.party_family); a
-party whose start the engine rejects is named in the report's notes.
+path's cold solve starts at the party's no-battery vertex
+(simplex.CapacityPath); a party whose start the engine rejects is named
+in the report's notes.
 check_schedule_invariants audits a division's schedules from raw data,
 without the LP rows.
 
 Optimistic ties: each cell scores the better of the party's optimum and
 the face minimum of the flow-priced part of the upper objective
-(simplex.flow_face on the family's engine); the shared peak term is not
-tied through.
+(CapacityPath.flow_face); the shared peak term is not tied through.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Division, Instance, ScheduleSet, flow_price, soc_trajectory
-from .simplex import flow_face, party_family
+from .simplex import CapacityPath
 
 GRID_GUARD = 200_000
 _BLOCK = 4096  # grid points scored per array pass
@@ -151,9 +151,9 @@ def _compositions(k_max: int, parts: int) -> np.ndarray:
 def grid_oracle(instance: Instance, step: float) -> OracleReport:
     """Exhaustive division search on the grid {0, step, 2 step, ...}.
 
-    Each party's dispatch depends only on its own share, so each party has
-    one warm family, swept over the capacity values in ascending order,
-    and the grid is scored from those sweeps in blocks of _BLOCK points.
+    Each party's dispatch depends only on its own share, so each party's
+    capacity path is read at every grid share, and the grid is scored
+    from those reads in blocks of _BLOCK points.
     Grid points run in lexicographic order of the share counts, DisCo
     share first; the best point is the first in that order whose upper
     objective lies within 1e-12 of the grid minimum.
@@ -182,15 +182,13 @@ def grid_oracle(instance: Instance, step: float) -> OracleReport:
     notes = []
     for p in range(n + 1):  # party order: customers 0..n-1, then disco
         j = (p + 1) % (n + 1)
-        family = party_family(instance, p)
+        path = CapacityPath(instance, p)
         for k in range(k_max + 1):
-            sol, x_face = flow_face(family, k * step, price)
-            if x_face is None:
-                raise RuntimeError(f"LLM solve failed ({sol.status}) at capacity {k * step}")
+            sol, x_face = path.flow_face(k * step, price)
             raw[j, k] = sol.x[:t] - sol.x[t: 2 * t]
             face[j, k] = x_face[:t] - x_face[t: 2 * t]
             lower[j, k] = sol.objective
-        if family.engine.start_rejects:
+        if path.engine.start_rejects:
             party = f"customer[{p}]" if p < n else "disco"
             notes.append(f"{party}: no-battery start rejected, solved from the slack crash")
 

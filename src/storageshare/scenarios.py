@@ -29,6 +29,7 @@ from enum import IntEnum
 
 import numpy as np
 
+from .dataio import DataError, _rows
 from .instance import (
     Division,
     Instance,
@@ -41,7 +42,7 @@ from .instance import (
 )
 from .lp import Rows
 from .mpec import BigMPolicy, assemble_mpec, linearize_big_m, validate_big_m
-from .simplex import flow_face, party_family
+from .simplex import CapacityPath
 from .solver import MODES, SolveOptions, extract_solution, solve_lpcc, solve_milp
 
 ZERO_BASELINE_TOL = 1e-12
@@ -118,14 +119,12 @@ def attributed_customer_costs(instance: Instance,
 
 
 def _disco_only_dispatch(instance: Instance):
-    """Fixed division (everything to the utility); its dispatch is one
-    solve of the utility's party family, the same path as every other."""
+    """Fixed division (everything to the utility); its dispatch is a
+    lookup on the utility's capacity path, as every other party's is."""
     t = instance.grid.slot_count
     s_total = instance.storage.total_capacity
-    family = party_family(instance, instance.customer_count)
-    sol, x_res = flow_face(family, s_total, flow_price(instance))
-    if x_res is None:
-        raise ScenarioError(f"scenario 1: utility dispatch ended {sol.status}")
+    path = CapacityPath(instance, instance.customer_count)
+    sol, x_res = path.flow_face(s_total, flow_price(instance))
 
     def as_schedules(x):
         ch, dis = x[:t], x[t: 2 * t]
@@ -386,34 +385,38 @@ def emit_report(reports, destination, config=None, failures=()) -> dict:
     return paths
 
 
+def _report_rows(destination, name, header, kinds):
+    """Yield the rows of report file name.csv, each field converted by its
+    kind; a wrong header, field count or value raises DataError naming the
+    file and line."""
+    path = os.path.join(destination, f"{name}.csv")
+    for lineno, fields in _rows(path, header, len(kinds)):
+        try:
+            yield [kind(f) for kind, f in zip(kinds, fields)]
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: expected "
+                            f"{','.join(k.__name__ for k in kinds)}, got {','.join(fields)}") from None
+
+
 def read_report(destination) -> dict:
-    """Re-parse emitted report files into plain dictionaries."""
+    """Re-parse emitted report files into plain dictionaries. A malformed
+    file, a profile series with a missing slot included, raises DataError."""
     out = {"divisions": {}, "reductions": {}, "profiles": {}}
-    with open(os.path.join(destination, "divisions.csv")) as fh:
-        header = fh.readline().strip()
-        if header != "day,scenario,party,capacity_kwh":
-            raise ValueError(f"unexpected divisions header: {header!r}")
-        for line in fh:
-            day, sc, party, cap = line.strip().split(",")
-            out["divisions"][(int(day), int(sc), party)] = float(cap)
-    with open(os.path.join(destination, "reductions.csv")) as fh:
-        header = fh.readline().strip()
-        if header != "day,scenario,party,baseline,actual,reduction_pct":
-            raise ValueError(f"unexpected reductions header: {header!r}")
-        for line in fh:
-            day, sc, party, b, a, p = line.strip().split(",")
-            out["reductions"][(int(day), int(sc), party)] = (
-                float(b), float(a), float(p))
+    for day, sc, party, cap in _report_rows(
+            destination, "divisions", "day,scenario,party,capacity_kwh", (int, int, str, float)):
+        out["divisions"][(day, sc, party)] = cap
+    for day, sc, party, *vals in _report_rows(
+            destination, "reductions", "day,scenario,party,baseline,actual,reduction_pct",
+            (int, int, str, float, float, float)):
+        out["reductions"][(day, sc, party)] = tuple(vals)
     profiles: dict = {}
-    with open(os.path.join(destination, "profiles.csv")) as fh:
-        header = fh.readline().strip()
-        if header != "day,series,t,net_load_kw":
-            raise ValueError(f"unexpected profiles header: {header!r}")
-        for line in fh:
-            day, series, t, v = line.strip().split(",")
-            profiles.setdefault((int(day), series), {})[int(t)] = float(v)
-    out["profiles"] = {
-        key: np.array([vals[t] for t in range(len(vals))])
-        for key, vals in profiles.items()
-    }
+    for day, series, t, v in _report_rows(
+            destination, "profiles", "day,series,t,net_load_kw", (int, str, int, float)):
+        profiles.setdefault((day, series), {})[t] = v
+    for (day, series), vals in profiles.items():
+        missing = set(range(len(vals))) - set(vals)
+        if missing:
+            raise DataError(f"{os.path.join(destination, 'profiles.csv')}: day {day} "
+                            f"series {series} has no slot {min(missing)}")
+        out["profiles"][(day, series)] = np.array([vals[t] for t in range(len(vals))])
     return out

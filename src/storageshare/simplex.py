@@ -11,16 +11,16 @@ is kept.
 
 A cold solve may start from a basis the caller knows to be feasible: m
 basic columns, in the caller's numbering, and a point that puts every
-nonbasic column on a bound. A party's CapacityFamily starts its cold
-solve at the party's no-battery vertex (lp.no_battery_start), and the
-division trees start their root LP from the party families' optima
-(solver._root_start). The engine keeps a start only when the columns are
-distinct, the basis inverts (B xb = b - A x_N holds to 1e-9 relative)
-and the basic values lie within their bounds, and then runs phase 2
-alone; otherwise it counts the rejection and starts as below, so a bad
-start costs pivots, never a wrong status or objective (a crash basis in
-the sense of Bixby, ORSA J. Comput. 4(3), 1992). Where the LP has
-several optima, which one is returned may depend on the start.
+nonbasic column on a bound. A party's CapacityPath starts its cold solve
+at the party's no-battery vertex (lp.no_battery_start), and the division
+trees start their root LP from the paths' optima (solver._root_start).
+The engine keeps a start only when the columns are distinct, the basis
+inverts (B xb = b - A x_N holds to 1e-9 relative) and the basic values
+lie within their bounds, and then runs phase 2 alone; otherwise it
+counts the rejection and starts as below, so a bad start costs pivots,
+never a wrong status or objective (a crash basis in the sense of Bixby,
+ORSA J. Comput. 4(3), 1992). Where the LP has several optima, which one
+is returned may depend on the start.
 
 Without a caller start, a cold solve starts every column at its bound
 nearest zero and then picks the start basis row by row (slack crash;
@@ -81,17 +81,18 @@ rebuilding it, and the rebuild period of a hundred pivots is counted
 across solves from the kept count. A cold solve redraws the signs of the
 artificial columns, so it drops every kept inverse.
 
-A CapacityFamily solves one party's dispatch LP at many capacities on one
-engine. The capacity is the LP's last column, fixed by its bounds, so a
-new capacity is a bound change: the first solve is cold and every later
-one re-solves with the dual simplex from the last optimal basis. That
-basis stays dual feasible, since no cost moves and the fixed column never
-enters, and its inverse is kept, so the warm start copies it instead of
-rebuilding (parametric right-hand-side analysis; Gal & Nedoma, Manag.
-Sci. 18(7), 1972). The cold solve takes the family's start, if it has
-one: a party family's is the no-battery vertex, feasible at every
-capacity, so that solve runs phase 2 alone; a rejected start costs the
-slack crash's phase 1 and counts in start_rejects.
+A CapacityPath is one party's dispatch LP at every capacity in [0, C]
+(parametric right-hand-side analysis; Gal & Nedoma, Manag. Sci. 18(7),
+1972). The capacity is the LP's last column, kappa, fixed by its bounds.
+The path solves cold once, at C, from the party's no-battery vertex
+(feasible at every capacity, so phase 2 runs alone), and walks down to 0:
+on each optimal basis the ratio test on kappa's column finds the next
+breakpoint, and one dual pivot passes it (no cost moves, so the basis
+stays dual feasible). A breakpoint within 1e-12 max(1, C) of 0 ends the
+walk, and the optimum at 0 is read off a fresh inverse. A lookup reads a
+piece's optimum off its line with no pivot, so no answer depends on the
+order of lookups; kappa's reduced cost is the piece's slope, and at a
+breakpoint a lookup takes the piece below, so at 0 it gives phi'(0+).
 
 face_minimum breaks ties among an LP's optima: every feasible x has
 c.x = f* + sum d_j (x_j - xbar_j) over the nonbasic columns, each term
@@ -103,6 +104,7 @@ objective from the optimal basis, which is still feasible.
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 
@@ -456,30 +458,39 @@ class Simplex:
                 r = int(np.argmax(viol))
                 if viol[r] <= _PRIMAL_TOL:
                     return "optimal"
-            below = viol_lo[r] > viol_hi[r]
-            delta_need = (lo_b[r] - self.xb[r]) if below else (hi_b[r] - self.xb[r])
-            alpha = self.cols.dot(self.binv[r])
-            st = self.status[: self.nt]
-            fixed = self.fixed
-            if below:  # x_Br must increase: -alpha_j * delta_j > 0
-                ok_lb = (st == AT_LB) & ~fixed & (alpha < -_PIVOT_TOL)
-                ok_ub = (st == AT_UB) & ~fixed & (alpha > _PIVOT_TOL)
-            else:
-                ok_lb = (st == AT_LB) & ~fixed & (alpha > _PIVOT_TOL)
-                ok_ub = (st == AT_UB) & ~fixed & (alpha < -_PIVOT_TOL)
-            ok_fr = (st == FREE) & (np.abs(alpha) > _PIVOT_TOL)
-            eligible = np.nonzero(ok_lb | ok_ub | ok_fr)[0]
-            if eligible.size == 0:
+            if not self._dual_pivot(r, viol_lo[r] > viol_hi[r], d):
                 return "infeasible"
-            ratios = np.abs(d[eligible] / alpha[eligible])
-            near = eligible[ratios <= ratios.min() + 1e-10]
-            j = int(near[0]) if self.bland else int(near[np.argmax(np.abs(alpha[near]))])
-            w = self._column(j)
-            step = delta_need / (-w[r])
-            self._enter(j, r, w, step, AT_LB if below else AT_UB)
-            d -= (d[j] / alpha[j]) * alpha
-            d[j] = 0.0
-            self._count_step(abs(step))
+
+    def _dual_pivot(self, r: int, below: bool, d: np.ndarray) -> bool:
+        """One dual simplex pivot: the basic column at position r leaves at
+        its lower bound if below, else at its upper one, and the column the
+        dual ratio test picks enters; d, the reduced costs, is updated in
+        place. Returns False when no column can enter (the LP is infeasible)."""
+        bound = self.lo[self.basis[r]] if below else self.hi[self.basis[r]]
+        delta_need = bound - self.xb[r]
+        alpha = self.cols.dot(self.binv[r])
+        st = self.status[: self.nt]
+        fixed = self.fixed
+        if below:  # x_Br must increase: -alpha_j * delta_j > 0
+            ok_lb = (st == AT_LB) & ~fixed & (alpha < -_PIVOT_TOL)
+            ok_ub = (st == AT_UB) & ~fixed & (alpha > _PIVOT_TOL)
+        else:
+            ok_lb = (st == AT_LB) & ~fixed & (alpha > _PIVOT_TOL)
+            ok_ub = (st == AT_UB) & ~fixed & (alpha < -_PIVOT_TOL)
+        ok_fr = (st == FREE) & (np.abs(alpha) > _PIVOT_TOL)
+        eligible = np.nonzero(ok_lb | ok_ub | ok_fr)[0]
+        if eligible.size == 0:
+            return False
+        ratios = np.abs(d[eligible] / alpha[eligible])
+        near = eligible[ratios <= ratios.min() + 1e-10]
+        j = int(near[0]) if self.bland else int(near[np.argmax(np.abs(alpha[near]))])
+        w = self._column(j)
+        step = delta_need / (-w[r])
+        self._enter(j, r, w, step, AT_LB if below else AT_UB)
+        d -= (d[j] / alpha[j]) * alpha
+        d[j] = 0.0
+        self._count_step(abs(step))
+        return True
 
     # ------------------------------------------------------------- public API
 
@@ -754,54 +765,73 @@ class Simplex:
         )
 
 
-class CapacityFamily:
-    """One LP at many capacities, each re-solved warm from the last optimum.
+class CapacityPath:
+    """One party's dispatch LP (lp.build_party_lp) at every capacity in
+    [0, C], C the instance's total, as the pieces of its path (module
+    notes). pieces lists, from the top down, each piece's upper end, its
+    optimum there, dx/ds and its basis (Simplex.snapshot); for C > 0 the
+    last is 0 alone. iterations counts the path's pivots; a rejected start
+    counts in engine.start_rejects."""
 
-    The capacity is lp's last column, fixed by its bounds; lp's value of it
-    only seeds the engine, and solve(capacity) sets it. start, if given, is
-    Simplex.solve's start for the cold solve (party_family passes the
-    party's no-battery vertex); a rejected start counts in
-    engine.start_rejects. A solve that does not end optimal leaves the
-    warm-start basis as it was. iterations sums the pivots of every solve.
-    """
+    def __init__(self, instance: Instance, party: int):
+        top = instance.storage.total_capacity
+        lp = build_party_lp(instance, party, top)
+        eng = self.engine = Simplex(lp)
+        sol = eng.solve(start=no_battery_start(lp))
+        k, s = eng.n - 1, top  # kappa, and the capacity the basis is optimal at
+        eng._light = True  # one pivot a piece: read x off the updated inverse
+        self.pieces = []
+        while True:
+            if sol.status != "optimal":
+                raise SimplexError(f"capacity path of party {party} ended {sol.status} at {s}")
+            w = eng._column(k)
+            dx = np.zeros(eng.n)
+            dx[k] = 1.0
+            dx[eng.basis[eng.basis < eng.n]] = -w[eng.basis < eng.n]
+            eng.lo[k] = 0.0  # kappa moves down to 0 at most
+            step, r = eng._ratio_test(k, -1.0, w)
+            last = r < 0 or s - step <= 1e-12 * max(1.0, top)  # a hair above 0 ends it
+            if step > 0 or last:  # a degenerate step opens no piece
+                self.pieces.append((s, sol, dx, eng.snapshot()))
+            if last:
+                break
+            s -= step
+            eng.xb += w * step
+            eng.lo[k] = eng.hi[k] = s
+            eng.binv = eng.binv.copy()  # the optimal solve kept it
+            d = eng._reduced_costs(np.concatenate([eng.c2, np.zeros(eng.m)]))
+            if not eng._dual_pivot(r, w[r] < 0, d):
+                raise SimplexError(f"capacity path of party {party} stalled at {s}")
+            sol = eng._phase2()
+        if s > 0.0:  # a last piece of no width: the optimum at 0, off a fresh inverse
+            eng.lo[k] = eng.hi[k] = 0.0
+            eng._refactor()
+            x = eng._read_x()
+            self.pieces.append((0.0, replace(sol, x=x, objective=float(lp.c @ x)), dx, eng.snapshot()))
+        self.iterations = eng.iterations
 
-    def __init__(self, lp: LinearProgram, start=None):
-        self.engine = Simplex(lp)
-        self._start = start
-        self.iterations = 0
-        self._snapshot = None  # final basis of the last optimal solve
+    def _piece(self, s: float):
+        """The piece holding capacity s; at a breakpoint, the one below."""
+        if not 0 <= s < np.inf:  # NaN fails too
+            raise ValueError(f"capacity must be finite and >= 0, got {s}")
+        return self.pieces[max(0, sum(piece[0] >= s for piece in self.pieces) - 1)]
 
-    def solve(self, capacity: float) -> LpSolution:
-        if not 0 <= capacity < np.inf:  # NaN fails too
-            raise ValueError(f"capacity must be finite and >= 0, got {capacity}")
+    def at(self, s: float) -> LpSolution:
+        """The optimum at capacity s, with no pivot: its piece's basis,
+        active rows, duals and reduced costs, and x and the objective on the
+        piece's line, whose slope is kappa's reduced cost."""
+        upper, sol, dx, _ = self._piece(s)
+        return replace(sol, x=sol.x + (s - upper) * dx,
+                       objective=sol.objective + (s - upper) * float(sol.reduced_costs[-1]))
+
+    def flow_face(self, s: float, price: np.ndarray):
+        """(at(s), x_face): the optimum at s and the point of its optimal face
+        that minimizes price . (ch - dis) (Simplex.face_minimum), re-solved
+        at s from its piece's basis."""
         eng = self.engine
         lo, hi = eng.base_lo.copy(), eng.base_hi.copy()
-        lo[eng.n - 1] = hi[eng.n - 1] = capacity
-        if self._snapshot is None:
-            sol = eng.solve(lo, hi, start=self._start)
-        else:
-            sol = eng.resolve(self._snapshot, lo, hi)
-        self.iterations += sol.iterations
-        if sol.status == "optimal":
-            self._snapshot = eng.snapshot()
-        return sol
-
-
-def party_family(instance: Instance, party: int) -> CapacityFamily:
-    """The warm family of party's dispatch LP (lp.build_party_lp), its
-    cold solve started at the party's no-battery vertex."""
-    plp = build_party_lp(instance, party, 0.0)
-    return CapacityFamily(plp, start=no_battery_start(plp))
-
-
-def flow_face(family: CapacityFamily, capacity: float, price: np.ndarray):
-    """(sol, x_face): the family's optimum at capacity and the point of its
-    optimal face that minimizes price . (ch - dis) (Simplex.face_minimum),
-    for a party family, whose first 2T columns are ch then dis. x_face is
-    None if sol is not optimal."""
-    sol = family.solve(capacity)
-    if sol.status != "optimal":
-        return sol, None
-    grad = np.zeros(family.engine.n)
-    grad[: 2 * len(price)] = np.concatenate([price, -price])
-    return sol, family.engine.face_minimum(grad)
+        lo[eng.n - 1] = hi[eng.n - 1] = s
+        eng.resolve(self._piece(s)[3], lo, hi)
+        grad = np.zeros(eng.n)
+        grad[: 2 * len(price)] = np.concatenate([price, -price])
+        return self.at(s), eng.face_minimum(grad)

@@ -6,7 +6,7 @@ linearized division model (mpec.MilpModel), and solve_lpcc branches
 directly on complementarity pairs without big-M constants. Both run one
 driver: a division heuristic, a best-first core with warm-started node
 LPs and a dual re-read of the final incumbent: each party's multipliers
-from the heuristic's warm family at the answer's share, kept when they are
+from its capacity path at the answer's share, kept when they are
 complementary to the answer's rows, which certifies by LP duality that
 every dispatch is optimal at its share. Node order and therefore node
 counts are deterministic for a fixed model.
@@ -24,19 +24,19 @@ divisions then close at the root. The rows live in the tree's copy of
 the LP only; the model, its big-M form and their MPS files do not carry
 them.
 
-No LP of a solve runs phase 1. Each party's family starts its first
-solve at the party's no-battery vertex (simplex.party_family). Before the
-root LP is solved, each family already holds the party's optimal basis at
-its lowest share, and together those bases give a point of the root LP
-(every dispatch optimal with its multipliers, the peak at the highest
-load) and a feasible basis at it: each party's primal basis, the
-complementary dual basis on its stationarity rows, peak on its tightest
-row and a surplus on every other row (_root_start). The engine checks
-each start and runs phase 2 from it; a rejected start falls back to the
-slack crash. Each fallback a solve takes is named in SolveResult.fallbacks,
-SolveResult.family_iterations counts the families' pivots, and the clock
-and time limit run from the start of the whole solve, heuristic and chords
-included.
+No LP of a solve runs phase 1. The heuristic first builds each party's
+capacity path (simplex.CapacityPath), from the party's no-battery vertex,
+and the chords, the heuristic, the root start and the re-read all look a
+share up on it. The paths' optimal bases at the shares' lowest bounds
+give a point of the root LP (every dispatch optimal with its
+multipliers, the peak at the highest load) and a feasible basis at it:
+each party's primal basis, the complementary dual basis on its
+stationarity rows, peak on its tightest row and a surplus on every other
+row (_root_start). The engine checks each start and runs phase 2 from
+it; a rejected start falls back to the slack crash. Each fallback a solve takes is named in SolveResult.fallbacks,
+SolveResult.family_iterations and .path_pieces count the paths' pivots and
+pieces, and the clock and time limit run from the start of the whole solve,
+heuristic and chords included.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .instance import Division, Instance, ScheduleSet
 from .lp import LinearProgram, Rows, evaluate
 from .mpec import MilpModel, MpecModel
 from .oracle import check_schedule_invariants
-from .simplex import Simplex, party_family
+from .simplex import CapacityPath, Simplex
 
 _EXIT_CODES = {"optimal": 0, "infeasible": 2, "unbounded": 3, "limit": 4}
 MODES = ("bigm", "lpcc")  # solve_milp on the big-M model, or solve_lpcc
@@ -91,11 +91,12 @@ class SolveResult:
     bound_history: tuple = ()
     incumbent_history: tuple = ()
     root_iterations: int = 0
-    family_iterations: int = 0  # pivots of every party family solve: chords, heuristic, re-read
-    # the fallbacks the solve took: "family_start" (a party family's first
+    family_iterations: int = 0  # pivots of the parties' capacity paths (simplex.CapacityPath)
+    path_pieces: int = 0  # pieces of those paths, summed over the parties
+    # the fallbacks the solve took: "family_start" (a capacity path's cold
     # solve ran from the slack crash), "root_start" (the root LP did) and
     # "reread" (the answer keeps the tree's multipliers, without the
-    # family certificate)
+    # paths' certificate)
     fallbacks: tuple = ()
 
     @property
@@ -277,11 +278,9 @@ class _DivisionHeuristic:
     are free, so reduced costs vanish at the optimum). Stitching those
     together with the implied system peak gives an incumbent; the division
     is read off a node relaxation, and repeats are skipped via a cache.
-    Each party has one warm family (simplex.CapacityFamily) for the whole
-    tree solve, started at the party's no-battery vertex
-    (simplex.party_family), so its first solve runs no phase 1 and a new
-    share is a dual-simplex bound change. The same families give the
-    tree's answer its multipliers (read_families).
+    Each party's dispatch at any share is a lookup on its capacity path
+    (simplex.CapacityPath), built once for the whole tree solve; the same
+    paths give the tree's answer its multipliers (read_paths).
     """
 
     def __init__(self, mpec: MpecModel, feas_lp: LinearProgram, u_cols=None):
@@ -291,10 +290,10 @@ class _DivisionHeuristic:
         self.pair_slacks = _pair_slacks(mpec.lp, mpec.pairs)
         self.seen: set = set()
         inst = mpec.instance
-        self.families = [party_family(inst, p) for p in range(inst.customer_count + 1)]
+        self.paths = [CapacityPath(inst, p) for p in range(inst.customer_count + 1)]
 
-    def read_families(self, x: np.ndarray, dispatch: bool) -> np.ndarray | None:
-        """Write into x each party's multipliers from its family at the
+    def read_paths(self, x: np.ndarray, dispatch: bool) -> np.ndarray | None:
+        """Write into x each party's multipliers from its path at the
         party's share in x (at 0 if a hair below), with dispatch also its
         dispatch and the implied system peak. Returns x, binaries re-settled,
         if the multipliers are complementary to x's rows and x passes
@@ -304,9 +303,7 @@ class _DivisionHeuristic:
         t = mp.instance.grid.slot_count
         net = mp.instance.loads.system_load.astype(float)
         for p, lay in enumerate(mp.parties()):
-            sol = self.families[p].solve(max(0.0, float(x[lay.cap_col])))
-            if sol.status != "optimal":
-                return None
+            sol = self.paths[p].at(max(0.0, float(x[lay.cap_col])))
             x[lay.w0: lay.w0 + lay.nw] = sol.dual_g
             x[lay.v0: lay.v0 + lay.nv] = sol.dual_h
             if dispatch:
@@ -337,7 +334,7 @@ class _DivisionHeuristic:
         self.seen.add(key)
         x = np.zeros(self.feas_lp.n_vars)
         x[cap_cols] = shares
-        if self.read_families(x, dispatch=True) is None:
+        if self.read_paths(x, dispatch=True) is None:
             return None
         return x, float(self.feas_lp.c @ x) + self.feas_lp.objective_constant
 
@@ -400,20 +397,13 @@ def _with_chords(mpec: MpecModel, lp: LinearProgram, heur: _DivisionHeuristic):
     with [lo, hi] the bounds of s_p in lp and slope_p the slope of phi_p
     from lo to hi. phi_p is convex, so it lies on or below this chord on
     [lo, hi], and every point whose dispatches are optimal satisfies the
-    row. phi_p(lo) and phi_p(hi) come from the heuristic's families, solved
-    at hi first so each family ends at lo. Returns the LP and, per party,
-    the family solutions (at lo, at hi)."""
-    idx, val, off, ends = [], [], [], []
-    for p, lay in enumerate(mpec.parties()):
+    row. phi_p(lo) and phi_p(hi) are lookups on the heuristic's paths."""
+    idx, val, off = [], [], []
+    for path, lay in zip(heur.paths, mpec.parties()):
         lo, hi = float(lp.lb[lay.cap_col]), float(lp.ub[lay.cap_col])
-        at_hi = heur.families[p].solve(hi)
-        at_lo = at_hi if hi == lo else heur.families[p].solve(lo)
-        ends.append((at_lo, at_hi))
-        if at_lo.status != "optimal" or at_hi.status != "optimal":
-            continue  # no chord for this party: the relaxation stays valid, only weaker
-        phi_lo, phi_hi = at_lo.objective, at_hi.objective
+        phi_lo, phi_hi = path.at(lo).objective, path.at(hi).objective
         slope = (phi_hi - phi_lo) / (hi - lo) if hi > lo else 0.0
-        cost = heur.families[p].engine.lp.c[: lay.nx]  # the dispatch's; kappa costs nothing
+        cost = path.engine.lp.c[: lay.nx]  # the dispatch's; kappa costs nothing
         nz = np.flatnonzero(cost)
         cols, coefs = lay.x0 + nz, -cost[nz]
         if slope != 0.0:
@@ -425,23 +415,22 @@ def _with_chords(mpec: MpecModel, lp: LinearProgram, heur: _DivisionHeuristic):
         lp,
         g=Rows.stack([lp.g, Rows.from_lists(idx, val)]),
         b_g=np.append(lp.b_g, off),
-    ), ends
+    )
 
 
-def _root_start(mpec: MpecModel, lp: LinearProgram, ends, u_cols=None):
+def _root_start(mpec: MpecModel, lp: LinearProgram, paths, u_cols=None):
     """Start (basic columns, point) of lp's root solve: the point where each
-    party dispatches optimally at a share bound with its family's
-    multipliers, and a feasible basis at it. None if a family did not end
-    optimal or an equality row outside the party blocks cannot be met.
+    party dispatches optimally at a share bound with its path's
+    multipliers, and a feasible basis at it. None if an equality row
+    outside the party blocks cannot be met.
 
     Each share sits at its lower bound, nonbasic. An equality row beyond the
     parties' stationarity and balance rows (a pin on the shares, such as
     sum s_c = C) is met by its first column, which turns basic and must be
     a share that then sits at its upper bound. A party's block takes its
-    family's basis at its share (ends[p], as _with_chords returns it): the
-    same dispatch columns and surpluses of its primal rows, and on its
+    path's basis at its share (paths[p].at): the same dispatch columns and surpluses of its primal rows, and on its
     stationarity rows the multipliers of its active rows and its balance
-    multipliers, which the family's primal basis determines (the
+    multipliers, which the party's primal basis determines (the
     complementary dual basis). peak is basic on its tightest row; every
     other row outside the party blocks (capacity split, peak, big-M pair
     and chord rows) keeps its surplus basic, and the binaries u_cols sit at
@@ -459,10 +448,8 @@ def _root_start(mpec: MpecModel, lp: LinearProgram, ends, u_cols=None):
         if col not in shares or x[col] != lp.ub[col]:
             return None
         basic.append(cols[:1])
-    for lay, (at_lo, at_hi) in zip(parties, ends):
-        sol = at_lo if x[lay.cap_col] == lp.lb[lay.cap_col] else at_hi
-        if sol.status != "optimal":
-            return None
+    for lay, path in zip(parties, paths):
+        sol = path.at(x[lay.cap_col])
         x[lay.x0: lay.x0 + lay.nx] = sol.x[: lay.nx]
         x[lay.w0: lay.w0 + lay.nw] = sol.dual_g
         x[lay.v0: lay.v0 + lay.nv] = sol.dual_h
@@ -488,26 +475,27 @@ def _root_start(mpec: MpecModel, lp: LinearProgram, ends, u_cols=None):
 def _solve_tree(mpec: MpecModel, model, lp: LinearProgram, classify_for,
                 options: SolveOptions | None, u_cols=None) -> SolveResult:
     """Division heuristic, best-first tree over lp and its chord rows from
-    the families' root start, then the dual re-read of the incumbent.
+    the paths' root start, then the dual re-read of the incumbent.
     classify_for(tree_lp) gives the node classifier; u_cols are lp's binary
     columns, if it has any. The clock and the time limit cover it all."""
     t0 = time.perf_counter()
     heur = _DivisionHeuristic(mpec, lp, u_cols=u_cols)
-    tree_lp, ends = _with_chords(mpec, lp, heur)
-    start = _root_start(mpec, tree_lp, ends, u_cols)
+    tree_lp = _with_chords(mpec, lp, heur)
+    start = _root_start(mpec, tree_lp, heur.paths, u_cols)
     result = _branch_and_bound(tree_lp, options or SolveOptions(), classify_for(tree_lp),
                                model, heur, start=start, t0=t0)
     fallbacks = ("root_start",) if start is None else result.fallbacks
     if result.x is not None:
-        reread = heur.read_families(result.x.copy(), dispatch=False)
+        reread = heur.read_paths(result.x.copy(), dispatch=False)
         if reread is None:
             fallbacks += ("reread",)
         else:
             result = replace(result, x=reread)
-    if any(f.engine.start_rejects for f in heur.families):
+    if any(path.engine.start_rejects for path in heur.paths):
         fallbacks = ("family_start",) + fallbacks
     return replace(result, fallbacks=fallbacks,
-                   family_iterations=sum(f.iterations for f in heur.families),
+                   family_iterations=sum(path.iterations for path in heur.paths),
+                   path_pieces=sum(len(path.pieces) for path in heur.paths),
                    wall_time=time.perf_counter() - t0)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from storageshare.instance import make_instance
 from storageshare.lp import build_party_lp
-from storageshare.simplex import CapacityFamily
+from storageshare.simplex import Simplex
 from storageshare.solver import _COMP_TOL, _pair_slacks
 from tests.lp_oracle import check_kkt_residuals, derive_kkt
 
@@ -93,12 +93,12 @@ def day_long(n):
 
 def lower_level_excess(mpec, x):
     """(tag, c_p.x_p - phi_p(s_p), phi_p(s_p)) for every party of the
-    division point x, with phi_p from one CapacityFamily solve at the
-    party's share s_p."""
+    division point x, with phi_p from a cold solve of the party's LP
+    built at its share s_p."""
     out = []
     for p, lay in enumerate(mpec.parties()):
-        lp = build_party_lp(mpec.instance, p, 0.0)
-        phi = CapacityFamily(lp).solve(max(0.0, float(x[lay.cap_col])))
+        lp = build_party_lp(mpec.instance, p, max(0.0, float(x[lay.cap_col])))
+        phi = Simplex(lp).solve()
         assert phi.status == "optimal", lay.tag
         cost = float(lp.c[: lay.nx] @ x[lay.x0: lay.x0 + lay.nx]) + lp.objective_constant
         out.append((lay.tag, cost - phi.objective, phi.objective))

@@ -1,10 +1,10 @@
 """Test-side reference tools: brute-force vertex enumeration, a random
 feasible-LP generator, a one-row slack, the optimality (KKT) system of
-an LP with its residual checker, each party's own dispatch objective
-read off its schedules, and an MPS reader that walks the file one line
-at a time. Deliberately independent of the package's solver and reader
-code paths (only the LinearProgram, instance and MpsSummary containers
-are shared)."""
+an LP with its residual checker, a dense LP constructor (make_lp), each
+party's own dispatch objective read off its schedules, and an MPS reader
+that walks the file one line at a time. Deliberately independent of the
+package's solver and reader code paths (only the LinearProgram, instance
+and MpsSummary containers are shared)."""
 
 import itertools
 from dataclasses import dataclass
@@ -12,8 +12,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from storageshare.instance import Instance, ScheduleSet
-from storageshare.lp import LinearProgram, Rows, evaluate, make_lp
+from storageshare.lp import LinearProgram, Rows, evaluate
 from storageshare.mps_io import MpsSummary
+
+
+def make_lp(
+    c,
+    a_ub=None,
+    b_ub=None,
+    a_eq=None,
+    b_eq=None,
+    lb=None,
+    ub=None,
+    name="lp",
+    objective_constant=0.0,
+) -> LinearProgram:
+    """A LinearProgram from dense data, a_ub x >= b_ub rows, for tests and
+    toy models; zero coefficients are dropped so the sparse invariant (no
+    explicit zeros) holds.
+    """
+    c = np.asarray(c, float)
+    n = len(c)
+    lb = np.full(n, -np.inf) if lb is None else np.asarray(lb, float)
+    ub = np.full(n, np.inf) if ub is None else np.asarray(ub, float)
+
+    def rows(a, b):
+        if a is None or not len(np.atleast_2d(a)):
+            return Rows.from_lists((), ()), np.zeros(0)
+        return Rows.from_dense(np.atleast_2d(a)), np.asarray(b, float)
+
+    g, b_g = rows(a_ub, b_ub)
+    h, b_h = rows(a_eq, b_eq)
+    return LinearProgram(name=name, c=c, lb=lb, ub=ub, g=g, b_g=b_g, h=h, b_h=b_h,
+                         objective_constant=objective_constant)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from storageshare.instance import make_instance, upper_objective
-from storageshare.lp import build_llm_c, build_llm_d, make_lp
+from storageshare.lp import build_llm_c, build_llm_d
 from storageshare.mpec import assemble_mpec, linearize_big_m, validate_big_m
 from storageshare.mps_io import export_mps, read_mps
 from storageshare.oracle import grid_oracle
@@ -38,6 +38,7 @@ from tests.lp_oracle import (
     check_kkt_residuals,
     derive_kkt,
     dual_objective,
+    make_lp,
     random_feasible_lp,
 )
 from tests.test_kkt import random_llm, scipy_kkt_point

@@ -92,6 +92,32 @@ def test_scenario_emits_report_files(workdir, capsys):
     assert "scenario 2" in rendered
 
 
+def _drop_line_3(path):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:2] + lines[3:]))
+
+
+def _append(row):
+    return lambda path: path.write_text(path.read_text() + row + "\n")
+
+
+@pytest.mark.parametrize("name,spoil,message", [
+    ("profiles.csv", _drop_line_3, "profiles.csv: day 0 series original has no slot 1"),
+    ("divisions.csv", _append("0,1,c0"), "divisions.csv:11: expected 4 fields, got 3"),
+    ("reductions.csv", _append("0,1,c0,abc"), "reductions.csv:14: expected 6 fields, got 4"),
+    ("divisions.csv", _append("0,1,c0,abc"),
+     "divisions.csv:11: expected int,int,str,float, got 0,1,c0,abc"),
+], ids=["missing slot", "short division", "short reduction", "non-number"])
+def test_report_exits_2_on_a_malformed_file(workdir, capsys, name, spoil, message):
+    # these once ended in a KeyError or unpacking traceback, exit 1
+    report_dir = workdir["dir"] / "rep"
+    assert main(["scenario", *args_for(workdir), "--out", str(report_dir)]) == 0
+    spoil(report_dir / name)
+    capsys.readouterr()
+    assert main(["report", "--dir", str(report_dir)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cycle_runs_each_day(workdir, capsys):
     out_dir = workdir["dir"] / "cyc"
     day = [str(workdir["loads"]), str(workdir["prices"])]

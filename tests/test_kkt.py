@@ -13,7 +13,7 @@ from scipy.optimize import linprog
 
 from storageshare.instance import make_instance
 from storageshare.lp import build_llm_c, build_llm_d, build_party_lp
-from storageshare.simplex import CapacityFamily, Simplex
+from storageshare.simplex import CapacityPath, Simplex
 
 from tests.conftest import DIVISION_FIXTURES, rand_instance
 from tests.lp_oracle import check_kkt_residuals, derive_kkt
@@ -76,22 +76,21 @@ def test_engine_optimum_satisfies_kkt(rng):
 
 @pytest.mark.parametrize("name", [name for name, _ in DIVISION_FIXTURES])
 def test_capacity_family_duals_satisfy_kkt(name):
-    """Every party's family swept over five capacities, up then down, each
-    solve warm from the last: the multipliers the division heuristic
-    stitches into its points certify each party optimum. The sign rows
-    (dis_nonneg, ch_nonneg) are column bounds inside the engine, so their
-    multipliers come back through the reduced costs."""
+    """Every party's capacity path looked up at five capacities, up then
+    down: the multipliers the division heuristic stitches into its points
+    certify each party optimum. The sign rows (dis_nonneg, ch_nonneg) are
+    column bounds inside the engine, so their multipliers come back
+    through the reduced costs."""
     inst = dict(DIVISION_FIXTURES)[name]()
     caps = np.linspace(0.0, inst.storage.total_capacity, 5)
     for p in range(inst.customer_count + 1):
-        family = CapacityFamily(build_party_lp(inst, p, 0.0))
+        path = CapacityPath(inst, p)
         for cap in np.concatenate([caps, caps[::-1]]):
-            sol = family.solve(float(cap))
+            sol = path.at(float(cap))
             assert sol.status == "optimal"
             kkt = derive_kkt(build_party_lp(inst, p, float(cap)))
             report, ok = check_kkt_residuals(kkt, sol.x, sol.dual_g, sol.dual_h, tol=1e-6)
             assert ok, (p, cap, report)
-        assert family.engine.cold_restarts == 0
 
 
 def test_independent_kkt_point_attains_engine_optimum(rng):

@@ -8,12 +8,11 @@ from storageshare.lp import (
     build_llm_d,
     build_party_lp,
     evaluate,
-    make_lp,
     no_battery_start,
 )
 from storageshare.simplex import Simplex
 from tests.conftest import rand_instance
-from tests.lp_oracle import customer_llm_objective
+from tests.lp_oracle import customer_llm_objective, make_lp
 
 
 def scipy_solve(lp):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from storageshare.lp import build_llm_c, build_llm_d, make_lp
+from storageshare.lp import build_llm_c, build_llm_d
 from storageshare.mpec import (
     BigMPolicy,
     assemble_mpec,
@@ -10,7 +10,7 @@ from storageshare.mpec import (
 )
 from storageshare.solver import _pair_slacks, solve_lpcc
 from tests.conftest import DIVISION_FIXTURES, rand_instance
-from tests.lp_oracle import derive_kkt, row_value
+from tests.lp_oracle import derive_kkt, make_lp, row_value
 
 
 def test_derive_kkt_one_variable():

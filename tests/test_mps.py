@@ -7,12 +7,11 @@ import pytest
 
 from storageshare import mps_io
 from storageshare.instance import make_instance
-from storageshare.lp import make_lp
 from storageshare.mpec import MilpModel, assemble_mpec, linearize_big_m
 from storageshare.mps_io import MpsSummary, export_mps, read_mps
 from storageshare.synthetic import synth_series
 from tests.conftest import division_fixture, rand_instance
-from tests.lp_oracle import read_mps_lines
+from tests.lp_oracle import make_lp, read_mps_lines
 
 
 def random_lp(rng, n=None, mg=None, mh=None):

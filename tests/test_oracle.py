@@ -14,11 +14,12 @@ from storageshare.instance import (
     upper_objective,
     zero_schedules,
 )
-from storageshare.lp import build_llm_c, build_llm_d, build_party_lp, make_lp
+from storageshare.lp import build_llm_c, build_llm_d, build_party_lp
 from storageshare import simplex
 from storageshare.oracle import check_schedule_invariants, grid_oracle
 from storageshare.simplex import Simplex
 from tests.conftest import corrupted_starts, division_fixture, rand_instance
+from tests.lp_oracle import make_lp
 
 
 def schedules_from_division(instance, division):

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from storageshare.lp import Rows, evaluate, make_lp
+from storageshare.lp import Rows, evaluate
 from storageshare.mpec import assemble_mpec
 from storageshare.solver import _pair_slacks
 from tests.conftest import rand_instance
-from tests.lp_oracle import check_kkt_residuals, derive_kkt, row_value
+from tests.lp_oracle import check_kkt_residuals, derive_kkt, make_lp, row_value
 
 SHAPES = [(0, 5), (4, 0), (0, 0), (1, 1), (7, 5), (12, 9), (30, 20)]
 

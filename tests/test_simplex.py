@@ -7,7 +7,6 @@ from storageshare.lp import (
     build_llm_d,
     build_party_lp,
     evaluate,
-    make_lp,
     no_battery_start,
 )
 from storageshare.mpec import assemble_mpec
@@ -16,7 +15,7 @@ from storageshare.simplex import (
     AT_UB,
     BASIC,
     FREE,
-    CapacityFamily,
+    CapacityPath,
     Simplex,
     SimplexError,
     _DUAL_TOL,
@@ -39,6 +38,7 @@ from tests.lp_oracle import (
     check_kkt_residuals,
     derive_kkt,
     dual_objective,
+    make_lp,
     random_feasible_lp,
 )
 from tests.test_lp_build import scipy_solve
@@ -625,7 +625,7 @@ def test_kept_inverses_survive_a_tree_of_resolves(rng):
 
 
 def test_warm_resolves_start_from_a_kept_or_a_rebuilt_inverse(monkeypatch):
-    engines, families, calls = [], [], {}
+    engines, calls = [], {}
     resolve = Simplex.resolve
 
     class Engine(Simplex):
@@ -633,17 +633,11 @@ def test_warm_resolves_start_from_a_kept_or_a_rebuilt_inverse(monkeypatch):
             super().__init__(lp)
             engines.append(self)
 
-    class Family(CapacityFamily):
-        def __init__(self, lp, start=None):
-            super().__init__(lp, start)
-            families.append(self)
-
     def counted(self, snapshot, lo, hi):
         calls[id(self)] = calls.get(id(self), 0) + 1
         return resolve(self, snapshot, lo, hi)
 
     monkeypatch.setattr(solver, "Simplex", Engine)
-    monkeypatch.setattr(simplex, "CapacityFamily", Family)  # party_family builds them
     monkeypatch.setattr(Simplex, "resolve", counted)
     mpec = assemble_mpec(interior_fixture())
     res = solver.solve_lpcc(mpec)
@@ -651,13 +645,10 @@ def test_warm_resolves_start_from_a_kept_or_a_rebuilt_inverse(monkeypatch):
     assert_lower_level_optimal(mpec, res)
     tree_calls = sum(calls.get(id(e), 0) for e in engines)
     assert tree_calls == res.node_count - 1
-    # the tree engines and the heuristic's capacity families alike
-    for group in (engines, [f.engine for f in families]):
-        hits = sum(e.warm_hits for e in group)
-        rebuilds = sum(e.warm_rebuilds for e in group)
-        assert sum(calls.get(id(e), 0) for e in group) == hits + rebuilds
-        assert hits > 0
-    assert sum(f.engine.cold_restarts for f in families) == 0
+    assert tree_calls == sum(e.warm_hits + e.warm_rebuilds for e in engines)
+    assert sum(e.warm_hits for e in engines) > 0
+    # the heuristic reads the parties' capacity paths, which re-solve nothing
+    assert sum(calls.values()) == tree_calls
 
 
 def test_resolve_counts_its_cold_fallbacks():
@@ -675,19 +666,21 @@ def test_resolve_counts_its_cold_fallbacks():
 
 @pytest.mark.parametrize("t", [4, 6, 24])
 def test_capacity_family_matches_cold_builds(rng, t):
-    """Every share on one warm engine matches a cold solve of the LP built
-    at that share, and its multipliers certify that LP's optimum."""
+    """A lookup on a party's capacity path at any share matches a cold
+    solve of the LP built at that share, its multipliers certify that LP's
+    optimum, and no lookup pivots."""
     for _ in range(2):
         inst = rand_instance(rng, t=t)
         total = inst.storage.total_capacity
         caps = [0.0, total, 0.5 * total, 0.25 * total, 0.25 * total,
                 0.75 * total, 0.75 * total + 1e-9, 0.0, total]
         for p in range(inst.customer_count + 1):
-            family = CapacityFamily(build_party_lp(inst, p, 0.0))
+            path = CapacityPath(inst, p)
+            pivots = path.engine.iterations
             for cap in caps:
                 lp = build_party_lp(inst, p, cap)
                 ref = Simplex(lp).solve()
-                sol = family.solve(cap)
+                sol = path.at(cap)
                 assert sol.status == ref.status == "optimal"
                 assert abs(sol.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
                 assert sol.x.shape == sol.reduced_costs.shape == (lp.n_vars,)
@@ -695,10 +688,7 @@ def test_capacity_family_matches_cold_builds(rng, t):
                 report, ok = check_kkt_residuals(derive_kkt(lp), sol.x, sol.dual_g,
                                                  sol.dual_h, tol=1e-7)
                 assert ok, report
-            eng = family.engine
-            # every share after the first starts from the kept final inverse
-            assert eng.warm_hits == len(caps) - 1
-            assert eng.warm_rebuilds == eng.cold_restarts == 0
+            assert path.engine.iterations == pivots == path.iterations
 
 
 def test_capacity_reduced_cost_is_a_subgradient():
@@ -706,14 +696,10 @@ def test_capacity_reduced_cost_is_a_subgradient():
     optimal cost phi (LpSolution.reduced_costs): phi(s') >= phi(s) +
     d(s) (s' - s) at every share s' of a 41-share grid, for d read at 9 of
     them, share 0 included."""
-    days = [build() for _, build in DIVISION_FIXTURES]
-    days += [stress_fixture(), day_long(1), day_long(2)]
-    for inst in days:
+    for _, inst, paths in _path_days():
         grid = np.linspace(0.0, inst.storage.total_capacity, 41)
-        for p in range(inst.customer_count + 1):
-            family = simplex.party_family(inst, p)
-            sols = [family.solve(float(s)) for s in grid]
-            assert all(sol.status == "optimal" for sol in sols)
+        for p, path in enumerate(paths):
+            sols = [path.at(float(s)) for s in grid]
             phi = np.array([sol.objective for sol in sols])
             for sol, s in zip(sols[::5], grid[::5]):
                 line = sol.objective + sol.reduced_costs[-1] * (grid - s)
@@ -721,38 +707,48 @@ def test_capacity_reduced_cost_is_a_subgradient():
 
 
 def test_capacity_family_rejects_negative_capacity(tiny_instance):
-    # NaN passes a plain capacity < 0 check: a family solved at NaN once
+    # NaN passes a plain capacity < 0 check: a party LP solved at NaN once
     # ended unbounded with RuntimeWarnings
-    family = CapacityFamily(build_llm_d(tiny_instance, 0.0))
-    lp = build_llm_c(tiny_instance, 0, 0.0)
-    started = CapacityFamily(lp, start=no_battery_start(lp))
-    for cap in (-1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="capacity"):
-            family.solve(cap)
-        with pytest.raises(ValueError, match="capacity"):
-            started.solve(cap)
-    assert started.engine.status is None and started.iterations == 0  # no solve ran
+    for p in range(tiny_instance.customer_count + 1):
+        path = CapacityPath(tiny_instance, p)
+        for cap in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="capacity"):
+                path.at(cap)
+            with pytest.raises(ValueError, match="capacity"):
+                path.flow_face(cap, np.ones(4))
+        assert path.engine.iterations == path.iterations  # no solve ran
+
+
+def _at_capacity(eng, snap, cap):
+    """eng's LP solved with its last column, kappa, fixed at cap: cold if
+    snap is None, else warm from snap."""
+    lo, hi = eng.base_lo.copy(), eng.base_hi.copy()
+    lo[eng.n - 1] = hi[eng.n - 1] = cap
+    return eng.solve(lo, hi) if snap is None else eng.resolve(snap, lo, hi)
 
 
 def test_face_minimum_writes_no_kept_inverse(rng):
-    """solve(cap1), face_minimum, solve(cap2) on one family: the last solve
-    equals a cold one at cap2 and every kept inverse still inverts its
-    basis. The optimal solve keeps its inverse by reference, so face pivots
-    made on it in place would corrupt the next warm start."""
+    """solve at cap1, face_minimum, re-solve warm at cap2 on one engine,
+    as CapacityPath.flow_face does: the last solve equals a cold one at
+    cap2 and every kept inverse still inverts its basis. The optimal solve
+    keeps its inverse by reference, so face pivots made on it in place
+    would corrupt the next warm start."""
     pivots = 0
     for _ in range(3):
         # lossless batteries leave the dispatch optima degenerate
         inst = rand_instance(rng, t=6, eta_ch=1.0, eta_dis=1.0)
         total = inst.storage.total_capacity
         for p in range(inst.customer_count + 1):
-            family = CapacityFamily(build_party_lp(inst, p, 0.0))
-            eng = family.engine
+            eng = Simplex(build_party_lp(inst, p, 0.0))
+            snap = None
             for cap1, cap2 in ((0.5 * total, 0.25 * total), (total, 0.75 * total)):
-                assert family.solve(cap1).status == "optimal"
+                assert _at_capacity(eng, snap, cap1).status == "optimal"
+                snap = eng.snapshot()
                 before = eng.iterations
                 eng.face_minimum(rng.normal(size=eng.n))
                 pivots += eng.iterations - before
-                sol = family.solve(cap2)
+                sol = _at_capacity(eng, snap, cap2)
+                snap = eng.snapshot()
                 ref = Simplex(build_party_lp(inst, p, cap2)).solve()
                 assert sol.status == ref.status == "optimal"
                 assert abs(sol.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
@@ -944,44 +940,142 @@ def _start_days(rng):
 
 
 def test_family_start_agrees_with_the_slack_crash(rng, monkeypatch):
-    """Every party family started at its no-battery vertex answers like
-    one started from the slack crash, over the same shares, and its first
-    solve runs no phase 1."""
+    """A party LP's cold solve started at its no-battery vertex answers like
+    one from the slack crash at every capacity and runs no phase 1, and so
+    does the cold solve each capacity path starts from."""
     starts = _record_starts(monkeypatch)
     for name, inst in _start_days(rng):
         total = inst.storage.total_capacity
         for p in range(inst.customer_count + 1):
-            lp = build_party_lp(inst, p, 0.0)
-            crashed = CapacityFamily(lp)
-            started = CapacityFamily(lp, start=no_battery_start(lp))
-            for k, cap in enumerate((total, 0.0, 0.5 * total, 0.25 * total, total)):
-                ref = crashed.solve(cap)
+            for cap in (total, 0.0, 0.5 * total, 0.25 * total):
+                lp = build_party_lp(inst, p, cap)
+                ref = Simplex(lp).solve()
                 starts.clear()
-                sol = started.solve(cap)
+                eng = Simplex(lp)
+                sol = eng.solve(start=no_battery_start(lp))
                 case = (name, p, cap)
-                if k == 0:
-                    assert starts == [], case  # no phase-1 loop
-                    assert started.engine.start_rejects == 0, case
+                assert starts == [] and eng.start_rejects == 0, case  # no phase-1 loop
                 assert sol.status == ref.status == "optimal", case
                 assert abs(sol.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective)), case
-                report, ok = check_kkt_residuals(derive_kkt(build_party_lp(inst, p, cap)),
-                                                 sol.x, sol.dual_g, sol.dual_h, tol=1e-7)
+                report, ok = check_kkt_residuals(derive_kkt(lp), sol.x, sol.dual_g,
+                                                 sol.dual_h, tol=1e-7)
                 assert ok, (case, report)
+            starts.clear()
+            assert CapacityPath(inst, p).engine.start_rejects == 0 and starts == [], (name, p)
 
 
-def test_family_counts_a_rejected_start_and_solves_from_the_crash():
+def test_family_counts_a_rejected_start_and_solves_from_the_crash(monkeypatch):
+    """A capacity path whose start the engine rejects counts it once, solves
+    from the slack crash, and walks to the same values."""
     inst = division_fixture_n2(219)
     total = inst.storage.total_capacity
+    grid = np.linspace(0.0, total, 9)
+    price = np.ones(inst.grid.slot_count)
     for p in range(inst.customer_count + 1):
-        lp = build_party_lp(inst, p, 0.0)
-        ref = CapacityFamily(lp).solve(total)
-        assert ref.status == "optimal"
+        ref = CapacityPath(inst, p)
+        crash = Simplex(build_party_lp(inst, p, total)).solve()
         for why, spoil in corrupted_starts(no_battery_start).items():
-            family = CapacityFamily(lp, start=spoil(lp))
-            sol = family.solve(total)
-            assert family.engine.start_rejects == 1, (p, why)
-            assert sol.status == "optimal", (p, why)
-            assert abs(sol.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
-            np.testing.assert_array_equal(sol.x, ref.x)
-            family.solve(0.5 * total)  # a warm resolve takes no start
-            assert family.engine.start_rejects == 1, (p, why)
+            with monkeypatch.context() as m:
+                m.setattr(simplex, "no_battery_start", spoil)
+                path = CapacityPath(inst, p)
+            assert path.engine.start_rejects == 1, (p, why)
+            np.testing.assert_array_equal(path.at(total).x, crash.x)
+            for s in grid:
+                want = ref.at(float(s)).objective
+                assert abs(path.at(float(s)).objective - want) <= 1e-9 * max(1.0, abs(want))
+            path.flow_face(0.5 * total, price)  # a warm resolve takes no start
+            assert path.engine.start_rejects == 1, (p, why)
+
+
+# ------------------------------------------------------------- capacity paths
+
+
+def _path_days():
+    """(name, instance, its parties' capacity paths) for the division
+    fixtures, stress and both long days."""
+    days = list(DIVISION_FIXTURES) + [("stress", stress_fixture),
+                                      ("day_long1", lambda: day_long(1)),
+                                      ("day_long2", lambda: day_long(2))]
+    out = []
+    for name, build in days:
+        inst = build()
+        out.append((name, inst, [CapacityPath(inst, p) for p in range(inst.customer_count + 1)]))
+    return out
+
+
+def test_path_lookups_are_feasible_with_no_duality_gap():
+    """At 4,001 shares, every lookup's x is feasible at 1e-9 for the LP at
+    that share, its multipliers are dual feasible, and the duality gap is
+    at most 1e-9 (1 + |phi|); no LP is solved."""
+    for name, inst, paths in _path_days():
+        shares = np.linspace(0.0, inst.storage.total_capacity, 4001)
+        for p, path in enumerate(paths):
+            lp = path.engine.lp  # built at the top share; kappa is x's last entry
+            g, n = lp.g.dense(lp.n_vars), lp.n_vars
+            sols = [path.at(float(s)) for s in shares]
+            x = np.array([sol.x for sol in sols])
+            w = np.array([sol.dual_g for sol in sols])
+            v = np.array([sol.dual_h for sol in sols])
+            phi = np.array([sol.objective for sol in sols])
+            case = (name, p)
+            assert np.all(np.abs(x[:, -1] - shares) <= 1e-12 * max(1.0, shares[-1])), case
+            assert np.all(x @ g.T - lp.b_g >= -1e-9), case
+            assert np.all(np.abs(x @ lp.h.dense(n).T - lp.b_h) <= 1e-9), case
+            assert np.all(w >= 0.0), case
+            reduced = lp.c - w @ g - v @ lp.h.dense(n)
+            assert np.all(np.abs(reduced[:, :-1]) <= 1e-9), case  # every free column
+            dual = w @ lp.b_g + v @ lp.b_h + reduced[:, -1] * shares
+            assert np.all(np.abs(phi - dual) <= 1e-9 * (1.0 + np.abs(phi))), case
+            assert np.all(np.abs(phi - x @ lp.c) <= 1e-9 * (1.0 + np.abs(phi))), case
+
+
+def test_path_matches_cold_solves():
+    """At 41 shares, each path lookup's phi matches a cold solve of the
+    party's LP built at that share to 1e-12 relative."""
+    for name, inst, paths in _path_days():
+        for p, path in enumerate(paths):
+            for s in np.linspace(0.0, inst.storage.total_capacity, 41):
+                want = Simplex(build_party_lp(inst, p, float(s))).solve().objective
+                got = path.at(float(s)).objective
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (name, p, s)
+
+
+def test_path_lookups_do_not_depend_on_their_order(rng):
+    """Lookups in a shuffled order, with face minima re-solved in between,
+    give bytewise the duals, reduced costs and x of lookups in ascending
+    order on a freshly built path."""
+    for name, inst, paths in _path_days():
+        shares = np.linspace(0.0, inst.storage.total_capacity, 41)
+        price = rng.normal(size=inst.grid.slot_count)
+        for p, path in enumerate(paths):
+            fresh = CapacityPath(inst, p)
+            ascending = [fresh.at(float(s)) for s in shares]
+            for k in rng.permutation(shares.size):
+                sol, _ = path.flow_face(float(shares[k]), price)
+                for a, b in ((sol.dual_g, ascending[k].dual_g), (sol.dual_h, ascending[k].dual_h),
+                             (sol.reduced_costs, ascending[k].reduced_costs),
+                             (sol.x, ascending[k].x)):
+                    assert a.tobytes() == b.tobytes(), (name, p, shares[k])
+
+
+def test_path_slopes_are_taken_from_below():
+    """At 0 and at every breakpoint, kappa's reduced cost in the lookup is
+    the slope of phi just above 0, phi'(0+), and just below the breakpoint:
+    the finite difference of two cold solves, the second half way across
+    the piece."""
+    def phi(inst, p, s):
+        return Simplex(build_party_lp(inst, p, s)).solve().objective
+
+    for name, inst, paths in _path_days():
+        if inst.storage.total_capacity == 0.0:
+            continue  # phi is defined at 0 alone
+        for p, path in enumerate(paths):
+            ends = [piece[0] for piece in path.pieces]  # the last is 0 itself
+            h = 0.5 * ends[-2]
+            want = [(phi(inst, p, h) - phi(inst, p, 0.0)) / h]
+            got = [path.at(0.0).reduced_costs[-1]]
+            for upper, lower in zip(ends[1:-1], ends[2:]):
+                h = 0.5 * (upper - lower)
+                want.append((phi(inst, p, upper) - phi(inst, p, upper - h)) / h)
+                got.append(path.at(upper).reduced_costs[-1])
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9, err_msg=f"{name} {p}")

@@ -1,13 +1,13 @@
 """Differential tests: the package's simplex against HiGHS (through scipy)
 on random sparse LPs with >= and = rows, boxed, one-sided and free
 columns, solved cold (also under caller bounds on the surpluses),
-re-solved warm down a small branching tree, and swept over capacities on
-one capacity family; LPs built around single-entry >= rows, which the
-engine keeps as column bounds, with their duals and reduced costs checked
-as a certificate; and the face minimum of a second objective over a
-random dispatch LP's optima. Integer data keeps every vertex rational with small
-denominators, so feasibility and optimality are never decided by
-rounding."""
+re-solved warm down a small branching tree, and re-solved warm over
+capacities on one engine; LPs built around single-entry >= rows, which
+the engine keeps as column bounds, with their duals and reduced costs
+checked as a certificate; and the face minimum of a second objective
+over a random dispatch LP's optima. Integer data keeps every vertex
+rational with small denominators, so feasibility and optimality are
+never decided by rounding."""
 
 from dataclasses import replace
 
@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
-from storageshare.lp import Rows, build_llm_c, build_llm_d, make_lp
-from storageshare.simplex import CapacityFamily, Simplex
+from storageshare.lp import Rows, build_llm_c, build_llm_d
+from storageshare.simplex import Simplex
 from tests.conftest import rand_instance
-from tests.lp_oracle import dual_objective
+from tests.lp_oracle import dual_objective, make_lp
 
 _ENTRIES = st.sampled_from([-3, -2, -1, 0, 0, 0, 0, 0, 0, 1, 2, 3])
 _KINDS = ("box", "box", "lower", "upper", "free", "fixed")  # column bounds, boxes twice as often
@@ -220,12 +220,18 @@ def test_warm_tree_matches_highs(lp, picks):
 @example(make_lp([1.0, 0.0], a_ub=[[1.0, -1.0], [-1.0, 0.0]], b_ub=[0.0, -2.0],
                  lb=[-np.inf, 0.0], ub=[np.inf, 0.0]), [1.0, 3.0, 1.5, 3.0, 0.0])
 def test_capacity_family_matches_highs(lp, caps):
-    """One family swept over the capacities agrees with HiGHS on the LP
-    with each capacity baked in; a capacity that makes the LP infeasible
-    must leave the next warm start intact."""
-    family = CapacityFamily(lp)
+    """One engine swept over the capacities, each re-solved warm from the
+    last optimal basis with kappa's bounds moved (Simplex.resolve, as
+    CapacityPath.flow_face re-solves), agrees with HiGHS on the LP with
+    each capacity baked in; a capacity that makes the LP infeasible must
+    leave the next warm start intact."""
+    eng, snap = Simplex(lp), None
     for cap in caps:
-        sol = family.solve(cap)
+        lo, hi = eng.base_lo.copy(), eng.base_hi.copy()
+        lo[lp.n_vars - 1] = hi[lp.n_vars - 1] = cap
+        sol = eng.solve(lo, hi) if snap is None else eng.resolve(snap, lo, hi)
+        if sol.status == "optimal":
+            snap = eng.snapshot()
         status, objective = _reference(replace(lp, lb=np.append(lp.lb[:-1], cap),
                                                ub=np.append(lp.ub[:-1], cap)))
         assert sol.status == status

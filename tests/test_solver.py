@@ -7,11 +7,11 @@ import pytest
 
 from storageshare import simplex, solver
 from storageshare.instance import upper_objective, zero_schedules
-from storageshare.lp import build_llm_c, build_llm_d, build_party_lp, make_lp
+from storageshare.lp import build_llm_c, build_llm_d, build_party_lp
 from storageshare.mpec import assemble_mpec, linearize_big_m, validate_big_m
 from storageshare.oracle import grid_oracle
 from storageshare.scenarios import _pin_customers_only, solve_division
-from storageshare.simplex import CapacityFamily, Simplex
+from storageshare.simplex import Simplex
 from storageshare.solver import SolveOptions, extract_solution, solve_lpcc, solve_milp
 from tests.conftest import (
     DIVISION_FIXTURES,
@@ -26,7 +26,7 @@ from tests.conftest import (
     rand_instance,
     stress_fixture,
 )
-from tests.lp_oracle import check_kkt_residuals, derive_kkt
+from tests.lp_oracle import check_kkt_residuals, derive_kkt, make_lp
 
 
 class _NoHeuristic:
@@ -262,7 +262,7 @@ def test_bigm_branches_on_a_binary_that_lets_its_pair_slip():
 
 def test_bigm_answer_takes_the_family_multipliers():
     # the tree leaves this answer with a multiplier near its big-M bound;
-    # read off the party families instead, no bound is flagged and the
+    # read off the party paths instead, no bound is flagged and the
     # solve needs no escalation
     mpec = assemble_mpec(division_fixture(271))
     res, escalations, _ = solve_division(mpec, SolveOptions(), "bigm", None)
@@ -302,12 +302,13 @@ def test_zero_capacity_division_is_exact():
 
 def _tree_lp(mpec):
     """The LP the trees search: mpec.lp plus the chord rows."""
-    return solver._with_chords(mpec, mpec.lp, solver._DivisionHeuristic(mpec, mpec.lp))[0]
+    return solver._with_chords(mpec, mpec.lp, solver._DivisionHeuristic(mpec, mpec.lp))
 
 
 def test_value_functions_lie_on_or_below_their_chords():
     # each party's optimal cost phi_p is convex in its share, so at any
-    # share the optimal dispatch satisfies the party's chord row
+    # share the optimal dispatch, from a cold solve of the party's LP built
+    # there, satisfies the party's chord row
     days = [build() for _, build in DIVISION_FIXTURES] + [stress_fixture(), day_long(1)]
     for inst in days:
         mpec = assemble_mpec(inst)
@@ -315,9 +316,8 @@ def test_value_functions_lie_on_or_below_their_chords():
         chords = tree_lp.g.take(np.arange(mpec.lp.n_g, tree_lp.n_g))
         rhs = tree_lp.b_g[mpec.lp.n_g:]
         for p, lay in enumerate(mpec.parties()):
-            family = CapacityFamily(build_party_lp(inst, p, 0.0))
             for share in np.linspace(0.0, inst.storage.total_capacity, 41):
-                phi = family.solve(share)
+                phi = Simplex(build_party_lp(inst, p, share)).solve()
                 assert phi.status == "optimal"
                 z = np.zeros(tree_lp.n_vars)
                 z[lay.cap_col] = share
@@ -403,8 +403,8 @@ def test_long_day_closes_on_the_relaxation_shares():
 
 
 def test_wall_time_covers_the_work_before_the_root(monkeypatch):
-    # the heuristic's families and the chord rows are solved before the
-    # root LP, and the clock and the time limit count them
+    # the heuristic's capacity paths and the chord rows are built before
+    # the root LP, and the clock and the time limit count them
     chords = solver._with_chords
 
     def slow(*args):
@@ -425,7 +425,7 @@ def test_each_fallback_is_named_and_changes_no_answer(monkeypatch, mode):
 
     clean = solve()
     assert clean.status == "optimal" and clean.fallbacks == ()
-    start, read = solver._root_start, solver._DivisionHeuristic.read_families
+    start, read = solver._root_start, solver._DivisionHeuristic.read_paths
 
     def short_start(*args):  # one basic column short: the engine rejects it
         basic, x = start(*args)
@@ -437,7 +437,7 @@ def test_each_fallback_is_named_and_changes_no_answer(monkeypatch, mode):
         ("family_start", simplex, "no_battery_start", spoiled["folded row's surplus"]),
         ("root_start", solver, "_root_start", short_start),
         ("root_start", solver, "_root_start", lambda *args: None),  # no start built
-        ("reread", solver._DivisionHeuristic, "read_families",
+        ("reread", solver._DivisionHeuristic, "read_paths",
          lambda self, x, dispatch: read(self, x, dispatch) if dispatch else None),
     )
     for name, owner, attr, patch in forced:
@@ -449,7 +449,7 @@ def test_each_fallback_is_named_and_changes_no_answer(monkeypatch, mode):
         assert abs(res.objective - clean.objective) <= 1e-9 * max(1.0, abs(clean.objective))
         if name == "root_start":
             assert res.root_iterations > clean.root_iterations
-        if name == "family_start":  # the families' first solves ran phase 1
+        if name == "family_start":  # the paths' cold solves ran phase 1
             assert res.family_iterations > clean.family_iterations
 
 
@@ -461,7 +461,7 @@ TREE_DAYS = DIVISION_FIXTURES + (("stress", stress_fixture),
 @pytest.mark.parametrize("name,build", TREE_DAYS, ids=[name for name, _ in TREE_DAYS])
 def test_root_start_agrees_with_the_slack_crash(monkeypatch, name, build):
     # the day by both trees, free and with the whole battery given to the
-    # customers, from the families' start and from the slack crash alone;
+    # customers, from the paths' start and from the slack crash alone;
     # a solve the node budget stops has a path-dependent incumbent, so
     # there the two answers need only bound each other
     opts = SolveOptions(node_limit=200)

@@ -14,10 +14,10 @@ def _write(path, records):
 
 def test_compare_sums_times_and_flags_differing_objectives(tmp_path, capsys):
     def rec(seed, mode, status, obj, seconds, nodes, grid=10.0, excess=0.0, phi=-2.0, esc=0,
-            fallbacks=(), family=10, iterations=1):
+            fallbacks=(), family=10, iterations=1, pieces=3):
         return {"seed": seed, "mode": mode, "status": status, "nodes": nodes,
                 "iterations": iterations, "root_iterations": 1, "family_iterations": family,
-                "escalations": esc,
+                "path_pieces": pieces, "escalations": esc,
                 "fallbacks": list(fallbacks), "objective": obj, "seconds": seconds,
                 "grid": grid, "ll_excess": excess, "ll_phi": phi}
 
@@ -25,6 +25,7 @@ def test_compare_sums_times_and_flags_differing_objectives(tmp_path, capsys):
     old = rec(3, "lpcc", "optimal", 1.0, 1.0, 1)
     del old["fallbacks"]  # a file written before solves recorded fallbacks
     del old["family_iterations"]  # ... or family iterations
+    del old["path_pieces"]  # ... or path pieces
     _write(a, [rec(1, "lpcc", "optimal", 10.0, 1.0, 5, grid=10.0 - 1e-7),
                rec(1, "bigm", "optimal", 10.0, 2.0, 7, excess=4e-9),
                rec(2, "lpcc", "optimal", 3.0, 1.0, 9),
@@ -33,14 +34,14 @@ def test_compare_sums_times_and_flags_differing_objectives(tmp_path, capsys):
                rec(1, "bigm", "optimal", 10.0, 1.0, 7, excess=2e-9),  # 1e-9 (1 + |-2|) = 3e-9
                rec(2, "lpcc", "optimal", 3.0 + 5e-7, 0.5, 9, excess=3e-6, phi=-3e3,
                    grid=10.0 + 5e-12),  # 5e-13 relative: the same grid
-               rec(2, "bigm", "limit", 2.0, 3.0, 50, fallbacks=["reread"], family=4),
+               rec(2, "bigm", "limit", 2.0, 3.0, 50, fallbacks=["reread"], family=4, pieces=5),
                rec(3, "lpcc", "optimal", 1.0, 1.0, 1, fallbacks=["reread"], iterations=2)])
     assert tree_sweep.compare(str(a), str(b)) == 1
     out = capsys.readouterr().out
-    # seed 3 has no family iterations in A, so lpcc prints none
+    # seed 3 has no family iterations or path pieces in A, so lpcc prints neither
     assert "lpcc: 3 seeds, seconds 3.00 -> 2.00 (-33.3%), nodes 15 -> 16\n" in out
     assert ("bigm: 2 seeds, seconds 6.00 -> 4.00 (-33.3%), nodes 57 -> 57,"
-            " family iterations 20 -> 14\n") in out
+            " family iterations 20 -> 14, path pieces 6 -> 8\n") in out
     assert "seed 1: objective 10.0 -> 10.00005" in out
     assert "seed 2" not in out  # within 1e-6, or not optimal on both sides
     # seed 1/lpcc: nodes; 2/bigm: family iterations; 3/lpcc: iterations (A
@@ -64,6 +65,8 @@ def test_sweep_records_the_grid_objective(tmp_path):
     assert [r["fallbacks"] for r in records] == [[], []]
     assert all(0 < r["root_iterations"] <= r["iterations"] for r in records)
     assert all(r["family_iterations"] > 0 for r in records)
+    # both trees read the same paths, at least one piece per party
+    assert records[0]["path_pieces"] == records[1]["path_pieces"] >= 2
     lpcc = records[0]
     assert lpcc["status"] == "optimal" and records[1]["grid"] == lpcc["grid"]
     assert tree_sweep.grid_below({(213, "lpcc"): lpcc}) == []

@@ -7,14 +7,16 @@ The first form solves tests.conftest.division_fixture(seed) for every seed,
 with solve_lpcc and with the bigm path of scenarios.solve_division
 (validation and escalation included), and writes one JSON line per (seed,
 mode) with the status, nodes, LP iterations, the root LP's iterations,
-the party families' iterations, big-M escalations, the fallbacks the
+the pivots and the pieces of the parties' capacity paths (family
+iterations and path pieces), big-M escalations, the fallbacks the
 solve took (family_start, root_start, reread), objective and seconds,
 the answer's worst lower-level excess, plus the seed's grid_oracle
 objective at step C/20. The excess is c_p.x_p - phi_p(s_p) of the party
 where it is largest relative to 1 + |phi_p(s_p)| (ll_excess, with that phi
 as ll_phi). The second form reads two such files and prints, per mode, the
-summed seconds and nodes of each (and the summed family iterations, when
-both files record them for every solve of the mode) and every seed where
+summed seconds and nodes of each (and the summed family iterations and
+path pieces, each when both files record it for every solve of the mode)
+and every seed where
 both solves are optimal and the objectives differ by more than 1e-6
 relative; then the (seed, mode) solves whose nodes, LP iterations or
 family iterations differ (of the counters both files record), those whose
@@ -65,7 +67,7 @@ def solve_one(seed: int, mode: str, node_limit: int) -> dict:
     seconds = time.perf_counter() - t0
     rec = {"seed": seed, "mode": mode, "status": res.status, "nodes": res.node_count,
            "iterations": res.iterations, "root_iterations": res.root_iterations,
-           "family_iterations": res.family_iterations,
+           "family_iterations": res.family_iterations, "path_pieces": res.path_pieces,
            "escalations": escalations, "fallbacks": list(res.fallbacks),
            "objective": float(res.objective), "seconds": round(seconds, 4)}
     if res.x is not None:
@@ -127,9 +129,10 @@ def compare(path_a: str, path_b: str) -> int:
         na, nb = (sum(side[k]["nodes"] for k in keys) for side in (a, b))
         line = (f"{mode}: {len(keys)} seeds, seconds {ta:.2f} -> {tb:.2f}"
                 f" ({(tb - ta) / ta if ta else 0.0:+.1%}), nodes {na} -> {nb}")
-        if all("family_iterations" in side[k] for side in (a, b) for k in keys):
-            fa, fb = (sum(side[k]["family_iterations"] for k in keys) for side in (a, b))
-            line += f", family iterations {fa} -> {fb}"
+        for key in ("family_iterations", "path_pieces"):
+            if all(key in side[k] for side in (a, b) for k in keys):
+                ca, cb = (sum(side[k][key] for k in keys) for side in (a, b))
+                line += f", {key.replace('_', ' ')} {ca} -> {cb}"
         print(line)
         for k in keys:
             ra, rb = a[k], b[k]
