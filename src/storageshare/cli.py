@@ -85,8 +85,8 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    instance, config = _load(args)
-    milp = linearize_big_m(assemble_mpec(instance), config.big_m_policy())
+    instance, _ = _load(args)
+    milp = linearize_big_m(assemble_mpec(instance))
     with open(args.out, "w") as fh:
         export_mps(milp, fh)
     print(f"wrote {args.out}")
@@ -99,9 +99,7 @@ def _cmd_build(args) -> int:
 def _cmd_solve(args) -> int:
     instance, config = _load(args)
     opts, mode = _solve_settings(args, config)
-    mpec = assemble_mpec(instance)
-    policy = config.big_m_policy()
-    result, escalations, notes = solve_division(mpec, opts, mode, policy)
+    result, escalations, notes = solve_division(assemble_mpec(instance), opts, mode, None)
     print(f"status = {result.status}")
     print(f"nodes = {result.node_count}")
     print(f"escalations = {escalations}")
@@ -141,8 +139,7 @@ def _cmd_scenario(args) -> int:
     instance, config = _load(args)
     opts, mode = _solve_settings(args, config)
     try:
-        reports = run_all_scenarios(instance, opts, mode=mode,
-                                    policy=config.big_m_policy())
+        reports = run_all_scenarios(instance, opts, mode=mode)
     except ScenarioError as exc:
         print(str(exc), file=sys.stderr)
         return exc.exit_code
@@ -159,7 +156,7 @@ def _cmd_cycle(args) -> int:
     config = parse_config(args.config)
     opts, mode = _solve_settings(args, config)
     days = [load_inputs(loads, prices, config) for loads, prices in args.day]
-    result = daily_cycle(days, opts, mode=mode, policy=config.big_m_policy())
+    result = daily_cycle(days, opts, mode=mode)
     for r in result.reports:
         print(f"day {r.day}: objective {_fmt(r.upper_objective)} "
               f"disco {_fmt(r.division.s_disco)} kWh "

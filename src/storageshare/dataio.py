@@ -3,7 +3,9 @@
 Loads and prices are delimited text with fixed headers; the config is a
 flat ``key = value`` file. Every parse error names the file and, where it
 applies, the line that caused it. Unknown config keys are rejected so a
-typo cannot silently fall back to a default.
+typo cannot silently fall back to a default. The config sets the instance,
+the solver mode and the solve limits; the big-M sizes of bigm mode are
+not configurable (mpec.BigMPolicy).
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instance import Instance, make_instance
-from .mpec import BigMPolicy
 from .solver import MODES, SolveOptions
 
 LOADS_HEADER = "t,customer_id,load_kw"
@@ -38,12 +39,6 @@ _CONFIG_SCHEMA = {
     "time_limit": (float, 600.0),
     "node_limit": (int, 100_000),
     "gap_target": (float, 0.0),
-    "big_m_primal_safety": (float, 1.25),
-    "big_m_primal_floor": (float, 1.0),
-    "big_m_dual_scale": (float, 1000.0),
-    "big_m_dual_floor": (float, 1.0),
-    "big_m_escalation": (float, 10.0),
-    "big_m_max_rounds": (int, 3),
 }
 
 
@@ -75,21 +70,10 @@ class RunConfig:
             gap_target=self.values["gap_target"],
         )
 
-    def big_m_policy(self) -> BigMPolicy:
-        v = self.values
-        return BigMPolicy(
-            primal_safety=v["big_m_primal_safety"],
-            primal_floor=v["big_m_primal_floor"],
-            dual_scale=v["big_m_dual_scale"],
-            dual_floor=v["big_m_dual_floor"],
-            escalation=v["big_m_escalation"],
-            max_rounds=v["big_m_max_rounds"],
-        ).check()
-
 
 def parse_config(path) -> RunConfig:
     """Parse a flat key = value config file against the fixed schema; its
-    solve options and big-M policy are built here to check their values."""
+    solve options are built here to check their values."""
     values = {k: d for k, (_, d) in _CONFIG_SCHEMA.items()}
     provided = set()
     with open(path) as fh:
@@ -120,11 +104,10 @@ def parse_config(path) -> RunConfig:
         raise DataError(f"{path}: mode must be one of {MODES}, "
                         f"got {values['mode']!r}")
     config = RunConfig(values=values, provided=frozenset(provided))
-    for prefix, build in (("", config.solve_options), ("big_m_", config.big_m_policy)):
-        try:
-            build()
-        except ValueError as exc:
-            raise DataError(f"{path}: key {prefix}{exc}") from None  # exc names the field
+    try:
+        config.solve_options()
+    except ValueError as exc:
+        raise DataError(f"{path}: key {exc}") from None  # exc names the field
     return config
 
 

@@ -13,12 +13,13 @@ about slots or batteries beyond each party LP's last column, its capacity,
 which becomes the party's division variable. linearize_big_m sizes each
 pair's primal bound by the catalog family of its row, which it reads off
 the row's position in the party block (lp.py: row i is of family
-i // T + 1); no row or column carries a name.
+i // T + 1); no row or column carries a name. BigMPolicy alone sizes M;
+the bigm escalation (scenarios.solve_division) grows it by BigMPolicy.grown.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,37 +78,35 @@ class BigMPolicy:
     Primal-side bounds come from per-family interval analysis of the row's
     range over the feasible set, inflated by primal_safety plus a floor so
     legitimately tight rows do not sit on the bound. Dual-side bounds cannot
-    be derived from problem data, so they default to dual_scale times the
-    price magnitude; escalation re-solves with bigger M when validation
-    flags binding.
+    be derived from problem data, so they are dual_scale times the price
+    magnitude, at least dual_floor. Every field must be positive and finite.
     """
 
     primal_safety: float = 1.25
     primal_floor: float = 1.0
     dual_scale: float = 1000.0
     dual_floor: float = 1.0
-    escalation: float = 10.0
-    max_rounds: int = 3
 
-    def check(self):
-        for name in ("primal_safety", "primal_floor", "dual_scale", "dual_floor", "escalation"):
-            v = getattr(self, name)
+    def __post_init__(self):
+        for name, v in vars(self).items():
             if not 0 < v < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
-        if not self.max_rounds >= 0:
-            raise ValueError(f"max_rounds must be >= 0, got {self.max_rounds}")
-        return self
+
+    def grown(self) -> "BigMPolicy":
+        """The next escalation round's policy: both scales 10x, floors kept."""
+        return replace(self, primal_safety=10.0 * self.primal_safety,
+                       dual_scale=10.0 * self.dual_scale)
 
 
 @dataclass(frozen=True)
 class MilpModel:
-    """Mixed-binary form: MPEC rows plus, per pair p with binary u_p,
-    m_omega[p]: M_w*u_p - omega >= 0  and  m_slack[p]: M_g*(1-u_p) - g >= 0."""
+    """Mixed-binary form: MPEC rows plus, per pair p of mpec.pairs with
+    binary u_p, m_omega[p]: M_w*u_p - omega >= 0  and
+    m_slack[p]: M_g*(1-u_p) - g >= 0."""
 
     mpec: MpecModel
     lp: LinearProgram
     binary_cols: np.ndarray
-    pairs: np.ndarray
     m_omega: np.ndarray
     m_slack: np.ndarray
     pair_row0: int  # pair p's rows sit at pair_row0 + 2p (+1)
@@ -230,7 +229,7 @@ def _family_bounds(instance: Instance, load: np.ndarray) -> np.ndarray:
 
 def linearize_big_m(mpec: MpecModel, policy: BigMPolicy | None = None) -> MilpModel:
     """Swap each complementarity pair for the classic two bound rows."""
-    policy = (policy or BigMPolicy()).check()
+    policy = policy or BigMPolicy()
     inst = mpec.instance
     base = mpec.lp
     n_pairs = len(mpec.pairs)
@@ -281,46 +280,47 @@ def linearize_big_m(mpec: MpecModel, policy: BigMPolicy | None = None) -> MilpMo
         mpec=mpec,
         lp=lp,
         binary_cols=np.arange(n0, n0 + n_pairs),
-        pairs=mpec.pairs,
         m_omega=m_omega,
         m_slack=m_slack,
         pair_row0=base.n_g,
     )
 
 
+_FLAG_TOL = 0.05  # a pair bound is near-binding within this share of its M
+
+
 @dataclass(frozen=True)
 class BigMReport:
-    """Pairs whose multiplier or slack sits within tol*M of its cap."""
+    """Pairs whose multiplier or slack sits within _FLAG_TOL*M of its cap."""
 
     flagged: tuple  # (pair index, side, value, m)
-    tol: float
 
     @property
     def clean(self) -> bool:
         return len(self.flagged) == 0
 
 
-def validate_big_m(milp: MilpModel, solution: np.ndarray, tol: float = 0.05) -> BigMReport:
+def validate_big_m(milp: MilpModel, solution: np.ndarray) -> BigMReport:
     """Flag pair bounds that may have truncated the solution.
 
-    A multiplier (or row slack) within tol*M of its M is evidence the
-    constant was too small. An empty report is evidence, not proof, that
-    the linearization did not bite: a bound that is not near-binding at
-    this incumbent may still have cut off a better point elsewhere, which
-    no check at one solution can rule out (Pineda & Morales, IEEE Trans.
-    Power Syst. 34(3), 2019).
+    A multiplier (or row slack) within _FLAG_TOL*M of its M is evidence
+    the constant was too small. An empty report is evidence, not proof,
+    that the linearization did not bite: a bound that is not near-binding
+    at this incumbent may still have cut off a better point elsewhere,
+    which no check at one solution can rule out (Pineda & Morales, IEEE
+    Trans. Power Syst. 34(3), 2019).
     """
     x = np.asarray(solution, float)
     lp = milp.mpec.lp
-    g_rows = milp.pairs[:, 1]
-    omega = x[milp.pairs[:, 0]]
+    w_cols, g_rows = milp.mpec.pairs.T
+    omega = x[w_cols]
     slack = lp.g.take(g_rows).dot(x) - lp.b_g[g_rows]
-    hit_omega = milp.m_omega - omega <= tol * milp.m_omega
-    hit_slack = milp.m_slack - slack <= tol * milp.m_slack
+    hit_omega = milp.m_omega - omega <= _FLAG_TOL * milp.m_omega
+    hit_slack = milp.m_slack - slack <= _FLAG_TOL * milp.m_slack
     flagged = []
     for q in np.flatnonzero(hit_omega | hit_slack).tolist():
         if hit_omega[q]:
             flagged.append((q, "omega", float(omega[q]), float(milp.m_omega[q])))
         if hit_slack[q]:
             flagged.append((q, "slack", float(slack[q]), float(milp.m_slack[q])))
-    return BigMReport(flagged=tuple(flagged), tol=tol)
+    return BigMReport(flagged=tuple(flagged))

@@ -16,8 +16,15 @@ the baseline, positive when the bill went down; reductions on a zero
 baseline are reported as zero. Reports on Customers rows are group
 figures, not individual bills.
 
+Scenarios 2 and 3 solve the division model in lpcc or bigm mode
+(solve_division). In bigm mode the pair bounds take BigMPolicy's default
+sizes; a near-binding bound or an infeasible big-M form grows both sides
+10x (BigMPolicy.grown) for up to _MAX_ROUNDS re-solves, and each round
+is a note in the day's report.
+
 Report files are plain delimited text, deterministic for fixed inputs
-(no timestamps, no wall-clock fields).
+(no timestamps, no wall-clock fields); re-reading one rejects a repeated
+row.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from .simplex import CapacityPath
 from .solver import MODES, SolveOptions, extract_solution, solve_lpcc, solve_milp
 
 ZERO_BASELINE_TOL = 1e-12
+_MAX_ROUNDS = 3  # big-M escalations before a bigm solve gives up
 
 
 class ScenarioId(IntEnum):
@@ -170,17 +178,18 @@ def solve_division(mpec, opts: SolveOptions, mode: str,
                    policy: BigMPolicy | None):
     """Run the joint model in the requested mode.
 
-    In bigm mode the pair bounds are validated after the solve; a flagged
-    bound escalates the policy on the flagged side and re-solves, up to
-    the policy's round limit. A division model is always feasible, so an
-    infeasible big-M form means its bounds cut off every point: that
-    escalates both sides.
+    In bigm mode the pair bounds are validated after the solve. A flagged
+    bound grows both sides of the policy (BigMPolicy.grown) and re-solves,
+    up to _MAX_ROUNDS escalations; the note names the flagged sides. A
+    division model is always feasible, so an infeasible big-M form means
+    its bounds cut off every point: that escalates too. Returns (result,
+    escalations, notes).
     """
     _check_mode(mode)
     notes = []
     if mode == "lpcc":
         return solve_lpcc(mpec, opts), 0, notes
-    pol = (policy or BigMPolicy()).check()
+    pol = policy or BigMPolicy()
     rounds = 0
     while True:
         milp = linearize_big_m(mpec, pol)
@@ -195,25 +204,19 @@ def solve_division(mpec, opts: SolveOptions, mode: str,
                 return result, rounds, notes
             sides = {side for _, side, _, _ in report.flagged}
             why = f"{len(report.flagged)} binding pair bounds"
-        if rounds >= pol.max_rounds:
+        if rounds >= _MAX_ROUNDS:
             still = ("big-M form still infeasible" if result.status == "infeasible"
                      else "pair bounds still binding")
             notes.append(f"{still} after {rounds} escalations")
             return result, rounds, notes
         rounds += 1
-        grown = {}
-        if "omega" in sides:
-            grown["dual_scale"] = pol.dual_scale * pol.escalation
-        if "slack" in sides:
-            grown["primal_safety"] = pol.primal_safety * pol.escalation
-        pol = replace(pol, **grown)
+        pol = pol.grown()
         notes.append(
             f"escalation round {rounds}: {why}, regrowing {'/'.join(sorted(sides))}")
 
 
 def run_scenario(instance: Instance, scenario, options: SolveOptions | None = None,
-                 mode: str = "lpcc", policy: BigMPolicy | None = None,
-                 day: int = 0) -> DayReport:
+                 mode: str = "lpcc", day: int = 0) -> DayReport:
     """Solve one scenario and report costs against the do-nothing baseline."""
     scenario = ScenarioId(scenario)
     _check_mode(mode)
@@ -229,7 +232,7 @@ def run_scenario(instance: Instance, scenario, options: SolveOptions | None = No
         mpec = assemble_mpec(instance)
         if scenario is ScenarioId.CUSTOMERS_ONLY:
             mpec = _pin_customers_only(mpec)
-        result, escalations, notes = solve_division(mpec, opts, mode, policy)
+        result, escalations, notes = solve_division(mpec, opts, mode, None)
         if result.status != "optimal":
             err = ScenarioError(
                 f"scenario {int(scenario)}: solver ended {result.status} "
@@ -275,17 +278,16 @@ def run_scenario(instance: Instance, scenario, options: SolveOptions | None = No
 
 
 def run_all_scenarios(instance: Instance, options: SolveOptions | None = None,
-                      mode: str = "lpcc", policy: BigMPolicy | None = None,
-                      day: int = 0):
+                      mode: str = "lpcc", day: int = 0):
     """All three scenarios on one instance, in scenario order."""
     return tuple(
-        run_scenario(instance, sid, options, mode=mode, policy=policy, day=day)
+        run_scenario(instance, sid, options, mode=mode, day=day)
         for sid in ScenarioId
     )
 
 
-def daily_cycle(days, options: SolveOptions | None = None, mode: str = "lpcc",
-                policy: BigMPolicy | None = None) -> CycleResult:
+def daily_cycle(days, options: SolveOptions | None = None,
+                mode: str = "lpcc") -> CycleResult:
     """Re-solve the division independently for each day's instance.
 
     The dispatch model returns every battery to its initial state of
@@ -296,7 +298,7 @@ def daily_cycle(days, options: SolveOptions | None = None, mode: str = "lpcc",
     for day, instance in enumerate(days):
         try:
             reports.append(run_scenario(instance, ScenarioId.SHARED, options,
-                                        mode=mode, policy=policy, day=day))
+                                        mode=mode, day=day))
         except (ScenarioError, RuntimeError, ValueError) as exc:
             failures.append((day, str(exc)))
     return CycleResult(reports=tuple(reports), failures=tuple(failures))
@@ -385,33 +387,40 @@ def emit_report(reports, destination, config=None, failures=()) -> dict:
     return paths
 
 
-def _report_rows(destination, name, header, kinds):
-    """Yield the rows of report file name.csv, each field converted by its
-    kind; a wrong header, field count or value raises DataError naming the
-    file and line."""
+def _report_table(destination, name, header, kinds) -> dict:
+    """Report file name.csv as {key: values}, each field converted by its
+    kind and keyed by the first three; a wrong header, field count or
+    value, or a repeated key, raises DataError naming the file and line."""
     path = os.path.join(destination, f"{name}.csv")
+    table = {}
     for lineno, fields in _rows(path, header, len(kinds)):
         try:
-            yield [kind(f) for kind, f in zip(kinds, fields)]
+            row = [kind(f) for kind, f in zip(kinds, fields)]
         except ValueError:
             raise DataError(f"{path}:{lineno}: expected "
                             f"{','.join(k.__name__ for k in kinds)}, got {','.join(fields)}") from None
+        key = tuple(row[:3])
+        if key in table:
+            raise DataError(f"{path}:{lineno}: duplicate row for "
+                            f"{','.join(header.split(',')[:3])} = {','.join(fields[:3])}")
+        table[key] = tuple(row[3:])
+    return table
 
 
 def read_report(destination) -> dict:
     """Re-parse emitted report files into plain dictionaries. A malformed
-    file, a profile series with a missing slot included, raises DataError."""
-    out = {"divisions": {}, "reductions": {}, "profiles": {}}
-    for day, sc, party, cap in _report_rows(
-            destination, "divisions", "day,scenario,party,capacity_kwh", (int, int, str, float)):
-        out["divisions"][(day, sc, party)] = cap
-    for day, sc, party, *vals in _report_rows(
-            destination, "reductions", "day,scenario,party,baseline,actual,reduction_pct",
-            (int, int, str, float, float, float)):
-        out["reductions"][(day, sc, party)] = tuple(vals)
+    file, a repeated row or a profile series with a missing slot included,
+    raises DataError."""
+    divisions = _report_table(destination, "divisions", "day,scenario,party,capacity_kwh",
+                              (int, int, str, float))
+    out = {"divisions": {k: v for k, (v,) in divisions.items()},
+           "reductions": _report_table(destination, "reductions",
+                                       "day,scenario,party,baseline,actual,reduction_pct",
+                                       (int, int, str, float, float, float)),
+           "profiles": {}}
     profiles: dict = {}
-    for day, series, t, v in _report_rows(
-            destination, "profiles", "day,series,t,net_load_kw", (int, str, int, float)):
+    for (day, series, t), (v,) in _report_table(
+            destination, "profiles", "day,series,t,net_load_kw", (int, str, int, float)).items():
         profiles.setdefault((day, series), {})[t] = v
     for (day, series), vals in profiles.items():
         missing = set(range(len(vals))) - set(vals)

@@ -249,6 +249,23 @@ class Simplex:
         kept = n + self._kept_rows
         return np.concatenate([x_lo, lo[kept]]), np.concatenate([x_hi, hi[kept]])
 
+    def _begin(self, lo, hi, warm: bool) -> bool:
+        """Install the engine bounds of caller bounds lo/hi and reset the
+        per-solve state; a warm start pins the artificials at 0. False, the
+        last iteration count kept, when some column's bounds cross."""
+        lo, hi = self._bounds(lo, hi)
+        self._optimum = None
+        self.lo = np.concatenate([lo, np.zeros(self.m)])
+        self.hi = np.concatenate([hi, np.full(self.m, 0.0 if warm else np.inf)])
+        if np.any(self.lo > self.hi + 1e-12):
+            return False
+        self.fixed = self.hi[: self.nt] - self.lo[: self.nt] <= 0.0
+        self._light = warm
+        self.iterations = 0
+        self.bland = False
+        self._degen_streak = 0
+        return True
+
     def _nonbasic_values(self) -> np.ndarray:
         """Values of the structural/surplus columns implied by status."""
         v = np.zeros(self.nt)
@@ -307,9 +324,6 @@ class Simplex:
         if len(self._inverses) > _KEEP_INVERSES:
             self._inverses.popitem(last=False)
 
-    def _bounds_of(self, j: int):
-        return self.lo[j], self.hi[j]
-
     def _column(self, j: int) -> np.ndarray:
         """binv @ a_j, from the nonzeros of column j."""
         idx, val = self.cols.row(j)
@@ -352,7 +366,7 @@ class Simplex:
         lim = np.maximum(lim, 0.0)
         r_best = int(np.argmin(lim)) if self.m else -1
         basic_step = lim[r_best] if self.m else np.inf
-        lo_j, hi_j = self._bounds_of(j)
+        lo_j, hi_j = self.lo[j], self.hi[j]
         flip_step = hi_j - lo_j if np.isfinite(hi_j - lo_j) else np.inf
         step = min(basic_step, flip_step)
         if not np.isfinite(step):
@@ -511,18 +525,9 @@ class Simplex:
         are distinct, the basis inverts and its basic values lie within
         lo/hi.
         """
-        lo, hi = self._bounds(self.base_lo if lo is None else lo,
-                              self.base_hi if hi is None else hi)
-        self._optimum = None
-        self.lo = np.concatenate([lo, np.zeros(self.m)])
-        self.hi = np.concatenate([hi, np.full(self.m, np.inf)])
-        if np.any(self.lo > self.hi + 1e-12):
+        if not self._begin(self.base_lo if lo is None else lo,
+                           self.base_hi if hi is None else hi, warm=False):
             return self._failed("infeasible")
-        self.fixed = self.hi[: self.nt] - self.lo[: self.nt] <= 0.0
-        self._light = False
-        self.iterations = 0
-        self.bland = False
-        self._degen_streak = 0
         self._inverses.clear()  # kept inverses may hold old artificial signs
         if start is not None:
             if self._take_start(*start):
@@ -602,19 +607,10 @@ class Simplex:
         in cold_restarts, on numerical trouble or at the iteration limit.
         """
         basis, status = snapshot
-        self._optimum = None
         self.basis = basis.copy()
         self.status = status.copy()
-        lo_e, hi_e = self._bounds(lo, hi)
-        self.lo = np.concatenate([lo_e, np.zeros(self.m)])
-        self.hi = np.concatenate([hi_e, np.zeros(self.m)])
-        if np.any(self.lo > self.hi + 1e-12):
+        if not self._begin(lo, hi, warm=True):
             return self._failed("infeasible")
-        self.fixed = self.hi[: self.nt] - self.lo[: self.nt] <= 0.0
-        self._light = True
-        self.iterations = 0
-        self.bland = False
-        self._degen_streak = 0
         nonbasic = np.ones(self.nt + self.m, dtype=bool)
         nonbasic[self.basis] = False
         _reanchor(self.status[: self.nt], nonbasic[: self.nt],

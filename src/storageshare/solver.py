@@ -340,8 +340,8 @@ class _DivisionHeuristic:
 
 
 def _classify_milp(milp: MilpModel, lp: LinearProgram):
-    pair_slacks = _pair_slacks(lp, milp.pairs)
-    w_cols = milp.pairs[:, 0]
+    pair_slacks = _pair_slacks(lp, milp.mpec.pairs)
+    w_cols = milp.mpec.pairs[:, 0]
     u_cols = np.asarray(milp.binary_cols, dtype=int)
 
     def classify(sol):

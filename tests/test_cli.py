@@ -107,9 +107,17 @@ def _append(row):
     ("reductions.csv", _append("0,1,c0,abc"), "reductions.csv:14: expected 6 fields, got 4"),
     ("divisions.csv", _append("0,1,c0,abc"),
      "divisions.csv:11: expected int,int,str,float, got 0,1,c0,abc"),
-], ids=["missing slot", "short division", "short reduction", "non-number"])
+    ("profiles.csv", _append("0,original,0,999"),
+     "profiles.csv:26: duplicate row for day,series,t = 0,original,0"),
+    ("divisions.csv", _append("0,1,disco,7"),
+     "divisions.csv:11: duplicate row for day,scenario,party = 0,1,disco"),
+    ("reductions.csv", _append("0,3,peak,1,1,0"),
+     "reductions.csv:14: duplicate row for day,scenario,party = 0,3,peak"),
+], ids=["missing slot", "short division", "short reduction", "non-number",
+        "duplicate profile", "duplicate division", "duplicate reduction"])
 def test_report_exits_2_on_a_malformed_file(workdir, capsys, name, spoil, message):
-    # these once ended in a KeyError or unpacking traceback, exit 1
+    # these once ended in a KeyError or unpacking traceback, exit 1; a
+    # duplicate row once read back as the later line, exit 0
     report_dir = workdir["dir"] / "rep"
     assert main(["scenario", *args_for(workdir), "--out", str(report_dir)]) == 0
     spoil(report_dir / name)
@@ -172,7 +180,7 @@ def test_malformed_config_exits_two(workdir, capsys):
                            ("gap_target = nan", "bad.cfg: key gap_target"),
                            ("node_limit = 0", "bad.cfg: key node_limit"),
                            ("time_limit = nan", "bad.cfg: key time_limit"),
-                           ("big_m_dual_scale = nan", "bad.cfg: key big_m_dual_scale"),
+                           ("big_m_dual_scale = 1000", "unknown key 'big_m_dual_scale'"),
                            ("alpha = nan", "alpha"),
                            ("soc_ini_disco = nan", "soc_ini_disco")):
         bad.write_text(f"slot_hours = 4.0\ntotal_capacity = 0.4\n{line}\n")

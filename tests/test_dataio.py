@@ -1,9 +1,13 @@
 """Config and series-file parsing, including every rejection path."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from storageshare.dataio import (
+    _CONFIG_SCHEMA,
     DataError,
     load_inputs,
     parse_config,
@@ -38,7 +42,17 @@ node_limit = 500
     assert "eta_ch" not in applied and "mode" not in applied
     opts = cfg.solve_options()
     assert opts.node_limit == 500 and opts.time_limit == 600.0
-    assert cfg.big_m_policy().dual_scale == 1000.0
+    assert not any(k.startswith("big_m_") for k in cfg.values)
+
+
+def test_readme_config_table_names_every_key():
+    # the README's key table documents the schema, key for key: a key
+    # added or dropped on one side only fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| key | default | meaning |\n", 1)[1].split("\n\n", 1)[0]
+    keys = [k for line in table.splitlines() for k in re.findall(r"`(\w+)`", line.split("|")[1])]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(_CONFIG_SCHEMA)
 
 
 def test_mode_defaults_to_lpcc(tmp_path):

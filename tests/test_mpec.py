@@ -225,7 +225,7 @@ def test_pair_row_semantics(rng):
     mpec = assemble_mpec(inst)
     milp = linearize_big_m(mpec)
     q = 7
-    w_col, g_row = milp.pairs[q]
+    w_col, g_row = mpec.pairs[q]
     r_omega = milp.pair_row0 + 2 * q
     r_slack = r_omega + 1
     x = np.zeros(milp.lp.n_vars)
@@ -252,11 +252,18 @@ def test_pair_row_semantics(rng):
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        BigMPolicy(dual_scale=-1.0).check()
-    with pytest.raises(ValueError):
-        BigMPolicy(max_rounds=-2).check()
-    assert BigMPolicy().check().escalation == 10.0
+    # the policy checks itself on construction: every field positive and finite
+    for field in ("primal_safety", "primal_floor", "dual_scale", "dual_floor"):
+        for value in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match=field):
+                BigMPolicy(**{field: value})
+
+
+def test_policy_grows_both_scales_tenfold():
+    pol = BigMPolicy(primal_safety=0.3, primal_floor=1e-6, dual_scale=0.05, dual_floor=1e-3)
+    assert pol.grown() == BigMPolicy(primal_safety=3.0, primal_floor=1e-6,
+                                     dual_scale=0.5, dual_floor=1e-3)
+    assert BigMPolicy().grown().grown() == BigMPolicy(primal_safety=125.0, dual_scale=1e5)
 
 
 def test_validate_big_m(rng):
@@ -266,7 +273,7 @@ def test_validate_big_m(rng):
     # all-zero duals and zero slacks: clean
     assert validate_big_m(milp, x).clean
     # pin one multiplier at its M
-    w_col, _ = milp.pairs[3]
+    w_col, _ = milp.mpec.pairs[3]
     x[w_col] = milp.m_omega[3]
     rep = validate_big_m(milp, x)
     assert not rep.clean

@@ -150,8 +150,7 @@ def test_values_written_whole():
 
 def _milp(lp, binary_cols):
     return MilpModel(mpec=None, lp=lp, binary_cols=np.asarray(binary_cols),
-                     pairs=np.empty((0, 2), int), m_omega=np.empty(0), m_slack=np.empty(0),
-                     pair_row0=lp.n_g)
+                     m_omega=np.empty(0), m_slack=np.empty(0), pair_row0=lp.n_g)
 
 
 # each model gives every column an entry, so every column is read back

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from storageshare import scenarios
 from storageshare.instance import customer_cost_total, make_instance, zero_schedules
 from storageshare.mpec import BigMPolicy, assemble_mpec
 from storageshare.scenarios import (
@@ -138,18 +139,20 @@ def _lpcc_objective(mpec):
     return res.objective
 
 
-def test_bigm_escalates_binding_pair_bounds():
+def test_bigm_escalates_binding_pair_bounds(monkeypatch):
     # primal bounds at 0.3 of the row ranges cut off mix202's optimum and
-    # flag slack pairs; one round of growth reaches it
+    # flag slack pairs; one round of growth reaches it, and the note names
+    # the flagged side
     mpec = assemble_mpec(dict(DIVISION_FIXTURES)["mix202"]())
     want = _lpcc_objective(mpec)
     policy = BigMPolicy(primal_safety=0.3, primal_floor=1e-6)
     res, rounds, notes = solve_division(mpec, SolveOptions(), "bigm", policy)
     assert (res.status, rounds, len(notes)) == ("optimal", 1, 1)
-    assert "regrowing slack" in notes[0]
+    assert "binding pair bounds, regrowing slack" in notes[0]
     assert abs(res.objective - want) <= 1e-9 * abs(want)
-    res, rounds, notes = solve_division(mpec, SolveOptions(), "bigm",
-                                        replace(policy, max_rounds=0))
+    # with no round left, the binding answer is returned with a note
+    monkeypatch.setattr(scenarios, "_MAX_ROUNDS", 0)
+    res, rounds, notes = solve_division(mpec, SolveOptions(), "bigm", policy)
     assert (res.status, rounds) == ("optimal", 0)
     assert notes == ["pair bounds still binding after 0 escalations"]
 
@@ -164,10 +167,18 @@ def test_bigm_escalates_an_infeasible_big_m_form():
     assert (res.status, rounds) == ("optimal", 1)
     assert notes == ["escalation round 1: big-M form infeasible, regrowing omega/slack"]
     assert abs(res.objective - want) <= 1e-9 * abs(want)
-    res, rounds, notes = solve_division(mpec, SolveOptions(), "bigm",
-                                        replace(policy, max_rounds=0))
-    assert (res.status, rounds, res.exit_code) == ("infeasible", 0, 2)
-    assert notes == ["big-M form still infeasible after 0 escalations"]
+
+
+def test_bigm_gives_up_after_three_escalations():
+    # primal bounds at 1e-9 of the row ranges stay far too small after
+    # three tenfold rounds: the form ends infeasible, exit code 2, with a
+    # note per round and one for giving up
+    mpec = assemble_mpec(dict(DIVISION_FIXTURES)["zero_cap"]())
+    policy = BigMPolicy(primal_safety=1e-9, primal_floor=1e-6)
+    res, rounds, notes = solve_division(mpec, SolveOptions(), "bigm", policy)
+    assert (res.status, rounds, res.exit_code) == ("infeasible", 3, 2)
+    assert notes == [f"escalation round {k}: big-M form infeasible, regrowing omega/slack"
+                     for k in (1, 2, 3)] + ["big-M form still infeasible after 3 escalations"]
 
 
 def test_bigm_escalates_undersized_dual_bounds():
