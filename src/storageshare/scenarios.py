@@ -19,8 +19,8 @@ figures, not individual bills.
 Scenarios 2 and 3 solve the division model in lpcc or bigm mode
 (solve_division). In bigm mode the pair bounds take BigMPolicy's default
 sizes; a near-binding bound or an infeasible big-M form grows both sides
-10x (BigMPolicy.grown) for up to _MAX_ROUNDS re-solves, and each round
-is a note in the day's report.
+10x (BigMPolicy.grown) for up to _MAX_ROUNDS re-solves within the one
+time limit, and each round is a note in the day's report.
 
 Report files are plain delimited text, deterministic for fixed inputs
 (no timestamps, no wall-clock fields); re-reading one rejects a repeated
@@ -182,13 +182,16 @@ def solve_division(mpec, opts: SolveOptions, mode: str,
     bound grows both sides of the policy (BigMPolicy.grown) and re-solves,
     up to _MAX_ROUNDS escalations; the note names the flagged sides. A
     division model is always feasible, so an infeasible big-M form means
-    its bounds cut off every point: that escalates too. Returns (result,
-    escalations, notes).
+    its bounds cut off every point: that escalates too. All rounds share
+    opts.time_limit: each gets the time the rounds before it left, and
+    with none left the last round's result stands, with a note. Returns
+    (result, escalations, notes).
     """
     _check_mode(mode)
     notes = []
     if mode == "lpcc":
         return solve_lpcc(mpec, opts), 0, notes
+    t0 = time.perf_counter()
     pol = policy or BigMPolicy()
     rounds = 0
     while True:
@@ -204,13 +207,16 @@ def solve_division(mpec, opts: SolveOptions, mode: str,
                 return result, rounds, notes
             sides = {side for _, side, _, _ in report.flagged}
             why = f"{len(report.flagged)} binding pair bounds"
-        if rounds >= _MAX_ROUNDS:
+        left = opts.time_limit - (time.perf_counter() - t0)
+        if rounds >= _MAX_ROUNDS or left <= 0:
             still = ("big-M form still infeasible" if result.status == "infeasible"
                      else "pair bounds still binding")
-            notes.append(f"{still} after {rounds} escalations")
+            notes.append(f"{still} after {rounds} escalations"
+                         + ("" if rounds >= _MAX_ROUNDS else ", time limit reached"))
             return result, rounds, notes
         rounds += 1
         pol = pol.grown()
+        opts = replace(opts, time_limit=left)
         notes.append(
             f"escalation round {rounds}: {why}, regrowing {'/'.join(sorted(sides))}")
 

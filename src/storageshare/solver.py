@@ -4,12 +4,17 @@ simplex engine.
 Two entry points: solve_milp branches on the binaries of a big-M
 linearized division model (mpec.MilpModel), and solve_lpcc branches
 directly on complementarity pairs without big-M constants. Both run one
-driver: a division heuristic, a best-first core with warm-started node
-LPs and a dual re-read of the final incumbent: each party's multipliers
-from its capacity path at the answer's share, kept when they are
-complementary to the answer's rows, which certifies by LP duality that
-every dispatch is optimal at its share. Node order and therefore node
-counts are deterministic for a fixed model.
+tree solve (_solve_tree): it builds each party's capacity path
+(simplex.CapacityPath) once, and the chords, the division heuristic, the
+root start and the dual re-read all read those paths. One stitch
+(_stitch) writes a point's party blocks off the paths at the point's
+shares, for the heuristic's points, the root start and the re-read of
+the final incumbent: each party's multipliers from its path at the
+answer's share, kept when they are complementary to the answer's rows,
+which certifies by LP duality that every dispatch is optimal at its
+share. The best-first core (_branch_and_bound) routes every node, the
+root too, through one function and ends at one exit. Node order and
+therefore node counts are deterministic for a fixed model.
 
 The LP both trees search is the model's LP plus one chord row per party
 p: c_p.x_p <= phi_p(lo) + (phi_p(hi) - phi_p(lo)) / (hi - lo) (s_p - lo),
@@ -24,19 +29,19 @@ divisions then close at the root. The rows live in the tree's copy of
 the LP only; the model, its big-M form and their MPS files do not carry
 them.
 
-No LP of a solve runs phase 1. The heuristic first builds each party's
-capacity path (simplex.CapacityPath), from the party's no-battery vertex,
-and the chords, the heuristic, the root start and the re-read all look a
-share up on it. The paths' optimal bases at the shares' lowest bounds
+No LP of a solve runs phase 1. Each path starts from the party's
+no-battery vertex. The paths' optimal bases at the shares' lowest bounds
 give a point of the root LP (every dispatch optimal with its
-multipliers, the peak at the highest load) and a feasible basis at it:
-each party's primal basis, the complementary dual basis on its
+multipliers, the peak at the highest net load) and a feasible basis at
+it: each party's primal basis, the complementary dual basis on its
 stationarity rows, peak on its tightest row and a surplus on every other
 row (_root_start). The engine checks each start and runs phase 2 from
-it; a rejected start falls back to the slack crash. Each fallback a solve takes is named in SolveResult.fallbacks,
-SolveResult.family_iterations and .path_pieces count the paths' pivots and
-pieces, and the clock and time limit run from the start of the whole solve,
-heuristic and chords included.
+it; a rejected start falls back to the slack crash. Each fallback a
+solve takes is named in SolveResult.fallbacks,
+SolveResult.family_iterations and .path_pieces count the paths' pivots
+and pieces, and the clock and time limit run from the start of the
+whole solve, paths and chords included; the node and time budget is
+checked before each node is solved and each solved node is branched.
 """
 
 from __future__ import annotations
@@ -110,30 +115,25 @@ def _relative_gap(objective: float, bound: float) -> float:
     return max(0.0, (objective - bound) / max(1.0, abs(objective)))
 
 
-def _branch_and_bound(lp, opts, classify, model, heuristic, start=None, t0=None):
-    """Best-first search; classify(sol) returns either an incumbent
-    candidate or the two child bound-fixes of the branching decision.
-    Ties on the bound favor deeper nodes so plateaus dive to leaves.
-    heuristic.try_point may turn any node relaxation into a side
-    incumbent without affecting the tree itself. start goes to the root's
-    Simplex.solve; t0, the perf_counter reading the time limit and
-    wall_time count from, defaults to now."""
+def _branch_and_bound(engine: Simplex, opts, classify, try_point, start=None, t0=None):
+    """Best-first search over engine's LP; classify(sol) returns either an
+    incumbent candidate or the two child bound-fixes of the branching
+    decision. Ties on the bound favor deeper nodes so plateaus dive to
+    leaves. try_point(x) may turn any node relaxation into a side incumbent
+    (x, objective) without affecting the tree itself. start goes to the
+    root's Simplex.solve; t0, the perf_counter reading the time limit and
+    wall_time count from, defaults to now. The result carries no model."""
     t0 = time.perf_counter() if t0 is None else t0
-    engine = Simplex(lp)
-    base_lo = np.concatenate([lp.lb, np.zeros(lp.n_g)])
-    base_hi = np.concatenate([lp.ub, np.full(lp.n_g, np.inf)])
-
     incumbent_x = None
     incumbent_obj = np.inf
     bound_hist: list[float] = []
     inc_hist: list[float] = []
-    heap: list = []
+    heap: list = []  # solved nodes to branch on
+    todo = [((), None, -np.inf)]  # nodes to solve: (fixes, parent snapshot, parent bound)
     seq = 0
     global_bound = -np.inf
     gap_floor = np.inf  # lowest bound of a node that only gap_target pruned
-    limit_hit = False
-    node_count = 0
-    iterations = 0
+    node_count = iterations = root_iterations = 0
 
     def prune_eps() -> float:
         if not np.isfinite(incumbent_obj):
@@ -161,24 +161,24 @@ def _branch_and_bound(lp, opts, classify, model, heuristic, start=None, t0=None)
             incumbent_x, incumbent_obj = x2, obj2
             inc_hist.append(obj2)
 
-    def consider(sol, fixes, parent_bound) -> str | None:
-        """Route one solved node; returns a terminal status or None."""
-        nonlocal seq, limit_hit
-        if sol.status == "infeasible":
-            return None
-        if sol.status == "iteration_limit":
-            limit_hit = True
-            return None
-        if sol.status == "unbounded":
-            return "unbounded"
+    def route(sol, fixes, parent_bound) -> str | None:
+        """Count and route one solved node; returns the status that ends
+        the search ("limit" or "unbounded"), or None."""
+        nonlocal node_count, iterations, seq
+        node_count += 1
+        iterations += sol.iterations
+        if sol.status != "optimal":
+            return {"iteration_limit": "limit", "unbounded": "unbounded"}.get(sol.status)
         bound = max(float(sol.objective), parent_bound)
+        if not fixes:  # the root's bound is the first global bound
+            raise_bound(bound)
         if pruned(bound):
             return None
         kind, payload = classify(sol)
         if kind == "incumbent":
             take_incumbent(*payload)
             return None
-        side = heuristic.try_point(sol.x)
+        side = try_point(sol.x)
         if side is not None:
             take_incumbent(*side)
             if pruned(bound):
@@ -187,79 +187,41 @@ def _branch_and_bound(lp, opts, classify, model, heuristic, start=None, t0=None)
         seq += 1
         return None
 
-    root = engine.solve(start=start)
-    node_count += 1
-    iterations += root.iterations
-    done = partial(SolveResult, model=model, root_iterations=root.iterations,
-                   fallbacks=("root_start",) if engine.start_rejects else ())
-    if root.status != "optimal":
-        status = {"iteration_limit": "limit"}.get(root.status, root.status)
-        return done(
-            status=status, x=None, objective=np.nan,
-            best_bound=-np.inf if status == "unbounded" else np.inf,
-            gap=np.inf, node_count=node_count,
-            wall_time=time.perf_counter() - t0, iterations=iterations,
-        )
-    raise_bound(float(root.objective))
-    terminal = consider(root, (), -np.inf)
-
-    while heap and terminal is None and not limit_hit:
+    stop = None
+    while stop is None and (todo or heap):
         if node_count >= opts.node_limit or time.perf_counter() - t0 > opts.time_limit:
-            limit_hit = True
-            break
-        bound, _, _, fixes, snap, branch = heapq.heappop(heap)
-        raise_bound(bound)
-        if pruned(bound):
-            continue
-        for col, lo_fix, hi_fix in branch:
-            lo, hi = base_lo.copy(), base_hi.copy()
-            for c_, l_, h_ in fixes:
-                lo[c_] = max(lo[c_], l_)
-                hi[c_] = min(hi[c_], h_)
-            lo[col] = max(lo[col], lo_fix)
-            hi[col] = min(hi[col], hi_fix)
-            sol = engine.resolve(snap, lo, hi)
-            node_count += 1
-            iterations += sol.iterations
-            terminal = consider(sol, fixes + ((col, lo_fix, hi_fix),), bound)
-            if terminal is not None or limit_hit:
-                break
-            if node_count >= opts.node_limit or time.perf_counter() - t0 > opts.time_limit:
-                limit_hit = True
-                break
+            stop = "limit"
+        elif todo:
+            fixes, snap, parent_bound = todo.pop(0)
+            if snap is None:
+                sol = engine.solve(start=start)
+                root_iterations = sol.iterations
+            else:
+                lo, hi = engine.base_lo.copy(), engine.base_hi.copy()
+                for col, lo_fix, hi_fix in fixes:
+                    lo[col] = max(lo[col], lo_fix)
+                    hi[col] = min(hi[col], hi_fix)
+                sol = engine.resolve(snap, lo, hi)
+            stop = route(sol, fixes, parent_bound)
+        else:
+            bound, _, _, fixes, snap, branch = heapq.heappop(heap)
+            raise_bound(bound)
+            if not pruned(bound):
+                todo = [(fixes + (fix,), snap, bound) for fix in branch]
 
-    if terminal == "unbounded":
-        return done(
-            status="unbounded", x=None, objective=np.nan, best_bound=-np.inf,
-            gap=np.inf, node_count=node_count,
-            wall_time=time.perf_counter() - t0, iterations=iterations,
-        )
-    if limit_hit:
-        status = "limit"
-    elif incumbent_x is not None:
-        status = "optimal"
+    status = stop or ("infeasible" if incumbent_x is None else "optimal")
+    if status == "optimal":
         raise_bound(incumbent_obj)
-    else:
-        status = "infeasible"
-    if status == "infeasible":
-        best_bound = np.inf
-        objective = np.nan
-        gap = np.inf
-    else:
-        best_bound = min(global_bound, incumbent_obj)
-        objective = incumbent_obj if incumbent_x is not None else np.nan
-        gap = _relative_gap(objective, best_bound)
-    return done(
-        status=status,
-        x=incumbent_x,
-        objective=objective,
-        best_bound=best_bound,
-        gap=gap,
-        node_count=node_count,
-        wall_time=time.perf_counter() - t0,
-        iterations=iterations,
-        bound_history=tuple(bound_hist),
-        incumbent_history=tuple(inc_hist),
+    x = None if status == "unbounded" else incumbent_x
+    objective = incumbent_obj if x is not None else np.nan
+    best_bound = {"infeasible": np.inf, "unbounded": -np.inf}.get(
+        status, min(global_bound, incumbent_obj))
+    return SolveResult(
+        status=status, x=x, objective=objective, best_bound=best_bound,
+        gap=_relative_gap(objective, best_bound), node_count=node_count,
+        wall_time=time.perf_counter() - t0, iterations=iterations, model=None,
+        bound_history=tuple(bound_hist), incumbent_history=tuple(inc_hist),
+        root_iterations=root_iterations,
     )
 
 
@@ -268,6 +230,27 @@ def _pair_slacks(lp: LinearProgram, pairs: np.ndarray):
     rows = lp.g.take(pairs[:, 1])
     rhs = lp.b_g[pairs[:, 1]]
     return lambda x: rows.dot(x) - rhs
+
+
+def _stitch(mpec: MpecModel, paths, x: np.ndarray, dispatch: bool):
+    """Write into x each party's multipliers from its path at the party's
+    share in x (at 0 if a hair below); with dispatch also its dispatch and
+    the system peak at the highest net load, system load plus every
+    party's flows. Returns the parties' path solutions and the net load."""
+    t = mpec.instance.grid.slot_count
+    net = mpec.instance.loads.system_load.astype(float)
+    sols = []
+    for path, lay in zip(paths, mpec.parties()):
+        sol = path.at(max(0.0, float(x[lay.cap_col])))
+        sols.append(sol)
+        x[lay.w0: lay.w0 + lay.nw] = sol.dual_g
+        x[lay.v0: lay.v0 + lay.nv] = sol.dual_h
+        if dispatch:
+            x[lay.x0: lay.x0 + lay.nx] = sol.x[: lay.nx]
+            net += sol.x[:t] - sol.x[t: 2 * t]
+    if dispatch:
+        x[mpec.peak_col] = float(net.max())
+    return sols, net
 
 
 class _DivisionHeuristic:
@@ -279,39 +262,24 @@ class _DivisionHeuristic:
     together with the implied system peak gives an incumbent; the division
     is read off a node relaxation, and repeats are skipped via a cache.
     Each party's dispatch at any share is a lookup on its capacity path
-    (simplex.CapacityPath), built once for the whole tree solve; the same
-    paths give the tree's answer its multipliers (read_paths).
+    (simplex.CapacityPath), built once for the whole tree solve.
     """
 
-    def __init__(self, mpec: MpecModel, feas_lp: LinearProgram, u_cols=None):
+    def __init__(self, mpec: MpecModel, feas_lp: LinearProgram, paths, u_cols=None):
         self.mpec = mpec
         self.feas_lp = feas_lp
+        self.paths = paths
         self.u_cols = u_cols
         self.pair_slacks = _pair_slacks(mpec.lp, mpec.pairs)
+        self.cap_cols = [lay.cap_col for lay in mpec.parties()]
         self.seen: set = set()
-        inst = mpec.instance
-        self.paths = [CapacityPath(inst, p) for p in range(inst.customer_count + 1)]
 
-    def read_paths(self, x: np.ndarray, dispatch: bool) -> np.ndarray | None:
-        """Write into x each party's multipliers from its path at the
-        party's share in x (at 0 if a hair below), with dispatch also its
-        dispatch and the implied system peak. Returns x, binaries re-settled,
-        if the multipliers are complementary to x's rows and x passes
-        feas_lp, else None. Dual-feasible multipliers complementary to a
-        feasible x certify that each dispatch in x is optimal at its share."""
-        mp = self.mpec
-        t = mp.instance.grid.slot_count
-        net = mp.instance.loads.system_load.astype(float)
-        for p, lay in enumerate(mp.parties()):
-            sol = self.paths[p].at(max(0.0, float(x[lay.cap_col])))
-            x[lay.w0: lay.w0 + lay.nw] = sol.dual_g
-            x[lay.v0: lay.v0 + lay.nv] = sol.dual_h
-            if dispatch:
-                x[lay.x0: lay.x0 + lay.nx] = sol.x[: lay.nx]
-                net += sol.x[:t] - sol.x[t: 2 * t]
-        if dispatch:
-            x[mp.peak_col] = float(net.max())
-        w = x[mp.pairs[:, 0]]
+    def verified(self, x: np.ndarray) -> np.ndarray | None:
+        """x, binaries re-settled, if its multipliers are complementary to
+        its rows and it passes feas_lp, else None. Dual-feasible multipliers
+        complementary to a feasible x certify that each dispatch in x is
+        optimal at its share."""
+        w = x[self.mpec.pairs[:, 0]]
         slack = self.pair_slacks(x)
         if float(np.abs(w * slack).max(initial=0.0)) > _COMP_TOL:
             return None
@@ -326,15 +294,15 @@ class _DivisionHeuristic:
         or the stitched point fails verification. Each party is solved at
         the relaxation's exact share; the share rounded to 9 digits only
         keys the cache of tried divisions."""
-        cap_cols = [lay.cap_col for lay in self.mpec.parties()]
-        shares = np.maximum(0.0, x_relax[cap_cols])
+        shares = np.maximum(0.0, x_relax[self.cap_cols])
         key = tuple(round(float(v), 9) for v in shares)
         if key in self.seen:
             return None
         self.seen.add(key)
         x = np.zeros(self.feas_lp.n_vars)
-        x[cap_cols] = shares
-        if self.read_paths(x, dispatch=True) is None:
+        x[self.cap_cols] = shares
+        _stitch(self.mpec, self.paths, x, dispatch=True)
+        if self.verified(x) is None:
             return None
         return x, float(self.feas_lp.c @ x) + self.feas_lp.objective_constant
 
@@ -389,7 +357,7 @@ def _classify_lpcc(mpec: MpecModel, lp: LinearProgram):
     return classify
 
 
-def _with_chords(mpec: MpecModel, lp: LinearProgram, heur: _DivisionHeuristic):
+def _with_chords(mpec: MpecModel, lp: LinearProgram, paths):
     """lp plus one chord row per party p over its share column s_p:
 
         -c_p.x_p + slope_p s_p >= -phi_p(lo) + slope_p lo,
@@ -397,9 +365,9 @@ def _with_chords(mpec: MpecModel, lp: LinearProgram, heur: _DivisionHeuristic):
     with [lo, hi] the bounds of s_p in lp and slope_p the slope of phi_p
     from lo to hi. phi_p is convex, so it lies on or below this chord on
     [lo, hi], and every point whose dispatches are optimal satisfies the
-    row. phi_p(lo) and phi_p(hi) are lookups on the heuristic's paths."""
+    row. phi_p(lo) and phi_p(hi) are lookups on the party's path."""
     idx, val, off = [], [], []
-    for path, lay in zip(heur.paths, mpec.parties()):
+    for path, lay in zip(paths, mpec.parties()):
         lo, hi = float(lp.lb[lay.cap_col]), float(lp.ub[lay.cap_col])
         phi_lo, phi_hi = path.at(lo).objective, path.at(hi).objective
         slope = (phi_hi - phi_lo) / (hi - lo) if hi > lo else 0.0
@@ -421,20 +389,20 @@ def _with_chords(mpec: MpecModel, lp: LinearProgram, heur: _DivisionHeuristic):
 def _root_start(mpec: MpecModel, lp: LinearProgram, paths, u_cols=None):
     """Start (basic columns, point) of lp's root solve: the point where each
     party dispatches optimally at a share bound with its path's
-    multipliers, and a feasible basis at it. None if an equality row
-    outside the party blocks cannot be met.
+    multipliers (_stitch), and a feasible basis at it. None if an equality
+    row outside the party blocks cannot be met.
 
     Each share sits at its lower bound, nonbasic. An equality row beyond the
     parties' stationarity and balance rows (a pin on the shares, such as
     sum s_c = C) is met by its first column, which turns basic and must be
     a share that then sits at its upper bound. A party's block takes its
-    path's basis at its share (paths[p].at): the same dispatch columns and surpluses of its primal rows, and on its
-    stationarity rows the multipliers of its active rows and its balance
-    multipliers, which the party's primal basis determines (the
-    complementary dual basis). peak is basic on its tightest row; every
-    other row outside the party blocks (capacity split, peak, big-M pair
-    and chord rows) keeps its surplus basic, and the binaries u_cols sit at
-    1 exactly on the active pairs."""
+    path's basis at its share: the same dispatch columns and surpluses of
+    its primal rows, and on its stationarity rows the multipliers of its
+    active rows and its balance multipliers, which the party's primal basis
+    determines (the complementary dual basis). peak is basic on the row of
+    the highest net load; every other row outside the party blocks
+    (capacity split, peak, big-M pair and chord rows) keeps its surplus
+    basic, and the binaries u_cols sit at 1 exactly on the active pairs."""
     n = lp.n_vars
     x = np.zeros(n)
     parties = mpec.parties()
@@ -448,11 +416,8 @@ def _root_start(mpec: MpecModel, lp: LinearProgram, paths, u_cols=None):
         if col not in shares or x[col] != lp.ub[col]:
             return None
         basic.append(cols[:1])
-    for lay, path in zip(parties, paths):
-        sol = path.at(x[lay.cap_col])
-        x[lay.x0: lay.x0 + lay.nx] = sol.x[: lay.nx]
-        x[lay.w0: lay.w0 + lay.nw] = sol.dual_g
-        x[lay.v0: lay.v0 + lay.nv] = sol.dual_h
+    sols, net = _stitch(mpec, paths, x, dispatch=True)
+    for lay, sol in zip(parties, sols):
         # party numbering: dispatch column j, or nx + 1 + i for row i's
         # surplus (the capacity column nx is fixed, never basic)
         b = sol.basis
@@ -461,10 +426,8 @@ def _root_start(mpec: MpecModel, lp: LinearProgram, paths, u_cols=None):
     upper = np.ones(lp.n_g, dtype=bool)
     for lay in parties:
         upper[lay.g0: lay.g0 + lay.nw] = False
-    peak_rows = lp.g.row_ids[lp.g.indices == mpec.peak_col]  # peak - flows >= load
-    load = lp.b_g[peak_rows] - lp.g.take(peak_rows).dot(x)  # load + flows, peak at 0
-    x[mpec.peak_col] = float(load.max())
-    upper[peak_rows[np.argmax(load)]] = False
+    peak_rows = lp.g.row_ids[lp.g.indices == mpec.peak_col]  # one per slot, in order
+    upper[peak_rows[np.argmax(net)]] = False
     basic.append(n + np.flatnonzero(upper))
     basic = np.concatenate(basic)
     if u_cols is not None:
@@ -474,28 +437,31 @@ def _root_start(mpec: MpecModel, lp: LinearProgram, paths, u_cols=None):
 
 def _solve_tree(mpec: MpecModel, model, lp: LinearProgram, classify_for,
                 options: SolveOptions | None, u_cols=None) -> SolveResult:
-    """Division heuristic, best-first tree over lp and its chord rows from
-    the paths' root start, then the dual re-read of the incumbent.
+    """Each party's capacity path, then the best-first tree over lp and its
+    chord rows from the paths' root start, with the division heuristic on
+    the paths, then the dual re-read of the incumbent off the same paths.
     classify_for(tree_lp) gives the node classifier; u_cols are lp's binary
     columns, if it has any. The clock and the time limit cover it all."""
     t0 = time.perf_counter()
-    heur = _DivisionHeuristic(mpec, lp, u_cols=u_cols)
-    tree_lp = _with_chords(mpec, lp, heur)
-    start = _root_start(mpec, tree_lp, heur.paths, u_cols)
-    result = _branch_and_bound(tree_lp, options or SolveOptions(), classify_for(tree_lp),
-                               model, heur, start=start, t0=t0)
-    fallbacks = ("root_start",) if start is None else result.fallbacks
-    if result.x is not None:
-        reread = heur.read_paths(result.x.copy(), dispatch=False)
-        if reread is None:
-            fallbacks += ("reread",)
-        else:
-            result = replace(result, x=reread)
-    if any(path.engine.start_rejects for path in heur.paths):
-        fallbacks = ("family_start",) + fallbacks
-    return replace(result, fallbacks=fallbacks,
-                   family_iterations=sum(path.iterations for path in heur.paths),
-                   path_pieces=sum(len(path.pieces) for path in heur.paths),
+    paths = [CapacityPath(mpec.instance, p) for p in range(len(mpec.parties()))]
+    heur = _DivisionHeuristic(mpec, lp, paths, u_cols)
+    tree_lp = _with_chords(mpec, lp, paths)
+    start = _root_start(mpec, tree_lp, paths, u_cols)
+    engine = Simplex(tree_lp)
+    result = _branch_and_bound(engine, options or SolveOptions(), classify_for(tree_lp),
+                               heur.try_point, start=start, t0=t0)
+    x = result.x
+    if x is not None:
+        x = x.copy()
+        _stitch(mpec, paths, x, dispatch=False)
+        x = heur.verified(x)
+    fallbacks = tuple(name for name, taken in (
+        ("family_start", any(path.engine.start_rejects for path in paths)),
+        ("root_start", start is None or engine.start_rejects > 0),
+        ("reread", result.x is not None and x is None)) if taken)
+    return replace(result, model=model, x=result.x if x is None else x, fallbacks=fallbacks,
+                   family_iterations=sum(path.iterations for path in paths),
+                   path_pieces=sum(len(path.pieces) for path in paths),
                    wall_time=time.perf_counter() - t0)
 
 

@@ -1,6 +1,8 @@
 """Config and series-file parsing, including every rejection path."""
 
+import inspect
 import re
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,8 @@ from storageshare.dataio import (
     read_loads,
     read_prices,
 )
+from storageshare.instance import StorageParams, Weights, make_instance
+from storageshare.solver import SolveOptions
 from storageshare.synthetic import gen_synthetic
 
 
@@ -43,6 +47,26 @@ node_limit = 500
     opts = cfg.solve_options()
     assert opts.node_limit == 500 and opts.time_limit == 600.0
     assert not any(k.startswith("big_m_") for k in cfg.values)
+
+
+def test_config_defaults_match_the_code_defaults():
+    # a default is written in the schema, in make_instance's keywords and in
+    # the StorageParams, Weights or SolveOptions fields: a number changed in
+    # one place only fails here, as does an instance or SolveOptions() that
+    # resolves to another
+    written = {name: [p.default] for name, p in inspect.signature(make_instance).parameters.items()}
+    for cls in (StorageParams, Weights, SolveOptions):
+        for f in fields(cls):
+            written.setdefault(f.name, []).append(f.default)
+    inst = make_instance(lmp=np.ones(2), tou=np.ones(2), customer_load=np.ones((3, 2)),
+                         slot_hours=1.0, total_capacity=1.0)
+    built = {**vars(inst.storage), **vars(inst.weights), **vars(SolveOptions())}
+    for key, (conv, default) in _CONFIG_SCHEMA.items():
+        if default is None or conv is str:  # required, or the mode
+            continue
+        given = [d for d in written[key] if d not in (None, inspect.Parameter.empty, MISSING)]
+        assert all(d == default for d in given), (key, given)
+        assert np.all(built[key] == default), key  # soc_ini_customer: one per customer
 
 
 def test_readme_config_table_names_every_key():

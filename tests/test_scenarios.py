@@ -1,6 +1,7 @@
 """Scenario comparison engine: baselines, attribution, reports, the cycle."""
 
 import filecmp
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -179,6 +180,35 @@ def test_bigm_gives_up_after_three_escalations():
     assert (res.status, rounds, res.exit_code) == ("infeasible", 3, 2)
     assert notes == [f"escalation round {k}: big-M form infeasible, regrowing omega/slack"
                      for k in (1, 2, 3)] + ["big-M form still infeasible after 3 escalations"]
+
+
+def test_bigm_rounds_share_one_time_limit(monkeypatch):
+    # every escalation round once got the caller's whole time limit, so a
+    # bigm day could run for 1 + _MAX_ROUNDS times it; each round now gets
+    # what the rounds before it left, and none is started with none left
+    mpec = assemble_mpec(dict(DIVISION_FIXTURES)["zero_cap"]())
+    policy = BigMPolicy(primal_safety=1e-9, primal_floor=1e-6)
+    solve, calls = scenarios.solve_milp, []  # (time limit, seconds) of each tree solve
+
+    def timed(milp, opts, pause=0.0):
+        t0 = time.perf_counter()
+        res = solve(milp, opts)
+        time.sleep(pause)
+        calls.append((opts.time_limit, time.perf_counter() - t0))
+        return res
+
+    monkeypatch.setattr(scenarios, "solve_milp", timed)
+    res, rounds, _ = solve_division(mpec, SolveOptions(time_limit=60.0), "bigm", policy)
+    assert (res.status, rounds, len(calls)) == ("infeasible", 3, 4)
+    assert calls[0][0] == 60.0
+    for k, (limit, _) in enumerate(calls):
+        assert limit <= 60.0 - sum(spent for _, spent in calls[:k]), k
+    # a first round that spends the whole budget leaves none for a second
+    calls.clear()
+    monkeypatch.setattr(scenarios, "solve_milp", lambda milp, opts: timed(milp, opts, 0.5))
+    res, rounds, notes = solve_division(mpec, SolveOptions(time_limit=0.5), "bigm", policy)
+    assert (res.status, rounds, len(calls)) == ("infeasible", 0, 1)
+    assert notes == ["big-M form still infeasible after 0 escalations, time limit reached"]
 
 
 def test_bigm_escalates_undersized_dual_bounds():

@@ -11,7 +11,7 @@ from storageshare.lp import build_llm_c, build_llm_d, build_party_lp
 from storageshare.mpec import assemble_mpec, linearize_big_m, validate_big_m
 from storageshare.oracle import grid_oracle
 from storageshare.scenarios import _pin_customers_only, solve_division
-from storageshare.simplex import Simplex
+from storageshare.simplex import CapacityPath, Simplex
 from storageshare.solver import SolveOptions, extract_solution, solve_lpcc, solve_milp
 from tests.conftest import (
     DIVISION_FIXTURES,
@@ -29,12 +29,6 @@ from tests.conftest import (
 from tests.lp_oracle import check_kkt_residuals, derive_kkt, make_lp
 
 
-class _NoHeuristic:
-    @staticmethod
-    def try_point(x):
-        return None
-
-
 def solve_binary(lp, cols):
     """The tree core on a plain LP whose cols are binary: branch on the most
     fractional one, and take an integral relaxation as an incumbent."""
@@ -47,7 +41,7 @@ def solve_binary(lp, cols):
         col = int(cols[np.argmax(frac)])
         return "branch", ((col, 0.0, 0.0), (col, 1.0, 1.0))
 
-    return solver._branch_and_bound(lp, SolveOptions(), classify, lp, _NoHeuristic())
+    return solver._branch_and_bound(Simplex(lp), SolveOptions(), classify, lambda x: None)
 
 
 def random_knapsack(rng, n=10):
@@ -176,6 +170,57 @@ def test_node_limit_yields_limit_status():
         assert res.objective >= full.objective - 1e-9
 
 
+@pytest.mark.parametrize("mode", solver.MODES)
+def test_root_at_its_iteration_limit_proves_no_bound(monkeypatch, mode):
+    # a root LP stopped by its iteration limit proves nothing: the solve
+    # ends "limit" with no answer and a bound of -inf, where it once
+    # claimed a bound of +inf
+    class Engine(Simplex):
+        def solve(self, lo=None, hi=None, start=None):
+            return self._failed("iteration_limit")
+
+    monkeypatch.setattr(solver, "Simplex", Engine)
+    mpec = assemble_mpec(division_fixture(202))
+    res = solve_lpcc(mpec) if mode == "lpcc" else solve_milp(linearize_big_m(mpec))
+    assert (res.status, res.exit_code, res.node_count) == ("limit", 4, 1)
+    assert res.x is None and np.isnan(res.objective)
+    assert res.best_bound == -np.inf and res.gap == np.inf
+
+
+def test_one_capacity_path_per_party_per_tree_solve(monkeypatch):
+    # each tree solve builds every party's path once; the chords, the root
+    # start, the heuristic's points and the re-read all read those objects
+    built, reads = [], []
+
+    class Path(CapacityPath):
+        def __init__(self, instance, party):
+            super().__init__(instance, party)
+            built.append(self)
+
+    def reading(name, fn, at):
+        def wrapped(*args, **kw):
+            reads.append(("reread" if kw.get("dispatch") is False else name, args[at]))
+            return fn(*args, **kw)
+        return wrapped
+
+    monkeypatch.setattr(solver, "CapacityPath", Path)
+    for name, at in (("_with_chords", 2), ("_root_start", 2), ("_stitch", 1)):
+        monkeypatch.setattr(solver, name, reading(name.strip("_"), getattr(solver, name), at))
+    mpec = assemble_mpec(interior_fixture())  # its root branches: the heuristic runs
+    parties = len(mpec.parties())
+    for solve in (lambda: solve_lpcc(mpec), lambda: solve_milp(linearize_big_m(mpec))):
+        built.clear()
+        reads.clear()
+        res = solve()
+        assert res.status == "optimal" and res.node_count > 1 and res.fallbacks == ()
+        assert len(built) == parties
+        names = [name for name, _ in reads]
+        assert names.count("with_chords") == names.count("root_start") == names.count("reread") == 1
+        assert names.count("stitch") >= 2  # the root start's and the heuristic's
+        for _, paths in reads:
+            assert len(paths) == parties and all(a is b for a, b in zip(paths, built))
+
+
 def test_time_limit_yields_limit_status():
     inst = interior_fixture()
     mpec = assemble_mpec(inst)
@@ -302,7 +347,8 @@ def test_zero_capacity_division_is_exact():
 
 def _tree_lp(mpec):
     """The LP the trees search: mpec.lp plus the chord rows."""
-    return solver._with_chords(mpec, mpec.lp, solver._DivisionHeuristic(mpec, mpec.lp))
+    paths = [CapacityPath(mpec.instance, p) for p in range(len(mpec.parties()))]
+    return solver._with_chords(mpec, mpec.lp, paths)
 
 
 def test_value_functions_lie_on_or_below_their_chords():
@@ -425,11 +471,17 @@ def test_each_fallback_is_named_and_changes_no_answer(monkeypatch, mode):
 
     clean = solve()
     assert clean.status == "optimal" and clean.fallbacks == ()
-    start, read = solver._root_start, solver._DivisionHeuristic.read_paths
+    start, stitch = solver._root_start, solver._stitch
 
     def short_start(*args):  # one basic column short: the engine rejects it
         basic, x = start(*args)
         return basic[1:], x
+
+    def spoiled_reread(mpec, paths, x, dispatch):  # multipliers off every pair row
+        out = stitch(mpec, paths, x, dispatch)
+        if not dispatch:
+            x[mpec.pairs[:, 0]] += 1.0
+        return out
 
     spoiled = corrupted_starts(simplex.no_battery_start)
     forced = (
@@ -437,8 +489,7 @@ def test_each_fallback_is_named_and_changes_no_answer(monkeypatch, mode):
         ("family_start", simplex, "no_battery_start", spoiled["folded row's surplus"]),
         ("root_start", solver, "_root_start", short_start),
         ("root_start", solver, "_root_start", lambda *args: None),  # no start built
-        ("reread", solver._DivisionHeuristic, "read_paths",
-         lambda self, x, dispatch: read(self, x, dispatch) if dispatch else None),
+        ("reread", solver, "_stitch", spoiled_reread),
     )
     for name, owner, attr, patch in forced:
         with monkeypatch.context() as m:

@@ -4,28 +4,31 @@
     python -m tests.tree_sweep --compare A B
 
 The first form solves tests.conftest.division_fixture(seed) for every seed,
-with solve_lpcc and with the bigm path of scenarios.solve_division
-(validation and escalation included), and writes one JSON line per (seed,
-mode) with the status, nodes, LP iterations, the root LP's iterations,
-the pivots and the pieces of the parties' capacity paths (family
-iterations and path pieces), big-M escalations, the fallbacks the
-solve took (family_start, root_start, reread), objective and seconds,
-the answer's worst lower-level excess, plus the seed's grid_oracle
-objective at step C/20. The excess is c_p.x_p - phi_p(s_p) of the party
-where it is largest relative to 1 + |phi_p(s_p)| (ll_excess, with that phi
-as ll_phi). The second form reads two such files and prints, per mode, the
-summed seconds and nodes of each (and the summed family iterations and
-path pieces, each when both files record it for every solve of the mode)
-and every seed where
-both solves are optimal and the objectives differ by more than 1e-6
-relative; then the (seed, mode) solves whose nodes, LP iterations or
-family iterations differ (of the counters both files record), those whose
+free and with the whole battery given to the customers (scenario "free"
+or "customers-only"), with solve_lpcc and with the bigm path of
+scenarios.solve_division (validation and escalation included), and writes
+one JSON line per (seed, mode, scenario) with the status, nodes, LP
+iterations, the root LP's iterations, the pivots and the pieces of the
+parties' capacity paths (family iterations and path pieces), big-M
+escalations, the fallbacks the solve took (family_start, root_start,
+reread), objective and seconds, the answer's worst lower-level excess,
+plus, on a free record, the seed's grid_oracle objective at step C/20.
+The excess is c_p.x_p - phi_p(s_p) of the party where it is largest
+relative to 1 + |phi_p(s_p)| (ll_excess, with that phi as ll_phi). The
+second form reads two such files, matches their records by seed, mode
+and scenario (a record with no scenario, from an older file, is free),
+and prints, per mode and scenario, the summed seconds and nodes of each
+(and the summed family iterations and path pieces, each when both files
+record it for every solve of the group) and every seed where both solves
+are optimal and the objectives differ by more than 1e-6 relative; then
+the (seed, mode, scenario) solves whose nodes, LP iterations or family
+iterations differ (of the counters both files record), those whose
 escalation counts differ, and those whose fallbacks differ (of the solves
 both files record fallbacks for), and the seeds whose grid objectives
 differ by more than 1e-12 relative; then, per file, the seeds where the
-grid lies more than 1e-9 relative below an optimal lpcc objective, which
-no correct grid can, and the (seed, mode) answers whose excess is above
-1e-9 (1 + |phi|), whose dispatch is then not optimal.
+grid lies more than 1e-9 relative below an optimal free lpcc objective,
+which no correct grid can, and the (seed, mode, scenario) answers whose
+excess is above 1e-9 (1 + |phi|), whose dispatch is then not optimal.
 Run both sides of a comparison on the same machine, one after the other.
 """
 
@@ -38,6 +41,7 @@ import sys
 import time
 
 MODES = ("lpcc", "bigm")
+SCENARIOS = ("free", "customers-only")
 OBJ_TOL = 1e-6
 GRID_TOL = 1e-9
 GRID_SAME_TOL = 1e-12
@@ -54,19 +58,22 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def solve_one(seed: int, mode: str, node_limit: int) -> dict:
+def solve_one(seed: int, mode: str, scenario: str, node_limit: int) -> dict:
     from storageshare.mpec import assemble_mpec
-    from storageshare.scenarios import solve_division
+    from storageshare.scenarios import _pin_customers_only, solve_division
     from storageshare.solver import SolveOptions
 
     from tests.conftest import division_fixture, lower_level_excess
 
     model = assemble_mpec(division_fixture(seed))
+    if scenario == "customers-only":
+        model = _pin_customers_only(model)
     t0 = time.perf_counter()
     res, escalations, _ = solve_division(model, SolveOptions(node_limit=node_limit), mode, None)
     seconds = time.perf_counter() - t0
-    rec = {"seed": seed, "mode": mode, "status": res.status, "nodes": res.node_count,
-           "iterations": res.iterations, "root_iterations": res.root_iterations,
+    rec = {"seed": seed, "mode": mode, "scenario": scenario, "status": res.status,
+           "nodes": res.node_count, "iterations": res.iterations,
+           "root_iterations": res.root_iterations,
            "family_iterations": res.family_iterations, "path_pieces": res.path_pieces,
            "escalations": escalations, "fallbacks": list(res.fallbacks),
            "objective": float(res.objective), "seconds": round(seconds, 4)}
@@ -90,28 +97,36 @@ def sweep(seeds, node_limit: int, out: str):
     with open(out, "w") as fh:
         for seed in seeds:
             grid = grid_objective(seed)
-            for mode in MODES:
-                line = json.dumps({**solve_one(seed, mode, node_limit), "grid": grid})
-                fh.write(line + "\n")
-                fh.flush()
-                print(line, flush=True)
+            for scenario in SCENARIOS:
+                for mode in MODES:
+                    rec = solve_one(seed, mode, scenario, node_limit)
+                    if scenario == "free":  # the grid searches the free division only
+                        rec["grid"] = grid
+                    line = json.dumps(rec)
+                    fh.write(line + "\n")
+                    fh.flush()
+                    print(line, flush=True)
 
 
 def _load(path: str) -> dict:
     with open(path) as fh:
         records = [json.loads(line) for line in fh if line.strip()]
-    return {(r["seed"], r["mode"]): r for r in records}
+    return {(r["seed"], r["mode"], r.get("scenario", "free")): r for r in records}
+
+
+def _label(key) -> str:
+    return "/".join(map(str, key))
 
 
 def grid_below(records: dict) -> list[int]:
-    """Seeds whose grid objective lies below their optimal lpcc one."""
-    return [seed for (seed, mode), r in sorted(records.items())
+    """Seeds whose grid objective lies below their optimal free lpcc one."""
+    return [seed for (seed, mode, _), r in sorted(records.items())
             if mode == "lpcc" and r["status"] == "optimal" and "grid" in r
             and r["grid"] < r["objective"] - GRID_TOL * max(1.0, abs(r["objective"]))]
 
 
 def lower_level_above(records: dict) -> list[tuple[int, str]]:
-    """(seed, mode) of the answers whose worst lower-level excess is above
+    """(seed, mode, scenario) of the answers whose worst lower-level excess is above
     LL_TOL (1 + |phi|)."""
     return [key for key, r in sorted(records.items())
             if "ll_excess" in r and r["ll_excess"] > LL_TOL * (1.0 + abs(r["ll_phi"]))]
@@ -123,11 +138,13 @@ def compare(path_a: str, path_b: str) -> int:
     both = sorted(set(a) & set(b))
     print(f"{len(both)} solves in both files (A={path_a}, B={path_b})")
     differ = 0
-    for mode in MODES:
-        keys = [k for k in both if k[1] == mode]
+    for group in ((mode, scenario) for scenario in SCENARIOS for mode in MODES):
+        keys = [k for k in both if k[1:] == group]
+        if not keys:
+            continue
         ta, tb = (sum(side[k]["seconds"] for k in keys) for side in (a, b))
         na, nb = (sum(side[k]["nodes"] for k in keys) for side in (a, b))
-        line = (f"{mode}: {len(keys)} seeds, seconds {ta:.2f} -> {tb:.2f}"
+        line = (f"{_label(group)}: {len(keys)} seeds, seconds {ta:.2f} -> {tb:.2f}"
                 f" ({(tb - ta) / ta if ta else 0.0:+.1%}), nodes {na} -> {nb}")
         for key in ("family_iterations", "path_pieces"):
             if all(key in side[k] for side in (a, b) for k in keys):
@@ -144,28 +161,27 @@ def compare(path_a: str, path_b: str) -> int:
                     differ += 1
                     print(f"  seed {k[0]}: objective {fa!r} -> {fb!r}")
     print(f"{differ} objectives differ at {OBJ_TOL:g}")
-    recount = [f"{seed}/{mode}" for seed, mode in both
-               if any(k in a[seed, mode] and k in b[seed, mode]
-                      and a[seed, mode][k] != b[seed, mode][k] for k in COUNTERS)]
+    recount = [_label(key) for key in both
+               if any(k in a[key] and k in b[key] and a[key][k] != b[key][k] for k in COUNTERS)]
     print(f"nodes, iterations or family iterations differ: "
           f"{', '.join(recount) if recount else 'none'}")
-    escalated = [f"{seed}/{mode}" for seed, mode in both
-                 if a[seed, mode].get("escalations") != b[seed, mode].get("escalations")]
+    escalated = [_label(key) for key in both
+                 if a[key].get("escalations") != b[key].get("escalations")]
     print(f"escalations differ: {', '.join(escalated) if escalated else 'none'}")
-    fell = [f"{seed}/{mode}" for seed, mode in both
-            if "fallbacks" in a[seed, mode] and "fallbacks" in b[seed, mode]
-            and a[seed, mode]["fallbacks"] != b[seed, mode]["fallbacks"]]
+    fell = [_label(key) for key in both
+            if "fallbacks" in a[key] and "fallbacks" in b[key]
+            and a[key]["fallbacks"] != b[key]["fallbacks"]]
     print(f"fallbacks differ: {', '.join(fell) if fell else 'none'}")
-    regrid = sorted({seed for seed, mode in both
-                     if "grid" in a[seed, mode] and "grid" in b[seed, mode]
-                     and abs(a[seed, mode]["grid"] - b[seed, mode]["grid"])
-                     > GRID_SAME_TOL * max(1.0, abs(a[seed, mode]["grid"]))})
+    regrid = sorted({key[0] for key in both
+                     if "grid" in a[key] and "grid" in b[key]
+                     and abs(a[key]["grid"] - b[key]["grid"])
+                     > GRID_SAME_TOL * max(1.0, abs(a[key]["grid"]))})
     print(f"grid differs at {GRID_SAME_TOL:g}: {', '.join(map(str, regrid)) if regrid else 'none'}")
     for side, records in (("A", a), ("B", b)):
         seeds = grid_below(records)
         print(f"grid below lpcc at {GRID_TOL:g} in {side}: "
               f"{', '.join(map(str, seeds)) if seeds else 'none'}")
-        above = [f"{seed}/{mode}" for seed, mode in lower_level_above(records)]
+        above = [_label(key) for key in lower_level_above(records)]
         print(f"lower-level excess above {LL_TOL:g} in {side}: "
               f"{', '.join(above) if above else 'none'}")
     return differ
