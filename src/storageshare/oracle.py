@@ -16,7 +16,10 @@ without the LP rows.
 
 Optimistic ties: each cell scores the better of the party's optimum and
 the face minimum of the flow-priced part of the upper objective
-(CapacityPath.flow_face); the shared peak term is not tied through.
+(CapacityPath.flow_face); the shared peak term is not tied through. Both
+are lookups: the path walks each of its pieces' faces once for the
+grid's price and reads every grid share off those face lines, so no LP
+is re-solved per grid point.
 """
 
 from __future__ import annotations
@@ -152,8 +155,9 @@ def grid_oracle(instance: Instance, step: float) -> OracleReport:
     """Exhaustive division search on the grid {0, step, 2 step, ...}.
 
     Each party's dispatch depends only on its own share, so each party's
-    capacity path is read at every grid share, and the grid is scored
-    from those reads in blocks of _BLOCK points.
+    capacity path is read at every grid share (its optimum and face
+    minimum, with no re-solve), and the grid is scored from those reads in
+    blocks of _BLOCK points.
     Grid points run in lexicographic order of the share counts, DisCo
     share first; the best point is the first in that order whose upper
     objective lies within 1e-12 of the grid minimum.

@@ -22,6 +22,14 @@ sizes; a near-binding bound or an infeasible big-M form grows both sides
 10x (BigMPolicy.grown) for up to _MAX_ROUNDS re-solves within the one
 time limit, and each round is a note in the day's report.
 
+run_all_scenarios builds the day's capacity paths (simplex.CapacityPath,
+one per party) and its division model once: scenario 1 reads the
+utility's path, and the tree solves of scenarios 2 and 3 read all of
+them. A scenario run, a run of all three and a cycle each share one time
+limit, path builds included: every solve gets what is left of it, and a
+scenario that would start with none left fails with status limit (a
+cycle records the day as failed).
+
 Report files are plain delimited text, deterministic for fixed inputs
 (no timestamps, no wall-clock fields); re-reading one rejects a repeated
 row.
@@ -50,7 +58,7 @@ from .instance import (
 from .lp import Rows
 from .mpec import BigMPolicy, assemble_mpec, linearize_big_m, validate_big_m
 from .simplex import CapacityPath
-from .solver import MODES, SolveOptions, extract_solution, solve_lpcc, solve_milp
+from .solver import _EXIT_CODES, MODES, SolveOptions, extract_solution, solve_lpcc, solve_milp
 
 ZERO_BASELINE_TOL = 1e-12
 _MAX_ROUNDS = 3  # big-M escalations before a bigm solve gives up
@@ -66,9 +74,25 @@ class ScenarioId(IntEnum):
 
 class ScenarioError(RuntimeError):
     """A scenario solve failed; the message names the scenario. A failed
-    division solve also sets status and exit_code (SolveResult's)."""
+    division solve, or a scenario that the time limit left no time for,
+    also sets status and exit_code (SolveResult's)."""
 
     exit_code = 1
+
+
+def _stopped(scenario, status: str, why: str) -> ScenarioError:
+    err = ScenarioError(f"scenario {int(scenario)}: {why}")
+    err.status, err.exit_code = status, _EXIT_CODES[status]
+    return err
+
+
+def _left(scenario, deadline: float) -> float:
+    """Seconds left before deadline, a perf_counter reading; with none
+    left the scenario stops with status limit."""
+    left = deadline - time.perf_counter()
+    if left <= 0:
+        raise _stopped(scenario, "limit", "time limit reached")
+    return left
 
 
 @dataclass(frozen=True)
@@ -126,12 +150,16 @@ def attributed_customer_costs(instance: Instance,
     return weights @ slot_cost
 
 
-def _disco_only_dispatch(instance: Instance):
+def _day_paths(instance: Instance):
+    """Each party's capacity path, customers first, then the utility."""
+    return [CapacityPath(instance, p) for p in range(instance.customer_count + 1)]
+
+
+def _disco_only_dispatch(instance: Instance, path: CapacityPath):
     """Fixed division (everything to the utility); its dispatch is a
     lookup on the utility's capacity path, as every other party's is."""
     t = instance.grid.slot_count
     s_total = instance.storage.total_capacity
-    path = CapacityPath(instance, instance.customer_count)
     sol, x_res = path.flow_face(s_total, flow_price(instance))
 
     def as_schedules(x):
@@ -175,8 +203,11 @@ def _check_mode(mode: str):
 
 
 def solve_division(mpec, opts: SolveOptions, mode: str,
-                   policy: BigMPolicy | None):
-    """Run the joint model in the requested mode.
+                   policy: BigMPolicy | None, *, paths=None):
+    """Run the joint model in the requested mode. paths, if given, are the
+    day's capacity paths (one per party, as solve_lpcc takes them); in
+    bigm mode, when none are given, they are built once, before the first
+    round, and every round reads them.
 
     In bigm mode the pair bounds are validated after the solve. A flagged
     bound grows both sides of the policy (BigMPolicy.grown) and re-solves,
@@ -190,13 +221,15 @@ def solve_division(mpec, opts: SolveOptions, mode: str,
     _check_mode(mode)
     notes = []
     if mode == "lpcc":
-        return solve_lpcc(mpec, opts), 0, notes
+        return solve_lpcc(mpec, opts, paths=paths), 0, notes
     t0 = time.perf_counter()
+    if paths is None:
+        paths = _day_paths(mpec.instance)
     pol = policy or BigMPolicy()
     rounds = 0
     while True:
         milp = linearize_big_m(mpec, pol)
-        result = solve_milp(milp, opts)
+        result = solve_milp(milp, opts, paths=paths)
         if result.status == "infeasible":
             sides, why = {"omega", "slack"}, "big-M form infeasible"
         elif result.status != "optimal":
@@ -223,28 +256,37 @@ def solve_division(mpec, opts: SolveOptions, mode: str,
 
 def run_scenario(instance: Instance, scenario, options: SolveOptions | None = None,
                  mode: str = "lpcc", day: int = 0) -> DayReport:
-    """Solve one scenario and report costs against the do-nothing baseline."""
-    scenario = ScenarioId(scenario)
-    _check_mode(mode)
+    """Solve one scenario and report costs against the do-nothing baseline;
+    the solve, its path builds included, gets options.time_limit."""
     opts = options if options is not None else SolveOptions()
+    return _report(instance, ScenarioId(scenario), opts, mode, day,
+                   time.perf_counter() + opts.time_limit)
+
+
+def _report(instance: Instance, scenario: ScenarioId, opts: SolveOptions, mode: str,
+            day: int, deadline: float, paths=None, mpec=None) -> DayReport:
+    """One scenario's report, its solve given what is left before deadline
+    (a perf_counter reading). paths and mpec are the day's capacity paths
+    and division model, built here when None."""
+    _check_mode(mode)
     t0 = time.perf_counter()
+    _left(scenario, deadline)
     notes: list = []
 
     if scenario is ScenarioId.DISCO_ONLY:
-        division, schedules, sol = _disco_only_dispatch(instance)
+        path = CapacityPath(instance, instance.customer_count) if paths is None else paths[-1]
+        division, schedules, sol = _disco_only_dispatch(instance, path)
         stats = {"mode": "lp", "status": "optimal", "nodes": 1,
                  "gap": 0.0, "escalations": 0, "iterations": sol.iterations}
     else:
-        mpec = assemble_mpec(instance)
+        mpec = assemble_mpec(instance) if mpec is None else mpec
         if scenario is ScenarioId.CUSTOMERS_ONLY:
             mpec = _pin_customers_only(mpec)
-        result, escalations, notes = solve_division(mpec, opts, mode, None)
+        result, escalations, notes = solve_division(
+            mpec, replace(opts, time_limit=_left(scenario, deadline)), mode, None, paths=paths)
         if result.status != "optimal":
-            err = ScenarioError(
-                f"scenario {int(scenario)}: solver ended {result.status} "
-                f"after {result.node_count} nodes")
-            err.status, err.exit_code = result.status, result.exit_code
-            raise err
+            raise _stopped(scenario, result.status,
+                           f"solver ended {result.status} after {result.node_count} nodes")
         division, schedules, _ = extract_solution(result, instance)
         stats = {"mode": mode, "status": result.status,
                  "nodes": result.node_count, "gap": result.gap,
@@ -285,11 +327,15 @@ def run_scenario(instance: Instance, scenario, options: SolveOptions | None = No
 
 def run_all_scenarios(instance: Instance, options: SolveOptions | None = None,
                       mode: str = "lpcc", day: int = 0):
-    """All three scenarios on one instance, in scenario order."""
-    return tuple(
-        run_scenario(instance, sid, options, mode=mode, day=day)
-        for sid in ScenarioId
-    )
+    """All three scenarios on one instance, in scenario order, on one
+    build of the day's capacity paths and division model and within one
+    options.time_limit."""
+    _check_mode(mode)
+    opts = options if options is not None else SolveOptions()
+    deadline = time.perf_counter() + opts.time_limit
+    paths, mpec = _day_paths(instance), assemble_mpec(instance)
+    return tuple(_report(instance, sid, opts, mode, day, deadline, paths, mpec)
+                 for sid in ScenarioId)
 
 
 def daily_cycle(days, options: SolveOptions | None = None,
@@ -298,13 +344,16 @@ def daily_cycle(days, options: SolveOptions | None = None,
 
     The dispatch model returns every battery to its initial state of
     charge by the end of the day, so days decouple and each one is a
-    fresh full solve. A failed day is recorded and the cycle continues.
+    fresh full solve. The days share one options.time_limit. A failed day,
+    or one the time limit left no time for, is recorded and the cycle
+    continues.
     """
+    opts = options if options is not None else SolveOptions()
+    deadline = time.perf_counter() + opts.time_limit
     reports, failures = [], []
     for day, instance in enumerate(days):
         try:
-            reports.append(run_scenario(instance, ScenarioId.SHARED, options,
-                                        mode=mode, day=day))
+            reports.append(_report(instance, ScenarioId.SHARED, opts, mode, day, deadline))
         except (ScenarioError, RuntimeError, ValueError) as exc:
             failures.append((day, str(exc)))
     return CycleResult(reports=tuple(reports), failures=tuple(failures))

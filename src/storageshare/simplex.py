@@ -98,7 +98,16 @@ face_minimum breaks ties among an LP's optima: every feasible x has
 c.x = f* + sum d_j (x_j - xbar_j) over the nonbasic columns, each term
 >= 0, so fixing the nonbasic columns with |d_j| > _DUAL_TOL keeps x on the
 optimal face exactly, and the primal loop then minimizes a second
-objective from the optimal basis, which is still feasible.
+objective from the optimal basis, which is still feasible. Along a path
+piece the basis, and so d and the face's fixed columns, stay the same,
+and the face minimum moves linearly with kappa between face breakpoints.
+CapacityPath.flow_face reads it off those face lines: the first lookup
+in a piece for a price installs the piece's basis at its upper end with
+a fresh inverse, takes the face minimum there, and walks down to the
+piece's lower end with the same walk as the path (_walk), driven by the
+second objective's reduced costs, the fixed columns held out of every
+dual pivot. The lines are kept on the path, keyed by the piece and the
+bytes of the price; no face point depends on the order of lookups.
 """
 
 from __future__ import annotations
@@ -329,6 +338,12 @@ class Simplex:
         idx, val = self.cols.row(j)
         return self.binv[:, idx] @ val
 
+    def _costs(self, c) -> np.ndarray:
+        """A cost vector over every column: c on the first len(c), 0 after."""
+        c_full = np.zeros(self.nt + self.m)
+        c_full[: len(c)] = c
+        return c_full
+
     def _reduced_costs(self, c_full: np.ndarray) -> np.ndarray:
         """d = c - c_B B^-1 A over the structural and surplus columns."""
         return c_full[: self.nt] - self.cols.dot(c_full[self.basis] @ self.binv)
@@ -450,7 +465,7 @@ class Simplex:
         """Bounded-variable dual simplex from a dual-feasible basis."""
         if not self.m:
             return "optimal"  # no basic column to be out of bounds
-        c_full = np.concatenate([self.c2, np.zeros(self.m)])
+        c_full = self._costs(self.c2)
         d = self._reduced_costs(c_full)
         while True:
             if self.iterations >= self.max_iter:
@@ -652,13 +667,11 @@ class Simplex:
         if f_star is None:
             raise SimplexError("face minimum needs an optimal solve first")
         self._optimum = None
-        d = self._reduced_costs(np.concatenate([self.c2, np.zeros(self.m)]))
+        d = self._reduced_costs(self._costs(self.c2))
         nonbasic = self.status[: self.nt] != BASIC
         self.fixed = self.fixed | (nonbasic & (np.abs(d) > _DUAL_TOL))
         self.binv = self.binv.copy()
-        g_full = np.zeros(self.nt + self.m)
-        g_full[: self.n] = grad
-        out = self._primal_loop(g_full)
+        out = self._primal_loop(self._costs(grad))
         if out != "optimal":
             raise SimplexError(f"face minimum ended {out}")
         x = self._read_x()
@@ -682,7 +695,7 @@ class Simplex:
             self._enter(j, r, self._column(j), 0.0, AT_LB)  # degenerate: x_j stays put
 
     def _phase2(self) -> LpSolution:
-        c_full = np.concatenate([self.c2, np.zeros(self.m)])
+        c_full = self._costs(self.c2)
         out = self._primal_loop(c_full)
         if out != "optimal":
             return self._failed(out)
@@ -761,73 +774,133 @@ class Simplex:
         )
 
 
+def _below(lines, s: float) -> int:
+    """Index of the line of lines (top down, each led by its upper end)
+    that holds s; at a breakpoint, the one below."""
+    return max(0, sum(line[0] >= s for line in lines) - 1)
+
+
+def _walk(eng: Simplex, s: float, floor: float, tol: float, cost: np.ndarray, point, settle):
+    """Walk kappa, the last column of eng's LP, from s down to floor on
+    eng's current basis, optimal for cost (the LP's c on a path, a face
+    gradient on a face) at s: on each basis the ratio test on kappa's
+    column finds the next breakpoint, and one dual pivot on cost's reduced
+    costs passes it, so the basis stays optimal. point is what the line at
+    s records, and settle() confirms each new basis and returns its line's.
+    A breakpoint within tol of floor ends the walk. Returns the lines, top
+    down, each (upper end, point, dx/ds, basis); a degenerate step opens
+    no line."""
+    k = eng.n - 1
+    lines = []
+    while True:
+        w = eng._column(k)
+        structural = eng.basis < eng.n
+        dx = np.zeros(eng.n)
+        dx[k] = 1.0
+        dx[eng.basis[structural]] = -w[structural]
+        eng.lo[k] = floor  # kappa moves down to floor at most
+        step, r = eng._ratio_test(k, -1.0, w)
+        last = r < 0 or s - step <= floor + tol  # a hair above floor ends it
+        if step > 0 or last:
+            lines.append((s, point, dx, eng.snapshot()))
+        if last:
+            return lines
+        s -= step
+        eng.xb += w * step
+        eng.lo[k] = eng.hi[k] = s
+        eng.binv = eng.binv.copy()  # an optimal solve may have kept it
+        if not eng._dual_pivot(r, w[r] < 0, eng._reduced_costs(cost)):
+            raise SimplexError(f"capacity walk stalled at {s}")
+        point = settle()
+
+
 class CapacityPath:
     """One party's dispatch LP (lp.build_party_lp) at every capacity in
     [0, C], C the instance's total, as the pieces of its path (module
     notes). pieces lists, from the top down, each piece's upper end, its
     optimum there, dx/ds and its basis (Simplex.snapshot); for C > 0 the
     last is 0 alone. iterations counts the path's pivots; a rejected start
-    counts in engine.start_rejects."""
+    counts in engine.start_rejects. The face lines of flow_face are kept on
+    the path, per piece and price."""
 
     def __init__(self, instance: Instance, party: int):
-        top = instance.storage.total_capacity
-        lp = build_party_lp(instance, party, top)
+        lp = build_party_lp(instance, party, instance.storage.total_capacity)
+        top = float(lp.ub[-1])  # kappa, fixed at C
         eng = self.engine = Simplex(lp)
-        sol = eng.solve(start=no_battery_start(lp))
-        k, s = eng.n - 1, top  # kappa, and the capacity the basis is optimal at
-        eng._light = True  # one pivot a piece: read x off the updated inverse
-        self.pieces = []
-        while True:
+        self._tol = 1e-12 * max(1.0, top)
+        self._faces = {}  # (piece index, price bytes) -> the piece's face lines
+
+        def optimal(sol):
             if sol.status != "optimal":
-                raise SimplexError(f"capacity path of party {party} ended {sol.status} at {s}")
-            w = eng._column(k)
-            dx = np.zeros(eng.n)
-            dx[k] = 1.0
-            dx[eng.basis[eng.basis < eng.n]] = -w[eng.basis < eng.n]
-            eng.lo[k] = 0.0  # kappa moves down to 0 at most
-            step, r = eng._ratio_test(k, -1.0, w)
-            last = r < 0 or s - step <= 1e-12 * max(1.0, top)  # a hair above 0 ends it
-            if step > 0 or last:  # a degenerate step opens no piece
-                self.pieces.append((s, sol, dx, eng.snapshot()))
-            if last:
-                break
-            s -= step
-            eng.xb += w * step
-            eng.lo[k] = eng.hi[k] = s
-            eng.binv = eng.binv.copy()  # the optimal solve kept it
-            d = eng._reduced_costs(np.concatenate([eng.c2, np.zeros(eng.m)]))
-            if not eng._dual_pivot(r, w[r] < 0, d):
-                raise SimplexError(f"capacity path of party {party} stalled at {s}")
-            sol = eng._phase2()
+                raise SimplexError(f"capacity path of party {party} ended {sol.status} "
+                                   f"at {eng.hi[eng.n - 1]}")
+            return sol
+
+        sol = optimal(eng.solve(start=no_battery_start(lp)))
+        eng._light = True  # one pivot a piece: read x off the updated inverse
+        self.pieces = _walk(eng, top, 0.0, self._tol, eng._costs(eng.c2), sol,
+                            lambda: optimal(eng._phase2()))
+        s, sol, dx, _ = self.pieces[-1]
         if s > 0.0:  # a last piece of no width: the optimum at 0, off a fresh inverse
-            eng.lo[k] = eng.hi[k] = 0.0
+            eng.lo[eng.n - 1] = eng.hi[eng.n - 1] = 0.0
             eng._refactor()
             x = eng._read_x()
             self.pieces.append((0.0, replace(sol, x=x, objective=float(lp.c @ x)), dx, eng.snapshot()))
         self.iterations = eng.iterations
 
-    def _piece(self, s: float):
-        """The piece holding capacity s; at a breakpoint, the one below."""
+    def _index(self, s: float) -> int:
+        """Index of the piece holding capacity s; at a breakpoint, the one below."""
         if not 0 <= s < np.inf:  # NaN fails too
             raise ValueError(f"capacity must be finite and >= 0, got {s}")
-        return self.pieces[max(0, sum(piece[0] >= s for piece in self.pieces) - 1)]
+        return _below(self.pieces, s)
 
     def at(self, s: float) -> LpSolution:
         """The optimum at capacity s, with no pivot: its piece's basis,
         active rows, duals and reduced costs, and x and the objective on the
         piece's line, whose slope is kappa's reduced cost."""
-        upper, sol, dx, _ = self._piece(s)
+        upper, sol, dx, _ = self.pieces[self._index(s)]
         return replace(sol, x=sol.x + (s - upper) * dx,
                        objective=sol.objective + (s - upper) * float(sol.reduced_costs[-1]))
 
     def flow_face(self, s: float, price: np.ndarray):
         """(at(s), x_face): the optimum at s and the point of its optimal face
-        that minimizes price . (ch - dis) (Simplex.face_minimum), re-solved
-        at s from its piece's basis."""
+        that minimizes price . (ch - dis), read off the face line that holds
+        s, with no pivot. The first lookup in a piece for a price walks that
+        piece's face (_face_lines) and keeps its lines on the path; at a
+        breakpoint, the face line below holds s, as the piece below does."""
+        i = self._index(s)
+        price = np.asarray(price, float)
+        key = (i, price.tobytes())
+        lines = self._faces.get(key)
+        if lines is None:
+            lines = self._faces[key] = self._face_lines(i, price)
+        upper, x, dx, _ = lines[_below(lines, s)]
+        return self.at(s), x + (s - upper) * dx
+
+    def _face_lines(self, i: int, price: np.ndarray):
+        """The face lines of piece i for price: the piece's basis installed
+        at its upper end with a fresh inverse (so no line depends on the
+        order of lookups), Simplex.face_minimum of price . (ch - dis) there,
+        then the walk down to the piece's lower end on the face basis, the
+        face's fixed columns held."""
         eng = self.engine
+        upper, sol, _, (basis, status) = self.pieces[i]
+        lower = self.pieces[min(i + 1, len(self.pieces) - 1)][0]
+        k = eng.n - 1
         lo, hi = eng.base_lo.copy(), eng.base_hi.copy()
-        lo[eng.n - 1] = hi[eng.n - 1] = s
-        eng.resolve(self._piece(s)[3], lo, hi)
+        lo[k] = hi[k] = upper
+        eng.basis, eng.status = basis.copy(), status.copy()
+        eng._begin(lo, hi, warm=True)
+        eng._refactor()
+        eng._optimum = float(eng.lp.c @ sol.x)
         grad = np.zeros(eng.n)
         grad[: 2 * len(price)] = np.concatenate([price, -price])
-        return self.at(s), eng.face_minimum(grad)
+        g_full = eng._costs(grad)
+
+        def settle():
+            out = eng._primal_loop(g_full)
+            if out != "optimal":
+                raise SimplexError(f"face walk ended {out} at {eng.hi[k]}")
+            return eng._read_x()
+
+        return _walk(eng, upper, lower, self._tol, g_full, eng.face_minimum(grad), settle)

@@ -4,15 +4,17 @@ simplex engine.
 Two entry points: solve_milp branches on the binaries of a big-M
 linearized division model (mpec.MilpModel), and solve_lpcc branches
 directly on complementarity pairs without big-M constants. Both run one
-tree solve (_solve_tree): it builds each party's capacity path
-(simplex.CapacityPath) once, and the chords, the division heuristic, the
-root start and the dual re-read all read those paths. One stitch
-(_stitch) writes a point's party blocks off the paths at the point's
-shares, for the heuristic's points, the root start and the re-read of
-the final incumbent: each party's multipliers from its path at the
-answer's share, kept when they are complementary to the answer's rows,
-which certifies by LP duality that every dispatch is optimal at its
-share. The best-first core (_branch_and_bound) routes every node, the
+tree solve (_solve_tree) on the day's capacity paths (simplex.CapacityPath,
+one per party): the caller may pass them (keyword paths; a scenario run
+and the big-M escalation rounds build them once for all their solves),
+and otherwise the solve builds them once. The chords, the division
+heuristic, the root start and the dual re-read all read those paths.
+One stitch (_stitch) writes a point's party blocks off the paths at the
+point's shares, for the heuristic's points, the root start and the
+re-read of the final incumbent: each party's multipliers from its path
+at the answer's share, kept when they are complementary to the answer's
+rows, which certifies by LP duality that every dispatch is optimal at
+its share. The best-first core (_branch_and_bound) routes every node, the
 root too, through one function and ends at one exit. Node order and
 therefore node counts are deterministic for a fixed model.
 
@@ -40,8 +42,9 @@ it; a rejected start falls back to the slack crash. Each fallback a
 solve takes is named in SolveResult.fallbacks,
 SolveResult.family_iterations and .path_pieces count the paths' pivots
 and pieces, and the clock and time limit run from the start of the
-whole solve, paths and chords included; the node and time budget is
-checked before each node is solved and each solved node is branched.
+whole solve, the paths it builds and the chords included; the node and
+time budget is checked before each node is solved and each solved node
+is branched.
 """
 
 from __future__ import annotations
@@ -96,8 +99,11 @@ class SolveResult:
     bound_history: tuple = ()
     incumbent_history: tuple = ()
     root_iterations: int = 0
-    family_iterations: int = 0  # pivots of the parties' capacity paths (simplex.CapacityPath)
-    path_pieces: int = 0  # pieces of those paths, summed over the parties
+    # pivots of the parties' capacity paths (simplex.CapacityPath) and their
+    # pieces, summed over the parties; solves that share the day's paths
+    # (the scenarios of one run, the big-M rounds) all report the same
+    family_iterations: int = 0
+    path_pieces: int = 0
     # the fallbacks the solve took: "family_start" (a capacity path's cold
     # solve ran from the slack crash), "root_start" (the root LP did) and
     # "reread" (the answer keeps the tree's multipliers, without the
@@ -436,14 +442,17 @@ def _root_start(mpec: MpecModel, lp: LinearProgram, paths, u_cols=None):
 
 
 def _solve_tree(mpec: MpecModel, model, lp: LinearProgram, classify_for,
-                options: SolveOptions | None, u_cols=None) -> SolveResult:
-    """Each party's capacity path, then the best-first tree over lp and its
-    chord rows from the paths' root start, with the division heuristic on
-    the paths, then the dual re-read of the incumbent off the same paths.
-    classify_for(tree_lp) gives the node classifier; u_cols are lp's binary
-    columns, if it has any. The clock and the time limit cover it all."""
+                options: SolveOptions | None, u_cols=None, paths=None) -> SolveResult:
+    """Each party's capacity path (built here unless the caller passes the
+    day's paths), then the best-first tree over lp and its chord rows from
+    the paths' root start, with the division heuristic on the paths, then
+    the dual re-read of the incumbent off the same paths. classify_for(tree_lp)
+    gives the node classifier; u_cols are lp's binary columns, if it has
+    any. The clock and the time limit cover it all, the paths it builds
+    included."""
     t0 = time.perf_counter()
-    paths = [CapacityPath(mpec.instance, p) for p in range(len(mpec.parties()))]
+    if paths is None:
+        paths = [CapacityPath(mpec.instance, p) for p in range(len(mpec.parties()))]
     heur = _DivisionHeuristic(mpec, lp, paths, u_cols)
     tree_lp = _with_chords(mpec, lp, paths)
     start = _root_start(mpec, tree_lp, paths, u_cols)
@@ -465,26 +474,30 @@ def _solve_tree(mpec: MpecModel, model, lp: LinearProgram, classify_for,
                    wall_time=time.perf_counter() - t0)
 
 
-def solve_milp(milp: MilpModel, options: SolveOptions | None = None) -> SolveResult:
+def solve_milp(milp: MilpModel, options: SolveOptions | None = None, *,
+               paths=None) -> SolveResult:
     """Best-first branch and bound on the binaries of a linearized division
     model, branching on the most violated complementarity pair.
 
     The bound sequence is non-decreasing and the incumbent sequence
     non-increasing by construction (child bounds are clamped to their
-    parent's).
+    parent's). paths, if given, are the day's capacity paths, one per
+    party (simplex.CapacityPath), and the solve builds none.
     """
     return _solve_tree(milp.mpec, milp, milp.lp, partial(_classify_milp, milp), options,
-                       u_cols=milp.binary_cols)
+                       u_cols=milp.binary_cols, paths=paths)
 
 
-def solve_lpcc(mpec: MpecModel, options: SolveOptions | None = None) -> SolveResult:
+def solve_lpcc(mpec: MpecModel, options: SolveOptions | None = None, *,
+               paths=None) -> SolveResult:
     """Complementarity branching on the pair list, no big-M constants.
 
     Each node either zeroes a pair's multiplier or pins its row to
     equality, so every root-to-leaf path fixes a strictly growing set of
-    columns and the tree is finite.
+    columns and the tree is finite. paths as in solve_milp.
     """
-    return _solve_tree(mpec, mpec, mpec.lp, partial(_classify_lpcc, mpec), options)
+    return _solve_tree(mpec, mpec, mpec.lp, partial(_classify_lpcc, mpec), options,
+                       paths=paths)
 
 
 def extract_solution(result: SolveResult, instance: Instance):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from storageshare import scenarios
+from storageshare import scenarios, solver
 from storageshare.instance import customer_cost_total, make_instance, zero_schedules
 from storageshare.mpec import BigMPolicy, assemble_mpec
 from storageshare.scenarios import (
@@ -23,6 +23,7 @@ from storageshare.scenarios import (
     run_scenario,
     solve_division,
 )
+from storageshare.simplex import CapacityPath
 from storageshare.solver import SolveOptions
 from storageshare.synthetic import synth_series
 from tests.conftest import (
@@ -190,9 +191,9 @@ def test_bigm_rounds_share_one_time_limit(monkeypatch):
     policy = BigMPolicy(primal_safety=1e-9, primal_floor=1e-6)
     solve, calls = scenarios.solve_milp, []  # (time limit, seconds) of each tree solve
 
-    def timed(milp, opts, pause=0.0):
+    def timed(milp, opts, pause=0.0, **kw):
         t0 = time.perf_counter()
-        res = solve(milp, opts)
+        res = solve(milp, opts, **kw)
         time.sleep(pause)
         calls.append((opts.time_limit, time.perf_counter() - t0))
         return res
@@ -205,7 +206,8 @@ def test_bigm_rounds_share_one_time_limit(monkeypatch):
         assert limit <= 60.0 - sum(spent for _, spent in calls[:k]), k
     # a first round that spends the whole budget leaves none for a second
     calls.clear()
-    monkeypatch.setattr(scenarios, "solve_milp", lambda milp, opts: timed(milp, opts, 0.5))
+    monkeypatch.setattr(scenarios, "solve_milp",
+                        lambda milp, opts, **kw: timed(milp, opts, 0.5, **kw))
     res, rounds, notes = solve_division(mpec, SolveOptions(time_limit=0.5), "bigm", policy)
     assert (res.status, rounds, len(calls)) == ("infeasible", 0, 1)
     assert notes == ["big-M form still infeasible after 0 escalations, time limit reached"]
@@ -308,3 +310,91 @@ def test_scenario_error_carries_solver_status():
     res = solve_division(mpec, SolveOptions(), "lpcc", None)[0]
     assert res.status == "optimal" and res.node_count > 1
     assert_lower_level_optimal(mpec, res)
+
+
+def _count_paths(monkeypatch):
+    """Patch a CapacityPath that counts its builds into solver and
+    scenarios; returns the list each build appends its party to."""
+    built = []
+
+    class Counting(CapacityPath):
+        def __init__(self, instance, party):
+            built.append(party)
+            super().__init__(instance, party)
+
+    monkeypatch.setattr(solver, "CapacityPath", Counting)
+    monkeypatch.setattr(scenarios, "CapacityPath", Counting)
+    return built
+
+
+def test_scenario_run_builds_each_path_once(monkeypatch):
+    # the three scenarios once built 1 + 3 + 3 paths for the day's 3, and
+    # every big-M round built its own
+    built = _count_paths(monkeypatch)
+    for mode in ("lpcc", "bigm"):
+        built.clear()
+        reps = run_all_scenarios(conflict_instance(), mode=mode)
+        assert built == [0, 1, 2], mode
+        assert reps[1].solver_stats["status"] == reps[2].solver_stats["status"] == "optimal"
+    built.clear()
+    mpec = assemble_mpec(dict(DIVISION_FIXTURES)["zero_cap"]())
+    policy = BigMPolicy(primal_safety=1e-9, primal_floor=1e-6)
+    res, rounds, _ = solve_division(mpec, SolveOptions(), "bigm", policy)
+    assert (res.status, rounds) == ("infeasible", 3)
+    assert len(built) == mpec.instance.customer_count + 1
+
+
+def _record_limits(monkeypatch, pause=0.0):
+    """Patch scenarios.solve_division to record the time limit of each call
+    and the perf_counter reading at its return, and to sleep pause seconds
+    after solving."""
+    solve, calls = scenarios.solve_division, []
+
+    def recorded(mpec, opts, mode, policy, **kw):
+        res = solve(mpec, opts, mode, policy, **kw)
+        time.sleep(pause)
+        calls.append((opts.time_limit, time.perf_counter()))
+        return res
+
+    monkeypatch.setattr(scenarios, "solve_division", recorded)
+    return calls
+
+
+def _assert_within(calls, budget, t0):
+    """Each call's time limit is below the budget less the time spent
+    before it: the first less the path builds, every later one less the
+    time up to the return of the call before it."""
+    assert calls[0][0] < budget
+    for (limit, _), (_, returned) in zip(calls[1:], calls):
+        assert limit <= budget - (returned - t0)
+
+
+def test_scenario_run_and_cycle_share_one_time_limit(monkeypatch):
+    # every solve of a scenario run or a cycle once got the whole time
+    # limit ([5.0, 5.0] for a scenario run); each now gets what is left
+    calls, inst, days = _record_limits(monkeypatch), interior_fixture(), [conflict_instance()] * 3
+    opts = SolveOptions(time_limit=5.0)
+    t0 = time.perf_counter()
+    run_all_scenarios(inst, opts, mode="lpcc")
+    assert len(calls) == 2
+    _assert_within(calls, 5.0, t0)
+    calls.clear()
+    t0 = time.perf_counter()
+    result = daily_cycle(days, opts, mode="bigm")
+    assert len(result.reports) == len(calls) == 3 and not result.failures
+    _assert_within(calls, 5.0, t0)
+
+
+def test_scenarios_and_days_past_the_time_limit_fail(monkeypatch):
+    # a solve that overruns the budget leaves none for the next scenario,
+    # which stops with status limit (exit 4), and none for the next days
+    calls = _record_limits(monkeypatch, pause=0.3)
+    with pytest.raises(ScenarioError, match="scenario 3: time limit reached") as info:
+        run_all_scenarios(conflict_instance(), SolveOptions(time_limit=0.3), mode="lpcc")
+    assert (info.value.status, info.value.exit_code) == ("limit", 4)
+    assert len(calls) == 1
+    calls.clear()
+    result = daily_cycle([conflict_instance()] * 3, SolveOptions(time_limit=0.3), mode="lpcc")
+    assert [r.day for r in result.reports] == [0] and len(calls) == 1
+    assert result.failures == ((1, "scenario 3: time limit reached"),
+                               (2, "scenario 3: time limit reached"))

@@ -1041,21 +1041,89 @@ def test_path_matches_cold_solves():
 
 
 def test_path_lookups_do_not_depend_on_their_order(rng):
-    """Lookups in a shuffled order, with face minima re-solved in between,
-    give bytewise the duals, reduced costs and x of lookups in ascending
-    order on a freshly built path."""
+    """Lookups in a shuffled order, after a face walk for another price,
+    give bytewise the duals, reduced costs, x and face point of lookups in
+    ascending order on a freshly built path."""
     for name, inst, paths in _path_days():
         shares = np.linspace(0.0, inst.storage.total_capacity, 41)
         price = rng.normal(size=inst.grid.slot_count)
         for p, path in enumerate(paths):
             fresh = CapacityPath(inst, p)
-            ascending = [fresh.at(float(s)) for s in shares]
+            ascending = [fresh.flow_face(float(s), price) for s in shares]
+            path.flow_face(float(rng.choice(shares)), -price)  # leaves its basis on the engine
             for k in rng.permutation(shares.size):
-                sol, _ = path.flow_face(float(shares[k]), price)
-                for a, b in ((sol.dual_g, ascending[k].dual_g), (sol.dual_h, ascending[k].dual_h),
-                             (sol.reduced_costs, ascending[k].reduced_costs),
-                             (sol.x, ascending[k].x)):
+                sol, x_face = path.flow_face(float(shares[k]), price)
+                want, want_face = ascending[k]
+                for a, b in ((sol.dual_g, want.dual_g), (sol.dual_h, want.dual_h),
+                             (sol.reduced_costs, want.reduced_costs), (sol.x, want.x),
+                             (x_face, want_face)):
                     assert a.tobytes() == b.tobytes(), (name, p, shares[k])
+
+
+def test_face_path_matches_fresh_face_minima(rng):
+    """At 41 shares and three random prices, each face point lies on the
+    optimal face (c.x within 1e-9 (1 + |phi|) of phi, feasible at 1e-9)
+    and its price . flow is within 1e-12 relative of a fresh re-solve from
+    the piece's basis plus Simplex.face_minimum, as a face was found before
+    the walk; no piece walks its face twice for one price."""
+    for name, inst, paths in _path_days():
+        t = inst.grid.slot_count
+        shares = np.linspace(0.0, inst.storage.total_capacity, 41)
+        prices = [rng.normal(size=t) for _ in range(3)]
+        for p, path in enumerate(paths):
+            lp = path.engine.lp
+            g, h = lp.g.dense(lp.n_vars), lp.h.dense(lp.n_vars)
+            ref = Simplex(lp)
+            walks, face_lines = [], path._face_lines
+
+            def counted(i, price):
+                walks.append((i, price.tobytes()))
+                return face_lines(i, price)
+
+            path._face_lines = counted
+            for price in prices:
+                grad = np.zeros(lp.n_vars)
+                grad[: 2 * t] = np.concatenate([price, -price])
+                for s in shares:
+                    sol, x = path.flow_face(float(s), price)
+                    case = (name, p, float(s))
+                    phi = sol.objective - lp.objective_constant
+                    assert abs(lp.c @ x - phi) <= 1e-9 * (1.0 + abs(phi)), case
+                    assert x[-1] == pytest.approx(s, abs=1e-12 * max(1.0, shares[-1])), case
+                    assert np.all(g @ x - lp.b_g >= -1e-9), case
+                    assert np.all(np.abs(h @ x - lp.b_h) <= 1e-9), case
+                    lo, hi = ref.base_lo.copy(), ref.base_hi.copy()
+                    lo[lp.n_vars - 1] = hi[lp.n_vars - 1] = s  # kappa, the LP's last column
+                    basis = path.pieces[path._index(float(s))][3]
+                    assert ref.resolve(basis, lo, hi).status == "optimal"
+                    face = ref.face_minimum(grad)
+                    want = price @ (face[:t] - face[t: 2 * t])
+                    got = price @ (x[:t] - x[t: 2 * t])
+                    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), case
+            assert len(set(walks)) == len(walks) > 0, (name, p)
+
+
+def test_face_walk_passes_a_face_breakpoint_inside_a_piece(monkeypatch, tiny_instance):
+    """min x1 + x2 s.t. x1 + x2 >= kappa, x1 >= 0, 0 <= x2 <= 1 on kappa in
+    [0, 2] is one piece, x1 basic; its optimal face is x1 + x2 = kappa.
+    price . (ch - dis) = x1 - x2 is least with x2 = min(kappa, 1), so the
+    face walk from kappa = 2 meets a face breakpoint at kappa = 1 and
+    passes it with one dual pivot (x1 leaves, x2 enters)."""
+    lp = make_lp([1.0, 1.0, 0.0], a_ub=[[1.0, 1.0, -1.0]], b_ub=[0.0],
+                 lb=[0.0, 0.0, 2.0], ub=[np.inf, 1.0, 2.0])
+    monkeypatch.setattr(simplex, "build_party_lp", lambda inst, party, cap: lp)
+    monkeypatch.setattr(simplex, "no_battery_start",
+                        lambda lp: (np.array([0]), np.array([2.0, 0.0, 2.0])))
+    path = CapacityPath(tiny_instance, 0)
+    assert [piece[0] for piece in path.pieces] == [2.0, 0.0]  # one piece, then 0 itself
+    price = np.array([1.0])
+    for s in np.linspace(0.0, 2.0, 9):
+        sol, x = path.flow_face(float(s), price)
+        assert sol.objective == pytest.approx(s, abs=1e-12)
+        assert x == pytest.approx([max(s - 1.0, 0.0), min(s, 1.0), s], abs=1e-12), s
+    lines = path._faces[(0, price.tobytes())]
+    assert [line[0] for line in lines] == [2.0, 1.0]
+    assert path.engine.iterations > 1  # the face minimum's flip and the walk's pivot
 
 
 def test_path_slopes_are_taken_from_below():

@@ -14,13 +14,14 @@ def _write(path, records):
 
 def test_compare_sums_times_and_flags_differing_objectives(tmp_path, capsys):
     def rec(seed, mode, status, obj, seconds, nodes, grid=10.0, excess=0.0, phi=-2.0, esc=0,
-            fallbacks=(), family=10, iterations=1, pieces=3, scenario="free"):
+            fallbacks=(), family=10, iterations=1, pieces=3, scenario="free", grid_seconds=0.5):
         return {"seed": seed, "mode": mode, "scenario": scenario, "status": status, "nodes": nodes,
                 "iterations": iterations, "root_iterations": 1, "family_iterations": family,
                 "path_pieces": pieces, "escalations": esc,
                 "fallbacks": list(fallbacks), "objective": obj, "seconds": seconds,
                 "ll_excess": excess, "ll_phi": phi,
-                **({"grid": grid} if scenario == "free" else {})}  # as the sweep writes them
+                **({"grid": grid, "grid_seconds": grid_seconds}
+                   if scenario == "free" else {})}  # as the sweep writes them
 
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     old = rec(3, "lpcc", "optimal", 1.0, 1.0, 1)
@@ -28,6 +29,7 @@ def test_compare_sums_times_and_flags_differing_objectives(tmp_path, capsys):
     del old["fallbacks"]  # ... or fallbacks
     del old["family_iterations"]  # ... or family iterations
     del old["path_pieces"]  # ... or path pieces
+    del old["grid_seconds"]  # ... or grid seconds
     _write(a, [rec(1, "lpcc", "optimal", 10.0, 1.0, 5, grid=10.0 - 1e-7),
                rec(1, "bigm", "optimal", 10.0, 2.0, 7, excess=4e-9),
                rec(2, "lpcc", "optimal", 3.0, 1.0, 9),
@@ -37,15 +39,17 @@ def test_compare_sums_times_and_flags_differing_objectives(tmp_path, capsys):
                rec(1, "bigm", "optimal", 10.0, 1.0, 7, excess=2e-9),  # 1e-9 (1 + |-2|) = 3e-9
                rec(2, "lpcc", "optimal", 3.0 + 5e-7, 0.5, 9, excess=3e-6, phi=-3e3,
                    grid=10.0 + 5e-12),  # 5e-13 relative: the same grid
-               rec(2, "bigm", "limit", 2.0, 3.0, 50, fallbacks=["reread"], family=4, pieces=5),
+               rec(2, "bigm", "limit", 2.0, 3.0, 50, fallbacks=["reread"], family=4, pieces=5,
+                   grid_seconds=0.25),
                rec(3, "lpcc", "optimal", 1.0, 1.0, 1, fallbacks=["reread"], iterations=2),
                rec(1, "lpcc", "optimal", 12.0, 2.5, 20, scenario="customers-only")])
     assert tree_sweep.compare(str(a), str(b)) == 1
     out = capsys.readouterr().out
-    # seed 3 has no family iterations or path pieces in A, so lpcc/free prints neither
+    # seed 3 has no grid seconds, family iterations or path pieces in A, so
+    # lpcc/free prints none of them
     assert "lpcc/free: 3 seeds, seconds 3.00 -> 2.00 (-33.3%), nodes 15 -> 16\n" in out
     assert ("bigm/free: 2 seeds, seconds 6.00 -> 4.00 (-33.3%), nodes 57 -> 57,"
-            " family iterations 20 -> 14, path pieces 6 -> 8\n") in out
+            " grid seconds 1.00 -> 0.75, family iterations 20 -> 14, path pieces 6 -> 8\n") in out
     # matched by seed, mode and scenario: seed 1's lpcc nodes differ when free only
     assert ("lpcc/customers-only: 1 seeds, seconds 2.00 -> 2.50 (+25.0%), nodes 20 -> 20,"
             " family iterations 10 -> 10, path pieces 3 -> 3\n") in out
@@ -80,7 +84,9 @@ def test_sweep_records_the_grid_objective(tmp_path):
     assert len({r["path_pieces"] for r in records}) == 1 and records[0]["path_pieces"] >= 2
     lpcc = records[0]
     assert records[1]["grid"] == lpcc["grid"]
-    assert all("grid" not in r for r in records[2:])  # the grid searches free divisions
+    assert records[1]["grid_seconds"] == lpcc["grid_seconds"] > 0
+    # the grid searches free divisions
+    assert all("grid" not in r and "grid_seconds" not in r for r in records[2:])
     assert records[2]["objective"] >= lpcc["objective"]  # a pin only adds rows
     assert tree_sweep.grid_below({(213, "lpcc", "free"): lpcc}) == []
     for r in records:  # each answer's worst lower-level excess, within tolerance

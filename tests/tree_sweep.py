@@ -12,14 +12,15 @@ iterations, the root LP's iterations, the pivots and the pieces of the
 parties' capacity paths (family iterations and path pieces), big-M
 escalations, the fallbacks the solve took (family_start, root_start,
 reread), objective and seconds, the answer's worst lower-level excess,
-plus, on a free record, the seed's grid_oracle objective at step C/20.
+plus, on a free record, the seed's grid_oracle objective at step C/20
+and the seconds the grid took (grid_seconds).
 The excess is c_p.x_p - phi_p(s_p) of the party where it is largest
 relative to 1 + |phi_p(s_p)| (ll_excess, with that phi as ll_phi). The
 second form reads two such files, matches their records by seed, mode
 and scenario (a record with no scenario, from an older file, is free),
 and prints, per mode and scenario, the summed seconds and nodes of each
-(and the summed family iterations and path pieces, each when both files
-record it for every solve of the group) and every seed where both solves
+(and the summed grid seconds, family iterations and path pieces, each
+when both files record it for every solve of the group) and every seed where both solves
 are optimal and the objectives differ by more than 1e-6 relative; then
 the (seed, mode, scenario) solves whose nodes, LP iterations or family
 iterations differ (of the counters both files record), those whose
@@ -96,12 +97,14 @@ def grid_objective(seed: int) -> float:
 def sweep(seeds, node_limit: int, out: str):
     with open(out, "w") as fh:
         for seed in seeds:
+            t0 = time.perf_counter()
             grid = grid_objective(seed)
+            grid_seconds = round(time.perf_counter() - t0, 4)
             for scenario in SCENARIOS:
                 for mode in MODES:
                     rec = solve_one(seed, mode, scenario, node_limit)
                     if scenario == "free":  # the grid searches the free division only
-                        rec["grid"] = grid
+                        rec.update(grid=grid, grid_seconds=grid_seconds)
                     line = json.dumps(rec)
                     fh.write(line + "\n")
                     fh.flush()
@@ -146,6 +149,9 @@ def compare(path_a: str, path_b: str) -> int:
         na, nb = (sum(side[k]["nodes"] for k in keys) for side in (a, b))
         line = (f"{_label(group)}: {len(keys)} seeds, seconds {ta:.2f} -> {tb:.2f}"
                 f" ({(tb - ta) / ta if ta else 0.0:+.1%}), nodes {na} -> {nb}")
+        if all("grid_seconds" in side[k] for side in (a, b) for k in keys):
+            ga, gb = (sum(side[k]["grid_seconds"] for k in keys) for side in (a, b))
+            line += f", grid seconds {ga:.2f} -> {gb:.2f}"
         for key in ("family_iterations", "path_pieces"):
             if all(key in side[k] for side in (a, b) for k in keys):
                 ca, cb = (sum(side[k][key] for k in keys) for side in (a, b))
