@@ -99,7 +99,7 @@ def _cmd_build(args) -> int:
 def _cmd_solve(args) -> int:
     instance, config = _load(args)
     opts, mode = _solve_settings(args, config)
-    result, escalations, notes = solve_division(assemble_mpec(instance), opts, mode, None)
+    result, escalations, notes = solve_division(assemble_mpec(instance), opts, mode)
     print(f"status = {result.status}")
     print(f"nodes = {result.node_count}")
     print(f"escalations = {escalations}")

@@ -5,7 +5,7 @@ flat ``key = value`` file. Every parse error names the file and, where it
 applies, the line that caused it. Unknown config keys are rejected so a
 typo cannot silently fall back to a default. The config sets the instance,
 the solver mode and the solve limits; the big-M sizes of bigm mode are
-not configurable (mpec.BigMPolicy).
+fixed in mpec and not configurable.
 """
 
 from __future__ import annotations

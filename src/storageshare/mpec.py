@@ -13,18 +13,28 @@ about slots or batteries beyond each party LP's last column, its capacity,
 which becomes the party's division variable. linearize_big_m sizes each
 pair's primal bound by the catalog family of its row, which it reads off
 the row's position in the party block (lp.py: row i is of family
-i // T + 1); no row or column carries a name. BigMPolicy alone sizes M;
-the bigm escalation (scenarios.solve_division) grows it by BigMPolicy.grown.
+i // T + 1); no row or column carries a name. The pair bounds have fixed
+sizes, set here alone: a primal bound is _PRIMAL_SAFETY times its row's
+family bound plus _PRIMAL_FLOOR, so a legitimately tight row does not sit
+on it; a dual bound cannot be derived from problem data, so it is
+_DUAL_SCALE times the price magnitude, at least _DUAL_FLOOR. Each round of
+the bigm escalation (scenarios.solve_division) grows both scales 10x and
+keeps the floors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .instance import Instance, flow_price
 from .lp import LinearProgram, Rows, build_party_lp
+
+_PRIMAL_SAFETY = 1.25
+_PRIMAL_FLOOR = 1.0
+_DUAL_SCALE = 1000.0
+_DUAL_FLOOR = 1.0
 
 
 @dataclass(frozen=True)
@@ -69,33 +79,6 @@ class MpecModel:
 
     def parties(self):
         return list(self.customers) + [self.disco]
-
-
-@dataclass(frozen=True)
-class BigMPolicy:
-    """How the pair bounds of the linearization are sized.
-
-    Primal-side bounds come from per-family interval analysis of the row's
-    range over the feasible set, inflated by primal_safety plus a floor so
-    legitimately tight rows do not sit on the bound. Dual-side bounds cannot
-    be derived from problem data, so they are dual_scale times the price
-    magnitude, at least dual_floor. Every field must be positive and finite.
-    """
-
-    primal_safety: float = 1.25
-    primal_floor: float = 1.0
-    dual_scale: float = 1000.0
-    dual_floor: float = 1.0
-
-    def __post_init__(self):
-        for name, v in vars(self).items():
-            if not 0 < v < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {v}")
-
-    def grown(self) -> "BigMPolicy":
-        """The next escalation round's policy: both scales 10x, floors kept."""
-        return replace(self, primal_safety=10.0 * self.primal_safety,
-                       dual_scale=10.0 * self.dual_scale)
 
 
 @dataclass(frozen=True)
@@ -227,9 +210,10 @@ def _family_bounds(instance: Instance, load: np.ndarray) -> np.ndarray:
     return np.array([soc, soc, power, power, power, power, profile, profile])
 
 
-def linearize_big_m(mpec: MpecModel, policy: BigMPolicy | None = None) -> MilpModel:
-    """Swap each complementarity pair for the classic two bound rows."""
-    policy = policy or BigMPolicy()
+def linearize_big_m(mpec: MpecModel, rounds: int = 0) -> MilpModel:
+    """Swap each complementarity pair for the classic two bound rows, sized
+    as in the module notes with both scales grown 10**rounds times."""
+    grow = 10 ** rounds
     inst = mpec.instance
     base = mpec.lp
     n_pairs = len(mpec.pairs)
@@ -237,7 +221,7 @@ def linearize_big_m(mpec: MpecModel, policy: BigMPolicy | None = None) -> MilpMo
     dt = inst.grid.slot_hours
     price = max(float(np.abs(inst.prices.lmp).max()), float(inst.prices.tou.max()),
                 inst.weights.alpha)
-    dual_m = max(policy.dual_floor, policy.dual_scale * price * dt)
+    dual_m = max(_DUAL_FLOOR, _DUAL_SCALE * grow * price * dt)
 
     m_omega = np.full(n_pairs, dual_m)
     # pairs run party by party over each party's rows; row i of a party
@@ -245,8 +229,8 @@ def linearize_big_m(mpec: MpecModel, policy: BigMPolicy | None = None) -> MilpMo
     t = inst.grid.slot_count
     loads = list(inst.loads.customer_load) + [inst.loads.system_load]
     m_slack = np.concatenate([
-        policy.primal_safety * _family_bounds(inst, load)[np.arange(lay.nw) // t]
-        + policy.primal_floor
+        _PRIMAL_SAFETY * grow * _family_bounds(inst, load)[np.arange(lay.nw) // t]
+        + _PRIMAL_FLOOR
         for lay, load in zip(mpec.parties(), loads)])
 
     lb = np.concatenate([base.lb, np.zeros(n_pairs)])

@@ -17,10 +17,10 @@ baseline are reported as zero. Reports on Customers rows are group
 figures, not individual bills.
 
 Scenarios 2 and 3 solve the division model in lpcc or bigm mode
-(solve_division). In bigm mode the pair bounds take BigMPolicy's default
-sizes; a near-binding bound or an infeasible big-M form grows both sides
-10x (BigMPolicy.grown) for up to _MAX_ROUNDS re-solves within the one
-time limit, and each round is a note in the day's report.
+(solve_division). In bigm mode the pair bounds take mpec's fixed sizes;
+a near-binding bound or an infeasible big-M form grows both sides 10x
+(linearize_big_m's rounds) for up to _MAX_ROUNDS re-solves within the
+one time limit, and each round is a note in the day's report.
 
 run_all_scenarios builds the day's capacity paths (simplex.CapacityPath,
 one per party) and its division model once: scenario 1 reads the
@@ -56,7 +56,7 @@ from .instance import (
     zero_schedules,
 )
 from .lp import Rows
-from .mpec import BigMPolicy, assemble_mpec, linearize_big_m, validate_big_m
+from .mpec import assemble_mpec, linearize_big_m, validate_big_m
 from .simplex import CapacityPath
 from .solver import _EXIT_CODES, MODES, SolveOptions, extract_solution, solve_lpcc, solve_milp
 
@@ -202,15 +202,14 @@ def _check_mode(mode: str):
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def solve_division(mpec, opts: SolveOptions, mode: str,
-                   policy: BigMPolicy | None, *, paths=None):
+def solve_division(mpec, opts: SolveOptions, mode: str, paths=None):
     """Run the joint model in the requested mode. paths, if given, are the
     day's capacity paths (one per party, as solve_lpcc takes them); in
     bigm mode, when none are given, they are built once, before the first
     round, and every round reads them.
 
     In bigm mode the pair bounds are validated after the solve. A flagged
-    bound grows both sides of the policy (BigMPolicy.grown) and re-solves,
+    bound grows both sides 10x (linearize_big_m's rounds) and re-solves,
     up to _MAX_ROUNDS escalations; the note names the flagged sides. A
     division model is always feasible, so an infeasible big-M form means
     its bounds cut off every point: that escalates too. All rounds share
@@ -225,21 +224,20 @@ def solve_division(mpec, opts: SolveOptions, mode: str,
     t0 = time.perf_counter()
     if paths is None:
         paths = _day_paths(mpec.instance)
-    pol = policy or BigMPolicy()
     rounds = 0
     while True:
-        milp = linearize_big_m(mpec, pol)
+        milp = linearize_big_m(mpec, rounds)
         result = solve_milp(milp, opts, paths=paths)
         if result.status == "infeasible":
-            sides, why = {"omega", "slack"}, "big-M form infeasible"
+            why = "big-M form infeasible"
         elif result.status != "optimal":
             return result, rounds, notes
         else:
             report = validate_big_m(milp, result.x)
             if report.clean:
                 return result, rounds, notes
-            sides = {side for _, side, _, _ in report.flagged}
-            why = f"{len(report.flagged)} binding pair bounds"
+            sides = sorted({side for _, side, _, _ in report.flagged})
+            why = f"{len(report.flagged)} binding pair bounds (flagged: {'/'.join(sides)})"
         left = opts.time_limit - (time.perf_counter() - t0)
         if rounds >= _MAX_ROUNDS or left <= 0:
             still = ("big-M form still infeasible" if result.status == "infeasible"
@@ -248,10 +246,8 @@ def solve_division(mpec, opts: SolveOptions, mode: str,
                          + ("" if rounds >= _MAX_ROUNDS else ", time limit reached"))
             return result, rounds, notes
         rounds += 1
-        pol = pol.grown()
         opts = replace(opts, time_limit=left)
-        notes.append(
-            f"escalation round {rounds}: {why}, regrowing {'/'.join(sorted(sides))}")
+        notes.append(f"escalation round {rounds}: {why}, growing omega and slack")
 
 
 def run_scenario(instance: Instance, scenario, options: SolveOptions | None = None,
@@ -283,7 +279,7 @@ def _report(instance: Instance, scenario: ScenarioId, opts: SolveOptions, mode: 
         if scenario is ScenarioId.CUSTOMERS_ONLY:
             mpec = _pin_customers_only(mpec)
         result, escalations, notes = solve_division(
-            mpec, replace(opts, time_limit=_left(scenario, deadline)), mode, None, paths=paths)
+            mpec, replace(opts, time_limit=_left(scenario, deadline)), mode, paths)
         if result.status != "optimal":
             raise _stopped(scenario, result.status,
                            f"solver ended {result.status} after {result.node_count} nodes")

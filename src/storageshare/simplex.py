@@ -847,6 +847,7 @@ class CapacityPath:
             x = eng._read_x()
             self.pieces.append((0.0, replace(sol, x=x, objective=float(lp.c @ x)), dx, eng.snapshot()))
         self.iterations = eng.iterations
+        eng._inverses.clear()  # nothing resolves on the path's engine: keep no inverse
 
     def _index(self, s: float) -> int:
         """Index of the piece holding capacity s; at a breakpoint, the one below."""

@@ -14,9 +14,12 @@ point's shares, for the heuristic's points, the root start and the
 re-read of the final incumbent: each party's multipliers from its path
 at the answer's share, kept when they are complementary to the answer's
 rows, which certifies by LP duality that every dispatch is optimal at
-its share. The best-first core (_branch_and_bound) routes every node, the
-root too, through one function and ends at one exit. Node order and
-therefore node counts are deterministic for a fixed model.
+its share. Every point a tree takes, a node's relaxation, a heuristic
+point or the re-read answer, passes one rule (_bilevel_feasible), so the
+two trees differ only in their branching rule. The best-first core
+(_branch_and_bound) routes every node, the root too, through one
+function and ends at one exit. Node order and therefore node counts are
+deterministic for a fixed model.
 
 The LP both trees search is the model's LP plus one chord row per party
 p: c_p.x_p <= phi_p(lo) + (phi_p(hi) - phi_p(lo)) / (hi - lo) (s_p - lo),
@@ -52,7 +55,6 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -64,7 +66,6 @@ from .simplex import CapacityPath, Simplex
 
 _EXIT_CODES = {"optimal": 0, "infeasible": 2, "unbounded": 3, "limit": 4}
 MODES = ("bigm", "lpcc")  # solve_milp on the big-M model, or solve_lpcc
-_INT_TOL = 1e-6
 _COMP_TOL = 1e-7  # pair products at or below this count as complementary
 _SETTLED_TOL = 1e-9  # a binary this near 0 or 1 is taken as fixed by a branch
 
@@ -121,14 +122,16 @@ def _relative_gap(objective: float, bound: float) -> float:
     return max(0.0, (objective - bound) / max(1.0, abs(objective)))
 
 
-def _branch_and_bound(engine: Simplex, opts, classify, try_point, start=None, t0=None):
-    """Best-first search over engine's LP; classify(sol) returns either an
-    incumbent candidate or the two child bound-fixes of the branching
-    decision. Ties on the bound favor deeper nodes so plateaus dive to
-    leaves. try_point(x) may turn any node relaxation into a side incumbent
-    (x, objective) without affecting the tree itself. start goes to the
-    root's Simplex.solve; t0, the perf_counter reading the time limit and
-    wall_time count from, defaults to now. The result carries no model."""
+def _branch_and_bound(engine: Simplex, opts, accept, branch, try_point, start=None, t0=None):
+    """Best-first search over engine's LP. accept(x) returns the node
+    relaxation x as an incumbent (possibly re-settled) or None; a node it
+    rejects is branched on branch(x), the two child bound-fixes of the
+    branching decision. Ties on the bound favor deeper nodes so plateaus
+    dive to leaves. try_point(x) may turn a rejected node relaxation into a
+    side incumbent (x, objective) without affecting the tree itself. start
+    goes to the root's Simplex.solve; t0, the perf_counter reading the time
+    limit and wall_time count from, defaults to now. The result carries no
+    model."""
     t0 = time.perf_counter() if t0 is None else t0
     incumbent_x = None
     incumbent_obj = np.inf
@@ -180,16 +183,16 @@ def _branch_and_bound(engine: Simplex, opts, classify, try_point, start=None, t0
             raise_bound(bound)
         if pruned(bound):
             return None
-        kind, payload = classify(sol)
-        if kind == "incumbent":
-            take_incumbent(*payload)
+        x = accept(sol.x)
+        if x is not None:
+            take_incumbent(x, float(sol.objective))
             return None
         side = try_point(sol.x)
         if side is not None:
             take_incumbent(*side)
             if pruned(bound):
                 return None
-        heapq.heappush(heap, (bound, -len(fixes), seq, fixes, engine.snapshot(), payload))
+        heapq.heappush(heap, (bound, -len(fixes), seq, fixes, engine.snapshot(), branch(sol.x)))
         seq += 1
         return None
 
@@ -210,10 +213,10 @@ def _branch_and_bound(engine: Simplex, opts, classify, try_point, start=None, t0
                 sol = engine.resolve(snap, lo, hi)
             stop = route(sol, fixes, parent_bound)
         else:
-            bound, _, _, fixes, snap, branch = heapq.heappop(heap)
+            bound, _, _, fixes, snap, children = heapq.heappop(heap)
             raise_bound(bound)
             if not pruned(bound):
-                todo = [(fixes + (fix,), snap, bound) for fix in branch]
+                todo = [(fixes + (fix,), snap, bound) for fix in children]
 
     status = stop or ("infeasible" if incumbent_x is None else "optimal")
     if status == "optimal":
@@ -259,108 +262,87 @@ def _stitch(mpec: MpecModel, paths, x: np.ndarray, dispatch: bool):
     return sols, net
 
 
-class _DivisionHeuristic:
-    """Turns any capacity division into a feasible point of the joint model.
+def _bilevel_feasible(mpec: MpecModel, lp: LinearProgram, u_cols=None):
+    """The one rule for every point a division tree takes (a node's
+    relaxation, a heuristic point, the re-read answer): accept(x) returns x,
+    with lp's binaries u_cols (if any) re-set to w > slack in a copy, when
+    every pair product w * slack is at most _COMP_TOL and the point is
+    feasible on lp at 1e-6, else None. Dual-feasible multipliers
+    complementary to a feasible x certify that each dispatch in x is
+    optimal at its share."""
+    w_cols = mpec.pairs[:, 0]
+    pair_slacks = _pair_slacks(mpec.lp, mpec.pairs)
+
+    def accept(x: np.ndarray) -> np.ndarray | None:
+        w = x[w_cols]
+        slack = pair_slacks(x)
+        if float(np.abs(w * slack).max(initial=0.0)) > _COMP_TOL:
+            return None
+        if u_cols is not None:
+            x = x.copy()
+            x[u_cols] = w > slack
+        return x if evaluate(lp, x).feasible(1e-6) else None
+
+    return accept
+
+
+def _division_heuristic(mpec: MpecModel, lp: LinearProgram, paths, accept):
+    """try_point(x_relax): a capacity division turned into a feasible point
+    of the joint model, as (x, objective), or None.
 
     Every party's dispatch LP solved at a fixed division yields, with its
     multipliers, an exact optimality system solution (dispatch variables
     are free, so reduced costs vanish at the optimum). Stitching those
-    together with the implied system peak gives an incumbent; the division
-    is read off a node relaxation, and repeats are skipped via a cache.
-    Each party's dispatch at any share is a lookup on its capacity path
+    together with the implied system peak gives an incumbent once accept
+    (_bilevel_feasible) takes it. The division is read off a node
+    relaxation at its exact shares; the shares rounded to 9 digits only key
+    the cache of tried divisions, and a repeat gives None. Each party's
+    dispatch at any share is a lookup on its capacity path
     (simplex.CapacityPath), built once for the whole tree solve.
     """
+    cap_cols = [lay.cap_col for lay in mpec.parties()]
+    seen: set = set()
 
-    def __init__(self, mpec: MpecModel, feas_lp: LinearProgram, paths, u_cols=None):
-        self.mpec = mpec
-        self.feas_lp = feas_lp
-        self.paths = paths
-        self.u_cols = u_cols
-        self.pair_slacks = _pair_slacks(mpec.lp, mpec.pairs)
-        self.cap_cols = [lay.cap_col for lay in mpec.parties()]
-        self.seen: set = set()
-
-    def verified(self, x: np.ndarray) -> np.ndarray | None:
-        """x, binaries re-settled, if its multipliers are complementary to
-        its rows and it passes feas_lp, else None. Dual-feasible multipliers
-        complementary to a feasible x certify that each dispatch in x is
-        optimal at its share."""
-        w = x[self.mpec.pairs[:, 0]]
-        slack = self.pair_slacks(x)
-        if float(np.abs(w * slack).max(initial=0.0)) > _COMP_TOL:
-            return None
-        if self.u_cols is not None:
-            x[self.u_cols] = w > slack
-        if not evaluate(self.feas_lp, x).feasible(1e-6):
-            return None
-        return x
-
-    def try_point(self, x_relax):
-        """Returns (x, objective) or None if this division was already tried
-        or the stitched point fails verification. Each party is solved at
-        the relaxation's exact share; the share rounded to 9 digits only
-        keys the cache of tried divisions."""
-        shares = np.maximum(0.0, x_relax[self.cap_cols])
+    def try_point(x_relax):
+        shares = np.maximum(0.0, x_relax[cap_cols])
         key = tuple(round(float(v), 9) for v in shares)
-        if key in self.seen:
+        if key in seen:
             return None
-        self.seen.add(key)
-        x = np.zeros(self.feas_lp.n_vars)
-        x[self.cap_cols] = shares
-        _stitch(self.mpec, self.paths, x, dispatch=True)
-        if self.verified(x) is None:
+        seen.add(key)
+        x = np.zeros(lp.n_vars)
+        x[cap_cols] = shares
+        _stitch(mpec, paths, x, dispatch=True)
+        x = accept(x)
+        if x is None:
             return None
-        return x, float(self.feas_lp.c @ x) + self.feas_lp.objective_constant
+        return x, float(lp.c @ x) + lp.objective_constant
+
+    return try_point
 
 
-def _classify_milp(milp: MilpModel, lp: LinearProgram):
-    pair_slacks = _pair_slacks(lp, milp.mpec.pairs)
-    w_cols = milp.mpec.pairs[:, 0]
-    u_cols = np.asarray(milp.binary_cols, dtype=int)
+def _branch_rule(mpec: MpecModel, u_cols=None):
+    """x -> the two child fixes of the worst pair, the one of largest
+    product w * slack. Without binaries its multiplier goes to zero or its
+    row to equality (its surplus column, n + row, to zero). With binaries
+    u_cols its binary goes to 0 or 1, the worst pair taken among those
+    whose binary is not yet settled (a u near 0 still lets its pair slip by
+    u times big-M), or among all when every binary is."""
+    w_cols = mpec.pairs[:, 0]
+    pair_slacks = _pair_slacks(mpec.lp, mpec.pairs)
+    n_struct = mpec.lp.n_vars
 
-    def classify(sol):
-        x = sol.x
-        uvals = x[u_cols]
-        frac = np.abs(uvals - np.round(uvals))
-        if np.all(frac <= _INT_TOL):
-            x2 = x.copy()
-            x2[u_cols] = np.round(uvals)
-            if evaluate(lp, x2).feasible(1e-6):
-                return "incumbent", (x2, float(sol.objective))
-        slack = pair_slacks(x)
-        prod = x[w_cols] * slack
-        if float(prod.max()) <= _COMP_TOL:
-            x2 = x.copy()
-            x2[u_cols] = x[w_cols] >= slack
-            if evaluate(lp, x2).feasible(1e-6):
-                return "incumbent", (x2, float(sol.objective))
-        # branch on the worst pair whose u is not yet settled (a u within
-        # _INT_TOL of 0 still lets its pair slip by u times big-M), or on
-        # the worst pair when every u is
-        unsettled = np.flatnonzero(frac > _SETTLED_TOL)
+    def branch(x):
+        prod = x[w_cols] * pair_slacks(x)
+        if u_cols is None:
+            w_col, g_row = mpec.pairs[int(np.argmax(prod))].tolist()
+            return (w_col, 0.0, 0.0), (n_struct + g_row, 0.0, 0.0)
+        u = x[u_cols]
+        unsettled = np.flatnonzero(np.abs(u - np.round(u)) > _SETTLED_TOL)
         q = int(unsettled[np.argmax(prod[unsettled])]) if unsettled.size else int(np.argmax(prod))
         col = int(u_cols[q])
-        return "branch", ((col, 0.0, 0.0), (col, 1.0, 1.0))
+        return (col, 0.0, 0.0), (col, 1.0, 1.0)
 
-    return classify
-
-
-def _classify_lpcc(mpec: MpecModel, lp: LinearProgram):
-    pair_slacks = _pair_slacks(lp, mpec.pairs)
-    w_cols = mpec.pairs[:, 0]
-    n_struct = lp.n_vars
-
-    def classify(sol):
-        x = sol.x
-        prod = x[w_cols] * pair_slacks(x)
-        if float(prod.max()) <= _COMP_TOL and evaluate(lp, x).feasible(1e-6):
-            return "incumbent", (x.copy(), float(sol.objective))
-        q = int(np.argmax(prod))
-        w_col, g_row = mpec.pairs[q].tolist()
-        # either the multiplier goes to zero, or the row to equality
-        return "branch", ((w_col, 0.0, 0.0), (n_struct + g_row, 0.0, 0.0))
-
-    return classify
+    return branch
 
 
 def _with_chords(mpec: MpecModel, lp: LinearProgram, paths):
@@ -441,29 +423,31 @@ def _root_start(mpec: MpecModel, lp: LinearProgram, paths, u_cols=None):
     return basic, x
 
 
-def _solve_tree(mpec: MpecModel, model, lp: LinearProgram, classify_for,
-                options: SolveOptions | None, u_cols=None, paths=None) -> SolveResult:
+def _solve_tree(mpec: MpecModel, model, lp: LinearProgram, options: SolveOptions | None,
+                u_cols=None, paths=None) -> SolveResult:
     """Each party's capacity path (built here unless the caller passes the
     day's paths), then the best-first tree over lp and its chord rows from
     the paths' root start, with the division heuristic on the paths, then
-    the dual re-read of the incumbent off the same paths. classify_for(tree_lp)
-    gives the node classifier; u_cols are lp's binary columns, if it has
-    any. The clock and the time limit cover it all, the paths it builds
-    included."""
+    the dual re-read of the incumbent off the same paths. u_cols are lp's
+    binary columns, if it has any: they pick the branching rule
+    (_branch_rule), and every point the solve takes passes one rule
+    (_bilevel_feasible on lp). The clock and the time limit cover it all,
+    the paths it builds included."""
     t0 = time.perf_counter()
     if paths is None:
         paths = [CapacityPath(mpec.instance, p) for p in range(len(mpec.parties()))]
-    heur = _DivisionHeuristic(mpec, lp, paths, u_cols)
+    accept = _bilevel_feasible(mpec, lp, u_cols)
     tree_lp = _with_chords(mpec, lp, paths)
     start = _root_start(mpec, tree_lp, paths, u_cols)
     engine = Simplex(tree_lp)
-    result = _branch_and_bound(engine, options or SolveOptions(), classify_for(tree_lp),
-                               heur.try_point, start=start, t0=t0)
+    result = _branch_and_bound(engine, options or SolveOptions(), accept,
+                               _branch_rule(mpec, u_cols),
+                               _division_heuristic(mpec, lp, paths, accept), start=start, t0=t0)
     x = result.x
     if x is not None:
         x = x.copy()
         _stitch(mpec, paths, x, dispatch=False)
-        x = heur.verified(x)
+        x = accept(x)
     fallbacks = tuple(name for name, taken in (
         ("family_start", any(path.engine.start_rejects for path in paths)),
         ("root_start", start is None or engine.start_rejects > 0),
@@ -484,8 +468,7 @@ def solve_milp(milp: MilpModel, options: SolveOptions | None = None, *,
     parent's). paths, if given, are the day's capacity paths, one per
     party (simplex.CapacityPath), and the solve builds none.
     """
-    return _solve_tree(milp.mpec, milp, milp.lp, partial(_classify_milp, milp), options,
-                       u_cols=milp.binary_cols, paths=paths)
+    return _solve_tree(milp.mpec, milp, milp.lp, options, u_cols=milp.binary_cols, paths=paths)
 
 
 def solve_lpcc(mpec: MpecModel, options: SolveOptions | None = None, *,
@@ -496,8 +479,7 @@ def solve_lpcc(mpec: MpecModel, options: SolveOptions | None = None, *,
     equality, so every root-to-leaf path fixes a strictly growing set of
     columns and the tree is finite. paths as in solve_milp.
     """
-    return _solve_tree(mpec, mpec, mpec.lp, partial(_classify_lpcc, mpec), options,
-                       paths=paths)
+    return _solve_tree(mpec, mpec, mpec.lp, options, paths=paths)
 
 
 def extract_solution(result: SolveResult, instance: Instance):

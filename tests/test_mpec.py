@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from storageshare.lp import build_llm_c, build_llm_d
-from storageshare.mpec import (
-    BigMPolicy,
-    assemble_mpec,
-    linearize_big_m,
-    validate_big_m,
-)
+from storageshare.mpec import assemble_mpec, linearize_big_m, validate_big_m
 from storageshare.solver import _pair_slacks, solve_lpcc
 from tests.conftest import DIVISION_FIXTURES, rand_instance
 from tests.lp_oracle import derive_kkt, make_lp, row_value
@@ -190,29 +185,33 @@ def test_linearize_structure(rng):
     assert milp.lp.b_g[mpec.lp.n_g - 1] == mpec.lp.b_g[-1]
 
 
+def _family_bound(inst, mpec):
+    """The bound of each pair's row over the feasible set, by the row's
+    catalog family (row i of a party block is of family i // T)."""
+    st, s, t = inst.storage, inst.storage.total_capacity, inst.grid.slot_count
+    loads = list(inst.loads.customer_load) + [inst.loads.system_load]
+    bound = []
+    for lay, load in zip(mpec.parties(), loads):
+        for i in range(lay.nw):
+            if i // t < 2:  # soc_min, soc_max
+                bound.append((st.soc_upper - st.soc_lower) * s)
+            elif i // t < 6:  # signs and power limits
+                bound.append(st.power_ratio * s)
+            else:  # peak_def, valley_def
+                bound.append(2.0 * load.max() + 2.0 * st.power_ratio * s)
+    return np.array(bound)
+
+
 def test_m_slack_is_the_catalog_family_bound():
-    # each pair's primal M is primal_safety times the bound of its row's
-    # family (row i of a party block is of family i // T), from instance
-    # data, plus primal_floor; at the solved point each row's slack lies
-    # within that bound
-    pol = BigMPolicy()
+    # each pair's primal M is 1.25 times the bound of its row's family,
+    # from instance data, plus 1; at the solved point each row's slack
+    # lies within that bound
     for name, make in DIVISION_FIXTURES:
         inst = make()
-        st, s, t = inst.storage, inst.storage.total_capacity, inst.grid.slot_count
         mpec = assemble_mpec(inst)
-        loads = list(inst.loads.customer_load) + [inst.loads.system_load]
-        bound = []
-        for lay, load in zip(mpec.parties(), loads):
-            for i in range(lay.nw):
-                if i // t < 2:  # soc_min, soc_max
-                    bound.append((st.soc_upper - st.soc_lower) * s)
-                elif i // t < 6:  # signs and power limits
-                    bound.append(st.power_ratio * s)
-                else:  # peak_def, valley_def
-                    bound.append(2.0 * load.max() + 2.0 * st.power_ratio * s)
-        bound = np.array(bound)
-        milp = linearize_big_m(mpec, pol)
-        np.testing.assert_array_equal(milp.m_slack, pol.primal_safety * bound + pol.primal_floor)
+        bound = _family_bound(inst, mpec)
+        milp = linearize_big_m(mpec)
+        np.testing.assert_array_equal(milp.m_slack, 1.25 * bound + 1.0)
         res = solve_lpcc(mpec)
         assert res.status == "optimal", name
         slack = _pair_slacks(mpec.lp, mpec.pairs)(res.x)
@@ -251,19 +250,21 @@ def test_pair_row_semantics(rng):
     assert b < 0  # slack beyond M is cut off even though omega*g = 0
 
 
-def test_policy_validation():
-    # the policy checks itself on construction: every field positive and finite
-    for field in ("primal_safety", "primal_floor", "dual_scale", "dual_floor"):
-        for value in (0.0, -1.0, np.inf, np.nan):
-            with pytest.raises(ValueError, match=field):
-                BigMPolicy(**{field: value})
-
-
-def test_policy_grows_both_scales_tenfold():
-    pol = BigMPolicy(primal_safety=0.3, primal_floor=1e-6, dual_scale=0.05, dual_floor=1e-3)
-    assert pol.grown() == BigMPolicy(primal_safety=3.0, primal_floor=1e-6,
-                                     dual_scale=0.5, dual_floor=1e-3)
-    assert BigMPolicy().grown().grown() == BigMPolicy(primal_safety=125.0, dual_scale=1e5)
+def test_escalation_rounds_grow_both_scales_tenfold():
+    # round k multiplies the primal safety 1.25 and the dual scale 1000 by
+    # 10**k and keeps both floors of 1; round 0 is the default form
+    for inst in (DIVISION_FIXTURES[0][1](), rand_instance(np.random.default_rng(5), n=2, t=4)):
+        mpec = assemble_mpec(inst)
+        bound = _family_bound(inst, mpec)
+        dt = inst.grid.slot_hours
+        price = max(float(np.abs(inst.prices.lmp).max()), float(inst.prices.tou.max()),
+                    inst.weights.alpha)
+        for rounds, safety, scale in ((0, 1.25, 1e3), (1, 12.5, 1e4), (2, 125.0, 1e5)):
+            milp = linearize_big_m(mpec, rounds)
+            np.testing.assert_array_equal(milp.m_slack, safety * bound + 1.0)
+            np.testing.assert_array_equal(milp.m_omega, max(1.0, scale * price * dt))
+        np.testing.assert_array_equal(linearize_big_m(mpec).m_omega,
+                                      linearize_big_m(mpec, 0).m_omega)
 
 
 def test_validate_big_m(rng):

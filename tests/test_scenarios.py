@@ -7,9 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from storageshare import mpec as mpec_module
 from storageshare import scenarios, solver
 from storageshare.instance import customer_cost_total, make_instance, zero_schedules
-from storageshare.mpec import BigMPolicy, assemble_mpec
+from storageshare.mpec import assemble_mpec
 from storageshare.scenarios import (
     CycleResult,
     ScenarioError,
@@ -132,11 +133,17 @@ def test_solve_division_rejects_unknown_mode():
     # a typo once fell through to the big-M tree
     mpec = assemble_mpec(conflict_instance())
     with pytest.raises(ValueError, match="lpc"):
-        solve_division(mpec, SolveOptions(), "lpc", None)
+        solve_division(mpec, SolveOptions(), "lpc")
+
+
+def _small_sizes(monkeypatch, **sizes):
+    """Set mpec's big-M sizes (_PRIMAL_SAFETY=..., ...) for one test."""
+    for name, value in sizes.items():
+        monkeypatch.setattr(mpec_module, name, value)
 
 
 def _lpcc_objective(mpec):
-    res, _, _ = solve_division(mpec, SolveOptions(), "lpcc", None)
+    res, _, _ = solve_division(mpec, SolveOptions(), "lpcc")
     assert res.status == "optimal"
     return res.objective
 
@@ -147,39 +154,39 @@ def test_bigm_escalates_binding_pair_bounds(monkeypatch):
     # the flagged side
     mpec = assemble_mpec(dict(DIVISION_FIXTURES)["mix202"]())
     want = _lpcc_objective(mpec)
-    policy = BigMPolicy(primal_safety=0.3, primal_floor=1e-6)
-    res, rounds, notes = solve_division(mpec, SolveOptions(), "bigm", policy)
+    _small_sizes(monkeypatch, _PRIMAL_SAFETY=0.3, _PRIMAL_FLOOR=1e-6)
+    res, rounds, notes = solve_division(mpec, SolveOptions(), "bigm")
     assert (res.status, rounds, len(notes)) == ("optimal", 1, 1)
-    assert "binding pair bounds, regrowing slack" in notes[0]
+    assert "binding pair bounds (flagged: slack), growing omega and slack" in notes[0]
     assert abs(res.objective - want) <= 1e-9 * abs(want)
     # with no round left, the binding answer is returned with a note
     monkeypatch.setattr(scenarios, "_MAX_ROUNDS", 0)
-    res, rounds, notes = solve_division(mpec, SolveOptions(), "bigm", policy)
+    res, rounds, notes = solve_division(mpec, SolveOptions(), "bigm")
     assert (res.status, rounds) == ("optimal", 0)
     assert notes == ["pair bounds still binding after 0 escalations"]
 
 
-def test_bigm_escalates_an_infeasible_big_m_form():
+def test_bigm_escalates_an_infeasible_big_m_form(monkeypatch):
     # a division model is always feasible: big-M bounds so small they cut
     # off every point once ended the day "infeasible" without escalating
     mpec = assemble_mpec(dict(DIVISION_FIXTURES)["zero_cap"]())
     want = _lpcc_objective(mpec)
-    policy = BigMPolicy(primal_safety=0.1, primal_floor=1e-6)
-    res, rounds, notes = solve_division(mpec, SolveOptions(), "bigm", policy)
+    _small_sizes(monkeypatch, _PRIMAL_SAFETY=0.1, _PRIMAL_FLOOR=1e-6)
+    res, rounds, notes = solve_division(mpec, SolveOptions(), "bigm")
     assert (res.status, rounds) == ("optimal", 1)
-    assert notes == ["escalation round 1: big-M form infeasible, regrowing omega/slack"]
+    assert notes == ["escalation round 1: big-M form infeasible, growing omega and slack"]
     assert abs(res.objective - want) <= 1e-9 * abs(want)
 
 
-def test_bigm_gives_up_after_three_escalations():
+def test_bigm_gives_up_after_three_escalations(monkeypatch):
     # primal bounds at 1e-9 of the row ranges stay far too small after
     # three tenfold rounds: the form ends infeasible, exit code 2, with a
     # note per round and one for giving up
     mpec = assemble_mpec(dict(DIVISION_FIXTURES)["zero_cap"]())
-    policy = BigMPolicy(primal_safety=1e-9, primal_floor=1e-6)
-    res, rounds, notes = solve_division(mpec, SolveOptions(), "bigm", policy)
+    _small_sizes(monkeypatch, _PRIMAL_SAFETY=1e-9, _PRIMAL_FLOOR=1e-6)
+    res, rounds, notes = solve_division(mpec, SolveOptions(), "bigm")
     assert (res.status, rounds, res.exit_code) == ("infeasible", 3, 2)
-    assert notes == [f"escalation round {k}: big-M form infeasible, regrowing omega/slack"
+    assert notes == [f"escalation round {k}: big-M form infeasible, growing omega and slack"
                      for k in (1, 2, 3)] + ["big-M form still infeasible after 3 escalations"]
 
 
@@ -188,7 +195,7 @@ def test_bigm_rounds_share_one_time_limit(monkeypatch):
     # bigm day could run for 1 + _MAX_ROUNDS times it; each round now gets
     # what the rounds before it left, and none is started with none left
     mpec = assemble_mpec(dict(DIVISION_FIXTURES)["zero_cap"]())
-    policy = BigMPolicy(primal_safety=1e-9, primal_floor=1e-6)
+    _small_sizes(monkeypatch, _PRIMAL_SAFETY=1e-9, _PRIMAL_FLOOR=1e-6)
     solve, calls = scenarios.solve_milp, []  # (time limit, seconds) of each tree solve
 
     def timed(milp, opts, pause=0.0, **kw):
@@ -199,7 +206,7 @@ def test_bigm_rounds_share_one_time_limit(monkeypatch):
         return res
 
     monkeypatch.setattr(scenarios, "solve_milp", timed)
-    res, rounds, _ = solve_division(mpec, SolveOptions(time_limit=60.0), "bigm", policy)
+    res, rounds, _ = solve_division(mpec, SolveOptions(time_limit=60.0), "bigm")
     assert (res.status, rounds, len(calls)) == ("infeasible", 3, 4)
     assert calls[0][0] == 60.0
     for k, (limit, _) in enumerate(calls):
@@ -208,19 +215,19 @@ def test_bigm_rounds_share_one_time_limit(monkeypatch):
     calls.clear()
     monkeypatch.setattr(scenarios, "solve_milp",
                         lambda milp, opts, **kw: timed(milp, opts, 0.5, **kw))
-    res, rounds, notes = solve_division(mpec, SolveOptions(time_limit=0.5), "bigm", policy)
+    res, rounds, notes = solve_division(mpec, SolveOptions(time_limit=0.5), "bigm")
     assert (res.status, rounds, len(calls)) == ("infeasible", 0, 1)
     assert notes == ["big-M form still infeasible after 0 escalations, time limit reached"]
 
 
-def test_bigm_escalates_undersized_dual_bounds():
+def test_bigm_escalates_undersized_dual_bounds(monkeypatch):
     # multiplier bounds at 0.05 of the price scale leave the first six
     # fixtures' big-M forms infeasible; growing both sides reaches lpcc
+    _small_sizes(monkeypatch, _DUAL_SCALE=0.05, _DUAL_FLOOR=1e-3)
     for name, build in DIVISION_FIXTURES[:6]:
         mpec = assemble_mpec(build())
         want = _lpcc_objective(mpec)
-        res, rounds, notes = solve_division(mpec, SolveOptions(), "bigm",
-                                            BigMPolicy(dual_scale=0.05, dual_floor=1e-3))
+        res, rounds, notes = solve_division(mpec, SolveOptions(), "bigm")
         assert res.status == "optimal" and 1 <= rounds <= 3, (name, notes)
         assert "big-M form infeasible" in notes[0], name
         assert abs(res.objective - want) <= 1e-9 * max(1.0, abs(want)), name
@@ -307,7 +314,7 @@ def test_scenario_error_carries_solver_status():
     assert info.value.exit_code == 4  # what the command line exits with
     # without the node limit the same day branches past the root and solves
     mpec = assemble_mpec(interior_fixture())
-    res = solve_division(mpec, SolveOptions(), "lpcc", None)[0]
+    res = solve_division(mpec, SolveOptions(), "lpcc")[0]
     assert res.status == "optimal" and res.node_count > 1
     assert_lower_level_optimal(mpec, res)
 
@@ -338,8 +345,8 @@ def test_scenario_run_builds_each_path_once(monkeypatch):
         assert reps[1].solver_stats["status"] == reps[2].solver_stats["status"] == "optimal"
     built.clear()
     mpec = assemble_mpec(dict(DIVISION_FIXTURES)["zero_cap"]())
-    policy = BigMPolicy(primal_safety=1e-9, primal_floor=1e-6)
-    res, rounds, _ = solve_division(mpec, SolveOptions(), "bigm", policy)
+    _small_sizes(monkeypatch, _PRIMAL_SAFETY=1e-9, _PRIMAL_FLOOR=1e-6)
+    res, rounds, _ = solve_division(mpec, SolveOptions(), "bigm")
     assert (res.status, rounds) == ("infeasible", 3)
     assert len(built) == mpec.instance.customer_count + 1
 
@@ -350,8 +357,8 @@ def _record_limits(monkeypatch, pause=0.0):
     after solving."""
     solve, calls = scenarios.solve_division, []
 
-    def recorded(mpec, opts, mode, policy, **kw):
-        res = solve(mpec, opts, mode, policy, **kw)
+    def recorded(mpec, opts, mode, paths=None):
+        res = solve(mpec, opts, mode, paths)
         time.sleep(pause)
         calls.append((opts.time_limit, time.perf_counter()))
         return res

@@ -1,3 +1,5 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -1001,6 +1003,49 @@ def _path_days():
         inst = build()
         out.append((name, inst, [CapacityPath(inst, p) for p in range(inst.customer_count + 1)]))
     return out
+
+
+def _piece_bytes(path):
+    """The bytes of every array of path's pieces, in order."""
+    out = []
+    for upper, sol, dx, (basis, status) in path.pieces:
+        out += [np.float64(upper).tobytes(), dx.tobytes(), basis.tobytes(), status.tobytes()]
+        out += [np.asarray(getattr(sol, name)).tobytes()
+                for name in ("x", "objective", "dual_g", "dual_h", "reduced_costs",
+                             "basis", "active")]
+    return out
+
+
+def test_paths_keep_no_inverse(monkeypatch):
+    # a path's walk once left its engine holding the inverses of its
+    # optimal bases (6, 0.92 MB, on day_long(2)'s three paths), which no
+    # lookup reads: the built path and its face lookups keep none, and a
+    # path that keeps them (clear made a no-op) has the same pieces and
+    # face points, byte for byte
+    class Keeping(OrderedDict):
+        def clear(self):
+            pass
+
+    price = np.random.default_rng(3).uniform(-1.0, 1.0, 24)
+    for build in (stress_fixture, lambda: day_long(2)):
+        inst = build()
+        t = inst.grid.slot_count
+        shares = np.linspace(0.0, inst.storage.total_capacity, 9)
+        for p in range(inst.customer_count + 1):
+            path = CapacityPath(inst, p)
+            with monkeypatch.context() as m:
+                m.setattr(simplex, "OrderedDict", Keeping)
+                kept = CapacityPath(inst, p)
+            assert len(path.engine._inverses) == 0 and len(kept.engine._inverses) > 0
+            before = _piece_bytes(path)
+            assert before == _piece_bytes(kept)
+            for s in shares:
+                (got, got_face), (want, want_face) = (
+                    q.flow_face(float(s), price[:t]) for q in (path, kept))
+                assert got.x.tobytes() == want.x.tobytes()
+                assert got_face.tobytes() == want_face.tobytes()
+            assert len(path.engine._inverses) == 0
+            assert _piece_bytes(path) == before
 
 
 def test_path_lookups_are_feasible_with_no_duality_gap():

@@ -1,13 +1,12 @@
 import itertools
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from storageshare import simplex, solver
 from storageshare.instance import upper_objective, zero_schedules
-from storageshare.lp import build_llm_c, build_llm_d, build_party_lp
+from storageshare.lp import build_llm_c, build_llm_d, build_party_lp, evaluate
 from storageshare.mpec import assemble_mpec, linearize_big_m, validate_big_m
 from storageshare.oracle import grid_oracle
 from storageshare.scenarios import _pin_customers_only, solve_division
@@ -30,18 +29,21 @@ from tests.lp_oracle import check_kkt_residuals, derive_kkt, make_lp
 
 
 def solve_binary(lp, cols):
-    """The tree core on a plain LP whose cols are binary: branch on the most
-    fractional one, and take an integral relaxation as an incumbent."""
+    """The tree core on a plain LP whose cols are binary: take an integral
+    relaxation as an incumbent, and branch on the most fractional one."""
     cols = np.asarray(cols)
 
-    def classify(sol):
-        frac = np.abs(sol.x[cols] - np.round(sol.x[cols]))
-        if np.all(frac <= 1e-6):
-            return "incumbent", (sol.x.copy(), float(sol.objective))
-        col = int(cols[np.argmax(frac)])
-        return "branch", ((col, 0.0, 0.0), (col, 1.0, 1.0))
+    def frac(x):
+        return np.abs(x[cols] - np.round(x[cols]))
 
-    return solver._branch_and_bound(Simplex(lp), SolveOptions(), classify, lambda x: None)
+    def accept(x):
+        return x if np.all(frac(x) <= 1e-6) else None
+
+    def branch(x):
+        col = int(cols[np.argmax(frac(x))])
+        return (col, 0.0, 0.0), (col, 1.0, 1.0)
+
+    return solver._branch_and_bound(Simplex(lp), SolveOptions(), accept, branch, lambda x: None)
 
 
 def random_knapsack(rng, n=10):
@@ -423,18 +425,41 @@ def test_a_pinned_share_gets_the_exact_chord():
     assert tree_lp.b_g[row] == 0.0  # phi_d(0) = 0: no battery, no dispatch
 
 
-def test_lpcc_takes_no_incumbent_that_breaks_a_row():
+def _accept_of(mode, mpec):
+    """The answer of mode's tree on mpec and the rule its tree accepts
+    points by."""
+    if mode == "lpcc":
+        return solve_lpcc(mpec), solver._bilevel_feasible(mpec, mpec.lp)
+    milp = linearize_big_m(mpec)
+    return solve_milp(milp), solver._bilevel_feasible(mpec, milp.lp, milp.binary_cols)
+
+
+@pytest.mark.parametrize("mode", solver.MODES)
+def test_trees_take_no_incumbent_that_breaks_a_row(mode):
     mpec = assemble_mpec(division_fixture(202))
-    tree_lp = _tree_lp(mpec)
-    classify = solver._classify_lpcc(mpec, tree_lp)
-    res = solve_lpcc(mpec)
-    node = replace(Simplex(tree_lp).solve(), x=res.x, objective=res.objective)
-    assert classify(node)[0] == "incumbent"
+    res, accept = _accept_of(mode, mpec)
+    assert accept(res.x) is not None
     # a peak below the flows breaks every peak row but no pair product
     x = res.x.copy()
     x[mpec.peak_col] -= 1.0
-    kind, _ = classify(replace(node, x=x))
-    assert kind == "branch"
+    assert accept(x) is None
+
+
+@pytest.mark.parametrize("mode", solver.MODES)
+def test_trees_take_no_point_with_a_slipping_pair(mode):
+    # a multiplier of 5e-7 on a row with slack 2.31 breaks no row at 1e-6,
+    # and its binary rounds to 0; the bigm tree once took such a node as
+    # its incumbent, with a pair product of 1.16e-6, 12 times the one
+    # lpcc and the re-read allow
+    mpec = assemble_mpec(division_fixture(202))
+    res, accept = _accept_of(mode, mpec)
+    w_col, g_row = mpec.pairs[24]
+    slack = float(solver._pair_slacks(mpec.lp, mpec.pairs[24:25])(res.x)[0])
+    assert res.x[w_col] == 0.0 and slack == pytest.approx(2.3143, abs=1e-4)
+    x = res.x.copy()
+    x[w_col] = 5e-7
+    assert evaluate(res.model.lp, x).feasible(1e-6)
+    assert accept(x) is None
 
 
 def test_long_day_closes_on_the_relaxation_shares():

@@ -70,7 +70,7 @@ def solve_one(seed: int, mode: str, scenario: str, node_limit: int) -> dict:
     if scenario == "customers-only":
         model = _pin_customers_only(model)
     t0 = time.perf_counter()
-    res, escalations, _ = solve_division(model, SolveOptions(node_limit=node_limit), mode, None)
+    res, escalations, _ = solve_division(model, SolveOptions(node_limit=node_limit), mode)
     seconds = time.perf_counter() - t0
     rec = {"seed": seed, "mode": mode, "scenario": scenario, "status": res.status,
            "nodes": res.node_count, "iterations": res.iterations,
