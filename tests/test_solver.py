@@ -425,19 +425,25 @@ def test_a_pinned_share_gets_the_exact_chord():
     assert tree_lp.b_g[row] == 0.0  # phi_d(0) = 0: no battery, no dispatch
 
 
-def _accept_of(mode, mpec):
-    """The answer of mode's tree on mpec and the rule its tree accepts
+def _accept_of(monkeypatch, mode, mpec):
+    """The answer of mode's tree on mpec and the rule that tree took its
     points by."""
-    if mode == "lpcc":
-        return solve_lpcc(mpec), solver._bilevel_feasible(mpec, mpec.lp)
-    milp = linearize_big_m(mpec)
-    return solve_milp(milp), solver._bilevel_feasible(mpec, milp.lp, milp.binary_cols)
+    rule, rules = solver._bilevel_feasible, []
+
+    def recorded(*args):
+        rules.append(rule(*args))
+        return rules[-1]
+
+    monkeypatch.setattr(solver, "_bilevel_feasible", recorded)
+    res = solve_lpcc(mpec) if mode == "lpcc" else solve_milp(linearize_big_m(mpec))
+    assert len(rules) == 1
+    return res, rules[0]
 
 
 @pytest.mark.parametrize("mode", solver.MODES)
-def test_trees_take_no_incumbent_that_breaks_a_row(mode):
+def test_trees_take_no_incumbent_that_breaks_a_row(monkeypatch, mode):
     mpec = assemble_mpec(division_fixture(202))
-    res, accept = _accept_of(mode, mpec)
+    res, accept = _accept_of(monkeypatch, mode, mpec)
     assert accept(res.x) is not None
     # a peak below the flows breaks every peak row but no pair product
     x = res.x.copy()
@@ -446,14 +452,14 @@ def test_trees_take_no_incumbent_that_breaks_a_row(mode):
 
 
 @pytest.mark.parametrize("mode", solver.MODES)
-def test_trees_take_no_point_with_a_slipping_pair(mode):
+def test_trees_take_no_point_with_a_slipping_pair(monkeypatch, mode):
     # a multiplier of 5e-7 on a row with slack 2.31 breaks no row at 1e-6,
     # and its binary rounds to 0; the bigm tree once took such a node as
     # its incumbent, with a pair product of 1.16e-6, 12 times the one
     # lpcc and the re-read allow
     mpec = assemble_mpec(division_fixture(202))
-    res, accept = _accept_of(mode, mpec)
-    w_col, g_row = mpec.pairs[24]
+    res, accept = _accept_of(monkeypatch, mode, mpec)
+    w_col = mpec.pairs[24, 0]
     slack = float(solver._pair_slacks(mpec.lp, mpec.pairs[24:25])(res.x)[0])
     assert res.x[w_col] == 0.0 and slack == pytest.approx(2.3143, abs=1e-4)
     x = res.x.copy()
