@@ -13,13 +13,14 @@ about slots or batteries beyond each party LP's last column, its capacity,
 which becomes the party's division variable. linearize_big_m sizes each
 pair's primal bound by the catalog family of its row, which it reads off
 the row's position in the party block (lp.py: row i is of family
-i // T + 1); no row or column carries a name. The pair bounds have fixed
-sizes, set here alone: a primal bound is _PRIMAL_SAFETY times its row's
-family bound plus _PRIMAL_FLOOR, so a legitimately tight row does not sit
-on it; a dual bound cannot be derived from problem data, so it is
-_DUAL_SCALE times the price magnitude, at least _DUAL_FLOOR. Each round of
-the bigm escalation (scenarios.solve_division) grows both scales 10x and
-keeps the floors.
+i // T + 1); no row or column carries a name. The pair bounds are sized
+here alone: a primal bound is _PRIMAL_SAFETY times its row's family bound
+plus _PRIMAL_FLOOR, above every feasible slack; a dual bound is
+_DUAL_SCALE times the price magnitude, at least _DUAL_FLOOR, and, given
+the day's capacity paths, at least _DUAL_MARGIN times its row's largest
+multiplier over the party's path plus _DUAL_PAD. The path duals at an
+optimal point's shares are complementary to its optimal dispatches, so
+swapping them in keeps it optimal and inside every bound.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ _PRIMAL_SAFETY = 1.25
 _PRIMAL_FLOOR = 1.0
 _DUAL_SCALE = 1000.0
 _DUAL_FLOOR = 1.0
+_DUAL_MARGIN = 1.1
+_DUAL_PAD = 1e-3
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,7 @@ class MilpModel:
     m_omega: np.ndarray
     m_slack: np.ndarray
     pair_row0: int  # pair p's rows sit at pair_row0 + 2p (+1)
+    lifted: int = 0  # pairs whose m_omega the path floor raised above the fixed size
 
     @property
     def n_binaries(self) -> int:
@@ -210,10 +214,10 @@ def _family_bounds(instance: Instance, load: np.ndarray) -> np.ndarray:
     return np.array([soc, soc, power, power, power, power, profile, profile])
 
 
-def linearize_big_m(mpec: MpecModel, rounds: int = 0) -> MilpModel:
+def linearize_big_m(mpec: MpecModel, paths=None) -> MilpModel:
     """Swap each complementarity pair for the classic two bound rows, sized
-    as in the module notes with both scales grown 10**rounds times."""
-    grow = 10 ** rounds
+    as in the module notes; paths, if given, are the day's capacity paths
+    in party order, and floor each multiplier bound at its path's maximum."""
     inst = mpec.instance
     base = mpec.lp
     n_pairs = len(mpec.pairs)
@@ -221,15 +225,17 @@ def linearize_big_m(mpec: MpecModel, rounds: int = 0) -> MilpModel:
     dt = inst.grid.slot_hours
     price = max(float(np.abs(inst.prices.lmp).max()), float(inst.prices.tou.max()),
                 inst.weights.alpha)
-    dual_m = max(_DUAL_FLOOR, _DUAL_SCALE * grow * price * dt)
+    dual_m = max(_DUAL_FLOOR, _DUAL_SCALE * price * dt)
 
-    m_omega = np.full(n_pairs, dual_m)
     # pairs run party by party over each party's rows; row i of a party
     # block is of catalog family i // T
+    floor = (np.zeros(n_pairs) if paths is None else
+             np.concatenate([_DUAL_MARGIN * path.dual_g_max + _DUAL_PAD for path in paths]))
+    m_omega = np.maximum(dual_m, floor)
     t = inst.grid.slot_count
     loads = list(inst.loads.customer_load) + [inst.loads.system_load]
     m_slack = np.concatenate([
-        _PRIMAL_SAFETY * grow * _family_bounds(inst, load)[np.arange(lay.nw) // t]
+        _PRIMAL_SAFETY * _family_bounds(inst, load)[np.arange(lay.nw) // t]
         + _PRIMAL_FLOOR
         for lay, load in zip(mpec.parties(), loads)])
 
@@ -267,6 +273,7 @@ def linearize_big_m(mpec: MpecModel, rounds: int = 0) -> MilpModel:
         m_omega=m_omega,
         m_slack=m_slack,
         pair_row0=base.n_g,
+        lifted=int(np.count_nonzero(floor > dual_m)),
     )
 
 

@@ -17,10 +17,10 @@ baseline are reported as zero. Reports on Customers rows are group
 figures, not individual bills.
 
 Scenarios 2 and 3 solve the division model in lpcc or bigm mode
-(solve_division). In bigm mode the pair bounds take mpec's fixed sizes;
-a near-binding bound or an infeasible big-M form grows both sides 10x
-(linearize_big_m's rounds) for up to _MAX_ROUNDS re-solves within the
-one time limit, and each round is a note in the day's report.
+(solve_division). In bigm mode the big-M form is solved once: its pair
+bounds take mpec's fixed sizes, each multiplier bound floored at its
+capacity path's maximum, which makes the form exact (mpec's notes), and
+a bound still near-binding at the answer is a note in the day's report.
 
 run_all_scenarios builds the day's capacity paths (simplex.CapacityPath,
 one per party) and its division model once: scenario 1 reads the
@@ -61,7 +61,6 @@ from .simplex import CapacityPath
 from .solver import _EXIT_CODES, MODES, SolveOptions, extract_solution, solve_lpcc, solve_milp
 
 ZERO_BASELINE_TOL = 1e-12
-_MAX_ROUNDS = 3  # big-M escalations before a bigm solve gives up
 
 
 class ScenarioId(IntEnum):
@@ -204,50 +203,30 @@ def _check_mode(mode: str):
 
 def solve_division(mpec, opts: SolveOptions, mode: str, paths=None):
     """Run the joint model in the requested mode. paths, if given, are the
-    day's capacity paths (one per party, as solve_lpcc takes them); in
-    bigm mode, when none are given, they are built once, before the first
-    round, and every round reads them.
-
-    In bigm mode the pair bounds are validated after the solve. A flagged
-    bound grows both sides 10x (linearize_big_m's rounds) and re-solves,
-    up to _MAX_ROUNDS escalations; the note names the flagged sides. A
-    division model is always feasible, so an infeasible big-M form means
-    its bounds cut off every point: that escalates too. All rounds share
-    opts.time_limit: each gets the time the rounds before it left, and
-    with none left the last round's result stands, with a note. Returns
-    (result, escalations, notes).
+    day's capacity paths (one per party, as solve_lpcc takes them); a bigm
+    solve builds them, when none are given, on its own clock. They floor
+    the big-M form's multiplier bounds (linearize_big_m), and the one
+    solve's answer is validated; a near-binding bound is noted by side.
+    Returns (result, escalations, notes), escalations being the number of
+    pairs whose bound the floor lifted, noted when there are any.
     """
     _check_mode(mode)
-    notes = []
     if mode == "lpcc":
-        return solve_lpcc(mpec, opts, paths=paths), 0, notes
+        return solve_lpcc(mpec, opts, paths=paths), 0, []
     t0 = time.perf_counter()
     if paths is None:
         paths = _day_paths(mpec.instance)
-    rounds = 0
-    while True:
-        milp = linearize_big_m(mpec, rounds)
-        result = solve_milp(milp, opts, paths=paths)
-        if result.status == "infeasible":
-            why = "big-M form infeasible"
-        elif result.status != "optimal":
-            return result, rounds, notes
-        else:
-            report = validate_big_m(milp, result.x)
-            if report.clean:
-                return result, rounds, notes
+    milp = linearize_big_m(mpec, paths)
+    result = solve_milp(milp, opts, paths=paths, t0=t0)
+    notes = []
+    if milp.lifted:
+        notes.append(f"{milp.lifted} multiplier bounds lifted to their capacity path's maximum")
+    if result.status == "optimal":
+        report = validate_big_m(milp, result.x)
+        if not report.clean:
             sides = sorted({side for _, side, _, _ in report.flagged})
-            why = f"{len(report.flagged)} binding pair bounds (flagged: {'/'.join(sides)})"
-        left = opts.time_limit - (time.perf_counter() - t0)
-        if rounds >= _MAX_ROUNDS or left <= 0:
-            still = ("big-M form still infeasible" if result.status == "infeasible"
-                     else "pair bounds still binding")
-            notes.append(f"{still} after {rounds} escalations"
-                         + ("" if rounds >= _MAX_ROUNDS else ", time limit reached"))
-            return result, rounds, notes
-        rounds += 1
-        opts = replace(opts, time_limit=left)
-        notes.append(f"escalation round {rounds}: {why}, growing omega and slack")
+            notes.append(f"{len(report.flagged)} binding pair bounds (flagged: {'/'.join(sides)})")
+    return result, milp.lifted, notes
 
 
 def run_scenario(instance: Instance, scenario, options: SolveOptions | None = None,

@@ -820,8 +820,10 @@ class CapacityPath:
     notes). pieces lists, from the top down, each piece's upper end, its
     optimum there, dx/ds and its basis (Simplex.snapshot); for C > 0 the
     last is 0 alone. iterations counts the path's pivots; a rejected start
-    counts in engine.start_rejects. The face lines of flow_face are kept on
-    the path, per piece and price."""
+    counts in engine.start_rejects. Only kappa moves, so the optimal dual is
+    constant on each piece: dual_g_max, each row's largest multiplier over
+    the pieces, bounds it at every capacity. The face lines of flow_face are
+    kept on the path, per piece and price."""
 
     def __init__(self, instance: Instance, party: int):
         lp = build_party_lp(instance, party, instance.storage.total_capacity)
@@ -847,6 +849,7 @@ class CapacityPath:
             x = eng._read_x()
             self.pieces.append((0.0, replace(sol, x=x, objective=float(lp.c @ x)), dx, eng.snapshot()))
         self.iterations = eng.iterations
+        self.dual_g_max = np.max([sol.dual_g for _, sol, _, _ in self.pieces], axis=0)
         eng._inverses.clear()  # nothing resolves on the path's engine: keep no inverse
 
     def _index(self, s: float) -> int:

@@ -6,9 +6,8 @@ linearized division model (mpec.MilpModel), and solve_lpcc branches
 directly on complementarity pairs without big-M constants. Both run one
 tree solve (_solve_tree) on the day's capacity paths (simplex.CapacityPath,
 one per party): the caller may pass them (keyword paths; a scenario run
-and the big-M escalation rounds build them once for all their solves),
-and otherwise the solve builds them once. The chords, the division
-heuristic, the root start and the dual re-read all read those paths.
+builds them once for all its solves), and otherwise the solve builds
+them once. The chords, the division heuristic, the root start and the dual re-read all read those paths.
 One stitch (_stitch) writes a point's party blocks off the paths at the
 point's shares, for the heuristic's points, the root start and the
 re-read of the final incumbent: each party's multipliers from its path
@@ -102,7 +101,7 @@ class SolveResult:
     root_iterations: int = 0
     # pivots of the parties' capacity paths (simplex.CapacityPath) and their
     # pieces, summed over the parties; solves that share the day's paths
-    # (the scenarios of one run, the big-M rounds) all report the same
+    # (the scenarios of one run) all report the same
     family_iterations: int = 0
     path_pieces: int = 0
     # the fallbacks the solve took: "family_start" (a capacity path's cold
@@ -123,10 +122,10 @@ def _relative_gap(objective: float, bound: float) -> float:
 
 
 def _branch_and_bound(engine: Simplex, opts, accept, branch, try_point, start=None, t0=None):
-    """Best-first search over engine's LP. accept(x) returns the node
-    relaxation x as an incumbent (possibly re-settled) or None; a node it
-    rejects is branched on branch(x), the two child bound-fixes of the
-    branching decision. Ties on the bound favor deeper nodes so plateaus
+    """Best-first search over engine's LP. accept(x) returns (the node
+    relaxation x as an incumbent, possibly re-settled, or None; what it
+    measured); a node it rejects is branched on branch(x, measured), the
+    two child bound-fixes. Ties on the bound favor deeper nodes so plateaus
     dive to leaves. try_point(x) may turn a rejected node relaxation into a
     side incumbent (x, objective) without affecting the tree itself. start
     goes to the root's Simplex.solve; t0, the perf_counter reading the time
@@ -183,7 +182,7 @@ def _branch_and_bound(engine: Simplex, opts, accept, branch, try_point, start=No
             raise_bound(bound)
         if pruned(bound):
             return None
-        x = accept(sol.x)
+        x, measured = accept(sol.x)
         if x is not None:
             take_incumbent(x, float(sol.objective))
             return None
@@ -192,7 +191,7 @@ def _branch_and_bound(engine: Simplex, opts, accept, branch, try_point, start=No
             take_incumbent(*side)
             if pruned(bound):
                 return None
-        heapq.heappush(heap, (bound, -len(fixes), seq, fixes, engine.snapshot(), branch(sol.x)))
+        heapq.heappush(heap, (bound, -len(fixes), seq, fixes, engine.snapshot(), branch(sol.x, measured)))
         seq += 1
         return None
 
@@ -264,24 +263,26 @@ def _stitch(mpec: MpecModel, paths, x: np.ndarray, dispatch: bool):
 
 def _bilevel_feasible(mpec: MpecModel, lp: LinearProgram, u_cols=None):
     """The one rule for every point a division tree takes (a node's
-    relaxation, a heuristic point, the re-read answer): accept(x) returns x,
-    with lp's binaries u_cols (if any) re-set to w > slack in a copy, when
-    every pair product w * slack is at most _COMP_TOL and the point is
-    feasible on lp at 1e-6, else None. Dual-feasible multipliers
+    relaxation, a heuristic point, the re-read answer): accept(x) returns
+    (x, with lp's binaries u_cols (if any) re-set to w > slack in a copy,
+    when every pair product w * slack is at most _COMP_TOL and the point is
+    feasible on lp at 1e-6, else None; the pair products, which the branch
+    rule reads at a rejected node). Dual-feasible multipliers
     complementary to a feasible x certify that each dispatch in x is
     optimal at its share."""
     w_cols = mpec.pairs[:, 0]
     pair_slacks = _pair_slacks(mpec.lp, mpec.pairs)
 
-    def accept(x: np.ndarray) -> np.ndarray | None:
+    def accept(x: np.ndarray):
         w = x[w_cols]
         slack = pair_slacks(x)
-        if float(np.abs(w * slack).max(initial=0.0)) > _COMP_TOL:
-            return None
+        prod = w * slack
+        if float(np.abs(prod).max(initial=0.0)) > _COMP_TOL:
+            return None, prod
         if u_cols is not None:
             x = x.copy()
             x[u_cols] = w > slack
-        return x if evaluate(lp, x).feasible(1e-6) else None
+        return (x if evaluate(lp, x).feasible(1e-6) else None), prod
 
     return accept
 
@@ -312,7 +313,7 @@ def _division_heuristic(mpec: MpecModel, lp: LinearProgram, paths, accept):
         x = np.zeros(lp.n_vars)
         x[cap_cols] = shares
         _stitch(mpec, paths, x, dispatch=True)
-        x = accept(x)
+        x = accept(x)[0]
         if x is None:
             return None
         return x, float(lp.c @ x) + lp.objective_constant
@@ -321,18 +322,16 @@ def _division_heuristic(mpec: MpecModel, lp: LinearProgram, paths, accept):
 
 
 def _branch_rule(mpec: MpecModel, u_cols=None):
-    """x -> the two child fixes of the worst pair, the one of largest
-    product w * slack. Without binaries its multiplier goes to zero or its
-    row to equality (its surplus column, n + row, to zero). With binaries
-    u_cols its binary goes to 0 or 1, the worst pair taken among those
-    whose binary is not yet settled (a u near 0 still lets its pair slip by
-    u times big-M), or among all when every binary is."""
-    w_cols = mpec.pairs[:, 0]
-    pair_slacks = _pair_slacks(mpec.lp, mpec.pairs)
+    """(x, prod) -> the two child fixes of the worst pair, the one of
+    largest product w * slack in prod, x's pair products as accept
+    (_bilevel_feasible) computed them. Without binaries its multiplier goes
+    to zero or its row to equality (its surplus column, n + row, to zero).
+    With binaries u_cols its binary goes to 0 or 1, the worst pair taken
+    among those whose binary is not yet settled (a u near 0 still lets its
+    pair slip by u times big-M), or among all when every binary is."""
     n_struct = mpec.lp.n_vars
 
-    def branch(x):
-        prod = x[w_cols] * pair_slacks(x)
+    def branch(x, prod):
         if u_cols is None:
             w_col, g_row = mpec.pairs[int(np.argmax(prod))].tolist()
             return (w_col, 0.0, 0.0), (n_struct + g_row, 0.0, 0.0)
@@ -424,7 +423,7 @@ def _root_start(mpec: MpecModel, lp: LinearProgram, paths, u_cols=None):
 
 
 def _solve_tree(mpec: MpecModel, model, lp: LinearProgram, options: SolveOptions | None,
-                u_cols=None, paths=None) -> SolveResult:
+                u_cols=None, paths=None, t0=None) -> SolveResult:
     """Each party's capacity path (built here unless the caller passes the
     day's paths), then the best-first tree over lp and its chord rows from
     the paths' root start, with the division heuristic on the paths, then
@@ -432,8 +431,8 @@ def _solve_tree(mpec: MpecModel, model, lp: LinearProgram, options: SolveOptions
     binary columns, if it has any: they pick the branching rule
     (_branch_rule), and every point the solve takes passes one rule
     (_bilevel_feasible on lp). The clock and the time limit cover it all,
-    the paths it builds included."""
-    t0 = time.perf_counter()
+    the paths it builds included, from t0 (solve_milp's)."""
+    t0 = time.perf_counter() if t0 is None else t0
     if paths is None:
         paths = [CapacityPath(mpec.instance, p) for p in range(len(mpec.parties()))]
     accept = _bilevel_feasible(mpec, lp, u_cols)
@@ -447,7 +446,7 @@ def _solve_tree(mpec: MpecModel, model, lp: LinearProgram, options: SolveOptions
     if x is not None:
         x = x.copy()
         _stitch(mpec, paths, x, dispatch=False)
-        x = accept(x)
+        x = accept(x)[0]
     fallbacks = tuple(name for name, taken in (
         ("family_start", any(path.engine.start_rejects for path in paths)),
         ("root_start", start is None or engine.start_rejects > 0),
@@ -459,16 +458,18 @@ def _solve_tree(mpec: MpecModel, model, lp: LinearProgram, options: SolveOptions
 
 
 def solve_milp(milp: MilpModel, options: SolveOptions | None = None, *,
-               paths=None) -> SolveResult:
+               paths=None, t0=None) -> SolveResult:
     """Best-first branch and bound on the binaries of a linearized division
     model, branching on the most violated complementarity pair.
 
     The bound sequence is non-decreasing and the incumbent sequence
     non-increasing by construction (child bounds are clamped to their
     parent's). paths, if given, are the day's capacity paths, one per
-    party (simplex.CapacityPath), and the solve builds none.
+    party (simplex.CapacityPath), and the solve builds none. t0, a
+    perf_counter reading, starts its clock early (now if None).
     """
-    return _solve_tree(milp.mpec, milp, milp.lp, options, u_cols=milp.binary_cols, paths=paths)
+    return _solve_tree(milp.mpec, milp, milp.lp, options, u_cols=milp.binary_cols,
+                       paths=paths, t0=t0)
 
 
 def solve_lpcc(mpec: MpecModel, options: SolveOptions | None = None, *,

@@ -3,8 +3,9 @@ import pytest
 
 from storageshare.lp import build_llm_c, build_llm_d
 from storageshare.mpec import assemble_mpec, linearize_big_m, validate_big_m
+from storageshare.simplex import CapacityPath
 from storageshare.solver import _pair_slacks, solve_lpcc
-from tests.conftest import DIVISION_FIXTURES, rand_instance
+from tests.conftest import DIVISION_FIXTURES, day_long, rand_instance, stress_fixture
 from tests.lp_oracle import derive_kkt, make_lp, row_value
 
 
@@ -250,21 +251,33 @@ def test_pair_row_semantics(rng):
     assert b < 0  # slack beyond M is cut off even though omega*g = 0
 
 
-def test_escalation_rounds_grow_both_scales_tenfold():
-    # round k multiplies the primal safety 1.25 and the dual scale 1000 by
-    # 10**k and keeps both floors of 1; round 0 is the default form
-    for inst in (DIVISION_FIXTURES[0][1](), rand_instance(np.random.default_rng(5), n=2, t=4)):
+def test_path_floor_covers_every_multiplier():
+    # the fixed multiplier bound is max(1, 1000 p dt), p the largest price
+    # magnitude; the day's paths floor each pair's at 1.1 times the largest
+    # multiplier its row takes on the party's path, plus 1e-3, read here at
+    # every breakpoint and 41 shares between, and on these days the floor
+    # lifts no bound, so the solved form is the exported one
+    days = [build() for _, build in DIVISION_FIXTURES] + [stress_fixture(), day_long(1),
+                                                         day_long(2)]
+    for inst in days:
         mpec = assemble_mpec(inst)
-        bound = _family_bound(inst, mpec)
-        dt = inst.grid.slot_hours
+        paths = [CapacityPath(inst, p) for p in range(inst.customer_count + 1)]
         price = max(float(np.abs(inst.prices.lmp).max()), float(inst.prices.tou.max()),
                     inst.weights.alpha)
-        for rounds, safety, scale in ((0, 1.25, 1e3), (1, 12.5, 1e4), (2, 125.0, 1e5)):
-            milp = linearize_big_m(mpec, rounds)
-            np.testing.assert_array_equal(milp.m_slack, safety * bound + 1.0)
-            np.testing.assert_array_equal(milp.m_omega, max(1.0, scale * price * dt))
-        np.testing.assert_array_equal(linearize_big_m(mpec).m_omega,
-                                      linearize_big_m(mpec, 0).m_omega)
+        fixed = linearize_big_m(mpec)
+        np.testing.assert_array_equal(fixed.m_omega, max(1.0, 1e3 * price * inst.grid.slot_hours))
+        floored = linearize_big_m(mpec, paths)
+        np.testing.assert_array_equal(floored.m_omega, fixed.m_omega)
+        np.testing.assert_array_equal(floored.m_slack, fixed.m_slack)
+        assert floored.lifted == fixed.lifted == 0
+        m_of = np.zeros(mpec.lp.n_vars)  # each multiplier column's bound
+        m_of[mpec.pairs[:, 0]] = floored.m_omega
+        c = inst.storage.total_capacity
+        for path, lay in zip(paths, mpec.parties()):
+            shares = np.union1d(np.linspace(0.0, c, 41), [piece[0] for piece in path.pieces])
+            walked = np.max([path.at(s).dual_g for s in shares], axis=0)
+            np.testing.assert_array_equal(walked, path.dual_g_max)
+            assert np.all(m_of[lay.w0: lay.w0 + lay.nw] >= 1.1 * walked + 1e-3)
 
 
 def test_validate_big_m(rng):

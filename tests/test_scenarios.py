@@ -148,89 +148,65 @@ def _lpcc_objective(mpec):
     return res.objective
 
 
+def _counting_milp_solves(monkeypatch):
+    """Patch scenarios.solve_milp to record each call's options; returns
+    the list of them."""
+    solve, calls = scenarios.solve_milp, []
+
+    def counted(milp, opts, **kw):
+        calls.append(opts)
+        return solve(milp, opts, **kw)
+
+    monkeypatch.setattr(scenarios, "solve_milp", counted)
+    return calls
+
+
 def test_bigm_escalates_binding_pair_bounds(monkeypatch):
     # primal bounds at 0.3 of the row ranges cut off mix202's optimum and
-    # flag slack pairs; one round of growth reaches it, and the note names
-    # the flagged side
+    # flag slack pairs; the path floor covers the multiplier side only, so
+    # the one solve's answer comes back with a note naming the slack side
     mpec = assemble_mpec(dict(DIVISION_FIXTURES)["mix202"]())
-    want = _lpcc_objective(mpec)
     _small_sizes(monkeypatch, _PRIMAL_SAFETY=0.3, _PRIMAL_FLOOR=1e-6)
-    res, rounds, notes = solve_division(mpec, SolveOptions(), "bigm")
-    assert (res.status, rounds, len(notes)) == ("optimal", 1, 1)
-    assert "binding pair bounds (flagged: slack), growing omega and slack" in notes[0]
-    assert abs(res.objective - want) <= 1e-9 * abs(want)
-    # with no round left, the binding answer is returned with a note
-    monkeypatch.setattr(scenarios, "_MAX_ROUNDS", 0)
-    res, rounds, notes = solve_division(mpec, SolveOptions(), "bigm")
-    assert (res.status, rounds) == ("optimal", 0)
-    assert notes == ["pair bounds still binding after 0 escalations"]
-
-
-def test_bigm_escalates_an_infeasible_big_m_form(monkeypatch):
-    # a division model is always feasible: big-M bounds so small they cut
-    # off every point once ended the day "infeasible" without escalating
-    mpec = assemble_mpec(dict(DIVISION_FIXTURES)["zero_cap"]())
-    want = _lpcc_objective(mpec)
-    _small_sizes(monkeypatch, _PRIMAL_SAFETY=0.1, _PRIMAL_FLOOR=1e-6)
-    res, rounds, notes = solve_division(mpec, SolveOptions(), "bigm")
-    assert (res.status, rounds) == ("optimal", 1)
-    assert notes == ["escalation round 1: big-M form infeasible, growing omega and slack"]
-    assert abs(res.objective - want) <= 1e-9 * abs(want)
-
-
-def test_bigm_gives_up_after_three_escalations(monkeypatch):
-    # primal bounds at 1e-9 of the row ranges stay far too small after
-    # three tenfold rounds: the form ends infeasible, exit code 2, with a
-    # note per round and one for giving up
-    mpec = assemble_mpec(dict(DIVISION_FIXTURES)["zero_cap"]())
-    _small_sizes(monkeypatch, _PRIMAL_SAFETY=1e-9, _PRIMAL_FLOOR=1e-6)
-    res, rounds, notes = solve_division(mpec, SolveOptions(), "bigm")
-    assert (res.status, rounds, res.exit_code) == ("infeasible", 3, 2)
-    assert notes == [f"escalation round {k}: big-M form infeasible, growing omega and slack"
-                     for k in (1, 2, 3)] + ["big-M form still infeasible after 3 escalations"]
-
-
-def test_bigm_rounds_share_one_time_limit(monkeypatch):
-    # every escalation round once got the caller's whole time limit, so a
-    # bigm day could run for 1 + _MAX_ROUNDS times it; each round now gets
-    # what the rounds before it left, and none is started with none left
-    mpec = assemble_mpec(dict(DIVISION_FIXTURES)["zero_cap"]())
-    _small_sizes(monkeypatch, _PRIMAL_SAFETY=1e-9, _PRIMAL_FLOOR=1e-6)
-    solve, calls = scenarios.solve_milp, []  # (time limit, seconds) of each tree solve
-
-    def timed(milp, opts, pause=0.0, **kw):
-        t0 = time.perf_counter()
-        res = solve(milp, opts, **kw)
-        time.sleep(pause)
-        calls.append((opts.time_limit, time.perf_counter() - t0))
-        return res
-
-    monkeypatch.setattr(scenarios, "solve_milp", timed)
-    res, rounds, _ = solve_division(mpec, SolveOptions(time_limit=60.0), "bigm")
-    assert (res.status, rounds, len(calls)) == ("infeasible", 3, 4)
-    assert calls[0][0] == 60.0
-    for k, (limit, _) in enumerate(calls):
-        assert limit <= 60.0 - sum(spent for _, spent in calls[:k]), k
-    # a first round that spends the whole budget leaves none for a second
-    calls.clear()
-    monkeypatch.setattr(scenarios, "solve_milp",
-                        lambda milp, opts, **kw: timed(milp, opts, 0.5, **kw))
-    res, rounds, notes = solve_division(mpec, SolveOptions(time_limit=0.5), "bigm")
-    assert (res.status, rounds, len(calls)) == ("infeasible", 0, 1)
-    assert notes == ["big-M form still infeasible after 0 escalations, time limit reached"]
+    calls = _counting_milp_solves(monkeypatch)
+    res, escalations, notes = solve_division(mpec, SolveOptions(), "bigm")
+    assert (res.status, escalations, len(notes), len(calls)) == ("optimal", 0, 1, 1)
+    assert notes[0].endswith(" binding pair bounds (flagged: slack)")
 
 
 def test_bigm_escalates_undersized_dual_bounds(monkeypatch):
-    # multiplier bounds at 0.05 of the price scale leave the first six
-    # fixtures' big-M forms infeasible; growing both sides reaches lpcc
+    # multiplier bounds at 0.05 of the price scale left the first six
+    # fixtures' big-M forms infeasible; floored at their capacity paths'
+    # maxima they reach lpcc in one solve, and the lifted pairs count as
+    # escalations, named in a note
     _small_sizes(monkeypatch, _DUAL_SCALE=0.05, _DUAL_FLOOR=1e-3)
+    calls = _counting_milp_solves(monkeypatch)
     for name, build in DIVISION_FIXTURES[:6]:
         mpec = assemble_mpec(build())
         want = _lpcc_objective(mpec)
-        res, rounds, notes = solve_division(mpec, SolveOptions(), "bigm")
-        assert res.status == "optimal" and 1 <= rounds <= 3, (name, notes)
-        assert "big-M form infeasible" in notes[0], name
+        calls.clear()
+        res, escalations, notes = solve_division(mpec, SolveOptions(), "bigm")
+        assert res.status == "optimal" and len(calls) == 1 and escalations > 0, (name, notes)
+        assert notes == [f"{escalations} multiplier bounds lifted to their capacity path's"
+                         " maximum"], name
         assert abs(res.objective - want) <= 1e-9 * max(1.0, abs(want)), name
+
+
+def test_bigm_path_build_counts_against_the_time_limit(monkeypatch):
+    # a bigm solve built the day's paths before its tree and off its clock,
+    # so a day whose paths took longer than the time limit still solved
+    mpec = assemble_mpec(dict(DIVISION_FIXTURES)["mix202"]())
+    build = scenarios._day_paths
+
+    def slow(instance):
+        time.sleep(0.3)
+        return build(instance)
+
+    monkeypatch.setattr(scenarios, "_day_paths", slow)
+    t0 = time.perf_counter()
+    res, _, _ = solve_division(mpec, SolveOptions(time_limit=0.2), "bigm")
+    assert (res.status, res.exit_code, res.node_count) == ("limit", 4, 0)
+    assert res.wall_time <= time.perf_counter() - t0
+    assert res.wall_time >= 0.3
 
 
 def test_conflict_fixture_scenario_one_signs():
@@ -335,20 +311,13 @@ def _count_paths(monkeypatch):
 
 
 def test_scenario_run_builds_each_path_once(monkeypatch):
-    # the three scenarios once built 1 + 3 + 3 paths for the day's 3, and
-    # every big-M round built its own
+    # the three scenarios once built 1 + 3 + 3 paths for the day's 3
     built = _count_paths(monkeypatch)
     for mode in ("lpcc", "bigm"):
         built.clear()
         reps = run_all_scenarios(conflict_instance(), mode=mode)
         assert built == [0, 1, 2], mode
         assert reps[1].solver_stats["status"] == reps[2].solver_stats["status"] == "optimal"
-    built.clear()
-    mpec = assemble_mpec(dict(DIVISION_FIXTURES)["zero_cap"]())
-    _small_sizes(monkeypatch, _PRIMAL_SAFETY=1e-9, _PRIMAL_FLOOR=1e-6)
-    res, rounds, _ = solve_division(mpec, SolveOptions(), "bigm")
-    assert (res.status, rounds) == ("infeasible", 3)
-    assert len(built) == mpec.instance.customer_count + 1
 
 
 def _record_limits(monkeypatch, pause=0.0):

@@ -37,10 +37,11 @@ def solve_binary(lp, cols):
         return np.abs(x[cols] - np.round(x[cols]))
 
     def accept(x):
-        return x if np.all(frac(x) <= 1e-6) else None
+        f = frac(x)
+        return (x if np.all(f <= 1e-6) else None), f
 
-    def branch(x):
-        col = int(cols[np.argmax(frac(x))])
+    def branch(x, f):
+        col = int(cols[np.argmax(f)])
         return (col, 0.0, 0.0), (col, 1.0, 1.0)
 
     return solver._branch_and_bound(Simplex(lp), SolveOptions(), accept, branch, lambda x: None)
@@ -427,7 +428,7 @@ def test_a_pinned_share_gets_the_exact_chord():
 
 def _accept_of(monkeypatch, mode, mpec):
     """The answer of mode's tree on mpec and the rule that tree took its
-    points by."""
+    points by, as x -> the point taken or None."""
     rule, rules = solver._bilevel_feasible, []
 
     def recorded(*args):
@@ -437,7 +438,7 @@ def _accept_of(monkeypatch, mode, mpec):
     monkeypatch.setattr(solver, "_bilevel_feasible", recorded)
     res = solve_lpcc(mpec) if mode == "lpcc" else solve_milp(linearize_big_m(mpec))
     assert len(rules) == 1
-    return res, rules[0]
+    return res, lambda x: rules[0](x)[0]
 
 
 @pytest.mark.parametrize("mode", solver.MODES)

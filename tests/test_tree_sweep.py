@@ -43,7 +43,9 @@ def test_compare_sums_times_and_flags_differing_objectives(tmp_path, capsys):
                    grid_seconds=0.25),
                rec(3, "lpcc", "optimal", 1.0, 1.0, 1, fallbacks=["reread"], iterations=2),
                rec(1, "lpcc", "optimal", 12.0, 2.5, 20, scenario="customers-only")])
-    assert tree_sweep.compare(str(a), str(b)) == 1
+    # one differing objective, A's grid below lpcc on seed 1 and A's
+    # excess answer 1/bigm/free
+    assert tree_sweep.compare(str(a), str(b)) == 3
     out = capsys.readouterr().out
     # seed 3 has no grid seconds, family iterations or path pieces in A, so
     # lpcc/free prints none of them
@@ -67,6 +69,27 @@ def test_compare_sums_times_and_flags_differing_objectives(tmp_path, capsys):
     assert "grid below lpcc at 1e-09 in B: none\n" in out
     assert "lower-level excess above 1e-09 in A: 1/bigm/free\n" in out
     assert "lower-level excess above 1e-09 in B: none\n" in out
+
+
+def test_compare_exits_1_on_any_correctness_failure(tmp_path, capsys):
+    # it once exited 1 only on differing objectives, and 0 with an answer
+    # whose dispatch is not optimal or a grid below an exact optimum
+    def rec(mode, obj=10.0, grid=10.0, excess=0.0):
+        return {"seed": 1, "mode": mode, "scenario": "free", "status": "optimal", "nodes": 1,
+                "iterations": 1, "objective": obj, "seconds": 1.0, "ll_excess": excess,
+                "ll_phi": -2.0, "grid": grid}
+
+    clean = [rec("lpcc"), rec("bigm")]
+    cases = {"clean": (clean, 0),
+             "excess": ([rec("lpcc"), rec("bigm", excess=4e-9)], 1),  # 1e-9 (1 + |-2|) = 3e-9
+             "grid below": ([rec("lpcc", grid=10.0 - 1e-7), rec("bigm", grid=10.0 - 1e-7)], 1)}
+    for name, (records, code) in cases.items():
+        for first, second in ((clean, records), (records, clean)):  # either file
+            a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+            _write(a, first)
+            _write(b, second)
+            assert tree_sweep.main(["--compare", str(a), str(b)]) == code, name
+            assert "0 objectives differ" in capsys.readouterr().out, name
 
 
 def test_sweep_records_the_grid_objective(tmp_path):

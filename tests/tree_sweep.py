@@ -6,11 +6,12 @@
 The first form solves tests.conftest.division_fixture(seed) for every seed,
 free and with the whole battery given to the customers (scenario "free"
 or "customers-only"), with solve_lpcc and with the bigm path of
-scenarios.solve_division (validation and escalation included), and writes
-one JSON line per (seed, mode, scenario) with the status, nodes, LP
+scenarios.solve_division (the path floor and validation included), and
+writes one JSON line per (seed, mode, scenario) with the status, nodes, LP
 iterations, the root LP's iterations, the pivots and the pieces of the
 parties' capacity paths (family iterations and path pieces), big-M
-escalations, the fallbacks the solve took (family_start, root_start,
+escalations (the pairs whose multiplier bound the path floor lifted), the
+fallbacks the solve took (family_start, root_start,
 reread), objective and seconds, the answer's worst lower-level excess,
 plus, on a free record, the seed's grid_oracle objective at step C/20
 and the seconds the grid took (grid_seconds).
@@ -30,6 +31,8 @@ differ by more than 1e-12 relative; then, per file, the seeds where the
 grid lies more than 1e-9 relative below an optimal free lpcc objective,
 which no correct grid can, and the (seed, mode, scenario) answers whose
 excess is above 1e-9 (1 + |phi|), whose dispatch is then not optimal.
+It exits 1 when it prints any of these correctness failures (a differing
+objective, a grid below lpcc or an excess answer), else 0.
 Run both sides of a comparison on the same machine, one after the other.
 """
 
@@ -136,7 +139,9 @@ def lower_level_above(records: dict) -> list[tuple[int, str]]:
 
 
 def compare(path_a: str, path_b: str) -> int:
-    """Print the comparison; returns the number of differing objectives."""
+    """Print the comparison; returns the number of correctness failures it
+    printed: differing objectives, and in either file the seeds whose grid
+    lies below lpcc and the answers whose lower-level excess is too high."""
     a, b = _load(path_a), _load(path_b)
     both = sorted(set(a) & set(b))
     print(f"{len(both)} solves in both files (A={path_a}, B={path_b})")
@@ -183,6 +188,7 @@ def compare(path_a: str, path_b: str) -> int:
                      and abs(a[key]["grid"] - b[key]["grid"])
                      > GRID_SAME_TOL * max(1.0, abs(a[key]["grid"]))})
     print(f"grid differs at {GRID_SAME_TOL:g}: {', '.join(map(str, regrid)) if regrid else 'none'}")
+    failures = differ
     for side, records in (("A", a), ("B", b)):
         seeds = grid_below(records)
         print(f"grid below lpcc at {GRID_TOL:g} in {side}: "
@@ -190,7 +196,8 @@ def compare(path_a: str, path_b: str) -> int:
         above = [_label(key) for key in lower_level_above(records)]
         print(f"lower-level excess above {LL_TOL:g} in {side}: "
               f"{', '.join(above) if above else 'none'}")
-    return differ
+        failures += len(seeds) + len(above)
+    return failures
 
 
 def main(argv=None) -> int:
