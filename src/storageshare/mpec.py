@@ -52,7 +52,6 @@ class PartyLayout:
     v0: int
     nv: int
     g0: int  # first primal inequality row in the joint model
-    stat0: int  # first of the nx stationarity equality rows, then the nv balance rows
     cap_col: int  # division variable this party's rows are linked to
 
 
@@ -114,7 +113,6 @@ def assemble_mpec(instance: Instance) -> MpecModel:
     col = 2 + n_cust
     layouts = []
     g_count = 1 + t  # capacity split + peak epigraph, placed first
-    h_count = 0
     for p, plp in enumerate(party_lps):
         tag = f"c{p}." if p < n_cust else "d."
         nx = plp.n_vars - 1  # the dispatch; the capacity column is the share
@@ -124,12 +122,10 @@ def assemble_mpec(instance: Instance) -> MpecModel:
         layouts.append(
             PartyLayout(
                 tag=tag, x0=x0, nx=nx, w0=w0, nw=plp.n_g,
-                v0=v0, nv=plp.n_h, g0=g_count,
-                stat0=h_count, cap_col=(2 + p) if p < n_cust else 1,
+                v0=v0, nv=plp.n_h, g0=g_count, cap_col=(2 + p) if p < n_cust else 1,
             )
         )
         g_count += plp.n_g
-        h_count += nx + plp.n_h
     n_cols = col
 
     lb = np.full(n_cols, -np.inf)
@@ -216,8 +212,7 @@ def _family_bounds(instance: Instance, load: np.ndarray) -> np.ndarray:
 
 def linearize_big_m(mpec: MpecModel, paths=None) -> MilpModel:
     """Swap each complementarity pair for the classic two bound rows, sized
-    as in the module notes; paths, if given, are the day's capacity paths
-    in party order, and floor each multiplier bound at its path's maximum."""
+    as in the module notes; paths (the day's, in party order) floor m_omega."""
     inst = mpec.instance
     base = mpec.lp
     n_pairs = len(mpec.pairs)
@@ -277,6 +272,13 @@ def linearize_big_m(mpec: MpecModel, paths=None) -> MilpModel:
     )
 
 
+def _pair_slacks(lp: LinearProgram, pairs: np.ndarray):
+    """x -> slacks of the pair rows of lp at x, in pair order."""
+    rows = lp.g.take(pairs[:, 1])
+    rhs = lp.b_g[pairs[:, 1]]
+    return lambda x: rows.dot(x) - rhs
+
+
 _FLAG_TOL = 0.05  # a pair bound is near-binding within this share of its M
 
 
@@ -295,17 +297,15 @@ def validate_big_m(milp: MilpModel, solution: np.ndarray) -> BigMReport:
     """Flag pair bounds that may have truncated the solution.
 
     A multiplier (or row slack) within _FLAG_TOL*M of its M is evidence
-    the constant was too small. An empty report is evidence, not proof,
-    that the linearization did not bite: a bound that is not near-binding
-    at this incumbent may still have cut off a better point elsewhere,
-    which no check at one solution can rule out (Pineda & Morales, IEEE
-    Trans. Power Syst. 34(3), 2019).
+    the constant was too small. Without the path floor an empty report is
+    evidence, not proof, that the linearization did not bite: a bound that
+    is not near-binding at this incumbent may still have cut off a better
+    point elsewhere, which no check at one solution can rule out (Pineda &
+    Morales, IEEE Trans. Power Syst. 34(3), 2019).
     """
     x = np.asarray(solution, float)
-    lp = milp.mpec.lp
-    w_cols, g_rows = milp.mpec.pairs.T
-    omega = x[w_cols]
-    slack = lp.g.take(g_rows).dot(x) - lp.b_g[g_rows]
+    omega = x[milp.mpec.pairs[:, 0]]
+    slack = _pair_slacks(milp.mpec.lp, milp.mpec.pairs)(x)
     hit_omega = milp.m_omega - omega <= _FLAG_TOL * milp.m_omega
     hit_slack = milp.m_slack - slack <= _FLAG_TOL * milp.m_slack
     flagged = []

@@ -208,14 +208,12 @@ def solve_division(mpec, opts: SolveOptions, mode: str, paths=None):
     the big-M form's multiplier bounds (linearize_big_m), and the one
     solve's answer is validated; a near-binding bound is noted by side.
     Returns (result, escalations, notes), escalations being the number of
-    pairs whose bound the floor lifted, noted when there are any.
-    """
+    pairs whose bound the floor lifted, noted when there are any."""
     _check_mode(mode)
     if mode == "lpcc":
         return solve_lpcc(mpec, opts, paths=paths), 0, []
     t0 = time.perf_counter()
-    if paths is None:
-        paths = _day_paths(mpec.instance)
+    paths = _day_paths(mpec.instance) if paths is None else paths
     milp = linearize_big_m(mpec, paths)
     result = solve_milp(milp, opts, paths=paths, t0=t0)
     notes = []

@@ -820,10 +820,9 @@ class CapacityPath:
     notes). pieces lists, from the top down, each piece's upper end, its
     optimum there, dx/ds and its basis (Simplex.snapshot); for C > 0 the
     last is 0 alone. iterations counts the path's pivots; a rejected start
-    counts in engine.start_rejects. Only kappa moves, so the optimal dual is
-    constant on each piece: dual_g_max, each row's largest multiplier over
-    the pieces, bounds it at every capacity. The face lines of flow_face are
-    kept on the path, per piece and price."""
+    counts in engine.start_rejects. dual_g_max is each row's largest
+    multiplier over the pieces. The face lines of flow_face are kept on the
+    path, per piece and price."""
 
     def __init__(self, instance: Instance, party: int):
         lp = build_party_lp(instance, party, instance.storage.total_capacity)

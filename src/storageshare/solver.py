@@ -6,8 +6,9 @@ linearized division model (mpec.MilpModel), and solve_lpcc branches
 directly on complementarity pairs without big-M constants. Both run one
 tree solve (_solve_tree) on the day's capacity paths (simplex.CapacityPath,
 one per party): the caller may pass them (keyword paths; a scenario run
-builds them once for all its solves), and otherwise the solve builds
-them once. The chords, the division heuristic, the root start and the dual re-read all read those paths.
+builds them once for all its solves), and otherwise the solve builds them
+once. The chords, the division heuristic, the root start and the dual
+re-read all read those paths.
 One stitch (_stitch) writes a point's party blocks off the paths at the
 point's shares, for the heuristic's points, the root start and the
 re-read of the final incumbent: each party's multipliers from its path
@@ -59,7 +60,7 @@ import numpy as np
 
 from .instance import Division, Instance, ScheduleSet
 from .lp import LinearProgram, Rows, evaluate
-from .mpec import MilpModel, MpecModel
+from .mpec import MilpModel, MpecModel, _pair_slacks
 from .oracle import check_schedule_invariants
 from .simplex import CapacityPath, Simplex
 
@@ -123,14 +124,14 @@ def _relative_gap(objective: float, bound: float) -> float:
 
 def _branch_and_bound(engine: Simplex, opts, accept, branch, try_point, start=None, t0=None):
     """Best-first search over engine's LP. accept(x) returns (the node
-    relaxation x as an incumbent, possibly re-settled, or None; what it
-    measured); a node it rejects is branched on branch(x, measured), the
-    two child bound-fixes. Ties on the bound favor deeper nodes so plateaus
-    dive to leaves. try_point(x) may turn a rejected node relaxation into a
-    side incumbent (x, objective) without affecting the tree itself. start
-    goes to the root's Simplex.solve; t0, the perf_counter reading the time
-    limit and wall_time count from, defaults to now. The result carries no
-    model."""
+    relaxation x as an incumbent, possibly re-settled, or None; x's
+    violations, one per branching candidate); a node it rejects is
+    branched on branch(x, violations), the two child bound-fixes. Ties on
+    the bound favor deeper nodes so plateaus dive to leaves. try_point(x)
+    may turn a rejected node relaxation into a side incumbent (x,
+    objective) without affecting the tree itself. start goes to the root's
+    Simplex.solve; t0, the perf_counter reading the time limit and
+    wall_time count from, defaults to now. The result carries no model."""
     t0 = time.perf_counter() if t0 is None else t0
     incumbent_x = None
     incumbent_obj = np.inf
@@ -182,7 +183,7 @@ def _branch_and_bound(engine: Simplex, opts, accept, branch, try_point, start=No
             raise_bound(bound)
         if pruned(bound):
             return None
-        x, measured = accept(sol.x)
+        x, violations = accept(sol.x)
         if x is not None:
             take_incumbent(x, float(sol.objective))
             return None
@@ -191,7 +192,8 @@ def _branch_and_bound(engine: Simplex, opts, accept, branch, try_point, start=No
             take_incumbent(*side)
             if pruned(bound):
                 return None
-        heapq.heappush(heap, (bound, -len(fixes), seq, fixes, engine.snapshot(), branch(sol.x, measured)))
+        children = branch(sol.x, violations)
+        heapq.heappush(heap, (bound, -len(fixes), seq, fixes, engine.snapshot(), children))
         seq += 1
         return None
 
@@ -233,13 +235,6 @@ def _branch_and_bound(engine: Simplex, opts, accept, branch, try_point, start=No
     )
 
 
-def _pair_slacks(lp: LinearProgram, pairs: np.ndarray):
-    """x -> slacks of the pair rows of lp at x, in pair order."""
-    rows = lp.g.take(pairs[:, 1])
-    rhs = lp.b_g[pairs[:, 1]]
-    return lambda x: rows.dot(x) - rhs
-
-
 def _stitch(mpec: MpecModel, paths, x: np.ndarray, dispatch: bool):
     """Write into x each party's multipliers from its path at the party's
     share in x (at 0 if a hair below); with dispatch also its dispatch and
@@ -266,10 +261,9 @@ def _bilevel_feasible(mpec: MpecModel, lp: LinearProgram, u_cols=None):
     relaxation, a heuristic point, the re-read answer): accept(x) returns
     (x, with lp's binaries u_cols (if any) re-set to w > slack in a copy,
     when every pair product w * slack is at most _COMP_TOL and the point is
-    feasible on lp at 1e-6, else None; the pair products, which the branch
-    rule reads at a rejected node). Dual-feasible multipliers
-    complementary to a feasible x certify that each dispatch in x is
-    optimal at its share."""
+    feasible on lp at 1e-6, else None; the pair products). Dual-feasible
+    multipliers complementary to a feasible x certify that each dispatch in
+    x is optimal at its share."""
     w_cols = mpec.pairs[:, 0]
     pair_slacks = _pair_slacks(mpec.lp, mpec.pairs)
 
@@ -322,13 +316,12 @@ def _division_heuristic(mpec: MpecModel, lp: LinearProgram, paths, accept):
 
 
 def _branch_rule(mpec: MpecModel, u_cols=None):
-    """(x, prod) -> the two child fixes of the worst pair, the one of
-    largest product w * slack in prod, x's pair products as accept
-    (_bilevel_feasible) computed them. Without binaries its multiplier goes
-    to zero or its row to equality (its surplus column, n + row, to zero).
-    With binaries u_cols its binary goes to 0 or 1, the worst pair taken
-    among those whose binary is not yet settled (a u near 0 still lets its
-    pair slip by u times big-M), or among all when every binary is."""
+    """(x, prod) -> the two child fixes of the worst pair, the one of largest
+    pair product w * slack in prod. Without binaries its multiplier goes to
+    zero or its row to equality (its surplus column, n + row, to zero). With
+    binaries u_cols its binary goes to 0 or 1, the worst pair taken among
+    those whose binary is not yet settled (a u near 0 still lets its pair slip
+    by u times big-M), or among all when every binary is."""
     n_struct = mpec.lp.n_vars
 
     def branch(x, prod):
