@@ -4,41 +4,40 @@ Loads and prices are delimited text with fixed headers; the config is a
 flat ``key = value`` file. Every parse error names the file and, where it
 applies, the line that caused it. Unknown config keys are rejected so a
 typo cannot silently fall back to a default. The config sets the instance,
-the solver mode and the solve limits; the big-M sizes of bigm mode are
-fixed in mpec and not configurable.
+the solver mode and the solve limits: its keys are the StorageParams,
+Weights and SolveOptions fields, whose defaults are its defaults, plus
+slot_hours, soc_ini_customer's one value for every customer (default
+DEFAULT_SOC_INI) and mode (default solver.DEFAULT_MODE). The big-M sizes
+of bigm mode are fixed in mpec and not configurable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .instance import Instance, make_instance
-from .solver import MODES, SolveOptions
+from .instance import DEFAULT_SOC_INI, Instance, StorageParams, Weights, make_instance
+from .solver import DEFAULT_MODE, MODES, SolveOptions
 
 LOADS_HEADER = "t,customer_id,load_kw"
 PRICES_HEADER = "t,lmp_per_kwh,tou_per_kwh"
 
-# key -> (converter, default); None default means the key is required
+# the keys of load_inputs' make_instance call (slot_hours and the
+# StorageParams and Weights fields) and of RunConfig.solve_options
+_INSTANCE_FIELDS = fields(StorageParams) + fields(Weights)
+_INSTANCE_KEYS = ("slot_hours", *(f.name for f in _INSTANCE_FIELDS))
+_SOLVE_KEYS = tuple(f.name for f in fields(SolveOptions))
+
+# key -> (converter, default); None default means the key is required (a
+# field without a default). A field's key converts by its annotation, a
+# string under the postponed annotations of instance and solver.
 _CONFIG_SCHEMA = {
     "slot_hours": (float, None),
-    "total_capacity": (float, None),
-    "eta_ch": (float, 0.92),
-    "eta_dis": (float, 0.92),
-    "power_ratio": (float, 0.25),
-    "soc_lower": (float, 0.1),
-    "soc_upper": (float, 0.9),
-    "soc_ini_customer": (float, 0.5),
-    "soc_ini_disco": (float, 0.5),
-    "lambda1": (float, 0.8),
-    "lambda2": (float, 6.69),
-    "lambda3": (float, 1.0),
-    "alpha": (float, 0.01),
-    "mode": (str, "lpcc"),
-    "time_limit": (float, 600.0),
-    "node_limit": (int, 100_000),
-    "gap_target": (float, 0.0),
+    **{f.name: ({"float": float, "int": int}[f.type], None if f.default is MISSING else f.default)
+       for f in _INSTANCE_FIELDS + fields(SolveOptions) if f.name != "soc_ini_customer"},
+    "soc_ini_customer": (float, DEFAULT_SOC_INI),
+    "mode": (str, DEFAULT_MODE),
 }
 
 
@@ -64,11 +63,7 @@ class RunConfig:
         return tuple(sorted(set(_CONFIG_SCHEMA) - set(self.provided)))
 
     def solve_options(self) -> SolveOptions:
-        return SolveOptions(
-            time_limit=self.values["time_limit"],
-            node_limit=self.values["node_limit"],
-            gap_target=self.values["gap_target"],
-        )
+        return SolveOptions(**{k: self.values[k] for k in _SOLVE_KEYS})
 
 
 def parse_config(path) -> RunConfig:
@@ -194,16 +189,4 @@ def load_inputs(loads_path, prices_path, config) -> Instance:
         raise DataError(
             f"{prices_path} has {len(lmp)} slots but {loads_path} has "
             f"{loads.shape[1]}")
-    v = config.values
-    return make_instance(
-        lmp, tou, loads,
-        slot_hours=v["slot_hours"],
-        total_capacity=v["total_capacity"],
-        eta_ch=v["eta_ch"], eta_dis=v["eta_dis"],
-        power_ratio=v["power_ratio"],
-        soc_lower=v["soc_lower"], soc_upper=v["soc_upper"],
-        soc_ini_customer=v["soc_ini_customer"],
-        soc_ini_disco=v["soc_ini_disco"],
-        lambda1=v["lambda1"], lambda2=v["lambda2"], lambda3=v["lambda3"],
-        alpha=v["alpha"],
-    )
+    return make_instance(lmp, tou, loads, **{k: config.values[k] for k in _INSTANCE_KEYS})

@@ -9,16 +9,13 @@ solver output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 FEAS_TOL = 1e-6  # absolute tolerance on kW / kWh feasibility checks
 
-DEFAULT_SOC_LOWER = 0.1
-DEFAULT_SOC_UPPER = 0.9
 DEFAULT_SOC_INI = 0.5
-DEFAULT_ALPHA = 0.01
 
 
 class InstanceError(ValueError):
@@ -69,14 +66,16 @@ class LoadSet:
 @dataclass(frozen=True)
 class StorageParams:
     """Shared battery data: capacity (kWh), efficiencies, power ratio (1/h),
-    SoC corridor and per-owner initial SoC fractions."""
+    SoC corridor and per-owner initial SoC fractions (soc_ini_customer one
+    per customer, or one value for all; validate_instance makes it an array
+    and takes DEFAULT_SOC_INI for each customer when it is None)."""
 
     total_capacity: float
     eta_ch: float = 0.92
     eta_dis: float = 0.92
     power_ratio: float = 0.25
-    soc_lower: float = DEFAULT_SOC_LOWER
-    soc_upper: float = DEFAULT_SOC_UPPER
+    soc_lower: float = 0.1
+    soc_upper: float = 0.9
     soc_ini_customer: np.ndarray = None  # type: ignore[assignment]
     soc_ini_disco: float = DEFAULT_SOC_INI
 
@@ -89,7 +88,7 @@ class Weights:
     lambda1: float = 0.8
     lambda2: float = 6.69
     lambda3: float = 1.0
-    alpha: float = DEFAULT_ALPHA
+    alpha: float = 0.01
 
 
 @dataclass(frozen=True)
@@ -124,35 +123,17 @@ class ScheduleSet:
     system_peak: float
 
 
-def make_instance(
-    lmp,
-    tou,
-    customer_load,
-    slot_hours: float,
-    total_capacity: float,
-    eta_ch: float = 0.92,
-    eta_dis: float = 0.92,
-    power_ratio: float = 0.25,
-    soc_lower: float = DEFAULT_SOC_LOWER,
-    soc_upper: float = DEFAULT_SOC_UPPER,
-    soc_ini_customer=None,
-    soc_ini_disco: float = DEFAULT_SOC_INI,
-    lambda1: float = 0.8,
-    lambda2: float = 6.69,
-    lambda3: float = 1.0,
-    alpha: float = DEFAULT_ALPHA,
-    extra_base_load=None,
-) -> Instance:
-    """Assemble and validate an Instance from plain arrays, applying the
-    documented defaults for anything omitted."""
+def make_instance(lmp, tou, customer_load, slot_hours: float, total_capacity: float, *,
+                  extra_base_load=None, **params) -> Instance:
+    """Assemble and validate an Instance from plain arrays. params sets any
+    other StorageParams or Weights field by name (an unknown name raises
+    TypeError); an omitted one keeps its default, and extra_base_load is
+    zero in every slot when omitted."""
     customer_load = np.atleast_2d(np.asarray(customer_load, dtype=float))
     n, t = customer_load.shape
     if extra_base_load is None:
         extra_base_load = np.zeros(t)
-    if soc_ini_customer is None:
-        soc_ini_customer = np.full(n, DEFAULT_SOC_INI)
-    elif np.isscalar(soc_ini_customer):
-        soc_ini_customer = np.full(n, float(soc_ini_customer))
+    weights = {f.name: params.pop(f.name) for f in fields(Weights) if f.name in params}
     raw = Instance(
         grid=TimeGrid(slot_count=t, slot_hours=float(slot_hours)),
         prices=PriceSeries(lmp=np.asarray(lmp, float), tou=np.asarray(tou, float)),
@@ -160,17 +141,8 @@ def make_instance(
             customer_load=customer_load,
             extra_base_load=np.asarray(extra_base_load, float),
         ),
-        storage=StorageParams(
-            total_capacity=float(total_capacity),
-            eta_ch=eta_ch,
-            eta_dis=eta_dis,
-            power_ratio=power_ratio,
-            soc_lower=soc_lower,
-            soc_upper=soc_upper,
-            soc_ini_customer=np.asarray(soc_ini_customer, float),
-            soc_ini_disco=soc_ini_disco,
-        ),
-        weights=Weights(lambda1=lambda1, lambda2=lambda2, lambda3=lambda3, alpha=alpha),
+        storage=StorageParams(total_capacity=float(total_capacity), **params),
+        weights=Weights(**weights),
         customer_count=n,
     )
     return validate_instance(raw)
@@ -224,11 +196,8 @@ def validate_instance(raw: Instance) -> Instance:
         raise InstanceError(
             f"need 0 <= soc_lower <= soc_upper <= 1, got ({st.soc_lower}, {st.soc_upper})"
         )
-    soc_ini_c = (
-        np.full(n, DEFAULT_SOC_INI)
-        if st.soc_ini_customer is None
-        else np.asarray(st.soc_ini_customer, float)
-    )
+    ini = DEFAULT_SOC_INI if st.soc_ini_customer is None else st.soc_ini_customer
+    soc_ini_c = np.full(n, ini, float) if np.isscalar(ini) else np.asarray(ini, float)
     if soc_ini_c.shape != (n,):
         raise InstanceError(
             f"soc_ini_customer has shape {soc_ini_c.shape}, expected ({n},)"

@@ -44,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .instance import Instance
+from .instance import FEAS_TOL, Instance
 
 
 def _indptr(counts) -> np.ndarray:
@@ -240,7 +240,7 @@ class LpEvaluation:
     max_equality_residual: float
     min_bound_slack: float
 
-    def feasible(self, tol: float = 1e-6) -> bool:
+    def feasible(self, tol: float = FEAS_TOL) -> bool:
         return (
             self.min_inequality_slack >= -tol
             and self.max_equality_residual <= tol

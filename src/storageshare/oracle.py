@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Division, Instance, ScheduleSet, flow_price, soc_trajectory
+from .instance import FEAS_TOL, Division, Instance, ScheduleSet, flow_price, soc_trajectory
 from .simplex import CapacityPath
 
 GRID_GUARD = 200_000
@@ -52,7 +52,7 @@ def check_schedule_invariants(
     instance: Instance,
     division: Division,
     schedules: ScheduleSet,
-    tol: float = 1e-6,
+    tol: float = FEAS_TOL,
 ) -> InvariantReport:
     """Itemized feasibility audit of a (division, schedules) pair."""
     st = instance.storage

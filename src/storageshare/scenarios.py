@@ -58,9 +58,15 @@ from .instance import (
 from .lp import Rows
 from .mpec import assemble_mpec, linearize_big_m, validate_big_m
 from .simplex import CapacityPath
-from .solver import _EXIT_CODES, MODES, SolveOptions, extract_solution, solve_lpcc, solve_milp
+from .solver import (_EXIT_CODES, DEFAULT_MODE, MODES, SolveOptions, extract_solution,
+                     solve_lpcc, solve_milp)
 
 ZERO_BASELINE_TOL = 1e-12
+
+# the report files' headers, which emit_report writes and read_report checks
+DIVISIONS_HEADER = "day,scenario,party,capacity_kwh"
+REDUCTIONS_HEADER = "day,scenario,party,baseline,actual,reduction_pct"
+PROFILES_HEADER = "day,series,t,net_load_kw"
 
 
 class ScenarioId(IntEnum):
@@ -228,7 +234,7 @@ def solve_division(mpec, opts: SolveOptions, mode: str, paths=None):
 
 
 def run_scenario(instance: Instance, scenario, options: SolveOptions | None = None,
-                 mode: str = "lpcc", day: int = 0) -> DayReport:
+                 mode: str = DEFAULT_MODE, day: int = 0) -> DayReport:
     """Solve one scenario and report costs against the do-nothing baseline;
     the solve, its path builds included, gets options.time_limit."""
     opts = options if options is not None else SolveOptions()
@@ -299,7 +305,7 @@ def _report(instance: Instance, scenario: ScenarioId, opts: SolveOptions, mode: 
 
 
 def run_all_scenarios(instance: Instance, options: SolveOptions | None = None,
-                      mode: str = "lpcc", day: int = 0):
+                      mode: str = DEFAULT_MODE, day: int = 0):
     """All three scenarios on one instance, in scenario order, on one
     build of the day's capacity paths and division model and within one
     options.time_limit."""
@@ -312,7 +318,7 @@ def run_all_scenarios(instance: Instance, options: SolveOptions | None = None,
 
 
 def daily_cycle(days, options: SolveOptions | None = None,
-                mode: str = "lpcc") -> CycleResult:
+                mode: str = DEFAULT_MODE) -> CycleResult:
     """Re-solve the division independently for each day's instance.
 
     The dispatch model returns every battery to its initial state of
@@ -357,14 +363,14 @@ def emit_report(reports, destination, config=None, failures=()) -> dict:
     paths["summary"] = os.path.join(destination, "summary.txt")
 
     with open(paths["divisions"], "w") as fh:
-        fh.write("day,scenario,party,capacity_kwh\n")
+        fh.write(DIVISIONS_HEADER + "\n")
         for r in reports:
             caps = [r.division.s_disco] + list(r.division.s_customer)
             for party, cap in zip(_party_names(len(r.division.s_customer)), caps):
                 fh.write(f"{r.day},{int(r.scenario)},{party},{_fmt(cap)}\n")
 
     with open(paths["reductions"], "w") as fh:
-        fh.write("day,scenario,party,baseline,actual,reduction_pct\n")
+        fh.write(REDUCTIONS_HEADER + "\n")
         for r in reports:
             rows = [("disco", r.baseline_disco_cost, r.actual_disco_cost,
                      r.disco_reduction)]
@@ -378,7 +384,7 @@ def emit_report(reports, destination, config=None, failures=()) -> dict:
                          f"{_fmt(b)},{_fmt(a)},{_fmt(p)}\n")
 
     with open(paths["profiles"], "w") as fh:
-        fh.write("day,series,t,net_load_kw\n")
+        fh.write(PROFILES_HEADER + "\n")
         seen_days = set()
         for r in reports:
             if r.day not in seen_days:
@@ -439,16 +445,14 @@ def read_report(destination) -> dict:
     """Re-parse emitted report files into plain dictionaries. A malformed
     file, a repeated row or a profile series with a missing slot included,
     raises DataError."""
-    divisions = _report_table(destination, "divisions", "day,scenario,party,capacity_kwh",
-                              (int, int, str, float))
+    divisions = _report_table(destination, "divisions", DIVISIONS_HEADER, (int, int, str, float))
     out = {"divisions": {k: v for k, (v,) in divisions.items()},
-           "reductions": _report_table(destination, "reductions",
-                                       "day,scenario,party,baseline,actual,reduction_pct",
+           "reductions": _report_table(destination, "reductions", REDUCTIONS_HEADER,
                                        (int, int, str, float, float, float)),
            "profiles": {}}
     profiles: dict = {}
     for (day, series, t), (v,) in _report_table(
-            destination, "profiles", "day,series,t,net_load_kw", (int, str, int, float)).items():
+            destination, "profiles", PROFILES_HEADER, (int, str, int, float)).items():
         profiles.setdefault((day, series), {})[t] = v
     for (day, series), vals in profiles.items():
         missing = set(range(len(vals))) - set(vals)

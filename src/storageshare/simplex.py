@@ -494,7 +494,9 @@ class Simplex:
         """One dual simplex pivot: the basic column at position r leaves at
         its lower bound if below, else at its upper one, and the column the
         dual ratio test picks enters; d, the reduced costs, is updated in
-        place. Returns False when no column can enter (the LP is infeasible)."""
+        place. Returns False when no column can enter (the LP is infeasible),
+        and raises SimplexError when the entering column's pivot element
+        vanishes."""
         bound = self.lo[self.basis[r]] if below else self.hi[self.basis[r]]
         delta_need = bound - self.xb[r]
         alpha = self.cols.dot(self.binv[r])
@@ -514,6 +516,8 @@ class Simplex:
         near = eligible[ratios <= ratios.min() + 1e-10]
         j = int(near[0]) if self.bland else int(near[np.argmax(np.abs(alpha[near]))])
         w = self._column(j)
+        if abs(w[r]) < _PIVOT_TOL:  # alpha_j, recomputed from the inverse
+            raise SimplexError("pivot element vanished")
         step = delta_need / (-w[r])
         self._enter(j, r, w, step, AT_LB if below else AT_UB)
         d -= (d[j] / alpha[j]) * alpha

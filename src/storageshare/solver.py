@@ -58,7 +58,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .instance import Division, Instance, ScheduleSet
+from .instance import FEAS_TOL, Division, Instance, ScheduleSet
 from .lp import LinearProgram, Rows, evaluate
 from .mpec import MilpModel, MpecModel, _pair_slacks
 from .oracle import check_schedule_invariants
@@ -66,6 +66,7 @@ from .simplex import CapacityPath, Simplex
 
 _EXIT_CODES = {"optimal": 0, "infeasible": 2, "unbounded": 3, "limit": 4}
 MODES = ("bigm", "lpcc")  # solve_milp on the big-M model, or solve_lpcc
+DEFAULT_MODE = "lpcc"
 _COMP_TOL = 1e-7  # pair products at or below this count as complementary
 _SETTLED_TOL = 1e-9  # a binary this near 0 or 1 is taken as fixed by a branch
 
@@ -261,7 +262,7 @@ def _bilevel_feasible(mpec: MpecModel, lp: LinearProgram, u_cols=None):
     relaxation, a heuristic point, the re-read answer): accept(x) returns
     (x, with lp's binaries u_cols (if any) re-set to w > slack in a copy,
     when every pair product w * slack is at most _COMP_TOL and the point is
-    feasible on lp at 1e-6, else None; the pair products). Dual-feasible
+    feasible on lp at FEAS_TOL, else None; the pair products). Dual-feasible
     multipliers complementary to a feasible x certify that each dispatch in
     x is optimal at its share."""
     w_cols = mpec.pairs[:, 0]
@@ -276,7 +277,7 @@ def _bilevel_feasible(mpec: MpecModel, lp: LinearProgram, u_cols=None):
         if u_cols is not None:
             x = x.copy()
             x[u_cols] = w > slack
-        return (x if evaluate(lp, x).feasible(1e-6) else None), prod
+        return (x if evaluate(lp, x).feasible(FEAS_TOL) else None), prod
 
     return accept
 
@@ -527,7 +528,7 @@ def extract_solution(result: SolveResult, instance: Instance):
         customer_valley=valley,
         system_peak=float(x[mpec.peak_col]),
     )
-    report = check_schedule_invariants(inst, division, schedules, tol=1e-6)
+    report = check_schedule_invariants(inst, division, schedules, tol=FEAS_TOL)
     if not report.passed:
         raise RuntimeError(f"solution violates schedule invariants: {report.failures()}")
     duals = {}

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dataio import LOADS_HEADER, PRICES_HEADER
+
 PROFILES = ("duck", "typical")
 PRICE_SHAPES = ("conforming", "conflicting")
 
@@ -76,12 +78,12 @@ def write_series(loads: np.ndarray, lmp: np.ndarray, tou: np.ndarray,
     """Write the two delimited input files for the given series."""
     n, t = loads.shape
     with open(loads_path, "w") as fh:
-        fh.write("t,customer_id,load_kw\n")
+        fh.write(LOADS_HEADER + "\n")
         for tt in range(t):
             for cid in range(n):
                 fh.write("%d,%d,%.12g\n" % (tt, cid, loads[cid, tt]))
     with open(prices_path, "w") as fh:
-        fh.write("t,lmp_per_kwh,tou_per_kwh\n")
+        fh.write(PRICES_HEADER + "\n")
         for tt in range(t):
             fh.write("%d,%.12g,%.12g\n" % (tt, lmp[tt], tou[tt]))
 

@@ -50,10 +50,11 @@ node_limit = 500
 
 
 def test_config_defaults_match_the_code_defaults():
-    # a default is written in the schema, in make_instance's keywords and in
-    # the StorageParams, Weights or SolveOptions fields: a number changed in
-    # one place only fails here, as does an instance or SolveOptions() that
-    # resolves to another
+    # each default is written once, in its StorageParams, Weights or
+    # SolveOptions field, and the schema and make_instance take it from
+    # there: a schema entry, a make_instance keyword or a field that comes to
+    # differ from the others fails here, as does an instance or
+    # SolveOptions() that resolves to another default
     written = {name: [p.default] for name, p in inspect.signature(make_instance).parameters.items()}
     for cls in (StorageParams, Weights, SolveOptions):
         for f in fields(cls):
@@ -70,13 +71,24 @@ def test_config_defaults_match_the_code_defaults():
 
 
 def test_readme_config_table_names_every_key():
-    # the README's key table documents the schema, key for key: a key
-    # added or dropped on one side only fails here
+    # the README's key table documents the schema, key for key and default
+    # for default ("required" for a required key; a row of several keys
+    # gives one default for all or one per key): a key added or dropped, or
+    # a default changed, on one side only fails here
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("| key | default | meaning |\n", 1)[1].split("\n\n", 1)[0]
-    keys = [k for line in table.splitlines() for k in re.findall(r"`(\w+)`", line.split("|")[1])]
-    assert len(keys) == len(set(keys))
-    assert set(keys) == set(_CONFIG_SCHEMA)
+    documented = {}
+    for line in table.splitlines()[1:]:
+        cells = line.split("|")
+        names = re.findall(r"`(\w+)`", cells[1])
+        given = cells[2].replace("`", "").strip().split(", ")
+        for key, text in zip(names, given * len(names) if len(given) == 1 else given):
+            assert key not in documented, key
+            documented[key] = text
+    assert set(documented) == set(_CONFIG_SCHEMA)
+    for key, (conv, default) in _CONFIG_SCHEMA.items():
+        text = documented[key]
+        assert (text == "required") if default is None else (conv(text) == default), (key, text)
 
 
 def test_mode_defaults_to_lpcc(tmp_path):

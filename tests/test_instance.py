@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from storageshare.instance import (
     Division,
     InstanceError,
     ScheduleSet,
+    StorageParams,
+    Weights,
     customer_cost_total,
     disco_cost,
     make_instance,
@@ -28,6 +32,24 @@ def test_make_instance_defaults(tiny_instance):
     # arrays come back frozen
     with pytest.raises(ValueError):
         inst.prices.lmp[0] = 99.0
+
+
+def test_make_instance_takes_the_fields_by_name():
+    # every StorageParams and Weights field is a make_instance keyword of its
+    # own name; an unknown name is a TypeError, as for any keyword
+    given = dict(eta_ch=0.9, eta_dis=0.8, power_ratio=0.5, soc_lower=0.2, soc_upper=0.7,
+                 soc_ini_disco=0.3, lambda1=2.0, lambda2=3.0, lambda3=4.0, alpha=0.5)
+    inst = make_instance(lmp=[1.0, 2.0], tou=[1.0, 2.0], customer_load=[[1.0, 1.0]] * 2,
+                         slot_hours=1.0, total_capacity=4.0, soc_ini_customer=[0.4, 0.6],
+                         **given)
+    assert {f.name for f in fields(StorageParams) + fields(Weights)} == set(given) | {
+        "total_capacity", "soc_ini_customer"}
+    got = {**vars(inst.storage), **vars(inst.weights)}
+    assert {k: got[k] for k in given} == given
+    np.testing.assert_array_equal(inst.storage.soc_ini_customer, [0.4, 0.6])
+    with pytest.raises(TypeError, match="soc_initial"):
+        make_instance(lmp=[1.0, 2.0], tou=[1.0, 2.0], customer_load=[[1.0, 1.0]],
+                      slot_hours=1.0, total_capacity=4.0, soc_initial=0.5)
 
 
 def test_system_load_recomputed_not_trusted():

@@ -666,6 +666,29 @@ def test_resolve_counts_its_cold_fallbacks():
     assert eng.cold_restarts == 1
 
 
+def test_vanished_dual_pivot_restarts_cold(monkeypatch):
+    # a dual pivot whose recomputed pivot element is zero raises SimplexError
+    # before it divides, so resolve restarts cold instead of leaving NaN
+    lp = make_lp([1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0], lb=[0.0, 0.0], ub=[5.0, 5.0])
+    eng = Simplex(lp)
+    assert eng.solve().status == "optimal"
+    snap = eng.snapshot()
+    column = Simplex._column
+    zeroed = []
+
+    def vanished(self, j):  # the first recomputed column only
+        if zeroed:
+            return column(self, j)
+        zeroed.append(j)
+        return np.zeros(self.m)
+
+    monkeypatch.setattr(Simplex, "_column", vanished)
+    sol = eng.resolve(snap, np.array([3.0, 0.0, 0.0]), np.array([5.0, 5.0, np.inf]))
+    assert zeroed and eng.cold_restarts == 1
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.x, [3.0, 0.0], atol=1e-9)
+
+
 @pytest.mark.parametrize("t", [4, 6, 24])
 def test_capacity_family_matches_cold_builds(rng, t):
     """A lookup on a party's capacity path at any share matches a cold
