@@ -17,10 +17,10 @@ i // T + 1); no row or column carries a name. The pair bounds are sized
 here alone: a primal bound is _PRIMAL_SAFETY times its row's family bound
 plus _PRIMAL_FLOOR, above every feasible slack; a dual bound is
 _DUAL_SCALE times the price magnitude, at least _DUAL_FLOOR, and, given
-the day's capacity paths, at least _DUAL_MARGIN times its row's largest
-multiplier over the party's path plus _DUAL_PAD. The path duals at an
-optimal point's shares are complementary to its optimal dispatches, so
-swapping them in keeps it optimal and inside every bound.
+the day's capacity paths, at least the pair's cap (pair_caps), _DUAL_MARGIN
+times its row's largest multiplier over the party's path plus _DUAL_PAD.
+The path duals at an optimal point's shares are complementary to its
+optimal dispatches, so swapping them in keeps it optimal and under every cap.
 """
 
 from __future__ import annotations
@@ -210,6 +210,11 @@ def _family_bounds(instance: Instance, load: np.ndarray) -> np.ndarray:
     return np.array([soc, soc, power, power, power, power, profile, profile])
 
 
+def pair_caps(paths) -> np.ndarray:
+    """Each pair's multiplier cap, in mpec.pairs order, off the day's paths."""
+    return np.concatenate([_DUAL_MARGIN * path.dual_g_max + _DUAL_PAD for path in paths])
+
+
 def linearize_big_m(mpec: MpecModel, paths=None) -> MilpModel:
     """Swap each complementarity pair for the classic two bound rows, sized
     as in the module notes; paths (the day's, in party order) floor m_omega."""
@@ -222,11 +227,10 @@ def linearize_big_m(mpec: MpecModel, paths=None) -> MilpModel:
                 inst.weights.alpha)
     dual_m = max(_DUAL_FLOOR, _DUAL_SCALE * price * dt)
 
+    floor = np.zeros(n_pairs) if paths is None else pair_caps(paths)
+    m_omega = np.maximum(dual_m, floor)
     # pairs run party by party over each party's rows; row i of a party
     # block is of catalog family i // T
-    floor = (np.zeros(n_pairs) if paths is None else
-             np.concatenate([_DUAL_MARGIN * path.dual_g_max + _DUAL_PAD for path in paths]))
-    m_omega = np.maximum(dual_m, floor)
     t = inst.grid.slot_count
     loads = list(inst.loads.customer_load) + [inst.loads.system_load]
     m_slack = np.concatenate([

@@ -57,7 +57,7 @@ from .instance import (
 )
 from .lp import Rows
 from .mpec import assemble_mpec, linearize_big_m, validate_big_m
-from .simplex import CapacityPath
+from .simplex import CapacityPath, day_paths
 from .solver import (_EXIT_CODES, DEFAULT_MODE, MODES, SolveOptions, extract_solution,
                      solve_lpcc, solve_milp)
 
@@ -155,11 +155,6 @@ def attributed_customer_costs(instance: Instance,
     return weights @ slot_cost
 
 
-def _day_paths(instance: Instance):
-    """Each party's capacity path, customers first, then the utility."""
-    return [CapacityPath(instance, p) for p in range(instance.customer_count + 1)]
-
-
 def _disco_only_dispatch(instance: Instance, path: CapacityPath):
     """Fixed division (everything to the utility); its dispatch is a
     lookup on the utility's capacity path, as every other party's is."""
@@ -219,7 +214,7 @@ def solve_division(mpec, opts: SolveOptions, mode: str, paths=None):
     if mode == "lpcc":
         return solve_lpcc(mpec, opts, paths=paths), 0, []
     t0 = time.perf_counter()
-    paths = _day_paths(mpec.instance) if paths is None else paths
+    paths = day_paths(mpec.instance) if paths is None else paths
     milp = linearize_big_m(mpec, paths)
     result = solve_milp(milp, opts, paths=paths, t0=t0)
     notes = []
@@ -312,7 +307,7 @@ def run_all_scenarios(instance: Instance, options: SolveOptions | None = None,
     _check_mode(mode)
     opts = options if options is not None else SolveOptions()
     deadline = time.perf_counter() + opts.time_limit
-    paths, mpec = _day_paths(instance), assemble_mpec(instance)
+    paths, mpec = day_paths(instance), assemble_mpec(instance)
     return tuple(_report(instance, sid, opts, mode, day, deadline, paths, mpec)
                  for sid in ScenarioId)
 

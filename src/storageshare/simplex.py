@@ -911,3 +911,9 @@ class CapacityPath:
             return eng._read_x()
 
         return _walk(eng, upper, lower, self._tol, g_full, eng.face_minimum(grad), settle)
+
+
+def day_paths(instance: Instance):
+    """Each party's capacity path, customers first, then the DisCo: the
+    party order of mpec.MpecModel.parties and of its pairs."""
+    return [CapacityPath(instance, p) for p in range(instance.customer_count + 1)]

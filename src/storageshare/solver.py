@@ -7,19 +7,18 @@ directly on complementarity pairs without big-M constants. Both run one
 tree solve (_solve_tree) on the day's capacity paths (simplex.CapacityPath,
 one per party): the caller may pass them (keyword paths; a scenario run
 builds them once for all its solves), and otherwise the solve builds them
-once. The chords, the division heuristic, the root start and the dual
-re-read all read those paths.
+once. The chords, the multiplier caps, the root start and the dual re-read
+all read those paths.
 One stitch (_stitch) writes a point's party blocks off the paths at the
-point's shares, for the heuristic's points, the root start and the
-re-read of the final incumbent: each party's multipliers from its path
-at the answer's share, kept when they are complementary to the answer's
-rows, which certifies by LP duality that every dispatch is optimal at
-its share. Every point a tree takes, a node's relaxation, a heuristic
-point or the re-read answer, passes one rule (_bilevel_feasible), so the
-two trees differ only in their branching rule. The best-first core
-(_branch_and_bound) routes every node, the root too, through one
-function and ends at one exit. Node order and therefore node counts are
-deterministic for a fixed model.
+point's shares, for the root start and the re-read of the final
+incumbent: each party's multipliers from its path at the answer's share,
+kept when they are complementary to the answer's rows, which certifies by
+LP duality that every dispatch is optimal at its share. Every point a
+tree takes, a node's relaxation or the re-read answer, passes one rule
+(_bilevel_feasible), so the two trees differ only in their branching
+rule. The best-first core (_branch_and_bound) routes every node, the root
+too, through one function and ends at one exit. Node order and therefore
+node counts are deterministic for a fixed model.
 
 The LP both trees search is the model's LP plus one chord row per party
 p: c_p.x_p <= phi_p(lo) + (phi_p(hi) - phi_p(lo)) / (hi - lo) (s_p - lo),
@@ -30,9 +29,13 @@ on [lo, hi]: each point whose dispatches are optimal satisfies the row,
 and the row cuts off relaxed points whose dispatch costs more than any
 optimal one can (the concave envelope of the value-function bound
 c_p.x_p <= phi_p(s_p)). The chord is exact, without slack, and most
-divisions then close at the root. The rows live in the tree's copy of
-the LP only; the model, its big-M form and their MPS files do not carry
-them.
+divisions then close at the root. The same LP caps each multiplier column
+at its pair's cap (mpec.pair_caps). Multipliers carry no upper-level
+cost, and a party's path duals at its share are complementary to every
+optimal dispatch there, so swapping them into a bilevel-feasible point
+keeps its objective and puts it under every cap: the caps keep an optimal
+point. The rows and caps live in the tree's copy of the LP only; the
+model, its big-M form and their MPS files do not carry them.
 
 No LP of a solve runs phase 1. Each path starts from the party's
 no-battery vertex. The paths' optimal bases at the shares' lowest bounds
@@ -60,9 +63,9 @@ import numpy as np
 
 from .instance import FEAS_TOL, Division, Instance, ScheduleSet
 from .lp import LinearProgram, Rows, evaluate
-from .mpec import MilpModel, MpecModel, _pair_slacks
+from .mpec import MilpModel, MpecModel, _pair_slacks, pair_caps
 from .oracle import check_schedule_invariants
-from .simplex import CapacityPath, Simplex
+from .simplex import Simplex, day_paths
 
 _EXIT_CODES = {"optimal": 0, "infeasible": 2, "unbounded": 3, "limit": 4}
 MODES = ("bigm", "lpcc")  # solve_milp on the big-M model, or solve_lpcc
@@ -107,9 +110,10 @@ class SolveResult:
     family_iterations: int = 0
     path_pieces: int = 0
     # the fallbacks the solve took: "family_start" (a capacity path's cold
-    # solve ran from the slack crash), "root_start" (the root LP did) and
-    # "reread" (the answer keeps the tree's multipliers, without the
-    # paths' certificate)
+    # solve ran from the slack crash), "root_start" (the root LP did),
+    # "cold_restart" (a node's warm resolve restarted cold) and "reread"
+    # (the answer keeps the tree's multipliers, without the paths'
+    # certificate)
     fallbacks: tuple = ()
 
     @property
@@ -123,16 +127,14 @@ def _relative_gap(objective: float, bound: float) -> float:
     return max(0.0, (objective - bound) / max(1.0, abs(objective)))
 
 
-def _branch_and_bound(engine: Simplex, opts, accept, branch, try_point, start=None, t0=None):
+def _branch_and_bound(engine: Simplex, opts, accept, branch, start=None, t0=None):
     """Best-first search over engine's LP. accept(x) returns (the node
     relaxation x as an incumbent, possibly re-settled, or None; x's
     violations, one per branching candidate); a node it rejects is
     branched on branch(x, violations), the two child bound-fixes. Ties on
-    the bound favor deeper nodes so plateaus dive to leaves. try_point(x)
-    may turn a rejected node relaxation into a side incumbent (x,
-    objective) without affecting the tree itself. start goes to the root's
-    Simplex.solve; t0, the perf_counter reading the time limit and
-    wall_time count from, defaults to now. The result carries no model."""
+    the bound favor deeper nodes so plateaus dive to leaves. start goes to
+    the root's Simplex.solve; the time limit and wall_time count from t0, a
+    perf_counter reading (now if None). The result carries no model."""
     t0 = time.perf_counter() if t0 is None else t0
     incumbent_x = None
     incumbent_obj = np.inf
@@ -165,16 +167,10 @@ def _branch_and_bound(engine: Simplex, opts, accept, branch, try_point, start=No
             global_bound = b
             bound_hist.append(b)
 
-    def take_incumbent(x2, obj2):
-        nonlocal incumbent_x, incumbent_obj
-        if obj2 < incumbent_obj:
-            incumbent_x, incumbent_obj = x2, obj2
-            inc_hist.append(obj2)
-
     def route(sol, fixes, parent_bound) -> str | None:
         """Count and route one solved node; returns the status that ends
         the search ("limit" or "unbounded"), or None."""
-        nonlocal node_count, iterations, seq
+        nonlocal node_count, iterations, seq, incumbent_x, incumbent_obj
         node_count += 1
         iterations += sol.iterations
         if sol.status != "optimal":
@@ -185,14 +181,10 @@ def _branch_and_bound(engine: Simplex, opts, accept, branch, try_point, start=No
         if pruned(bound):
             return None
         x, violations = accept(sol.x)
-        if x is not None:
-            take_incumbent(x, float(sol.objective))
+        if x is not None:  # not pruned, so below the incumbent
+            incumbent_x, incumbent_obj = x, float(sol.objective)
+            inc_hist.append(incumbent_obj)
             return None
-        side = try_point(sol.x)
-        if side is not None:
-            take_incumbent(*side)
-            if pruned(bound):
-                return None
         children = branch(sol.x, violations)
         heapq.heappush(heap, (bound, -len(fixes), seq, fixes, engine.snapshot(), children))
         seq += 1
@@ -259,7 +251,7 @@ def _stitch(mpec: MpecModel, paths, x: np.ndarray, dispatch: bool):
 
 def _bilevel_feasible(mpec: MpecModel, lp: LinearProgram, u_cols=None):
     """The one rule for every point a division tree takes (a node's
-    relaxation, a heuristic point, the re-read answer): accept(x) returns
+    relaxation, the re-read answer): accept(x) returns
     (x, with lp's binaries u_cols (if any) re-set to w > slack in a copy,
     when every pair product w * slack is at most _COMP_TOL and the point is
     feasible on lp at FEAS_TOL, else None; the pair products). Dual-feasible
@@ -280,40 +272,6 @@ def _bilevel_feasible(mpec: MpecModel, lp: LinearProgram, u_cols=None):
         return (x if evaluate(lp, x).feasible(FEAS_TOL) else None), prod
 
     return accept
-
-
-def _division_heuristic(mpec: MpecModel, lp: LinearProgram, paths, accept):
-    """try_point(x_relax): a capacity division turned into a feasible point
-    of the joint model, as (x, objective), or None.
-
-    Every party's dispatch LP solved at a fixed division yields, with its
-    multipliers, an exact optimality system solution (dispatch variables
-    are free, so reduced costs vanish at the optimum). Stitching those
-    together with the implied system peak gives an incumbent once accept
-    (_bilevel_feasible) takes it. The division is read off a node
-    relaxation at its exact shares; the shares rounded to 9 digits only key
-    the cache of tried divisions, and a repeat gives None. Each party's
-    dispatch at any share is a lookup on its capacity path
-    (simplex.CapacityPath), built once for the whole tree solve.
-    """
-    cap_cols = [lay.cap_col for lay in mpec.parties()]
-    seen: set = set()
-
-    def try_point(x_relax):
-        shares = np.maximum(0.0, x_relax[cap_cols])
-        key = tuple(round(float(v), 9) for v in shares)
-        if key in seen:
-            return None
-        seen.add(key)
-        x = np.zeros(lp.n_vars)
-        x[cap_cols] = shares
-        _stitch(mpec, paths, x, dispatch=True)
-        x = accept(x)[0]
-        if x is None:
-            return None
-        return x, float(lp.c @ x) + lp.objective_constant
-
-    return try_point
 
 
 def _branch_rule(mpec: MpecModel, u_cols=None):
@@ -338,8 +296,9 @@ def _branch_rule(mpec: MpecModel, u_cols=None):
     return branch
 
 
-def _with_chords(mpec: MpecModel, lp: LinearProgram, paths):
-    """lp plus one chord row per party p over its share column s_p:
+def _tree_lp(mpec: MpecModel, lp: LinearProgram, paths):
+    """lp with each pair's multiplier column capped at mpec.pair_caps(paths)
+    and one chord row per party p over its share column s_p:
 
         -c_p.x_p + slope_p s_p >= -phi_p(lo) + slope_p lo,
 
@@ -360,8 +319,11 @@ def _with_chords(mpec: MpecModel, lp: LinearProgram, paths):
         idx.append(cols)
         val.append(coefs)
         off.append(slope * lo - phi_lo)
+    ub = lp.ub.copy()
+    ub[mpec.pairs[:, 0]] = pair_caps(paths)
     return replace(
         lp,
+        ub=ub,
         g=Rows.stack([lp.g, Rows.from_lists(idx, val)]),
         b_g=np.append(lp.b_g, off),
     )
@@ -419,23 +381,22 @@ def _root_start(mpec: MpecModel, lp: LinearProgram, paths, u_cols=None):
 def _solve_tree(mpec: MpecModel, model, lp: LinearProgram, options: SolveOptions | None,
                 u_cols=None, paths=None, t0=None) -> SolveResult:
     """Each party's capacity path (built here unless the caller passes the
-    day's paths), then the best-first tree over lp and its chord rows from
-    the paths' root start, with the division heuristic on the paths, then
-    the dual re-read of the incumbent off the same paths. u_cols are lp's
-    binary columns, if it has any: they pick the branching rule
-    (_branch_rule), and every point the solve takes passes one rule
-    (_bilevel_feasible on lp). The clock and the time limit cover it all,
-    the paths it builds included, from t0 (solve_milp's)."""
+    day's paths), then the best-first tree over lp with its caps and chord
+    rows (_tree_lp) from the paths' root start, then the dual re-read of
+    the incumbent off the same paths. u_cols are lp's binary columns, if it
+    has any: they pick the branching rule (_branch_rule), and every point
+    the solve takes passes one rule (_bilevel_feasible on lp). The clock
+    and the time limit cover it all, the paths it builds included, from t0
+    (solve_milp's)."""
     t0 = time.perf_counter() if t0 is None else t0
     if paths is None:
-        paths = [CapacityPath(mpec.instance, p) for p in range(len(mpec.parties()))]
+        paths = day_paths(mpec.instance)
     accept = _bilevel_feasible(mpec, lp, u_cols)
-    tree_lp = _with_chords(mpec, lp, paths)
+    tree_lp = _tree_lp(mpec, lp, paths)
     start = _root_start(mpec, tree_lp, paths, u_cols)
     engine = Simplex(tree_lp)
     result = _branch_and_bound(engine, options or SolveOptions(), accept,
-                               _branch_rule(mpec, u_cols),
-                               _division_heuristic(mpec, lp, paths, accept), start=start, t0=t0)
+                               _branch_rule(mpec, u_cols), start=start, t0=t0)
     x = result.x
     if x is not None:
         x = x.copy()
@@ -444,6 +405,7 @@ def _solve_tree(mpec: MpecModel, model, lp: LinearProgram, options: SolveOptions
     fallbacks = tuple(name for name, taken in (
         ("family_start", any(path.engine.start_rejects for path in paths)),
         ("root_start", start is None or engine.start_rejects > 0),
+        ("cold_restart", engine.cold_restarts > 0),
         ("reread", result.x is not None and x is None)) if taken)
     return replace(result, model=model, x=result.x if x is None else x, fallbacks=fallbacks,
                    family_iterations=sum(path.iterations for path in paths),

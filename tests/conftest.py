@@ -75,7 +75,7 @@ def division_fixture_n2(seed):
 def interior_fixture():
     """A one-customer day whose optimal division is interior (about 9.9 of
     11.0 kWh to the DisCo): the chord rows do not close it at the root,
-    so both trees branch (59 lpcc nodes, 53 bigm)."""
+    so both trees branch (9 lpcc nodes, 9 bigm)."""
     return division_fixture(200)
 
 
@@ -85,10 +85,10 @@ def stress_fixture():
     return rand_instance(g, n=2, t=12, total_capacity=float(g.uniform(5.0, 15.0)))
 
 
-def day_long(n):
-    """A day of 24 slots with n customers."""
-    g = np.random.default_rng([5, n, 24])
-    return rand_instance(g, n=n, t=24, total_capacity=float(g.uniform(5.0, 15.0)))
+def day_long(n, t=24):
+    """A day of t slots (24 unless given) with n customers."""
+    g = np.random.default_rng([5, n, t])
+    return rand_instance(g, n=n, t=t, total_capacity=float(g.uniform(5.0, 15.0)))
 
 
 def lower_level_excess(mpec, x):

@@ -77,10 +77,10 @@ def test_engine_optimum_satisfies_kkt(rng):
 @pytest.mark.parametrize("name", [name for name, _ in DIVISION_FIXTURES])
 def test_capacity_family_duals_satisfy_kkt(name):
     """Every party's capacity path looked up at five capacities, up then
-    down: the multipliers the division heuristic stitches into its points
-    certify each party optimum. The sign rows (dis_nonneg, ch_nonneg) are
-    column bounds inside the engine, so their multipliers come back
-    through the reduced costs."""
+    down: the multipliers the trees stitch into the root start and the
+    answer certify each party optimum. The sign rows (dis_nonneg,
+    ch_nonneg) are column bounds inside the engine, so their multipliers
+    come back through the reduced costs."""
     inst = dict(DIVISION_FIXTURES)[name]()
     caps = np.linspace(0.0, inst.storage.total_capacity, 5)
     for p in range(inst.customer_count + 1):

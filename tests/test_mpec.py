@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from storageshare.lp import build_llm_c, build_llm_d
-from storageshare.mpec import assemble_mpec, linearize_big_m, validate_big_m
-from storageshare.simplex import CapacityPath
+from storageshare import solver
+from storageshare.lp import build_llm_c, build_llm_d, build_party_lp
+from storageshare.mpec import assemble_mpec, linearize_big_m, pair_caps, validate_big_m
+from storageshare.simplex import Simplex, day_paths
 from storageshare.solver import _pair_slacks, solve_lpcc
 from tests.conftest import DIVISION_FIXTURES, day_long, rand_instance, stress_fixture
 from tests.lp_oracle import derive_kkt, make_lp, row_value
@@ -251,17 +252,37 @@ def test_pair_row_semantics(rng):
     assert b < 0  # slack beyond M is cut off even though omega*g = 0
 
 
+def _box_days():
+    return [build() for _, build in DIVISION_FIXTURES] + [stress_fixture(), day_long(1),
+                                                         day_long(2)]
+
+
+def test_path_duals_are_complementary_to_every_optimal_dispatch():
+    # the caps rest on this: at any share, the path's multipliers are
+    # complementary to an optimal dispatch found with no help from the path
+    # (a cold solve from the slack crash), so swapping them into a
+    # bilevel-feasible point keeps it feasible at the same objective
+    for inst in _box_days():
+        for p, path in enumerate(day_paths(inst)):
+            for share in np.linspace(0.0, inst.storage.total_capacity, 41):
+                lp = build_party_lp(inst, p, share)
+                sol = Simplex(lp).solve()
+                assert sol.status == "optimal"
+                slack = lp.g.dot(sol.x) - lp.b_g
+                prod = np.abs(slack * path.at(share).dual_g).max(initial=0.0)
+                assert prod <= 1e-9, (p, share, prod)
+
+
 def test_path_floor_covers_every_multiplier():
     # the fixed multiplier bound is max(1, 1000 p dt), p the largest price
     # magnitude; the day's paths floor each pair's at 1.1 times the largest
     # multiplier its row takes on the party's path, plus 1e-3, read here at
     # every breakpoint and 41 shares between, and on these days the floor
-    # lifts no bound, so the solved form is the exported one
-    days = [build() for _, build in DIVISION_FIXTURES] + [stress_fixture(), day_long(1),
-                                                         day_long(2)]
-    for inst in days:
+    # lifts no bound, so the solved form is the exported one; both trees
+    # cap each multiplier column at the same value
+    for inst in _box_days():
         mpec = assemble_mpec(inst)
-        paths = [CapacityPath(inst, p) for p in range(inst.customer_count + 1)]
+        paths = day_paths(inst)
         price = max(float(np.abs(inst.prices.lmp).max()), float(inst.prices.tou.max()),
                     inst.weights.alpha)
         fixed = linearize_big_m(mpec)
@@ -270,6 +291,9 @@ def test_path_floor_covers_every_multiplier():
         np.testing.assert_array_equal(floored.m_omega, fixed.m_omega)
         np.testing.assert_array_equal(floored.m_slack, fixed.m_slack)
         assert floored.lifted == fixed.lifted == 0
+        for lp in (mpec.lp, floored.lp):
+            tree_lp = solver._tree_lp(mpec, lp, paths)
+            np.testing.assert_array_equal(tree_lp.ub[mpec.pairs[:, 0]], pair_caps(paths))
         m_of = np.zeros(mpec.lp.n_vars)  # each multiplier column's bound
         m_of[mpec.pairs[:, 0]] = floored.m_omega
         c = inst.storage.total_capacity

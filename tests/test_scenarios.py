@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from storageshare import mpec as mpec_module
-from storageshare import scenarios, solver
+from storageshare import scenarios, simplex
 from storageshare.instance import customer_cost_total, make_instance, zero_schedules
 from storageshare.mpec import assemble_mpec
 from storageshare.scenarios import (
@@ -195,13 +195,13 @@ def test_bigm_path_build_counts_against_the_time_limit(monkeypatch):
     # a bigm solve built the day's paths before its tree and off its clock,
     # so a day whose paths took longer than the time limit still solved
     mpec = assemble_mpec(dict(DIVISION_FIXTURES)["mix202"]())
-    build = scenarios._day_paths
+    build = scenarios.day_paths
 
     def slow(instance):
         time.sleep(0.3)
         return build(instance)
 
-    monkeypatch.setattr(scenarios, "_day_paths", slow)
+    monkeypatch.setattr(scenarios, "day_paths", slow)
     t0 = time.perf_counter()
     res, _, _ = solve_division(mpec, SolveOptions(time_limit=0.2), "bigm")
     assert (res.status, res.exit_code, res.node_count) == ("limit", 4, 0)
@@ -296,8 +296,9 @@ def test_scenario_error_carries_solver_status():
 
 
 def _count_paths(monkeypatch):
-    """Patch a CapacityPath that counts its builds into solver and
-    scenarios; returns the list each build appends its party to."""
+    """Patch a CapacityPath that counts its builds into simplex (for
+    day_paths) and scenarios; returns the list each build appends its
+    party to."""
     built = []
 
     class Counting(CapacityPath):
@@ -305,7 +306,7 @@ def _count_paths(monkeypatch):
             built.append(party)
             super().__init__(instance, party)
 
-    monkeypatch.setattr(solver, "CapacityPath", Counting)
+    monkeypatch.setattr(simplex, "CapacityPath", Counting)
     monkeypatch.setattr(scenarios, "CapacityPath", Counting)
     return built
 

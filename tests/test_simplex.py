@@ -24,6 +24,7 @@ from storageshare.simplex import (
     _initial_status,
     _pivot_inverse,
     _reanchor,
+    day_paths,
 )
 from tests.conftest import (
     DIVISION_FIXTURES,
@@ -649,7 +650,8 @@ def test_warm_resolves_start_from_a_kept_or_a_rebuilt_inverse(monkeypatch):
     assert tree_calls == res.node_count - 1
     assert tree_calls == sum(e.warm_hits + e.warm_rebuilds for e in engines)
     assert sum(e.warm_hits for e in engines) > 0
-    # the heuristic reads the parties' capacity paths, which re-solve nothing
+    # the root start and the re-read read the parties' capacity paths,
+    # which re-solve nothing
     assert sum(calls.values()) == tree_calls
 
 
@@ -1024,7 +1026,7 @@ def _path_days():
     out = []
     for name, build in days:
         inst = build()
-        out.append((name, inst, [CapacityPath(inst, p) for p in range(inst.customer_count + 1)]))
+        out.append((name, inst, day_paths(inst)))
     return out
 
 

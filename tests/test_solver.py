@@ -10,7 +10,7 @@ from storageshare.lp import build_llm_c, build_llm_d, build_party_lp, evaluate
 from storageshare.mpec import assemble_mpec, linearize_big_m, validate_big_m
 from storageshare.oracle import grid_oracle
 from storageshare.scenarios import _pin_customers_only, solve_division
-from storageshare.simplex import CapacityPath, Simplex
+from storageshare.simplex import CapacityPath, Simplex, SimplexError, day_paths
 from storageshare.solver import SolveOptions, extract_solution, solve_lpcc, solve_milp
 from tests.conftest import (
     DIVISION_FIXTURES,
@@ -44,7 +44,7 @@ def solve_binary(lp, cols):
         col = int(cols[np.argmax(f)])
         return (col, 0.0, 0.0), (col, 1.0, 1.0)
 
-    return solver._branch_and_bound(Simplex(lp), SolveOptions(), accept, branch, lambda x: None)
+    return solver._branch_and_bound(Simplex(lp), SolveOptions(), accept, branch)
 
 
 def random_knapsack(rng, n=10):
@@ -191,8 +191,8 @@ def test_root_at_its_iteration_limit_proves_no_bound(monkeypatch, mode):
 
 
 def test_one_capacity_path_per_party_per_tree_solve(monkeypatch):
-    # each tree solve builds every party's path once; the chords, the root
-    # start, the heuristic's points and the re-read all read those objects
+    # each tree solve builds every party's path once; the tree LP's caps
+    # and chords, the root start and the re-read all read those objects
     built, reads = [], []
 
     class Path(CapacityPath):
@@ -206,10 +206,10 @@ def test_one_capacity_path_per_party_per_tree_solve(monkeypatch):
             return fn(*args, **kw)
         return wrapped
 
-    monkeypatch.setattr(solver, "CapacityPath", Path)
-    for name, at in (("_with_chords", 2), ("_root_start", 2), ("_stitch", 1)):
+    monkeypatch.setattr(simplex, "CapacityPath", Path)
+    for name, at in (("_tree_lp", 2), ("_root_start", 2), ("_stitch", 1)):
         monkeypatch.setattr(solver, name, reading(name.strip("_"), getattr(solver, name), at))
-    mpec = assemble_mpec(interior_fixture())  # its root branches: the heuristic runs
+    mpec = assemble_mpec(interior_fixture())  # its root branches
     parties = len(mpec.parties())
     for solve in (lambda: solve_lpcc(mpec), lambda: solve_milp(linearize_big_m(mpec))):
         built.clear()
@@ -218,8 +218,8 @@ def test_one_capacity_path_per_party_per_tree_solve(monkeypatch):
         assert res.status == "optimal" and res.node_count > 1 and res.fallbacks == ()
         assert len(built) == parties
         names = [name for name, _ in reads]
-        assert names.count("with_chords") == names.count("root_start") == names.count("reread") == 1
-        assert names.count("stitch") >= 2  # the root start's and the heuristic's
+        assert names.count("tree_lp") == names.count("root_start") == names.count("reread") == 1
+        assert names.count("stitch") == 1  # the root start's
         for _, paths in reads:
             assert len(paths) == parties and all(a is b for a, b in zip(paths, built))
 
@@ -349,9 +349,8 @@ def test_zero_capacity_division_is_exact():
 
 
 def _tree_lp(mpec):
-    """The LP the trees search: mpec.lp plus the chord rows."""
-    paths = [CapacityPath(mpec.instance, p) for p in range(len(mpec.parties()))]
-    return solver._with_chords(mpec, mpec.lp, paths)
+    """The LP the trees search: mpec.lp with its caps and chord rows."""
+    return solver._tree_lp(mpec, mpec.lp, day_paths(mpec.instance))
 
 
 def test_value_functions_lie_on_or_below_their_chords():
@@ -470,9 +469,7 @@ def test_trees_take_no_point_with_a_slipping_pair(monkeypatch, mode):
 
 
 def test_long_day_closes_on_the_relaxation_shares():
-    # stitched at shares rounded to 9 digits, the heuristic's incumbent
-    # sat 2.9e-9 above the bound, which the 1e-9 prune cannot close, and
-    # the tree ran past a 100-node budget
+    # the free long day proves its optimum within a 100-node budget
     mpec = assemble_mpec(day_long(2))
     res = solve_lpcc(mpec, SolveOptions(node_limit=100))
     assert res.status == "optimal"
@@ -480,30 +477,40 @@ def test_long_day_closes_on_the_relaxation_shares():
     assert_lower_level_optimal(mpec, res)
 
 
+@pytest.mark.parametrize("n,t,mode,optimum", [(2, 24, "lpcc", 273.48460920095727),
+                                               (2, 24, "bigm", 273.48460920095727),
+                                               (5, 12, "lpcc", 417.6708056409256)])
+def test_capped_trees_prove_customers_only_days(n, t, mode, optimum):
+    # with the multiplier columns uncapped, customers-only day_long(2)
+    # took 1,743 (lpcc) and 1,891 (bigm) nodes, and the N=5, T=12 day
+    # ended "limit" after 3,000; capped, each takes under 300
+    mpec = _pin_customers_only(assemble_mpec(day_long(n, t)))
+    res = solve_division(mpec, SolveOptions(node_limit=400), mode, None)[0]
+    assert res.status == "optimal"
+    assert abs(res.objective - optimum) <= 1e-6 * max(1.0, abs(optimum))
+    assert_lower_level_optimal(mpec, res)
+
+
 def test_wall_time_covers_the_work_before_the_root(monkeypatch):
-    # the heuristic's capacity paths and the chord rows are built before
-    # the root LP, and the clock and the time limit count them
-    chords = solver._with_chords
+    # the capacity paths and the tree LP are built before the root LP, and
+    # the clock and the time limit count them
+    tree_lp = solver._tree_lp
 
     def slow(*args):
         time.sleep(0.05)
-        return chords(*args)
+        return tree_lp(*args)
 
-    monkeypatch.setattr(solver, "_with_chords", slow)
+    monkeypatch.setattr(solver, "_tree_lp", slow)
     res = solve_lpcc(assemble_mpec(division_fixture(202)))
     assert res.status == "optimal" and res.wall_time >= 0.05
 
 
 @pytest.mark.parametrize("mode", solver.MODES)
 def test_each_fallback_is_named_and_changes_no_answer(monkeypatch, mode):
-    mpec = assemble_mpec(division_fixture_n2(219))
-
-    def solve():
+    def solve(mpec):
         return solve_lpcc(mpec) if mode == "lpcc" else solve_milp(linearize_big_m(mpec))
 
-    clean = solve()
-    assert clean.status == "optimal" and clean.fallbacks == ()
-    start, stitch = solver._root_start, solver._stitch
+    start, stitch, dual_loop = solver._root_start, solver._stitch, Simplex._dual_loop
 
     def short_start(*args):  # one basic column short: the engine rejects it
         basic, x = start(*args)
@@ -515,18 +522,31 @@ def test_each_fallback_is_named_and_changes_no_answer(monkeypatch, mode):
             x[mpec.pairs[:, 0]] += 1.0
         return out
 
+    raised = []
+
+    def failing_once(self):  # a node's warm resolve: it restarts cold
+        if not raised:
+            raised.append(self)
+            raise SimplexError("forced")
+        return dual_loop(self)
+
     spoiled = corrupted_starts(simplex.no_battery_start)
+    pair, branching = division_fixture_n2(219), interior_fixture()  # the second branches
     forced = (
-        ("family_start", simplex, "no_battery_start", spoiled["duplicate column"]),
-        ("family_start", simplex, "no_battery_start", spoiled["folded row's surplus"]),
-        ("root_start", solver, "_root_start", short_start),
-        ("root_start", solver, "_root_start", lambda *args: None),  # no start built
-        ("reread", solver, "_stitch", spoiled_reread),
+        ("family_start", pair, simplex, "no_battery_start", spoiled["duplicate column"]),
+        ("family_start", pair, simplex, "no_battery_start", spoiled["folded row's surplus"]),
+        ("root_start", pair, solver, "_root_start", short_start),
+        ("root_start", pair, solver, "_root_start", lambda *args: None),  # no start built
+        ("reread", pair, solver, "_stitch", spoiled_reread),
+        ("cold_restart", branching, Simplex, "_dual_loop", failing_once),
     )
-    for name, owner, attr, patch in forced:
+    for name, inst, owner, attr, patch in forced:
+        mpec = assemble_mpec(inst)
+        clean = solve(mpec)
+        assert clean.status == "optimal" and clean.fallbacks == ()
         with monkeypatch.context() as m:
             m.setattr(owner, attr, patch)
-            res = solve()
+            res = solve(mpec)
         assert res.fallbacks == (name,)
         assert res.status == clean.status
         assert abs(res.objective - clean.objective) <= 1e-9 * max(1.0, abs(clean.objective))
@@ -534,6 +554,7 @@ def test_each_fallback_is_named_and_changes_no_answer(monkeypatch, mode):
             assert res.root_iterations > clean.root_iterations
         if name == "family_start":  # the paths' cold solves ran phase 1
             assert res.family_iterations > clean.family_iterations
+    assert len(raised) == 1
 
 
 TREE_DAYS = DIVISION_FIXTURES + (("stress", stress_fixture),
@@ -544,10 +565,10 @@ TREE_DAYS = DIVISION_FIXTURES + (("stress", stress_fixture),
 @pytest.mark.parametrize("name,build", TREE_DAYS, ids=[name for name, _ in TREE_DAYS])
 def test_root_start_agrees_with_the_slack_crash(monkeypatch, name, build):
     # the day by both trees, free and with the whole battery given to the
-    # customers, from the paths' start and from the slack crash alone;
-    # a solve the node budget stops has a path-dependent incumbent, so
-    # there the two answers need only bound each other
-    opts = SolveOptions(node_limit=200)
+    # customers, from the paths' start and from the slack crash alone, each
+    # run to proof: the two starts take different node counts (customers-only
+    # pair236 by lpcc: 221 nodes started, 141 crashed), not different answers
+    opts = SolveOptions(node_limit=4000)
     inst = build()
     for pinned in (False, True):
         mpec = assemble_mpec(inst)
@@ -559,14 +580,11 @@ def test_root_start_agrees_with_the_slack_crash(monkeypatch, name, build):
                 m.setattr(solver, "_root_start", lambda *args: None)
                 crashed = solve_division(mpec, opts, mode, None)[0]
             case = (name, pinned, mode)
-            assert started.status == crashed.status, case
+            assert started.status == crashed.status == "optimal", case
             scale = 1e-9 * max(1.0, abs(crashed.objective))
-            if started.status == "optimal":
-                assert abs(started.objective - crashed.objective) <= scale, case
-            else:
-                assert started.status == "limit", case
-                assert started.best_bound <= crashed.objective + scale, case
-                assert crashed.best_bound <= started.objective + scale, case
-            assert started.fallbacks == (), case  # the pinned shares start at a vertex too
+            assert abs(started.objective - crashed.objective) <= scale, case
+            # the pinned shares start at a vertex too; customers-only
+            # day_long2 by bigm restarts one warm resolve cold
+            assert set(started.fallbacks) <= {"cold_restart"}, case
             if mode == "bigm":
                 assert validate_big_m(started.model, started.x).clean, case
