@@ -56,15 +56,18 @@ def _load(args):
 
 
 def _solve_settings(args, config):
-    """Solve options and mode: the config's, with --time-limit/--mode applied."""
-    opts = config.solve_options()
-    if args.time_limit is not None:
-        try:
-            opts = replace(opts, time_limit=args.time_limit)
-        except ValueError as exc:
-            raise DataError(f"--time-limit: {exc}") from None
-    mode = args.mode if args.mode is not None else config.values["mode"]
-    return opts, mode
+    """(config, solve options, mode) of the run: the config with
+    --time-limit and --mode folded in as given keys, so that a report
+    names the settings that ran."""
+    flags = {key: value for key, value in (("time_limit", args.time_limit), ("mode", args.mode))
+             if value is not None}
+    config = replace(config, values={**config.values, **flags},
+                     provided=config.provided | set(flags))
+    try:
+        opts = config.solve_options()
+    except ValueError as exc:  # the file's values are checked already: the flag is bad
+        raise DataError(f"--time-limit: {exc}") from None
+    return config, opts, config.values["mode"]
 
 
 def _print_division(division):
@@ -98,7 +101,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance, config = _load(args)
-    opts, mode = _solve_settings(args, config)
+    config, opts, mode = _solve_settings(args, config)
     result, escalations, notes = solve_division(assemble_mpec(instance), opts, mode)
     print(f"status = {result.status}")
     print(f"nodes = {result.node_count}")
@@ -137,7 +140,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_scenario(args) -> int:
     instance, config = _load(args)
-    opts, mode = _solve_settings(args, config)
+    config, opts, mode = _solve_settings(args, config)
     try:
         reports = run_all_scenarios(instance, opts, mode=mode)
     except ScenarioError as exc:
@@ -153,8 +156,7 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_cycle(args) -> int:
-    config = parse_config(args.config)
-    opts, mode = _solve_settings(args, config)
+    config, opts, mode = _solve_settings(args, parse_config(args.config))
     days = [load_inputs(loads, prices, config) for loads, prices in args.day]
     result = daily_cycle(days, opts, mode=mode)
     for r in result.reports:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import FEAS_TOL, Division, Instance, ScheduleSet, flow_price, soc_trajectory
-from .simplex import CapacityPath
+from .simplex import day_paths
 
 GRID_GUARD = 200_000
 _BLOCK = 4096  # grid points scored per array pass
@@ -184,9 +184,8 @@ def grid_oracle(instance: Instance, step: float) -> OracleReport:
     face = np.empty_like(raw)
     lower = np.empty((n + 1, k_max + 1))
     notes = []
-    for p in range(n + 1):  # party order: customers 0..n-1, then disco
+    for p, path in enumerate(day_paths(instance)):  # customers 0..n-1, then disco
         j = (p + 1) % (n + 1)
-        path = CapacityPath(instance, p)
         for k in range(k_max + 1):
             sol, x_face = path.flow_face(k * step, price)
             raw[j, k] = sol.x[:t] - sol.x[t: 2 * t]

@@ -17,10 +17,11 @@ baseline are reported as zero. Reports on Customers rows are group
 figures, not individual bills.
 
 Scenarios 2 and 3 solve the division model in lpcc or bigm mode
-(solve_division). In bigm mode the big-M form is solved once: its pair
-bounds take mpec's fixed sizes, each multiplier bound floored at its
-capacity path's maximum, which makes the form exact (mpec's notes), and
-a bound still near-binding at the answer is a note in the day's report.
+(solve_division). In bigm mode the tree builds its own big-M form and
+solves it once: its pair bounds take mpec's fixed sizes, each multiplier
+bound floored at its capacity path's maximum, which makes the form exact
+(mpec's notes), and a bound still near-binding at the answer is a note in
+the day's report.
 
 run_all_scenarios builds the day's capacity paths (simplex.CapacityPath,
 one per party) and its division model once: scenario 1 reads the
@@ -56,7 +57,7 @@ from .instance import (
     zero_schedules,
 )
 from .lp import Rows
-from .mpec import assemble_mpec, linearize_big_m, validate_big_m
+from .mpec import assemble_mpec, validate_big_m
 from .simplex import CapacityPath, day_paths
 from .solver import (_EXIT_CODES, DEFAULT_MODE, MODES, SolveOptions, extract_solution,
                      solve_lpcc, solve_milp)
@@ -204,19 +205,16 @@ def _check_mode(mode: str):
 
 def solve_division(mpec, opts: SolveOptions, mode: str, paths=None):
     """Run the joint model in the requested mode. paths, if given, are the
-    day's capacity paths (one per party, as solve_lpcc takes them); a bigm
-    solve builds them, when none are given, on its own clock. They floor
-    the big-M form's multiplier bounds (linearize_big_m), and the one
-    solve's answer is validated; a near-binding bound is noted by side.
+    day's capacity paths (one per party, as both trees take them). A bigm
+    solve builds its own big-M form, floored by the paths (solve_milp),
+    and its answer is validated; a near-binding bound is noted by side.
     Returns (result, escalations, notes), escalations being the number of
     pairs whose bound the floor lifted, noted when there are any."""
     _check_mode(mode)
     if mode == "lpcc":
         return solve_lpcc(mpec, opts, paths=paths), 0, []
-    t0 = time.perf_counter()
-    paths = day_paths(mpec.instance) if paths is None else paths
-    milp = linearize_big_m(mpec, paths)
-    result = solve_milp(milp, opts, paths=paths, t0=t0)
+    result = solve_milp(mpec, opts, paths=paths)
+    milp = result.model
     notes = []
     if milp.lifted:
         notes.append(f"{milp.lifted} multiplier bounds lifted to their capacity path's maximum")

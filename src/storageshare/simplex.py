@@ -70,8 +70,7 @@ D a +-1 diagonal, and only the structural block B11 (structural columns on
 the rows no unit column covers) is inverted densely. Between rebuilds each
 pivot applies the product-form rank-one update to the rows where the
 entering column is nonzero and the columns where the pivot row is
-nonzero, and to the whole inverse only when that block is not much
-smaller.
+nonzero.
 
 The engine keeps the inverses of the last few bases it finished on or
 warm-started from, keyed by the basis, each with the count of pivots
@@ -129,8 +128,6 @@ _DEGEN_TOL = 1e-10
 _BLAND_AFTER = 50
 _REFACTOR_EVERY = 100
 _KEEP_INVERSES = 3  # best-first often pops a child after its parent's sibling
-# the gathered block update beats a dense one below this share of m^2
-_SPARSE_UPDATE_SHARE = 0.25
 
 
 class SimplexError(RuntimeError):
@@ -147,12 +144,7 @@ def _pivot_inverse(binv: np.ndarray, w: np.ndarray, r: int):
     rows = np.flatnonzero(w)
     rows = rows[rows != r]
     cols = np.flatnonzero(binv[r])
-    if rows.size * cols.size < _SPARSE_UPDATE_SHARE * binv.size:
-        binv[rows[:, None], cols] -= np.outer(w[rows], binv[r, cols])
-    else:
-        others = w.copy()
-        others[r] = 0.0
-        binv -= np.outer(others, binv[r])
+    binv[rows[:, None], cols] -= np.outer(w[rows], binv[r, cols])
 
 
 def _initial_status(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -1,14 +1,15 @@
 """Branch-and-bound drivers for the division model over the embedded
 simplex engine.
 
-Two entry points: solve_milp branches on the binaries of a big-M
-linearized division model (mpec.MilpModel), and solve_lpcc branches
-directly on complementarity pairs without big-M constants. Both run one
-tree solve (_solve_tree) on the day's capacity paths (simplex.CapacityPath,
-one per party): the caller may pass them (keyword paths; a scenario run
-builds them once for all its solves), and otherwise the solve builds them
-once. The chords, the multiplier caps, the root start and the dual re-read
-all read those paths.
+Two entry points take the division model (mpec.MpecModel): solve_milp
+branches on the binaries of its big-M form, which it builds floored by the
+paths (linearize_big_m(mpec, paths), exact), and solve_lpcc branches on
+complementarity pairs without big-M constants. Both run one tree solve
+(_solve_tree) on the day's capacity paths (simplex.CapacityPath, one per
+party): the caller may pass them (keyword paths; a scenario run builds
+them once for all its solves), and otherwise the solve builds them once.
+The big-M floor, the chords, the multiplier caps, the root start and the
+dual re-read all read those paths.
 One stitch (_stitch) writes a point's party blocks off the paths at the
 point's shares, for the root start and the re-read of the final
 incumbent: each party's multipliers from its path at the answer's share,
@@ -45,12 +46,13 @@ it: each party's primal basis, the complementary dual basis on its
 stationarity rows, peak on its tightest row and a surplus on every other
 row (_root_start). The engine checks each start and runs phase 2 from
 it; a rejected start falls back to the slack crash. Each fallback a
-solve takes is named in SolveResult.fallbacks,
+solve takes is named in SolveResult.fallbacks, and
 SolveResult.family_iterations and .path_pieces count the paths' pivots
-and pieces, and the clock and time limit run from the start of the
-whole solve, the paths it builds and the chords included; the node and
-time budget is checked before each node is solved and each solved node
-is branched.
+and pieces. The clock and time limit run from the start of the whole
+solve, the paths, the big-M form and the chords it builds included; the
+node and time budget is checked before each node is solved and each
+solved node is branched. The search stops when the lowest open bound is
+within SolveOptions.gap_target of the incumbent.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ import numpy as np
 
 from .instance import FEAS_TOL, Division, Instance, ScheduleSet
 from .lp import LinearProgram, Rows, evaluate
-from .mpec import MilpModel, MpecModel, _pair_slacks, pair_caps
+from .mpec import MilpModel, MpecModel, _pair_slacks, linearize_big_m, pair_caps
 from .oracle import check_schedule_invariants
 from .simplex import Simplex, day_paths
 
@@ -132,8 +134,10 @@ def _branch_and_bound(engine: Simplex, opts, accept, branch, start=None, t0=None
     relaxation x as an incumbent, possibly re-settled, or None; x's
     violations, one per branching candidate); a node it rejects is
     branched on branch(x, violations), the two child bound-fixes. Ties on
-    the bound favor deeper nodes so plateaus dive to leaves. start goes to
-    the root's Simplex.solve; the time limit and wall_time count from t0, a
+    the bound favor deeper nodes so plateaus dive to leaves. A bound within
+    1e-9 of the incumbent prunes; a popped node, the lowest open bound,
+    within opts.gap_target of it ends the search optimal. start goes to the
+    root's Simplex.solve; the time limit and wall_time count from t0, a
     perf_counter reading (now if None). The result carries no model."""
     t0 = time.perf_counter() if t0 is None else t0
     incumbent_x = None
@@ -144,25 +148,13 @@ def _branch_and_bound(engine: Simplex, opts, accept, branch, start=None, t0=None
     todo = [((), None, -np.inf)]  # nodes to solve: (fixes, parent snapshot, parent bound)
     seq = 0
     global_bound = -np.inf
-    gap_floor = np.inf  # lowest bound of a node that only gap_target pruned
     node_count = iterations = root_iterations = 0
 
-    def prune_eps() -> float:
-        if not np.isfinite(incumbent_obj):
-            return 0.0
-        return 1e-9 + opts.gap_target * max(1.0, abs(incumbent_obj))
-
     def pruned(bound: float) -> bool:
-        nonlocal gap_floor
-        if incumbent_x is None or bound < incumbent_obj - prune_eps():
-            return False
-        if bound < incumbent_obj - 1e-9:
-            gap_floor = min(gap_floor, bound)
-        return True
+        return bound >= incumbent_obj - 1e-9
 
     def raise_bound(b: float):
         nonlocal global_bound
-        b = min(b, gap_floor)  # a subtree the gap target pruned stays unsearched
         if b > global_bound:
             global_bound = b
             bound_hist.append(b)
@@ -209,11 +201,15 @@ def _branch_and_bound(engine: Simplex, opts, accept, branch, start=None, t0=None
         else:
             bound, _, _, fixes, snap, children = heapq.heappop(heap)
             raise_bound(bound)
-            if not pruned(bound):
+            if pruned(bound):
+                continue
+            if _relative_gap(incumbent_obj, bound) <= opts.gap_target:
+                stop = "optimal"  # best-first: no open node has a lower bound
+            else:
                 todo = [(fixes + (fix,), snap, bound) for fix in children]
 
     status = stop or ("infeasible" if incumbent_x is None else "optimal")
-    if status == "optimal":
+    if stop is None and incumbent_x is not None:  # every node searched
         raise_bound(incumbent_obj)
     x = None if status == "unbounded" else incumbent_x
     objective = incumbent_obj if x is not None else np.nan
@@ -378,21 +374,22 @@ def _root_start(mpec: MpecModel, lp: LinearProgram, paths, u_cols=None):
     return basic, x
 
 
-def _solve_tree(mpec: MpecModel, model, lp: LinearProgram, options: SolveOptions | None,
-                u_cols=None, paths=None, t0=None) -> SolveResult:
+def _solve_tree(mpec: MpecModel, options: SolveOptions | None, paths, bigm: bool) -> SolveResult:
     """Each party's capacity path (built here unless the caller passes the
-    day's paths), then the best-first tree over lp with its caps and chord
-    rows (_tree_lp) from the paths' root start, then the dual re-read of
-    the incumbent off the same paths. u_cols are lp's binary columns, if it
-    has any: they pick the branching rule (_branch_rule), and every point
-    the solve takes passes one rule (_bilevel_feasible on lp). The clock
-    and the time limit cover it all, the paths it builds included, from t0
-    (solve_milp's)."""
-    t0 = time.perf_counter() if t0 is None else t0
+    day's paths); with bigm the big-M form floored by them, else mpec; then
+    the best-first tree over that model's LP with its caps and chord rows
+    (_tree_lp) from the paths' root start, and the dual re-read of the
+    incumbent off the same paths. The form's binaries pick the branching
+    rule (_branch_rule), and every point the solve takes passes one rule
+    (_bilevel_feasible on the model's LP). The clock and the time limit
+    cover it all."""
+    t0 = time.perf_counter()
     if paths is None:
         paths = day_paths(mpec.instance)
-    accept = _bilevel_feasible(mpec, lp, u_cols)
-    tree_lp = _tree_lp(mpec, lp, paths)
+    model = linearize_big_m(mpec, paths) if bigm else mpec
+    u_cols = model.binary_cols if bigm else None
+    accept = _bilevel_feasible(mpec, model.lp, u_cols)
+    tree_lp = _tree_lp(mpec, model.lp, paths)
     start = _root_start(mpec, tree_lp, paths, u_cols)
     engine = Simplex(tree_lp)
     result = _branch_and_bound(engine, options or SolveOptions(), accept,
@@ -413,19 +410,18 @@ def _solve_tree(mpec: MpecModel, model, lp: LinearProgram, options: SolveOptions
                    wall_time=time.perf_counter() - t0)
 
 
-def solve_milp(milp: MilpModel, options: SolveOptions | None = None, *,
-               paths=None, t0=None) -> SolveResult:
-    """Best-first branch and bound on the binaries of a linearized division
-    model, branching on the most violated complementarity pair.
+def solve_milp(mpec: MpecModel, options: SolveOptions | None = None, *,
+               paths=None) -> SolveResult:
+    """Best-first branch and bound on the binaries of the division model's
+    big-M form, branching on the most violated complementarity pair. The
+    solve builds the form, linearize_big_m(mpec, paths), as its model.
 
     The bound sequence is non-decreasing and the incumbent sequence
     non-increasing by construction (child bounds are clamped to their
     parent's). paths, if given, are the day's capacity paths, one per
-    party (simplex.CapacityPath), and the solve builds none. t0, a
-    perf_counter reading, starts its clock early (now if None).
+    party (simplex.CapacityPath), and the solve builds none.
     """
-    return _solve_tree(milp.mpec, milp, milp.lp, options, u_cols=milp.binary_cols,
-                       paths=paths, t0=t0)
+    return _solve_tree(mpec, options, paths, bigm=True)
 
 
 def solve_lpcc(mpec: MpecModel, options: SolveOptions | None = None, *,
@@ -436,7 +432,7 @@ def solve_lpcc(mpec: MpecModel, options: SolveOptions | None = None, *,
     equality, so every root-to-leaf path fixes a strictly growing set of
     columns and the tree is finite. paths as in solve_milp.
     """
-    return _solve_tree(mpec, mpec, mpec.lp, options, paths=paths)
+    return _solve_tree(mpec, options, paths, bigm=False)
 
 
 def extract_solution(result: SolveResult, instance: Instance):

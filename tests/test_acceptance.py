@@ -136,8 +136,7 @@ def test_division_solvers_triple_agreement():
     for name, build in DIVISION_FIXTURES:
         inst = build()
         mpec = assemble_mpec(inst)
-        milp = linearize_big_m(mpec)
-        rm = solve_milp(milp)
+        rm = solve_milp(mpec)
         rl = solve_lpcc(mpec)
         assert rm.status == "optimal" and rl.status == "optimal", name
         step = inst.storage.total_capacity / 20.0
@@ -149,7 +148,7 @@ def test_division_solvers_triple_agreement():
         for res in (rm, rl):
             assert_lower_level_optimal(mpec, res)
             assert_multipliers_certify(mpec, res)
-        assert validate_big_m(milp, rm.x).clean, name
+        assert validate_big_m(rm.model, rm.x).clean, name
     assert time.perf_counter() - t0 < 120.0
 
 

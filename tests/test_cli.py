@@ -92,6 +92,28 @@ def test_scenario_emits_report_files(workdir, capsys):
     assert "scenario 2" in rendered
 
 
+@pytest.mark.parametrize("command", ["scenario", "cycle"])
+def test_summary_names_the_flags_that_ran(workdir, capsys, command):
+    # with no mode in the config, --mode bigm once left the summary's head
+    # at "mode = lpcc", with mode and time_limit listed as defaulted
+    cfg = workdir["dir"] / "nomode.cfg"
+    cfg.write_text("slot_hours = 4.0\ntotal_capacity = 0.4\n")
+    report_dir = workdir["dir"] / command
+    inputs = (["--loads", str(workdir["loads"]), "--prices", str(workdir["prices"])]
+              if command == "scenario" else
+              ["--day", str(workdir["loads"]), str(workdir["prices"])])
+    rc = main([command, *inputs, "--config", str(cfg), "--mode", "bigm",
+               "--time-limit", "60", "--out", str(report_dir)])
+    assert rc == 0
+    capsys.readouterr()
+    head = dict(line.split(" = ", 1) for line in
+                (report_dir / "summary.txt").read_text().splitlines()[:5])
+    assert head["mode"] == "bigm"
+    applied = head["defaults_applied"].split(",")
+    assert "mode" not in applied and "time_limit" not in applied
+    assert "gap_target" in applied and "node_limit" in applied
+
+
 def _drop_line_3(path):
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(lines[:2] + lines[3:]))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from storageshare import mpec as mpec_module
-from storageshare import scenarios, simplex
+from storageshare import scenarios, simplex, solver
 from storageshare.instance import customer_cost_total, make_instance, zero_schedules
 from storageshare.mpec import assemble_mpec
 from storageshare.scenarios import (
@@ -153,9 +153,9 @@ def _counting_milp_solves(monkeypatch):
     the list of them."""
     solve, calls = scenarios.solve_milp, []
 
-    def counted(milp, opts, **kw):
+    def counted(mpec, opts, **kw):
         calls.append(opts)
-        return solve(milp, opts, **kw)
+        return solve(mpec, opts, **kw)
 
     monkeypatch.setattr(scenarios, "solve_milp", counted)
     return calls
@@ -193,15 +193,16 @@ def test_bigm_escalates_undersized_dual_bounds(monkeypatch):
 
 def test_bigm_path_build_counts_against_the_time_limit(monkeypatch):
     # a bigm solve built the day's paths before its tree and off its clock,
-    # so a day whose paths took longer than the time limit still solved
+    # so a day whose paths took longer than the time limit still solved;
+    # the tree solve now builds them on its own clock
     mpec = assemble_mpec(dict(DIVISION_FIXTURES)["mix202"]())
-    build = scenarios.day_paths
+    build = solver.day_paths
 
     def slow(instance):
         time.sleep(0.3)
         return build(instance)
 
-    monkeypatch.setattr(scenarios, "day_paths", slow)
+    monkeypatch.setattr(solver, "day_paths", slow)
     t0 = time.perf_counter()
     res, _, _ = solve_division(mpec, SolveOptions(time_limit=0.2), "bigm")
     assert (res.status, res.exit_code, res.node_count) == ("limit", 4, 0)

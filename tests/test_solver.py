@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from storageshare import mpec as mpec_module
 from storageshare import simplex, solver
 from storageshare.instance import upper_objective, zero_schedules
 from storageshare.lp import build_llm_c, build_llm_d, build_party_lp, evaluate
@@ -129,8 +130,7 @@ def test_options_validation():
 
 def test_histories_are_monotone():
     inst = division_fixture(202)
-    milp = linearize_big_m(assemble_mpec(inst))
-    res = solve_milp(milp)
+    res = solve_milp(assemble_mpec(inst))
     assert res.status == "optimal"
     bounds = np.array(res.bound_history)
     incs = np.array(res.incumbent_history)
@@ -158,13 +158,36 @@ def test_gap_target_reports_a_valid_bound(seed, optimum):
         assert np.all(np.diff(res.bound_history) >= 0.0)
 
 
+@pytest.mark.parametrize("seed", [270, 274, 278, 281])
+@pytest.mark.parametrize("mode", solver.MODES)
+def test_gap_target_stops_at_the_lowest_open_bound(seed, mode):
+    # on these seeds a gap target leaves a subtree unsearched: the search
+    # stops at the first popped node within the target, whose bound is the
+    # lowest still open, so the bound never passes the optimum
+    solve = solve_lpcc if mode == "lpcc" else solve_milp
+    free = assemble_mpec(division_fixture(seed))
+    for mpec in (free, _pin_customers_only(free)):
+        exact = solve(mpec)
+        assert exact.status == "optimal"
+        for gap_target in (0.01, 0.05):
+            res = solve(mpec, SolveOptions(gap_target=gap_target))
+            assert res.status == "optimal" and res.node_count <= exact.node_count
+            assert res.best_bound <= exact.objective + 1e-9
+            assert res.gap == solver._relative_gap(res.objective, res.best_bound) <= gap_target
+            # a popped node is recorded before it is pruned, so the history may
+            # end above the incumbent, but not when the gap stopped the search
+            assert min(res.bound_history[-1], res.objective) == res.best_bound
+            if res.gap > 0:
+                assert res.bound_history[-1] == res.best_bound
+
+
 def test_node_limit_yields_limit_status():
     inst = interior_fixture()
-    milp = linearize_big_m(assemble_mpec(inst))
-    full = solve_milp(milp)
+    mpec = assemble_mpec(inst)
+    full = solve_milp(mpec)
     assert full.status == "optimal" and full.node_count > 7
-    assert_lower_level_optimal(milp.mpec, full)
-    res = solve_milp(milp, SolveOptions(node_limit=5))
+    assert_lower_level_optimal(mpec, full)
+    res = solve_milp(mpec, SolveOptions(node_limit=5))
     assert res.status == "limit"
     assert res.exit_code == 4
     assert res.node_count <= 5 + 2  # a popped branch may finish its two children
@@ -184,7 +207,7 @@ def test_root_at_its_iteration_limit_proves_no_bound(monkeypatch, mode):
 
     monkeypatch.setattr(solver, "Simplex", Engine)
     mpec = assemble_mpec(division_fixture(202))
-    res = solve_lpcc(mpec) if mode == "lpcc" else solve_milp(linearize_big_m(mpec))
+    res = solve_lpcc(mpec) if mode == "lpcc" else solve_milp(mpec)
     assert (res.status, res.exit_code, res.node_count) == ("limit", 4, 1)
     assert res.x is None and np.isnan(res.objective)
     assert res.best_bound == -np.inf and res.gap == np.inf
@@ -211,7 +234,7 @@ def test_one_capacity_path_per_party_per_tree_solve(monkeypatch):
         monkeypatch.setattr(solver, name, reading(name.strip("_"), getattr(solver, name), at))
     mpec = assemble_mpec(interior_fixture())  # its root branches
     parties = len(mpec.parties())
-    for solve in (lambda: solve_lpcc(mpec), lambda: solve_milp(linearize_big_m(mpec))):
+    for solve in (lambda: solve_lpcc(mpec), lambda: solve_milp(mpec)):
         built.clear()
         reads.clear()
         res = solve()
@@ -234,12 +257,27 @@ def test_time_limit_yields_limit_status():
         assert_lower_level_optimal(mpec, res)
 
 
+def test_bigm_tree_searches_the_floored_form(monkeypatch):
+    # solve_milp builds the big-M form itself, each multiplier bound floored
+    # at its pair's cap; with the fixed sizes shrunk the floor lifts bounds
+    days = [build() for _, build in DIVISION_FIXTURES] + [stress_fixture()]
+    for shrink in (False, True):
+        if shrink:
+            monkeypatch.setattr(mpec_module, "_DUAL_SCALE", 0.05)
+            monkeypatch.setattr(mpec_module, "_DUAL_FLOOR", 1e-3)
+        for inst in days[:6] if shrink else days:
+            mpec = assemble_mpec(inst)
+            want = linearize_big_m(mpec, day_paths(inst))
+            got = solve_milp(mpec, SolveOptions(node_limit=1)).model
+            np.testing.assert_array_equal(got.m_omega, want.m_omega)
+            assert got.lifted == want.lifted and (got.lifted > 0) == shrink
+
+
 def test_runs_are_deterministic():
     inst = division_fixture_n2(219)
     mpec = assemble_mpec(inst)
-    milp = linearize_big_m(mpec)
-    a = solve_milp(milp)
-    b = solve_milp(milp)
+    a = solve_milp(mpec)
+    b = solve_milp(mpec)
     assert a.node_count == b.node_count
     assert a.objective == b.objective
     assert a.bound_history == b.bound_history
@@ -273,15 +311,14 @@ def assert_extracted_duals_stationary(inst, mpec, res):
 def test_division_model_end_to_end():
     inst = division_fixture(209)
     mpec = assemble_mpec(inst)
-    milp = linearize_big_m(mpec)
-    rm = solve_milp(milp)
+    rm = solve_milp(mpec)
     rl = solve_lpcc(mpec)
     assert rm.status == rl.status == "optimal"
     scale = max(1.0, abs(rl.objective))
     assert abs(rm.objective - rl.objective) / scale <= 1e-9
     grid = grid_oracle(inst, step=inst.storage.total_capacity / 20.0)
     assert abs(grid.best_objective - rl.objective) / scale <= 1e-6
-    assert validate_big_m(milp, rm.x).clean
+    assert validate_big_m(rm.model, rm.x).clean
 
     for res in (rm, rl):
         division, schedules = assert_extracted_duals_stationary(inst, mpec, res)
@@ -333,7 +370,7 @@ def test_grid_never_lands_below_the_exact_optimum():
 def test_zero_capacity_division_is_exact():
     inst = rand_instance(np.random.default_rng(101), n=2, t=4, total_capacity=0.0)
     mpec = assemble_mpec(inst)
-    rm = solve_milp(linearize_big_m(mpec))
+    rm = solve_milp(mpec)
     rl = solve_lpcc(mpec)
     base = upper_objective(inst, zero_schedules(inst))
     for res in (rm, rl):
@@ -385,9 +422,9 @@ def test_trees_search_one_chord_row_per_party(monkeypatch):
     monkeypatch.setattr(solver, "Simplex", Engine)
     inst = division_fixture_n2(219)
     mpec = assemble_mpec(inst)
-    milp = linearize_big_m(mpec)
-    rl, rm = solve_lpcc(mpec), solve_milp(milp)
+    rl, rm = solve_lpcc(mpec), solve_milp(mpec)
     assert rl.status == rm.status == "optimal"
+    milp = rm.model
     parties = len(mpec.parties())
     for base, tree_lp in zip((mpec.lp, milp.lp), tree_lps):
         assert tree_lp.n_g == base.n_g + parties
@@ -403,7 +440,7 @@ def test_trees_search_one_chord_row_per_party(monkeypatch):
     # the models themselves are untouched: no chord row in mpec.lp or its
     # linearization
     fresh = assemble_mpec(inst)
-    for a, b in ((mpec.lp, fresh.lp), (milp.lp, linearize_big_m(fresh).lp)):
+    for a, b in ((mpec.lp, fresh.lp), (milp.lp, linearize_big_m(fresh, day_paths(inst)).lp)):
         assert a.n_g == b.n_g
         np.testing.assert_array_equal(a.g.indices, b.g.indices)
         np.testing.assert_array_equal(a.g.data, b.g.data)
@@ -435,7 +472,7 @@ def _accept_of(monkeypatch, mode, mpec):
         return rules[-1]
 
     monkeypatch.setattr(solver, "_bilevel_feasible", recorded)
-    res = solve_lpcc(mpec) if mode == "lpcc" else solve_milp(linearize_big_m(mpec))
+    res = solve_lpcc(mpec) if mode == "lpcc" else solve_milp(mpec)
     assert len(rules) == 1
     return res, lambda x: rules[0](x)[0]
 
@@ -508,7 +545,7 @@ def test_wall_time_covers_the_work_before_the_root(monkeypatch):
 @pytest.mark.parametrize("mode", solver.MODES)
 def test_each_fallback_is_named_and_changes_no_answer(monkeypatch, mode):
     def solve(mpec):
-        return solve_lpcc(mpec) if mode == "lpcc" else solve_milp(linearize_big_m(mpec))
+        return solve_lpcc(mpec) if mode == "lpcc" else solve_milp(mpec)
 
     start, stitch, dual_loop = solver._root_start, solver._stitch, Simplex._dual_loop
 

@@ -92,6 +92,22 @@ def test_compare_exits_1_on_any_correctness_failure(tmp_path, capsys):
             assert "0 objectives differ" in capsys.readouterr().out, name
 
 
+def test_compare_lists_moved_best_bounds_without_failing(tmp_path, capsys):
+    # a change that moves only bounds once passed the compare unseen
+    def rec(seed, bound, status="optimal"):
+        r = {"seed": seed, "mode": "lpcc", "scenario": "free", "status": status, "nodes": 1,
+             "iterations": 1, "objective": 10.0, "seconds": 1.0}
+        return r if bound is None else {**r, "best_bound": bound}
+
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    _write(a, [rec(1, 9.5), rec(2, 9.5), rec(3, 9.5), rec(4, None), rec(5, float("-inf"), "limit")])
+    _write(b, [rec(1, 9.5 * (1 + 1e-9)), rec(2, 9.5 * (1 + 1e-13)), rec(3, 9.0, "limit"),
+               rec(4, 9.0), rec(5, float("-inf"), "limit")])
+    assert tree_sweep.main(["--compare", str(a), str(b)]) == 0  # informational
+    # seed 2 within 1e-12, 3 of unequal status, 4 not recorded in A, 5 equal infinities
+    assert "best bounds differ at 1e-12: 1/lpcc/free\n" in capsys.readouterr().out
+
+
 def test_sweep_records_the_grid_objective(tmp_path):
     out = tmp_path / "sweep.jsonl"
     tree_sweep.sweep([213], node_limit=4000, out=str(out))
@@ -102,6 +118,7 @@ def test_sweep_records_the_grid_objective(tmp_path):
     assert [r["escalations"] for r in records] == [0] * 4
     assert [r["fallbacks"] for r in records] == [[]] * 4
     assert all(0 < r["root_iterations"] <= r["iterations"] for r in records)
+    assert all(r["best_bound"] == r["objective"] for r in records)  # proved at gap 0
     assert all(r["family_iterations"] > 0 for r in records)
     # every solve reads the day's paths, at least one piece per party
     assert len({r["path_pieces"] for r in records}) == 1 and records[0]["path_pieces"] >= 2

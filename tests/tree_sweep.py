@@ -12,7 +12,7 @@ iterations, the root LP's iterations, the pivots and the pieces of the
 parties' capacity paths (family iterations and path pieces), big-M
 escalations (the pairs whose multiplier bound the path floor lifted), the
 fallbacks the solve took (family_start, root_start,
-cold_restart, reread), objective and seconds, the answer's worst lower-level excess,
+cold_restart, reread), objective, best bound and seconds, the answer's worst lower-level excess,
 plus, on a free record, the seed's grid_oracle objective at step C/20
 and the seconds the grid took (grid_seconds).
 The excess is c_p.x_p - phi_p(s_p) of the party where it is largest
@@ -25,8 +25,10 @@ when both files record it for every solve of the group) and every seed where bot
 are optimal and the objectives differ by more than 1e-6 relative; then
 the (seed, mode, scenario) solves whose nodes, LP iterations or family
 iterations differ (of the counters both files record), those whose
-escalation counts differ, and those whose fallbacks differ (of the solves
-both files record fallbacks for), and the seeds whose grid objectives
+escalation counts differ, those whose fallbacks differ (of the solves
+both files record fallbacks for), and those of equal status whose best
+bounds differ by more than 1e-12 relative (of the solves both files
+record bounds for), and the seeds whose grid objectives
 differ by more than 1e-12 relative; then, per file, the seeds where the
 grid lies more than 1e-9 relative below an optimal free lpcc objective,
 which no correct grid can, and the (seed, mode, scenario) answers whose
@@ -49,6 +51,7 @@ SCENARIOS = ("free", "customers-only")
 OBJ_TOL = 1e-6
 GRID_TOL = 1e-9
 GRID_SAME_TOL = 1e-12
+BOUND_SAME_TOL = 1e-12
 LL_TOL = 1e-9
 COUNTERS = ("nodes", "iterations", "family_iterations")
 
@@ -80,7 +83,8 @@ def solve_one(seed: int, mode: str, scenario: str, node_limit: int) -> dict:
            "root_iterations": res.root_iterations,
            "family_iterations": res.family_iterations, "path_pieces": res.path_pieces,
            "escalations": escalations, "fallbacks": list(res.fallbacks),
-           "objective": float(res.objective), "seconds": round(seconds, 4)}
+           "objective": float(res.objective), "best_bound": float(res.best_bound),
+           "seconds": round(seconds, 4)}
     if res.x is not None:
         _, excess, phi = max(lower_level_excess(model, res.x),
                              key=lambda e: e[1] / (1.0 + abs(e[2])))
@@ -122,6 +126,11 @@ def _load(path: str) -> dict:
 
 def _label(key) -> str:
     return "/".join(map(str, key))
+
+
+def _same(x: float, y: float, tol: float) -> bool:
+    """x and y within tol relative (equal infinities included)."""
+    return x == y or abs(x - y) <= tol * max(1.0, abs(x))
 
 
 def grid_below(records: dict) -> list[int]:
@@ -183,10 +192,14 @@ def compare(path_a: str, path_b: str) -> int:
             if "fallbacks" in a[key] and "fallbacks" in b[key]
             and a[key]["fallbacks"] != b[key]["fallbacks"]]
     print(f"fallbacks differ: {', '.join(fell) if fell else 'none'}")
+    rebound = [_label(key) for key in both
+               if "best_bound" in a[key] and "best_bound" in b[key]
+               and a[key]["status"] == b[key]["status"]
+               and not _same(a[key]["best_bound"], b[key]["best_bound"], BOUND_SAME_TOL)]
+    print(f"best bounds differ at {BOUND_SAME_TOL:g}: {', '.join(rebound) if rebound else 'none'}")
     regrid = sorted({key[0] for key in both
                      if "grid" in a[key] and "grid" in b[key]
-                     and abs(a[key]["grid"] - b[key]["grid"])
-                     > GRID_SAME_TOL * max(1.0, abs(a[key]["grid"]))})
+                     and not _same(a[key]["grid"], b[key]["grid"], GRID_SAME_TOL)})
     print(f"grid differs at {GRID_SAME_TOL:g}: {', '.join(map(str, regrid)) if regrid else 'none'}")
     failures = differ
     for side, records in (("A", a), ("B", b)):
