@@ -7,7 +7,8 @@ division solve per day), report (re-parse emitted report files).
 
 Exit codes: 0 success, 2 infeasible or bad input, 3 unbounded, 4 node or
 time limit, 1 other failure. A division solve's code is its
-SolveResult.exit_code, the one table of status codes.
+SolveResult.exit_code and a failed scenario's its ScenarioError.exit_code,
+both read off the one table of status codes.
 """
 
 from __future__ import annotations
@@ -141,11 +142,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_scenario(args) -> int:
     instance, config = _load(args)
     config, opts, mode = _solve_settings(args, config)
-    try:
-        reports = run_all_scenarios(instance, opts, mode=mode)
-    except ScenarioError as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.exit_code
+    reports = run_all_scenarios(instance, opts, mode=mode)
     paths = emit_report(reports, args.out, config=config)
     for r in reports:
         cust = " ".join(_fmt(v) + "%" for v in r.customer_reductions)
@@ -247,9 +244,9 @@ def main(argv=None) -> int:
     except (DataError, InstanceError, FileNotFoundError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (ScenarioError, RuntimeError, ValueError) as exc:
+    except (RuntimeError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
-        return 1
+        return exc.exit_code if isinstance(exc, ScenarioError) else 1
 
 
 if __name__ == "__main__":

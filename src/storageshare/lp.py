@@ -264,14 +264,30 @@ def evaluate(lp: LinearProgram, x: np.ndarray) -> LpEvaluation:
     return LpEvaluation(obj, min_g, max_h, bound)
 
 
-def _storage_rows(instance: Instance, soc_ini: float):
-    """Rows 1..6 of the catalog for one battery share, over the columns
-    ch_0..ch_{T-1}, dis_0..dis_{T-1}, family-major and slot-minor, and
-    per row its right-hand side's coefficient on the capacity; every other
-    right-hand side term is 0."""
+def build_party_lp(instance: Instance, party: int, capacity: float) -> LinearProgram:
+    """Dispatch LP of one party for a given battery share (kWh): customers
+    0..N-1 (llm_c[i]), then the DisCo as party N (llm_d).
+
+    Variables: ch_0..ch_{T-1}, dis_0..dis_{T-1}, a customer's peak and
+    valley (all free), then kappa fixed at capacity. Rows: families 1..6
+    slot by slot, a customer's 7..8 after them, plus the energy balance
+    equality (stored energy returns to its start by the end of the day).
+    Objective: the cost increment of the storage flows at the party's
+    prices (TOU for a customer, plus alpha * (peak - valley); LMP for the
+    DisCo).
+    """
+    n_cust = instance.customer_count
+    if not 0 <= party <= n_cust:
+        raise IndexError(f"party {party} out of range 0..{n_cust}")
+    if not 0 <= capacity < np.inf:  # NaN fails too
+        raise ValueError(f"capacity must be finite and >= 0, got {capacity}")
     t = instance.grid.slot_count
     dt = instance.grid.slot_hours
     st = instance.storage
+    customer = party < n_cust
+    price = instance.prices.tou if customer else instance.prices.lmp
+    c = np.concatenate([price * dt, -price * dt])
+    soc_ini = float(st.soc_ini_customer[party]) if customer else st.soc_ini_disco
     a = np.zeros((6, t, 2, t))  # [family, slot s, ch or dis, flow slot]
     # stored energy through slot s: cumulative charge minus discharge
     upto = np.tril(np.ones((t, t)))
@@ -280,91 +296,38 @@ def _storage_rows(instance: Instance, soc_ini: float):
     # signs, x_s >= 0, then power limits, k*S - x_s >= 0
     eye = np.eye(t)
     a[2, :, 1], a[3, :, 0], a[4, :, 1], a[5, :, 0] = eye, eye, -eye, -eye
-    rows = Rows.from_dense(a.reshape(6 * t, 2 * t))
+    g = Rows.from_dense(a.reshape(6 * t, 2 * t))
+    b_g = np.zeros(g.n_rows)
+    # each row's right-hand side coefficient on the capacity, kappa
     cap = np.repeat([st.soc_lower - soc_ini, soc_ini - st.soc_upper, 0.0, 0.0,
                      -st.power_ratio, -st.power_ratio], t)
-    return rows, cap
-
-
-def _dispatch_lp(instance: Instance, name: str, c: np.ndarray, g: Rows,
-                 b_g: np.ndarray, cap: np.ndarray, capacity: float) -> LinearProgram:
-    """Free variables ch_0..ch_{T-1}, dis_0..dis_{T-1}, then one per
-    further entry of c, then kappa fixed at capacity; the inequality rows g
-    x - cap[i] kappa >= b_g[i] and the energy balance equality (stored
-    energy returns to its start by the end of the day)."""
-    t_slots = instance.grid.slot_count
-    dt = instance.grid.slot_hours
-    st = instance.storage
+    if customer:
+        load = instance.loads.customer_load[party]
+        alpha = instance.weights.alpha
+        c = np.append(c, [alpha, -alpha])
+        ch, dis = np.arange(t), t + np.arange(t)
+        peak, valley = np.full(t, 2 * t), np.full(t, 2 * t + 1)
+        # peak_def: peak - ch_s + dis_s >= load_s; valley_def: ch_s - dis_s - valley >= -load_s
+        profile = Rows.from_lists(
+            np.concatenate([np.column_stack([peak, ch, dis]),
+                            np.column_stack([ch, dis, valley])]),
+            np.repeat([[1.0, -1.0, 1.0], [1.0, -1.0, -1.0]], t, axis=0))
+        g = Rows.stack([g, profile])
+        b_g = np.concatenate([b_g, load, -load])
+        cap = np.append(cap, np.zeros(2 * t))
     n = len(c)
     kappa = Rows.from_dense(-cap[:, None]).shifted(n)
-    balance = np.concatenate([np.full(t_slots, dt * st.eta_ch),
-                              np.full(t_slots, -dt / st.eta_dis)])
+    balance = np.concatenate([np.full(t, dt * st.eta_ch), np.full(t, -dt / st.eta_dis)])
     return LinearProgram(
-        name=name,
+        name=f"llm_c[{party}]" if customer else "llm_d",
         c=np.append(c, 0.0),
         lb=np.append(np.full(n, -np.inf), capacity),
         ub=np.append(np.full(n, np.inf), capacity),
         g=Rows.join([g, kappa]),
         b_g=b_g,
-        h=Rows.from_lists([np.arange(2 * t_slots)], [balance]),
+        h=Rows.from_lists([np.arange(2 * t)], [balance]),
         b_h=np.zeros(1),
     )
-
-
-def build_llm_c(instance: Instance, customer_index: int, capacity: float) -> LinearProgram:
-    """Customer dispatch LP for a given battery share (kWh).
-
-    Variables: ch_0..ch_{T-1}, dis_0..dis_{T-1}, peak, valley (free), then
-    kappa fixed at capacity (2T+3). Rows: families 1..8 slot by slot (8T
-    inequalities) plus the energy balance equality. Objective: retail cost
-    increment of the storage flows plus alpha * (peak - valley).
-    """
-    if not 0 <= customer_index < instance.customer_count:
-        raise IndexError(f"customer index {customer_index} out of range")
-    if not 0 <= capacity < np.inf:  # NaN fails too
-        raise ValueError(f"capacity must be finite and >= 0, got {capacity}")
-    t_slots = instance.grid.slot_count
-    dt = instance.grid.slot_hours
-    load = instance.loads.customer_load[customer_index]
-    peak_col, valley_col = 2 * t_slots, 2 * t_slots + 1
-    tou, alpha = instance.prices.tou, instance.weights.alpha
-    c = np.concatenate([tou * dt, -tou * dt, [alpha, -alpha]])
-
-    storage, cap = _storage_rows(
-        instance, float(instance.storage.soc_ini_customer[customer_index]))
-    ch, dis = np.arange(t_slots), t_slots + np.arange(t_slots)
-    # peak_def: peak - ch_s + dis_s >= load_s; valley_def: ch_s - dis_s - valley >= -load_s
-    profile = Rows.from_lists(
-        np.concatenate([np.column_stack([np.full(t_slots, peak_col), ch, dis]),
-                        np.column_stack([ch, dis, np.full(t_slots, valley_col)])]),
-        np.repeat([[1.0, -1.0, 1.0], [1.0, -1.0, -1.0]], t_slots, axis=0))
-    return _dispatch_lp(instance, f"llm_c[{customer_index}]", c,
-                        Rows.stack([storage, profile]),
-                        np.concatenate([np.zeros(storage.n_rows), load, -load]),
-                        np.append(cap, np.zeros(2 * t_slots)), capacity)
-
-
-def build_llm_d(instance: Instance, capacity: float) -> LinearProgram:
-    """Distribution-company dispatch LP for its battery share.
-
-    Variables: ch_0..ch_{T-1}, dis_0..dis_{T-1} (free), then kappa fixed
-    at capacity (2T+1). Rows: families 1..6 slot by slot (6T inequalities)
-    plus the energy balance equality. Objective: wholesale cost increment
-    of the storage flows.
-    """
-    if not 0 <= capacity < np.inf:  # NaN fails too
-        raise ValueError(f"capacity must be finite and >= 0, got {capacity}")
-    dt = instance.grid.slot_hours
-    c = np.concatenate([instance.prices.lmp * dt, -instance.prices.lmp * dt])
-    g, cap = _storage_rows(instance, instance.storage.soc_ini_disco)
-    return _dispatch_lp(instance, "llm_d", c, g, np.zeros(g.n_rows), cap, capacity)
-
-
-def build_party_lp(instance: Instance, party: int, capacity: float) -> LinearProgram:
-    """Dispatch LP of one party: customers 0..N-1, then the DisCo as party N."""
-    if party < instance.customer_count:
-        return build_llm_c(instance, party, capacity)
-    return build_llm_d(instance, capacity)
 
 
 def no_battery_start(lp: LinearProgram):

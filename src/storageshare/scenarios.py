@@ -79,17 +79,14 @@ class ScenarioId(IntEnum):
 
 
 class ScenarioError(RuntimeError):
-    """A scenario solve failed; the message names the scenario. A failed
-    division solve, or a scenario that the time limit left no time for,
-    also sets status and exit_code (SolveResult's)."""
+    """A scenario solve ended with a status other than optimal: a failed
+    division solve, or a scenario that the time limit left no time for.
+    The message names the scenario; exit_code is the status's code, as
+    SolveResult's."""
 
-    exit_code = 1
-
-
-def _stopped(scenario, status: str, why: str) -> ScenarioError:
-    err = ScenarioError(f"scenario {int(scenario)}: {why}")
-    err.status, err.exit_code = status, _EXIT_CODES[status]
-    return err
+    def __init__(self, scenario, status: str, why: str):
+        super().__init__(f"scenario {int(scenario)}: {why}")
+        self.status, self.exit_code = status, _EXIT_CODES[status]
 
 
 def _left(scenario, deadline: float) -> float:
@@ -97,7 +94,7 @@ def _left(scenario, deadline: float) -> float:
     left the scenario stops with status limit."""
     left = deadline - time.perf_counter()
     if left <= 0:
-        raise _stopped(scenario, "limit", "time limit reached")
+        raise ScenarioError(scenario, "limit", "time limit reached")
     return left
 
 
@@ -241,7 +238,6 @@ def _report(instance: Instance, scenario: ScenarioId, opts: SolveOptions, mode: 
     (a perf_counter reading). paths and mpec are the day's capacity paths
     and division model, built here when None."""
     _check_mode(mode)
-    t0 = time.perf_counter()
     _left(scenario, deadline)
     notes: list = []
 
@@ -257,13 +253,12 @@ def _report(instance: Instance, scenario: ScenarioId, opts: SolveOptions, mode: 
         result, escalations, notes = solve_division(
             mpec, replace(opts, time_limit=_left(scenario, deadline)), mode, paths)
         if result.status != "optimal":
-            raise _stopped(scenario, result.status,
-                           f"solver ended {result.status} after {result.node_count} nodes")
+            raise ScenarioError(scenario, result.status,
+                                f"solver ended {result.status} after {result.node_count} nodes")
         division, schedules, _ = extract_solution(result, instance)
         stats = {"mode": mode, "status": result.status,
                  "nodes": result.node_count, "gap": result.gap,
                  "escalations": escalations, "iterations": result.iterations}
-    stats["wall_time"] = time.perf_counter() - t0
 
     baseline = zero_schedules(instance)
     base_cust = attributed_customer_costs(instance, baseline)

@@ -16,10 +16,12 @@ incumbent: each party's multipliers from its path at the answer's share,
 kept when they are complementary to the answer's rows, which certifies by
 LP duality that every dispatch is optimal at its share. Every point a
 tree takes, a node's relaxation or the re-read answer, passes one rule
-(_bilevel_feasible), so the two trees differ only in their branching
-rule. The best-first core (_branch_and_bound) routes every node, the root
-too, through one function and ends at one exit. Node order and therefore
-node counts are deterministic for a fixed model.
+(_bilevel_feasible), and one branching rule (_branch_rule) takes the
+worst pair the node has not fixed, so the two trees differ only in the
+fixes a pair branches into. The best-first core (_branch_and_bound)
+routes every node, the root too, through one function and ends at one
+exit. Node order and therefore node counts are deterministic for a fixed
+model.
 
 The LP both trees search is the model's LP plus one chord row per party
 p: c_p.x_p <= phi_p(lo) + (phi_p(hi) - phi_p(lo)) / (hi - lo) (s_p - lo),
@@ -73,7 +75,6 @@ _EXIT_CODES = {"optimal": 0, "infeasible": 2, "unbounded": 3, "limit": 4}
 MODES = ("bigm", "lpcc")  # solve_milp on the big-M model, or solve_lpcc
 DEFAULT_MODE = "lpcc"
 _COMP_TOL = 1e-7  # pair products at or below this count as complementary
-_SETTLED_TOL = 1e-9  # a binary this near 0 or 1 is taken as fixed by a branch
 
 
 @dataclass(frozen=True)
@@ -130,14 +131,17 @@ def _relative_gap(objective: float, bound: float) -> float:
 
 
 def _branch_and_bound(engine: Simplex, opts, accept, branch, start=None, t0=None):
-    """Best-first search over engine's LP. accept(x) returns (the node
-    relaxation x as an incumbent, possibly re-settled, or None; x's
-    violations, one per branching candidate); a node it rejects is
-    branched on branch(x, violations), the two child bound-fixes. Ties on
-    the bound favor deeper nodes so plateaus dive to leaves. A bound within
-    1e-9 of the incumbent prunes; a popped node, the lowest open bound,
-    within opts.gap_target of it ends the search optimal. start goes to the
-    root's Simplex.solve; the time limit and wall_time count from t0, a
+    """Best-first search over engine's LP; a node is its tuple of bound-fixes
+    (col, lo, hi). accept(x) returns (the node relaxation x as an incumbent,
+    possibly re-settled, or None; x's violations, one per branching
+    candidate); a node it rejects is branched on branch(violations, fixes),
+    its children, each a tuple of fixes appended to the node's. Ties on the
+    bound favor nodes of more fixes so plateaus dive to leaves. A bound
+    within 1e-9 of the incumbent prunes; a popped node, the lowest open
+    bound, within opts.gap_target of it ends the search optimal. The bound
+    history records each new global bound, a popped node's capped at the
+    incumbent, and ends at best_bound. start goes to the root's
+    Simplex.solve; the time limit and wall_time count from t0, a
     perf_counter reading (now if None). The result carries no model."""
     t0 = time.perf_counter() if t0 is None else t0
     incumbent_x = None
@@ -177,7 +181,7 @@ def _branch_and_bound(engine: Simplex, opts, accept, branch, start=None, t0=None
             incumbent_x, incumbent_obj = x, float(sol.objective)
             inc_hist.append(incumbent_obj)
             return None
-        children = branch(sol.x, violations)
+        children = branch(violations, fixes)
         heapq.heappush(heap, (bound, -len(fixes), seq, fixes, engine.snapshot(), children))
         seq += 1
         return None
@@ -200,13 +204,13 @@ def _branch_and_bound(engine: Simplex, opts, accept, branch, start=None, t0=None
             stop = route(sol, fixes, parent_bound)
         else:
             bound, _, _, fixes, snap, children = heapq.heappop(heap)
-            raise_bound(bound)
+            raise_bound(min(bound, incumbent_obj))
             if pruned(bound):
                 continue
             if _relative_gap(incumbent_obj, bound) <= opts.gap_target:
                 stop = "optimal"  # best-first: no open node has a lower bound
             else:
-                todo = [(fixes + (fix,), snap, bound) for fix in children]
+                todo = [(fixes + child, snap, bound) for child in children]
 
     status = stop or ("infeasible" if incumbent_x is None else "optimal")
     if stop is None and incumbent_x is not None:  # every node searched
@@ -215,6 +219,8 @@ def _branch_and_bound(engine: Simplex, opts, accept, branch, start=None, t0=None
     objective = incumbent_obj if x is not None else np.nan
     best_bound = {"infeasible": np.inf, "unbounded": -np.inf}.get(
         status, min(global_bound, incumbent_obj))
+    if global_bound > best_bound > -np.inf:  # the incumbent settled below a recorded bound
+        bound_hist = [b for b in bound_hist if b < best_bound] + [best_bound]
     return SolveResult(
         status=status, x=x, objective=objective, best_bound=best_bound,
         gap=_relative_gap(objective, best_bound), node_count=node_count,
@@ -271,23 +277,23 @@ def _bilevel_feasible(mpec: MpecModel, lp: LinearProgram, u_cols=None):
 
 
 def _branch_rule(mpec: MpecModel, u_cols=None):
-    """(x, prod) -> the two child fixes of the worst pair, the one of largest
-    pair product w * slack in prod. Without binaries its multiplier goes to
-    zero or its row to equality (its surplus column, n + row, to zero). With
-    binaries u_cols its binary goes to 0 or 1, the worst pair taken among
-    those whose binary is not yet settled (a u near 0 still lets its pair slip
-    by u times big-M), or among all when every binary is."""
-    n_struct = mpec.lp.n_vars
+    """(prod, fixes) -> the children of the worst pair, the one of largest
+    pair product w * slack in prod among the pairs whose columns the
+    node's fixes leave free (among all when they fix every pair). Each
+    pair's two children fix one column each: without binaries its
+    multiplier goes to zero or its row to equality (its surplus column,
+    n + row, to zero); with binaries u_cols its binary goes to 0 or 1."""
+    if u_cols is None:
+        cols, hi = np.column_stack([mpec.pairs[:, 0], mpec.lp.n_vars + mpec.pairs[:, 1]]), 0.0
+    else:
+        cols, hi = np.column_stack([u_cols, u_cols]), 1.0
+    children = [(((a, 0.0, 0.0),), ((b, hi, hi),)) for a, b in cols.tolist()]
 
-    def branch(x, prod):
-        if u_cols is None:
-            w_col, g_row = mpec.pairs[int(np.argmax(prod))].tolist()
-            return (w_col, 0.0, 0.0), (n_struct + g_row, 0.0, 0.0)
-        u = x[u_cols]
-        unsettled = np.flatnonzero(np.abs(u - np.round(u)) > _SETTLED_TOL)
-        q = int(unsettled[np.argmax(prod[unsettled])]) if unsettled.size else int(np.argmax(prod))
-        col = int(u_cols[q])
-        return (col, 0.0, 0.0), (col, 1.0, 1.0)
+    def branch(prod, fixes):
+        free = ~np.isin(cols, [col for col, _, _ in fixes]).any(axis=1)
+        if not free.any():  # every pair fixed: the worst of all
+            free[:] = True
+        return children[int(np.flatnonzero(free)[np.argmax(prod[free])])]
 
     return branch
 
@@ -379,10 +385,10 @@ def _solve_tree(mpec: MpecModel, options: SolveOptions | None, paths, bigm: bool
     day's paths); with bigm the big-M form floored by them, else mpec; then
     the best-first tree over that model's LP with its caps and chord rows
     (_tree_lp) from the paths' root start, and the dual re-read of the
-    incumbent off the same paths. The form's binaries pick the branching
-    rule (_branch_rule), and every point the solve takes passes one rule
-    (_bilevel_feasible on the model's LP). The clock and the time limit
-    cover it all."""
+    incumbent off the same paths. The form's binaries pick the fixes of
+    the branching rule (_branch_rule), and every point the solve takes
+    passes one rule (_bilevel_feasible on the model's LP). The clock and
+    the time limit cover it all."""
     t0 = time.perf_counter()
     if paths is None:
         paths = day_paths(mpec.instance)
@@ -416,9 +422,9 @@ def solve_milp(mpec: MpecModel, options: SolveOptions | None = None, *,
     big-M form, branching on the most violated complementarity pair. The
     solve builds the form, linearize_big_m(mpec, paths), as its model.
 
-    The bound sequence is non-decreasing and the incumbent sequence
-    non-increasing by construction (child bounds are clamped to their
-    parent's). paths, if given, are the day's capacity paths, one per
+    The bound sequence is strictly increasing, never above best_bound and
+    ends at it, and the incumbent sequence non-increasing by construction
+    (child bounds are clamped to their parent's). paths, if given, are the day's capacity paths, one per
     party (simplex.CapacityPath), and the solve builds none.
     """
     return _solve_tree(mpec, options, paths, bigm=True)

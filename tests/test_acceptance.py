@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from storageshare.instance import make_instance, upper_objective
-from storageshare.lp import build_llm_c, build_llm_d
+from storageshare.lp import build_party_lp
 from storageshare.mpec import assemble_mpec, linearize_big_m, validate_big_m
 from storageshare.mps_io import export_mps, read_mps
 from storageshare.oracle import grid_oracle
@@ -194,9 +194,8 @@ def test_dispatch_value_monotone_in_capacity():
         inst = rand_instance(rng)
         s2 = float(rng.uniform(0.3, 1.0)) * inst.storage.total_capacity
         s1 = s2 * float(rng.uniform(0.0, 0.95))
-        lps = [(build_llm_d(inst, s1), build_llm_d(inst, s2))]
-        lps += [(build_llm_c(inst, i, s1), build_llm_c(inst, i, s2))
-                for i in range(inst.customer_count)]
+        parties = [inst.customer_count, *range(inst.customer_count)]
+        lps = [(build_party_lp(inst, p, s1), build_party_lp(inst, p, s2)) for p in parties]
         for lp1, lp2 in lps:
             a = Simplex(lp1).solve()
             b = Simplex(lp2).solve()

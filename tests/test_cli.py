@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from storageshare import cli
 from storageshare.cli import main
 from storageshare.mps_io import read_mps
+from storageshare.simplex import SimplexError
 from storageshare.synthetic import write_series
 from tests.conftest import interior_fixture
 
@@ -273,3 +275,20 @@ def test_flags_only_on_subcommands_that_read_them(workdir, capsys):
         main(["oracle", *args_for(workdir, "--seed", "1")])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_scenario_past_its_time_limit_exits_with_the_limit_code(workdir, capsys):
+    rc = main(["scenario", *args_for(workdir, "--time-limit", "1e-9"),
+               "--out", str(workdir["dir"] / "rep")])
+    assert rc == 4
+    assert "scenario 1: time limit reached" in capsys.readouterr().err
+    assert not (workdir["dir"] / "rep").exists()
+
+
+def test_a_failed_solve_exits_1_with_its_message(workdir, capsys, monkeypatch):
+    def fail(*args):
+        raise SimplexError("singular basis")
+
+    monkeypatch.setattr(cli, "solve_division", fail)
+    assert main(["solve", *args_for(workdir)]) == 1
+    assert capsys.readouterr().err.strip() == "singular basis"

@@ -12,7 +12,7 @@ import pytest
 from scipy.optimize import linprog
 
 from storageshare.instance import make_instance
-from storageshare.lp import build_llm_c, build_llm_d, build_party_lp
+from storageshare.lp import build_party_lp
 from storageshare.simplex import CapacityPath, Simplex
 
 from tests.conftest import DIVISION_FIXTURES, rand_instance
@@ -60,8 +60,8 @@ def random_llm(rng):
     inst = rand_instance(rng, n=int(rng.integers(1, 3)), t=int(rng.integers(3, 7)))
     cap = float(rng.uniform(0.0, inst.storage.total_capacity))
     if rng.random() < 0.5:
-        return build_llm_c(inst, int(rng.integers(inst.customer_count)), cap)
-    return build_llm_d(inst, cap)
+        return build_party_lp(inst, int(rng.integers(inst.customer_count)), cap)
+    return build_party_lp(inst, inst.customer_count, cap)
 
 
 def test_engine_optimum_satisfies_kkt(rng):
@@ -125,7 +125,7 @@ def profitable_instance():
 
 def test_feasible_but_suboptimal_point_fails():
     inst = profitable_instance()
-    lp = build_llm_c(inst, 0, capacity=4.0)
+    lp = build_party_lp(inst, 0, capacity=4.0)
     sol = Simplex(lp).solve()
     kkt = derive_kkt(lp)
     # idle schedule: zero flows, peak/valley at the raw load envelope

@@ -3,13 +3,7 @@ import pytest
 from scipy.optimize import linprog
 
 from storageshare.instance import ScheduleSet, make_instance, soc_trajectory
-from storageshare.lp import (
-    build_llm_c,
-    build_llm_d,
-    build_party_lp,
-    evaluate,
-    no_battery_start,
-)
+from storageshare.lp import build_party_lp, evaluate, no_battery_start
 from storageshare.simplex import Simplex
 from tests.conftest import rand_instance
 from tests.lp_oracle import customer_llm_objective, make_lp
@@ -34,7 +28,7 @@ def scipy_solve(lp):
 def test_llm_c_shape_and_catalog_order(tiny_instance):
     # row f*T + s is catalog family f + 1 at slot s, over the columns
     # ch_0..ch_{T-1}, dis_0..dis_{T-1}, peak, valley, kappa
-    lp = build_llm_c(tiny_instance, 0, 4.0)
+    lp = build_party_lp(tiny_instance, 0, 4.0)
     t = 4
     assert lp.n_vars == 2 * t + 3
     assert lp.n_g == 8 * t
@@ -59,7 +53,7 @@ def test_llm_c_shape_and_catalog_order(tiny_instance):
 
 
 def test_llm_d_shape(tiny_instance):
-    lp = build_llm_d(tiny_instance, 4.0)
+    lp = build_party_lp(tiny_instance, tiny_instance.customer_count, 4.0)
     assert lp.n_vars == 9
     assert lp.n_g == 24
     assert lp.n_h == 1
@@ -69,13 +63,13 @@ def test_llm_d_shape(tiny_instance):
 def test_capacity_markers(tiny_instance):
     # the catalog families (row // T) whose rows move with capacity: the
     # rows holding kappa, the last column
-    lp = build_llm_c(tiny_instance, 0, 4.0)
+    lp = build_party_lp(tiny_instance, 0, 4.0)
     kappa = lp.n_vars - 1
     moving = set((lp.g.row_ids[lp.g.indices == kappa] // 4).tolist())
     # with soc_ini = soc_lower = 0 the soc_min rows have a zero kappa coef
     assert moving == {1, 4, 5}  # soc_max, dis_cap, ch_cap
     inst = rand_instance(np.random.default_rng(0), n=1, t=4)
-    lp2 = build_llm_c(inst, 0, 5.0)
+    lp2 = build_party_lp(inst, 0, 5.0)
     moving2 = set((lp2.g.row_ids[lp2.g.indices == kappa] // 4).tolist())
     assert moving2 == {0, 1, 4, 5}  # soc_min, soc_max, dis_cap, ch_cap
     assert kappa not in lp2.h.indices
@@ -83,8 +77,8 @@ def test_capacity_markers(tiny_instance):
 
 def test_rhs_tracks_capacity(tiny_instance):
     # a new capacity is a new value of kappa, fixed by its bounds; nothing else moves
-    a = build_llm_c(tiny_instance, 0, 2.0)
-    b = build_llm_c(tiny_instance, 0, 6.0)
+    a = build_party_lp(tiny_instance, 0, 2.0)
+    b = build_party_lp(tiny_instance, 0, 6.0)
     for name in ("c", "b_g", "b_h"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     np.testing.assert_array_equal(a.g.dense(a.n_vars), b.g.dense(b.n_vars))
@@ -94,7 +88,7 @@ def test_rhs_tracks_capacity(tiny_instance):
 
 
 def test_evaluate_on_hand_schedule(tiny_instance):
-    lp = build_llm_c(tiny_instance, 0, 4.0)
+    lp = build_party_lp(tiny_instance, 0, 4.0)
     x = np.concatenate([[2.0, 2.0, 0.0, 0.0], [0.0, 0.0, 2.0, 2.0], [6.0, 2.0, 4.0]])
     ev = evaluate(lp, x)
     assert ev.feasible(1e-9)
@@ -109,7 +103,7 @@ def test_evaluate_on_hand_schedule(tiny_instance):
 def test_llm_c_optimum_frozen(tiny_instance):
     # hand-derived optimum: shift the full 4 kWh from price 2 to price 1,
     # paying 0.04 extra spread penalty -> -3.96
-    lp = build_llm_c(tiny_instance, 0, 4.0)
+    lp = build_party_lp(tiny_instance, 0, 4.0)
     _, fun = scipy_solve(lp)
     assert fun == pytest.approx(-3.96, abs=1e-9)
 
@@ -129,7 +123,7 @@ def test_llm_d_optimum_frozen():
         soc_ini_disco=0.0,
         soc_ini_customer=0.0,
     )
-    lp = build_llm_d(inst, 2.0)
+    lp = build_party_lp(inst, inst.customer_count, 2.0)
     _, fun = scipy_solve(lp)
     # buy 2 kWh at 1, sell back at 3
     assert fun == pytest.approx(-4.0, abs=1e-9)
@@ -138,7 +132,7 @@ def test_llm_d_optimum_frozen():
 def test_zero_capacity_forces_idle(rng):
     for _ in range(5):
         inst = rand_instance(rng, n=1)
-        lp = build_llm_c(inst, 0, 0.0)
+        lp = build_party_lp(inst, 0, 0.0)
         x, fun = scipy_solve(lp)
         t = inst.grid.slot_count
         np.testing.assert_allclose(x[: 2 * t], 0.0, atol=1e-9)
@@ -154,8 +148,8 @@ def test_solution_respects_soc_corridor(rng):
         cap = 0.5 * inst.storage.total_capacity
         st = inst.storage
         for lp, soc_ini in (
-            (build_llm_c(inst, 1, cap), float(st.soc_ini_customer[1])),
-            (build_llm_d(inst, cap), st.soc_ini_disco),
+            (build_party_lp(inst, 1, cap), float(st.soc_ini_customer[1])),
+            (build_party_lp(inst, inst.customer_count, cap), st.soc_ini_disco),
         ):
             x, _ = scipy_solve(lp)
             t = inst.grid.slot_count
@@ -173,7 +167,7 @@ def test_llm_objective_matches_closed_form(rng):
     for _ in range(10):
         inst = rand_instance(rng, n=1)
         cap = inst.storage.total_capacity
-        lp = build_llm_c(inst, 0, cap)
+        lp = build_party_lp(inst, 0, cap)
         x, fun = scipy_solve(lp)
         t = inst.grid.slot_count
         sch = ScheduleSet(
@@ -213,13 +207,14 @@ def test_no_battery_start_is_a_vertex_at_every_capacity(rng):
 
 def test_bad_inputs():
     inst = rand_instance(np.random.default_rng(1), n=1, t=3)
-    with pytest.raises(IndexError):
-        build_llm_c(inst, 5, 1.0)
+    for party in (-1, 2, 5):  # parties run 0..N, the DisCo N = 1
+        with pytest.raises(IndexError, match="party"):
+            build_party_lp(inst, party, 1.0)
     for cap in (-1.0, -0.5, np.nan, np.inf):  # NaN passes a plain capacity < 0 check
         with pytest.raises(ValueError, match="capacity"):
-            build_llm_c(inst, 0, cap)
+            build_party_lp(inst, 0, cap)
         with pytest.raises(ValueError, match="capacity"):
-            build_llm_d(inst, cap)
+            build_party_lp(inst, inst.customer_count, cap)
 
 
 def test_make_lp_sparsifies():

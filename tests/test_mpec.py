@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from storageshare import solver
-from storageshare.lp import build_llm_c, build_llm_d, build_party_lp
+from storageshare.lp import build_party_lp
 from storageshare.mpec import assemble_mpec, linearize_big_m, pair_caps, validate_big_m
 from storageshare.simplex import Simplex, day_paths
 from storageshare.solver import _pair_slacks, solve_lpcc
@@ -31,7 +31,7 @@ def test_derive_kkt_rejects_bounded_lp():
 def test_peak_stationarity_row(tiny_instance):
     # gradient of the dispatch objective in the peak variable is alpha and
     # only the peak rows touch it: alpha - sum_t omega7_t = 0
-    lp = build_llm_c(tiny_instance, 0, 4.0)
+    lp = build_party_lp(tiny_instance, 0, 4.0)
     kkt = derive_kkt(lp)
     t = tiny_instance.grid.slot_count
     peak_col = 2 * t
@@ -46,7 +46,7 @@ def test_peak_stationarity_row(tiny_instance):
 def test_stationarity_matches_dense_transpose(rng):
     for _ in range(5):
         inst = rand_instance(rng, n=1)
-        lp = build_llm_d(inst, 3.0)
+        lp = build_party_lp(inst, inst.customer_count, 3.0)
         kkt = derive_kkt(lp)
         a_g = lp.g.dense(lp.n_vars)
         a_h = lp.h.dense(lp.n_vars)

@@ -14,7 +14,7 @@ from storageshare.instance import (
     upper_objective,
     zero_schedules,
 )
-from storageshare.lp import build_llm_c, build_llm_d, build_party_lp
+from storageshare.lp import build_party_lp
 from storageshare import simplex
 from storageshare.oracle import check_schedule_invariants, grid_oracle
 from storageshare.simplex import Simplex
@@ -31,11 +31,11 @@ def schedules_from_division(instance, division):
     peak = np.zeros(n)
     valley = np.zeros(n)
     for i in range(n):
-        sol = Simplex(build_llm_c(instance, i, float(division.s_customer[i]))).solve()
+        sol = Simplex(build_party_lp(instance, i, float(division.s_customer[i]))).solve()
         assert sol.status == "optimal"
         ch[i], dis[i] = sol.x[:t], sol.x[t: 2 * t]
         peak[i], valley[i] = sol.x[2 * t], sol.x[2 * t + 1]
-    sol = Simplex(build_llm_d(instance, division.s_disco)).solve()
+    sol = Simplex(build_party_lp(instance, instance.customer_count, division.s_disco)).solve()
     assert sol.status == "optimal"
     d_ch, d_dis = sol.x[:t], sol.x[t: 2 * t]
     net = (
@@ -218,7 +218,7 @@ def test_face_minimum_keeps_optimal_value(rng):
     for _ in range(10):
         inst = rand_instance(rng, n=1, t=4)
         cap = float(rng.uniform(0.0, inst.storage.total_capacity))
-        lp = build_llm_d(inst, cap)
+        lp = build_party_lp(inst, inst.customer_count, cap)
         grad = rng.normal(size=lp.n_vars)
         sol, x = face_minimum(lp, grad)
         f = float(lp.c @ x) + lp.objective_constant
@@ -244,7 +244,7 @@ def test_face_minimum_flat_price_degenerate_face():
         soc_ini_customer=[0.0],
         soc_ini_disco=0.0,
     )
-    lp = build_llm_d(inst, capacity=2.0)
+    lp = build_party_lp(inst, inst.customer_count, capacity=2.0)
     grad = np.zeros(lp.n_vars)
     grad[2] = 1.0   # charging in the peak slot hurts
     grad[6] = -1.0  # discharging there helps

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from storageshare import simplex, solver
-from storageshare.lp import (
-    build_llm_c,
-    build_llm_d,
-    build_party_lp,
-    evaluate,
-    no_battery_start,
-)
+from storageshare.lp import build_party_lp, evaluate, no_battery_start
 from storageshare.mpec import assemble_mpec
 from storageshare.simplex import (
     AT_LB,
@@ -159,7 +153,7 @@ def test_llm_solves_match_scipy(rng):
     for _ in range(12):
         inst = rand_instance(rng)
         cap = inst.storage.total_capacity * float(rng.uniform(0.2, 1.0))
-        for lp in (build_llm_c(inst, 0, cap), build_llm_d(inst, cap)):
+        for lp in (build_party_lp(inst, p, cap) for p in (0, inst.customer_count)):
             sol = Simplex(lp).solve()
             assert sol.status == "optimal"
             _, want = scipy_solve(lp)
@@ -220,7 +214,7 @@ def test_warm_resolve_row_to_equality(rng):
 
 
 def test_dual_signs_on_llm(tiny_instance):
-    lp = build_llm_c(tiny_instance, 0, 4.0)
+    lp = build_party_lp(tiny_instance, 0, 4.0)
     sol = Simplex(lp).solve()
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(-3.96, abs=1e-9)
@@ -744,6 +738,13 @@ def test_capacity_family_rejects_negative_capacity(tiny_instance):
             with pytest.raises(ValueError, match="capacity"):
                 path.flow_face(cap, np.ones(4))
         assert path.engine.iterations == path.iterations  # no solve ran
+
+
+def test_capacity_path_rejects_a_party_past_the_disco(tiny_instance):
+    # party N + 1 once built the DisCo's path
+    for party in (-1, tiny_instance.customer_count + 1):
+        with pytest.raises(IndexError, match="party"):
+            CapacityPath(tiny_instance, party)
 
 
 def _at_capacity(eng, snap, cap):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
-from storageshare.lp import Rows, build_llm_c, build_llm_d
+from storageshare.lp import Rows, build_party_lp
 from storageshare.simplex import Simplex
 from tests.conftest import rand_instance
 from tests.lp_oracle import dual_objective, make_lp
@@ -346,7 +346,7 @@ def test_face_minimum_matches_highs(seed, lossless, disco, share):
     kw = dict(eta_ch=1.0, eta_dis=1.0) if lossless else {}  # lossless: degenerate optima
     inst = rand_instance(g, t=int(g.integers(3, 7)), **kw)
     cap = share * inst.storage.total_capacity
-    lp = build_llm_d(inst, cap) if disco else build_llm_c(inst, 0, cap)
+    lp = build_party_lp(inst, inst.customer_count if disco else 0, cap)
     grad = g.normal(size=lp.n_vars)
     eng = Simplex(lp)
     sol = eng.solve()

@@ -7,7 +7,7 @@ import pytest
 from storageshare import mpec as mpec_module
 from storageshare import simplex, solver
 from storageshare.instance import upper_objective, zero_schedules
-from storageshare.lp import build_llm_c, build_llm_d, build_party_lp, evaluate
+from storageshare.lp import build_party_lp, evaluate
 from storageshare.mpec import assemble_mpec, linearize_big_m, validate_big_m
 from storageshare.oracle import grid_oracle
 from storageshare.scenarios import _pin_customers_only, solve_division
@@ -41,9 +41,9 @@ def solve_binary(lp, cols):
         f = frac(x)
         return (x if np.all(f <= 1e-6) else None), f
 
-    def branch(x, f):
+    def branch(f, fixes):
         col = int(cols[np.argmax(f)])
-        return (col, 0.0, 0.0), (col, 1.0, 1.0)
+        return ((col, 0.0, 0.0),), ((col, 1.0, 1.0),)
 
     return solver._branch_and_bound(Simplex(lp), SolveOptions(), accept, branch)
 
@@ -135,7 +135,7 @@ def test_histories_are_monotone():
     bounds = np.array(res.bound_history)
     incs = np.array(res.incumbent_history)
     assert bounds.size >= 1 and incs.size >= 1
-    assert np.all(np.diff(bounds) >= 0.0)
+    assert np.all(np.diff(bounds) > 0.0)
     assert np.all(np.diff(incs) <= 0.0)
     assert res.best_bound <= res.objective + 1e-9
     assert bounds[-1] == pytest.approx(res.objective, abs=1e-9)
@@ -155,7 +155,49 @@ def test_gap_target_reports_a_valid_bound(seed, optimum):
         assert res.gap == solver._relative_gap(res.objective, res.best_bound)
         assert res.gap <= gap_target
         assert res.bound_history[-1] == res.best_bound
-        assert np.all(np.diff(res.bound_history) >= 0.0)
+        assert np.all(np.diff(res.bound_history) > 0.0)
+
+
+@pytest.mark.parametrize("mode", solver.MODES)
+def test_bound_history_rises_strictly_to_the_best_bound(mode):
+    # these histories once ended above best_bound: customers-only seed 260
+    # by lpcc at 45.594781220134685 against 44.733824207047405 (a pruned
+    # node's bound), and free seed 290 by bigm at its root bound, 1 ulp
+    # above the incumbent
+    for seed in (260, 271, 290, 293):
+        mpec = assemble_mpec(division_fixture(seed))
+        for model in (mpec, _pin_customers_only(mpec)):
+            for gap_target in (0.0, 0.01, 0.05):
+                opts = SolveOptions(node_limit=4000, gap_target=gap_target)
+                res = solve_division(model, opts, mode)[0]
+                hist = np.array(res.bound_history)
+                assert np.all(np.diff(hist) > 0.0)
+                assert np.all(hist <= res.best_bound)
+                if res.status == "optimal":
+                    assert hist[-1] == res.best_bound
+
+
+@pytest.mark.parametrize("mode", solver.MODES)
+def test_branch_takes_the_worst_pair_the_node_left_free(mode):
+    mpec = assemble_mpec(division_fixture(260))
+    n = mpec.lp.n_vars
+    u_cols = linearize_big_m(mpec, day_paths(mpec.instance)).binary_cols if mode == "bigm" else None
+    branch = solver._branch_rule(mpec, u_cols)
+
+    def children(q):
+        w, row = mpec.pairs[q].tolist()
+        if u_cols is None:
+            return ((w, 0.0, 0.0),), ((n + row, 0.0, 0.0),)
+        u = int(u_cols[q])
+        return ((u, 0.0, 0.0),), ((u, 1.0, 1.0),)
+
+    last = len(mpec.pairs) - 1
+    prod = np.arange(last + 1.0)  # the last pair is the worst
+    assert branch(prod, ()) == children(last)
+    for child in children(last):  # either fix of the worst pair leaves the next worst
+        assert branch(prod, child) == children(last - 1)
+    every = tuple(fix for q in range(last + 1) for fix in children(q)[q % 2])
+    assert branch(prod, every) == children(last)  # every pair fixed: the worst of all
 
 
 @pytest.mark.parametrize("seed", [270, 274, 278, 281])
@@ -289,17 +331,11 @@ def test_runs_are_deterministic():
     assert np.array_equal(c.x, d.x)
 
 
-def party_lp(inst, p, capacity):
-    if p < inst.customer_count:
-        return build_llm_c(inst, p, capacity)
-    return build_llm_d(inst, capacity)
-
-
 def assert_extracted_duals_stationary(inst, mpec, res):
     division, schedules, duals = extract_solution(res, inst)
     shares = list(division.s_customer) + [division.s_disco]
     for p, lay in enumerate(mpec.parties()):
-        lp = party_lp(inst, p, shares[p])
+        lp = build_party_lp(inst, p, shares[p])
         kkt = derive_kkt(lp)
         x_p = np.append(res.x[lay.x0: lay.x0 + lay.nx], shares[p])
         tag = lay.tag.rstrip(".")
