@@ -2,20 +2,24 @@
 
 The writer emits ROWS/COLUMNS/RHS/RANGES/BOUNDS sections with classic
 column offsets, names X/R/E-prefixed by index so files are byte-stable
-for a given model. Binary columns are wrapped in INTORG/INTEND marker
-lines. Past arrays of one item per row or column, the writer holds one
-int32 entry order by column and one chunk of whole columns (about
-`_CHUNK` entries); a line's fields are gathered from NUL-padded byte
-tables into one byte matrix, written with the NULs dropped. A value is written with %.12g, padded to
-12 characters where another field follows it; a value longer than 12
-characters is written whole.
+for a given model; the names are filled in as digit bytes of one byte
+matrix. Binary columns are wrapped in INTORG/INTEND marker lines. Past
+arrays of one item per row or column, the writer holds one int32 entry
+order by column and one chunk of whole columns (about `_CHUNK` entries);
+each field of a line is gathered from a NUL-padded byte table straight
+into its columns of one preallocated byte matrix, written with the NULs
+dropped. A value is written with %.12g, padded to 12 characters where
+another field follows it; a value longer than 12 characters is written
+whole.
 
 The reader shares no code or constants with the writer and reports
 counts, which is what round-trip checks compare. It reads the file in
 blocks of bytes cut after their last line end, splits each block into
 tokens at the whitespace bytes.split() uses, and reads header lines one
 at a time but each section's data lines as arrays. Every value field is
-parsed as a float by numpy with float()'s grammar.
+parsed as a float by numpy with float()'s grammar; a block repeats few
+values, so each distinct value token of a block is parsed once (found
+by np.unique, which numpy >= 2.3 runs by hash).
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .lp import LinearProgram
 from .mpec import MilpModel
@@ -37,10 +40,19 @@ def _ljust(arr, width):
     return np.strings.ljust(arr, width) if arr.size else arr
 
 
-def _names(prefix: bytes, count: int) -> np.ndarray:
-    """prefix + index zero-filled to 7 digits, for indices 0..count-1."""
-    digits = np.arange(count).astype("S")
-    return np.strings.add(prefix, np.strings.zfill(digits, 7) if count else digits)
+def _names(prefix: bytes, index: np.ndarray) -> np.ndarray:
+    """prefix + each index zero-filled to 7 digits. Below 10**7 the digits
+    are written into one byte matrix, a name per row, by // 10**k % 10; a
+    larger index takes numpy's int-to-bytes conversion and zfill."""
+    index = np.asarray(index)
+    if index.size and index.max() >= 10**7:
+        return np.strings.add(prefix, np.strings.zfill(index.astype("S"), 7))
+    p = len(prefix)
+    cells = np.empty((len(index), p + 7), dtype=np.uint8)
+    cells[:, :p] = np.frombuffer(prefix, dtype=np.uint8)
+    for k in range(7):
+        cells[:, p + 6 - k] = index // 10**k % 10 + ord("0")
+    return cells.view(f"S{p + 7}").ravel()
 
 
 def _table(strings: np.ndarray) -> np.ndarray:
@@ -77,13 +89,21 @@ def _pairing(keys: np.ndarray):
 def _write_lines(write, *fields) -> None:
     """Write one line per index. A field is bytes, the same on every line,
     or (table, index): line i takes row index[i] of a `_table`. The fields
-    are gathered into one byte matrix, a line per row, and the NULs
-    dropped."""
+    are gathered into their columns of one byte matrix, a line per row,
+    and the NULs dropped."""
     count = next(len(f[1]) for f in fields if not isinstance(f, bytes))
-    cells = np.concatenate([np.broadcast_to(np.frombuffer(f, dtype=np.uint8), (count, len(f)))
-                            if isinstance(f, bytes) else f[0][f[1]] for f in (*fields, b"\n")],
-                           axis=1)
-    write(cells[cells != 0].tobytes())
+    fields = (*fields, b"\n")
+    widths = [len(f) if isinstance(f, bytes) else f[0].shape[1] for f in fields]
+    cells = np.empty((count, sum(widths)), dtype=np.uint8)
+    at = 0
+    for f, w in zip(fields, widths):
+        if isinstance(f, bytes):
+            cells[:, at:at + w] = np.frombuffer(f, dtype=np.uint8)
+        else:  # "wrap" as mode "raise" buffers out; an index is in range or -1,
+            # the table's all-NUL last row
+            np.take(f[0], f[1], axis=0, out=cells[:, at:at + w], mode="wrap")
+        at += w
+    write(cells.tobytes().translate(None, b"\0"))
 
 
 def _write_pairs(write, first_tab, first, row_tab, row, values) -> None:
@@ -124,8 +144,9 @@ def export_mps(model: LinearProgram | MilpModel, destination) -> None:
 
 def _write_model(lp: LinearProgram, binary_cols: np.ndarray, write) -> None:
     n = lp.n_vars
-    col_names = _names(b"X", n)
-    row_names = np.concatenate([[_OBJ], _names(b"R", lp.n_g), _names(b"E", lp.n_h)])
+    col_names = _names(b"X", np.arange(n))
+    row_names = np.concatenate([[_OBJ], _names(b"R", np.arange(lp.n_g)),
+                                _names(b"E", np.arange(lp.n_h))])
     row_tab = _table(row_names)
     row_pad_tab = _table(_ljust(row_names, 10))
     col_pad_tab = _table(_ljust(col_names, 10))
@@ -303,39 +324,56 @@ class _Block:
     def token(self, i) -> bytes:
         return self.text[self.start[i]:self.start[i] + self.size[i]]
 
+    def window(self, w) -> np.ndarray:
+        """Row i is the w bytes from byte i on: a view of the text."""
+        return np.ndarray((len(self.text) - w + 1, w), np.uint8, self.text, strides=(1, 1))
+
     def by_size(self, idx, extra=0):
-        """For each length w among the tokens idx: which k of them have it,
-        and the (k, w + extra) bytes that start where those tokens start."""
+        """For each length w among the tokens idx: the ascending positions
+        in idx of the k tokens that have it, and the (k, w + extra) bytes
+        that start where those tokens start."""
+        if not len(idx):
+            return
         start, size = self.start[idx], self.size[idx] + extra
-        for w in np.flatnonzero(np.bincount(size)):
-            pick = size == w
-            yield pick, sliding_window_view(self.cells, w)[start[pick]]
+        order = np.argsort(size, kind="stable")
+        size = size[order]
+        cut = (np.flatnonzero(size[1:] != size[:-1]) + 1).tolist()
+        for lo, hi in zip([0, *cut], [*cut, len(order)]):
+            pick = order[lo:hi]
+            yield pick, self.window(int(size[lo]))[start[pick]]
 
     def check_floats(self, idx) -> None:
         """float() every token in idx; a malformed one raises ValueError.
-        Each is parsed with the whitespace byte after it, which float()
-        ignores, so numpy's strip of trailing NULs cannot pass a token that
-        ends in one."""
+        A block holds few distinct values, so each length's distinct
+        tokens (np.unique of its bytes) are parsed, once each. The saving
+        rests on numpy >= 2.3, whose np.unique drops duplicates by hash
+        and sorts only the distinct tokens; an older numpy sorts every
+        token first. Each is parsed with the whitespace byte after it,
+        which float() ignores, so numpy's strip of trailing NULs cannot
+        pass a token that ends in one."""
         for _, cells in self.by_size(idx, extra=1):
-            cells.view(f"S{cells.shape[1]}").astype(float)
+            np.unique(cells.view(f"S{cells.shape[1]}")).astype(float)
 
     def equals(self, idx, word: bytes) -> np.ndarray:
-        """Whether each token in idx is exactly word."""
-        hit = self.size[idx] == len(word)
+        """Whether each token in idx is exactly word: only the tokens of
+        its length whose first byte is word's are compared whole."""
+        start = self.start[idx]
+        hit = (self.size[idx] == len(word)) & (self.cells[start] == word[0])
         if hit.any():
-            cells = sliding_window_view(self.cells, len(word))[self.start[idx[hit]]]
+            cells = self.window(len(word))[start[hit]]
             hit[hit] = (cells == np.frombuffer(word, dtype=np.uint8)).all(axis=1)
         return hit
 
     def differs_from_previous(self, idx) -> np.ndarray:
-        """Whether each token in idx differs from the one before it in idx."""
-        start, size = self.start[idx], self.size[idx]
+        """Whether each token in idx differs from the one before it in idx.
+        Each length's tokens are gathered once, and each is compared with
+        the one before it in that gather where that one is its predecessor
+        in idx."""
         new = np.ones(len(idx), dtype=bool)
-        same = size[1:] == size[:-1]
-        for w in np.flatnonzero(np.bincount(size[1:][same])):
-            pair = np.flatnonzero(same & (size[1:] == w))
-            cells = sliding_window_view(self.cells, w)
-            new[pair + 1] = (cells[start[pair]] != cells[start[pair + 1]]).any(axis=1)
+        for pick, cells in self.by_size(idx):
+            after = np.flatnonzero(pick[1:] == pick[:-1] + 1)
+            rows = cells.view(f"S{cells.shape[1]}").ravel()
+            new[pick[after + 1]] = rows[after + 1] != rows[after]
         return new
 
 

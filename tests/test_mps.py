@@ -413,3 +413,111 @@ def test_value_cut_by_a_block_boundary_is_checked(block, monkeypatch):
         else:
             with pytest.raises(ValueError):
                 read_mps(io.StringIO(text))
+
+
+def _names_by_zfill(prefix, count):
+    # the reference: numpy's int-to-bytes conversion, zfill and add
+    digits = np.arange(count).astype("S")
+    return np.strings.add(prefix, np.strings.zfill(digits, 7) if count else digits)
+
+
+@pytest.mark.parametrize("count", [0, 1, 10, 87_475])
+def test_names_match_the_zfill_formula(count):
+    for prefix in (b"X", b"R", b"E"):
+        names = mps_io._names(prefix, np.arange(count))
+        expected = _names_by_zfill(prefix, count)
+        assert names.tolist() == expected.tolist()
+        if count:
+            assert names.dtype == expected.dtype
+
+
+def test_names_past_seven_digits():
+    # an index range renders the names around 10**7 without the ten
+    # million below them
+    for index in (np.arange(9_999_990, 10_000_000), np.arange(9_999_990, 10_000_010),
+                  np.array([10**7, 123, 2 * 10**9])):
+        names = mps_io._names(b"X", index).tolist()
+        assert names == [b"X%07d" % i for i in index]
+        assert names == np.strings.add(b"X", np.strings.zfill(index.astype("S"), 7)).tolist()
+
+
+def _section_file(section, values):
+    """A file whose `section` holds one entry per value, in order."""
+    lines = {"COLUMNS": [f"    X{i}  R1  {v}" for i, v in enumerate(values, 1)],
+             "RHS": [f"    RHS  R1  {v}" for v in values],
+             "RANGES": [f"    RNG  R1  {v}" for v in values],
+             "BOUNDS": [f" UP BND  X0  {v}" for v in values]}[section]
+    head = "ROWS\n N  OBJ\n G  R1\nCOLUMNS\n    X0  OBJ  1\n"
+    return head + ("" if section == "COLUMNS" else f"{section}\n") + "\n".join(
+        lines) + "\nENDATA\n"
+
+
+SECTIONS = ("COLUMNS", "RHS", "RANGES", "BOUNDS")
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_malformed_value_repeated_raises(section):
+    text = _section_file(section, ["1.2.3"] * 20_000)
+    with pytest.raises(ValueError):
+        read_mps(io.StringIO(text))
+
+
+# a malformed value of the valid one's length and of another length, first,
+# in the middle (past the first 256 KB block) and last among 20,000 entries
+@pytest.mark.parametrize("section", SECTIONS)
+@pytest.mark.parametrize("bad", ["0.2x", "0.2.5"])
+@pytest.mark.parametrize("at", [0, 15_000, 19_999])
+def test_one_malformed_value_among_copies_raises(section, bad, at):
+    values = ["0.25"] * 20_000
+    text = _section_file(section, values)
+    assert len(text) > mps_io._READ_BLOCK
+    assert read_mps(io.StringIO(text)) == read_mps_lines(io.StringIO(text))
+    values[at] = bad
+    with pytest.raises(ValueError):
+        read_mps(io.StringIO(_section_file(section, values)))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, None])
+def test_a_value_counts_once_per_entry_whatever_follows_it(block, monkeypatch, tmp_path):
+    # one value ends its line before a space, a tab or \r\n, or ends the
+    # file, in every section that holds values
+    if block is not None:
+        monkeypatch.setattr(mps_io, "_READ_BLOCK", block)
+    ends = [" \n", "\t\n", "\r\n", "\n"]
+    text = "ROWS\n N  OBJ\n G  R1\nCOLUMNS\n"
+    text += "".join(f"    X{i}  R1  2.5{end}" for i, end in enumerate(ends))
+    for head in ("RHS\n    RHS  R1  2.5", "RANGES\n    RNG  R1  2.5", "BOUNDS\n UP BND  X0  2.5"):
+        section, line = head.split("\n")
+        text += section + "\n" + "".join(line + end for end in ends)
+    text += " UP BND  X1  2.5"  # the file ends with the value
+    expected = MpsSummary(objective_rows=1, g_rows=1, columns=4, entries=4, rhs_entries=4,
+                          range_entries=4, bound_entries=5, bound_types={"UP": 5})
+    assert read_mps_lines(io.StringIO(text)) == expected
+    assert read_mps(io.StringIO(text)) == expected
+    path = tmp_path / "case.mps"
+    path.write_bytes(text.encode())
+    assert read_mps(path) == expected
+
+
+def few_valued_lp(rng, values=(-2.0, -1.0, 0.5, 1.0, 1.25, 3.0)):
+    """A random LP whose coefficients, right-hand sides and bounds are
+    drawn from a handful of values, so each block repeats its tokens."""
+    n, mg, mh = (int(rng.integers(lo, hi)) for lo, hi in ((2, 30), (1, 20), (0, 5)))
+    a_ub = np.where(rng.random((mg, n)) < 0.4, rng.choice(values, (mg, n)), 0.0)
+    a_ub[np.arange(mg), rng.integers(0, n, mg)] = 1.0  # no empty rows
+    lb = np.where(rng.random(n) < 0.3, -np.inf, rng.choice(values, n))
+    ub = np.where(rng.random(n) < 0.3, np.inf,
+                  np.where(np.isfinite(lb), lb, 0.0) + rng.choice(np.abs(values), n))
+    return make_lp(c=rng.choice(values, n), a_ub=a_ub, b_ub=rng.choice(values, mg),
+                   a_eq=rng.choice(values, (mh, n)) if mh else None,
+                   b_eq=rng.choice(values, mh) if mh else None, lb=lb, ub=ub,
+                   objective_constant=float(rng.choice(values)))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 4096, None])
+def test_few_valued_lps_match_line_reference(block, rng, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(mps_io, "_READ_BLOCK", block)
+    for _ in range(30):
+        text = exported_text(few_valued_lp(rng))
+        assert read_mps(io.StringIO(text)) == read_mps_lines(io.StringIO(text))

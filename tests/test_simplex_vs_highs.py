@@ -7,7 +7,9 @@ the engine keeps as column bounds, with their duals and reduced costs
 checked as a certificate; and the face minimum of a second objective
 over a random dispatch LP's optima. Integer data keeps every vertex
 rational with small denominators, so feasibility and optimality are
-never decided by rounding."""
+never decided by rounding. Two leaf LPs of a division model, whose data
+is not integer, are pinned as expected failures until the engine's
+ratio tests are mended (ROADMAP item 1)."""
 
 from dataclasses import replace
 
@@ -19,8 +21,9 @@ from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
 from storageshare.lp import Rows, build_party_lp
-from storageshare.simplex import Simplex
-from tests.conftest import rand_instance
+from storageshare.mpec import assemble_mpec
+from storageshare.simplex import Simplex, SimplexError
+from tests.conftest import division_fixture_n2, rand_instance
 from tests.lp_oracle import dual_objective, make_lp
 
 _ENTRIES = st.sampled_from([-3, -2, -1, 0, 0, 0, 0, 0, 0, 1, 2, 3])
@@ -368,3 +371,67 @@ def test_face_minimum_matches_highs(seed, lossless, disco, share):
     )
     assert ref.status == 0, ref.message
     assert float(grad @ x) <= ref.fun + 1e-7
+
+
+def division_leaf_lp(cuts):
+    """The division model of division_fixture_n2(236) without the parties'
+    stationarity rows, every multiplier column fixed at 0, plus one row
+    -c_p.x_p + b.s_p >= -a per party p (c0, c1, d) for (a, b) = cuts[p]:
+    c_p is the dispatch cost of p's LP and s_p its share."""
+    mp = assemble_mpec(division_fixture_n2(236))
+    lp, inst = mp.lp, mp.instance
+    # a party's h block is its nx stationarity rows, then its nv balance rows
+    keep, row = [], 0
+    for lay in mp.parties():
+        keep.append(row + lay.nx + np.arange(lay.nv))
+        row += lay.nx + lay.nv
+    keep = np.concatenate(keep)
+    lb, ub = lp.lb.copy(), lp.ub.copy()
+    idx, val = [], []
+    for p, (lay, (_, b)) in enumerate(zip(mp.parties(), cuts)):
+        lb[lay.w0:lay.v0 + lay.nv] = ub[lay.w0:lay.v0 + lay.nv] = 0.0
+        cost = build_party_lp(inst, p, inst.storage.total_capacity).c[:lay.nx]
+        idx.append(np.append(lay.x0 + np.arange(lay.nx), lay.cap_col))
+        val.append(np.append(-cost, b))
+    return replace(lp, lb=lb, ub=ub, g=Rows.stack([lp.g, Rows.from_lists(idx, val)]),
+                   b_g=np.append(lp.b_g, [-a for a, _ in cuts]), h=lp.h.take(keep),
+                   b_h=lp.b_h[keep])
+
+
+# ROADMAP item 1's reproductions A and B: the cuts (a, b) of c0, c1 and d in
+# their exact reprs (rounded to 9 digits the LPs become ill-posed) and
+# HiGHS's optimum
+DIVISION_LEAVES = {
+    "A": ([(0.028182398571877668, -0.3546893477735233),
+           (0.010997137440996063, -0.3323420329887117), (0.0, -0.3455013488311214)],
+          62.18628952404491),
+    "B": ([(0.008651264328940256, -0.33211876180649763),
+           (0.017727189463906584, -0.33464475429280816), (0.0, -0.3455013488311214)],
+          67.13319753522066),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIVISION_LEAVES))
+def test_division_leaf_lps_highs_reference(name):
+    cuts, optimum = DIVISION_LEAVES[name]
+    status, objective = _reference(division_leaf_lp(cuts))
+    assert status == "optimal"
+    assert objective == pytest.approx(optimum, rel=1e-9)
+
+
+# A: the engine returns "optimal" 58.05809875252997 at a point where c1's
+# ch_nonneg row at slot 5 has slack -1.0949; B: a refactor finds the basis singular
+_ITEM_1 = "ROADMAP item 1: the primal ratio test accepts pivots of about 2e-9 and loses the basis"
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param("A", marks=pytest.mark.xfail(strict=True, raises=AssertionError,
+                                              reason=_ITEM_1)),
+    pytest.param("B", marks=pytest.mark.xfail(strict=True, raises=SimplexError,
+                                              reason=_ITEM_1)),
+])
+def test_division_leaf_lps_match_highs(name):
+    cuts, optimum = DIVISION_LEAVES[name]
+    sol = Simplex(division_leaf_lp(cuts)).solve()
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(optimum, rel=1e-9)
