@@ -25,12 +25,13 @@ optimal dispatches, so swapping them in keeps it optimal and under every cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .instance import Instance, flow_price
 from .lp import LinearProgram, Rows, build_party_lp
+from .simplex import day_paths
 
 _PRIMAL_SAFETY = 1.25
 _PRIMAL_FLOOR = 1.0
@@ -64,6 +65,11 @@ class MpecModel:
     whose values must multiply to zero. Column order: peak, s_disco,
     s_customer[0..N-1], then per party its primal block, multiplier block,
     balance multiplier.
+
+    paths, the day's capacity paths in party order, depend on the instance
+    alone: the first read builds them (simplex.day_paths) and every later
+    one returns the same objects. A model derived by dataclasses.replace
+    with the same instance (a pin on its shares) shares the one build.
     """
 
     instance: Instance
@@ -74,6 +80,14 @@ class MpecModel:
     div_cust_cols: np.ndarray
     customers: tuple  # PartyLayout per customer
     disco: "PartyLayout"
+    # holds the paths once built; replace() hands the same list on
+    _paths: list = field(default_factory=list, repr=False, compare=False)
+
+    @property
+    def paths(self) -> tuple:
+        if not self._paths:
+            self._paths.append(tuple(day_paths(self.instance)))
+        return self._paths[0]
 
     @property
     def n_pairs(self) -> int:

@@ -17,9 +17,10 @@ counts, which is what round-trip checks compare. It reads the file in
 blocks of bytes cut after their last line end, splits each block into
 tokens at the whitespace bytes.split() uses, and reads header lines one
 at a time but each section's data lines as arrays. Every value field is
-parsed as a float by numpy with float()'s grammar; a block repeats few
-values, so each distinct value token of a block is parsed once (found
-by np.unique, which numpy >= 2.3 runs by hash).
+parsed as a float by numpy with float()'s grammar; a block mostly
+repeats few values, so each distinct value token of a block is parsed
+once (found by np.unique, which numpy >= 2.3 runs by hash), unless a
+sample of the block's tokens shows them mostly distinct.
 """
 
 from __future__ import annotations
@@ -258,6 +259,7 @@ class MpsSummary:
 
 
 _READ_BLOCK = 1 << 18  # kept small: the read's peak memory is a few blocks
+_SAMPLE = 256  # value tokens per length sampled for how many are distinct
 
 
 def read_mps(path) -> MpsSummary:
@@ -344,15 +346,22 @@ class _Block:
 
     def check_floats(self, idx) -> None:
         """float() every token in idx; a malformed one raises ValueError.
-        A block holds few distinct values, so each length's distinct
+        A block mostly repeats few values, so each length's distinct
         tokens (np.unique of its bytes) are parsed, once each. The saving
         rests on numpy >= 2.3, whose np.unique drops duplicates by hash
         and sorts only the distinct tokens; an older numpy sorts every
-        token first. Each is parsed with the whitespace byte after it,
-        which float() ignores, so numpy's strip of trailing NULs cannot
-        pass a token that ends in one."""
+        token first. np.unique costs more than it saves where most tokens
+        differ, so a length whose evenly spaced sample of _SAMPLE tokens
+        is more than half distinct is parsed whole. Each token is parsed
+        with the whitespace byte after it, which float() ignores, so
+        numpy's strip of trailing NULs cannot pass a token that ends in
+        one."""
         for _, cells in self.by_size(idx, extra=1):
-            np.unique(cells.view(f"S{cells.shape[1]}")).astype(float)
+            tokens = cells.view(f"S{cells.shape[1]}").ravel()
+            sample = tokens[:: -(-len(tokens) // _SAMPLE)]
+            if 2 * len(np.unique(sample)) <= len(sample):
+                tokens = np.unique(tokens)
+            tokens.astype(float)
 
     def equals(self, idx, word: bytes) -> np.ndarray:
         """Whether each token in idx is exactly word: only the tokens of

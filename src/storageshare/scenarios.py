@@ -23,10 +23,12 @@ bound floored at its capacity path's maximum, which makes the form exact
 (mpec's notes), and a bound still near-binding at the answer is a note in
 the day's report.
 
-run_all_scenarios builds the day's capacity paths (simplex.CapacityPath,
-one per party) and its division model once: scenario 1 reads the
+run_all_scenarios assembles the day's division model once. The model
+owns the day's capacity paths (simplex.CapacityPath, one per party,
+MpecModel.paths), built on their first read: scenario 1 reads the
 utility's path, and the tree solves of scenarios 2 and 3 read all of
-them. A scenario run, a run of all three and a cycle each share one time
+them, scenario 2 through its pinned copy of the model, which shares them.
+A scenario run, a run of all three and a cycle each share one time
 limit, path builds included: every solve gets what is left of it, and a
 scenario that would start with none left fails with status limit (a
 cycle records the day as failed).
@@ -58,7 +60,7 @@ from .instance import (
 )
 from .lp import Rows
 from .mpec import assemble_mpec, validate_big_m
-from .simplex import CapacityPath, day_paths
+from .simplex import CapacityPath
 from .solver import (_EXIT_CODES, DEFAULT_MODE, MODES, SolveOptions, extract_solution,
                      solve_lpcc, solve_milp)
 
@@ -178,7 +180,8 @@ def _pin_customers_only(mpec):
 
     The utility's share is pinned to zero and the customer shares must
     use the full capacity; how it splits among customers stays free for
-    the division model to optimize.
+    the division model to optimize. The pinned model keeps the instance,
+    so it shares mpec's capacity paths.
     """
     lp = mpec.lp
     lb, ub = lp.lb.copy(), lp.ub.copy()
@@ -200,17 +203,18 @@ def _check_mode(mode: str):
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def solve_division(mpec, opts: SolveOptions, mode: str, paths=None):
-    """Run the joint model in the requested mode. paths, if given, are the
-    day's capacity paths (one per party, as both trees take them). A bigm
-    solve builds its own big-M form, floored by the paths (solve_milp),
-    and its answer is validated; a near-binding bound is noted by side.
-    Returns (result, escalations, notes), escalations being the number of
-    pairs whose bound the floor lifted, noted when there are any."""
+def solve_division(mpec, opts: SolveOptions, mode: str, _=None):
+    """Run the joint model in the requested mode, on the model's own
+    capacity paths. A bigm solve builds its own big-M form, floored by the
+    paths (solve_milp), and its answer is validated; a near-binding bound
+    is noted by side. Returns (result, escalations, notes), escalations
+    being the number of pairs whose bound the floor lifted, noted when
+    there are any. A fourth argument, where the day's paths were once
+    passed, is ignored; perfbench/workloads.py still passes None there."""
     _check_mode(mode)
     if mode == "lpcc":
-        return solve_lpcc(mpec, opts, paths=paths), 0, []
-    result = solve_milp(mpec, opts, paths=paths)
+        return solve_lpcc(mpec, opts), 0, []
+    result = solve_milp(mpec, opts)
     milp = result.model
     notes = []
     if milp.lifted:
@@ -233,16 +237,16 @@ def run_scenario(instance: Instance, scenario, options: SolveOptions | None = No
 
 
 def _report(instance: Instance, scenario: ScenarioId, opts: SolveOptions, mode: str,
-            day: int, deadline: float, paths=None, mpec=None) -> DayReport:
+            day: int, deadline: float, mpec=None) -> DayReport:
     """One scenario's report, its solve given what is left before deadline
-    (a perf_counter reading). paths and mpec are the day's capacity paths
-    and division model, built here when None."""
+    (a perf_counter reading). mpec is the day's division model, assembled
+    here when None; without it scenario 1 builds the utility's path alone."""
     _check_mode(mode)
     _left(scenario, deadline)
     notes: list = []
 
     if scenario is ScenarioId.DISCO_ONLY:
-        path = CapacityPath(instance, instance.customer_count) if paths is None else paths[-1]
+        path = CapacityPath(instance, instance.customer_count) if mpec is None else mpec.paths[-1]
         division, schedules, sol = _disco_only_dispatch(instance, path)
         stats = {"mode": "lp", "status": "optimal", "nodes": 1,
                  "gap": 0.0, "escalations": 0, "iterations": sol.iterations}
@@ -251,7 +255,7 @@ def _report(instance: Instance, scenario: ScenarioId, opts: SolveOptions, mode: 
         if scenario is ScenarioId.CUSTOMERS_ONLY:
             mpec = _pin_customers_only(mpec)
         result, escalations, notes = solve_division(
-            mpec, replace(opts, time_limit=_left(scenario, deadline)), mode, paths)
+            mpec, replace(opts, time_limit=_left(scenario, deadline)), mode)
         if result.status != "optimal":
             raise ScenarioError(scenario, result.status,
                                 f"solver ended {result.status} after {result.node_count} nodes")
@@ -295,13 +299,13 @@ def _report(instance: Instance, scenario: ScenarioId, opts: SolveOptions, mode: 
 def run_all_scenarios(instance: Instance, options: SolveOptions | None = None,
                       mode: str = DEFAULT_MODE, day: int = 0):
     """All three scenarios on one instance, in scenario order, on one
-    build of the day's capacity paths and division model and within one
-    options.time_limit."""
+    division model, and so one build of the day's capacity paths, within
+    one options.time_limit."""
     _check_mode(mode)
     opts = options if options is not None else SolveOptions()
     deadline = time.perf_counter() + opts.time_limit
-    paths, mpec = day_paths(instance), assemble_mpec(instance)
-    return tuple(_report(instance, sid, opts, mode, day, deadline, paths, mpec)
+    mpec = assemble_mpec(instance)
+    return tuple(_report(instance, sid, opts, mode, day, deadline, mpec)
                  for sid in ScenarioId)
 
 

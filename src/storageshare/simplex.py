@@ -818,7 +818,8 @@ class CapacityPath:
     last is 0 alone. iterations counts the path's pivots; a rejected start
     counts in engine.start_rejects. dual_g_max is each row's largest
     multiplier over the pieces. The face lines of flow_face are kept on the
-    path, per piece and price."""
+    path, per piece and price. Between lookups the engine holds no basis
+    inverse: a face walk refactors from its piece's basis."""
 
     def __init__(self, instance: Instance, party: int):
         lp = build_party_lp(instance, party, instance.storage.total_capacity)
@@ -845,7 +846,10 @@ class CapacityPath:
             self.pieces.append((0.0, replace(sol, x=x, objective=float(lp.c @ x)), dx, eng.snapshot()))
         self.iterations = eng.iterations
         self.dual_g_max = np.max([sol.dual_g for _, sol, _, _ in self.pieces], axis=0)
-        eng._inverses.clear()  # nothing resolves on the path's engine: keep no inverse
+        # nothing resolves on the path's engine, and a face walk refactors
+        # from its piece's basis: keep no inverse, kept or current
+        eng._inverses.clear()
+        eng.binv = eng.xb = None
 
     def _index(self, s: float) -> int:
         """Index of the piece holding capacity s; at a breakpoint, the one below."""
@@ -902,7 +906,9 @@ class CapacityPath:
                 raise SimplexError(f"face walk ended {out} at {eng.hi[k]}")
             return eng._read_x()
 
-        return _walk(eng, upper, lower, self._tol, g_full, eng.face_minimum(grad), settle)
+        lines = _walk(eng, upper, lower, self._tol, g_full, eng.face_minimum(grad), settle)
+        eng.binv = eng.xb = None
+        return lines
 
 
 def day_paths(instance: Instance):

@@ -3,13 +3,13 @@ simplex engine.
 
 Two entry points take the division model (mpec.MpecModel): solve_milp
 branches on the binaries of its big-M form, which it builds floored by the
-paths (linearize_big_m(mpec, paths), exact), and solve_lpcc branches on
-complementarity pairs without big-M constants. Both run one tree solve
+paths (linearize_big_m(mpec, mpec.paths), exact), and solve_lpcc branches
+on complementarity pairs without big-M constants. Both run one tree solve
 (_solve_tree) on the day's capacity paths (simplex.CapacityPath, one per
-party): the caller may pass them (keyword paths; a scenario run builds
-them once for all its solves), and otherwise the solve builds them once.
-The big-M floor, the chords, the multiplier caps, the root start and the
-dual re-read all read those paths.
+party), which the model owns (MpecModel.paths): its first solve builds
+them, and every later solve of the model, or of a model pinned from it,
+reads the same objects. The big-M floor, the chords, the multiplier caps,
+the root start and the dual re-read all read those paths.
 One stitch (_stitch) writes a point's party blocks off the paths at the
 point's shares, for the root start and the re-read of the final
 incumbent: each party's multipliers from its path at the answer's share,
@@ -48,13 +48,14 @@ it: each party's primal basis, the complementary dual basis on its
 stationarity rows, peak on its tightest row and a surplus on every other
 row (_root_start). The engine checks each start and runs phase 2 from
 it; a rejected start falls back to the slack crash. Each fallback a
-solve takes is named in SolveResult.fallbacks, and
+solve takes is named in SolveResult.fallbacks;
 SolveResult.family_iterations and .path_pieces count the paths' pivots
-and pieces. The clock and time limit run from the start of the whole
-solve, the paths, the big-M form and the chords it builds included; the
-node and time budget is checked before each node is solved and each
-solved node is branched. The search stops when the lowest open bound is
-within SolveOptions.gap_target of the incumbent.
+and pieces, and .warm_hits, .warm_rebuilds and .cold_restarts the tree
+engine's warm starts. The clock and time limit run from the start of the
+whole solve, the paths (when this solve builds them), the big-M form and
+the chords included; the node and time budget is checked before each
+node is solved and each solved node is branched. The search stops when
+the lowest open bound is within SolveOptions.gap_target of the incumbent.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from .instance import FEAS_TOL, Division, Instance, ScheduleSet
 from .lp import LinearProgram, Rows, evaluate
 from .mpec import MilpModel, MpecModel, _pair_slacks, linearize_big_m, pair_caps
 from .oracle import check_schedule_invariants
-from .simplex import Simplex, day_paths
+from .simplex import Simplex
 
 _EXIT_CODES = {"optimal": 0, "infeasible": 2, "unbounded": 3, "limit": 4}
 MODES = ("bigm", "lpcc")  # solve_milp on the big-M model, or solve_lpcc
@@ -108,10 +109,15 @@ class SolveResult:
     incumbent_history: tuple = ()
     root_iterations: int = 0
     # pivots of the parties' capacity paths (simplex.CapacityPath) and their
-    # pieces, summed over the parties; solves that share the day's paths
-    # (the scenarios of one run) all report the same
+    # pieces, summed over the parties; the model builds its paths once, so
+    # every solve of a model, or of a model pinned from it, reports the same
     family_iterations: int = 0
     path_pieces: int = 0
+    # the tree engine's warm starts below the root: from a kept inverse, with
+    # a rebuilt one, and those that restarted cold (Simplex's counters)
+    warm_hits: int = 0
+    warm_rebuilds: int = 0
+    cold_restarts: int = 0
     # the fallbacks the solve took: "family_start" (a capacity path's cold
     # solve ran from the slack crash), "root_start" (the root LP did),
     # "cold_restart" (a node's warm resolve restarted cold) and "reread"
@@ -380,18 +386,17 @@ def _root_start(mpec: MpecModel, lp: LinearProgram, paths, u_cols=None):
     return basic, x
 
 
-def _solve_tree(mpec: MpecModel, options: SolveOptions | None, paths, bigm: bool) -> SolveResult:
-    """Each party's capacity path (built here unless the caller passes the
-    day's paths); with bigm the big-M form floored by them, else mpec; then
-    the best-first tree over that model's LP with its caps and chord rows
-    (_tree_lp) from the paths' root start, and the dual re-read of the
+def _solve_tree(mpec: MpecModel, options: SolveOptions | None, bigm: bool) -> SolveResult:
+    """The day's capacity paths (mpec.paths, built here on the model's
+    first solve); with bigm the big-M form floored by them, else mpec;
+    then the best-first tree over that model's LP with its caps and chord
+    rows (_tree_lp) from the paths' root start, and the dual re-read of the
     incumbent off the same paths. The form's binaries pick the fixes of
     the branching rule (_branch_rule), and every point the solve takes
     passes one rule (_bilevel_feasible on the model's LP). The clock and
-    the time limit cover it all."""
+    the time limit cover it all, a path build included."""
     t0 = time.perf_counter()
-    if paths is None:
-        paths = day_paths(mpec.instance)
+    paths = mpec.paths
     model = linearize_big_m(mpec, paths) if bigm else mpec
     u_cols = model.binary_cols if bigm else None
     accept = _bilevel_feasible(mpec, model.lp, u_cols)
@@ -413,32 +418,31 @@ def _solve_tree(mpec: MpecModel, options: SolveOptions | None, paths, bigm: bool
     return replace(result, model=model, x=result.x if x is None else x, fallbacks=fallbacks,
                    family_iterations=sum(path.iterations for path in paths),
                    path_pieces=sum(len(path.pieces) for path in paths),
+                   warm_hits=engine.warm_hits, warm_rebuilds=engine.warm_rebuilds,
+                   cold_restarts=engine.cold_restarts,
                    wall_time=time.perf_counter() - t0)
 
 
-def solve_milp(mpec: MpecModel, options: SolveOptions | None = None, *,
-               paths=None) -> SolveResult:
+def solve_milp(mpec: MpecModel, options: SolveOptions | None = None) -> SolveResult:
     """Best-first branch and bound on the binaries of the division model's
     big-M form, branching on the most violated complementarity pair. The
-    solve builds the form, linearize_big_m(mpec, paths), as its model.
+    solve builds the form, linearize_big_m(mpec, mpec.paths), as its model.
 
     The bound sequence is strictly increasing, never above best_bound and
     ends at it, and the incumbent sequence non-increasing by construction
-    (child bounds are clamped to their parent's). paths, if given, are the day's capacity paths, one per
-    party (simplex.CapacityPath), and the solve builds none.
+    (child bounds are clamped to their parent's).
     """
-    return _solve_tree(mpec, options, paths, bigm=True)
+    return _solve_tree(mpec, options, bigm=True)
 
 
-def solve_lpcc(mpec: MpecModel, options: SolveOptions | None = None, *,
-               paths=None) -> SolveResult:
+def solve_lpcc(mpec: MpecModel, options: SolveOptions | None = None) -> SolveResult:
     """Complementarity branching on the pair list, no big-M constants.
 
     Each node either zeroes a pair's multiplier or pins its row to
     equality, so every root-to-leaf path fixes a strictly growing set of
-    columns and the tree is finite. paths as in solve_milp.
+    columns and the tree is finite.
     """
-    return _solve_tree(mpec, options, paths, bigm=False)
+    return _solve_tree(mpec, options, bigm=False)
 
 
 def extract_solution(result: SolveResult, instance: Instance):

@@ -477,6 +477,27 @@ def test_one_malformed_value_among_copies_raises(section, bad, at):
         read_mps(io.StringIO(_section_file(section, values)))
 
 
+# mostly distinct values are parsed whole, without np.unique: they read
+# as the line reference does, and a malformed one, first, in the middle
+# (past the first 256 KB block) or last, raises the error it raises among
+# copies of one value, which are parsed through np.unique
+@pytest.mark.parametrize("section", SECTIONS)
+@pytest.mark.parametrize("at", [0, 15_000, 19_999])
+def test_distinct_values_read_and_fail_as_copies_do(section, at):
+    distinct = [f"{10_000 + k}.5" for k in range(20_000)]  # all 7 characters long
+    copies = ["10000.5"] * 20_000
+    text = _section_file(section, distinct)
+    assert len(text) > mps_io._READ_BLOCK
+    assert read_mps(io.StringIO(text)) == read_mps_lines(io.StringIO(text))
+    errors = []
+    for values in (distinct, copies):
+        values[at] = "1234.x5"
+        with pytest.raises(ValueError) as info:
+            read_mps(io.StringIO(_section_file(section, values)))
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] and "1234.x5" in errors[0]
+
+
 @pytest.mark.parametrize("block", [1, 7, 64, None])
 def test_a_value_counts_once_per_entry_whatever_follows_it(block, monkeypatch, tmp_path):
     # one value ends its line before a space, a tab or \r\n, or ends the

@@ -1,6 +1,8 @@
 """Scenario comparison engine: baselines, attribution, reports, the cycle."""
 
 import filecmp
+import importlib
+import os
 import time
 from dataclasses import replace
 
@@ -194,15 +196,15 @@ def test_bigm_escalates_undersized_dual_bounds(monkeypatch):
 def test_bigm_path_build_counts_against_the_time_limit(monkeypatch):
     # a bigm solve built the day's paths before its tree and off its clock,
     # so a day whose paths took longer than the time limit still solved;
-    # the tree solve now builds them on its own clock
-    mpec = assemble_mpec(dict(DIVISION_FIXTURES)["mix202"]())
-    build = solver.day_paths
+    # the first tree solve of a model now builds them on its own clock
+    build = mpec_module.day_paths
 
     def slow(instance):
         time.sleep(0.3)
         return build(instance)
 
-    monkeypatch.setattr(solver, "day_paths", slow)
+    monkeypatch.setattr(mpec_module, "day_paths", slow)
+    mpec = assemble_mpec(dict(DIVISION_FIXTURES)["mix202"]())  # no path built yet
     t0 = time.perf_counter()
     res, _, _ = solve_division(mpec, SolveOptions(time_limit=0.2), "bigm")
     assert (res.status, res.exit_code, res.node_count) == ("limit", 4, 0)
@@ -322,14 +324,47 @@ def test_scenario_run_builds_each_path_once(monkeypatch):
         assert reps[1].solver_stats["status"] == reps[2].solver_stats["status"] == "optimal"
 
 
+def test_a_model_builds_its_paths_once_for_every_solve(monkeypatch):
+    # every tree solve once built every party's path: 62 builds a pass of
+    # the small-days benchmark workload (31 parties, two trees each) and the
+    # same again on each later pass; its models now build them once
+    built = _count_paths(monkeypatch)
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    measure, workloads = (importlib.import_module(name) for name in ("measure", "workloads"))
+    days = workloads.SmallDays()
+    state = days.setup(1, None)
+    assert built == []  # assembling a model builds no path
+    for builds in (31, 0):
+        built.clear()
+        p = measure.Pass()
+        days.run_pass(state, p)
+        assert len(built) == builds and days.check(state, p.records) == []
+    # a scenario run builds the day's N+1 paths once: scenario 1 reads the
+    # utility's, and the customers-only solve, on its pinned model, reads
+    # the objects the shared solve reads
+    built.clear()
+    seen = []
+    solve = scenarios.solve_division
+
+    def recording(mpec, opts, mode):
+        seen.append(mpec.paths)
+        return solve(mpec, opts, mode)
+
+    monkeypatch.setattr(scenarios, "solve_division", recording)
+    inst = conflict_instance()
+    run_all_scenarios(inst)
+    assert built == list(range(inst.customer_count + 1))
+    assert len(seen) == 2 and all(a is b for a, b in zip(*seen))
+
+
 def _record_limits(monkeypatch, pause=0.0):
     """Patch scenarios.solve_division to record the time limit of each call
     and the perf_counter reading at its return, and to sleep pause seconds
     after solving."""
     solve, calls = scenarios.solve_division, []
 
-    def recorded(mpec, opts, mode, paths=None):
-        res = solve(mpec, opts, mode, paths)
+    def recorded(mpec, opts, mode):
+        res = solve(mpec, opts, mode)
         time.sleep(pause)
         calls.append((opts.time_limit, time.perf_counter()))
         return res

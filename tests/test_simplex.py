@@ -1074,6 +1074,28 @@ def test_paths_keep_no_inverse(monkeypatch):
             assert _piece_bytes(path) == before
 
 
+def test_built_paths_hold_no_inverse():
+    # a built path's engine once held its last basis inverse and basic
+    # values (0.67 MB of a fleet customer's 1.7 MB path); a face walk
+    # refactors from its piece's basis, so the engine holds neither after
+    # the build or a face lookup, and a path left holding a spoiled pair
+    # gives the same points and face points, byte for byte
+    inst = day_long(2)
+    t = inst.grid.slot_count
+    price = np.random.default_rng(5).uniform(-1.0, 1.0, t)
+    for p in range(inst.customer_count + 1):
+        path, spoiled = CapacityPath(inst, p), CapacityPath(inst, p)
+        eng = spoiled.engine
+        eng.binv, eng.xb = np.full((eng.m, eng.m), np.nan), np.full(eng.m, np.nan)
+        for s in np.linspace(0.0, inst.storage.total_capacity, 9):
+            assert path.engine.binv is None and path.engine.xb is None
+            (got, got_face), (want, want_face) = (
+                q.flow_face(float(s), price) for q in (path, spoiled))
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got_face.tobytes() == want_face.tobytes()
+        assert path.engine.binv is None and path.engine.xb is None
+
+
 def test_path_lookups_are_feasible_with_no_duality_gap():
     """At 4,001 shares, every lookup's x is feasible at 1e-9 for the LP at
     that share, its multipliers are dual feasible, and the duality gap is

@@ -9,8 +9,13 @@ over a random dispatch LP's optima. Integer data keeps every vertex
 rational with small denominators, so feasibility and optimality are
 never decided by rounding. Two leaf LPs of a division model, whose data
 is not integer, are pinned as expected failures until the engine's
-ratio tests are mended (ROADMAP item 1)."""
+ratio tests are mended (ROADMAP item 1), and so is the root LP of a tree
+over a customers-only day's primal block."""
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -22,8 +27,9 @@ from scipy.optimize import linprog
 
 from storageshare.lp import Rows, build_party_lp
 from storageshare.mpec import assemble_mpec
+from storageshare.scenarios import _pin_customers_only
 from storageshare.simplex import Simplex, SimplexError
-from tests.conftest import division_fixture_n2, rand_instance
+from tests.conftest import day_long, division_fixture_n2, rand_instance
 from tests.lp_oracle import dual_objective, make_lp
 
 _ENTRIES = st.sampled_from([-3, -2, -1, 0, 0, 0, 0, 0, 0, 1, 2, 3])
@@ -435,3 +441,96 @@ def test_division_leaf_lps_match_highs(name):
     sol = Simplex(division_leaf_lp(cuts)).solve()
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(optimum, rel=1e-9)
+
+
+def vf_root_lp(mp):
+    """The root LP of a tree over the primal block of the division model mp
+    (ROADMAP item 14): mp.lp without the parties' stationarity rows and
+    multiplier columns, its other columns renumbered in order, plus per
+    party p one column lambda_k >= 0 per distinct upper end sigma_k of the
+    pieces of its path in mp.paths (0 included), ascending, the rows
+    s_p - sum_k lambda_k sigma_k = 0 and sum_k lambda_k = 1 after mp's
+    equality rows, and sum_k lambda_k phi_p(sigma_k) - c_p.x_p >= 0 after
+    its inequality rows; phi_p(sigma) is path.at(sigma).objective and c_p
+    the path LP's dispatch cost."""
+    lp, parties = mp.lp, mp.parties()
+    keep, row = [], 0  # a party's h block: nx stationarity rows, then nv balance rows
+    drop = np.zeros(lp.n_vars, dtype=bool)
+    for lay in parties:
+        keep.append(row + lay.nx + np.arange(lay.nv))
+        row += lay.nx + lay.nv
+        drop[lay.w0:lay.v0 + lay.nv] = True
+    keep = np.concatenate(keep + [np.arange(row, lp.n_h)])  # the pin on the shares too
+    col = np.cumsum(~drop) - 1  # each kept column's new index
+    n = n0 = int(np.count_nonzero(~drop))
+    h_idx, h_val, g_idx, g_val = [], [], [], []
+    for lay, path in zip(parties, mp.paths):
+        sigma = np.unique([piece[0] for piece in path.pieces])
+        lam = n + np.arange(sigma.size)
+        n += sigma.size
+        phi = [path.at(float(s)).objective for s in sigma]
+        cost = path.engine.lp.c[:lay.nx]
+        nz = np.flatnonzero(cost)
+        h_idx += [np.append(lam, col[lay.cap_col]), lam]
+        h_val += [np.append(-sigma, 1.0), np.ones(sigma.size)]
+        g_idx.append(np.append(lam, col[lay.x0 + nz]))
+        g_val.append(np.append(phi, -cost[nz]))
+
+    def renumbered(rows):
+        return Rows(rows.indptr, col[rows.indices], rows.data)
+
+    kept = ~drop
+    return replace(lp, c=np.append(lp.c[kept], np.zeros(n - n0)),
+                   lb=np.append(lp.lb[kept], np.zeros(n - n0)),
+                   ub=np.append(lp.ub[kept], np.full(n - n0, np.inf)),
+                   g=Rows.stack([renumbered(lp.g), Rows.from_lists(g_idx, g_val)]),
+                   b_g=np.append(lp.b_g, np.zeros(len(parties))),
+                   h=Rows.stack([renumbered(lp.h.take(keep)), Rows.from_lists(h_idx, h_val)]),
+                   b_h=np.append(lp.b_h[keep], np.tile([0.0, 1.0], len(parties))))
+
+
+# ROADMAP item 1's reproduction C: the customers-only day of 8 customers
+# over 12 slots, and HiGHS's optimum of its root LP
+def co_day_8_12():
+    return _pin_customers_only(assemble_mpec(day_long(8, 12)))
+
+
+VF_ROOT_C = 544.9108872013353
+
+
+def test_vf_root_lp_highs_reference():
+    status, objective = _reference(vf_root_lp(co_day_8_12()))
+    assert status == "optimal"
+    assert objective == pytest.approx(VF_ROOT_C, rel=1e-9)
+
+
+# the engine's answer on C depends on the BLAS thread count, as products
+# with its dense inverse round differently: with one thread a refactor
+# finds the basis singular, and with two it reaches HiGHS's optimum. The
+# pin solves in a process of one BLAS thread, as tests.tree_sweep and
+# tests.readme_flow run.
+_SOLVE_VF_ROOT_C = """
+import json
+from storageshare.simplex import Simplex, SimplexError
+from tests.test_simplex_vs_highs import co_day_8_12, vf_root_lp
+try:
+    sol = Simplex(vf_root_lp(co_day_8_12())).solve()
+    print(json.dumps([sol.status, sol.objective]))
+except SimplexError as err:
+    print(json.dumps(["SimplexError", str(err)]))
+"""
+
+
+@pytest.mark.xfail(strict=True, raises=SimplexError, reason=_ITEM_1)
+def test_vf_root_lp_matches_highs():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), root] + [os.environ.get("PYTHONPATH", "")]))
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    out = subprocess.run([sys.executable, "-c", _SOLVE_VF_ROOT_C], env=env, cwd=root,
+                         capture_output=True, text=True, check=True).stdout
+    status, value = json.loads(out)
+    if status == "SimplexError":
+        raise SimplexError(value)
+    assert status == "optimal"
+    assert value == pytest.approx(VF_ROOT_C, rel=1e-9)

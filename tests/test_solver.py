@@ -255,9 +255,11 @@ def test_root_at_its_iteration_limit_proves_no_bound(monkeypatch, mode):
     assert res.best_bound == -np.inf and res.gap == np.inf
 
 
-def test_one_capacity_path_per_party_per_tree_solve(monkeypatch):
-    # each tree solve builds every party's path once; the tree LP's caps
-    # and chords, the root start and the re-read all read those objects
+def test_one_capacity_path_per_party_per_model(monkeypatch):
+    # a model builds every party's path once, on its first tree solve, and
+    # a second solve of it (by the other tree) builds none; in both, the
+    # tree LP's caps and chords, the root start and the re-read read the
+    # first solve's objects, which the model holds
     built, reads = [], []
 
     class Path(CapacityPath):
@@ -276,17 +278,20 @@ def test_one_capacity_path_per_party_per_tree_solve(monkeypatch):
         monkeypatch.setattr(solver, name, reading(name.strip("_"), getattr(solver, name), at))
     mpec = assemble_mpec(interior_fixture())  # its root branches
     parties = len(mpec.parties())
-    for solve in (lambda: solve_lpcc(mpec), lambda: solve_milp(mpec)):
+    first = None
+    for solve, builds in ((solve_lpcc, parties), (solve_milp, 0)):
         built.clear()
         reads.clear()
-        res = solve()
+        res = solve(mpec)
         assert res.status == "optimal" and res.node_count > 1 and res.fallbacks == ()
-        assert len(built) == parties
+        assert len(built) == builds
+        first = first or tuple(built)
+        assert all(a is b for a, b in zip(mpec.paths, first))
         names = [name for name, _ in reads]
         assert names.count("tree_lp") == names.count("root_start") == names.count("reread") == 1
         assert names.count("stitch") == 1  # the root start's
         for _, paths in reads:
-            assert len(paths) == parties and all(a is b for a, b in zip(paths, built))
+            assert len(paths) == parties and all(a is b for a, b in zip(paths, first))
 
 
 def test_time_limit_yields_limit_status():
@@ -371,7 +376,7 @@ def test_bigm_branches_on_a_binary_that_lets_its_pair_slip():
     # DisCo's dispatch off its optimum, so the tree must branch on it
     inst = division_fixture(280)
     mpec = assemble_mpec(inst)
-    rm = solve_division(mpec, SolveOptions(), "bigm", None)[0]
+    rm = solve_division(mpec, SolveOptions(), "bigm")[0]
     rl = solve_lpcc(mpec)
     assert rm.status == rl.status == "optimal"
     assert abs(rm.objective - rl.objective) <= 1e-6 * max(1.0, abs(rl.objective))
@@ -386,7 +391,7 @@ def test_bigm_answer_takes_the_family_multipliers():
     # read off the party paths instead, no bound is flagged and the
     # solve needs no escalation
     mpec = assemble_mpec(division_fixture(271))
-    res, escalations, _ = solve_division(mpec, SolveOptions(), "bigm", None)
+    res, escalations, _ = solve_division(mpec, SolveOptions(), "bigm")
     assert res.status == "optimal" and escalations == 0
     assert_lower_level_optimal(mpec, res)
     assert_multipliers_certify(mpec, res)
@@ -558,7 +563,7 @@ def test_capped_trees_prove_customers_only_days(n, t, mode, optimum):
     # took 1,743 (lpcc) and 1,891 (bigm) nodes, and the N=5, T=12 day
     # ended "limit" after 3,000; capped, each takes under 300
     mpec = _pin_customers_only(assemble_mpec(day_long(n, t)))
-    res = solve_division(mpec, SolveOptions(node_limit=400), mode, None)[0]
+    res = solve_division(mpec, SolveOptions(node_limit=400), mode)[0]
     assert res.status == "optimal"
     assert abs(res.objective - optimum) <= 1e-6 * max(1.0, abs(optimum))
     assert_lower_level_optimal(mpec, res)
@@ -614,13 +619,13 @@ def test_each_fallback_is_named_and_changes_no_answer(monkeypatch, mode):
         ("cold_restart", branching, Simplex, "_dual_loop", failing_once),
     )
     for name, inst, owner, attr, patch in forced:
-        mpec = assemble_mpec(inst)
-        clean = solve(mpec)
+        clean = solve(assemble_mpec(inst))
         assert clean.status == "optimal" and clean.fallbacks == ()
         with monkeypatch.context() as m:
             m.setattr(owner, attr, patch)
-            res = solve(mpec)
+            res = solve(assemble_mpec(inst))  # a fresh model builds its paths under the patch
         assert res.fallbacks == (name,)
+        assert res.cold_restarts == (name == "cold_restart") and clean.cold_restarts == 0
         assert res.status == clean.status
         assert abs(res.objective - clean.objective) <= 1e-9 * max(1.0, abs(clean.objective))
         if name == "root_start":
@@ -628,6 +633,20 @@ def test_each_fallback_is_named_and_changes_no_answer(monkeypatch, mode):
         if name == "family_start":  # the paths' cold solves ran phase 1
             assert res.family_iterations > clean.family_iterations
     assert len(raised) == 1
+
+
+@pytest.mark.parametrize("mode", solver.MODES)
+def test_warm_start_counters_cover_every_node_below_the_root(mode):
+    # the result carries the tree engine's counters: each node below the
+    # root is one warm resolve, from a kept inverse or a rebuilt one, and a
+    # resolve that restarts cold is named as a fallback
+    days = (assemble_mpec(interior_fixture()),
+            _pin_customers_only(assemble_mpec(day_long(2))))
+    for mpec in days:
+        res = solve_division(mpec, SolveOptions(node_limit=4000), mode)[0]
+        assert res.status == "optimal" and res.node_count > 1
+        assert res.warm_hits + res.warm_rebuilds == res.node_count - 1
+        assert (res.cold_restarts > 0) == ("cold_restart" in res.fallbacks)
 
 
 TREE_DAYS = DIVISION_FIXTURES + (("stress", stress_fixture),
@@ -648,10 +667,10 @@ def test_root_start_agrees_with_the_slack_crash(monkeypatch, name, build):
         if pinned:
             mpec = _pin_customers_only(mpec)
         for mode in solver.MODES:
-            started = solve_division(mpec, opts, mode, None)[0]
+            started = solve_division(mpec, opts, mode)[0]
             with monkeypatch.context() as m:
                 m.setattr(solver, "_root_start", lambda *args: None)
-                crashed = solve_division(mpec, opts, mode, None)[0]
+                crashed = solve_division(mpec, opts, mode)[0]
             case = (name, pinned, mode)
             assert started.status == crashed.status == "optimal", case
             scale = 1e-9 * max(1.0, abs(crashed.objective))
