@@ -257,15 +257,31 @@ def linearize_big_m(mpec: MpecModel, paths=None) -> MilpModel:
     c = np.concatenate([base.c, np.zeros(n_pairs)])
     w_cols, g_rows = mpec.pairs[:, 0], mpec.pairs[:, 1]
     u_cols = n0 + np.arange(n_pairs)
-    # pair q's rows, interleaved after the MPEC rows:
+    # pair q's rows, interleaved after the MPEC rows and written straight
+    # into the CSR arrays:
     #   m_omega[q]: -omega + M_w u >= 0
     #   m_slack[q]: -(row g_row) - M_g u >= -M_g - offset
-    omega_rows = Rows.from_lists(np.column_stack([w_cols, u_cols]),
-                                 np.column_stack([np.full(n_pairs, -1.0), m_omega]))
-    slack_rows = Rows.join([-base.g.take(g_rows),
-                            Rows.from_lists(u_cols[:, None], -m_slack[:, None])])
-    interleave = np.column_stack([np.arange(n_pairs), n_pairs + np.arange(n_pairs)]).ravel()
-    g = Rows.stack([base.g, Rows.stack([omega_rows, slack_rows]).take(interleave)])
+    lens = np.diff(base.g.indptr)[g_rows]
+    pair_lens = np.column_stack([np.full(n_pairs, 2), lens + 1]).ravel()
+    indptr = np.concatenate([base.g.indptr, base.g.indptr[-1] + np.cumsum(pair_lens)])
+    indices = np.empty(indptr[-1], dtype=base.g.indices.dtype)
+    data = np.empty(indptr[-1])
+    k = len(base.g.data)
+    indices[:k], data[:k] = base.g.indices, base.g.data
+    omega_at, slack_at = indptr[base.n_g:-1:2], indptr[base.n_g + 1::2]
+    # slack row q opens with row g_rows[q]'s entries: at dst here, src in g
+    dst = np.repeat(slack_at - (np.cumsum(lens) - lens), lens)
+    dst += np.arange(len(dst))
+    src = dst - np.repeat(slack_at - base.g.indptr[g_rows], lens)
+    indices[dst] = base.g.indices[src]
+    data[dst] = base.g.data[src]
+    del dst, src
+    # negate the slack rows' copies in place, then write the pair entries
+    np.negative(data[k:], out=data[k:])
+    indices[omega_at], data[omega_at] = w_cols, -1.0
+    indices[omega_at + 1], data[omega_at + 1] = u_cols, m_omega
+    indices[slack_at + lens], data[slack_at + lens] = u_cols, -m_slack
+    g = Rows(indptr, indices, data)
     pair_off = np.column_stack([np.zeros(n_pairs), -m_slack - base.b_g[g_rows]])
 
     lp = LinearProgram(

@@ -4,13 +4,17 @@ The writer emits ROWS/COLUMNS/RHS/RANGES/BOUNDS sections with classic
 column offsets, names X/R/E-prefixed by index so files are byte-stable
 for a given model; the names are filled in as digit bytes of one byte
 matrix. Binary columns are wrapped in INTORG/INTEND marker lines. Past
-arrays of one item per row or column, the writer holds one int32 entry
-order by column and one chunk of whole columns (about `_CHUNK` entries);
-each field of a line is gathered from a NUL-padded byte table straight
-into its columns of one preallocated byte matrix, written with the NULs
-dropped. A value is written with %.12g, padded to 12 characters where
-another field follows it; a value longer than 12 characters is written
-whole.
+arrays of one item per row or column, the writer holds the entries in
+column order, transposed once per export by a stable counting sort over
+slices of storage order: each entry's row (int32) and the index of its
+value in one table of the model's distinct values (uint8 up to 256 of
+them), plus the lines of one chunk of whole columns (about `_CHUNK`
+entries). Each field of a line is gathered from a NUL-padded byte table
+straight into its columns of one preallocated byte matrix, written with
+the NULs dropped; a line's second row name is one field with the
+separator before it. A value is written with %.12g, padded to 12
+characters where another field follows it; a value longer than 12
+characters is written whole.
 
 The reader shares no code or constants with the writer and reports
 counts, which is what round-trip checks compare. It reads the file in
@@ -62,29 +66,12 @@ def _table(strings: np.ndarray) -> np.ndarray:
     return np.concatenate([strings, [b""]]).view(np.uint8).reshape(len(strings) + 1, -1)
 
 
-def _fmt_values(values: np.ndarray):
-    """%.12g-render values via their unique set; returns (table, inverse):
-    a `_table` whose first u rows are the u unique renderings and next u
-    rows the same padded to 12 characters, and each value's row."""
-    uniq, inverse = np.unique(np.asarray(values, float), return_inverse=True)
+def _fmt_values(uniq: np.ndarray) -> np.ndarray:
+    """%.12g renderings of sorted distinct values: a `_table` whose first u
+    rows are the u renderings and next u rows the same padded to 12
+    characters. A value's row is its np.searchsorted index in uniq."""
     rendered = np.strings.mod(b"%.12g", uniq)
-    return _table(np.concatenate([rendered, _ljust(rendered, 12)])), inverse
-
-
-def _pairing(keys: np.ndarray):
-    """Entries go two per line, greedy within a run of equal keys: the
-    entry each line starts with, and whether the next entry joins it."""
-    k = len(keys)
-    same_next = np.zeros(k, dtype=bool)
-    same_next[:-1] = keys[1:] == keys[:-1]
-    # position inside each run decides which entries start a line
-    starts = np.zeros(k, dtype=np.int64)
-    new_run = np.ones(k, dtype=bool)
-    new_run[1:] = ~same_next[:-1]
-    starts[new_run] = np.arange(k)[new_run]
-    pos = np.arange(k) - np.maximum.accumulate(starts)
-    lead = np.flatnonzero(pos % 2 == 0)
-    return lead, same_next[lead]
+    return _table(np.concatenate([rendered, _ljust(rendered, 12)]))
 
 
 def _write_lines(write, *fields) -> None:
@@ -107,16 +94,18 @@ def _write_lines(write, *fields) -> None:
     write(cells.tobytes().translate(None, b"\0"))
 
 
-def _write_pairs(write, first_tab, first, row_tab, row, values) -> None:
-    """Write entries (row first[i] of first_tab, row row[i] of row_tab,
-    values[i]) two per line, paired by `_pairing` of first."""
-    tab, inv = _fmt_values(values)
-    i, two = _pairing(first)
-    j = np.minimum(i + 1, len(first) - 1)
-    _write_lines(write, b"    ", (first_tab, first[i]), (row_tab, row[i]),
-                 (tab, inv[i] + two * (len(tab) // 2)),
-                 (_table(np.array([b"   "])), np.where(two, 0, -1)),
-                 (row_tab, np.where(two, row[j], -1)), (tab, np.where(two, inv[j], -1)))
+def _write_pairs(write, first, row_tabs, row, val_tab, val, lead, two) -> None:
+    """Write entries two per line: line i holds entry lead[i], and entry
+    lead[i] + 1 too where two[i]. An entry is (row row[k] of a row name
+    table, row val[k] of the `_fmt_values` table val_tab); first is the
+    field before them. row_tabs are the name tables of a line's first and
+    second entry, the second with the separator before the name."""
+    nxt = np.where(two, lead + 1, lead)
+    none = np.intp(-1)  # a typed -1: a python -1 would wrap in an unsigned val
+    _write_lines(write, b"    ", first, (row_tabs[0], row[lead]),
+                 (val_tab, val[lead] + two * (len(val_tab) // 2)),
+                 (row_tabs[1], np.where(two, row[nxt], none)),
+                 (val_tab, np.where(two, val[nxt], none)))
 
 
 def _sanitize(name: str) -> str:
@@ -143,13 +132,54 @@ def export_mps(model: LinearProgram | MilpModel, destination) -> None:
             _write_model(lp, binary_cols, fh.write)
 
 
+def _by_column(sources, n: int):
+    """The entries of stacked CSR sources, each (first row, indptr, indices,
+    data), in column order: (col_ptr, row, val, uniq). Column j's entries
+    are col_ptr[j] .. col_ptr[j + 1] - 1, in stacked row order; row holds
+    each entry's row (int32) and val the index of its value in uniq, the
+    sorted distinct values (in the smallest unsigned dtype that holds it).
+    A stable counting sort: storage order is cut into slices of at most
+    `_CHUNK` entries, each slice is sorted by (column, position) packed
+    into one int64 key, and its entries are scattered to the next free
+    places of their columns."""
+    width = max(1, min(_CHUNK, sum(len(src[2]) for src in sources)))
+    cuts = [(src, a, min(a + width, len(src[2])))
+            for src in sources for a in range(0, len(src[2]), width)]
+    uniq = np.unique(np.concatenate([np.empty(0)] + [np.unique(d[a:b])
+                                                     for (*_, d), a, b in cuts]))
+    counts = sum(np.bincount(src[2], minlength=n) for src in sources)
+    col_ptr = np.concatenate([[0], np.cumsum(counts)])
+    row = np.empty(col_ptr[-1], np.int32)
+    val = np.empty(col_ptr[-1], np.min_scalar_type(max(len(uniq) - 1, 0)))
+    free = col_ptr[:-1].copy()
+    shift = width.bit_length()
+    for (row0, indptr, indices, data), a, b in cuts:
+        # each row the slice touches, once per entry of it inside the slice
+        r0 = int(np.searchsorted(indptr, a, side="right")) - 1
+        r1 = int(np.searchsorted(indptr, b))
+        rows = np.repeat(np.arange(row0 + r0, row0 + r1, dtype=np.int32),
+                         np.diff(np.clip(indptr[r0:r1 + 1], a, b)))
+        key = np.sort(indices[a:b].astype(np.int64) << shift | np.arange(b - a))
+        col, pos = key >> shift, key & ((1 << shift) - 1)
+        run = np.flatnonzero(np.diff(col, prepend=-1))
+        size = np.diff(run, append=len(col))
+        dest = np.repeat(free[col[run]] - run, size) + np.arange(len(col))
+        free[col[run]] += size
+        row[dest] = rows[pos]
+        val[dest] = np.searchsorted(uniq, data[a:b])[pos]
+    return col_ptr, row, val, uniq
+
+
 def _write_model(lp: LinearProgram, binary_cols: np.ndarray, write) -> None:
     n = lp.n_vars
     col_names = _names(b"X", np.arange(n))
     row_names = np.concatenate([[_OBJ], _names(b"R", np.arange(lp.n_g)),
                                 _names(b"E", np.arange(lp.n_h))])
     row_tab = _table(row_names)
-    row_pad_tab = _table(_ljust(row_names, 10))
+    # a line's first row name, and its second with the separator before it
+    row_pad = _ljust(row_names, 10)
+    row_tabs = (_table(row_pad), _table(np.strings.add(b"   ", row_pad)))
+    del row_pad
     col_pad_tab = _table(_ljust(col_names, 10))
     is_binary = np.zeros(n, dtype=bool)
     is_binary[binary_cols] = True
@@ -157,20 +187,15 @@ def _write_model(lp: LinearProgram, binary_cols: np.ndarray, write) -> None:
     write(b"NAME".ljust(14) + _sanitize(lp.name).encode() + b"\nROWS\n N  " + _OBJ + b"\n")
     _write_lines(write, b" G  ", (row_tab, np.arange(1, 1 + lp.n_g)))
     _write_lines(write, b" E  ", (row_tab, np.arange(1 + lp.n_g, len(row_names))))
+    del row_tab
 
-    # entry p of the objective, g and h entries stacked in that order lies
-    # in stacked row searchsorted(row_ptr, p, "right") - 1, row 0 being OBJ;
-    # a stable sort by column keeps each column's entries in row order
+    # the objective, g and h entries stacked in that order, row 0 being OBJ
     c_cols = np.flatnonzero(lp.c)
-    starts = np.array([0, len(c_cols), len(c_cols) + len(lp.g.data)])
-    sources = (lp.c[c_cols], lp.g.data, lp.h.data)
-    row_ptr = np.concatenate([[0], starts[1:2], starts[1] + lp.g.indptr[1:],
-                              starts[2] + lp.h.indptr[1:]])
-    cols = np.concatenate([c_cols, lp.g.indices, lp.h.indices], dtype=np.int32,
-                          casting="same_kind")
-    col_ptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
-    order = np.argsort(cols, kind="stable").astype(np.int32)
-    del cols
+    col_ptr, row, val, uniq = _by_column(
+        [(0, np.array([0, len(c_cols)]), c_cols, lp.c[c_cols]),
+         (1, lp.g.indptr, lp.g.indices, lp.g.data),
+         (1 + lp.g.n_rows, lp.h.indptr, lp.h.indices, lp.h.data)], n)
+    val_tab = _fmt_values(uniq)
 
     write(b"COLUMNS\n")
     # integrality markers around maximal runs of binary-column entries: a
@@ -180,22 +205,24 @@ def _write_model(lp: LinearProgram, binary_cols: np.ndarray, write) -> None:
     while j < n:
         fill = int(np.searchsorted(col_ptr, col_ptr[j] + _CHUNK, side="right")) - 1
         stop = min(int(ends[np.searchsorted(ends, j, side="right")]), max(j + 1, fill))
-        pos = order[col_ptr[j]:col_ptr[stop]]
-        if len(pos) and integral != is_binary[j]:
+        a, b = col_ptr[j], col_ptr[stop]
+        if b > a and integral != is_binary[j]:
             integral, marker_no = not integral, marker_no + 1
             write(b"    M%07d  'MARKER'                 '%s'\n"
                   % (marker_no, b"INTORG" if integral else b"INTEND"))
-        src = np.searchsorted(starts, pos, side="right") - 1
-        val = np.empty(len(pos))
-        for s, (start, data) in enumerate(zip(starts, sources)):
-            hit = src == s
-            val[hit] = data[pos[hit] - start]
-        col = np.repeat(np.arange(j, stop), np.diff(col_ptr[j:stop + 1]))
-        row = np.searchsorted(row_ptr, pos, side="right") - 1
-        _write_pairs(write, col_pad_tab, col, row_pad_tab, row, val)
+        # a column's entries go two per line from its first one
+        size = np.diff(col_ptr[j:stop + 1])
+        lines = (size + 1) // 2
+        before = np.cumsum(lines) - lines
+        lead = np.repeat(col_ptr[j:stop] - a - 2 * before, lines) + 2 * np.arange(lines.sum())
+        two = np.ones(len(lead), dtype=bool)
+        two[(before + lines - 1)[size % 2 == 1]] = False
+        _write_pairs(write, (col_pad_tab, np.repeat(np.arange(j, stop), lines)), row_tabs,
+                     row[a:b], val_tab, val[a:b], lead, two)
         j = stop
     if integral:
         write(b"    M%07d  'MARKER'                 'INTEND'\n" % (marker_no + 1))
+    del row, val  # the BOUNDS tables would otherwise set the peak
 
     write(b"RHS\n")
     rhs_rows = np.concatenate([lp.b_g, lp.b_h])
@@ -204,8 +231,10 @@ def _write_model(lp: LinearProgram, binary_cols: np.ndarray, write) -> None:
     if lp.objective_constant != 0.0:
         rhs_row = np.concatenate([[0], rhs_row])
         rhs_vals = np.concatenate([[-lp.objective_constant], rhs_vals])
-    _write_pairs(write, _table(np.array([b"RHS".ljust(10)])), np.zeros(len(rhs_row), np.int64),
-                 row_pad_tab, rhs_row, rhs_vals)
+    uniq = np.unique(rhs_vals)
+    lead = np.arange(0, len(rhs_row), 2)
+    _write_pairs(write, b"RHS".ljust(10), row_tabs, rhs_row, _fmt_values(uniq),
+                 np.searchsorted(uniq, rhs_vals), lead, lead + 1 < len(rhs_row))
 
     write(b"RANGES\n")  # no ranged rows in these models; section kept for shape
 
@@ -225,7 +254,9 @@ def _write_model(lp: LinearProgram, binary_cols: np.ndarray, write) -> None:
     line = np.flatnonzero(kind.ravel())
     col, kind = line // 2, kind.ravel()[line]
     valued = (kind == 2) | (kind >= 5)  # FX, LO and UP lines end in a value
-    tab, inv = _fmt_values(np.where(kind == 6, ub[col], lb[col]))
+    values = np.where(kind == 6, ub[col], lb[col])
+    uniq = np.unique(values)
+    tab, inv = _fmt_values(uniq), np.searchsorted(uniq, values)
     heads = _table(np.array([b"", b" BV BND       ", b" FX BND       ", b" FR BND       ",
                              b" MI BND       ", b" LO BND       ", b" UP BND       "]))
     # a name is padded to 10 characters only where a value follows it

@@ -5,6 +5,7 @@ from storageshare.instance import make_instance
 from storageshare.lp import build_party_lp
 from storageshare.simplex import Simplex
 from storageshare.solver import _COMP_TOL, _pair_slacks
+from storageshare.synthetic import synth_series
 from tests.lp_oracle import check_kkt_residuals, derive_kkt
 
 
@@ -89,6 +90,15 @@ def day_long(n, t=24):
     """A day of t slots (24 unless given) with n customers."""
     g = np.random.default_rng([5, n, t])
     return rand_instance(g, n=n, t=t, total_capacity=float(g.uniform(5.0, 15.0)))
+
+
+def fleet_instance(seed=1):
+    """The benchmark's fleet: 100 customers x 48 half-hour slots, 800 kWh."""
+    loads, lmp, tou = synth_series("typical", "conforming", n_customers=100,
+                                   n_slots=48, seed=seed)
+    return make_instance(lmp=lmp, tou=tou, customer_load=loads, slot_hours=0.5,
+                         total_capacity=800.0, eta_ch=0.92, eta_dis=0.92, power_ratio=0.25,
+                         lambda1=0.8, lambda2=6.69, lambda3=1.0)
 
 
 def lower_level_excess(mpec, x):

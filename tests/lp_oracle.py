@@ -1,10 +1,11 @@
 """Test-side reference tools: brute-force vertex enumeration, a random
 feasible-LP generator, a one-row slack, the optimality (KKT) system of
 an LP with its residual checker, a dense LP constructor (make_lp), each
-party's own dispatch objective read off its schedules, and an MPS reader
-that walks the file one line at a time. Deliberately independent of the
-package's solver and reader code paths (only the LinearProgram, instance
-and MpsSummary containers are shared)."""
+party's own dispatch objective read off its schedules, and an MPS writer
+and reader that walk the file one entry and one line at a time.
+Deliberately independent of the package's solver, writer and reader code
+paths (only the LinearProgram, instance and MpsSummary containers are
+shared)."""
 
 import itertools
 from dataclasses import dataclass
@@ -313,3 +314,75 @@ def read_mps_lines(source) -> MpsSummary:
     summary.columns = len(seen_cols)
     summary.binary_columns = sum(seen_cols.values())
     return summary
+
+
+def write_mps_lines(lp: LinearProgram, binary_cols=()) -> bytes:
+    """The bytes `mps_io.export_mps` must write for lp with the given binary
+    columns, built one entry at a time: rows and columns named OBJ, R, E
+    and X plus a 7-digit index, values written b"%.12g" % v, a name padded
+    to 10 characters and a value to 12 where another field follows it."""
+    def num(v):
+        return b"%.12g" % v
+
+    def pairs(head, entries):
+        # (row name, value) entries two per line
+        out = []
+        for k in range(0, len(entries), 2):
+            (row, v), rest = entries[k], entries[k + 1:k + 2]
+            line = b"    " + head + row.ljust(10) + (num(v).ljust(12) if rest else num(v))
+            for row2, v2 in rest:
+                line += b"   " + row2.ljust(10) + num(v2)
+            out.append(line + b"\n")
+        return out
+
+    n = lp.n_vars
+    col = [b"X%07d" % j for j in range(n)]
+    row = [b"OBJ"] + [b"R%07d" % i for i in range(lp.n_g)] + [b"E%07d" % i for i in range(lp.n_h)]
+    name = "".join(ch if ch.isalnum() else "_" for ch in lp.name.upper())
+    out = [b"NAME          " + (name or "MODEL")[:8].encode() + b"\n", b"ROWS\n", b" N  OBJ\n"]
+    out += [b" G  " + row[1 + i] + b"\n" for i in range(lp.n_g)]
+    out += [b" E  " + row[1 + lp.n_g + i] + b"\n" for i in range(lp.n_h)]
+
+    # each column's entries in row order: the objective, then g, then h
+    entries = [[] for _ in range(n)]
+    for j in range(n):
+        if lp.c[j] != 0.0:
+            entries[j].append((row[0], lp.c[j]))
+    for first, rows in ((1, lp.g), (1 + lp.n_g, lp.h)):
+        for i in range(rows.n_rows):
+            for j, v in zip(*rows.row(i)):
+                entries[j].append((row[first + i], v))
+    binary = set(int(j) for j in binary_cols)
+    out.append(b"COLUMNS\n")
+    integral, marker = False, 0
+    for j in range(n):
+        if entries[j] and (j in binary) != integral:
+            integral, marker = not integral, marker + 1
+            out.append(b"    M%07d  'MARKER'                 '%s'\n"
+                       % (marker, b"INTORG" if integral else b"INTEND"))
+        out += pairs(col[j].ljust(10), entries[j])
+    if integral:
+        out.append(b"    M%07d  'MARKER'                 'INTEND'\n" % (marker + 1))
+
+    out.append(b"RHS\n")
+    rhs = [(row[0], -lp.objective_constant)] if lp.objective_constant != 0.0 else []
+    rhs += [(row[1 + i], v) for i, v in enumerate(list(lp.b_g) + list(lp.b_h)) if v != 0.0]
+    out += pairs(b"RHS".ljust(10), rhs)
+    out += [b"RANGES\n", b"BOUNDS\n"]
+    for j in range(n):
+        lb, ub = lp.lb[j], lp.ub[j]
+        lo, hi = np.isfinite(lb), np.isfinite(ub)
+        if j in binary:
+            out.append(b" BV BND       " + col[j] + b"\n")
+            continue
+        if lo and hi and lb == ub:
+            out.append(b" FX BND       " + col[j].ljust(10) + num(lb) + b"\n")
+            continue
+        if not lo:
+            out.append((b" MI BND       " if hi else b" FR BND       ") + col[j] + b"\n")
+        elif lb != 0.0:
+            out.append(b" LO BND       " + col[j].ljust(10) + num(lb) + b"\n")
+        if hi:
+            out.append(b" UP BND       " + col[j].ljust(10) + num(ub) + b"\n")
+    out.append(b"ENDATA\n")
+    return b"".join(out)

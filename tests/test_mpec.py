@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from storageshare import solver
-from storageshare.lp import build_party_lp
+from storageshare.lp import Rows, build_party_lp
 from storageshare.mpec import assemble_mpec, linearize_big_m, pair_caps, validate_big_m
 from storageshare.simplex import Simplex, day_paths
 from storageshare.solver import _pair_slacks, solve_lpcc
-from tests.conftest import DIVISION_FIXTURES, day_long, rand_instance, stress_fixture
+from tests.conftest import (DIVISION_FIXTURES, day_long, fleet_instance, rand_instance,
+                            stress_fixture)
 from tests.lp_oracle import derive_kkt, make_lp, row_value
 
 
@@ -185,6 +186,41 @@ def test_linearize_structure(rng):
         for a, b in zip(milp.lp.g.row(i), mpec.lp.g.row(i)):
             np.testing.assert_array_equal(a, b)
     assert milp.lp.b_g[mpec.lp.n_g - 1] == mpec.lp.b_g[-1]
+
+
+def _pair_rows_by_join(milp):
+    """The big-M model's g rows built from Rows parts: the MPEC rows, then
+    each pair's omega row [w, u] and slack row [-(g row), u], joined,
+    stacked and taken into pair order."""
+    mpec, base = milp.mpec, milp.mpec.lp
+    n_pairs = mpec.n_pairs
+    w_cols, g_rows = mpec.pairs[:, 0], mpec.pairs[:, 1]
+    u_cols = base.n_vars + np.arange(n_pairs)
+    omega_rows = Rows.from_lists(np.column_stack([w_cols, u_cols]),
+                                 np.column_stack([np.full(n_pairs, -1.0), milp.m_omega]))
+    slack_rows = Rows.join([-base.g.take(g_rows),
+                            Rows.from_lists(u_cols[:, None], -milp.m_slack[:, None])])
+    interleave = np.column_stack([np.arange(n_pairs), n_pairs + np.arange(n_pairs)]).ravel()
+    g = Rows.stack([base.g, Rows.stack([omega_rows, slack_rows]).take(interleave)])
+    b_g = np.concatenate([base.b_g, np.column_stack(
+        [np.zeros(n_pairs), -milp.m_slack - base.b_g[g_rows]]).ravel()])
+    return g, b_g
+
+
+@pytest.mark.parametrize("name", [name for name, _ in DIVISION_FIXTURES]
+                         + ["stress", "day_long_2", "fleet"])
+def test_pair_rows_match_the_joined_construction(name):
+    make = dict(DIVISION_FIXTURES, stress=stress_fixture, day_long_2=lambda: day_long(2),
+                fleet=fleet_instance)[name]
+    mpec = assemble_mpec(make())
+    for paths in (None, mpec.paths):
+        milp = linearize_big_m(mpec, paths)
+        g, b_g = _pair_rows_by_join(milp)
+        # equal bit for bit: the same dtypes, and the same sign on every zero
+        for got, want in ((milp.lp.g.indptr, g.indptr), (milp.lp.g.indices, g.indices),
+                          (milp.lp.g.data, g.data), (milp.lp.b_g, b_g)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 def _family_bound(inst, mpec):

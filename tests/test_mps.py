@@ -10,8 +10,8 @@ from storageshare.instance import make_instance
 from storageshare.mpec import MilpModel, assemble_mpec, linearize_big_m
 from storageshare.mps_io import MpsSummary, export_mps, read_mps
 from storageshare.synthetic import synth_series
-from tests.conftest import division_fixture, rand_instance
-from tests.lp_oracle import make_lp, read_mps_lines
+from tests.conftest import division_fixture, fleet_instance, rand_instance
+from tests.lp_oracle import make_lp, read_mps_lines, write_mps_lines
 
 
 def random_lp(rng, n=None, mg=None, mh=None):
@@ -194,8 +194,9 @@ def test_edge_case_round_trip(name, tmp_path):
 
 
 def test_export_and_read_memory_stay_below_file_size(tmp_path):
-    # the writer holds one int32 entry order, name tables and one chunk of
-    # whole columns, the reader one block of bytes: neither holds the text
+    # the writer holds each entry's row and value index in column order,
+    # name and value tables and one chunk of whole columns, the reader one
+    # block of bytes: neither holds the text
     loads, lmp, tou = synth_series("typical", "conforming", n_customers=20, n_slots=48, seed=1)
     inst = make_instance(lmp=lmp, tou=tou, customer_load=loads, slot_hours=0.5,
                          total_capacity=160.0, eta_ch=0.92, eta_dis=0.92, power_ratio=0.25,
@@ -215,6 +216,21 @@ def test_export_and_read_memory_stay_below_file_size(tmp_path):
     assert summary.binary_columns == milp.n_binaries
     assert export_peak <= 2 * size
     assert read_peak <= size
+
+
+def test_fleet_export_memory_peak(tmp_path):
+    # on top of the model it writes, the seed-1 fleet's export holds the
+    # entries' rows (int32) and value indices (uint8) in column order, the
+    # name tables and one chunk's lines: 24.4 MB at numpy 2.4.6, where an
+    # argsort order by column and a per-entry row search peaked at 35.0 MB
+    milp = linearize_big_m(assemble_mpec(fleet_instance()))
+    tracemalloc.start()
+    try:
+        export_mps(milp, tmp_path / "fleet.mps")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 34e6
 
 
 READER_CASES = {
@@ -542,3 +558,20 @@ def test_few_valued_lps_match_line_reference(block, rng, monkeypatch):
     for _ in range(30):
         text = exported_text(few_valued_lp(rng))
         assert read_mps(io.StringIO(text)) == read_mps_lines(io.StringIO(text))
+
+
+# chunk sizes that cut inside one column's entries and a storage slice
+# inside a row, and the default
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_writer_matches_entry_reference(chunk, rng, monkeypatch, tmp_path):
+    if chunk is not None:
+        monkeypatch.setattr(mps_io, "_CHUNK", chunk)
+    models = [model for model, _ in EDGE_MODELS.values()]
+    models += [random_lp(rng) for _ in range(50)]
+    models += [few_valued_lp(rng) for _ in range(30)]
+    models.append(linearize_big_m(assemble_mpec(division_fixture(207))))
+    path = tmp_path / "model.mps"
+    for model in models:
+        export_mps(model, path)
+        lp = getattr(model, "lp", model)
+        assert path.read_bytes() == write_mps_lines(lp, getattr(model, "binary_cols", ()))
