@@ -1,14 +1,17 @@
-"""Input-file parsing: load series, price series and run configuration.
+"""The package's files: input loads and prices, the run configuration and
+the report tables.
 
-Loads and prices are delimited text with fixed headers; the config is a
-flat ``key = value`` file. Every parse error names the file and, where it
-applies, the line that caused it. Unknown config keys are rejected so a
-typo cannot silently fall back to a default. The config sets the instance,
-the solver mode and the solve limits: its keys are the StorageParams,
-Weights and SolveOptions fields, whose defaults are its defaults, plus
-slot_hours, soc_ini_customer's one value for every customer (default
-DEFAULT_SOC_INI) and mode (default solver.DEFAULT_MODE). The big-M sizes
-of bigm mode are fixed in mpec and not configurable.
+Each delimited file is declared once here, as a Table, and written by
+write_table and read by read_table; the loads and prices readers add
+their own checks (no negative ids, a complete grid or series). The config
+is a flat ``key = value`` file. Every parse error names the file and,
+where it applies, the line that caused it. Unknown config keys are
+rejected so a typo cannot silently fall back to a default. The config
+sets the instance, the solver mode and the solve limits: its keys are the
+StorageParams, Weights and SolveOptions fields, whose defaults are its
+defaults, plus slot_hours, soc_ini_customer's one value for every
+customer (default DEFAULT_SOC_INI) and mode (default solver.DEFAULT_MODE).
+The big-M sizes of bigm mode are fixed in mpec and not configurable.
 """
 
 from __future__ import annotations
@@ -19,9 +22,6 @@ import numpy as np
 
 from .instance import DEFAULT_SOC_INI, Instance, StorageParams, Weights, make_instance
 from .solver import DEFAULT_MODE, MODES, SolveOptions
-
-LOADS_HEADER = "t,customer_id,load_kw"
-PRICES_HEADER = "t,lmp_per_kwh,tou_per_kwh"
 
 # the keys of load_inputs' make_instance call (slot_hours and the
 # StorageParams and Weights fields) and of RunConfig.solve_options
@@ -106,38 +106,70 @@ def parse_config(path) -> RunConfig:
     return config
 
 
-def _rows(path, header, n_fields):
-    """Yield (lineno, fields) for a delimited file with a fixed header."""
+@dataclass(frozen=True)
+class Table:
+    """A delimited file: its header, each field's kind (int, float or str)
+    and how many leading fields make up a row's key."""
+
+    header: str
+    kinds: tuple
+    key_fields: int
+
+
+LOADS = Table("t,customer_id,load_kw", (int, int, float), 2)
+PRICES = Table("t,lmp_per_kwh,tou_per_kwh", (int, float, float), 1)
+DIVISIONS = Table("day,scenario,party,capacity_kwh", (int, int, str, float), 3)
+REDUCTIONS = Table("day,scenario,party,baseline,actual,reduction_pct",
+                   (int, int, str, float, float, float), 3)
+PROFILES = Table("day,series,t,net_load_kw", (int, str, int, float), 3)
+
+_FORMATS = {int: "%d", float: "%.12g", str: "%s"}
+
+
+def write_table(path, table: Table, rows) -> None:
+    """Write table's header and rows, tuples of its fields: ints as %d,
+    floats as %.12g, strs unchanged."""
+    line = ",".join(_FORMATS[kind] for kind in table.kinds) + "\n"
+    with open(path, "w") as fh:
+        fh.write(table.header + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
+
+
+def read_table(path, table: Table):
+    """Yield (lineno, row) for each non-blank line of the file at path, row
+    its fields converted by their kinds. A wrong header, field count or
+    field, or a repeated key, raises DataError naming the file and line."""
+    kinds, k, keys = table.kinds, table.key_fields, set()
     with open(path) as fh:
         first = fh.readline().strip()
-        if first != header:
-            raise DataError(f"{path}:1: expected header {header!r}, "
-                            f"got {first!r}")
+        if first != table.header:
+            raise DataError(f"{path}:1: expected header {table.header!r}, got {first!r}")
         for lineno, raw in enumerate(fh, 2):
-            line = raw.strip()
-            if not line:
+            fields = raw.strip().split(",")
+            if fields == [""]:
                 continue
-            fields = line.split(",")
-            if len(fields) != n_fields:
-                raise DataError(f"{path}:{lineno}: expected {n_fields} "
-                                f"fields, got {len(fields)}")
-            yield lineno, fields
+            if len(fields) != len(kinds):
+                raise DataError(f"{path}:{lineno}: expected {len(kinds)} fields, "
+                                f"got {len(fields)}")
+            try:
+                row = tuple(kind(f) for kind, f in zip(kinds, fields))
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: expected "
+                                f"{','.join(kind.__name__ for kind in kinds)}, "
+                                f"got {','.join(fields)}") from None
+            if row[:k] in keys:
+                raise DataError(f"{path}:{lineno}: duplicate entry for "
+                                f"{','.join(table.header.split(',')[:k])} = {','.join(fields[:k])}")
+            keys.add(row[:k])
+            yield lineno, row
 
 
 def read_loads(path):
     """Parse a load file into an [N, T] kW array."""
     cells = {}
-    for lineno, (t_s, c_s, v_s) in _rows(path, LOADS_HEADER, 3):
-        try:
-            t, c, v = int(t_s), int(c_s), float(v_s)
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: expected int,int,float, "
-                            f"got {t_s},{c_s},{v_s}") from None
+    for lineno, (t, c, v) in read_table(path, LOADS):
         if t < 0 or c < 0:
             raise DataError(f"{path}:{lineno}: negative slot or customer id")
-        if (t, c) in cells:
-            raise DataError(f"{path}:{lineno}: duplicate entry for slot {t}, "
-                            f"customer {c}")
         cells[(t, c)] = v
     if not cells:
         raise DataError(f"{path}: no data rows")
@@ -155,16 +187,9 @@ def read_loads(path):
 def read_prices(path):
     """Parse a price file into (lmp [T], tou [T]) arrays."""
     lmp, tou = {}, {}
-    for lineno, (t_s, l_s, u_s) in _rows(path, PRICES_HEADER, 3):
-        try:
-            t, lv, uv = int(t_s), float(l_s), float(u_s)
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: expected int,float,float, "
-                            f"got {t_s},{l_s},{u_s}") from None
+    for lineno, (t, lv, uv) in read_table(path, PRICES):
         if t < 0:
             raise DataError(f"{path}:{lineno}: negative slot index")
-        if t in lmp:
-            raise DataError(f"{path}:{lineno}: duplicate entry for slot {t}")
         lmp[t], tou[t] = lv, uv
     if not lmp:
         raise DataError(f"{path}: no data rows")

@@ -33,9 +33,9 @@ limit, path builds included: every solve gets what is left of it, and a
 scenario that would start with none left fails with status limit (a
 cycle records the day as failed).
 
-Report files are plain delimited text, deterministic for fixed inputs
-(no timestamps, no wall-clock fields); re-reading one rejects a repeated
-row.
+Report files are dataio's DIVISIONS, REDUCTIONS and PROFILES tables and a
+summary, deterministic for fixed inputs (no timestamps, no wall-clock
+fields); re-reading one rejects a repeated row.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .dataio import DataError, _rows
+from .dataio import DIVISIONS, PROFILES, REDUCTIONS, DataError, read_table, write_table
 from .instance import (
     Division,
     Instance,
@@ -65,11 +65,6 @@ from .solver import (_EXIT_CODES, DEFAULT_MODE, MODES, SolveOptions, extract_sol
                      solve_lpcc, solve_milp)
 
 ZERO_BASELINE_TOL = 1e-12
-
-# the report files' headers, which emit_report writes and read_report checks
-DIVISIONS_HEADER = "day,scenario,party,capacity_kwh"
-REDUCTIONS_HEADER = "day,scenario,party,baseline,actual,reduction_pct"
-PROFILES_HEADER = "day,series,t,net_load_kw"
 
 
 class ScenarioId(IntEnum):
@@ -354,37 +349,25 @@ def emit_report(reports, destination, config=None, failures=()) -> dict:
              for name in ("divisions", "reductions", "profiles")}
     paths["summary"] = os.path.join(destination, "summary.txt")
 
-    with open(paths["divisions"], "w") as fh:
-        fh.write(DIVISIONS_HEADER + "\n")
-        for r in reports:
-            caps = [r.division.s_disco] + list(r.division.s_customer)
-            for party, cap in zip(_party_names(len(r.division.s_customer)), caps):
-                fh.write(f"{r.day},{int(r.scenario)},{party},{_fmt(cap)}\n")
-
-    with open(paths["reductions"], "w") as fh:
-        fh.write(REDUCTIONS_HEADER + "\n")
-        for r in reports:
-            rows = [("disco", r.baseline_disco_cost, r.actual_disco_cost,
-                     r.disco_reduction)]
-            rows += [(f"c{i}", b, a, p) for i, (b, a, p) in enumerate(
-                zip(r.baseline_customer_costs, r.actual_customer_costs,
-                    r.customer_reductions))]
-            rows.append(("peak", r.baseline_peak, r.actual_peak,
-                         r.peak_reduction))
-            for party, b, a, p in rows:
-                fh.write(f"{r.day},{int(r.scenario)},{party},"
-                         f"{_fmt(b)},{_fmt(a)},{_fmt(p)}\n")
-
-    with open(paths["profiles"], "w") as fh:
-        fh.write(PROFILES_HEADER + "\n")
-        seen_days = set()
-        for r in reports:
-            if r.day not in seen_days:
-                seen_days.add(r.day)
-                for t, v in enumerate(r.original_profile):
-                    fh.write(f"{r.day},original,{t},{_fmt(v)}\n")
-            for t, v in enumerate(r.actual_profile):
-                fh.write(f"{r.day},s{int(r.scenario)},{t},{_fmt(v)}\n")
+    divisions, reductions, profiles = [], [], []
+    days = set()
+    for r in reports:
+        key = r.day, int(r.scenario)
+        caps = [r.division.s_disco, *r.division.s_customer]
+        divisions += [(*key, party, cap)
+                      for party, cap in zip(_party_names(len(r.division.s_customer)), caps)]
+        reductions.append((*key, "disco", r.baseline_disco_cost, r.actual_disco_cost,
+                           r.disco_reduction))
+        reductions += [(*key, f"c{i}", b, a, p) for i, (b, a, p) in enumerate(
+            zip(r.baseline_customer_costs, r.actual_customer_costs, r.customer_reductions))]
+        reductions.append((*key, "peak", r.baseline_peak, r.actual_peak, r.peak_reduction))
+        if r.day not in days:
+            days.add(r.day)
+            profiles += [(r.day, "original", t, v) for t, v in enumerate(r.original_profile)]
+        profiles += [(r.day, f"s{int(r.scenario)}", t, v) for t, v in enumerate(r.actual_profile)]
+    write_table(paths["divisions"], DIVISIONS, divisions)
+    write_table(paths["reductions"], REDUCTIONS, reductions)
+    write_table(paths["profiles"], PROFILES, profiles)
 
     with open(paths["summary"], "w") as fh:
         fh.write(f"reports = {len(reports)}\n")
@@ -413,38 +396,20 @@ def emit_report(reports, destination, config=None, failures=()) -> dict:
     return paths
 
 
-def _report_table(destination, name, header, kinds) -> dict:
-    """Report file name.csv as {key: values}, each field converted by its
-    kind and keyed by the first three; a wrong header, field count or
-    value, or a repeated key, raises DataError naming the file and line."""
-    path = os.path.join(destination, f"{name}.csv")
-    table = {}
-    for lineno, fields in _rows(path, header, len(kinds)):
-        try:
-            row = [kind(f) for kind, f in zip(kinds, fields)]
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: expected "
-                            f"{','.join(k.__name__ for k in kinds)}, got {','.join(fields)}") from None
-        key = tuple(row[:3])
-        if key in table:
-            raise DataError(f"{path}:{lineno}: duplicate row for "
-                            f"{','.join(header.split(',')[:3])} = {','.join(fields[:3])}")
-        table[key] = tuple(row[3:])
-    return table
-
-
 def read_report(destination) -> dict:
     """Re-parse emitted report files into plain dictionaries. A malformed
     file, a repeated row or a profile series with a missing slot included,
     raises DataError."""
-    divisions = _report_table(destination, "divisions", DIVISIONS_HEADER, (int, int, str, float))
-    out = {"divisions": {k: v for k, (v,) in divisions.items()},
-           "reductions": _report_table(destination, "reductions", REDUCTIONS_HEADER,
-                                       (int, int, str, float, float, float)),
+
+    def table(name, spec):
+        path = os.path.join(destination, f"{name}.csv")
+        return {row[: spec.key_fields]: row[spec.key_fields:] for _, row in read_table(path, spec)}
+
+    out = {"divisions": {k: v for k, (v,) in table("divisions", DIVISIONS).items()},
+           "reductions": table("reductions", REDUCTIONS),
            "profiles": {}}
     profiles: dict = {}
-    for (day, series, t), (v,) in _report_table(
-            destination, "profiles", PROFILES_HEADER, (int, str, int, float)).items():
+    for (day, series, t), (v,) in table("profiles", PROFILES).items():
         profiles.setdefault((day, series), {})[t] = v
     for (day, series), vals in profiles.items():
         missing = set(range(len(vals))) - set(vals)

@@ -18,10 +18,11 @@ LP duality that every dispatch is optimal at its share. Every point a
 tree takes, a node's relaxation or the re-read answer, passes one rule
 (_bilevel_feasible), and one branching rule (_branch_rule) takes the
 worst pair the node has not fixed, so the two trees differ only in the
-fixes a pair branches into. The best-first core (_branch_and_bound)
-routes every node, the root too, through one function and ends at one
-exit. Node order and therefore node counts are deterministic for a fixed
-model.
+fixes a pair branches into; a node that has fixed every pair cannot be
+branched and ends the search, status limit. The best-first core
+(_branch_and_bound) routes every node, the root too, through one
+function and ends at one exit. Node order and therefore node counts are
+deterministic for a fixed model.
 
 The LP both trees search is the model's LP plus one chord row per party
 p: c_p.x_p <= phi_p(lo) + (phi_p(hi) - phi_p(lo)) / (hi - lo) (s_p - lo),
@@ -120,9 +121,10 @@ class SolveResult:
     cold_restarts: int = 0
     # the fallbacks the solve took: "family_start" (a capacity path's cold
     # solve ran from the slack crash), "root_start" (the root LP did),
-    # "cold_restart" (a node's warm resolve restarted cold) and "reread"
-    # (the answer keeps the tree's multipliers, without the paths'
-    # certificate)
+    # "cold_restart" (a node's warm resolve restarted cold), "reread" (the
+    # answer keeps the tree's multipliers, without the paths' certificate)
+    # and "unbranchable" (a node's fixes covered every pair, so the search
+    # ended limit at it)
     fallbacks: tuple = ()
 
     @property
@@ -141,14 +143,16 @@ def _branch_and_bound(engine: Simplex, opts, accept, branch, start=None, t0=None
     (col, lo, hi). accept(x) returns (the node relaxation x as an incumbent,
     possibly re-settled, or None; x's violations, one per branching
     candidate); a node it rejects is branched on branch(violations, fixes),
-    its children, each a tuple of fixes appended to the node's. Ties on the
-    bound favor nodes of more fixes so plateaus dive to leaves. A bound
-    within 1e-9 of the incumbent prunes; a popped node, the lowest open
-    bound, within opts.gap_target of it ends the search optimal. The bound
-    history records each new global bound, a popped node's capped at the
-    incumbent, and ends at best_bound. start goes to the root's
-    Simplex.solve; the time limit and wall_time count from t0, a
-    perf_counter reading (now if None). The result carries no model."""
+    its children, each a tuple of fixes appended to the node's; a node with
+    no children ends the search with status limit and the fallback
+    "unbranchable". Ties on the bound favor nodes of more fixes so plateaus
+    dive to leaves. A bound within 1e-9 of the incumbent prunes; a popped
+    node, the lowest open bound, within opts.gap_target of it ends the
+    search optimal. The bound history records each new global bound, a
+    popped node's capped at the incumbent, and ends at best_bound. start
+    goes to the root's Simplex.solve; the time limit and wall_time count
+    from t0, a perf_counter reading (now if None). The result carries no
+    model, and no fallback but "unbranchable"."""
     t0 = time.perf_counter() if t0 is None else t0
     incumbent_x = None
     incumbent_obj = np.inf
@@ -170,8 +174,8 @@ def _branch_and_bound(engine: Simplex, opts, accept, branch, start=None, t0=None
             bound_hist.append(b)
 
     def route(sol, fixes, parent_bound) -> str | None:
-        """Count and route one solved node; returns the status that ends
-        the search ("limit" or "unbounded"), or None."""
+        """Count and route one solved node; returns what ends the search
+        ("limit", "unbounded" or "unbranchable"), or None."""
         nonlocal node_count, iterations, seq, incumbent_x, incumbent_obj
         node_count += 1
         iterations += sol.iterations
@@ -188,6 +192,8 @@ def _branch_and_bound(engine: Simplex, opts, accept, branch, start=None, t0=None
             inc_hist.append(incumbent_obj)
             return None
         children = branch(violations, fixes)
+        if not children:
+            return "unbranchable"
         heapq.heappush(heap, (bound, -len(fixes), seq, fixes, engine.snapshot(), children))
         seq += 1
         return None
@@ -218,7 +224,8 @@ def _branch_and_bound(engine: Simplex, opts, accept, branch, start=None, t0=None
             else:
                 todo = [(fixes + child, snap, bound) for child in children]
 
-    status = stop or ("infeasible" if incumbent_x is None else "optimal")
+    fallbacks = (stop,) if stop == "unbranchable" else ()
+    status = "limit" if fallbacks else stop or ("infeasible" if incumbent_x is None else "optimal")
     if stop is None and incumbent_x is not None:  # every node searched
         raise_bound(incumbent_obj)
     x = None if status == "unbounded" else incumbent_x
@@ -232,7 +239,7 @@ def _branch_and_bound(engine: Simplex, opts, accept, branch, start=None, t0=None
         gap=_relative_gap(objective, best_bound), node_count=node_count,
         wall_time=time.perf_counter() - t0, iterations=iterations, model=None,
         bound_history=tuple(bound_hist), incumbent_history=tuple(inc_hist),
-        root_iterations=root_iterations,
+        root_iterations=root_iterations, fallbacks=fallbacks,
     )
 
 
@@ -285,7 +292,7 @@ def _bilevel_feasible(mpec: MpecModel, lp: LinearProgram, u_cols=None):
 def _branch_rule(mpec: MpecModel, u_cols=None):
     """(prod, fixes) -> the children of the worst pair, the one of largest
     pair product w * slack in prod among the pairs whose columns the
-    node's fixes leave free (among all when they fix every pair). Each
+    node's fixes leave free; none when they fix every pair. Each
     pair's two children fix one column each: without binaries its
     multiplier goes to zero or its row to equality (its surplus column,
     n + row, to zero); with binaries u_cols its binary goes to 0 or 1."""
@@ -297,8 +304,8 @@ def _branch_rule(mpec: MpecModel, u_cols=None):
 
     def branch(prod, fixes):
         free = ~np.isin(cols, [col for col, _, _ in fixes]).any(axis=1)
-        if not free.any():  # every pair fixed: the worst of all
-            free[:] = True
+        if not free.any():  # every pair fixed: a child would repeat the node
+            return ()
         return children[int(np.flatnonzero(free)[np.argmax(prod[free])])]
 
     return branch
@@ -414,7 +421,7 @@ def _solve_tree(mpec: MpecModel, options: SolveOptions | None, bigm: bool) -> So
         ("family_start", any(path.engine.start_rejects for path in paths)),
         ("root_start", start is None or engine.start_rejects > 0),
         ("cold_restart", engine.cold_restarts > 0),
-        ("reread", result.x is not None and x is None)) if taken)
+        ("reread", result.x is not None and x is None)) if taken) + result.fallbacks
     return replace(result, model=model, x=result.x if x is None else x, fallbacks=fallbacks,
                    family_iterations=sum(path.iterations for path in paths),
                    path_pieces=sum(len(path.pieces) for path in paths),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataio import LOADS_HEADER, PRICES_HEADER
+from .dataio import LOADS, PRICES, write_table
 
 PROFILES = ("duck", "typical")
 PRICE_SHAPES = ("conforming", "conflicting")
@@ -77,15 +77,9 @@ def write_series(loads: np.ndarray, lmp: np.ndarray, tou: np.ndarray,
                  loads_path, prices_path) -> None:
     """Write the two delimited input files for the given series."""
     n, t = loads.shape
-    with open(loads_path, "w") as fh:
-        fh.write(LOADS_HEADER + "\n")
-        for tt in range(t):
-            for cid in range(n):
-                fh.write("%d,%d,%.12g\n" % (tt, cid, loads[cid, tt]))
-    with open(prices_path, "w") as fh:
-        fh.write(PRICES_HEADER + "\n")
-        for tt in range(t):
-            fh.write("%d,%.12g,%.12g\n" % (tt, lmp[tt], tou[tt]))
+    write_table(loads_path, LOADS,
+                ((tt, cid, loads[cid, tt]) for tt in range(t) for cid in range(n)))
+    write_table(prices_path, PRICES, ((tt, lmp[tt], tou[tt]) for tt in range(t)))
 
 
 def gen_synthetic(profile: str, price_shape: str, n_customers: int,

@@ -132,11 +132,11 @@ def _append(row):
     ("divisions.csv", _append("0,1,c0,abc"),
      "divisions.csv:11: expected int,int,str,float, got 0,1,c0,abc"),
     ("profiles.csv", _append("0,original,0,999"),
-     "profiles.csv:26: duplicate row for day,series,t = 0,original,0"),
+     "profiles.csv:26: duplicate entry for day,series,t = 0,original,0"),
     ("divisions.csv", _append("0,1,disco,7"),
-     "divisions.csv:11: duplicate row for day,scenario,party = 0,1,disco"),
+     "divisions.csv:11: duplicate entry for day,scenario,party = 0,1,disco"),
     ("reductions.csv", _append("0,3,peak,1,1,0"),
-     "reductions.csv:14: duplicate row for day,scenario,party = 0,3,peak"),
+     "reductions.csv:14: duplicate entry for day,scenario,party = 0,3,peak"),
 ], ids=["missing slot", "short division", "short reduction", "non-number",
         "duplicate profile", "duplicate division", "duplicate reduction"])
 def test_report_exits_2_on_a_malformed_file(workdir, capsys, name, spoil, message):

@@ -196,8 +196,31 @@ def test_branch_takes_the_worst_pair_the_node_left_free(mode):
     assert branch(prod, ()) == children(last)
     for child in children(last):  # either fix of the worst pair leaves the next worst
         assert branch(prod, child) == children(last - 1)
+    # every pair fixed: the node has no children; the rule once returned the
+    # worst pair's, whose fixes the node already held, so the node branched
+    # into itself until the node budget ran out
     every = tuple(fix for q in range(last + 1) for fix in children(q)[q % 2])
-    assert branch(prod, every) == children(last)  # every pair fixed: the worst of all
+    assert branch(prod, every) == ()
+
+
+@pytest.mark.parametrize("mode", solver.MODES)
+def test_a_node_that_cannot_be_branched_ends_the_search(monkeypatch, mode):
+    # a rejected node without children ends the search after that node,
+    # status limit, never optimal, and the solve names the fallback
+    mpec = assemble_mpec(division_fixture(260))
+
+    def reject(x):
+        return None, np.zeros(len(mpec.pairs))
+
+    res = solver._branch_and_bound(Simplex(mpec.lp), SolveOptions(), reject, lambda prod, fixes: ())
+    assert (res.status, res.exit_code, res.node_count) == ("limit", 4, 1)
+    assert res.fallbacks == ("unbranchable",) and res.x is None
+    assert res.best_bound == res.bound_history[-1] > -np.inf
+    monkeypatch.setattr(solver, "_bilevel_feasible", lambda *args: reject)
+    monkeypatch.setattr(solver, "_branch_rule", lambda *args: lambda prod, fixes: ())
+    res = solve_lpcc(mpec) if mode == "lpcc" else solve_milp(mpec)
+    assert (res.status, res.exit_code, res.node_count) == ("limit", 4, 1)
+    assert res.fallbacks == ("unbranchable",) and res.x is None
 
 
 @pytest.mark.parametrize("seed", [270, 274, 278, 281])

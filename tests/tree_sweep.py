@@ -12,7 +12,7 @@ iterations, the root LP's iterations, the pivots and the pieces of the
 parties' capacity paths (family iterations and path pieces), big-M
 escalations (the pairs whose multiplier bound the path floor lifted), the
 fallbacks the solve took (family_start, root_start,
-cold_restart, reread), objective, best bound and seconds, the answer's worst lower-level excess,
+cold_restart, reread, unbranchable), objective, best bound and seconds, the answer's worst lower-level excess,
 plus, on a free record, the seed's grid_oracle objective at step C/20
 and the seconds the grid took (grid_seconds).
 The excess is c_p.x_p - phi_p(s_p) of the party where it is largest
