@@ -47,16 +47,11 @@ class DataError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Typed view of the config file plus which keys were actually given."""
+    """Typed view of the config file, one setting per key of values, plus
+    which keys were actually given."""
 
     values: dict
     provided: frozenset = field(default_factory=frozenset)
-
-    def __getattr__(self, name):
-        try:
-            return self.values[name]
-        except KeyError:
-            raise AttributeError(name) from None
 
     def defaults_applied(self):
         """Sorted keys that fell back to their documented default."""

@@ -9,7 +9,7 @@ solver output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -46,29 +46,20 @@ class PriceSeries:
 
 @dataclass(frozen=True)
 class LoadSet:
-    """Customer loads [N, T] plus non-participating feeder load [T], kW.
-
-    system_load is derived: extra_base_load + sum of customer loads.
-    """
+    """Customer loads [N, T], non-participating feeder load [T] and the
+    system load [T] they sum to, kW (make_instance derives the last)."""
 
     customer_load: np.ndarray
     extra_base_load: np.ndarray
-    system_load: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.system_load is None:
-            derived = np.asarray(self.extra_base_load, dtype=float) + np.asarray(
-                self.customer_load, dtype=float
-            ).sum(axis=0)
-            object.__setattr__(self, "system_load", derived)
+    system_load: np.ndarray
 
 
 @dataclass(frozen=True)
 class StorageParams:
     """Shared battery data: capacity (kWh), efficiencies, power ratio (1/h),
     SoC corridor and per-owner initial SoC fractions (soc_ini_customer one
-    per customer, or one value for all; validate_instance makes it an array
-    and takes DEFAULT_SOC_INI for each customer when it is None)."""
+    per customer, or one value for all; make_instance makes it an array and
+    takes DEFAULT_SOC_INI for each customer when it is None)."""
 
     total_capacity: float
     eta_ch: float = 0.92
@@ -125,47 +116,31 @@ class ScheduleSet:
 
 def make_instance(lmp, tou, customer_load, slot_hours: float, total_capacity: float, *,
                   extra_base_load=None, **params) -> Instance:
-    """Assemble and validate an Instance from plain arrays. params sets any
-    other StorageParams or Weights field by name (an unknown name raises
+    """Check plain arrays and build a frozen Instance from them. params sets
+    any other StorageParams or Weights field by name (an unknown name raises
     TypeError); an omitted one keeps its default, and extra_base_load is
-    zero in every slot when omitted."""
-    customer_load = np.atleast_2d(np.asarray(customer_load, dtype=float))
-    n, t = customer_load.shape
-    if extra_base_load is None:
-        extra_base_load = np.zeros(t)
-    weights = {f.name: params.pop(f.name) for f in fields(Weights) if f.name in params}
-    raw = Instance(
-        grid=TimeGrid(slot_count=t, slot_hours=float(slot_hours)),
-        prices=PriceSeries(lmp=np.asarray(lmp, float), tou=np.asarray(tou, float)),
-        loads=LoadSet(
-            customer_load=customer_load,
-            extra_base_load=np.asarray(extra_base_load, float),
-        ),
-        storage=StorageParams(total_capacity=float(total_capacity), **params),
-        weights=Weights(**weights),
-        customer_count=n,
-    )
-    return validate_instance(raw)
+    zero in every slot when omitted.
 
-
-def validate_instance(raw: Instance) -> Instance:
-    """Check every structural invariant and return a frozen instance.
-
-    The system load is recomputed from its components rather than trusted.
-    Raises InstanceError naming the first violated invariant.
+    The system load is derived from the checked loads, never given. Raises
+    InstanceError naming the first violated invariant.
     """
-    grid = raw.grid
-    if grid.slot_count < 2:
-        raise InstanceError(f"slot_count must be >= 2, got {grid.slot_count}")
+    cl = _freeze(np.atleast_2d(np.asarray(customer_load, dtype=float)))
+    if cl.ndim != 2:
+        raise InstanceError(f"customer_load has shape {cl.shape}, expected two dimensions")
+    n, t = cl.shape
+    base = _freeze(np.zeros(t) if extra_base_load is None else extra_base_load)
+    w = Weights(**{f.name: params.pop(f.name) for f in fields(Weights) if f.name in params})
+    st = StorageParams(total_capacity=float(total_capacity), **params)
+    grid = TimeGrid(slot_count=t, slot_hours=float(slot_hours))
+
+    if t < 2:
+        raise InstanceError(f"slot_count must be >= 2, got {t}")
     if not 0 < grid.slot_hours < np.inf:
         raise InstanceError(f"slot_hours must be finite and > 0, got {grid.slot_hours}")
-    t = grid.slot_count
-    n = raw.customer_count
     if n < 1:
         raise InstanceError(f"customer_count must be >= 1, got {n}")
 
-    lmp = np.asarray(raw.prices.lmp, float)
-    tou = np.asarray(raw.prices.tou, float)
+    lmp, tou = _freeze(lmp), _freeze(tou)
     for name, arr in (("lmp", lmp), ("tou", tou)):
         if arr.shape != (t,):
             raise InstanceError(f"{name} has shape {arr.shape}, expected ({t},)")
@@ -174,17 +149,12 @@ def validate_instance(raw: Instance) -> Instance:
     if np.any(tou < 0):
         raise InstanceError("tou prices must be nonnegative")
 
-    cl = np.atleast_2d(np.asarray(raw.loads.customer_load, float))
-    if cl.shape != (n, t):
-        raise InstanceError(f"customer_load has shape {cl.shape}, expected ({n}, {t})")
-    base = np.asarray(raw.loads.extra_base_load, float)
     if base.shape != (t,):
         raise InstanceError(f"extra_base_load has shape {base.shape}, expected ({t},)")
     for name, arr in (("customer_load", cl), ("extra_base_load", base)):
         if not np.all((arr >= 0) & (arr < np.inf)):
             raise InstanceError(f"{name} must be finite and nonnegative")
 
-    st = raw.storage
     if not 0 <= st.total_capacity < np.inf:
         raise InstanceError(f"total_capacity must be finite and >= 0, got {st.total_capacity}")
     for name, eta in (("eta_ch", st.eta_ch), ("eta_dis", st.eta_dis)):
@@ -197,20 +167,15 @@ def validate_instance(raw: Instance) -> Instance:
             f"need 0 <= soc_lower <= soc_upper <= 1, got ({st.soc_lower}, {st.soc_upper})"
         )
     ini = DEFAULT_SOC_INI if st.soc_ini_customer is None else st.soc_ini_customer
-    soc_ini_c = np.full(n, ini, float) if np.isscalar(ini) else np.asarray(ini, float)
+    soc_ini_c = _freeze(np.full(n, ini, float) if np.isscalar(ini) else ini)
     if soc_ini_c.shape != (n,):
-        raise InstanceError(
-            f"soc_ini_customer has shape {soc_ini_c.shape}, expected ({n},)"
-        )
-    for label, v in [("soc_ini_disco", np.array([st.soc_ini_disco]))] + [
-        ("soc_ini_customer", soc_ini_c)
-    ]:
+        raise InstanceError(f"soc_ini_customer has shape {soc_ini_c.shape}, expected ({n},)")
+    for label, v in (("soc_ini_disco", st.soc_ini_disco), ("soc_ini_customer", soc_ini_c)):
         if not np.all((v >= st.soc_lower - 1e-12) & (v <= st.soc_upper + 1e-12)):
             raise InstanceError(
                 f"{label} outside [soc_lower, soc_upper] = [{st.soc_lower}, {st.soc_upper}]"
             )
 
-    w = raw.weights
     if not 0 < w.lambda1 < np.inf:
         raise InstanceError(f"lambda1 must be finite and > 0 (peak linearization), got {w.lambda1}")
     for name, v in (("lambda2", w.lambda2), ("lambda3", w.lambda3), ("alpha", w.alpha)):
@@ -219,13 +184,10 @@ def validate_instance(raw: Instance) -> Instance:
 
     return Instance(
         grid=grid,
-        prices=PriceSeries(lmp=_freeze(lmp), tou=_freeze(tou)),
-        loads=LoadSet(
-            customer_load=_freeze(cl),
-            extra_base_load=_freeze(base),
-            system_load=_freeze(base + cl.sum(axis=0)),
-        ),
-        storage=replace(st, soc_ini_customer=_freeze(soc_ini_c)),
+        prices=PriceSeries(lmp=lmp, tou=tou),
+        loads=LoadSet(customer_load=cl, extra_base_load=base,
+                      system_load=_freeze(base + cl.sum(axis=0))),
+        storage=replace(st, soc_ini_customer=soc_ini_c),
         weights=w,
         customer_count=n,
     )

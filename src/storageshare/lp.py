@@ -28,7 +28,7 @@ becomes the party's share variable (mpec.assemble_mpec).
 At zero flows every party LP has a vertex that is feasible at every
 capacity >= 0 (no_battery_start): the battery stays idle, a customer's
 peak and valley sit at its highest and lowest load, and every storage row
-holds with the slack the capacity gives it, since validate_instance keeps
+holds with the slack the capacity gives it, since make_instance keeps
 each soc_ini inside [soc_lower, soc_upper]. Its basis is the start of a
 capacity path's cold solve, which then needs no phase 1.
 
@@ -140,6 +140,12 @@ class Rows:
         """Row products A x (x may be longer than the columns used)."""
         return np.bincount(self.row_ids, weights=self.data * x[self.indices],
                            minlength=self.n_rows)
+
+    def tdot(self, y: np.ndarray, n_cols: int) -> np.ndarray:
+        """Column products y A over n_cols columns (y may be longer than
+        the rows)."""
+        return np.bincount(self.indices, weights=self.data * y[self.row_ids],
+                           minlength=n_cols)
 
     def transpose(self, n_cols: int) -> "Rows":
         """Per-column view: row j lists the rows holding column j, ascending."""

@@ -21,7 +21,10 @@ Scenarios 2 and 3 solve the division model in lpcc or bigm mode
 solves it once: its pair bounds take mpec's fixed sizes, each multiplier
 bound floored at its capacity path's maximum, which makes the form exact
 (mpec's notes), and a bound still near-binding at the answer is a note in
-the day's report.
+the day's report. Every scenario's division and schedules are audited by
+oracle.check_schedule_invariants at FEAS_TOL before they are reported
+(scenarios 2 and 3 in solver.extract_solution); a failure raises
+RuntimeError naming the failed items.
 
 run_all_scenarios assembles the day's division model once. The model
 owns the day's capacity paths (simplex.CapacityPath, one per party,
@@ -49,6 +52,7 @@ import numpy as np
 
 from .dataio import DIVISIONS, PROFILES, REDUCTIONS, DataError, read_table, write_table
 from .instance import (
+    FEAS_TOL,
     Division,
     Instance,
     ScheduleSet,
@@ -60,6 +64,7 @@ from .instance import (
 )
 from .lp import Rows
 from .mpec import assemble_mpec, validate_big_m
+from .oracle import check_schedule_invariants
 from .simplex import CapacityPath
 from .solver import (_EXIT_CODES, DEFAULT_MODE, MODES, SolveOptions, extract_solution,
                      solve_lpcc, solve_milp)
@@ -243,6 +248,9 @@ def _report(instance: Instance, scenario: ScenarioId, opts: SolveOptions, mode: 
     if scenario is ScenarioId.DISCO_ONLY:
         path = CapacityPath(instance, instance.customer_count) if mpec is None else mpec.paths[-1]
         division, schedules, sol = _disco_only_dispatch(instance, path)
+        audit = check_schedule_invariants(instance, division, schedules, tol=FEAS_TOL)
+        if not audit.passed:
+            raise RuntimeError(f"solution violates schedule invariants: {audit.failures()}")
         stats = {"mode": "lp", "status": "optimal", "nodes": 1,
                  "gap": 0.0, "escalations": 0, "iterations": sol.iterations}
     else:

@@ -5,9 +5,9 @@ A LinearProgram is brought into
     min c.x   s.t.   A x = b,   lo <= x <= hi
 
 by appending one surplus column per inequality row with two or more
-entries; equality rows are kept as they are. A is stored only as its
-nonzeros, row-wise (for b - A x_N) and column-wise; no dense m x nt copy
-is kept.
+entries; equality rows are kept as they are. A is stored once, as its
+nonzeros by column (b - A x_N is the transposed product); no dense
+m x nt copy is kept.
 
 A cold solve may start from a basis the caller knows to be feasible: m
 basic columns, in the caller's numbering, and a point that puts every
@@ -197,10 +197,11 @@ class Simplex:
         self._caller_col = np.concatenate([np.arange(n), n + self._kept_rows])
         self._engine_col = np.full(n + lp.n_g, -1, dtype=np.int64)
         self._engine_col[self._caller_col] = np.arange(self.nt)
-        surplus = Rows.from_lists(np.arange(n, self.nt)[:, None], np.full((mg, 1), -1.0))
-        # A = [[G_kept, -I], [H, 0]]
-        self.rows = Rows.stack([Rows.join([g.take(self._kept_rows), surplus]), lp.h])
-        self.cols = self.rows.transpose(self.nt)  # column j of A is row j
+        # A = [[G_kept, -I], [H, 0]], stored by column: column j of A is
+        # row j of cols, the surplus columns last
+        surplus = Rows.from_lists(np.arange(mg)[:, None], np.full((mg, 1), -1.0))
+        self.cols = Rows.stack([Rows.stack([g.take(self._kept_rows), lp.h]).transpose(n),
+                                surplus])
         self.b = np.concatenate([lp.b_g[self._kept_rows], lp.b_h])
         # bounds as callers pass them: the LP's columns, one surplus per G row
         self.base_lo = np.concatenate([lp.lb, np.zeros(lp.n_g)])
@@ -279,7 +280,7 @@ class Simplex:
 
     def _rhs(self) -> np.ndarray:
         """b - A x_N, the right-hand side left for the basic columns."""
-        return self.b - self.rows.dot(self._nonbasic_values())
+        return self.b - self.cols.tdot(self._nonbasic_values(), self.m)
 
     def _refactor(self):
         """Rebuild the inverse from the block triangular form of the basis.
@@ -604,7 +605,7 @@ class Simplex:
             return False
         xall = self._nonbasic_values()
         xall[cols] = self.xb
-        resid = self.b - self.rows.dot(xall)
+        resid = self.b - self.cols.tdot(xall, self.m)
         return bool(np.all(np.abs(resid) <= 1e-9 * (1.0 + np.abs(self.b)))
                     and np.all(self.xb >= lo[cols] - _PRIMAL_TOL)
                     and np.all(self.xb <= hi[cols] + _PRIMAL_TOL))

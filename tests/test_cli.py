@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from storageshare import cli
+from storageshare import cli, scenarios
 from storageshare.cli import main
+from storageshare.mpec import BigMReport
 from storageshare.mps_io import read_mps
 from storageshare.simplex import SimplexError
 from storageshare.synthetic import write_series
@@ -48,6 +49,21 @@ def test_mode_flag_overrides_config(workdir, capsys):
         main(["solve", *args_for(workdir, "--mode", "lpc")])
     assert exc.value.code == 2
     assert "invalid choice: 'lpc'" in capsys.readouterr().err
+
+
+def test_bigm_runs_print_the_flagged_pair_note(workdir, capsys, monkeypatch):
+    # a bigm answer with a binding pair bound is noted on stdout by solve
+    # and in summary.txt by scenario, once for each bigm solve (2 and 3)
+    monkeypatch.setattr(scenarios, "validate_big_m",
+                        lambda milp, x: BigMReport(flagged=((0, "omega", 1.0, 1.0),)))
+    note = "note = 1 binding pair bounds (flagged: omega)"
+    assert main(["solve", *args_for(workdir, "--mode", "bigm")]) == 0
+    assert note in capsys.readouterr().out.splitlines()
+    report_dir = workdir["dir"] / "rep"
+    assert main(["scenario", *args_for(workdir, "--mode", "bigm"),
+                 "--out", str(report_dir)]) == 0
+    capsys.readouterr()
+    assert (report_dir / "summary.txt").read_text().splitlines().count(note) == 2
 
 
 def test_oracle_agrees_with_solver(workdir, capsys):

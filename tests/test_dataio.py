@@ -35,12 +35,12 @@ eta_ch = 0.9
 mode = lpcc
 node_limit = 500
 """))
-    assert cfg.slot_hours == 0.5
-    assert cfg.total_capacity == 800.0
-    assert cfg.eta_ch == 0.9
-    assert cfg.eta_dis == 0.92  # untouched default
-    assert cfg.mode == "lpcc"
-    assert cfg.alpha == 0.01
+    assert cfg.values["slot_hours"] == 0.5
+    assert cfg.values["total_capacity"] == 800.0
+    assert cfg.values["eta_ch"] == 0.9
+    assert cfg.values["eta_dis"] == 0.92  # untouched default
+    assert cfg.values["mode"] == "lpcc"
+    assert cfg.values["alpha"] == 0.01
     applied = cfg.defaults_applied()
     assert "alpha" in applied and "eta_dis" in applied
     assert "eta_ch" not in applied and "mode" not in applied
@@ -93,7 +93,7 @@ def test_readme_config_table_names_every_key():
 
 def test_mode_defaults_to_lpcc(tmp_path):
     cfg = parse_config(write(tmp_path / "run.cfg", "slot_hours = 1\ntotal_capacity = 2\n"))
-    assert cfg.mode == "lpcc"
+    assert cfg.values["mode"] == "lpcc"
     assert "mode" in cfg.defaults_applied()
 
 

@@ -16,7 +16,6 @@ from storageshare.instance import (
     soc_trajectory,
     system_peak,
     upper_objective,
-    validate_instance,
     zero_schedules,
 )
 from tests.conftest import rand_instance
@@ -90,6 +89,9 @@ def test_system_load_recomputed_not_trusted():
         (dict(lambda3=np.inf), "lambda3"),
         (dict(alpha=np.nan), "alpha"),
         (dict(slot_hours=np.inf), "slot_hours"),
+        (dict(extra_base_load=[0.0, 0.0]), "extra_base_load"),
+        (dict(customer_load=[[[1.0, 1.0, 1.0]]]), "customer_load"),
+        (dict(customer_load=np.zeros((0, 3))), "customer_count"),
     ],
 )
 def test_validation_rejects(patch, msg):
@@ -234,8 +236,3 @@ def test_division_container():
     d = Division(s_disco=300.0, s_customer=np.full(100, 5.0))
     assert d.s_disco + d.s_customer.sum() == pytest.approx(800.0)
 
-
-def test_validate_is_idempotent(rng):
-    inst = rand_instance(rng)
-    again = validate_instance(inst)
-    np.testing.assert_array_equal(again.loads.system_load, inst.loads.system_load)

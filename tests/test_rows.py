@@ -40,6 +40,8 @@ def test_rows_match_dense_numpy(rng, shape):
         np.testing.assert_array_equal(r.dense(n_cols), a)
         x = rng.normal(size=n_cols)
         np.testing.assert_allclose(r.dot(x), a @ x, rtol=1e-12, atol=1e-12)
+        y = rng.normal(size=n_rows)
+        np.testing.assert_allclose(r.tdot(y, n_cols), y @ a, rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(r.transpose(n_cols).dense(n_rows), a.T)
         pick = rng.integers(0, max(n_rows, 1), size=2 * n_rows)
         np.testing.assert_array_equal(r.take(pick).dense(n_cols), a[pick])

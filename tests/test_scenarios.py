@@ -92,6 +92,23 @@ def test_scenario_one_is_a_single_lp():
     assert rep.actual_peak == pytest.approx(rep.actual_profile.max(), abs=1e-12)
 
 
+def test_scenario_one_is_checked_against_the_schedule_invariants(monkeypatch):
+    # a utility dispatch above its power cap must not reach a report
+    inst = division_fixture(202)
+    over = 2.0 * inst.storage.power_ratio * inst.storage.total_capacity
+    flow_face = CapacityPath.flow_face
+
+    def over_cap(self, s, price):
+        sol, x_face = flow_face(self, s, price)
+        bump = np.zeros_like(x_face)
+        bump[0] = over
+        return replace(sol, x=sol.x + bump), x_face + bump
+
+    monkeypatch.setattr(CapacityPath, "flow_face", over_cap)
+    with pytest.raises(RuntimeError, match="disco.power_caps"):
+        run_scenario(inst, ScenarioId.DISCO_ONLY)
+
+
 def test_scenario_two_gives_customers_everything():
     inst = division_fixture(202)
     rep = run_scenario(inst, ScenarioId.CUSTOMERS_ONLY, mode="lpcc")

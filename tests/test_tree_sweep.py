@@ -14,10 +14,12 @@ def _write(path, records):
 
 def test_compare_sums_times_and_flags_differing_objectives(tmp_path, capsys):
     def rec(seed, mode, status, obj, seconds, nodes, grid=10.0, excess=0.0, phi=-2.0, esc=0,
-            fallbacks=(), family=10, iterations=1, pieces=3, scenario="free", grid_seconds=0.5):
+            fallbacks=(), family=10, iterations=1, pieces=3, scenario="free", grid_seconds=0.5,
+            warm=(3, 1, 0)):
         return {"seed": seed, "mode": mode, "scenario": scenario, "status": status, "nodes": nodes,
                 "iterations": iterations, "root_iterations": 1, "family_iterations": family,
                 "path_pieces": pieces, "escalations": esc,
+                **dict(zip(tree_sweep.WARM, warm)),
                 "fallbacks": list(fallbacks), "objective": obj, "seconds": seconds,
                 "ll_excess": excess, "ll_phi": phi,
                 **({"grid": grid, "grid_seconds": grid_seconds}
@@ -30,6 +32,8 @@ def test_compare_sums_times_and_flags_differing_objectives(tmp_path, capsys):
     del old["family_iterations"]  # ... or family iterations
     del old["path_pieces"]  # ... or path pieces
     del old["grid_seconds"]  # ... or grid seconds
+    for key in tree_sweep.WARM:  # ... or warm starts
+        del old[key]
     _write(a, [rec(1, "lpcc", "optimal", 10.0, 1.0, 5, grid=10.0 - 1e-7),
                rec(1, "bigm", "optimal", 10.0, 2.0, 7, excess=4e-9),
                rec(2, "lpcc", "optimal", 3.0, 1.0, 9),
@@ -40,21 +44,23 @@ def test_compare_sums_times_and_flags_differing_objectives(tmp_path, capsys):
                rec(2, "lpcc", "optimal", 3.0 + 5e-7, 0.5, 9, excess=3e-6, phi=-3e3,
                    grid=10.0 + 5e-12),  # 5e-13 relative: the same grid
                rec(2, "bigm", "limit", 2.0, 3.0, 50, fallbacks=["reread"], family=4, pieces=5,
-                   grid_seconds=0.25),
+                   grid_seconds=0.25, warm=(4, 1, 2)),
                rec(3, "lpcc", "optimal", 1.0, 1.0, 1, fallbacks=["reread"], iterations=2),
                rec(1, "lpcc", "optimal", 12.0, 2.5, 20, scenario="customers-only")])
     # one differing objective, A's grid below lpcc on seed 1 and A's
     # excess answer 1/bigm/free
     assert tree_sweep.compare(str(a), str(b)) == 3
     out = capsys.readouterr().out
-    # seed 3 has no grid seconds, family iterations or path pieces in A, so
-    # lpcc/free prints none of them
+    # seed 3 has no grid seconds, family iterations, path pieces or warm
+    # starts in A, so lpcc/free prints none of them
     assert "lpcc/free: 3 seeds, seconds 3.00 -> 2.00 (-33.3%), nodes 15 -> 16\n" in out
     assert ("bigm/free: 2 seeds, seconds 6.00 -> 4.00 (-33.3%), nodes 57 -> 57,"
-            " grid seconds 1.00 -> 0.75, family iterations 20 -> 14, path pieces 6 -> 8\n") in out
+            " grid seconds 1.00 -> 0.75, family iterations 20 -> 14, path pieces 6 -> 8,"
+            " warm hits/rebuilds/cold restarts 6/2/0 -> 7/2/2\n") in out
     # matched by seed, mode and scenario: seed 1's lpcc nodes differ when free only
     assert ("lpcc/customers-only: 1 seeds, seconds 2.00 -> 2.50 (+25.0%), nodes 20 -> 20,"
-            " family iterations 10 -> 10, path pieces 3 -> 3\n") in out
+            " family iterations 10 -> 10, path pieces 3 -> 3,"
+            " warm hits/rebuilds/cold restarts 3/1/0 -> 3/1/0\n") in out
     assert "bigm/customers-only" not in out  # no such solve in either file
     assert "seed 1: objective 10.0 -> 10.00005" in out
     assert "seed 2" not in out  # within 1e-6, or not optimal on both sides
@@ -62,6 +68,8 @@ def test_compare_sums_times_and_flags_differing_objectives(tmp_path, capsys):
     # iterations (A records no family iterations for it)
     assert ("nodes, iterations or family iterations differ:"
             " 1/lpcc/free, 2/bigm/free, 3/lpcc/free\n") in out
+    # seed 3: no warm starts recorded in A
+    assert "warm hits, rebuilds or cold restarts differ: 2/bigm/free\n" in out
     assert "escalations differ: 2/bigm/free\n" in out
     assert "fallbacks differ: 2/bigm/free\n" in out  # seed 3: not recorded in A
     assert "grid differs at 1e-12: 1\n" in out
@@ -117,6 +125,8 @@ def test_sweep_records_the_grid_objective(tmp_path):
     assert all(r["status"] == "optimal" for r in records)
     assert [r["escalations"] for r in records] == [0] * 4
     assert [r["fallbacks"] for r in records] == [[]] * 4
+    assert all(isinstance(r[key], int) and r[key] >= 0
+               for r in records for key in tree_sweep.WARM)
     assert all(0 < r["root_iterations"] <= r["iterations"] for r in records)
     assert all(r["best_bound"] == r["objective"] for r in records)  # proved at gap 0
     assert all(r["family_iterations"] > 0 for r in records)

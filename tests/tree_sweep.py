@@ -12,7 +12,9 @@ iterations, the root LP's iterations, the pivots and the pieces of the
 parties' capacity paths (family iterations and path pieces), big-M
 escalations (the pairs whose multiplier bound the path floor lifted), the
 fallbacks the solve took (family_start, root_start,
-cold_restart, reread, unbranchable), objective, best bound and seconds, the answer's worst lower-level excess,
+cold_restart, reread, unbranchable), the tree engine's warm starts
+(warm_hits, warm_rebuilds, cold_restarts), objective, best bound and
+seconds, the answer's worst lower-level excess,
 plus, on a free record, the seed's grid_oracle objective at step C/20
 and the seconds the grid took (grid_seconds).
 The excess is c_p.x_p - phi_p(s_p) of the party where it is largest
@@ -20,11 +22,13 @@ relative to 1 + |phi_p(s_p)| (ll_excess, with that phi as ll_phi). The
 second form reads two such files, matches their records by seed, mode
 and scenario (a record with no scenario, from an older file, is free),
 and prints, per mode and scenario, the summed seconds and nodes of each
-(and the summed grid seconds, family iterations and path pieces, each
-when both files record it for every solve of the group) and every seed where both solves
+(and the summed grid seconds, family iterations, path pieces and warm
+hits/rebuilds/cold restarts, each when both files record it for every
+solve of the group) and every seed where both solves
 are optimal and the objectives differ by more than 1e-6 relative; then
 the (seed, mode, scenario) solves whose nodes, LP iterations or family
-iterations differ (of the counters both files record), those whose
+iterations differ (of the counters both files record), those whose warm
+hits, rebuilds or cold restarts differ (likewise), those whose
 escalation counts differ, those whose fallbacks differ (of the solves
 both files record fallbacks for), and those of equal status whose best
 bounds differ by more than 1e-12 relative (of the solves both files
@@ -54,6 +58,7 @@ GRID_SAME_TOL = 1e-12
 BOUND_SAME_TOL = 1e-12
 LL_TOL = 1e-9
 COUNTERS = ("nodes", "iterations", "family_iterations")
+WARM = ("warm_hits", "warm_rebuilds", "cold_restarts")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -83,6 +88,7 @@ def solve_one(seed: int, mode: str, scenario: str, node_limit: int) -> dict:
            "root_iterations": res.root_iterations,
            "family_iterations": res.family_iterations, "path_pieces": res.path_pieces,
            "escalations": escalations, "fallbacks": list(res.fallbacks),
+           **{key: getattr(res, key) for key in WARM},
            "objective": float(res.objective), "best_bound": float(res.best_bound),
            "seconds": round(seconds, 4)}
     if res.x is not None:
@@ -170,6 +176,10 @@ def compare(path_a: str, path_b: str) -> int:
             if all(key in side[k] for side in (a, b) for k in keys):
                 ca, cb = (sum(side[k][key] for k in keys) for side in (a, b))
                 line += f", {key.replace('_', ' ')} {ca} -> {cb}"
+        if all(key in side[k] for side in (a, b) for k in keys for key in WARM):
+            wa, wb = ("/".join(str(sum(side[k][key] for k in keys)) for key in WARM)
+                      for side in (a, b))
+            line += f", warm hits/rebuilds/cold restarts {wa} -> {wb}"
         print(line)
         for k in keys:
             ra, rb = a[k], b[k]
@@ -185,6 +195,10 @@ def compare(path_a: str, path_b: str) -> int:
                if any(k in a[key] and k in b[key] and a[key][k] != b[key][k] for k in COUNTERS)]
     print(f"nodes, iterations or family iterations differ: "
           f"{', '.join(recount) if recount else 'none'}")
+    rewarm = [_label(key) for key in both
+              if any(k in a[key] and k in b[key] and a[key][k] != b[key][k] for k in WARM)]
+    print(f"warm hits, rebuilds or cold restarts differ: "
+          f"{', '.join(rewarm) if rewarm else 'none'}")
     escalated = [_label(key) for key in both
                  if a[key].get("escalations") != b[key].get("escalations")]
     print(f"escalations differ: {', '.join(escalated) if escalated else 'none'}")
