@@ -32,9 +32,17 @@ holds with the slack the capacity gives it, since make_instance keeps
 each soc_ini inside [soc_lower, soc_upper]. Its basis is the start of a
 capacity path's cold solve, which then needs no phase 1.
 
-A_g and A_h are Rows: compressed sparse rows (CSR). This module is the
-only one that reads their arrays; everything else goes through the Rows
-operations (dense form, row products, transpose, row selection, stacking).
+A_g and A_h are Rows: compressed sparse rows (CSR), with int64 row
+pointers and int32 column ids. At fleet size (100 customers x 48 slots)
+the division model (48,787 columns) and its big-M form (87,475) hold 2.3
+million entries between them, so int32 ids keep 9.2 MB less than int64.
+column_ids is the one checked cast: Rows.__post_init__ passes every id
+array through it, and an id outside [0, 2**31) raises ValueError rather
+than wrap. numpy indexes and counts with intp ids only and casts any
+other dtype on every call, so dense, dot, tdot and transpose go through
+two cached intp copies, row_ids and col_ids. Only the engine's small LPs
+build them: mpec.assemble_mpec, mpec.linearize_big_m and the MPS writer
+read the int32 arrays directly.
 """
 
 from __future__ import annotations
@@ -52,19 +60,47 @@ def _indptr(counts) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
 
 
+_ID_LIMIT = 2 ** 31  # column ids are int32
+
+
+def column_ids(ids) -> np.ndarray:
+    """ids as int32 column ids (no copy when they already are); an id
+    outside [0, 2**31) raises ValueError. An int32 sum that passed 2**31 - 1
+    wrapped to a negative id, which this rejects too."""
+    ids = np.asarray(ids)
+    # every id is in [0, 2**31) when no id sets a bit above bit 30, the sign
+    # bit included: one reduction checks both ends
+    if ids.size and not 0 <= np.bitwise_or.reduce(ids) < _ID_LIMIT:
+        raise ValueError(f"column ids must lie in [0, 2**31), got {ids.min()}..{ids.max()}")
+    return ids.astype(np.int32, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class Rows:
     """Sparse matrix rows in CSR form.
 
     Row i holds column ids indices[indptr[i]:indptr[i + 1]] with
     coefficients data[indptr[i]:indptr[i + 1]], in the order they were
-    built; every operation keeps that order. The column count is not
-    stored: the model that owns the rows knows it.
+    built; every operation keeps that order. indptr is int64 and indices
+    int32. The column count is not stored: the model that owns the rows
+    knows it.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "indices", column_ids(self.indices))
+
+    @classmethod
+    def _of_checked(cls, indptr, indices, data) -> "Rows":
+        """Rows whose ids are a selection or concatenation of ids that
+        column_ids already checked: they skip a second check, which would
+        cost more than the operation on the engine's small LPs."""
+        rows = cls.__new__(cls)
+        rows.__dict__.update(indptr=indptr, indices=indices, data=data)
+        return rows
 
     @classmethod
     def from_lists(cls, idx, val) -> "Rows":
@@ -72,12 +108,10 @@ class Rows:
         gives one row per line, all of equal length."""
         if isinstance(idx, np.ndarray) and idx.ndim == 2:
             n, k = idx.shape
-            return cls(np.arange(n + 1, dtype=np.int64) * k,
-                       idx.ravel().astype(np.int64),
+            return cls(np.arange(n + 1, dtype=np.int64) * k, idx.ravel(),
                        np.asarray(val, float).ravel())
         lens = np.fromiter((len(i) for i in idx), np.int64, count=len(idx))
-        return cls(_indptr(lens),
-                   np.concatenate([np.empty(0, np.int64), *idx]).astype(np.int64),
+        return cls(_indptr(lens), np.concatenate([np.empty(0, np.int32), *idx]),
                    np.concatenate([np.empty(0), *val]).astype(float))
 
     @classmethod
@@ -85,15 +119,14 @@ class Rows:
         """The nonzero entries of a 2-D array, column-ascending per row."""
         a = np.asarray(a, float)
         rows, cols = np.nonzero(a)
-        return cls(_indptr(np.bincount(rows, minlength=a.shape[0])),
-                   cols.astype(np.int64), a[rows, cols])
+        return cls(_indptr(np.bincount(rows, minlength=a.shape[0])), cols, a[rows, cols])
 
     @classmethod
     def stack(cls, parts) -> "Rows":
         """The rows of every part, one part after the other."""
-        return cls(_indptr(np.concatenate([np.diff(p.indptr) for p in parts])),
-                   np.concatenate([p.indices for p in parts]),
-                   np.concatenate([p.data for p in parts]))
+        return cls._of_checked(_indptr(np.concatenate([np.diff(p.indptr) for p in parts])),
+                               np.concatenate([p.indices for p in parts]),
+                               np.concatenate([p.data for p in parts]))
 
     @classmethod
     def join(cls, parts) -> "Rows":
@@ -101,9 +134,9 @@ class Rows:
         order; all parts have the same row count."""
         rows = np.concatenate([p.row_ids for p in parts])
         order = np.argsort(rows, kind="stable")
-        return cls(_indptr(sum(np.diff(p.indptr) for p in parts)),
-                   np.concatenate([p.indices for p in parts])[order],
-                   np.concatenate([p.data for p in parts])[order])
+        return cls._of_checked(_indptr(sum(np.diff(p.indptr) for p in parts)),
+                               np.concatenate([p.indices for p in parts])[order],
+                               np.concatenate([p.data for p in parts])[order])
 
     @property
     def n_rows(self) -> int:
@@ -111,8 +144,14 @@ class Rows:
 
     @cached_property
     def row_ids(self) -> np.ndarray:
-        """Row id of every stored entry."""
+        """Row id of every stored entry (intp)."""
         return np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
+
+    @cached_property
+    def col_ids(self) -> np.ndarray:
+        """Column id of every stored entry, as intp: indexing and counting
+        with it skip numpy's cast of the int32 indices on every call."""
+        return self.indices.astype(np.intp)
 
     @cached_property
     def views(self):
@@ -133,25 +172,25 @@ class Rows:
 
     def dense(self, n_cols: int) -> np.ndarray:
         a = np.zeros((self.n_rows, n_cols))
-        a[self.row_ids, self.indices] = self.data
+        a[self.row_ids, self.col_ids] = self.data
         return a
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         """Row products A x (x may be longer than the columns used)."""
-        return np.bincount(self.row_ids, weights=self.data * x[self.indices],
+        return np.bincount(self.row_ids, weights=self.data * x[self.col_ids],
                            minlength=self.n_rows)
 
     def tdot(self, y: np.ndarray, n_cols: int) -> np.ndarray:
         """Column products y A over n_cols columns (y may be longer than
         the rows)."""
-        return np.bincount(self.indices, weights=self.data * y[self.row_ids],
+        return np.bincount(self.col_ids, weights=self.data * y[self.row_ids],
                            minlength=n_cols)
 
     def transpose(self, n_cols: int) -> "Rows":
         """Per-column view: row j lists the rows holding column j, ascending."""
-        order = np.argsort(self.indices, kind="stable")
-        return Rows(_indptr(np.bincount(self.indices, minlength=n_cols)),
-                    self.row_ids[order], self.data[order])
+        order = np.argsort(self.col_ids, kind="stable")
+        return Rows._of_checked(_indptr(np.bincount(self.col_ids, minlength=n_cols)),
+                                column_ids(self.row_ids)[order], self.data[order])
 
     def take(self, rows) -> "Rows":
         """The given rows, in the given order."""
@@ -159,14 +198,18 @@ class Rows:
         lens = np.diff(self.indptr)[rows]
         indptr = _indptr(lens)
         pos = np.repeat(self.indptr[rows] - indptr[:-1], lens) + np.arange(indptr[-1])
-        return Rows(indptr, self.indices[pos], self.data[pos])
+        return Rows._of_checked(indptr, self.indices[pos], self.data[pos])
 
     def shifted(self, offset: int) -> "Rows":
-        """The same rows with every column id moved by offset."""
-        return Rows(self.indptr, self.indices + offset, self.data)
+        """The same rows with every column id moved by offset. The sum is
+        taken in int32: one that passes 2**31 - 1 wraps negative, which
+        __post_init__ rejects."""
+        if not -_ID_LIMIT < offset < _ID_LIMIT:
+            raise ValueError(f"column offset {offset} is outside (-2**31, 2**31)")
+        return Rows(self.indptr, self.indices + np.int32(offset), self.data)
 
     def __neg__(self) -> "Rows":
-        return Rows(self.indptr, self.indices, -self.data)
+        return Rows._of_checked(self.indptr, self.indices, -self.data)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instance import Instance, flow_price
-from .lp import LinearProgram, Rows, build_party_lp
+from .lp import LinearProgram, Rows, build_party_lp, column_ids
 from .simplex import day_paths
 
 _PRIMAL_SAFETY = 1.25
@@ -170,7 +170,7 @@ def assemble_mpec(instance: Instance) -> MpecModel:
 
     def relinked(rows, lay):
         """Party rows in model columns, the capacity on the division variable."""
-        cols = np.append(lay.x0 + np.arange(lay.nx), lay.cap_col)
+        cols = column_ids(np.append(lay.x0 + np.arange(lay.nx), lay.cap_col))
         return Rows(rows.indptr, cols[rows.indices], rows.data)
 
     for lay, plp in zip(layouts, party_lps):

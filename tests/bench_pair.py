@@ -24,10 +24,14 @@ pair is the two sides' runs of one seed, workload and trace in the order
 they were made, won when the change is better in the metric's direction
 in BENCHMARK.json (lower unless it says higher); a tie counts for
 neither side. "clear" marks a metric whose medians differ by more than
-the parent's interquartile distance. A last line per workload and
-trace setting sums each side's failed operations; both forms exit 1
-when the change has more than the parent (or, when running, when any
-run is not correct).
+the parent's interquartile distance; "claimable" marks a clear metric
+the change won on at least 9 pairs in 10. "WORSE" marks an end-to-end
+metric whose change median is worse than the parent's by more than the
+metric's bound in BENCHMARK.json (a fraction of the parent's median). A
+last line per workload and trace setting sums each side's failed
+operations; both forms exit 1 when the change has more than the parent,
+or when any metric is WORSE (or, when running, when any run is not
+correct).
 """
 
 from __future__ import annotations
@@ -88,23 +92,35 @@ def _stats(values: list) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list, higher_is_better=frozenset()) -> dict:
+CLAIM_SHARE = 0.9  # a claimable metric is won on at least 9 pairs in 10
+
+
+def summarize(runs: list, higher_is_better=frozenset(), bounds=None) -> dict:
     """Per (workload, trace, metric): each side's median and quartiles, the
-    change in percent, the pairs the change won, lost and tied, and
-    whether the medians differ by more than the parent's interquartile
-    distance."""
+    change in percent, the pairs the change won, lost and tied, whether
+    the medians differ by more than the parent's interquartile distance
+    (clear), whether the metric is also won on CLAIM_SHARE of the pairs
+    (claimable), and whether the change's median is worse than the
+    parent's by more than the metric's bound in bounds, a fraction of the
+    parent's median (worse; a metric with no bound never is)."""
+    bounds = bounds or {}
     summary = {}
     for key, values in pairs(runs).items():
         parent, change = (_stats(list(side)) for side in zip(*values))
         sign = -1.0 if key[2] in higher_is_better else 1.0
         won = sum(sign * (c - p) < 0 for p, c in values)
         lost = sum(sign * (c - p) > 0 for p, c in values)
+        clear = abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"]
+        bound = bounds.get(key[2])
         summary[key] = {
             "parent": parent, "change": change, "pairs": len(values), "won": won,
             "lost": lost, "tied": len(values) - won - lost,
             "percent": (100.0 * (change["median"] / parent["median"] - 1.0)
                         if parent["median"] else 0.0),
-            "clear": abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"],
+            "clear": clear,
+            "claimable": clear and won >= CLAIM_SHARE * len(values),
+            "worse": bound is not None and (sign * (change["median"] - parent["median"])
+                                            > bound * abs(parent["median"])),
         }
     return summary
 
@@ -117,6 +133,7 @@ def format_summary(summary: dict) -> list:
     return [f"{wl:13s} trace {trace} {metric:24s} {stats(s['parent'])} -> {stats(s['change'])}"
             f" ({s['percent']:+.1f}%) change won {s['won']}/{s['pairs']}, lost {s['lost']},"
             f" tied {s['tied']}{'  clear' if s['clear'] else ''}"
+            f"{'  claimable' if s['claimable'] else ''}{'  WORSE' if s['worse'] else ''}"
             for (wl, trace, metric), s in summary.items()]
 
 
@@ -137,12 +154,15 @@ def format_failures(failed: dict) -> list:
             for (wl, trace), n in sorted(failed.items())]
 
 
-def report(runs: list, higher_is_better=frozenset()) -> bool:
+def report(runs: list, higher_is_better=frozenset(), bounds=None) -> bool:
     """Print the summary and failure lines of runs; whether the change
-    failed no more operations than the parent on every workload."""
+    failed no more operations than the parent on every workload and no
+    metric is worse than its bound."""
     failed = failures(runs)
-    print("\n".join(format_summary(summarize(runs, higher_is_better)) + format_failures(failed)))
-    return all(n["change"] <= n["parent"] for n in failed.values())
+    summary = summarize(runs, higher_is_better, bounds)
+    print("\n".join(format_summary(summary) + format_failures(failed)))
+    return (all(n["change"] <= n["parent"] for n in failed.values())
+            and not any(s["worse"] for s in summary.values()))
 
 
 def _benchmark(checkout: str) -> dict:
@@ -153,6 +173,11 @@ def _benchmark(checkout: str) -> dict:
 def _higher_is_better(bench: dict) -> frozenset:
     return frozenset(m["name"] for group in ("end_to_end", "per_layer")
                      for m in bench.get(group, ()) if m.get("better") == "higher")
+
+
+def _bounds(bench: dict) -> dict:
+    """{end-to-end metric: its bound}."""
+    return {m["name"]: m["bound"] for m in bench.get("end_to_end", ()) if "bound" in m}
 
 
 def main(argv=None) -> int:
@@ -173,7 +198,7 @@ def main(argv=None) -> int:
         with open(args.summary) as fh:
             doc = json.load(fh)
         bench = _benchmark(os.getcwd()) if os.path.isfile("BENCHMARK.json") else {}
-        return 0 if report(doc["runs"], _higher_is_better(bench)) else 1
+        return 0 if report(doc["runs"], _higher_is_better(bench), _bounds(bench)) else 1
     if not (args.parent and args.change and args.out):
         parser.error("--parent, --change and --out are needed to run")
 
@@ -207,8 +232,8 @@ def main(argv=None) -> int:
                 with open(args.out, "w") as fh:
                     json.dump(doc, fh, indent=1)
                     fh.write("\n")
-    no_more_failed = report(doc["runs"], _higher_is_better(bench))
-    return 0 if no_more_failed and not incorrect else 1
+    passed = report(doc["runs"], _higher_is_better(bench), _bounds(bench))
+    return 0 if passed and not incorrect else 1
 
 
 if __name__ == "__main__":

@@ -81,3 +81,54 @@ def test_a_run_keeps_its_environment_and_final_line(tmp_path):
     _, failed = bench_pair.run_one(str(tmp_path), [sys.executable, "-c", "raise SystemExit(3)"],
                                    "cli-day", 1, 1.0, 0)
     assert failed["correct"] is False and failed["error"].startswith("exit 3")
+
+
+def _ten_pairs(parent_walls, change_walls, workload="fleet-export"):
+    """Ten seeds' runs, each side's wall times in seed order."""
+    lines = []
+    for seed, (p, c) in enumerate(zip(parent_walls, change_walls), start=1):
+        lines += [(seed, side, _line(wall)) for side, wall in
+                  zip(bench_pair.first_side(seed), (p, c) if seed % 2 else (c, p))]
+    return _runs(lines, workload)
+
+
+def test_a_metric_won_on_nine_pairs_in_ten_and_clear_is_claimable():
+    parent = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.01]
+    nine = [0.8] * 9 + [1.1]  # the last pair lost
+    wall = bench_pair.summarize(_ten_pairs(parent, nine))[("fleet-export", 0, "wall_ref_s")]
+    assert (wall["won"], wall["clear"], wall["claimable"]) == (9, True, True)
+    assert bench_pair.format_summary({("fleet-export", 0, "wall_ref_s"): wall})[0].endswith(
+        "change won 9/10, lost 1, tied 0  clear  claimable")
+    eight = [0.8] * 8 + [1.1, 1.1]
+    wall = bench_pair.summarize(_ten_pairs(parent, eight))[("fleet-export", 0, "wall_ref_s")]
+    assert (wall["won"], wall["clear"], wall["claimable"]) == (8, True, False)
+    # won on every pair, but by less than the parent's quartile distance
+    close = [p - 0.001 for p in parent]
+    wall = bench_pair.summarize(_ten_pairs(parent, close))[("fleet-export", 0, "wall_ref_s")]
+    assert (wall["won"], wall["clear"], wall["claimable"]) == (10, False, False)
+
+
+def test_an_end_to_end_metric_worse_than_its_bound_fails(tmp_path, monkeypatch, capsys):
+    parent = [1.0] * 10
+    bounds = {"wall_ref_s": 0.2}
+    key = ("fleet-export", 0, "wall_ref_s")
+    runs = _ten_pairs(parent, [1.25] * 10)
+    wall = bench_pair.summarize(runs, bounds=bounds)[key]
+    assert wall["worse"] and not wall["claimable"]
+    assert bench_pair.format_summary({key: wall})[0].endswith("clear  WORSE")
+    assert not bench_pair.report(runs, bounds=bounds)
+    assert "WORSE" in capsys.readouterr().out
+    # within the bound, without one, and worse in the metric's own direction
+    assert not bench_pair.summarize(_ten_pairs(parent, [1.15] * 10), bounds=bounds)[key]["worse"]
+    assert not bench_pair.summarize(runs)[key]["worse"]
+    assert bench_pair.report(_ten_pairs(parent, [1.15] * 10), bounds=bounds)
+    lower = bench_pair.summarize(_ten_pairs(parent, [0.75] * 10), {"wall_ref_s"}, bounds)[key]
+    assert lower["worse"]
+    # the summary form reads the bounds of the BENCHMARK.json where it runs
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "wall_ref_s", "better": "lower", "bound": 0.2}]}))
+    (tmp_path / "BENCH.json").write_text(json.dumps({"runs": runs}))
+    monkeypatch.chdir(tmp_path)
+    assert bench_pair.main(["--summary", "BENCH.json"]) == 1
+    (tmp_path / "BENCH.json").write_text(json.dumps({"runs": _ten_pairs(parent, [0.9] * 10)}))
+    assert bench_pair.main(["--summary", "BENCH.json"]) == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from storageshare.lp import Rows, evaluate
-from storageshare.mpec import assemble_mpec
+from storageshare.mpec import assemble_mpec, linearize_big_m
 from storageshare.solver import _pair_slacks
 from tests.conftest import rand_instance
 from tests.lp_oracle import check_kkt_residuals, derive_kkt, make_lp, row_value
@@ -137,3 +137,62 @@ def test_pair_slacks_match_row_by_row_reference(rng):
         want = [row_value(mp.lp, int(g_row), x) for g_row in mp.pairs[:, 1]]
         np.testing.assert_allclose(_pair_slacks(mp.lp, mp.pairs)(x), want,
                                    rtol=1e-12, atol=1e-12)
+
+
+def _check_ids(r):
+    assert r.indices.dtype == np.int32
+    assert r.indptr.dtype == np.int64
+
+
+def test_every_construction_keeps_int32_column_ids(rng):
+    idx, val = random_lists(rng, 8, 6)
+    listed = Rows.from_lists(idx, val)
+    square = Rows.from_lists(rng.integers(0, 9, size=(5, 3)), rng.normal(size=(5, 3)))
+    dense = Rows.from_dense(random_sparse(rng, 8, 6))
+    made = [listed, square, dense, Rows.from_lists([], []),
+            Rows.stack([listed, dense]), Rows.join([listed, dense.shifted(6)]),
+            listed.take([3, 0, 3]), listed.transpose(6), listed.shifted(4), -listed]
+    for r in made:
+        _check_ids(r)
+    mpec = assemble_mpec(rand_instance(rng, n=2, t=4))
+    milp = linearize_big_m(mpec, mpec.paths)
+    for r in (mpec.lp.g, mpec.lp.h, milp.lp.g, milp.lp.h):
+        _check_ids(r)
+
+
+@pytest.mark.parametrize("ids", [[2 ** 31], [-1], [0, 2 ** 31 + 5], [2 ** 32 + 3]])
+def test_a_column_id_outside_int32_is_rejected(ids):
+    with pytest.raises(ValueError, match="column ids"):
+        Rows(np.array([0, len(ids)]), np.array(ids, dtype=np.int64), np.ones(len(ids)))
+    with pytest.raises(ValueError, match="column ids"):
+        Rows.from_lists([ids], [np.ones(len(ids))])
+
+
+def test_a_shift_past_int32_is_rejected():
+    r = Rows.from_lists([[0, 2 ** 31 - 10]], [[1.0, 2.0]])
+    assert r.shifted(9).row(0)[0].tolist() == [9, 2 ** 31 - 1]
+    for offset in (10, 2 ** 31 - 1, -1, 2 ** 31, -(2 ** 31)):
+        with pytest.raises(ValueError):
+            r.shifted(offset)
+    # a negative id already in int32, as a wrapped sum leaves it
+    with pytest.raises(ValueError, match="column ids"):
+        Rows(np.array([0, 1]), np.array([-3], np.int32), np.ones(1))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_products_equal_the_int64_results_bit_for_bit(rng, shape):
+    # the int64-id arithmetic the int32 ids replaced, as the reference
+    n_rows, n_cols = shape
+    for _ in range(5):
+        r = Rows.from_lists(*random_lists(rng, n_rows, n_cols))
+        ids = r.indices.astype(np.int64)
+        rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(r.indptr))
+        x, y = rng.normal(size=n_cols), rng.normal(size=n_rows)
+        want_dot = np.bincount(rows, weights=r.data * x[ids], minlength=n_rows)
+        want_tdot = np.bincount(ids, weights=r.data * y[rows], minlength=n_cols)
+        want_dense = np.zeros((n_rows, n_cols))
+        want_dense[rows, ids] = r.data
+        for got, want in ((r.dot(x), want_dot), (r.tdot(y, n_cols), want_tdot),
+                          (r.dense(n_cols), want_dense)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
