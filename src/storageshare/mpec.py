@@ -17,10 +17,12 @@ i // T + 1); no row or column carries a name. The pair bounds are sized
 here alone: a primal bound is _PRIMAL_SAFETY times its row's family bound
 plus _PRIMAL_FLOOR, above every feasible slack; a dual bound is
 _DUAL_SCALE times the price magnitude, at least _DUAL_FLOOR, and, given
-the day's capacity paths, at least the pair's cap (pair_caps), _DUAL_MARGIN
-times its row's largest multiplier over the party's path plus _DUAL_PAD.
-The path duals at an optimal point's shares are complementary to its
-optimal dispatches, so swapping them in keeps it optimal and under every cap.
+the day's capacity paths, at least the pair's cap (pair_caps): _DUAL_MARGIN
+times its row's largest multiplier over the party's path plus _DUAL_PAD,
+or 0 for a row whose multiplier is 0 along the whole path. The path
+duals at an optimal point's shares are complementary to its optimal
+dispatches, so swapping them in keeps it optimal and under every cap,
+a cap of 0 included.
 """
 
 from __future__ import annotations
@@ -225,8 +227,10 @@ def _family_bounds(instance: Instance, load: np.ndarray) -> np.ndarray:
 
 
 def pair_caps(paths) -> np.ndarray:
-    """Each pair's multiplier cap, in mpec.pairs order, off the day's paths."""
-    return np.concatenate([_DUAL_MARGIN * path.dual_g_max + _DUAL_PAD for path in paths])
+    """Each pair's multiplier cap, in mpec.pairs order, off the day's paths:
+    0 where the row's multiplier is 0 along the whole path."""
+    most = np.concatenate([path.dual_g_max for path in paths])
+    return np.where(most > 0.0, _DUAL_MARGIN * most + _DUAL_PAD, 0.0)
 
 
 def linearize_big_m(mpec: MpecModel, paths=None) -> MilpModel:

@@ -34,11 +34,12 @@ and the row cuts off relaxed points whose dispatch costs more than any
 optimal one can (the concave envelope of the value-function bound
 c_p.x_p <= phi_p(s_p)). The chord is exact, without slack, and most
 divisions then close at the root. The same LP caps each multiplier column
-at its pair's cap (mpec.pair_caps). Multipliers carry no upper-level
-cost, and a party's path duals at its share are complementary to every
-optimal dispatch there, so swapping them into a bilevel-feasible point
-keeps its objective and puts it under every cap: the caps keep an optimal
-point. The rows and caps live in the tree's copy of the LP only; the
+at its pair's cap (mpec.pair_caps), and fixes it at 0 where the row's
+multiplier is 0 along the party's whole path. Multipliers carry no
+upper-level cost, and a party's path duals at its share are complementary
+to every optimal dispatch there, so swapping them into a bilevel-feasible
+point keeps its objective and puts it under every cap: the caps keep an
+optimal point. The rows and caps live in the tree's copy of the LP only; the
 model, its big-M form and their MPS files do not carry them.
 
 No LP of a solve runs phase 1. Each path starts from the party's

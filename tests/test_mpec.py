@@ -312,7 +312,8 @@ def test_path_duals_are_complementary_to_every_optimal_dispatch():
 def test_path_floor_covers_every_multiplier():
     # the fixed multiplier bound is max(1, 1000 p dt), p the largest price
     # magnitude; the day's paths floor each pair's at 1.1 times the largest
-    # multiplier its row takes on the party's path, plus 1e-3, read here at
+    # multiplier its row takes on the party's path, plus 1e-3 (0 for a row
+    # whose multiplier is 0 along the path), the multipliers read here at
     # every breakpoint and 41 shares between, and on these days the floor
     # lifts no bound, so the solved form is the exported one; both trees
     # cap each multiplier column at the same value
@@ -338,6 +339,23 @@ def test_path_floor_covers_every_multiplier():
             walked = np.max([path.at(s).dual_g for s in shares], axis=0)
             np.testing.assert_array_equal(walked, path.dual_g_max)
             assert np.all(m_of[lay.w0: lay.w0 + lay.nw] >= 1.1 * walked + 1e-3)
+
+
+def test_a_pair_without_a_path_multiplier_is_fixed_at_zero():
+    # a row whose multiplier is 0 along the party's whole path gets cap 0,
+    # so its omega column is fixed at 0 in the LP both trees search; every
+    # other pair keeps 1.1 times its largest path multiplier plus 1e-3
+    for inst in _box_days():
+        mpec = assemble_mpec(inst)
+        most = np.concatenate([path.dual_g_max for path in mpec.paths])
+        zero = most == 0.0
+        assert zero.any() and not zero.all()
+        for lp in (mpec.lp, linearize_big_m(mpec, mpec.paths).lp):
+            tree_lp = solver._tree_lp(mpec, lp, mpec.paths)
+            w_cols = mpec.pairs[:, 0]
+            assert np.all(tree_lp.lb[w_cols[zero]] == 0.0)
+            assert np.all(tree_lp.ub[w_cols[zero]] == 0.0)
+            np.testing.assert_array_equal(tree_lp.ub[w_cols[~zero]], 1.1 * most[~zero] + 1e-3)
 
 
 def test_validate_big_m(rng):
