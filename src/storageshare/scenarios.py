@@ -16,25 +16,27 @@ the baseline, positive when the bill went down; reductions on a zero
 baseline are reported as zero. Reports on Customers rows are group
 figures, not individual bills.
 
-Scenarios 2 and 3 solve the division model in lpcc or bigm mode
-(solve_division). In bigm mode the tree builds its own big-M form and
-solves it once: its pair bounds take mpec's fixed sizes, each multiplier
-bound floored at its capacity path's maximum, which makes the form exact
-(mpec's notes), and a bound still near-binding at the answer is a note in
-the day's report. Every scenario's division and schedules are audited by
-oracle.check_schedule_invariants at FEAS_TOL before they are reported
-(scenarios 2 and 3 in solver.extract_solution); a failure raises
-RuntimeError naming the failed items.
+All three scenarios solve the day's division model in lpcc or bigm mode
+(solve_division), each under its pin: scenario 1 fixes the utility's
+share at the capacity and every customer's at zero (_pin_disco_only),
+scenario 2 the utility's at zero with the customers' summing to the
+capacity (_pin_customers_only), and scenario 3 leaves the division free.
+In bigm mode the tree builds its own big-M form and solves it once: its
+pair bounds take mpec's fixed sizes, each multiplier bound floored at its
+capacity path's maximum, which makes the form exact (mpec's notes), and
+a bound still near-binding at the answer is a note in the day's report.
+solver.extract_solution audits every scenario's division and schedules
+with oracle.check_schedule_invariants at FEAS_TOL before they are
+reported; a failure raises RuntimeError naming the failed items.
 
 run_all_scenarios assembles the day's division model once. The model
 owns the day's capacity paths (simplex.CapacityPath, one per party,
-MpecModel.paths), built on their first read: scenario 1 reads the
-utility's path, and the tree solves of scenarios 2 and 3 read all of
-them, scenario 2 through its pinned copy of the model, which shares them.
-A scenario run, a run of all three and a cycle each share one time
-limit, path builds included: every solve gets what is left of it, and a
-scenario that would start with none left fails with status limit (a
-cycle records the day as failed).
+MpecModel.paths), built on their first read; every pinned copy of the
+model shares them, so the three solves build them once. A scenario run,
+a run of all three and a cycle each share one time limit, path builds
+included: every solve gets what is left of it, and a scenario that would
+start with none left fails with status limit (a cycle records the day as
+failed). The mode is checked once, by each public entry.
 
 Report files are dataio's DIVISIONS, REDUCTIONS and PROFILES tables and a
 summary, deterministic for fixed inputs (no timestamps, no wall-clock
@@ -52,20 +54,16 @@ import numpy as np
 
 from .dataio import DIVISIONS, PROFILES, REDUCTIONS, DataError, read_table, write_table
 from .instance import (
-    FEAS_TOL,
     Division,
     Instance,
     ScheduleSet,
     disco_cost,
-    flow_price,
     net_system_load,
     upper_objective,
     zero_schedules,
 )
 from .lp import Rows
 from .mpec import assemble_mpec, validate_big_m
-from .oracle import check_schedule_invariants
-from .simplex import CapacityPath
 from .solver import (_EXIT_CODES, DEFAULT_MODE, MODES, SolveOptions, extract_solution,
                      solve_lpcc, solve_milp)
 
@@ -155,24 +153,14 @@ def attributed_customer_costs(instance: Instance,
     return weights @ slot_cost
 
 
-def _disco_only_dispatch(instance: Instance, path: CapacityPath):
-    """Fixed division (everything to the utility); its dispatch is a
-    lookup on the utility's capacity path, as every other party's is."""
-    t = instance.grid.slot_count
-    s_total = instance.storage.total_capacity
-    sol, x_res = path.flow_face(s_total, flow_price(instance))
-
-    def as_schedules(x):
-        ch, dis = x[:t], x[t: 2 * t]
-        net = instance.loads.system_load + ch - dis
-        return replace(zero_schedules(instance), disco_ch=ch, disco_dis=dis,
-                       system_peak=float(net.max()))
-
-    candidates = [as_schedules(sol.x), as_schedules(x_res)]
-    schedules = min(candidates, key=lambda s: upper_objective(instance, s))
-    division = Division(s_disco=s_total,
-                        s_customer=np.zeros(instance.customer_count))
-    return division, schedules, sol
+def _pin_disco_only(mpec):
+    """Give the whole battery to the utility: its share is pinned to the
+    capacity and every customer's to zero. The pinned model keeps the
+    instance, so it shares mpec's capacity paths."""
+    lb, ub = mpec.lp.lb.copy(), mpec.lp.ub.copy()
+    lb[mpec.div_disco_col] = ub[mpec.div_disco_col] = mpec.instance.storage.total_capacity
+    lb[mpec.div_cust_cols] = ub[mpec.div_cust_cols] = 0.0
+    return replace(mpec, lp=replace(mpec.lp, lb=lb, ub=ub))
 
 
 def _pin_customers_only(mpec):
@@ -231,41 +219,32 @@ def run_scenario(instance: Instance, scenario, options: SolveOptions | None = No
                  mode: str = DEFAULT_MODE, day: int = 0) -> DayReport:
     """Solve one scenario and report costs against the do-nothing baseline;
     the solve, its path builds included, gets options.time_limit."""
-    opts = options if options is not None else SolveOptions()
-    return _report(instance, ScenarioId(scenario), opts, mode, day,
-                   time.perf_counter() + opts.time_limit)
-
-
-def _report(instance: Instance, scenario: ScenarioId, opts: SolveOptions, mode: str,
-            day: int, deadline: float, mpec=None) -> DayReport:
-    """One scenario's report, its solve given what is left before deadline
-    (a perf_counter reading). mpec is the day's division model, assembled
-    here when None; without it scenario 1 builds the utility's path alone."""
     _check_mode(mode)
-    _left(scenario, deadline)
-    notes: list = []
+    scenario = ScenarioId(scenario)
+    opts = options if options is not None else SolveOptions()
+    deadline = time.perf_counter() + opts.time_limit
+    return _report(assemble_mpec(instance), scenario, opts, mode, day, deadline)
 
+
+def _report(mpec, scenario: ScenarioId, opts: SolveOptions, mode: str,
+            day: int, deadline: float) -> DayReport:
+    """One scenario's report off the day's division model mpec, pinned as
+    the scenario fixes the division, its solve given what is left before
+    deadline (a perf_counter reading)."""
+    instance = mpec.instance
     if scenario is ScenarioId.DISCO_ONLY:
-        path = CapacityPath(instance, instance.customer_count) if mpec is None else mpec.paths[-1]
-        division, schedules, sol = _disco_only_dispatch(instance, path)
-        audit = check_schedule_invariants(instance, division, schedules, tol=FEAS_TOL)
-        if not audit.passed:
-            raise RuntimeError(f"solution violates schedule invariants: {audit.failures()}")
-        stats = {"mode": "lp", "status": "optimal", "nodes": 1,
-                 "gap": 0.0, "escalations": 0, "iterations": sol.iterations}
-    else:
-        mpec = assemble_mpec(instance) if mpec is None else mpec
-        if scenario is ScenarioId.CUSTOMERS_ONLY:
-            mpec = _pin_customers_only(mpec)
-        result, escalations, notes = solve_division(
-            mpec, replace(opts, time_limit=_left(scenario, deadline)), mode)
-        if result.status != "optimal":
-            raise ScenarioError(scenario, result.status,
-                                f"solver ended {result.status} after {result.node_count} nodes")
-        division, schedules, _ = extract_solution(result, instance)
-        stats = {"mode": mode, "status": result.status,
-                 "nodes": result.node_count, "gap": result.gap,
-                 "escalations": escalations, "iterations": result.iterations}
+        mpec = _pin_disco_only(mpec)
+    elif scenario is ScenarioId.CUSTOMERS_ONLY:
+        mpec = _pin_customers_only(mpec)
+    result, escalations, notes = solve_division(
+        mpec, replace(opts, time_limit=_left(scenario, deadline)), mode)
+    if result.status != "optimal":
+        raise ScenarioError(scenario, result.status,
+                            f"solver ended {result.status} after {result.node_count} nodes")
+    division, schedules, _ = extract_solution(result, instance)
+    stats = {"mode": mode, "status": result.status,
+             "nodes": result.node_count, "gap": result.gap,
+             "escalations": escalations, "iterations": result.iterations}
 
     baseline = zero_schedules(instance)
     base_cust = attributed_customer_costs(instance, baseline)
@@ -308,8 +287,7 @@ def run_all_scenarios(instance: Instance, options: SolveOptions | None = None,
     opts = options if options is not None else SolveOptions()
     deadline = time.perf_counter() + opts.time_limit
     mpec = assemble_mpec(instance)
-    return tuple(_report(instance, sid, opts, mode, day, deadline, mpec)
-                 for sid in ScenarioId)
+    return tuple(_report(mpec, sid, opts, mode, day, deadline) for sid in ScenarioId)
 
 
 def daily_cycle(days, options: SolveOptions | None = None,
@@ -320,14 +298,16 @@ def daily_cycle(days, options: SolveOptions | None = None,
     charge by the end of the day, so days decouple and each one is a
     fresh full solve. The days share one options.time_limit. A failed day,
     or one the time limit left no time for, is recorded and the cycle
-    continues.
+    continues. An unknown mode raises ValueError before any day runs.
     """
+    _check_mode(mode)
     opts = options if options is not None else SolveOptions()
     deadline = time.perf_counter() + opts.time_limit
     reports, failures = [], []
     for day, instance in enumerate(days):
         try:
-            reports.append(_report(instance, ScenarioId.SHARED, opts, mode, day, deadline))
+            reports.append(_report(assemble_mpec(instance), ScenarioId.SHARED, opts, mode,
+                                   day, deadline))
         except (ScenarioError, RuntimeError, ValueError) as exc:
             failures.append((day, str(exc)))
     return CycleResult(reports=tuple(reports), failures=tuple(failures))

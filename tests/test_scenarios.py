@@ -13,6 +13,7 @@ from storageshare import mpec as mpec_module
 from storageshare import scenarios, simplex, solver
 from storageshare.instance import customer_cost_total, make_instance, zero_schedules
 from storageshare.mpec import assemble_mpec
+from storageshare.oracle import grid_oracle
 from storageshare.scenarios import (
     CycleResult,
     ScenarioError,
@@ -82,31 +83,48 @@ def test_attribution_splits_dead_slots_equally():
 
 
 def test_scenario_one_is_a_single_lp():
+    # scenario 1 is the division model pinned to the utility, solved in
+    # the run's mode, and its pin leaves the tree nothing to branch on
     inst = division_fixture(202)
-    rep = run_scenario(inst, ScenarioId.DISCO_ONLY)
-    assert rep.solver_stats["mode"] == "lp"
-    assert rep.solver_stats["nodes"] == 1
-    assert rep.division.s_disco == inst.storage.total_capacity
-    assert np.all(rep.division.s_customer == 0.0)
-    # the carried peak must match the profile it reports
-    assert rep.actual_peak == pytest.approx(rep.actual_profile.max(), abs=1e-12)
+    for mode in ("lpcc", "bigm"):
+        rep = run_scenario(inst, ScenarioId.DISCO_ONLY, mode=mode)
+        assert rep.solver_stats["mode"] == mode
+        assert rep.solver_stats["nodes"] == 1
+        assert rep.division.s_disco == inst.storage.total_capacity
+        assert np.all(rep.division.s_customer == 0.0)
+        # the carried peak must match the profile it reports
+        assert rep.actual_peak == pytest.approx(rep.actual_profile.max(), abs=1e-12)
 
 
 def test_scenario_one_is_checked_against_the_schedule_invariants(monkeypatch):
     # a utility dispatch above its power cap must not reach a report
     inst = division_fixture(202)
     over = 2.0 * inst.storage.power_ratio * inst.storage.total_capacity
-    flow_face = CapacityPath.flow_face
+    solve = scenarios.solve_division
 
-    def over_cap(self, s, price):
-        sol, x_face = flow_face(self, s, price)
-        bump = np.zeros_like(x_face)
-        bump[0] = over
-        return replace(sol, x=sol.x + bump), x_face + bump
+    def over_cap(mpec, opts, mode):
+        result, escalations, notes = solve(mpec, opts, mode)
+        x = result.x.copy()
+        x[mpec.disco.x0] += over  # the utility's first charge
+        return replace(result, x=x), escalations, notes
 
-    monkeypatch.setattr(CapacityPath, "flow_face", over_cap)
+    monkeypatch.setattr(scenarios, "solve_division", over_cap)
     with pytest.raises(RuntimeError, match="disco.power_caps"):
         run_scenario(inst, ScenarioId.DISCO_ONLY)
+
+
+@pytest.mark.parametrize("mode", ["lpcc", "bigm"])
+def test_scenario_one_keeps_the_utility_dispatch_rule(mode):
+    # scenario 1 was once a lookup on the utility's capacity path, which
+    # reported the better of the utility's optimum and its face minimum;
+    # the grid oracle scores its point (C, 0, ..., 0) by the same rule
+    for name, build in DIVISION_FIXTURES:
+        inst = build()
+        cap = inst.storage.total_capacity
+        grid = grid_oracle(inst, cap / 20.0 if cap > 0.0 else 1.0)
+        want = grid.values[np.flatnonzero(grid.counts[:, 0] == grid.counts[:, 0].max())[0]]
+        got = run_all_scenarios(inst, mode=mode)[0].upper_objective
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), name
 
 
 def test_scenario_two_gives_customers_everything():
@@ -244,6 +262,12 @@ def test_run_scenario_rejects_unknown_mode():
         run_scenario(conflict_instance(), 7)
 
 
+def test_daily_cycle_rejects_unknown_mode():
+    # an unknown mode once came back as every day failed with its message
+    with pytest.raises(ValueError, match="mode"):
+        daily_cycle([conflict_instance()] * 2, mode="exact")
+
+
 def test_emit_and_read_report_round_trip(tmp_path):
     inst = division_fixture(202)
     reports = run_all_scenarios(inst, mode="lpcc")
@@ -317,8 +341,7 @@ def test_scenario_error_carries_solver_status():
 
 def _count_paths(monkeypatch):
     """Patch a CapacityPath that counts its builds into simplex (for
-    day_paths) and scenarios; returns the list each build appends its
-    party to."""
+    day_paths); returns the list each build appends its party to."""
     built = []
 
     class Counting(CapacityPath):
@@ -327,7 +350,6 @@ def _count_paths(monkeypatch):
             super().__init__(instance, party)
 
     monkeypatch.setattr(simplex, "CapacityPath", Counting)
-    monkeypatch.setattr(scenarios, "CapacityPath", Counting)
     return built
 
 
@@ -356,9 +378,8 @@ def test_a_model_builds_its_paths_once_for_every_solve(monkeypatch):
         p = measure.Pass()
         days.run_pass(state, p)
         assert len(built) == builds and days.check(state, p.records) == []
-    # a scenario run builds the day's N+1 paths once: scenario 1 reads the
-    # utility's, and the customers-only solve, on its pinned model, reads
-    # the objects the shared solve reads
+    # a scenario run builds the day's N+1 paths once: the three solves, on
+    # their pinned models, read the same objects
     built.clear()
     seen = []
     solve = scenarios.solve_division
@@ -371,7 +392,7 @@ def test_a_model_builds_its_paths_once_for_every_solve(monkeypatch):
     inst = conflict_instance()
     run_all_scenarios(inst)
     assert built == list(range(inst.customer_count + 1))
-    assert len(seen) == 2 and all(a is b for a, b in zip(*seen))
+    assert len(seen) == 3 and all(a is b is c for a, b, c in zip(*seen))
 
 
 def _record_limits(monkeypatch, pause=0.0):
@@ -406,7 +427,7 @@ def test_scenario_run_and_cycle_share_one_time_limit(monkeypatch):
     opts = SolveOptions(time_limit=5.0)
     t0 = time.perf_counter()
     run_all_scenarios(inst, opts, mode="lpcc")
-    assert len(calls) == 2
+    assert len(calls) == 3
     _assert_within(calls, 5.0, t0)
     calls.clear()
     t0 = time.perf_counter()
@@ -419,7 +440,7 @@ def test_scenarios_and_days_past_the_time_limit_fail(monkeypatch):
     # a solve that overruns the budget leaves none for the next scenario,
     # which stops with status limit (exit 4), and none for the next days
     calls = _record_limits(monkeypatch, pause=0.3)
-    with pytest.raises(ScenarioError, match="scenario 3: time limit reached") as info:
+    with pytest.raises(ScenarioError, match="scenario 2: time limit reached") as info:
         run_all_scenarios(conflict_instance(), SolveOptions(time_limit=0.3), mode="lpcc")
     assert (info.value.status, info.value.exit_code) == ("limit", 4)
     assert len(calls) == 1

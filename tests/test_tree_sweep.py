@@ -116,6 +116,30 @@ def test_compare_lists_moved_best_bounds_without_failing(tmp_path, capsys):
     assert "best bounds differ at 1e-12: 1/lpcc/free\n" in capsys.readouterr().out
 
 
+def test_compare_skips_a_scenario_only_one_file_records(tmp_path, capsys):
+    # files written before the sweep solved disco-only still compare
+    def rec(mode, scenario, nodes=1):
+        return {"seed": 1, "mode": mode, "scenario": scenario, "status": "optimal",
+                "nodes": nodes, "iterations": 1, "objective": 10.0, "seconds": 1.0}
+
+    old = [rec(mode, scenario) for scenario in ("free", "customers-only")
+           for mode in tree_sweep.MODES]
+    new = old + [rec(mode, "disco-only", nodes=1) for mode in tree_sweep.MODES]
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    for first, second in ((old, new), (new, old)):
+        _write(a, first)
+        _write(b, second)
+        assert tree_sweep.main(["--compare", str(a), str(b)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("4 solves in both files")
+        assert "disco-only" not in out
+    _write(b, new)
+    assert tree_sweep.main(["--compare", str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("6 solves in both files")
+    assert "lpcc/disco-only: 1 seeds, seconds 1.00 -> 1.00 (+0.0%), nodes 1 -> 1\n" in out
+
+
 def test_sweep_records_the_grid_objective(tmp_path):
     out = tmp_path / "sweep.jsonl"
     tree_sweep.sweep([213], node_limit=4000, out=str(out))
@@ -123,8 +147,8 @@ def test_sweep_records_the_grid_objective(tmp_path):
     assert [(r["scenario"], r["mode"]) for r in records] == [
         (scenario, mode) for scenario in tree_sweep.SCENARIOS for mode in tree_sweep.MODES]
     assert all(r["status"] == "optimal" for r in records)
-    assert [r["escalations"] for r in records] == [0] * 4
-    assert [r["fallbacks"] for r in records] == [[]] * 4
+    assert [r["escalations"] for r in records] == [0] * 6
+    assert [r["fallbacks"] for r in records] == [[]] * 6
     assert all(isinstance(r[key], int) and r[key] >= 0
                for r in records for key in tree_sweep.WARM)
     assert all(0 < r["root_iterations"] <= r["iterations"] for r in records)
@@ -138,6 +162,8 @@ def test_sweep_records_the_grid_objective(tmp_path):
     # the grid searches free divisions
     assert all("grid" not in r and "grid_seconds" not in r for r in records[2:])
     assert records[2]["objective"] >= lpcc["objective"]  # a pin only adds rows
+    # ... or fixes bounds (here at the free optimum, to rounding)
+    assert records[4]["objective"] >= lpcc["objective"] * (1.0 - 1e-9)
     assert tree_sweep.grid_below({(213, "lpcc", "free"): lpcc}) == []
     for r in records:  # each answer's worst lower-level excess, within tolerance
         assert abs(r["ll_excess"]) <= 1e-9 * (1.0 + abs(r["ll_phi"]))

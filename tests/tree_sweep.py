@@ -4,8 +4,9 @@
     python -m tests.tree_sweep --compare A B
 
 The first form solves tests.conftest.division_fixture(seed) for every seed,
-free and with the whole battery given to the customers (scenario "free"
-or "customers-only"), with solve_lpcc and with the bigm path of
+free, with the whole battery given to the customers and with the whole
+battery given to the utility (scenario "free", "customers-only" or
+"disco-only", the last two pinned as scenarios 2 and 1 are), with solve_lpcc and with the bigm path of
 scenarios.solve_division (the path floor and validation included), and
 writes one JSON line per (seed, mode, scenario) with the status, nodes, LP
 iterations, the root LP's iterations, the pivots and the pieces of the
@@ -51,7 +52,7 @@ import sys
 import time
 
 MODES = ("lpcc", "bigm")
-SCENARIOS = ("free", "customers-only")
+SCENARIOS = ("free", "customers-only", "disco-only")
 OBJ_TOL = 1e-6
 GRID_TOL = 1e-9
 GRID_SAME_TOL = 1e-12
@@ -72,7 +73,7 @@ def parse_seeds(text: str) -> list[int]:
 
 def solve_one(seed: int, mode: str, scenario: str, node_limit: int) -> dict:
     from storageshare.mpec import assemble_mpec
-    from storageshare.scenarios import _pin_customers_only, solve_division
+    from storageshare.scenarios import _pin_customers_only, _pin_disco_only, solve_division
     from storageshare.solver import SolveOptions
 
     from tests.conftest import division_fixture, lower_level_excess
@@ -80,6 +81,8 @@ def solve_one(seed: int, mode: str, scenario: str, node_limit: int) -> dict:
     model = assemble_mpec(division_fixture(seed))
     if scenario == "customers-only":
         model = _pin_customers_only(model)
+    elif scenario == "disco-only":
+        model = _pin_disco_only(model)
     t0 = time.perf_counter()
     res, escalations, _ = solve_division(model, SolveOptions(node_limit=node_limit), mode)
     seconds = time.perf_counter() - t0
