@@ -184,7 +184,7 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="storageshare",
         description="Day-ahead battery division between a utility and its "
@@ -237,8 +237,15 @@ def main(argv=None) -> int:
     p = sub.add_parser("report", help="re-parse and summarize report files")
     p.add_argument("--dir", required=True, help="report directory")
     p.set_defaults(func=_cmd_report)
+    return parser
 
-    args = parser.parse_args(argv)
+
+# built once, at import: main only parses
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (DataError, InstanceError, FileNotFoundError) as exc:

@@ -1,5 +1,7 @@
 """Command-line flows driven through main(argv)."""
 
+import argparse
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,23 @@ def args_for(workdir, *extra):
     return ["--loads", str(workdir["loads"]), "--prices",
             str(workdir["prices"]), "--config", str(workdir["config"]),
             *extra]
+
+
+def test_main_builds_no_parser(tmp_path, capsys, monkeypatch):
+    # every call once built the whole argparse tree, about 0.9 ms each
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for seed in ("1", "2"):
+        assert main(["gen-data", "--slots", "4", "--seed", seed, "--loads",
+                     str(tmp_path / "loads.csv"), "--prices", str(tmp_path / "prices.csv")]) == 0
+    capsys.readouterr()
+    assert built == []
 
 
 def test_solve_prints_division(workdir, capsys):
