@@ -7,6 +7,7 @@ import pytest
 
 from storageshare import cli, scenarios
 from storageshare.cli import main
+from storageshare.instance import make_instance
 from storageshare.mpec import BigMReport
 from storageshare.mps_io import read_mps
 from storageshare.simplex import SimplexError
@@ -36,7 +37,7 @@ def args_for(workdir, *extra):
 
 
 def test_main_builds_no_parser(tmp_path, capsys, monkeypatch):
-    # every call once built the whole argparse tree, about 0.9 ms each
+    # every call once built the whole argparse tree anew
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -222,6 +223,18 @@ def test_cycle_reports_partial_failure(workdir, tmp_path, capsys):
     assert rc == 1
     assert "failed" in err
     assert "ended limit" in err
+
+
+def test_oracle_prints_its_tied_grid_points(tmp_path, capsys):
+    # flat prices leave many divisions with the same objective; the grid
+    # names how many tie with its best point
+    inst = make_instance(lmp=[0.2] * 4, tou=[0.2] * 4, customer_load=[[3.0, 5.0, 2.0, 4.0]] * 2,
+                         slot_hours=1.0, total_capacity=4.0)
+    day, config = write_day(inst, tmp_path)
+    assert main(["oracle", "--loads", day[0], "--prices", day[1], "--config", str(config),
+                 "--grid-step", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "note = 34 grid points within 1e-9 of the best objective"
 
 
 def test_missing_file_exits_two(workdir, capsys):

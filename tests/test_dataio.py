@@ -121,6 +121,12 @@ def test_load_file_round_trip(tmp_path):
     np.testing.assert_array_equal(loads, [[1.5, 3.0], [2.5, 0.0]])
 
 
+def test_blank_lines_are_skipped(tmp_path):
+    path = write(tmp_path / "loads.csv",
+                 "t,customer_id,load_kw\n0,0,1.5\n\n1,0,3\n  \n")
+    np.testing.assert_array_equal(read_loads(path), [[1.5, 3.0]])
+
+
 @pytest.mark.parametrize("body,fragment", [
     ("time,customer,kw\n0,0,1\n", "expected header"),
     ("t,customer_id,load_kw\n0,0\n", "expected 3 fields"),
@@ -141,6 +147,8 @@ def test_load_file_rejections(tmp_path, body, fragment):
     ("t,lmp_per_kwh,tou_per_kwh\n0,1,2\n0,1,2\n", "duplicate entry"),
     ("t,lmp_per_kwh,tou_per_kwh\n0,1,2\n2,1,2\n", "incomplete series"),
     ("t,lmp_per_kwh,tou_per_kwh\n0,x,2\n", "expected int,float,float"),
+    ("t,lmp_per_kwh,tou_per_kwh\n-1,1,2\n", "negative slot"),
+    ("t,lmp_per_kwh,tou_per_kwh\n", "no data rows"),
 ])
 def test_price_file_rejections(tmp_path, body, fragment):
     path = write(tmp_path / "prices.csv", body)

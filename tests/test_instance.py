@@ -92,6 +92,9 @@ def test_system_load_recomputed_not_trusted():
         (dict(extra_base_load=[0.0, 0.0]), "extra_base_load"),
         (dict(customer_load=[[[1.0, 1.0, 1.0]]]), "customer_load"),
         (dict(customer_load=np.zeros((0, 3))), "customer_count"),
+        (dict(lmp=[1.0, np.nan, 1.0]), "lmp contains non-finite"),
+        (dict(tou=[1.0, np.inf, 1.0]), "tou contains non-finite"),
+        (dict(soc_ini_customer=[0.5, 0.5]), "soc_ini_customer has shape"),
     ],
 )
 def test_validation_rejects(patch, msg):

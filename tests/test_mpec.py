@@ -4,10 +4,11 @@ import pytest
 from storageshare import solver
 from storageshare.lp import Rows, build_party_lp
 from storageshare.mpec import assemble_mpec, linearize_big_m, pair_caps, validate_big_m
+from storageshare.scenarios import _pin_customers_only
 from storageshare.simplex import Simplex, day_paths
 from storageshare.solver import _pair_slacks, solve_lpcc
-from tests.conftest import (DIVISION_FIXTURES, day_long, fleet_instance, rand_instance,
-                            stress_fixture)
+from tests.conftest import (DIVISION_FIXTURES, day_long, division_fixture, fleet_instance,
+                            rand_instance, stress_fixture)
 from tests.lp_oracle import derive_kkt, make_lp, row_value
 
 
@@ -370,3 +371,31 @@ def test_validate_big_m(rng):
     rep = validate_big_m(milp, x)
     assert not rep.clean
     assert any(q == 3 and side == "omega" for q, side, _, _ in rep.flagged)
+
+
+@pytest.mark.parametrize("name", ["seed284", "seed284-customers-only", "mix202", "pair219",
+                                  "pair223", "pair226", "pair236"])
+def test_highs_solves_the_exported_big_m_model_to_the_lpcc_optimum(name):
+    # the model build exports is the paper's fixed-size big-M form, with
+    # no path floor; a MILP solver that knows nothing of the tree must
+    # reach the same optimum on it
+    optimize = pytest.importorskip("scipy.optimize")
+    seed, _, pin = name.partition("-")
+    make = dict(DIVISION_FIXTURES, seed284=lambda: division_fixture(284))
+    mpec = assemble_mpec(make[seed]())
+    if pin:
+        mpec = _pin_customers_only(mpec)
+    milp = linearize_big_m(mpec)
+    lp = milp.lp
+    integrality = np.zeros(lp.n_vars)
+    integrality[milp.binary_cols] = 1
+    out = optimize.milp(
+        lp.c, integrality=integrality, bounds=optimize.Bounds(lp.lb, lp.ub),
+        constraints=[optimize.LinearConstraint(lp.g.dense(lp.n_vars), lp.b_g, np.inf),
+                     optimize.LinearConstraint(lp.h.dense(lp.n_vars), lp.b_h, lp.b_h)],
+        options={"mip_rel_gap": 0.0})
+    assert out.status == 0, out.message
+    want = solve_lpcc(mpec)
+    assert want.status == "optimal"
+    got = out.fun + lp.objective_constant
+    assert abs(got - want.objective) <= 1e-9 * max(1.0, abs(want.objective))

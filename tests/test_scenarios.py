@@ -326,6 +326,16 @@ def test_daily_cycle_records_failures_and_continues():
     assert day == 1 and "limit" in message
 
 
+def test_a_cycle_report_names_its_failed_days(tmp_path):
+    fine, hard = DIVISION_FIXTURES[0][1](), interior_fixture()
+    result = daily_cycle([fine, hard], SolveOptions(node_limit=1), mode="lpcc")
+    paths = emit_report(result.reports, tmp_path, failures=result.failures)
+    with open(paths["summary"]) as fh:
+        lines = fh.read().splitlines()
+    assert "failures = 1" in lines
+    assert "failed day 1: scenario 3: solver ended limit after 1 nodes" in lines
+
+
 def test_scenario_error_carries_solver_status():
     with pytest.raises(ScenarioError) as info:
         run_scenario(interior_fixture(), ScenarioId.SHARED,

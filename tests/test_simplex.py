@@ -474,6 +474,48 @@ def test_chained_warm_resolves_match_cold(rng):
             snap = eng.snapshot()
 
 
+def test_warm_resolves_that_cross_the_refactor_count_match_cold(rng, monkeypatch):
+    # the dual loop rebuilds its inverse once _REFACTOR_EVERY pivots have
+    # passed since the last rebuild; at a count of 2 the warm resolves of
+    # a walk of tightened bounds cross it, and each must match a cold solve
+    monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 2)
+    refactor, dual_loop, inside, rebuilt = Simplex._refactor, Simplex._dual_loop, [], []
+
+    def looping(self):
+        inside.append(self)
+        try:
+            return dual_loop(self)
+        finally:
+            inside.pop()
+
+    def counted(self):
+        if inside:
+            rebuilt.append(self.iterations)
+        return refactor(self)
+
+    monkeypatch.setattr(Simplex, "_dual_loop", looping)
+    monkeypatch.setattr(Simplex, "_refactor", counted)
+    for _ in range(10):
+        lp = random_feasible_lp(rng, n_vars=6, n_g=8, n_h=1)
+        eng = Simplex(lp)
+        sol = eng.solve()
+        assert sol.status == "optimal"
+        lo = np.concatenate([lp.lb, np.zeros(lp.n_g)])
+        hi = np.concatenate([lp.ub, np.full(lp.n_g, np.inf)])
+        for j in rng.permutation(lp.n_vars):
+            snap = eng.snapshot()
+            hi[j] = max(lo[j], sol.x[j] - rng.uniform(0.5, 2.0))
+            warm = eng.resolve(snap, lo, hi)
+            cold = Simplex(lp).solve(lo, hi)
+            assert warm.status == cold.status
+            if warm.status != "optimal":
+                break
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-8, rel=1e-8)
+            sol = warm
+        assert eng.cold_restarts == 0  # every resolve stayed warm
+    assert len(rebuilt) >= 10  # and the dual loop rebuilt its inverse
+
+
 # ------------------------------------------------ column-sparse pricing kernels
 
 

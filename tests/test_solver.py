@@ -1,5 +1,6 @@
 import itertools
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -656,6 +657,31 @@ def test_each_fallback_is_named_and_changes_no_answer(monkeypatch, mode):
         if name == "family_start":  # the paths' cold solves ran phase 1
             assert res.family_iterations > clean.family_iterations
     assert len(raised) == 1
+
+
+def test_a_pin_the_root_start_cannot_meet_falls_back_to_the_crash():
+    # customers-only with customer 0's share capped at C/2: the start meets
+    # the pin's sum row on that share alone, past its cap, so no start is
+    # built and the root runs from the slack crash
+    inst = division_fixture_n2(219)
+    mpec = _pin_customers_only(assemble_mpec(inst))
+    ub = mpec.lp.ub.copy()
+    ub[mpec.div_cust_cols[0]] = inst.storage.total_capacity / 2
+    mpec = replace(mpec, lp=replace(mpec.lp, ub=ub))
+    for mode in solver.MODES:
+        res = solve_division(mpec, SolveOptions(), mode)[0]
+        assert res.status == "optimal" and res.fallbacks == ("root_start",), mode
+        assert abs(res.objective - 42.2156508343368) <= 1e-9 * 42.2156508343368, mode
+        assert_lower_level_optimal(mpec, res)
+
+
+def test_extract_solution_needs_a_model_and_a_point():
+    inst = division_fixture(202)
+    res = solve_lpcc(assemble_mpec(inst))
+    with pytest.raises(TypeError, match="division model"):
+        extract_solution(replace(res, model=None), inst)
+    with pytest.raises(ValueError, match="no solution to extract"):
+        extract_solution(replace(res, x=None, status="limit"), inst)
 
 
 @pytest.mark.parametrize("mode", solver.MODES)
